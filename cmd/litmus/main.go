@@ -1,7 +1,7 @@
 // Command litmus model-checks one of the paper's litmus programs under
 // a chosen TM model and fence policy and prints the distinct final
-// outcomes. With -exec it instead runs the Figure 1(a) privatization
-// idiom concurrently on a *runtime* TM selected by engine
+// outcomes. With -exec it instead runs the program (fig1a or
+// read-privatize) concurrently on a *runtime* TM selected by engine
 // specification, connecting the model-checked verdicts to observed
 // behaviour of the real implementations.
 //
@@ -12,6 +12,7 @@
 //	litmus -prog fig1b -fence skipro        # the GCC fence bug
 //	litmus -exec tl2+nofence -runs 5000     # delayed commit, live
 //	litmus -exec norec -runs 5000           # fence-free safe on NOrec
+//	litmus -prog read-privatize -exec tl2   # scan-window idiom, live
 package main
 
 import (
@@ -28,57 +29,109 @@ import (
 	"safepriv/internal/model"
 )
 
-// execFig1a runs the Figure 1(a) privatization idiom (with the fence
-// the spec's fence policy provides) on the runtime TM named by spec and
-// counts postcondition violations (l=committed ⇒ x=1).
-func execFig1a(spec string, runs int) error {
-	const flagReg, x = 0, 1
+// liveRuns runs one of the live programs below `runs` times, each on a
+// fresh 2-register TM built from spec, and prints how many runs
+// violated the program's postcondition.
+func liveRuns(name, spec string, runs int, violated func(tm core.TM) bool) error {
 	violations := 0
 	for i := 0; i < runs; i++ {
 		tm, err := engine.NewSpec(spec, 2, 3, nil)
 		if err != nil {
 			return err
 		}
-		var committed atomic.Bool
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			if err := core.Atomically(tm, 1, func(tx core.Txn) error {
-				return tx.Write(flagReg, 1)
-			}); err == nil {
-				committed.Store(true)
-				tm.Fence(1) // a no-op under +nofence specs
-				tm.Store(1, x, 1)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			core.Atomically(tm, 2, func(tx core.Txn) error {
-				f, err := tx.Read(flagReg)
-				if err != nil {
-					return err
-				}
-				if f == 0 {
-					return tx.Write(x, 42)
-				}
-				return nil
-			})
-		}()
-		wg.Wait()
-		if committed.Load() && tm.Load(1, x) != 1 {
+		if violated(tm) {
 			violations++
 		}
 	}
-	fmt.Printf("fig1a on %s, %d runs: %d postcondition violations\n", spec, runs, violations)
+	fmt.Printf("%s on %s, %d runs: %d postcondition violations\n", name, spec, runs, violations)
 	return nil
 }
 
+// both runs the two threads of a live program to completion.
+func both(th1, th2 func()) {
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); th1() }()
+	go func() { defer wg.Done(); th2() }()
+	wg.Wait()
+}
+
+// liveFig1a is one run of the Figure 1(a) privatization idiom (with the
+// fence the spec's fence policy provides); the postcondition is
+// l=committed ⇒ x=1.
+func liveFig1a(tm core.TM) bool {
+	const flagReg, x = litmus.RegFlag, litmus.RegX
+	var committed atomic.Bool
+	both(func() {
+		if err := core.Atomically(tm, 1, func(tx core.Txn) error {
+			return tx.Write(flagReg, 1)
+		}); err == nil {
+			committed.Store(true)
+			tm.Fence(1) // a no-op under +nofence specs
+			tm.Store(1, x, litmus.NuVal)
+		}
+	}, func() {
+		core.Atomically(tm, 2, func(tx core.Txn) error {
+			f, err := tx.Read(flagReg)
+			if err != nil {
+				return err
+			}
+			if f == 0 {
+				return tx.Write(x, litmus.TxVal)
+			}
+			return nil
+		})
+	})
+	return committed.Load() && tm.Load(1, x) != litmus.NuVal
+}
+
+// liveReadPrivatize is one run of litmus.ReadPrivatize(false): thread 1
+// read-privatizes x, fences, loads it uninstrumented and publishes;
+// thread 2 writes x if it sees the flag clear, then reads x in a
+// transaction that ignores the flag. The postcondition is
+// l1=committed ∧ l3=committed ∧ f=0 ⇒ lx=42.
+func liveReadPrivatize(tm core.TM) bool {
+	const flagReg, x = litmus.RegFlag, litmus.RegX
+	var privatized, wrote bool
+	var lx int64
+	both(func() {
+		if err := core.Atomically(tm, 1, func(tx core.Txn) error {
+			return tx.Write(flagReg, litmus.FlagReadPrivate)
+		}); err != nil {
+			return
+		}
+		privatized = true
+		tm.Fence(1)
+		lx = tm.Load(1, x)
+		core.Atomically(tm, 1, func(tx core.Txn) error {
+			return tx.Write(flagReg, litmus.FlagRepublished)
+		})
+	}, func() {
+		err := core.Atomically(tm, 2, func(tx core.Txn) error {
+			f, err := tx.Read(flagReg)
+			if err != nil {
+				return err
+			}
+			wrote = f == 0
+			if wrote {
+				return tx.Write(x, litmus.TxVal)
+			}
+			return nil
+		})
+		wrote = wrote && err == nil
+		core.Atomically(tm, 2, func(tx core.Txn) error {
+			_, err := tx.Read(x)
+			return err
+		})
+	})
+	return privatized && wrote && lx != litmus.TxVal
+}
+
 func main() {
-	prog := flag.String("prog", "fig1a", "program: fig1a, fig1a-nofence, fig1b, fig1b-nofence, fig2, fig3, fig6")
+	prog := flag.String("prog", "fig1a", "program: fig1a, fig1a-nofence, fig1b, fig1b-nofence, fig2, fig3, fig6, read-privatize, read-privatize-racy")
 	mk := flag.String("model", "tl2", "TM model: tl2 or atomic")
 	fence := flag.String("fence", "wait", "fence policy (tl2 model): wait, skipro, noop")
-	exec := flag.String("exec", "", "run fig1a on a runtime TM by engine spec instead of model checking (or 'list')")
+	exec := flag.String("exec", "", "run -prog (fig1a or read-privatize) on a runtime TM by engine spec instead of model checking (or 'list')")
 	runs := flag.Int("runs", 2000, "iterations for -exec")
 	flag.Parse()
 
@@ -89,7 +142,15 @@ func main() {
 			}
 			return
 		}
-		if err := execFig1a(*exec, *runs); err != nil {
+		live, ok := map[string]func(core.TM) bool{
+			"fig1a":          liveFig1a,
+			"read-privatize": liveReadPrivatize,
+		}[*prog]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "program %q has no live runner\n", *prog)
+			os.Exit(2)
+		}
+		if err := liveRuns(*prog, *exec, *runs, live); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(2)
 		}
@@ -104,6 +165,9 @@ func main() {
 		"fig2":          litmus.Fig2(),
 		"fig3":          litmus.Fig3(),
 		"fig6":          litmus.Fig6(),
+
+		"read-privatize":      litmus.ReadPrivatize(false),
+		"read-privatize-racy": litmus.ReadPrivatize(true),
 	}
 	p, ok := progs[*prog]
 	if !ok {

@@ -152,18 +152,19 @@ func TestControllerLiveUnderWorkload(t *testing.T) {
 		go func(th int) {
 			var ptrs []int64
 			for i := 0; i < 400; i++ {
-				err := core.Atomically(tm, th, func(tx core.Txn) error {
-					p, err := heap.New(tx, th, 2)
-					if err != nil {
-						return err
-					}
-					ptrs = append(ptrs, p)
-					return nil
+				var p int64
+				err := core.Atomically(tm, th, func(tx core.Txn) (err error) {
+					p, err = heap.New(tx, th, 2)
+					return err
 				})
 				if err != nil {
 					done <- err
 					return
 				}
+				// Record the block only once its allocation committed: an
+				// aborted attempt's pointer was never allocated, and
+				// freeing it corrupts the magazine chain.
+				ptrs = append(ptrs, p)
 				if len(ptrs) >= 8 {
 					for _, p := range ptrs {
 						heap.Free(th, p, 2)

@@ -529,6 +529,12 @@ type StatsReply struct {
 		Grows          int64 `json:"grows"`
 		Scans          int64 `json:"scans"`
 		Clears         int64 `json:"clears"`
+		// How stalls on a private shard ended, and Gets that ran beside
+		// a scan window instead of stalling (stmkv.Stats).
+		GateSpinWakes int64 `json:"gate_spin_wakes"`
+		GateParks     int64 `json:"gate_parks"`
+		GateTimeouts  int64 `json:"gate_timeouts"`
+		ReadThroughs  int64 `json:"read_throughs"`
 	} `json:"store"`
 	Heap struct {
 		Allocs       int64 `json:"allocs"`
@@ -570,6 +576,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	reply.Store.Grows = st.Grows
 	reply.Store.Scans = st.Scans
 	reply.Store.Clears = st.Clears
+	reply.Store.GateSpinWakes = st.GateSpinWakes
+	reply.Store.GateParks = st.GateParks
+	reply.Store.GateTimeouts = st.GateTimeouts
+	reply.Store.ReadThroughs = st.ReadThroughs
 	hs := s.store.HeapStats()
 	reply.Heap.Allocs = hs.Allocs
 	reply.Heap.Frees = hs.Frees

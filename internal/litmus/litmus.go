@@ -1,6 +1,8 @@
 // Package litmus encodes the example programs of "Safe Privatization in
 // Transactional Memory" (PPoPP 2018) — Figures 1(a), 1(b), 2, 3 and 6 —
-// as model-checkable programs, together with their postconditions.
+// as model-checkable programs, together with their postconditions, plus
+// the idioms this repository builds on them (PrivatizePublish,
+// ReadPrivatize).
 //
 // Conventions forced by the unique-writes assumption (§2.2): boolean
 // flags are encoded as registers whose initial value 0 plays the role
@@ -246,6 +248,7 @@ func All() []model.Program {
 		Fig1b(false), Fig1b(true),
 		Fig2(), Fig3(), Fig6(),
 		Fig2NonTxnFlag(), StaticSeparation(), PrivatizePublish(),
+		ReadPrivatize(false), ReadPrivatize(true),
 	}
 }
 
@@ -362,6 +365,83 @@ func PrivatizePublish() model.Program {
 func PrivatizePublishPost(f model.Final) bool {
 	if f.Locals[2]["l3"] == model.ResCommitted && f.Locals[2]["f"] == 2 {
 		return f.Locals[2]["lx"] == 11
+	}
+	return true
+}
+
+// Flag values of ReadPrivatize, mirroring stmkv's shard flag: the two
+// low bits are the state, so 3 is read-private and 4 is shared again.
+const (
+	FlagReadPrivate = 3
+	FlagRepublished = 4
+	// RacyVal is the flag-ignoring write of the racy twin.
+	RacyVal = 43
+)
+
+// ReadPrivatize is the shared-read privatization idiom of stmkv's scan
+// windows: the owner privatizes x only to *load* it, so a transaction
+// that only reads x need not consult the flag at all.
+//
+//	thread 1: l1 := atomic { flag := 3 };        // read-privatize
+//	          if (l1 == committed) {
+//	            fence;
+//	            lx := x.read();                  // ν: private load
+//	            l2 := atomic { flag := 4 } }     // publish
+//	thread 2: l3 := atomic {                     // writer: honours the flag
+//	            f := flag.read();
+//	            if (f == 0) x := 42 };
+//	          l4 := atomic { a := x.read() }     // reader: ignores the flag
+//
+// ν and the reader are both loads, so they do not conflict under
+// Definition 3.1; ν and the writer are ordered by the flag and the
+// fence exactly as in PrivatizePublish. The program is DRF.
+// Postcondition: a writer that saw the flag clear is serialized before
+// the privatization, so the private load sees its write:
+// l1=committed ∧ l3=committed ∧ f=0 ⇒ lx=42.
+//
+// With racy set, thread 2's second transaction is x := 43 instead —
+// still ignoring the flag, but now a write, which conflicts with ν and
+// is ordered with it by nothing: the racy twin.
+func ReadPrivatize(racy bool) model.Program {
+	th1 := []model.Stmt{
+		model.Atomic{Lv: "l1", Body: []model.Stmt{
+			model.Write{X: RegFlag, E: model.Const(FlagReadPrivate)},
+		}},
+		model.If{
+			Cond: model.Eq{A: model.Var("l1"), B: model.Const(model.ResCommitted)},
+			Then: []model.Stmt{
+				model.FenceStmt{},
+				model.Read{Lv: "lx", X: RegX},
+				model.Atomic{Lv: "l2", Body: []model.Stmt{
+					model.Write{X: RegFlag, E: model.Const(FlagRepublished)},
+				}},
+			},
+		},
+	}
+	name := "read-privatize"
+	var ignoresFlag model.Stmt = model.Read{Lv: "a", X: RegX}
+	if racy {
+		name = "read-privatize-racy"
+		ignoresFlag = model.Write{X: RegX, E: model.Const(RacyVal)}
+	}
+	th2 := []model.Stmt{
+		model.Atomic{Lv: "l3", Body: []model.Stmt{
+			model.Read{Lv: "f", X: RegFlag},
+			model.If{
+				Cond: model.Eq{A: model.Var("f"), B: model.Const(0)},
+				Then: []model.Stmt{model.Write{X: RegX, E: model.Const(TxVal)}},
+			},
+		}},
+		model.Atomic{Lv: "l4", Body: []model.Stmt{ignoresFlag}},
+	}
+	return model.Program{Name: name, Regs: 2, Threads: [][]model.Stmt{th1, th2}}
+}
+
+// ReadPrivatizePost is ReadPrivatize(false)'s postcondition.
+func ReadPrivatizePost(f model.Final) bool {
+	if f.Locals[1]["l1"] == model.ResCommitted &&
+		f.Locals[2]["l3"] == model.ResCommitted && f.Locals[2]["f"] == 0 {
+		return f.Locals[1]["lx"] == TxVal
 	}
 	return true
 }

@@ -414,3 +414,72 @@ func TestPrivatizePublishWithoutFenceRacy(t *testing.T) {
 		t.Error("fence-free combined idiom should be racy")
 	}
 }
+
+// --- Shared-read privatization (stmkv's scan windows) ---
+
+// TestReadPrivatizeVerdicts: the owner of a read-private object only
+// loads it, so a transaction that reads the object without consulting
+// the flag is race-free, while one that writes it the same way is not.
+// The DRF program keeps its postcondition in every interleaving of both
+// models and its sampled TL2 traces pass the strong-opacity pipeline.
+func TestReadPrivatizeVerdicts(t *testing.T) {
+	for _, tc := range []struct {
+		prog model.Program
+		drf  bool
+	}{
+		{ReadPrivatize(false), true},
+		{ReadPrivatize(true), false},
+	} {
+		t.Run(tc.prog.Name, func(t *testing.T) {
+			if drf, n := drfUnderAtomic(t, tc.prog); drf != tc.drf {
+				t.Fatalf("DRF = %v over %d traces, want %v", drf, n, tc.drf)
+			}
+			if !tc.drf {
+				return // racy programs get no guarantee to check
+			}
+			for _, m := range []model.TMKind{model.TL2Kind, model.AtomicKind} {
+				viol, res, err := model.CheckAlways(
+					model.Config{Prog: tc.prog, Model: m, Fence: model.FenceWaitAll},
+					ReadPrivatizePost,
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if viol != nil {
+					t.Fatalf("model %d: postcondition violated: %+v (%d states)", m, *viol, res.States)
+				}
+			}
+			runs, err := model.Sample(
+				model.Config{Prog: tc.prog, Model: model.TL2Kind, Fence: model.FenceWaitAll},
+				200, 99,
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range runs {
+				wv := r.WVers
+				if _, err := opacity.Check(r.Hist, opacity.Options{
+					WVer: func(ti int) (int64, bool) { v, ok := wv[ti]; return v, ok },
+				}); err != nil {
+					t.Fatalf("run %d: %v\n%s", i, err, r.Hist)
+				}
+			}
+		})
+	}
+}
+
+// TestReadPrivatizeNeedsItsFence: the load-only owner still fences —
+// without it a writer that saw the flag clear commits after the private
+// load, which the TL2 model exhibits as a postcondition violation.
+func TestReadPrivatizeNeedsItsFence(t *testing.T) {
+	found, res, err := model.Exists(
+		model.Config{Prog: ReadPrivatize(false), Model: model.TL2Kind, Fence: model.FenceNoOp},
+		func(f model.Final) bool { return !ReadPrivatizePost(f) },
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !found {
+		t.Fatalf("fence-free read-privatization anomaly not reachable (%d states)", res.States)
+	}
+}

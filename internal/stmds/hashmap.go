@@ -3,9 +3,9 @@ package stmds
 import (
 	"math/bits"
 	"sort"
-	"sync/atomic"
 
 	"safepriv/internal/core"
+	"safepriv/internal/pubgate"
 	"safepriv/internal/stmalloc"
 	"safepriv/internal/telemetry"
 )
@@ -145,12 +145,9 @@ type HashMap struct {
 	alloc      Allocator
 	maxBuckets int
 
-	// pubGate is closed and replaced on every stripe publish so stalled
-	// ops park instead of sleep-polling; own cache line like SkipMap's.
-	pubGate struct {
-		atomic.Pointer[chan struct{}]
-		_ [56]byte
-	}
+	// gate is opened on every stripe publish; ops routed into the
+	// stripe being migrated wait on it (retryWindow).
+	gate pubgate.Gate
 
 	board *telemetry.Board
 }
@@ -171,8 +168,6 @@ func NewHashMap(tm core.TM, head int, alloc Allocator) *HashMap {
 	if mb, ok := alloc.(interface{ MaxBlock() int }); ok {
 		s.maxBuckets = mb.MaxBlock()
 	}
-	gate := make(chan struct{})
-	s.pubGate.Store(&gate)
 	if p, ok := tm.(telemetry.Provider); ok {
 		s.board = p.TelemetryBoard()
 	}
@@ -575,11 +570,10 @@ func (s *HashMap) Len(th int) (int, error) {
 	return n, err
 }
 
-// retryWindow runs body transactionally, parking on the publish gate
-// while it reports the migration stripe privatized — SkipMap's
-// retryWindow, for the hash table's rehash windows.
+// retryWindow runs body transactionally, waiting on the publish gate
+// while it reports the migration stripe privatized.
 func (s *HashMap) retryWindow(th int, body func(core.Txn) error) error {
-	return parkRetry(s.tm, th, &s.pubGate.Pointer, body)
+	return s.gate.Retry(s.tm, th, errWindowPrivate, body)
 }
 
 // Grow doubles the table (or installs the initial array on an empty
@@ -792,15 +786,10 @@ func (s *HashMap) MigrateWindow(th int) (more bool, err error) {
 		}
 		return tx.Write(s.head+hashOldArr, nilPtr)
 	})
-	if err == nil {
-		gate := make(chan struct{})
-		if old := s.pubGate.Swap(&gate); old != nil {
-			close(*old)
-		}
-	}
 	if err != nil {
 		return true, err
 	}
+	s.gate.Open()
 	if finished {
 		s.alloc.Free(th, oldArr, int(oldSize))
 		return false, nil

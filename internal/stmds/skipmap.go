@@ -2,13 +2,10 @@ package stmds
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"runtime"
-	"sync/atomic"
-	"time"
 
 	"safepriv/internal/core"
+	"safepriv/internal/pubgate"
 	"safepriv/internal/stmalloc"
 	"safepriv/internal/telemetry"
 )
@@ -102,13 +99,9 @@ type SkipMap struct {
 	alloc Allocator
 	rng   []uint64 // per-thread level-generator state, indexed by thread id
 
-	// pubGate is closed and replaced on every window publish so stalled
-	// writers park instead of sleep-polling, on its own cache line for
-	// the same false-sharing reason as stmkv's gate.
-	pubGate struct {
-		atomic.Pointer[chan struct{}]
-		_ [56]byte
-	}
+	// gate is opened on every window publish; writers aimed into the
+	// active window wait on it (retryWindow).
+	gate pubgate.Gate
 
 	// board is the TM's telemetry board when it carries one; scans and
 	// scan windows are recorded per thread.
@@ -137,7 +130,7 @@ const (
 
 // errWindowPrivate aborts an op that would touch a privatized window —
 // a SkipMap scan window or a HashMap rehash stripe (or a scan/stripe
-// that found another one in progress); the caller parks on the publish
+// that found another one in progress); the caller waits on the publish
 // gate and retries.
 var errWindowPrivate = errors.New("stmds: window is privatized")
 
@@ -160,8 +153,6 @@ func NewSkipMap(tm core.TM, head, threads int, alloc Allocator) *SkipMap {
 	for th := range s.rng {
 		s.rng[th] = splitmix64(uint64(th))
 	}
-	gate := make(chan struct{})
-	s.pubGate.Store(&gate)
 	if p, ok := tm.(telemetry.Provider); ok {
 		s.board = p.TelemetryBoard()
 	}
@@ -501,47 +492,10 @@ func (s *SkipMap) Delete(th int, k int64) (bool, error) {
 	return removed, err
 }
 
-// maxWindowWaits bounds how long a stalled writer waits for a scan
-// window before concluding the scanner died mid-window (each parked
-// wait is capped at a millisecond, so the bound is also a rough
-// stuck-time budget) — stmkv's maxPrivateWaits, for the skiplist.
-const maxWindowWaits = 1 << 20
-
-// retryWindow runs body transactionally, parking on the publish gate
+// retryWindow runs body transactionally, waiting on the publish gate
 // while it reports the scan window privatized.
 func (s *SkipMap) retryWindow(th int, body func(core.Txn) error) error {
-	return parkRetry(s.tm, th, &s.pubGate.Pointer, body)
-}
-
-// parkRetry runs body transactionally, parking on the publish gate
-// while it reports a window privatized: a few yields first (a window
-// is short-lived — one fence plus a bounded walk or stripe copy), then
-// parked waits. The gate is sampled before the attempt, so a publish
-// landing between the failed attempt and the park has already closed
-// the sampled gate and the wait returns immediately. Shared by
-// SkipMap's scan windows and HashMap's rehash stripes.
-func parkRetry(tm core.TM, th int, gatep *atomic.Pointer[chan struct{}], body func(core.Txn) error) error {
-	for i := 0; ; i++ {
-		gate := *gatep.Load()
-		err := core.Atomically(tm, th, body)
-		if errors.Is(err, errWindowPrivate) {
-			if i >= maxWindowWaits {
-				return fmt.Errorf("stmds: window stayed privatized for %d retries (owner died?): %w", i, err)
-			}
-			if i < 64 {
-				runtime.Gosched()
-				continue
-			}
-			t := time.NewTimer(time.Millisecond)
-			select {
-			case <-gate:
-			case <-t.C:
-			}
-			t.Stop()
-			continue
-		}
-		return err
-	}
+	return s.gate.Retry(s.tm, th, errWindowPrivate, body)
 }
 
 // Snapshot returns the pairs in key order, read in one transaction.
@@ -699,7 +653,7 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 }
 
 // publishWindow commits the guard back to even and wakes every writer
-// parked on the gate.
+// waiting on the gate.
 func (s *SkipMap) publishWindow(th int) error {
 	err := core.Atomically(s.tm, th, func(tx core.Txn) error {
 		f, err := tx.Read(s.head + skipGFlag)
@@ -709,10 +663,7 @@ func (s *SkipMap) publishWindow(th int) error {
 		return tx.Write(s.head+skipGFlag, f+1)
 	})
 	if err == nil {
-		gate := make(chan struct{})
-		if old := s.pubGate.Swap(&gate); old != nil {
-			close(*old)
-		}
+		s.gate.Open()
 	}
 	return err
 }

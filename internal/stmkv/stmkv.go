@@ -8,7 +8,8 @@
 // (linear probing, tombstone deletion) stored in a heap block; the
 // header carries:
 //
-//	base+0  flag   privatization epoch: even = shared, odd = private
+//	base+0  flag   privatization state in the two low bits (below),
+//	               publish count above them
 //	base+1  cap    active slot count of the current table block
 //	base+2  count  live keys
 //	base+3  tombs  tombstones
@@ -17,15 +18,46 @@
 //
 // Point operations (Get/Put/Delete) are single transactions that follow
 // the DRF discipline of the paper: they read the shard's flag first and
-// touch the header and table only when the flag is even. Bulk
-// operations (Scan, Clear, Resize, and the automatic growth triggered
-// by Put) privatize the shard exactly as Figure 7 prescribes — commit a
-// transaction that makes the flag odd, issue the transactional Fence,
-// operate on the shard with uninstrumented Load/Store, and publish it
-// back with a transaction that makes the flag even again. Under
-// Theorem 5.3 the resulting program is DRF assuming strong atomicity,
-// so it is safe on every TM in the registry, including weakly atomic
-// TL2.
+// touch the header and table only when the flag's state admits them.
+// Bulk operations (Scan, ScanPage, Clear, Resize, and the automatic
+// growth triggered by Put) privatize the shard exactly as Figure 7
+// prescribes — commit a transaction that moves the flag to a private
+// state, issue the transactional Fence, operate on the shard with
+// uninstrumented Load/Store, and publish it back with a transaction
+// that rounds the flag up to the next multiple of four. Under Theorem
+// 5.3 the resulting program is DRF assuming strong atomicity, so it is
+// safe on every TM in the registry, including weakly atomic TL2.
+//
+// A shard is in one of three states:
+//
+//	flag&3  state          owner (uninstrumented)   transactions admitted
+//	0       shared         —                        all
+//	1       exclusive      loads and stores         none
+//	        (grow/rehash, Clear, Resize)
+//	3       read-private   loads only               read-only on the shard:
+//	        (Scan, ScanPage)                        Get, Len, transactional scan
+//
+// Put, Delete and every privatizing transaction stall while the flag
+// is odd; Get, Len and the transactional scan stall only on state 1.
+// So a scan window costs the readers of its shard nothing, and two
+// owners never hold one shard at once.
+//
+// Safety. The paper's data race is a pair of conflicting accesses, one
+// transactional and one not, unordered by happens-before — and two
+// accesses conflict only if at least one is a write. In the
+// read-private state every uninstrumented access to the shard is a
+// load, and every transaction admitted past the flag only reads the
+// shard's registers, so no conflicting pair exists at all: the readers
+// need no ordering with the owner. Writers are kept out exactly as in
+// the exclusive state: those that read the flag after the privatizing
+// commit see it odd and stall, those that read it before are waited out
+// by the fence — which is why read-privatizing still fences. An
+// exclusive owner that follows a scan window fences after its own
+// privatizing commit, and that fence waits for every transaction still
+// running, whichever state it saw. (stmds.SkipMap's GetTx rests on the
+// same argument: it reads beside a scan window without consulting the
+// guard.) internal/litmus carries the idiom and its racy twin as the
+// programs read-privatize and read-privatize-racy.
 //
 // Growth is where the store meets the allocator: a rehash allocates a
 // fresh table block from the heap (a transaction), rebuilds the table
@@ -52,9 +84,10 @@
 // blocking on a grace period and the wipes/rehashes happen on the TM's
 // reclaimer; on wait/combine TMs one (combined) fence replaces the
 // per-shard fences. Either way no reader can observe a half-maintained
-// shard — point operations block-retry while the shard's flag is odd
-// (parking on the store's publish gate rather than sleep-polling), and
-// the flag goes even only after the deferred work published. Drain
+// shard — point operations wait while the shard is exclusive (on the
+// store's publish gate, package pubgate, rather than by re-running
+// their transaction), and the flag returns to shared only after the
+// deferred work published. Drain
 // waits for all outstanding deferred maintenance and surfaces its
 // errors. WithBatchReclaim additionally gives the table heap
 // per-thread magazine caches, so the table blocks a rehash replaces
@@ -65,11 +98,10 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
-	"time"
 
 	"safepriv/internal/core"
+	"safepriv/internal/pubgate"
 	"safepriv/internal/stmalloc"
 	"safepriv/internal/telemetry"
 )
@@ -82,6 +114,12 @@ const (
 	offTable = 4
 	// hdrRegs is the per-shard header size in registers.
 	hdrRegs = 5
+
+	// The two low bits of a shard's flag are its privatization state
+	// (see the package comment); the bits above count publishes.
+	flagStateMask   int64 = 3
+	flagExclusive   int64 = 1 // owner loads and stores uninstrumented
+	flagReadPrivate int64 = 3 // owner only loads uninstrumented
 
 	keyEmpty int64 = 0
 	keyTomb  int64 = -1
@@ -147,6 +185,13 @@ type Stats struct {
 	// privatize→fence→walk→publish cycle per shard visited by a
 	// privatizing Scan or by ScanPage.
 	ScanWindows int64
+	// GateSpinWakes, GateParks, GateTimeouts count how operations that
+	// stalled on a private shard waited (package pubgate): the spin saw
+	// a publish, the waiter parked, the park ran into its timeout.
+	// ReadThroughs counts Gets that ran beside a scan window instead of
+	// stalling. All four are summed from the TM's telemetry board and
+	// stay zero on a TM without one.
+	GateSpinWakes, GateParks, GateTimeouts, ReadThroughs int64
 }
 
 // KV is one key-value pair returned by Scan.
@@ -163,19 +208,12 @@ type Store struct {
 	txnScan      bool
 	batchThreads int // >0: table heap carries magazines for ids 1..batchThreads
 
-	// pubGate is closed and replaced on every publish, so point
-	// operations waiting out a privatized shard park on it instead of
-	// sleep-polling. It sits on its own cache line: every parked point
-	// op loads it in a loop, and it previously shared a line with the
-	// maintenance counters below, so every privatization count
-	// invalidated the parkers' line (false-sharing audit).
-	pubGate struct {
-		atomic.Pointer[chan struct{}]
-		_ [56]byte
-	}
+	// gate is opened on every publish; operations that found their
+	// shard private wait on it (retryShared).
+	gate pubgate.Gate
 
-	// Maintenance counters, padded apart for the same reason: they are
-	// bumped by maintenance threads while readers poll Stats.
+	// Maintenance counters, each on its own cache line: they are bumped
+	// by maintenance threads while readers poll Stats.
 	privatizations padInt64
 	grows          padInt64
 	scans          padInt64
@@ -269,8 +307,6 @@ func New(tm core.TM, shards, slots int, opts ...Option) (*Store, error) {
 	if p, ok := tm.(telemetry.Provider); ok {
 		s.board = p.TelemetryBoard()
 	}
-	gate := make(chan struct{})
-	s.pubGate.Store(&gate)
 	need := RegsNeededBatch(shards, slots, s.batchThreads)
 	if tm.NumRegs() < need {
 		return nil, fmt.Errorf("stmkv: TM has %d registers, geometry needs %d", tm.NumRegs(), need)
@@ -357,12 +393,17 @@ func (s *Store) SlotsPerShard() int { return s.slots }
 
 // Stats returns a snapshot of the privatization counters.
 func (s *Store) Stats() Stats {
+	tel := s.board.Snapshot()
 	return Stats{
 		Privatizations: s.privatizations.Load(),
 		Grows:          s.grows.Load(),
 		Scans:          s.scans.Load(),
 		Clears:         s.clears.Load(),
 		ScanWindows:    s.scanWindows.Load(),
+		GateSpinWakes:  tel.GateSpinWakes,
+		GateParks:      tel.GateParks,
+		GateTimeouts:   tel.GateTimeouts,
+		ReadThroughs:   tel.ReadThroughs,
 	}
 }
 
@@ -402,15 +443,16 @@ func (s *Store) base(shard int) int { return shard * hdrRegs }
 func keyReg(tab int64, i int) int { return int(tab) + 2*i }
 func valReg(tab int64, i int) int { return int(tab) + 2*i + 1 }
 
-// shared is the DRF guard of every point transaction: read the shard's
-// flag and refuse to proceed while it is odd (privatized). Because the
-// read is transactional, a privatizer committing after it dooms this
-// transaction — the conflict Theorem 5.3 relies on. A transaction that
-// passed the guard may safely read the rest of the header (cap, table
-// pointer): the uninstrumented writes of a private phase start only
-// after a fence that waited for every transaction that saw the flag
-// even.
-func shared(tx core.Txn, base int) error {
+// writable is the DRF guard of every transaction that may write the
+// shard's registers (Put, Delete, and the privatizing transactions
+// themselves): read the shard's flag and refuse to proceed while it is
+// odd — private in either state. Because the read is transactional, a
+// privatizer committing after it dooms this transaction — the conflict
+// Theorem 5.3 relies on. A transaction that passed the guard may safely
+// read the rest of the header (cap, table pointer): the uninstrumented
+// accesses of a private phase start only after a fence that waited for
+// every transaction that saw the flag even.
+func writable(tx core.Txn, base int) error {
 	f, err := tx.Read(base + offFlag)
 	if err != nil {
 		return err
@@ -421,8 +463,27 @@ func shared(tx core.Txn, base int) error {
 	return nil
 }
 
-// table reads the shard's active geometry inside tx (after the shared
-// guard): the table block pointer and the active capacity.
+// readable is the guard of the transactions that only read the shard
+// (Get, Len, the transactional scan): they stall on the exclusive state
+// alone. beside reports that the shard is read-private, i.e. the
+// transaction runs beside a scan window — both sides only load, so no
+// pair of their accesses conflicts (package comment, "Safety").
+func readable(tx core.Txn, base int) (beside bool, err error) {
+	f, err := tx.Read(base + offFlag)
+	if err != nil {
+		return false, err
+	}
+	switch f & flagStateMask {
+	case flagExclusive:
+		return false, errShardPrivate
+	case flagReadPrivate:
+		return true, nil
+	}
+	return false, nil
+}
+
+// table reads the shard's active geometry inside tx (after the guard):
+// the table block pointer and the active capacity.
 func (s *Store) table(tx core.Txn, base int) (tab, cap int64, err error) {
 	if cap, err = tx.Read(base + offCap); err != nil {
 		return 0, 0, err
@@ -440,9 +501,11 @@ func (s *Store) Get(th int, key int64) (v int64, ok bool, err error) {
 		return 0, false, ErrBadKey
 	}
 	base := s.base(s.shardOf(key))
+	var beside bool
 	err = s.retryShared(th, func(tx core.Txn) error {
 		v, ok = 0, false
-		if err := shared(tx, base); err != nil {
+		var err error
+		if beside, err = readable(tx, base); err != nil {
 			return err
 		}
 		tab, cap, err := s.table(tx, base)
@@ -471,18 +534,23 @@ func (s *Store) Get(th int, key int64) (v int64, ok bool, err error) {
 		}
 		return nil
 	})
+	if beside && err == nil {
+		if sl := s.board.Slot(th); sl != nil {
+			sl.ReadThroughs.Add(1)
+		}
+	}
 	return v, ok, err
 }
 
 // putInTx is the body of one Put inside a running transaction: the
-// shared() guard, the probe, and the insert/update writes. It returns
+// writable() guard, the probe, and the insert/update writes. It returns
 // errNeedGrow when the shard is over the load factor (the caller
 // privatizes, grows, and retries). Both Put and PutBatch build on it;
 // the read-own-writes guarantee of every registry TM means a batch may
 // put the same key twice in one transaction (the second probe finds
 // the first insert in the write set and takes the update path).
 func (s *Store) putInTx(tx core.Txn, base int, key, val int64) error {
-	if err := shared(tx, base); err != nil {
+	if err := writable(tx, base); err != nil {
 		return err
 	}
 	tab, cap, err := s.table(tx, base)
@@ -643,7 +711,7 @@ func (s *Store) Delete(th int, key int64) (removed bool, err error) {
 	base := s.base(s.shardOf(key))
 	err = s.retryShared(th, func(tx core.Txn) error {
 		removed = false
-		if err := shared(tx, base); err != nil {
+		if err := writable(tx, base); err != nil {
 			return err
 		}
 		tab, cap, err := s.table(tx, base)
@@ -698,7 +766,7 @@ func (s *Store) Len(th int) (int64, error) {
 		base := s.base(sh)
 		var n int64
 		err := s.retryShared(th, func(tx core.Txn) error {
-			if err := shared(tx, base); err != nil {
+			if _, err := readable(tx, base); err != nil {
 				return err
 			}
 			var err error
@@ -751,11 +819,11 @@ func (s *Store) recordScanWindow(th int) {
 	}
 }
 
-// scanShardPrivate is the paper's idiom: privatize, fence, read the
-// table uninstrumented, publish.
+// scanShardPrivate is the paper's idiom: privatize (read-private: the
+// walk only loads), fence, read the table uninstrumented, publish.
 func (s *Store) scanShardPrivate(th, shard int, out []KV) ([]KV, error) {
 	base := s.base(shard)
-	if err := s.privatize(th, base); err != nil {
+	if err := s.privatize(th, base, flagReadPrivate); err != nil {
 		return nil, err
 	}
 	tm := s.tm
@@ -775,7 +843,7 @@ func (s *Store) scanShardTxn(th, shard int, out []KV) ([]KV, error) {
 	start := len(out)
 	err := s.retryShared(th, func(tx core.Txn) error {
 		out = out[:start]
-		if err := shared(tx, base); err != nil {
+		if _, err := readable(tx, base); err != nil {
 			return err
 		}
 		tab, cap, err := s.table(tx, base)
@@ -870,7 +938,7 @@ func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next str
 			return pairs, encodeCursor(scanCursor{int64(sh), 0, 0, 0}), nil
 		}
 		base := s.base(sh)
-		if err := s.privatize(th, base); err != nil {
+		if err := s.privatize(th, base, flagReadPrivate); err != nil {
 			return nil, "", err
 		}
 		s.scans.Add(1)
@@ -985,7 +1053,7 @@ func (s *Store) fail(err error) {
 // probe actually found no room).
 func (s *Store) grow(th, shard int, need int64) error {
 	base := s.base(shard)
-	if err := s.privatize(th, base); err != nil {
+	if err := s.privatize(th, base, flagExclusive); err != nil {
 		return err
 	}
 	tm := s.tm
@@ -1083,10 +1151,11 @@ func (s *Store) rehashTo(th, base int, newCap int64) error {
 	return nil
 }
 
-// acquirePrivate commits the transaction flipping the shard's flag odd
-// — the privatizing transaction of Figure 7, without the fence. If
-// another thread holds the shard private, it waits its turn.
-func (s *Store) acquirePrivate(th, base int) error {
+// acquirePrivate commits the transaction moving the shard's flag from
+// shared to state (flagExclusive or flagReadPrivate) — the privatizing
+// transaction of Figure 7, without the fence. If another thread holds
+// the shard private in either state, it waits its turn.
+func (s *Store) acquirePrivate(th, base int, state int64) error {
 	err := s.retryShared(th, func(tx core.Txn) error {
 		f, err := tx.Read(base + offFlag)
 		if err != nil {
@@ -1095,7 +1164,7 @@ func (s *Store) acquirePrivate(th, base int) error {
 		if f&1 == 1 {
 			return errShardPrivate // another bulk op holds the shard
 		}
-		return tx.Write(base+offFlag, f+1)
+		return tx.Write(base+offFlag, f+state)
 	})
 	if err != nil {
 		return err
@@ -1107,11 +1176,14 @@ func (s *Store) acquirePrivate(th, base int) error {
 	return nil
 }
 
-// privatize commits a transaction flipping the shard's flag odd, then
-// fences: after it returns, no transaction that saw the shard shared is
-// still running, so uninstrumented access is race-free (Figure 7).
-func (s *Store) privatize(th, base int) error {
-	if err := s.acquirePrivate(th, base); err != nil {
+// privatize commits a transaction moving the shard's flag to state,
+// then fences: after it returns, no transaction that saw the shard
+// shared is still running, so the uninstrumented accesses state allows
+// are race-free (Figure 7). The read-private state needs the fence as
+// much as the exclusive one: it waits out the writers that saw the flag
+// even.
+func (s *Store) privatize(th, base int, state int64) error {
+	if err := s.acquirePrivate(th, base, state); err != nil {
 		return err
 	}
 	s.tm.Fence(th)
@@ -1119,8 +1191,8 @@ func (s *Store) privatize(th, base int) error {
 }
 
 // privatizeAllDeferred is the batched bulk-maintenance cycle: commit
-// the flag-odd transaction for every shard (ascending order, so
-// concurrent bulk operations cannot deadlock), then register one
+// the exclusive-privatizing transaction for every shard (ascending
+// order, so concurrent bulk operations cannot deadlock), then register one
 // callback per shard — work(th, shard) followed by the publish that
 // re-shares it — under ONE shared grace period via core.FenceAsyncBatch.
 // The fence starts after every privatizing transaction committed, so
@@ -1131,7 +1203,7 @@ func (s *Store) privatizeAllDeferred(th int, work func(th, shard int)) error {
 	fns := make([]func(int), 0, s.shards)
 	for sh := 0; sh < s.shards; sh++ {
 		base := s.base(sh)
-		if err := s.acquirePrivate(th, base); err != nil {
+		if err := s.acquirePrivate(th, base, flagExclusive); err != nil {
 			// Re-share what we already hold: a half-acquired bulk op
 			// must not leave shards privatized forever. A publish that
 			// fails here leaves its shard stuck odd — record it so
@@ -1156,66 +1228,27 @@ func (s *Store) privatizeAllDeferred(th int, work func(th, shard int)) error {
 	return nil
 }
 
-// publish commits a transaction flipping the shard's flag back to even,
-// re-sharing it, and wakes every point operation parked on the gate.
+// publish commits a transaction rounding the shard's flag up to the
+// next multiple of four — shared again, from either private state — and
+// wakes every operation waiting on the gate.
 func (s *Store) publish(th, base int) error {
 	err := core.Atomically(s.tm, th, func(tx core.Txn) error {
 		f, err := tx.Read(base + offFlag)
 		if err != nil {
 			return err
 		}
-		return tx.Write(base+offFlag, f+1)
+		return tx.Write(base+offFlag, (f|flagStateMask)+1)
 	})
 	if err == nil {
-		gate := make(chan struct{})
-		if old := s.pubGate.Swap(&gate); old != nil {
-			close(*old)
-		}
+		s.gate.Open()
 	}
 	return err
 }
 
-// maxPrivateWaits bounds how long a point operation waits for a
-// privatized shard before giving up: shard rehashes are bounded work,
-// so exhausting the bound means the privatizer died between privatize
-// and publish (the flag is stuck odd) and waiting longer would hang
-// forever. Each parked wait is capped at a millisecond, so the bound
-// is also a rough stuck-time budget.
-const maxPrivateWaits = 1 << 20
-
-// retryShared runs body transactionally, retrying as long as it
-// reports the shard privatized. Bodies start with the shared() guard,
-// so they never touch a private shard's table. The wait yields for a
-// few rounds (the privatizer is usually nearly done), then parks on
-// the store's publish gate: every publish closes the gate and installs
-// a fresh one, so a waiter wakes the moment ANY shard re-shares
-// instead of sleep-polling — the scheduler-aware analogue of the
-// quiesce layer's parked grace-period wait. The gate is sampled before
-// the attempt, so a publish landing between the failed attempt and the
-// park has already closed the sampled gate and the wait returns
-// immediately; the timeout only backstops a dead privatizer.
+// retryShared runs body transactionally, waiting on the store's
+// publish gate and retrying for as long as it reports the shard private.
+// Bodies start with the writable() or readable() guard, so they never
+// touch a shard's table in a state that forbids it.
 func (s *Store) retryShared(th int, body func(core.Txn) error) error {
-	for i := 0; ; i++ {
-		gate := *s.pubGate.Load()
-		err := core.Atomically(s.tm, th, func(tx core.Txn) error {
-			return body(tx)
-		})
-		if errors.Is(err, errShardPrivate) {
-			if i >= maxPrivateWaits {
-				return fmt.Errorf("stmkv: shard stayed privatized for %d retries (owner died?): %w", i, err)
-			}
-			if i < 64 {
-				runtime.Gosched()
-				continue
-			}
-			t := time.NewTimer(time.Millisecond)
-			select {
-			case <-gate:
-			case <-t.C:
-			}
-			t.Stop()
-			continue
-		}
-		return err
-	}
+	return s.gate.Retry(s.tm, th, errShardPrivate, body)
 }

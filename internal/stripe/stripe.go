@@ -1,8 +1,7 @@
 // Package stripe provides the shared register/version-lock table used
 // by the ownership-record TMs (tl2, wtstm, and the executable atomictm
-// runtime): a dense array of register values plus a striped array of
-// versioned write-locks (package vlock), each lock stripe on its own
-// cache line.
+// runtime): a dense array of register values plus a striped, equally
+// dense array of versioned write-locks (package vlock).
 //
 // Striping decouples the lock-table size from the register count, the
 // classic TL2 "PS" (per-stripe) mode: register x is guarded by stripe
@@ -18,6 +17,15 @@
 // register: two distinct registers in one write-set may share a stripe,
 // and the versioned locks are not reentrant. LockFor/StripeOf expose
 // the mapping so commit paths can do this.
+//
+// The lock words are not padded apart. Values are one word per register
+// in a dense array, so registers x and y already share a cache line of
+// values whenever x/8 == y/8; with one 8-byte lock word per stripe the
+// same pairs — and no others — share a line of locks. A pad per lock
+// therefore isolates nothing the value array has not already given
+// away, while multiplying the table by eight: at the default cap the
+// padded table was 4 MiB, which pushed locks + values of the KV store
+// (200 K registers) out of L2. Dense, it is 512 KiB.
 package stripe
 
 import (
@@ -28,24 +36,18 @@ import (
 )
 
 // MaxDefaultStripes caps the lock table allocated when the stripe count
-// is left to the default. 1<<16 stripes is 4 MiB of padded locks —
-// beyond that, aliasing is cheaper than the memory (and its cache
-// pressure).
+// is left to the default. 1<<16 stripes is 512 KiB of lock words, which
+// together with the values they guard still fits a typical L2; beyond
+// that, aliasing is cheaper than the memory and its cache pressure (a
+// 1<<19 cap was measured on the store workloads: no further gain).
 const MaxDefaultStripes = 1 << 16
-
-// paddedLock keeps each lock stripe on its own cache line so commits of
-// disjoint write-sets do not false-share.
-type paddedLock struct {
-	l vlock.VLock
-	_ [56]byte
-}
 
 // Table is a striped register/version-lock table. Values are dense (one
 // atomic word per register — the registers are the memory itself);
-// locks are striped and padded.
+// locks are striped and equally dense (see the package comment).
 type Table struct {
 	vals  []atomic.Int64
-	locks []paddedLock
+	locks []vlock.VLock
 	mask  uint32
 }
 
@@ -69,7 +71,7 @@ func New(regs, stripes int) *Table {
 	}
 	return &Table{
 		vals:  make([]atomic.Int64, regs),
-		locks: make([]paddedLock, stripes),
+		locks: make([]vlock.VLock, stripes),
 		mask:  uint32(stripes - 1),
 	}
 }
@@ -84,10 +86,10 @@ func (t *Table) Stripes() int { return len(t.locks) }
 func (t *Table) StripeOf(x int) int { return int(uint32(x) & t.mask) }
 
 // Lock returns stripe s's versioned write-lock.
-func (t *Table) Lock(s int) *vlock.VLock { return &t.locks[s].l }
+func (t *Table) Lock(s int) *vlock.VLock { return &t.locks[s] }
 
 // LockFor returns register x's versioned write-lock (Lock(StripeOf(x))).
-func (t *Table) LockFor(x int) *vlock.VLock { return &t.locks[uint32(x)&t.mask].l }
+func (t *Table) LockFor(x int) *vlock.VLock { return &t.locks[uint32(x)&t.mask] }
 
 // Load reads register x (a plain atomic load — uninstrumented
 // non-transactional reads use this directly).

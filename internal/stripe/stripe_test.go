@@ -3,7 +3,21 @@ package stripe
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
+
+// TestLockTableIsDense pins the layout the package comment argues for:
+// adjacent registers' lock words are adjacent words, so the default
+// table is 8 bytes a stripe.
+func TestLockTableIsDense(t *testing.T) {
+	tb := New(64, 0)
+	for x := 0; x+1 < 64; x++ {
+		a, b := uintptr(unsafe.Pointer(tb.LockFor(x))), uintptr(unsafe.Pointer(tb.LockFor(x+1)))
+		if b-a != 8 {
+			t.Fatalf("LockFor(%d) and LockFor(%d) are %d bytes apart, want 8", x, x+1, b-a)
+		}
+	}
+}
 
 func TestDefaultStripeCountInjectiveForSmallTables(t *testing.T) {
 	for _, regs := range []int{1, 2, 3, 64, 255, 256, 1000} {

@@ -15,8 +15,8 @@ import "sync/atomic"
 // Slot is one thread's counter block. Fields are written only by the
 // owning thread (with atomic adds, so Snapshot can read them racily
 // but coherently) and padded out to two cache lines so adjacent
-// threads' slots never share a line (64B line; the 12 counters are 96B,
-// so the pad rounds the struct to 128B).
+// threads' slots never share a line (64B line; the 16 counters are
+// exactly 128B).
 type Slot struct {
 	// Commits counts committed transactions (one per successful
 	// core.Atomically call).
@@ -56,8 +56,17 @@ type Slot struct {
 	// while FenceWaitNs stays flat is the "no stop-the-world resize"
 	// signal the hash bench rows assert.
 	RehashWindows atomic.Int64
-
-	_ [32]byte // pad 12×8B of counters to 2 cache lines
+	// GateSpinWakes, GateParks and GateTimeouts count how stalls on a
+	// publish gate (package pubgate) ended: the spin saw the gate open,
+	// the waiter parked on the gate's channel, the park ran into its
+	// backstop timeout. Bumped only on the stall path.
+	GateSpinWakes atomic.Int64
+	GateParks     atomic.Int64
+	GateTimeouts  atomic.Int64
+	// ReadThroughs counts stmkv Gets that found their shard read-private
+	// (a scan window) and proceeded beside the scanner instead of
+	// stalling.
+	ReadThroughs atomic.Int64
 }
 
 // Board is a fixed set of per-thread Slots. Thread ids follow the
@@ -117,6 +126,10 @@ type Snapshot struct {
 	Scans          int64
 	ScanWindows    int64
 	RehashWindows  int64
+	GateSpinWakes  int64
+	GateParks      int64
+	GateTimeouts   int64
+	ReadThroughs   int64
 }
 
 // Snapshot aggregates all slots. O(threads), allocation-free.
@@ -139,6 +152,10 @@ func (b *Board) Snapshot() Snapshot {
 		s.Scans += sl.Scans.Load()
 		s.ScanWindows += sl.ScanWindows.Load()
 		s.RehashWindows += sl.RehashWindows.Load()
+		s.GateSpinWakes += sl.GateSpinWakes.Load()
+		s.GateParks += sl.GateParks.Load()
+		s.GateTimeouts += sl.GateTimeouts.Load()
+		s.ReadThroughs += sl.ReadThroughs.Load()
 	}
 	return s
 }
@@ -160,6 +177,10 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		Scans:          s.Scans - prev.Scans,
 		ScanWindows:    s.ScanWindows - prev.ScanWindows,
 		RehashWindows:  s.RehashWindows - prev.RehashWindows,
+		GateSpinWakes:  s.GateSpinWakes - prev.GateSpinWakes,
+		GateParks:      s.GateParks - prev.GateParks,
+		GateTimeouts:   s.GateTimeouts - prev.GateTimeouts,
+		ReadThroughs:   s.ReadThroughs - prev.ReadThroughs,
 	}
 }
 
