@@ -35,7 +35,7 @@ import (
 // --- TL2 primitive costs ---
 
 func BenchmarkTL2ReadOnlyTxn(b *testing.B) {
-	tm := engine.MustNewSpec("tl2+rofast", 64, 2, nil)
+	tm := engine.MustNewSpec("tl2", 64, 2, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tx := tm.Begin(1)
@@ -196,7 +196,7 @@ func BenchmarkE13Scalability(b *testing.B) {
 	const totalOps = 64_000
 	for th := 1; th <= maxT; th *= 2 {
 		ops := totalOps / th
-		for _, spec := range []string{"tl2+rofast", "atomic", "baseline"} {
+		for _, spec := range []string{"tl2", "atomic", "baseline"} {
 			b.Run(fmt.Sprintf("%s/threads-%d", spec, th), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					tm := engine.MustNewSpec(spec, 256, th+1, nil)
@@ -209,9 +209,8 @@ func BenchmarkE13Scalability(b *testing.B) {
 	}
 }
 
-// --- E13b ablation: Figure 9 verbatim (clock tick on read-only commit)
-// vs the classic read-only fast path, plus the GV4 clock — all selected
-// through the registry ---
+// --- E13b ablation: the fetch-and-increment clock vs GV4 on a
+// read-mostly mix (only the writers tick either) ---
 
 func BenchmarkE13bClockAblation(b *testing.B) {
 	threads := runtime.GOMAXPROCS(0)
@@ -219,7 +218,7 @@ func BenchmarkE13bClockAblation(b *testing.B) {
 		threads = 8
 	}
 	const ops = 8000
-	for _, spec := range []string{"tl2", "tl2+rofast", "tl2+gv4"} {
+	for _, spec := range []string{"tl2", "tl2+gv4"} {
 		b.Run(spec, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tm := engine.MustNewSpec(spec, 256, threads+1, nil)
@@ -408,7 +407,7 @@ func BenchmarkStmSetInsert(b *testing.B) {
 }
 
 func BenchmarkStmSetContainsParallel(b *testing.B) {
-	for _, spec := range []string{"tl2+rofast", "norec"} {
+	for _, spec := range []string{"tl2", "norec"} {
 		b.Run(spec, func(b *testing.B) {
 			tm := engine.MustNewSpec(spec, 1<<18, 33, nil)
 			alloc := stmds.NewAlloc(tm, 4, 8, tm.NumRegs())

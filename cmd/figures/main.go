@@ -64,7 +64,7 @@ func main() {
 	run("e9", func() { fenceOverheadTable(*seed) })
 	run("e10", func() { gccBugTable() })
 	run("e11", func() { fundamentalTable(*seed) })
-	run("e13", func() { scalabilityTable(*seed); clockAblationTable(*seed) })
+	run("e13", func() { scalabilityTable(*seed) })
 	run("e14", func() { fenceLatencyTable() })
 	run("e15", func() { norecTable() })
 	run("e16", func() { wtstmTable() })
@@ -289,7 +289,7 @@ func scalabilityTable(seed int64) {
 		maxT = 16
 	}
 	const totalOps = 1_600_000 // fixed total work, divided among threads
-	specs := []string{"tl2+rofast", "norec", "atomic", "baseline"}
+	specs := []string{"tl2", "norec", "atomic", "baseline"}
 	fmt.Printf("read-mostly throughput (ops/µs-scaled), %d total ops, 90%% read-only scans\n", totalOps)
 	fmt.Printf("%-8s", "threads")
 	for _, s := range specs {
@@ -312,36 +312,8 @@ func scalabilityTable(seed int64) {
 	}
 	fmt.Println("expected shape: TL2, NOrec and the striped 2PL runtime scale with threads")
 	fmt.Println("on read-mostly; the global lock is flat")
-	fmt.Println("(TL2 uses the classic read-only commit fast path; Figure 9 as printed")
-	fmt.Println(" ticks the global clock on every commit and does not scale — see E13b)")
-}
-
-// clockAblationTable (E13b): the read-only commit fast path vs Figure 9
-// as printed (which ticks the global clock on every commit): the shared
-// fetch-and-increment is the scalability limiter on read-mostly work.
-func clockAblationTable(seed int64) {
-	maxT := runtime.GOMAXPROCS(0)
-	if maxT > 16 {
-		maxT = 16
-	}
-	const totalOps = 1_600_000
-	fmt.Println()
-	fmt.Println("E13b ablation: global-clock tick on read-only commits (Fig 9 verbatim)")
-	fmt.Printf("%-8s %-14s %-14s\n", "threads", "fig9-verbatim", "ro-fastpath")
-	for th := 1; th <= maxT; th *= 2 {
-		ops := totalOps / th
-		var rates [2]float64
-		for i, spec := range []string{"tl2", "tl2+rofast"} {
-			tm := engine.MustNewSpec(spec, 256, th+1, nil)
-			start := time.Now()
-			if _, err := workload.ReadMostly(tm, th, ops, 4, 90, workload.FenceNone, seed); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				return
-			}
-			rates[i] = float64(totalOps) / float64(time.Since(start).Microseconds())
-		}
-		fmt.Printf("%-8d %-14.2f %-14.2f\n", th, rates[0], rates[1])
-	}
+	fmt.Println("(a TL2 read-only commit does not tick the global clock; Figure 9 as")
+	fmt.Println(" printed ticks it on every commit)")
 }
 
 func fenceLatencyTable() {

@@ -13,6 +13,9 @@
 //	litmus -exec tl2+nofence -runs 5000     # delayed commit, live
 //	litmus -exec norec -runs 5000           # fence-free safe on NOrec
 //	litmus -prog read-privatize -exec tl2   # scan-window idiom, live
+//
+// A live run that violates the postcondition on a spec whose fence is
+// safe exits non-zero; on nofence/skipro violations are the point.
 package main
 
 import (
@@ -31,11 +34,18 @@ import (
 
 // liveRuns runs one of the live programs below `runs` times, each on a
 // fresh 2-register TM built from spec, and prints how many runs
-// violated the program's postcondition.
+// violated the program's postcondition. Violations are the expected
+// outcome on the unsafe fence specs (nofence, skipro) and an error on
+// every other spec, so CI can run the safe ones as a check.
 func liveRuns(name, spec string, runs int, violated func(tm core.TM) bool) error {
+	cfg, err := engine.Parse(spec)
+	if err != nil {
+		return err
+	}
+	cfg.Regs, cfg.Threads = 2, 3
 	violations := 0
 	for i := 0; i < runs; i++ {
-		tm, err := engine.NewSpec(spec, 2, 3, nil)
+		tm, err := engine.New(cfg)
 		if err != nil {
 			return err
 		}
@@ -44,6 +54,9 @@ func liveRuns(name, spec string, runs int, violated func(tm core.TM) bool) error
 		}
 	}
 	fmt.Printf("%s on %s, %d runs: %d postcondition violations\n", name, spec, runs, violations)
+	if violations > 0 && !cfg.UnsafeFence() {
+		return fmt.Errorf("%s violated its postcondition on %s, whose fence is safe", name, spec)
+	}
 	return nil
 }
 

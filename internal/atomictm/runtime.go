@@ -312,6 +312,9 @@ func (tx *Txn) Commit() error {
 	return nil
 }
 
+// Live implements core.Txn.
+func (tx *Txn) Live() bool { return tx.live }
+
 // Abort implements core.Txn.
 func (tx *Txn) Abort() {
 	if !tx.live {

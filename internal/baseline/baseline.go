@@ -180,6 +180,9 @@ func (tx *txn) Commit() error {
 	return nil
 }
 
+// Live implements core.Txn.
+func (tx *txn) Live() bool { return tx.live }
+
 // Abort implements core.Txn: roll back in-place writes.
 func (tx *txn) Abort() {
 	for i := len(tx.undo) - 1; i >= 0; i-- {

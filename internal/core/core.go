@@ -24,8 +24,12 @@ import (
 )
 
 // ErrAborted is returned by transactional operations when the TM aborts
-// the transaction. After ErrAborted the transaction is finished; the
-// caller must not use it further (Atomically retries automatically).
+// the transaction. After ErrAborted from the TM the transaction is
+// finished; the caller must not use it further (Atomically retries
+// automatically). Code running inside a transaction may also return
+// ErrAborted itself to ask for a retry — a structure that finds the
+// state it read doomed — and then the transaction is still live;
+// Txn.Live tells the two apart.
 var ErrAborted = errors.New("stm: transaction aborted")
 
 // Txn is a running transaction: the operations available inside an
@@ -42,6 +46,10 @@ type Txn interface {
 	// the body fails; the paper's language has no user-initiated abort,
 	// so implementations model it as an aborting commit).
 	Abort()
+	// Live reports whether the transaction is still running: true from
+	// Begin until Commit, Abort, or an operation returning ErrAborted
+	// ends it.
+	Live() bool
 }
 
 // TM is a transactional memory over registers 0..NumRegs()-1. Thread
@@ -161,11 +169,12 @@ func BackoffDelay(thread, attempt int) time.Duration {
 }
 
 // Atomically runs body as a transaction in the given thread, retrying
-// on TM-initiated aborts, and returns the first non-abort error from
-// the body (after aborting the transaction) or nil once a run of the
-// body commits. It is the `l := atomic { C }` construct with the
-// conventional retry-on-abort policy; the final commit/abort verdict of
-// each attempt is what the paper's atomic block returns in l.
+// on aborts (the TM's, or the body's own ErrAborted), and returns the
+// first non-abort error from the body (after aborting the transaction)
+// or nil once a run of the body commits. It is the `l := atomic { C }`
+// construct with the conventional retry-on-abort policy; the final
+// commit/abort verdict of each attempt is what the paper's atomic block
+// returns in l.
 //
 // Repeated aborts trigger the capped exponential backoff above. When
 // the TM carries a telemetry board (telemetry.Provider), commits,
@@ -197,7 +206,12 @@ func Atomically(tm TM, thread int, body func(Txn) error) error {
 			}
 			// TM abort at commit: retry.
 		case errors.Is(err, ErrAborted):
-			// TM abort mid-body: retry.
+			// Abort mid-body: retry. When the body, not the TM, decided
+			// it (a structure's guard returning ErrAborted), the
+			// transaction is still live and must be ended first.
+			if tx.Live() {
+				tx.Abort()
+			}
 		default:
 			tx.Abort()
 			return err

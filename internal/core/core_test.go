@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"safepriv/internal/atomictm"
 	"safepriv/internal/baseline"
 	"safepriv/internal/core"
 	"safepriv/internal/norec"
@@ -20,6 +21,7 @@ func implementations(regs, threads int) map[string]core.TM {
 		"norec":    norec.New(regs, threads, nil),
 		"wtstm":    wtstm.New(regs, threads),
 		"baseline": baseline.New(regs, threads, nil),
+		"atomic":   atomictm.New(regs, threads),
 	}
 }
 
@@ -97,6 +99,46 @@ func TestNumRegs(t *testing.T) {
 		if tm.NumRegs() != 7 {
 			t.Errorf("%s: NumRegs = %d", name, tm.NumRegs())
 		}
+	}
+}
+
+// TestAtomicallyRetriesBodyAbort: a body that returns ErrAborted of its
+// own accord (SkipMap's height guard, stmalloc's chain guards) leaves
+// the transaction live. Atomically must end it — rolling its in-place
+// writes back — before it begins the retry, or the retry begins inside
+// a transaction (a panic; on the global lock, a deadlock).
+func TestAtomicallyRetriesBodyAbort(t *testing.T) {
+	for name, tm := range implementations(2, 2) {
+		t.Run(name, func(t *testing.T) {
+			attempts := 0
+			err := core.Atomically(tm, 1, func(tx core.Txn) error {
+				attempts++
+				if _, err := tx.Read(0); err != nil {
+					return err
+				}
+				if attempts == 1 {
+					if err := tx.Write(1, 99); err != nil {
+						return err
+					}
+					return core.ErrAborted // still live
+				}
+				return tx.Write(0, 7)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if attempts != 2 {
+				t.Fatalf("body ran %d times, want 2", attempts)
+			}
+			if got := tm.Load(1, 0); got != 7 {
+				t.Fatalf("reg 0 = %d, want 7", got)
+			}
+			if got := tm.Load(1, 1); got != 0 {
+				t.Fatalf("the abandoned attempt's write landed: reg 1 = %d", got)
+			}
+			// The thread is out of its transaction: a fence returns.
+			tm.Fence(2)
+		})
 	}
 }
 

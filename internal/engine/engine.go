@@ -20,7 +20,6 @@
 //	fai        fetch-and-increment clock — the default, for explicitness
 //	epochs     epoch-based grace period          (tl2, norec, wtstm)
 //	flags      flag-based grace period — the default
-//	rofast     read-only commit fast path        (tl2)
 //	sorted     commit locks in register order    (tl2)
 //	combine    concurrent fences coalesce onto shared grace periods
 //	defer      fences batch through a background reclaimer; FenceAsync
@@ -63,7 +62,7 @@
 // back to stmalloc's fully-transactional reclamation, which needs no
 // grace period.
 //
-// Examples: "tl2+gv4+epochs+rofast", "wtstm+nofence", "norec+defer",
+// Examples: "tl2+gv4+epochs+sorted", "wtstm+nofence", "norec+defer",
 // "tl2+gv4+combine", "tl2+defer+quiesce", "tl2+quiesce+batch".
 package engine
 
@@ -118,8 +117,6 @@ type Config struct {
 	// from telemetry while the workload runs. Conflicts with explicit
 	// fence/reclaim modifiers (the controller owns those levers).
 	Adaptive bool
-	// ReadOnlyFastPath enables TL2's read-only commit fast path.
-	ReadOnlyFastPath bool
 	// SortedLocks acquires TL2 commit locks in register order.
 	SortedLocks bool
 	// Stripes sets the version-lock table size for the striped TMs
@@ -139,9 +136,6 @@ func (c Config) Spec() string {
 	}
 	if c.Quiescer == "epochs" {
 		mods = append(mods, "epochs")
-	}
-	if c.ReadOnlyFastPath {
-		mods = append(mods, "rofast")
 	}
 	if c.SortedLocks {
 		mods = append(mods, "sorted")
@@ -224,11 +218,6 @@ func Parse(spec string) (Config, error) {
 				err = fmt.Errorf("engine: duplicate modifier %q in spec %q", m, spec)
 			}
 			cfg.Adaptive = true
-		case "rofast":
-			if cfg.ReadOnlyFastPath {
-				err = fmt.Errorf("engine: duplicate modifier %q in spec %q", m, spec)
-			}
-			cfg.ReadOnlyFastPath = true
 		case "sorted":
 			if cfg.SortedLocks {
 				err = fmt.Errorf("engine: duplicate modifier %q in spec %q", m, spec)
@@ -328,7 +317,7 @@ func (c *Config) normalize() error {
 	}
 	switch c.TM {
 	case "baseline":
-		if c.ReadOnlyFastPath || c.SortedLocks || c.Stripes != 0 {
+		if c.SortedLocks || c.Stripes != 0 {
 			return fmt.Errorf("engine: TM %q supports no modifiers", c.TM)
 		}
 		if err := fenceIn("wait", "combine", "defer"); err != nil {
@@ -336,7 +325,7 @@ func (c *Config) normalize() error {
 		}
 		return reject(axis{"clock", c.Clock, "fai"}, axis{"quiescer", c.Quiescer, "flags"})
 	case "atomic":
-		if c.ReadOnlyFastPath || c.SortedLocks {
+		if c.SortedLocks {
 			return fmt.Errorf("engine: TM %q supports only the stripes modifier", c.TM)
 		}
 		if err := fenceIn("wait", "combine", "defer"); err != nil {
@@ -344,7 +333,7 @@ func (c *Config) normalize() error {
 		}
 		return reject(axis{"clock", c.Clock, "fai"}, axis{"quiescer", c.Quiescer, "flags"})
 	case "norec":
-		if c.ReadOnlyFastPath || c.SortedLocks || c.Stripes != 0 {
+		if c.SortedLocks || c.Stripes != 0 {
 			return fmt.Errorf("engine: TM %q has no lock table", c.TM)
 		}
 		if err := fenceIn("wait", "combine", "defer"); err != nil {
@@ -352,8 +341,8 @@ func (c *Config) normalize() error {
 		}
 		return reject(axis{"clock", c.Clock, "fai"})
 	case "wtstm":
-		if c.ReadOnlyFastPath || c.SortedLocks {
-			return fmt.Errorf("engine: TM %q does not support rofast/sorted", c.TM)
+		if c.SortedLocks {
+			return fmt.Errorf("engine: TM %q does not support sorted", c.TM)
 		}
 		if err := fenceIn("wait", "combine", "defer", "noop"); err != nil {
 			return err
@@ -439,9 +428,6 @@ func New(cfg Config) (core.TM, error) {
 		case "skipro":
 			opts = append(opts, tl2.WithFence(tl2.FenceSkipReadOnly))
 		}
-		if cfg.ReadOnlyFastPath {
-			opts = append(opts, tl2.WithReadOnlyFastPath())
-		}
 		if cfg.SortedLocks {
 			opts = append(opts, tl2.WithSortedLocks())
 		}
@@ -507,9 +493,7 @@ func Specs() []string {
 		"tl2",
 		"tl2+gv4",
 		"tl2+epochs",
-		"tl2+rofast",
 		"tl2+sorted",
-		"tl2+gv4+epochs+rofast",
 		"tl2+nofence",
 		"tl2+skipro",
 		"tl2+combine",

@@ -70,7 +70,7 @@ func TestSpecsRoundTrip(t *testing.T) {
 // TestNewSpecWithSink: sink-capable TMs accept a recorder; the recorded
 // history is non-empty after the smoke run.
 func TestNewSpecWithSink(t *testing.T) {
-	for _, spec := range []string{"baseline", "atomic", "norec", "tl2", "tl2+gv4+epochs+rofast", "tl2+combine", "norec+defer"} {
+	for _, spec := range []string{"baseline", "atomic", "norec", "tl2", "tl2+gv4+epochs", "tl2+combine", "norec+defer"} {
 		rec := record.NewRecorder()
 		tm, err := NewSpec(spec, 4, 3, rec)
 		if err != nil {
@@ -97,13 +97,14 @@ func TestParseErrors(t *testing.T) {
 		{"tl3", "unknown TM"},
 		{"TL2", "unknown TM"}, // specs are case-sensitive
 		{"tl2+warp", "unknown modifier"},
+		// The read-only commit is not an option any more: every tl2 has it.
+		{"tl2+rofast", "unknown modifier"},
 		{"tl2++gv4", "empty modifier"},
 		{"tl2+", "empty modifier"},
 		// Duplicate modifiers.
 		{"tl2+gv4+gv4", "duplicate clock"},
 		{"tl2+epochs+epochs", "duplicate quiescer"},
 		{"tl2+nofence+nofence", "duplicate fence"},
-		{"tl2+rofast+rofast", "duplicate modifier"},
 		{"tl2+sorted+sorted", "duplicate modifier"},
 		// Conflicting settings of one axis.
 		{"tl2+gv4+fai", "duplicate clock"},
@@ -142,7 +143,7 @@ func TestParseErrors(t *testing.T) {
 		{"wtstm+nofence+batch", "needs a grace period"},
 		// Parse fine, rejected by construction.
 		{"norec+gv4", "does not support"},
-		{"baseline+rofast", "supports no modifiers"},
+		{"baseline+sorted", "supports no modifiers"},
 		{"baseline+gv4", "does not support"},
 		{"baseline+nofence", "does not support fence"},
 		{"baseline+skipro", "does not support fence"},
@@ -151,7 +152,7 @@ func TestParseErrors(t *testing.T) {
 		{"norec+nofence", "does not support fence"},
 		{"norec+skipro", "does not support fence"},
 		{"wtstm+skipro", "does not support fence"},
-		{"wtstm+rofast", "does not support"},
+		{"wtstm+sorted", "does not support"},
 		{"atomic+sorted", "supports only the stripes modifier"},
 		{"atomic+epochs", "does not support"},
 		{"norec+sorted", "has no lock table"},

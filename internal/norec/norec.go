@@ -327,6 +327,9 @@ func (tx *Txn) Commit() error {
 	return nil
 }
 
+// Live implements core.Txn.
+func (tx *Txn) Live() bool { return tx.live }
+
 // Abort implements core.Txn (voluntary abort as an aborting commit).
 func (tx *Txn) Abort() {
 	if !tx.live {

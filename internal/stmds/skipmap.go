@@ -538,6 +538,10 @@ type WindowIter struct {
 	cursor  int64
 	done    bool
 	started bool
+	// lastN is the previous window's pair count: windows of one scan
+	// are equally wide, so it sizes the next window's slice in one
+	// allocation instead of growing it by doubling from nil.
+	lastN int
 }
 
 // RangeWindows returns a windowed scan iterator over keys in
@@ -624,6 +628,9 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 	cur := start
 	endOfChain := cur == nilPtr
 	var boundary int64 // first key past hi; meaningful when !endOfChain and the loop broke
+	if it.lastN > 0 {
+		pairs = make([]KV, 0, it.lastN+it.lastN/8) // headroom for churn between windows
+	}
 	for cur != nilPtr {
 		k := tm.Load(th, int(cur))
 		if k > hi {
@@ -635,6 +642,7 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 			endOfChain = true
 		}
 	}
+	it.lastN = len(pairs)
 	if err := s.publishWindow(th); err != nil {
 		return pairs, false, err
 	}

@@ -43,7 +43,6 @@ func TestE6TransactionalStressStrongOpacity(t *testing.T) {
 		{"default", nil},
 		{"gv4", []Option{WithGV4()}},
 		{"epochfence", []Option{WithEpochFence()}},
-		{"rofast", []Option{WithReadOnlyFastPath()}},
 		{"debug", []Option{WithDebugInvariants()}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package tl2 implements the TL2 software transactional memory of Dice,
-// Shalev and Shavit, exactly as presented in Figure 9 of "Safe
-// Privatization in Transactional Memory" (PPoPP 2018), extended with
-// the paper's transactional fences implemented over RCU-style grace
-// periods (Figure 7 lines 33–39).
+// Shalev and Shavit as presented in Figure 9 of "Safe Privatization in
+// Transactional Memory" (PPoPP 2018), extended with the paper's
+// transactional fences implemented over RCU-style grace periods
+// (Figure 7 lines 33–39).
 //
 // Per register x the TM keeps its value reg[x] and a versioned
 // write-lock combining ver[x] and lock[x] (package vlock); a global
@@ -19,6 +19,22 @@
 //   - abort/commit handlers clear active[t] after the
 //     response is recorded                                 (lines 57–63)
 //   - fence: two-pass wait on active flags                 (lines 30–37)
+//
+// Begin, read, write, the handlers and the fence are the figure
+// verbatim. txcommit departs from it in one place, from the TL2
+// authors' own paper and not selectable (internal/model keeps Figure 9
+// as printed and is the reference the checker explores): a transaction
+// with an empty write set commits without locking, without ticking the
+// clock and without revalidating. Every read was validated against
+// rver when it was made, so the read set is a consistent snapshot of
+// the memory at rver and the transaction serializes there. A read-only
+// transaction therefore writes no shared word but its own active flag.
+// A transaction that writes runs txcommit as printed: lock, tick,
+// revalidate, write back.
+//
+// This does not touch the privatization argument: the fence waits on
+// the active flag, which the commit handler clears after the response
+// on every path, never on a timestamp.
 //
 // Non-transactional accesses are uninstrumented: plain atomic loads and
 // stores of reg[x] that ignore locks and versions — the source of the
@@ -80,10 +96,6 @@ type Config struct {
 	Mode quiesce.Mode
 	// GV4 selects the pass-on-failure global clock (ablation).
 	GV4 bool
-	// ReadOnlyFastPath commits read-only transactions without ticking
-	// the clock or revalidating the read-set (classic TL2 optimization;
-	// Figure 9 as printed always ticks). Ablation only.
-	ReadOnlyFastPath bool
 	// SortedLocks acquires commit-time locks in ascending register
 	// order instead of write-set insertion order (Figure 9 iterates the
 	// write-set). With trylock-and-abort either is livelock-free, but
@@ -139,9 +151,6 @@ func WithFenceMode(m quiesce.Mode) Option { return func(c *Config) { c.Mode = m 
 
 // WithGV4 selects the GV4 clock.
 func WithGV4() Option { return func(c *Config) { c.GV4 = true } }
-
-// WithReadOnlyFastPath enables the read-only commit fast path.
-func WithReadOnlyFastPath() Option { return func(c *Config) { c.ReadOnlyFastPath = true } }
 
 // WithSortedLocks acquires commit locks in canonical register order.
 func WithSortedLocks() Option { return func(c *Config) { c.SortedLocks = true } }

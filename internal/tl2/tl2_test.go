@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"safepriv/internal/core"
+	"safepriv/internal/vclock"
 )
 
 func TestReadYourOwnWrite(t *testing.T) {
@@ -83,36 +84,179 @@ func TestReadSnapshotConsistency(t *testing.T) {
 	}
 }
 
-func TestReadOnlyCommitPaperPath(t *testing.T) {
-	// Figure 9 as printed: even a read-only transaction ticks the
-	// clock and revalidates. It must abort if its snapshot broke.
+// TestReadOnlyCommitLeavesClockAlone: a transaction with an empty
+// write set commits without a timestamp, so the clock reads the same
+// before and after any number of them.
+func TestReadOnlyCommitLeavesClockAlone(t *testing.T) {
+	for _, opts := range [][]Option{nil, {WithGV4()}} {
+		tm := New(4, 3, opts...)
+		w := tm.Begin(1)
+		w.Write(0, 1)
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		before := tm.clock.Load()
+		for i := 0; i < 100; i++ {
+			tx := tm.BeginTL2(1 + i%2)
+			if v, err := tx.Read(0); err != nil || v != 1 {
+				t.Fatalf("Read = %d,%v", v, err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if tx.WVer() != 0 {
+				t.Fatalf("read-only commit drew wver %d", tx.WVer())
+			}
+		}
+		if got := tm.clock.Load(); got != before {
+			t.Fatalf("opts %v: clock moved %d -> %d across read-only commits", opts, before, got)
+		}
+	}
+}
+
+// TestReadOnlyCommitSnapshot: a read-only transaction serializes at
+// rver. One whose register is overwritten after its read still commits
+// (Figure 9 as printed would revalidate and abort it); one that goes on
+// to read the overwritten register aborts at that read, so no
+// transaction ever returns values from two different snapshots.
+func TestReadOnlyCommitSnapshot(t *testing.T) {
+	overwrite := func(tm *TM) {
+		t.Helper()
+		w := tm.Begin(2)
+		w.Write(0, 3)
+		w.Write(1, 3)
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	tm := New(4, 3)
 	tx1 := tm.Begin(1)
-	if _, err := tx1.Read(0); err != nil {
-		t.Fatal(err)
+	if v, err := tx1.Read(0); err != nil || v != 0 {
+		t.Fatalf("Read = %d,%v", v, err)
 	}
-	tx2 := tm.Begin(2)
-	tx2.Write(0, 3)
-	if err := tx2.Commit(); err != nil {
-		t.Fatal(err)
+	overwrite(tm)
+	if err := tx1.Commit(); err != nil {
+		t.Fatalf("read-only commit after an overwrite: %v", err)
 	}
-	if err := tx1.Commit(); !errors.Is(err, core.ErrAborted) {
-		t.Fatalf("read-only revalidation should abort, got %v", err)
-	}
-	// With the fast path the same schedule commits (reads were
-	// individually valid at their own time).
-	tm = New(4, 3, WithReadOnlyFastPath())
+
+	tm = New(4, 3)
 	tx1 = tm.Begin(1)
 	if _, err := tx1.Read(0); err != nil {
 		t.Fatal(err)
 	}
-	tx2 = tm.Begin(2)
-	tx2.Write(0, 3)
-	if err := tx2.Commit(); err != nil {
+	overwrite(tm)
+	if _, err := tx1.Read(1); !errors.Is(err, core.ErrAborted) {
+		t.Fatalf("read of a register overwritten since begin: %v, want abort", err)
+	}
+}
+
+// TestWriterCommitRevalidation: a transaction that writes runs Figure
+// 9's txcommit as printed, as two-transaction schedules.
+func TestWriterCommitRevalidation(t *testing.T) {
+	// No commit since begin: the writer draws wver == rver+1, its read
+	// set revalidates clean and it commits.
+	tm := New(4, 3)
+	tx1 := tm.BeginTL2(1)
+	if _, err := tx1.Read(0); err != nil {
 		t.Fatal(err)
 	}
+	tx1.Write(1, 4)
 	if err := tx1.Commit(); err != nil {
-		t.Fatalf("fast-path read-only commit failed: %v", err)
+		t.Fatalf("commit with nothing in between: %v", err)
+	}
+	if tx1.WVer() != tx1.RVer()+1 {
+		t.Fatalf("wver = %d, rver = %d, want rver+1", tx1.WVer(), tx1.RVer())
+	}
+	if got := tm.Load(1, 1); got != 4 {
+		t.Fatalf("committed write = %d, want 4", got)
+	}
+
+	// One commit in between: the writer draws rver+2 and revalidates.
+	// It aborts, and its buffered write never lands, if that commit
+	// overwrote what it read; it commits if the commit was disjoint.
+	for _, tc := range []struct {
+		name     string
+		other    int // the register the intervening commit writes
+		conflict bool
+	}{
+		{"conflicting", 0, true},
+		{"disjoint", 2, false},
+	} {
+		tm := New(4, 3)
+		tx1 := tm.BeginTL2(1)
+		if _, err := tx1.Read(0); err != nil {
+			t.Fatal(err)
+		}
+		tx2 := tm.Begin(2)
+		tx2.Write(tc.other, 3)
+		if err := tx2.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		tx1.Write(1, 4)
+		err := tx1.Commit()
+		if tx1.WVer() != tx1.RVer()+2 {
+			t.Fatalf("%s: wver = %d, rver = %d, want rver+2", tc.name, tx1.WVer(), tx1.RVer())
+		}
+		want := int64(4)
+		if tc.conflict {
+			want = 0
+		}
+		if aborted := errors.Is(err, core.ErrAborted); aborted != tc.conflict || (err != nil && !aborted) {
+			t.Fatalf("%s commit in between: Commit = %v", tc.name, err)
+		}
+		if got := tm.Load(1, 1); got != want {
+			t.Fatalf("%s: register 1 = %d, want %d", tc.name, got, want)
+		}
+	}
+}
+
+// adoptingClock forces GV4's pass-on-failure branch: between Tick's
+// sample and its CAS another committer advances the clock, so the CAS
+// fails and the caller adopts the new value.
+type adoptingClock struct {
+	*vclock.GV4
+	between func()
+}
+
+func (c *adoptingClock) Tick() int64 {
+	if f := c.between; f != nil {
+		c.between = nil
+		f()
+		return c.GV4.Load()
+	}
+	return c.GV4.Tick()
+}
+
+// TestGV4AdoptedTickValidates: a writer that adopts a concurrent
+// committer's timestamp holds wver == rver+1 although it was not alone:
+// the committer it adopted from overwrote its read set. It must
+// revalidate and abort — the schedule that rules out ever skipping the
+// revalidation on the strength of the number wver == rver+1.
+func TestGV4AdoptedTickValidates(t *testing.T) {
+	tm := New(4, 3, WithGV4())
+	ck := &adoptingClock{GV4: vclock.NewGV4()}
+	tm.clock = ck
+	tx1 := tm.BeginTL2(1)
+	if _, err := tx1.Read(0); err != nil {
+		t.Fatal(err)
+	}
+	tx1.Write(1, 4)
+	ck.between = func() {
+		tx2 := tm.Begin(2)
+		tx2.Write(0, 3)
+		if err := tx2.Commit(); err != nil {
+			t.Error(err)
+		}
+	}
+	err := tx1.Commit()
+	if tx1.WVer() != tx1.RVer()+1 {
+		t.Fatalf("schedule broken: wver = %d, rver = %d, want an adopted rver+1", tx1.WVer(), tx1.RVer())
+	}
+	if !errors.Is(err, core.ErrAborted) {
+		t.Fatalf("adopted tick did not revalidate: Commit = %v, want abort", err)
+	}
+	if got := tm.Load(1, 1); got != 0 {
+		t.Fatalf("aborted write leaked: %d", got)
 	}
 }
 
@@ -174,7 +318,6 @@ func TestBankTransferInvariant(t *testing.T) {
 		{WithGV4()},
 		{WithEpochFence()},
 		{WithDebugInvariants()},
-		{WithReadOnlyFastPath()},
 	} {
 		tm := New(accounts, 9, opts...)
 		for i := 0; i < accounts; i++ {

@@ -211,7 +211,13 @@ func (tx *Txn) unlockAbort() {
 	}
 }
 
-// Commit implements core.Txn (Figure 9 txcommit, lines 30–55).
+// Commit implements core.Txn (Figure 9 txcommit, lines 30–55), with
+// the one departure from the figure that the package doc argues safe:
+// an empty write set commits at once — no lock, no clock tick, no
+// revalidation (Figure 9 as printed ticks and revalidates always).
+// Everything else — lock acquisition, the tick, the read-set
+// revalidation, write-back, version install and unlock, the handlers
+// clearing the active flag last — is the figure.
 func (tx *Txn) Commit() error {
 	tm := tx.tm
 	if !tx.live {
@@ -220,9 +226,10 @@ func (tx *Txn) Commit() error {
 	if s := tm.cfg.Sink; s != nil {
 		s.TxCommitReq(tx.thread)
 	}
-	if tm.cfg.ReadOnlyFastPath && len(tx.wset) == 0 {
-		// Classic TL2: a read-only transaction's reads were all
-		// validated against rver; commit without clock traffic.
+	if len(tx.wset) == 0 {
+		// Every read was validated against rver when it was made, so
+		// the read set is a consistent snapshot at rver and the
+		// transaction serializes there; it owns no write timestamp.
 		if s := tm.cfg.Sink; s != nil {
 			s.Committed(tx.thread, 0)
 		}
@@ -343,6 +350,9 @@ func (tx *Txn) abortCommit() error {
 	tx.finish()
 	return core.ErrAborted
 }
+
+// Live implements core.Txn.
+func (tx *Txn) Live() bool { return tx.live }
 
 // Abort implements core.Txn: a voluntary abort, modeled as an aborting
 // commit (the paper's language has no explicit abort; see core.Txn).

@@ -16,10 +16,12 @@
 //
 // The algorithm: writes lock the register's stripe (abort on conflict),
 // log the old value and version, and store in place; reads validate
-// against the transaction's read timestamp like TL2; commit ticks the
-// global clock, revalidates the read-set, installs the new version per
-// locked stripe and unlocks; abort rolls the undo log back in reverse
-// and restores the old versions before clearing the active flag.
+// against the transaction's read timestamp like TL2; a commit that
+// holds locks ticks the global clock, revalidates the read-set,
+// installs the new version per locked stripe and unlocks, and one that
+// holds none (a read-only transaction) just ends, without touching the
+// clock; abort rolls the undo log back in reverse and restores the old
+// versions before clearing the active flag.
 //
 // Registers and version-locks live in the shared striped table of
 // package stripe; with fewer stripes than registers distinct registers
@@ -308,7 +310,10 @@ func (tx *Txn) Commit() error {
 	if !tx.live {
 		panic("wtstm: Commit on finished transaction")
 	}
-	if len(tx.locked) == 0 && len(tx.rset) == 0 {
+	if len(tx.locked) == 0 {
+		// Read-only: every read was validated against rver when it was
+		// made, so the read set is a consistent snapshot at rver; commit
+		// without a timestamp and without revalidating (as tl2 does).
 		tx.finish()
 		return nil
 	}
@@ -348,6 +353,9 @@ func (tx *Txn) rollback() {
 	tx.locked = tx.locked[:0]
 	tx.finish()
 }
+
+// Live implements core.Txn.
+func (tx *Txn) Live() bool { return tx.live }
 
 // Abort implements core.Txn.
 func (tx *Txn) Abort() {

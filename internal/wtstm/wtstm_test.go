@@ -91,6 +91,54 @@ func TestSnapshotValidation(t *testing.T) {
 	}
 }
 
+// TestReadOnlyCommit: a transaction holding no lock commits without a
+// timestamp — the clock does not move across read-only commits — and
+// serializes at rver: it commits although its register was overwritten
+// after the read, and aborts at the read if it reads the overwritten
+// register afterwards.
+func TestReadOnlyCommit(t *testing.T) {
+	tm := New(4, 3)
+	before := tm.clock.Load()
+	for i := 0; i < 100; i++ {
+		tx := tm.Begin(1)
+		if _, err := tx.Read(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tm.clock.Load(); got != before {
+		t.Fatalf("clock moved %d -> %d across read-only commits", before, got)
+	}
+
+	overwrite := func() {
+		t.Helper()
+		w := tm.Begin(2)
+		w.Write(0, 3)
+		w.Write(1, 3)
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx1 := tm.Begin(1)
+	if _, err := tx1.Read(0); err != nil {
+		t.Fatal(err)
+	}
+	overwrite()
+	if err := tx1.Commit(); err != nil {
+		t.Fatalf("read-only commit after an overwrite: %v", err)
+	}
+	tx1 = tm.Begin(1)
+	if _, err := tx1.Read(0); err != nil {
+		t.Fatal(err)
+	}
+	overwrite()
+	if _, err := tx1.Read(1); !errors.Is(err, core.ErrAborted) {
+		t.Fatalf("read of a register overwritten since begin: %v, want abort", err)
+	}
+}
+
 func TestCounterConcurrent(t *testing.T) {
 	tm := New(1, 9)
 	const threads, per = 8, 200
