@@ -1,6 +1,6 @@
 // Command kvload drives an HTTP load against a running kvserver and
 // reports throughput with latency quantiles (internal/kvserve.RunLoad
-// is the engine; bench_test.go's serve emitter uses the same one).
+// is the engine).
 //
 // Closed loop by default — each connection issues its next request as
 // soon as the previous returns — or open loop with -qps, where a pacer

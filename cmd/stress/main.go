@@ -55,8 +55,7 @@
 // retunes the fence mode and magazine capacity live from telemetry,
 // and the report gains an adapt summary line (final lever positions,
 // flip/resize counts, and the telemetry-derived abort, privatization
-// and magazine-hit rates). -procs pins GOMAXPROCS for the run — the
-// multi-core truth axis the bench emitters sweep.
+// and magazine-hit rates). -procs pins GOMAXPROCS for the run.
 package main
 
 import (

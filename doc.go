@@ -73,13 +73,8 @@
 //
 // See README.md for the package layout, the engine registry's
 // configuration names, and how to run the examples, litmus tests, and
-// benchmarks. The benchmarks in bench_test.go regenerate the
-// quantitative experiments (E9, E13, E14 and the checker/model costs)
-// and, with SAFEPRIV_EMIT_BENCH=1 set, emit the machine-readable
-// sweeps BENCH_kv.json, BENCH_fence.json and BENCH_ds.json (whose scan-churn rows carry the mean-fence-wait
-// column contrasting snapshot and windowed scanning), each swept
-// across the GOMAXPROCS procs axis with telemetry-derived rate
-// columns, plus BENCH_serve.json — the end-to-end HTTP sweep (engine
-// spec × connections × read ratio, plus a scan-mix row per spec)
-// measured through a live in-process kvserver.
+// benchmarks. The micro-benchmarks in bench_test.go time the
+// quantitative experiments (E9, E13, E14 and the checker/model costs);
+// `go run ./bench` is the repository's one end-to-end benchmark
+// (BENCHMARK.json names its workloads and metrics).
 package safepriv

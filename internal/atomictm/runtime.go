@@ -301,13 +301,15 @@ func (tx *Txn) Commit() error {
 	if !tx.live {
 		panic("atomictm: Commit on finished transaction")
 	}
+	// Committed is recorded while the stripe locks are still held: once
+	// they drop, another thread can read this transaction's values, and
+	// that read's response must not enter the history ahead of the
+	// committed action it depends on.
 	if sk := tx.tm.sink; sk != nil {
 		sk.TxCommitReq(tx.thread)
-	}
-	tx.releaseAll(false)
-	if sk := tx.tm.sink; sk != nil {
 		sk.Committed(tx.thread, 0)
 	}
+	tx.releaseAll(false)
 	tx.finish()
 	return nil
 }

@@ -1,10 +1,9 @@
 // Package engine is the unified construction layer for every TM in the
 // repository: a registry keyed by specification strings so harnesses
-// (cmd/stress, cmd/figures, cmd/litmus, internal/workload,
-// bench_test.go) select any TM × clock × fence × quiescer configuration
-// by name instead of calling bespoke constructors. Adding a TM or a
-// configuration axis is an edit here, not a cross-cutting change to
-// every harness.
+// (cmd/stress, cmd/litmus, internal/workload, bench_test.go) select any
+// TM × clock × fence × quiescer configuration by name instead of
+// calling bespoke constructors. Adding a TM or a configuration axis is
+// an edit here, not a cross-cutting change to every harness.
 //
 // A specification is a base TM name followed by '+'-separated
 // modifiers:

@@ -9,10 +9,9 @@ import (
 // RunWorkload constructs the TM named by the engine specification and
 // runs the named workload (package workload's registry) on it: the
 // one-call form for callers that need no handle on the TM (smoke
-// tests, quick sweeps). Harnesses that pre-seed registers or time the
-// run themselves (cmd/figures, bench_test.go) construct via NewSpec
-// and call workload.ByName directly; keep this function's sizing
-// (workload.RegsFor, the +2 spare thread ids) in step with them.
+// tests, cmd/stress). Benchmarks that build the TM inside their timed
+// loop (bench_test.go) construct via NewSpec and call workload.ByName
+// directly.
 //
 // The specification's allocator axis (bump/quiesce), reclaim
 // granularity (free/batch) and fence safety flow into the workload

@@ -243,39 +243,43 @@ func TestServerAdaptiveSpec(t *testing.T) {
 }
 
 // TestRunLoad exercises the load driver against a live in-process
-// server: the run must complete with zero errors in both closed-loop
-// and open-loop (paced) modes.
+// server per engine spec, write coalescer on: every run must complete
+// with zero errors in closed-loop, open-loop (paced), zipfian and
+// scan-mix modes, and the server must drain clean afterwards
+// (newTestServer's cleanup).
 func TestRunLoad(t *testing.T) {
-	_, ts := newTestServer(t, kvserve.Config{Spec: "tl2", Shards: 4, Slots: 128, Threads: 4, BatchWrites: 8})
-	for name, cfg := range map[string]kvserve.LoadConfig{
-		"closed":  {BaseURL: ts.URL, Conns: 4, Ops: 400, ReadPct: 60, DeletePct: 10, Keys: 256},
-		"open":    {BaseURL: ts.URL, Conns: 4, Ops: 200, QPS: 2000, ReadPct: 60, DeletePct: 10, Keys: 256},
-		"zipfian": {BaseURL: ts.URL, Conns: 4, Ops: 400, Zipfian: true, Keys: 256},
-		"scans":   {BaseURL: ts.URL, Conns: 4, Ops: 400, ReadPct: 50, DeletePct: 5, ScanPct: 20, ScanLimit: 32, Keys: 256},
-	} {
-		t.Run(name, func(t *testing.T) {
-			rep, err := kvserve.RunLoad(cfg)
-			if err != nil {
-				t.Fatalf("RunLoad: %v", err)
-			}
-			if rep.Errors != 0 {
-				t.Fatalf("load run had %d errors: %s", rep.Errors, rep)
-			}
-			if rep.Ops != int64(cfg.Ops) {
-				t.Fatalf("completed %d ops, want %d", rep.Ops, cfg.Ops)
-			}
-			if rep.P50 <= 0 || rep.P99 < rep.P50 {
-				t.Fatalf("implausible quantiles: %s", rep)
-			}
-			if cfg.ScanPct > 0 {
-				if rep.ScanOps == 0 || rep.BadScans != 0 {
-					t.Fatalf("scan mix: %d scan ops, %d malformed (%s)", rep.ScanOps, rep.BadScans, rep.ScanString())
+	for _, spec := range []string{"tl2", "tl2+combine", "norec"} {
+		_, ts := newTestServer(t, kvserve.Config{Spec: spec, Shards: 4, Slots: 128, Threads: 4, BatchWrites: 8})
+		for name, cfg := range map[string]kvserve.LoadConfig{
+			"closed":  {BaseURL: ts.URL, Conns: 4, Ops: 400, ReadPct: 60, DeletePct: 10, Keys: 256},
+			"open":    {BaseURL: ts.URL, Conns: 4, Ops: 200, QPS: 2000, ReadPct: 60, DeletePct: 10, Keys: 256},
+			"zipfian": {BaseURL: ts.URL, Conns: 4, Ops: 400, Zipfian: true, Keys: 256},
+			"scans":   {BaseURL: ts.URL, Conns: 4, Ops: 400, ReadPct: 50, DeletePct: 5, ScanPct: 20, ScanLimit: 32, Keys: 256},
+		} {
+			t.Run(spec+"/"+name, func(t *testing.T) {
+				rep, err := kvserve.RunLoad(cfg)
+				if err != nil {
+					t.Fatalf("RunLoad: %v", err)
 				}
-				if rep.ScanString() == "" {
-					t.Fatal("scan mix produced no scan summary line")
+				if rep.Errors != 0 {
+					t.Fatalf("load run had %d errors: %s", rep.Errors, rep)
 				}
-			}
-		})
+				if rep.Ops != int64(cfg.Ops) {
+					t.Fatalf("completed %d ops, want %d", rep.Ops, cfg.Ops)
+				}
+				if rep.P50 <= 0 || rep.P99 < rep.P50 {
+					t.Fatalf("implausible quantiles: %s", rep)
+				}
+				if cfg.ScanPct > 0 {
+					if rep.ScanOps == 0 || rep.BadScans != 0 {
+						t.Fatalf("scan mix: %d scan ops, %d malformed (%s)", rep.ScanOps, rep.BadScans, rep.ScanString())
+					}
+					if rep.ScanString() == "" {
+						t.Fatal("scan mix produced no scan summary line")
+					}
+				}
+			})
+		}
 	}
 }
 

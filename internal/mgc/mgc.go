@@ -87,6 +87,20 @@ func Run(cfg Config) (*record.Recorder, error) {
 	var vals atomic.Int64
 	vals.Store(1 << 20)
 
+	// freshFlag draws a never-written flag value of the given parity (odd
+	// = private, even = shared). It is called once per ATTEMPT: a write
+	// request that aborts is still an action of the history, so a retry
+	// that repeated its value would break the unique-writes condition of
+	// Definition 2.1. Add(2) reserves two consecutive values; exactly
+	// one of them has the wanted parity.
+	freshFlag := func(parity int64) int64 {
+		v := vals.Add(2)
+		if v&1 != parity {
+			v--
+		}
+		return v
+	}
+
 	var wg sync.WaitGroup
 	var firstErr error
 	var errOnce sync.Once
@@ -133,10 +147,8 @@ func Run(cfg Config) (*record.Recorder, error) {
 		defer wg.Done()
 		r := rand.New(rand.NewSource(cfg.Seed * 31))
 		for round := 0; round < cfg.Rounds; round++ {
-			priv := int64(2*round + 1)
-			pub := int64(2*round + 2)
 			if err := core.Atomically(tm, 1, func(tx core.Txn) error {
-				return tx.Write(flag, priv)
+				return tx.Write(flag, freshFlag(1))
 			}); err != nil {
 				fail(err)
 				return
@@ -149,7 +161,7 @@ func Run(cfg Config) (*record.Recorder, error) {
 				tm.Store(1, x, vals.Add(1))
 			}
 			if err := core.Atomically(tm, 1, func(tx core.Txn) error {
-				return tx.Write(flag, pub)
+				return tx.Write(flag, freshFlag(0))
 			}); err != nil {
 				fail(err)
 				return

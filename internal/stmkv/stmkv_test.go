@@ -512,19 +512,35 @@ func TestScanIsPerShardSnapshot(t *testing.T) {
 // privatize→rehash→publish cycles plus FreeQuiesced of every replaced
 // table) interleaved with point operations. After a Drain the
 // store-level leak invariant must hold — exactly one live table block
-// per shard — and every surviving key must be readable. Run under
-// -race in CI.
+// per shard — every Resize ran one privatize cycle per shard, none
+// lost to a deferred or combined fence — and every surviving key must
+// be readable. The per-free rows run the same race on a store without
+// magazines in each fence mode. Run under -race in CI.
 func TestKVBatchReclaimResizeRace(t *testing.T) {
-	for _, spec := range []string{"tl2", "tl2+defer", "norec+combine"} {
-		t.Run(spec, func(t *testing.T) {
+	for _, tc := range []struct {
+		spec  string
+		batch bool
+	}{
+		{"tl2", true}, {"tl2+defer", true}, {"norec+combine", true},
+		{"tl2", false}, {"tl2+combine", false}, {"tl2+defer", false},
+	} {
+		name := tc.spec + "/per-free"
+		if tc.batch {
+			name = tc.spec + "/batch"
+		}
+		t.Run(name, func(t *testing.T) {
 			const shards, slots = 4, 64
 			const workers, resizers = 2, 2
 			threads := workers + resizers + 1
-			tm, err := engine.NewSpec(spec, stmkv.RegsNeededBatch(shards, slots, threads), threads+1, nil)
+			tm, err := engine.NewSpec(tc.spec, stmkv.RegsNeededBatch(shards, slots, threads), threads+1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := stmkv.New(tm, shards, slots, stmkv.WithBatchReclaim(threads))
+			var opts []stmkv.Option
+			if tc.batch {
+				opts = append(opts, stmkv.WithBatchReclaim(threads))
+			}
+			s, err := stmkv.New(tm, shards, slots, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -597,6 +613,9 @@ func TestKVBatchReclaimResizeRace(t *testing.T) {
 			}
 			if hs.PendingFrees != 0 {
 				t.Fatalf("%d pending frees after Drain", hs.PendingFrees)
+			}
+			if got, want := s.Stats().Privatizations, int64(resizers*rounds*shards); got < want {
+				t.Fatalf("%d privatize cycles after Drain, want >= %d (one per shard per Resize)", got, want)
 			}
 			for k := int64(1); k <= keys; k++ {
 				v, ok, err := s.Get(1, k)

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"safepriv/internal/core"
 	"safepriv/internal/stmalloc"
@@ -107,7 +106,6 @@ func dsFinish(st *Stats, heap *stmalloc.Heap, alloc stmds.Allocator, hist *Hist)
 		st.Allocs, st.Frees = hs.Allocs, hs.Frees
 		st.MagCached = hs.MagAlloc + hs.MagFree
 		st.ReclaimBatches = hs.Batches
-		st.Splits, st.Coalesces = hs.Splits, hs.Coalesces
 		st.ReclaimLatency = hist
 		return nil
 	}
@@ -271,22 +269,13 @@ func QueuePipe(tm core.TM, p Params) (Stats, error) {
 // delete shares so the live set stays at its target) against ONE
 // ordered map — the sorted-list Map, the skiplist SkipMap, or the
 // chained HashMap (O(1) point ops with incremental privatized rehash),
-// selected by Params.DS — drawing keys from a window of twice the target live
-// size (p.LiveSet). Values follow the k↦k convention so concurrent
-// readers can assert consistency. The map is prefilled to the target
-// size (even keys) on thread 1 before the workers start, and only the
-// churn phase is timed (Stats.Elapsed): prefilling an O(n) list is
-// O(n²) work that would otherwise bury the per-op contrast the
-// list-vs-skiplist benchmarks exist to show. On a reclaiming allocator
-// every delete retires a whole node — for SkipMap a whole tower, 4 to
-// 32 registers under one grace period or magazine slot.
-// churnOp is one pre-drawn map-churn operation: kind is the 0..99 mix
-// draw (get < 60 ≤ put < 80 ≤ delete), key the 1-based key.
-type churnOp struct {
-	key  int64
-	kind int
-}
-
+// selected by Params.DS — drawing keys from a window of twice the
+// target live size (p.LiveSet). Values follow the k↦k convention so
+// concurrent readers can assert consistency. The map is prefilled to
+// the target size (even keys) on thread 1 before the workers start. On
+// a reclaiming allocator every delete retires a whole node — for
+// SkipMap a whole tower, 4 to 32 registers under one grace period or
+// magazine slot.
 func MapChurn(tm core.TM, p Params) (Stats, error) {
 	threads, ops := p.Threads, p.Ops
 	switch p.DS {
@@ -320,46 +309,32 @@ func MapChurn(tm core.TM, p Params) (Stats, error) {
 		}
 	}
 	if hm, ok := m.(*stmds.HashMap); ok {
-		// Prefill is untimed, so finish its growth before the clock
-		// starts: otherwise the timed phase opens with the tail of the
-		// prefill's rehash — stripe fences and slow-path routing — and a
-		// short measurement window reads as migration cost, not churn.
-		// Steady-state growth triggered BY the churn still lands in the
-		// timed phase, where it belongs.
+		// Finish the prefill's growth before the workers start, so the
+		// churn opens on a settled table rather than on the tail of the
+		// prefill's rehash (stripe fences and slow-path routing). Growth
+		// triggered BY the churn still runs beside it.
 		if err := hm.DrainRehash(1); err != nil {
 			return Stats{}, fmt.Errorf("map-churn prefill rehash drain: %w", err)
 		}
 	}
-	// Each worker's op stream (kind draw + key) is materialized before
-	// the clock starts: the timed loop below is what the map-churn rows
-	// claim to measure — the data structure under churn — and two PRNG
-	// draws per op are a visible slice of an O(1) hash operation.
-	streams := make([][]churnOp, threads+1)
-	for th := 1; th <= threads; th++ {
-		r := rand.New(rand.NewSource(p.Seed + int64(th)*2399))
-		s := make([]churnOp, ops)
-		for i := range s {
-			s[i] = churnOp{key: 1 + r.Int63n(keyspace), kind: r.Intn(100)}
-		}
-		streams[th] = s
-	}
 	c := newCounter(threads)
 	var wg sync.WaitGroup
 	errs := make(chan error, threads)
-	start := time.Now()
 	for th := 1; th <= threads; th++ {
 		wg.Add(1)
 		go func(th int) {
 			defer wg.Done()
-			for i, op := range streams[th] {
+			r := rand.New(rand.NewSource(p.Seed + int64(th)*2399))
+			for i := 0; i < ops; i++ {
+				key := 1 + r.Int63n(keyspace)
 				var err error
-				switch {
-				case op.kind < 60:
-					_, _, err = m.Get(th, op.key)
-				case op.kind < 80:
-					_, err = m.Put(th, op.key, op.key)
+				switch kind := r.Intn(100); {
+				case kind < 60:
+					_, _, err = m.Get(th, key)
+				case kind < 80:
+					_, err = m.Put(th, key, key)
 				default:
-					_, err = m.Delete(th, op.key)
+					_, err = m.Delete(th, key)
 				}
 				if err != nil {
 					errs <- fmt.Errorf("map-churn worker %d op %d: %w", th, i, err)
@@ -370,10 +345,8 @@ func MapChurn(tm core.TM, p Params) (Stats, error) {
 		}(th)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 	close(errs)
 	st := c.stats()
-	st.Elapsed = elapsed
 	finishAdapt(&st, tm, ctl)
 	if hm, ok := m.(*stmds.HashMap); ok {
 		// Settle any in-progress incremental rehash before the allocator
@@ -396,14 +369,10 @@ func MapChurn(tm core.TM, p Params) (Stats, error) {
 // p.Ops DISTINCT keys each (thread-partitioned key ranges, so every
 // put adds a pair and nothing is ever deleted) into one stmds.HashMap
 // that starts at its initial 16 buckets. The table must double
-// ~log2(threads×ops/8) times during the timed phase, every doubling
-// migrated stripe-by-stripe through the cooperative incremental rehash
-// — the scenario the fence-wait headline is asserted on: mean fence
-// wait stays microseconds while the table grows three orders of
-// magnitude, because no insert ever waits out a stop-the-world copy.
-// Stats.Telemetry.RehashWindows counts the migration windows;
-// Stats.Splits/Coalesces expose how the freed old arrays recycle
-// through the buddy heap.
+// ~log2(threads×ops/8) times during the run, every doubling migrated
+// stripe-by-stripe through the cooperative incremental rehash, so no
+// insert ever waits out a stop-the-world copy.
+// Stats.Telemetry.RehashWindows counts the migration windows.
 func RehashStorm(tm core.TM, p Params) (Stats, error) {
 	threads, ops := p.Threads, p.Ops
 	if p.DS != "" && p.DS != "hash" {
@@ -419,7 +388,6 @@ func RehashStorm(tm core.TM, p Params) (Stats, error) {
 	c := newCounter(threads)
 	var wg sync.WaitGroup
 	errs := make(chan error, threads)
-	start := time.Now()
 	for th := 1; th <= threads; th++ {
 		wg.Add(1)
 		go func(th int) {
@@ -441,10 +409,8 @@ func RehashStorm(tm core.TM, p Params) (Stats, error) {
 		}(th)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 	close(errs)
 	st := c.stats()
-	st.Elapsed = elapsed
 	finishAdapt(&st, tm, ctl)
 	if err := hm.DrainRehash(1); err != nil {
 		return st, err
@@ -457,7 +423,3 @@ func RehashStorm(tm core.TM, p Params) (Stats, error) {
 	}
 	return st, nil
 }
-
-// IsOutOfSpace reports whether err is allocator exhaustion — the
-// expected end of a bump-allocator churn run that outlived its arena.
-func IsOutOfSpace(err error) bool { return errors.Is(err, stmds.ErrOutOfSpace) }

@@ -88,7 +88,6 @@ func KVStore(tm core.TM, threads, ops int, cfg KVConfig, seed int64) (Stats, err
 	lat := new(Hist) // privatization (scan) latency across all workers
 	var wg sync.WaitGroup
 	errs := make(chan error, threads)
-	phase := time.Now()
 	for th := 1; th <= threads; th++ {
 		wg.Add(1)
 		go func(th int) {
@@ -132,10 +131,8 @@ func KVStore(tm core.TM, threads, ops int, cfg KVConfig, seed int64) (Stats, err
 		}(th)
 	}
 	wg.Wait()
-	elapsed := time.Since(phase)
 	close(errs)
 	st := c.stats()
-	st.Elapsed = elapsed
 	st.PrivLatency = lat
 	// Stop the controller before the drain so FinalFence/FinalMagCap
 	// are the levers' resting positions, then settle any deferred

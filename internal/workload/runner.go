@@ -10,13 +10,13 @@ import (
 	"safepriv/internal/stmkv"
 )
 
-// mapChurnMaxLive is the largest map-churn live-set size the bench
-// harnesses sweep; RegsFor sizes the heap for it so one register count
-// serves the whole sweep.
+// mapChurnMaxLive is the largest map-churn live-set size RegsFor sizes
+// the heap for (cmd/stress -liveset up to this fits any map
+// implementation).
 const mapChurnMaxLive = 4096
 
 // hashStormMaxKeys is the largest rehash-storm key total (threads×ops)
-// the bench harnesses schedule; RegsFor sizes the heap for it.
+// RegsFor sizes the heap for.
 const hashStormMaxKeys = 1 << 13
 
 // Params sizes a named workload run. Workload-specific knobs (scan
@@ -33,7 +33,7 @@ type Params struct {
 	// Seed makes randomized workloads reproducible.
 	Seed int64
 	// Rounds is the privatize/publish cycle count for pipeline
-	// (0 = the default 20 the figures harness uses).
+	// (0 = the default 20).
 	Rounds int
 	// Shards is the shard count for the KV workloads
 	// (0 = KVDefaultShards).
@@ -121,10 +121,8 @@ var runners = map[string]Runner{
 	"queue-pipe": QueuePipe,
 	"map-churn":  MapChurn,
 	"scan-churn": ScanChurn,
-	// hash-churn is map-churn pinned to the hash map: the same traffic,
-	// prefill, and timing protocol, so its rows are directly comparable
-	// to the skip/map rows — the point-op contrast the hash bench
-	// asserts on.
+	// hash-churn is map-churn pinned to the hash map: the same traffic
+	// and prefill as the skip/map runs.
 	"hash-churn": func(tm core.TM, p Params) (Stats, error) {
 		if p.DS != "" && p.DS != "hash" {
 			return Stats{}, fmt.Errorf("%w: hash-churn %q (hash-churn IS map-churn on the hash map)", ErrUnknownDS, p.DS)
@@ -192,9 +190,8 @@ func RegsFor(name string, threads int) int {
 		return regs
 	case "rehash-storm":
 		// The storm inserts threads×ops distinct keys from an empty
-		// 16-bucket table; size for the largest run the bench harness
-		// schedules (hashStormMaxKeys resident pairs plus every array
-		// generation on the way up).
+		// 16-bucket table; size for hashStormMaxKeys resident pairs plus
+		// every array generation on the way up.
 		regs := dsMapArena + stmalloc.RegsForDemand(8, threads, 0, stmds.HashMapDemand(hashStormMaxKeys))
 		if regs < 1<<17 {
 			regs = 1 << 17

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"safepriv/internal/core"
 	"safepriv/internal/stmalloc"
@@ -20,7 +19,7 @@ import (
 const (
 	// 16 shards of up to 1024 slots: a shard table block is 2*slots
 	// registers and must fit the allocator's MaxBlockRegs, and the
-	// largest live set the bench sweeps (4096 keys over a 8192-key
+	// largest live set RegsFor sizes for (4096 keys over a 8192-key
 	// space) hashes to ~256 live keys per shard — 4x headroom.
 	scanChurnKVShards = 16
 	scanChurnKVSlots  = 1024
@@ -40,8 +39,7 @@ const (
 //
 //   - "skip" (default): stmds.SkipMap. "snapshot" reads the whole map
 //     in ONE read-only transaction (Snapshot); "window" walks the
-//     privatized window iterator (RangeWindows) — the contrast the
-//     scan-churn benchmarks exist to measure.
+//     privatized window iterator (RangeWindows).
 //   - "map": the sorted-list stmds.Map; snapshot only.
 //   - "kv": stmkv.Store. "snapshot" scans shard-by-shard in read-only
 //     transactions (WithTransactionalScan); "window" walks the
@@ -209,7 +207,6 @@ func ScanChurn(tm core.TM, p Params) (Stats, error) {
 	var scanOps, scanWindows, scanPairs int64
 	var churnWg, scanWg sync.WaitGroup
 	errs := make(chan error, threads)
-	start := time.Now()
 	for th := 2; th <= threads; th++ {
 		churnWg.Add(1)
 		go func(th int) {
@@ -251,11 +248,9 @@ func ScanChurn(tm core.TM, p Params) (Stats, error) {
 	churnWg.Wait()
 	churnDone.Store(true) // scanner finishes the scan in flight, then stops
 	scanWg.Wait()
-	elapsed := time.Since(start)
 	close(errs)
 
 	st := c.stats()
-	st.Elapsed = elapsed
 	st.ScanOps = scanOps
 	st.ScanWindows = scanWindows
 	st.ScanPairs = scanPairs

@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"safepriv/internal/core"
 	"safepriv/internal/telemetry"
@@ -79,25 +78,9 @@ type Stats struct {
 	// Frees/ReclaimBatches is the amortization the batch reclaim mode
 	// achieved. Zero without the magazine layer.
 	ReclaimBatches int64
-	// Splits and Coalesces are the reclaiming heap's buddy counters:
-	// block halvings taken to serve a smaller size class and buddy
-	// merges of freed fragments. They never move Allocs/Frees (free
-	// space reorganizing, not allocation), so Allocs-Frees stays the
-	// live count of blocks as currently sized. Zero without the
-	// reclaiming allocator.
-	Splits, Coalesces int64
 	// Telemetry is the TM's aggregated per-thread counter snapshot at
 	// the end of the run (zero value when the TM carries no board).
-	// Its AbortRate/PrivRate/MagHitRate are the bench emitters'
-	// telemetry-derived columns.
 	Telemetry telemetry.Snapshot
-	// Elapsed is the wall-clock duration of the workload's timed phase.
-	// Workloads with a prefill stage (map-churn) time only the churn
-	// after it — an O(n) list prefill is O(n²) work that would otherwise
-	// drown the per-op numbers the bench emitters derive. Zero for
-	// workloads that don't record it (callers fall back to their own
-	// clocks).
-	Elapsed time.Duration
 	// ScanOps, ScanWindows, ScanPairs are the scan-churn workload's
 	// scanner-side tallies: completed whole-structure scans, the
 	// privatized windows they took (1 per snapshot scan; one per

@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"fmt"
 	"testing"
 
 	"safepriv/internal/core"
@@ -104,19 +105,21 @@ func TestKVStoreWorkloadAllTMs(t *testing.T) {
 	if testing.Short() {
 		ops = 150
 	}
-	for name, tm := range tms(t, workload.RegsFor("kvstore", 4), 6) {
-		t.Run(name, func(t *testing.T) {
-			st, err := workload.KVStore(tm, 4, ops, workload.KVConfig{ScanEvery: 100}, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Commits != int64(4*ops) {
-				t.Fatalf("completed ops = %d, want %d", st.Commits, 4*ops)
-			}
-			if st.Fences == 0 {
-				t.Fatal("no privatizations despite scans and growth")
-			}
-		})
+	for _, shards := range []int{1, workload.KVDefaultShards, 16} {
+		for name, tm := range tms(t, workload.RegsFor("kvstore", 4), 6) {
+			t.Run(fmt.Sprintf("%s/shards-%d", name, shards), func(t *testing.T) {
+				st, err := workload.KVStore(tm, 4, ops, workload.KVConfig{Shards: shards, ScanEvery: 100}, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Commits != int64(4*ops) {
+					t.Fatalf("completed ops = %d, want %d", st.Commits, 4*ops)
+				}
+				if st.Fences == 0 {
+					t.Fatal("no privatizations despite scans and growth")
+				}
+			})
+		}
 	}
 }
 
