@@ -26,7 +26,6 @@
 //	stress -tm tl2+quiesce -workload rehash-storm -wops 2000
 //	stress -tm norec -alloc quiesce -reclaim batch -ds map
 //	stress -tm tl2+quiesce -workload scan-churn -churn 4096 -scan window
-//	stress -tm tl2 -adapt -workload kvstore -procs 4
 //	stress -tm list          # print the registered configurations
 //	stress -workload list    # print the registered workloads
 //
@@ -51,11 +50,9 @@
 // report gains a scan summary line (scans, windows, pairs streamed,
 // and the churner-only abort rate).
 //
-// -adapt appends the adapt modifier: the internal/adapt controller
-// retunes the fence mode and magazine capacity live from telemetry,
-// and the report gains an adapt summary line (final lever positions,
-// flip/resize counts, and the telemetry-derived abort, privatization
-// and magazine-hit rates). -procs pins GOMAXPROCS for the run.
+// On a TM that carries a telemetry board the report ends with the
+// board's abort, privatization and magazine-hit rates. -procs pins
+// GOMAXPROCS for the run.
 package main
 
 import (
@@ -112,10 +109,8 @@ func runWorkload(name, tmSpec string, threads, ops, shards, privEvery, liveSet i
 		fmt.Printf("magazines: %d frees in %d batch retires (%.1f frees/grace period), %d blocks still cached\n",
 			st.Frees, st.ReclaimBatches, float64(st.Frees)/float64(st.ReclaimBatches), st.MagCached)
 	}
-	if st.FinalFence != "" {
-		tel := st.Telemetry
-		fmt.Printf("adapt: fence=%s magcap=%d after %d flips/%d resizes; abort-rate=%.3f priv-rate=%.4f mag-hit-rate=%.3f\n",
-			st.FinalFence, st.FinalMagCap, st.AdaptFlips, st.AdaptResizes,
+	if tel := st.Telemetry; tel.Commits > 0 {
+		fmt.Printf("telemetry: abort-rate=%.3f priv-rate=%.4f mag-hit-rate=%.3f\n",
 			tel.AbortRate(), tel.PrivRate(), tel.MagHitRate())
 	}
 	return nil
@@ -152,27 +147,6 @@ func dsFlagConflict(ds, workloadName string) error {
 	return fmt.Errorf("stress: -ds %s conflicts with -workload %s: -ds already selects the workload", ds, workloadName)
 }
 
-// adaptFlagConflict rejects flag combinations that -adapt cannot run
-// with, in the vocabulary the user typed. Without it the conflicts
-// still die in engine.Parse, but the message names spec modifiers the
-// user never wrote ("tl2+combine+adapt" from -fence combine -adapt),
-// which reads like an internal bug rather than a usage error.
-func adaptFlagConflict(adapt bool, fence, alloc, reclaim string) error {
-	if !adapt {
-		return nil
-	}
-	if fence != "" {
-		return fmt.Errorf("stress: -adapt conflicts with -fence %s: the adaptive controller owns the fence axis", fence)
-	}
-	if reclaim != "" {
-		return fmt.Errorf("stress: -adapt conflicts with -reclaim %s: the adaptive controller owns the reclaim axis", reclaim)
-	}
-	if alloc != "" && alloc != "quiesce" {
-		return fmt.Errorf("stress: -adapt requires -alloc quiesce, not %s: the controller's magazine layer needs a reclaiming allocator", alloc)
-	}
-	return nil
-}
-
 func main() {
 	iters := flag.Int("iters", 10, "number of independent runs")
 	threads := flag.Int("threads", 4, "worker threads")
@@ -193,7 +167,6 @@ func main() {
 	privEvery := flag.Int("privevery", 0, "KV privatization cadence: scan every N ops (0 = workload default, <0 = never)")
 	scanMode := flag.String("scan", "", "scan-churn scanner strategy: window (privatized windows, the default) or snapshot (one read-only transaction)")
 	procs := flag.Int("procs", 0, "set GOMAXPROCS for the run (0 = leave the runtime default)")
-	adapt := flag.Bool("adapt", false, "append the adapt modifier to -tm: the runtime controller retunes fence mode and magazine capacity")
 	flag.Parse()
 
 	if *procs > 0 {
@@ -206,10 +179,6 @@ func main() {
 		}
 		return
 	}
-	if err := adaptFlagConflict(*adapt, *fence, *alloc, *reclaim); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	if *fence != "" {
 		// Appending keeps the engine's conflict rejection: -fence combine
 		// with a spec that already names a fence mode is a usage error.
@@ -220,9 +189,6 @@ func main() {
 	}
 	if *reclaim != "" {
 		*tmSpec += "+" + *reclaim
-	}
-	if *adapt {
-		*tmSpec += "+adapt"
 	}
 	if *wl == "list" {
 		for _, s := range workload.Names() {

@@ -4,15 +4,14 @@ import (
 	"strings"
 	"testing"
 
-	"safepriv/internal/engine"
 	"safepriv/internal/workload"
 )
 
-// TestDSFlagVocabulary pins the -ds flag vocabulary the way the -adapt
-// table pins its conflicts: every accepted value must resolve to a
-// registered workload (so the shorthand cannot rot when workloads are
-// renamed), every rejection must speak in flag terms, and -ds alongside
-// an explicit -workload is a conflict, not a silent override.
+// TestDSFlagVocabulary pins the -ds flag vocabulary: every accepted
+// value must resolve to a registered workload (so the shorthand cannot
+// rot when workloads are renamed), every rejection must speak in flag
+// terms, and -ds alongside an explicit -workload is a conflict, not a
+// silent override.
 func TestDSFlagVocabulary(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -62,72 +61,6 @@ func TestDSFlagVocabulary(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not say %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestAdaptFlagConflict pins the up-front validation of -adapt against
-// the other modifier flags: conflicts must be reported in flag terms,
-// and every combination the validator accepts must also survive
-// engine.Parse after the modifiers are appended — the validator may
-// never let a conflict through to die later with a spec-vocabulary
-// message the user cannot map back to a flag.
-func TestAdaptFlagConflict(t *testing.T) {
-	cases := []struct {
-		name                  string
-		adapt                 bool
-		fence, alloc, reclaim string
-		wantErr               string // substring; "" = accepted
-	}{
-		{name: "no adapt, no modifiers"},
-		{name: "no adapt passes everything through", fence: "combine", alloc: "bump", reclaim: "free"},
-		{name: "bare adapt", adapt: true},
-		{name: "adapt with quiesce alloc", adapt: true, alloc: "quiesce"},
-		{name: "adapt vs fence wait", adapt: true, fence: "wait", wantErr: "-fence wait"},
-		{name: "adapt vs fence combine", adapt: true, fence: "combine", wantErr: "-fence combine"},
-		{name: "adapt vs fence defer", adapt: true, fence: "defer", wantErr: "-fence defer"},
-		{name: "adapt vs reclaim free", adapt: true, reclaim: "free", wantErr: "-reclaim free"},
-		{name: "adapt vs reclaim batch", adapt: true, reclaim: "batch", wantErr: "-reclaim batch"},
-		{name: "adapt vs bump alloc", adapt: true, alloc: "bump", wantErr: "-alloc quiesce"},
-		{name: "fence beats reclaim in report order", adapt: true, fence: "defer", reclaim: "batch", wantErr: "-fence defer"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := adaptFlagConflict(tc.adapt, tc.fence, tc.alloc, tc.reclaim)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("adaptFlagConflict = %v, want nil", err)
-				}
-				// Accepted combinations must parse once appended the way
-				// main appends them.
-				spec := "tl2"
-				if tc.fence != "" {
-					spec += "+" + tc.fence
-				}
-				if tc.alloc != "" {
-					spec += "+" + tc.alloc
-				}
-				if tc.reclaim != "" {
-					spec += "+" + tc.reclaim
-				}
-				if tc.adapt {
-					spec += "+adapt"
-				}
-				if _, err := engine.Parse(spec); err != nil {
-					t.Fatalf("validator accepted flags but engine.Parse(%q) = %v", spec, err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("adaptFlagConflict = nil, want error containing %q", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not name the offending flag %q", err, tc.wantErr)
-			}
-			// The message must speak in flags, not in assembled specs.
-			if strings.Contains(err.Error(), "+adapt") {
-				t.Fatalf("error %q leaks spec syntax", err)
 			}
 		})
 	}

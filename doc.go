@@ -17,12 +17,10 @@
 //     — wait/combine/defer fence modes, the asynchronous fence
 //     (FenceAsync), its batched form (FenceAsyncBatch: N callbacks,
 //     one grace period) and the background reclaimer.
-//   - Adaptive layer: internal/telemetry cache-line-padded per-thread
+//   - Telemetry layer: internal/telemetry cache-line-padded per-thread
 //     counter boards on every TM (commits, aborts, fences,
-//     privatizations, magazine traffic), and internal/adapt, the
-//     sampling controller behind the engine's adapt axis that retunes
-//     the fence mode and magazine capacity live from the measured
-//     abort, privatization and magazine-hit rates.
+//     privatizations, magazine traffic), read by kvserve's /stats,
+//     cmd/stress and bench/.
 //   - Heap layer: internal/stmalloc, the quiescence-based safe memory
 //     reclamation allocator (unlink transactionally, ride the fence,
 //     reuse), with the typed ErrOutOfSpace exhaustion contract, a

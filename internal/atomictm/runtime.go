@@ -161,13 +161,6 @@ func (tm *TM) FenceBarrier(thread int) { tm.qs.Barrier() }
 // board core.Atomically and the quiescence service record into.
 func (tm *TM) TelemetryBoard() *telemetry.Board { return tm.board }
 
-// SetFenceMode switches the quiescence service's fence mode live (the
-// adaptive controller's lever); see quiesce.Service.SetMode.
-func (tm *TM) SetFenceMode(m quiesce.Mode) { tm.qs.SetMode(m) }
-
-// FenceMode returns the quiescence service's current fence mode.
-func (tm *TM) FenceMode() quiesce.Mode { return tm.qs.Mode() }
-
 // Begin implements core.TM.
 func (tm *TM) Begin(thread int) core.Txn {
 	tx := &tm.threads[thread].tx

@@ -186,9 +186,15 @@ func Atomically(tm TM, thread int, body func(Txn) error) error {
 	}
 	for attempt := 0; attempt < MaxAttempts; attempt++ {
 		if d := BackoffDelay(thread, attempt); d > 0 {
+			// Record the delay taken, not the delay asked for: the host
+			// may return from a microsecond sleep a millisecond later.
+			var start time.Time
+			if slot != nil {
+				start = time.Now()
+			}
 			time.Sleep(d)
 			if slot != nil {
-				slot.BackoffNs.Add(int64(d))
+				slot.BackoffNs.Add(int64(time.Since(start)))
 			}
 		}
 		tx := tm.Begin(thread)

@@ -184,3 +184,33 @@ func TestBackoffDelayCap(t *testing.T) {
 		t.Errorf("no per-thread jitter: all 16 threads got the same delay")
 	}
 }
+
+// TestBackoffNsCountsElapsed: the telemetry slot's BackoffNs is the time
+// the backoff sleeps took — at least the delays asked for, at most the
+// wall time of the whole call.
+func TestBackoffNsCountsElapsed(t *testing.T) {
+	// Attempts 0..aborts-1 abort and attempt `aborts` commits, so the
+	// call sleeps before attempts 3..aborts: five backoffs.
+	const thread, aborts = 1, 7
+	var asked time.Duration
+	for a := 0; a <= aborts; a++ {
+		asked += core.BackoffDelay(thread, a)
+	}
+	tm := tl2.New(2, 2)
+	attempts := 0
+	start := time.Now()
+	err := core.Atomically(tm, thread, func(tx core.Txn) error {
+		if attempts++; attempts <= aborts {
+			return core.ErrAborted
+		}
+		return nil
+	})
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := time.Duration(tm.TelemetryBoard().Slot(thread).BackoffNs.Load())
+	if got < asked || got > wall {
+		t.Fatalf("BackoffNs = %v, want between the %v asked for and the call's %v", got, asked, wall)
+	}
+}

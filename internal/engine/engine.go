@@ -35,13 +35,6 @@
 //	           (requires a quiesce allocator and a safe fence)
 //	free       one grace-period registration per Free — the default
 //	           reclaim granularity, for explicitness
-//	adapt      the adaptive controller (internal/adapt) owns the fence
-//	           and reclaim axes: a sampling goroutine reads the TM's
-//	           telemetry board and retunes the fence mode
-//	           (wait/combine/defer) and the magazine capacity live.
-//	           Conflicts with any explicit fence or reclaim modifier
-//	           and with an explicit bump allocator; implies
-//	           quiesce+batch with the fence starting at wait.
 //
 // combine, defer, nofence, skipro and wait all set the one fence axis,
 // so any two of them in a spec conflict (in particular nofence+combine
@@ -110,12 +103,6 @@ type Config struct {
 	// caches, whole magazines retired under one shared grace period).
 	// It does not affect TM construction.
 	Reclaim string
-	// Adaptive hands the fence and reclaim axes to the runtime
-	// controller (internal/adapt): the TM starts at fence=wait with a
-	// batch-reclaim quiesce allocator, and the controller retunes both
-	// from telemetry while the workload runs. Conflicts with explicit
-	// fence/reclaim modifiers (the controller owns those levers).
-	Adaptive bool
 	// SortedLocks acquires TL2 commit locks in register order.
 	SortedLocks bool
 	// Stripes sets the version-lock table size for the striped TMs
@@ -139,29 +126,21 @@ func (c Config) Spec() string {
 	if c.SortedLocks {
 		mods = append(mods, "sorted")
 	}
-	if !c.Adaptive {
-		// Under adapt the fence and reclaim values are the controller's
-		// (normalize seeds wait/quiesce/batch); emitting them would make
-		// the round-trip parse reject its own output as a conflict.
-		switch c.Fence {
-		case "combine":
-			mods = append(mods, "combine")
-		case "defer":
-			mods = append(mods, "defer")
-		case "noop":
-			mods = append(mods, "nofence")
-		case "skipro":
-			mods = append(mods, "skipro")
-		}
-		if c.Alloc == "quiesce" {
-			mods = append(mods, "quiesce")
-		}
-		if c.Reclaim == "batch" {
-			mods = append(mods, "batch")
-		}
+	switch c.Fence {
+	case "combine":
+		mods = append(mods, "combine")
+	case "defer":
+		mods = append(mods, "defer")
+	case "noop":
+		mods = append(mods, "nofence")
+	case "skipro":
+		mods = append(mods, "skipro")
 	}
-	if c.Adaptive {
-		mods = append(mods, "adapt")
+	if c.Alloc == "quiesce" {
+		mods = append(mods, "quiesce")
+	}
+	if c.Reclaim == "batch" {
+		mods = append(mods, "batch")
 	}
 	if len(mods) == 0 {
 		return c.TM
@@ -212,11 +191,6 @@ func Parse(spec string) (Config, error) {
 			err = setAxis("alloc", &cfg.Alloc, strings.TrimSpace(m), m)
 		case "free", "batch":
 			err = setAxis("reclaim", &cfg.Reclaim, strings.TrimSpace(m), m)
-		case "adapt":
-			if cfg.Adaptive {
-				err = fmt.Errorf("engine: duplicate modifier %q in spec %q", m, spec)
-			}
-			cfg.Adaptive = true
 		case "sorted":
 			if cfg.SortedLocks {
 				err = fmt.Errorf("engine: duplicate modifier %q in spec %q", m, spec)
@@ -231,16 +205,6 @@ func Parse(spec string) (Config, error) {
 			return Config{}, err
 		}
 	}
-	// adapt owns the fence and reclaim axes regardless of modifier
-	// order, so the conflict check runs after the whole spec is read.
-	if cfg.Adaptive {
-		if cfg.Fence != "" {
-			return Config{}, fmt.Errorf("engine: adapt conflicts with explicit fence modifier in spec %q (the controller owns the fence axis)", spec)
-		}
-		if cfg.Reclaim != "" {
-			return Config{}, fmt.Errorf("engine: adapt conflicts with explicit reclaim modifier in spec %q (the controller owns the reclaim axis)", spec)
-		}
-	}
 	return cfg, nil
 }
 
@@ -248,24 +212,6 @@ func Parse(spec string) (Config, error) {
 func (c *Config) normalize() error {
 	if c.Regs < 0 || c.Threads <= 0 {
 		return fmt.Errorf("engine: bad sizing regs=%d threads=%d", c.Regs, c.Threads)
-	}
-	if c.Adaptive {
-		// The controller drives both of its levers from a known start:
-		// fence=wait (every mode reachable from it) over the magazine
-		// heap (capacity is the second lever). Parse already rejects
-		// explicit fence/reclaim modifiers; direct Config construction
-		// is checked here.
-		if c.Fence == "" {
-			c.Fence = "wait"
-		}
-		if c.UnsafeFence() {
-			return fmt.Errorf("engine: adapt needs a safe fence to retune; fence=%q gives none", c.Fence)
-		}
-		if c.Alloc == "bump" {
-			return fmt.Errorf("engine: adapt requires a reclaiming allocator; alloc=%q has no magazine layer", c.Alloc)
-		}
-		c.Alloc = "quiesce"
-		c.Reclaim = "batch"
 	}
 	if c.Clock == "" {
 		c.Clock = "fai"
@@ -503,8 +449,6 @@ func Specs() []string {
 		"tl2+quiesce+batch",
 		"tl2+defer+quiesce+batch",
 		"norec+quiesce+batch",
-		"tl2+adapt",
-		"norec+adapt",
 	}
 	sort.Strings(s)
 	return s

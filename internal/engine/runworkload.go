@@ -42,7 +42,6 @@ func RunWorkload(tmSpec, name string, p workload.Params) (workload.Stats, error)
 	p.Alloc = cfg.Alloc
 	p.Reclaim = cfg.Reclaim
 	p.UnsafeFence = cfg.UnsafeFence()
-	p.Adapt = cfg.Adaptive
 	tm, err := New(cfg)
 	if err != nil {
 		return workload.Stats{}, err

@@ -1,7 +1,7 @@
 // Package kvserve is the networked front-end over internal/stmkv: the
 // privatize→fence→operate→publish machinery of the paper, pointed
 // outward as an HTTP key-value service (ROADMAP item 1). cmd/kvserver
-// wraps it in a process; cmd/kvload and bench_test.go drive it.
+// wraps it in a process; cmd/kvload and bench/ drive it.
 //
 // The central design problem is the impedance mismatch between Go's
 // goroutine-per-connection servers and the TM's fixed 1-based thread
@@ -27,9 +27,9 @@
 //
 // Shutdown protocol: the owner first drains in-flight HTTP requests
 // (http.Server.Shutdown), then calls Server.Drain, which stops the
-// write coalescer and the adaptive controller, settles every deferred
-// privatization and reclamation (stmkv.Store.Drain), and surfaces any
-// async error — the ordering cmd/kvserver implements on SIGTERM.
+// write coalescer, settles every deferred privatization and
+// reclamation (stmkv.Store.Drain), and surfaces any async error — the
+// ordering cmd/kvserver implements on SIGTERM.
 package kvserve
 
 import (
@@ -46,7 +46,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"safepriv/internal/adapt"
 	"safepriv/internal/core"
 	"safepriv/internal/engine"
 	"safepriv/internal/stmkv"
@@ -57,8 +56,8 @@ import (
 // documented default.
 type Config struct {
 	// Spec is the engine specification of the TM the store runs on
-	// (default "tl2"). Adaptive specs ("tl2+adapt") wire the
-	// internal/adapt controller to the server's store for its lifetime.
+	// (default "tl2"). A batch-reclaim spec ("tl2+quiesce+batch") puts
+	// the store's table heap behind per-thread magazines.
 	Spec string
 	// Shards is the store's shard count (default 16).
 	Shards int
@@ -66,8 +65,8 @@ type Config struct {
 	Slots int
 	// Threads is the request worker pool size: the number of store
 	// operations that may run concurrently (default 8). The TM is
-	// sized with three extra ids: the write coalescer, the drain/stats
-	// admin thread, and the adaptive controller.
+	// sized with two extra ids: the write coalescer and the drain/stats
+	// admin thread.
 	Threads int
 	// BatchWrites > 0 coalesces up to that many adjacent PUTs into one
 	// transaction through a dedicated writer thread (0 = every PUT is
@@ -104,7 +103,6 @@ type Server struct {
 	scan  scanner // s.store, unless a test injected a failing source
 	pool  *stmkv.ThreadPool
 	wb    *writeBatcher
-	ctl   *adapt.Controller
 	board *telemetry.Board
 	log   *slog.Logger
 
@@ -124,16 +122,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	// Thread budget: ids 1..Threads for request workers, +1 the write
-	// coalescer, +2 the admin (drain/stats) thread, +3 the adaptive
-	// controller's resize transactions.
+	// coalescer, +2 the admin (drain/stats) thread.
 	workers := cfg.Threads
 	batcherTh := workers + 1
 	adminTh := workers + 2
-	ctlTh := workers + 3
-	batch := parsed.Reclaim == "batch" || parsed.Adaptive
 	var kvOpts []stmkv.Option
 	magThreads := 0
-	if batch && !parsed.UnsafeFence() {
+	if parsed.Reclaim == "batch" && !parsed.UnsafeFence() {
 		// Magazines for every thread that can rehash a table: the
 		// request workers and the coalescer.
 		magThreads = batcherTh
@@ -143,7 +138,7 @@ func New(cfg Config) (*Server, error) {
 	if regs == 0 {
 		return nil, fmt.Errorf("kvserve: unallocatable geometry shards=%d slots=%d", cfg.Shards, cfg.Slots)
 	}
-	tm, err := engine.NewSpec(cfg.Spec, regs, ctlTh, nil)
+	tm, err := engine.NewSpec(cfg.Spec, regs, adminTh, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -171,13 +166,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.BatchWrites > 0 {
 		s.wb = newWriteBatcher(store, batcherTh, cfg.BatchWrites)
 	}
-	if parsed.Adaptive {
-		if atm, ok := tm.(adapt.TM); ok {
-			s.ctl = adapt.New(atm)
-			s.ctl.AttachHeap(store.Heap(), ctlTh)
-			s.ctl.Start()
-		}
-	}
 	s.ready.Store(true)
 	s.log.Info("kvserve ready",
 		"spec", cfg.Spec, "shards", cfg.Shards, "slots", cfg.Slots,
@@ -185,11 +173,11 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Store exposes the underlying store (tests and the bench emitter).
+// Store exposes the underlying store (tests and bench/).
 func (s *Server) Store() *stmkv.Store { return s.store }
 
 // Telemetry snapshots the TM's telemetry board (zero when the TM
-// carries none) — the bench emitter's abort/privatization rate source.
+// carries none) — /stats' abort/privatization rate source.
 func (s *Server) Telemetry() telemetry.Snapshot {
 	if s.board == nil {
 		return telemetry.Snapshot{}
@@ -198,22 +186,16 @@ func (s *Server) Telemetry() telemetry.Snapshot {
 }
 
 // Drain finishes the server's asynchronous work: it stops accepting
-// coalesced writes, stops the adaptive controller, settles every
-// deferred privatization and reclamation, and returns the first async
-// error any of them hit. Call it after the HTTP listener has drained
-// its in-flight requests; Drain is idempotent (a second call only
-// re-drains the store, which reports errors registered since).
+// coalesced writes, settles every deferred privatization and
+// reclamation, and returns the first async error any of them hit. Call
+// it after the HTTP listener has drained its in-flight requests; Drain
+// is idempotent (a second call only re-drains the store, which reports
+// errors registered since).
 func (s *Server) Drain() error {
 	s.ready.Store(false)
 	if s.drained.CompareAndSwap(false, true) {
 		if s.wb != nil {
 			s.wb.shutdown()
-		}
-		if s.ctl != nil {
-			r := s.ctl.Stop()
-			s.log.Info("adapt controller stopped",
-				"fence", r.Mode.String(), "magcap", r.MagCap,
-				"flips", r.Flips, "resizes", r.Resizes)
 		}
 	}
 	return s.store.Drain(s.adminTh)

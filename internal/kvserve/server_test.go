@@ -227,9 +227,15 @@ func TestServerDrainRejectsBatchedWrites(t *testing.T) {
 	}
 }
 
-func TestServerAdaptiveSpec(t *testing.T) {
-	srv, ts := newTestServer(t, kvserve.Config{Spec: "tl2+adapt", Shards: 4, Slots: 64, Threads: 4})
-	for k := 1; k <= 32; k++ {
+// TestServerMagazineSpec boots the server on a batch-reclaim spec, the
+// one configuration that puts the store's table heap behind per-thread
+// magazines: enough PUTs to grow every shard (each grow frees the
+// replaced table through a magazine), /stats serves, and after Drain
+// the heap holds exactly one table per shard with nothing parked.
+func TestServerMagazineSpec(t *testing.T) {
+	const shards = 4
+	srv, ts := newTestServer(t, kvserve.Config{Spec: "tl2+quiesce+batch", Shards: shards, Slots: 64, Threads: 4})
+	for k := 1; k <= 128; k++ {
 		if st, _ := do(t, http.MethodPut, fmt.Sprintf("%s/kv/%d", ts.URL, k), fmt.Sprint(k)); st != http.StatusNoContent {
 			t.Fatalf("PUT %d failed", k)
 		}
@@ -238,7 +244,14 @@ func TestServerAdaptiveSpec(t *testing.T) {
 		t.Fatalf("stats = %d", st)
 	}
 	if err := srv.Drain(); err != nil {
-		t.Fatalf("Drain with adaptive controller: %v", err)
+		t.Fatalf("Drain on a magazine-backed store: %v", err)
+	}
+	hs := srv.Store().HeapStats()
+	if hs.Frees == 0 {
+		t.Fatalf("no table was ever freed; the magazine path did not run: %+v", hs)
+	}
+	if hs.Live != shards || hs.PendingFrees != 0 || hs.MagFree != 0 {
+		t.Fatalf("after Drain want %d live tables, 0 pending, 0 parked: %+v", shards, hs)
 	}
 }
 

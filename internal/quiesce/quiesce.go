@@ -112,10 +112,8 @@ type Service struct {
 	snap rcu.Snapshotter // non-nil when q supports the split API
 	gp   func()          // fallback blocking grace period
 
-	// mode is read unlocked on every fence-path call and flipped live
-	// by SetMode, so it is atomic; smu serializes transitions.
-	mode atomic.Int32
-	smu  sync.Mutex
+	// mode is fixed at construction and read on every Fence/Defer.
+	mode Mode
 
 	// board, when set, receives fence/fence-wait/batch telemetry.
 	// Fences record into the board's shared slot 0: the fence is the
@@ -174,8 +172,7 @@ type deferred struct {
 // reserved thread id handed to deferred callbacks; it must be valid on
 // the owning TM and used by nothing else.
 func New(q rcu.Quiescer, mode Mode, reclaimThread int) *Service {
-	s := &Service{q: q, reclaimThread: reclaimThread}
-	s.mode.Store(int32(mode))
+	s := &Service{q: q, mode: mode, reclaimThread: reclaimThread}
 	if sn, ok := q.(rcu.Snapshotter); ok {
 		s.snap = sn
 	}
@@ -190,36 +187,10 @@ func New(q rcu.Quiescer, mode Mode, reclaimThread int) *Service {
 // baseline's fence is "acquire and release the lock"). Enter, Exit,
 // Active and FenceFiltered must not be used on a NewFunc service.
 func NewFunc(wait func(), mode Mode, reclaimThread int) *Service {
-	s := &Service{gp: wait, reclaimThread: reclaimThread}
-	s.mode.Store(int32(mode))
+	s := &Service{gp: wait, mode: mode, reclaimThread: reclaimThread}
 	s.ccond = sync.NewCond(&s.cmu)
 	s.dcond = sync.NewCond(&s.dmu)
 	return s
-}
-
-// Mode returns the service's current fence mode.
-func (s *Service) Mode() Mode { return Mode(s.mode.Load()) }
-
-// SetMode switches the fence mode live — the adaptive controller's
-// lever. The transition is safe at any time: the new mode takes effect
-// for subsequent Fence/Defer calls, and before SetMode returns it
-// drains every callback already registered with the deferred queue, so
-// after a flip out of Defer no stale callback lingers behind the
-// caller's back (calls racing the flip may still complete through the
-// background reclaimer, which runs until its queue empties regardless
-// of the current mode). Must not be called from a deferred callback.
-func (s *Service) SetMode(m Mode) {
-	s.smu.Lock()
-	defer s.smu.Unlock()
-	if Mode(s.mode.Load()) == m {
-		return
-	}
-	s.mode.Store(int32(m))
-	s.dmu.Lock()
-	for s.executed < s.enqueued {
-		s.dcond.Wait()
-	}
-	s.dmu.Unlock()
 }
 
 // SetBoard attaches a telemetry board; fence counts, fence-wait time
@@ -293,7 +264,7 @@ func (s *Service) Fence() {
 	if sl != nil {
 		start = time.Now()
 	}
-	switch s.Mode() {
+	switch s.mode {
 	case Combine:
 		s.combinedWait()
 	case Defer:
@@ -363,7 +334,7 @@ func (s *Service) combinedWait() {
 // returning. fn must not call Fence, Defer or Barrier on this service.
 func (s *Service) Defer(thread int, fn func(thread int)) {
 	s.deferredCnt.Add(1)
-	if s.Mode() != Defer {
+	if s.mode != Defer {
 		s.Fence()
 		fn(thread)
 		return
@@ -388,7 +359,7 @@ func (s *Service) DeferBatch(thread int, fns []func(thread int)) {
 		return
 	}
 	s.deferredCnt.Add(uint64(len(fns)))
-	if s.Mode() != Defer {
+	if s.mode != Defer {
 		s.Fence()
 		for _, fn := range fns {
 			fn(thread)
@@ -435,12 +406,9 @@ func (b *Batch) Flush(thread int) {
 }
 
 // Barrier blocks until every callback registered by Defer before the
-// call has run. It waits on the queue counters regardless of the
-// current mode: in Wait and Combine modes nothing is ever queued so
-// the counters already match and it returns immediately, but after a
-// live SetMode flip out of Defer there may still be queued callbacks
-// mid-flight through the reclaimer, and a mode test would wrongly skip
-// them.
+// call has run. It waits on the queue counters, not on the mode: in
+// Wait and Combine modes nothing is ever queued, so the counters
+// already match and it returns immediately.
 func (s *Service) Barrier() {
 	s.dmu.Lock()
 	target := s.enqueued

@@ -407,92 +407,3 @@ func TestBatchHandle(t *testing.T) {
 		t.Fatalf("flush of 4 callbacks ran %d grace periods, want 1", got)
 	}
 }
-
-// TestSetModeDrainsDeferred: flipping out of Defer drains every
-// already-registered callback before SetMode returns, and a Barrier
-// issued after the flip still covers queued callbacks (counter-based,
-// not mode-gated).
-func TestSetModeDrainsDeferred(t *testing.T) {
-	s := newSvc(Defer)
-	var ran atomic.Int64
-	for i := 0; i < 8; i++ {
-		s.Defer(1, func(th int) {
-			if th != reclaimID {
-				t.Errorf("callback thread = %d, want %d", th, reclaimID)
-			}
-			ran.Add(1)
-		})
-	}
-	s.SetMode(Wait)
-	if got := ran.Load(); got != 8 {
-		t.Fatalf("SetMode returned with %d/8 callbacks run", got)
-	}
-	if s.Mode() != Wait {
-		t.Fatalf("mode = %v after SetMode(Wait)", s.Mode())
-	}
-	// In Wait mode Defer is now inline.
-	s.Defer(2, func(int) { ran.Add(1) })
-	if got := ran.Load(); got != 9 {
-		t.Fatalf("post-flip Defer not inline: ran = %d", got)
-	}
-	s.Barrier() // must not hang with an idle queue
-}
-
-// TestSetModeUnderTraffic hammers mode flips concurrently with fences,
-// deferred frees and barriers across all three modes; run with -race
-// this is the live-retuning safety test. Every callback registered
-// must eventually run exactly once.
-func TestSetModeUnderTraffic(t *testing.T) {
-	s := newSvc(Wait)
-	const workers, perWorker = 4, 200
-	var registered, ran atomic.Int64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	// Mode flipper (its own WaitGroup: it runs until the workers are
-	// done, so it must not be part of the wait it gates).
-	var fwg sync.WaitGroup
-	fwg.Add(1)
-	go func() {
-		defer fwg.Done()
-		modes := []Mode{Combine, Defer, Wait, Defer, Combine, Wait}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			s.SetMode(modes[i%len(modes)])
-			runtime.Gosched()
-		}
-	}()
-	for w := 1; w <= workers; w++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				switch i % 4 {
-				case 0:
-					s.Fence()
-				case 1:
-					registered.Add(1)
-					s.Defer(th, func(int) { ran.Add(1) })
-				case 2:
-					registered.Add(2)
-					s.DeferBatch(th, []func(int){
-						func(int) { ran.Add(1) },
-						func(int) { ran.Add(1) },
-					})
-				case 3:
-					s.Barrier()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	fwg.Wait()
-	s.Barrier()
-	if registered.Load() != ran.Load() {
-		t.Fatalf("registered %d callbacks, ran %d", registered.Load(), ran.Load())
-	}
-}

@@ -340,7 +340,7 @@ func WithLatencyRecorder(r LatencyRecorder) Option { return func(h *Heap) { h.re
 func WithMagazines(threads, capacity int) Option {
 	return func(h *Heap) {
 		h.magThreads = threads
-		h.magCap.Store(int64(capacity))
+		h.magCap = capacity
 	}
 }
 
@@ -406,12 +406,9 @@ type Heap struct {
 	rec        LatencyRecorder
 	recTick    atomic.Uint64 // per-free latency sampling counter
 
-	// magCap is the magazine capacity (blocks per class per side). It
-	// is atomic because SetMagazineCapacity retunes it live while
-	// allocating threads read it on every magazine fill; chain-walk
-	// cycle guards deliberately do NOT use it (see maxChain) so a
-	// shrink can never livelock a walk over a longer pre-shrink chain.
-	magCap atomic.Int64
+	// magCap is the magazine capacity (blocks per class per side),
+	// fixed by WithMagazines and read on every magazine fill.
+	magCap int
 
 	// board, when set, receives magazine hit/miss and batch telemetry.
 	board *telemetry.Board
@@ -473,8 +470,8 @@ func New(tm core.TM, first, limit int, opts ...Option) (*Heap, error) {
 		if h.txnFree {
 			return nil, fmt.Errorf("stmalloc: magazines batch reclamation through the fence; they cannot combine with WithTransactionalFree")
 		}
-		if h.magCap.Load() <= 0 {
-			h.magCap.Store(defaultMagCap)
+		if h.magCap <= 0 {
+			h.magCap = defaultMagCap
 		}
 	}
 	// Clamp shards so every chunk holds at least one minimal block.
@@ -516,47 +513,14 @@ func New(tm core.TM, first, limit int, opts ...Option) (*Heap, error) {
 // maxChain bounds every free-chain walk: no committed chain can hold
 // more blocks than the arena has registers, so a longer walk means a
 // doomed transaction read a cyclic link and must abort. Deliberately
-// capacity-independent — guards once keyed on magCap would livelock
-// after a live capacity shrink left longer (perfectly valid)
-// pre-shrink chains behind.
+// capacity-independent: the same guard serves the shard free lists,
+// which no magazine capacity bounds.
 func (h *Heap) maxChain() int { return h.limit - h.arena }
 
 // SetBoard attaches a telemetry board: magazine hits/misses and batch
 // retires are recorded into the acting thread's slot. Call before the
 // heap sees traffic.
 func (h *Heap) SetBoard(b *telemetry.Board) { h.board = b }
-
-// SetMagazineCapacity retunes the per-thread magazine capacity live —
-// the adaptive controller's allocator lever. The new capacity applies
-// to subsequent fills immediately; then every thread's magazines are
-// flushed (parked frees retire under one shared grace period, cached
-// alloc-side blocks return to the shard lists) so oversized pre-shrink
-// stock drains promptly rather than lingering until each magazine next
-// fills. th is the calling thread id the flush transactions run under;
-// capacity <= 0 restores the default. No-op on a heap without
-// magazines. Safe to call concurrently with allocation and free
-// traffic: all magazine state moves transactionally, and the exact
-// leak accounting (Allocs-Frees == live blocks after Drain) is
-// unaffected because flushes move blocks between free pools only.
-func (h *Heap) SetMagazineCapacity(th, capacity int) {
-	if h.magThreads == 0 {
-		return
-	}
-	if capacity <= 0 {
-		capacity = defaultMagCap
-	}
-	if h.magCap.Swap(int64(capacity)) == int64(capacity) {
-		return // unchanged: skip the flush churn
-	}
-	var all []retired
-	for t := 1; t <= h.magThreads; t++ {
-		all = append(all, h.unlinkFreeMags(th, t)...)
-		h.flushAllocMags(th, t)
-	}
-	if len(all) > 0 {
-		h.retire(th, all)
-	}
-}
 
 func (h *Heap) hdr(s int) int        { return h.first + s*shardHdr }
 func (h *Heap) chunkStart(s int) int { return h.arena + s*h.chunk }
@@ -567,10 +531,6 @@ func (h *Heap) chunkEnd(s int) int   { return h.arena + (s+1)*h.chunk }
 func (h *Heap) magBase(th int) int      { return h.first + h.shards*shardHdr + (th-1)*magHdrRegs }
 func (h *Heap) magClass(th, c int) int  { return h.magBase(th) + magClassBase + c*magClassRegs }
 func (h *Heap) hasMagazine(th int) bool { return h.magThreads > 0 && th >= 1 && th <= h.magThreads }
-
-// Magazines reports the magazine geometry: the covered thread count
-// and the per-class per-side capacity (0, 0 without magazines).
-func (h *Heap) Magazines() (threads, capacity int) { return h.magThreads, int(h.magCap.Load()) }
 
 // MaxBlock returns the largest block (registers) this heap can serve:
 // the size-class bound clamped to the chunk size.
@@ -1133,10 +1093,9 @@ func (h *Heap) refill(tx core.Txn, th, s, c int) (int64, error) {
 	if !h.validPtr(head) {
 		return 0, core.ErrAborted
 	}
-	magCap := int(h.magCap.Load())
-	take := make([]int64, 1, magCap+1)
+	take := make([]int64, 1, h.magCap+1)
 	take[0] = head
-	for len(take) < magCap+1 {
+	for len(take) < h.magCap+1 {
 		nxt, err := tx.Read(int(take[len(take)-1]))
 		if err != nil {
 			return 0, err
@@ -1283,7 +1242,7 @@ func (h *Heap) freeMag(th int, ptr int64, c int) {
 		if head != 0 && !h.validPtr(head) {
 			return core.ErrAborted
 		}
-		if cnt < h.magCap.Load() {
+		if cnt < int64(h.magCap) {
 			if err := tx.Write(int(ptr), head); err != nil {
 				return err
 			}
@@ -1418,7 +1377,7 @@ func (h *Heap) FreeQuiesced(th int, ptr int64, n int) {
 			if err != nil {
 				return err
 			}
-			if cnt < h.magCap.Load() {
+			if cnt < int64(h.magCap) {
 				head, err := tx.Read(reg + magAllocHead)
 				if err != nil {
 					return err

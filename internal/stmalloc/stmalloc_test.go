@@ -691,71 +691,6 @@ func TestStealTakesHalf(t *testing.T) {
 	}
 }
 
-// TestSetMagazineCapacityLive: resizing under parked frees keeps the
-// exact leak accounting, retires the parked stock, and — the
-// regression this pins — a shrink below the parked-chain length must
-// not livelock the next free's chain walk.
-func TestSetMagazineCapacityLive(t *testing.T) {
-	tm := engine.MustNewSpec("tl2+defer+quiesce+batch", 1<<12, 4, nil)
-	h, err := stmalloc.New(tm, 8, tm.NumRegs(),
-		stmalloc.WithShards(2), stmalloc.WithMagazines(3, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, capacity := h.Magazines(); capacity != 8 {
-		t.Fatalf("capacity = %d, want 8", capacity)
-	}
-	// Park 7 frees on thread 1 (one below the fill trigger).
-	var ptrs []int64
-	for i := 0; i < 16; i++ {
-		ptrs = append(ptrs, alloc(t, tm, h, 1, 2))
-	}
-	for _, p := range ptrs[:7] {
-		h.Free(1, p, 2)
-	}
-	// Shrink to 2: parked chain (7) now exceeds the capacity. The
-	// resize flushes it under one grace period.
-	h.SetMagazineCapacity(1, 2)
-	if _, capacity := h.Magazines(); capacity != 2 {
-		t.Fatalf("capacity = %d, want 2", capacity)
-	}
-	if err := h.Drain(1); err != nil {
-		t.Fatal(err)
-	}
-	st := h.Stats()
-	if st.Live != 9 {
-		t.Fatalf("live = %d, want 9 (16 allocs - 7 frees): %+v", st.Live, st)
-	}
-	if st.MagFree != 0 {
-		t.Fatalf("parked frees survived the resize flush: %+v", st)
-	}
-	// Freeing at the new capacity must behave: caps at 2 parked, then
-	// retires — and must not livelock even though longer chains existed.
-	for _, p := range ptrs[7:] {
-		h.Free(1, p, 2)
-	}
-	if err := h.Drain(1); err != nil {
-		t.Fatal(err)
-	}
-	st = h.Stats()
-	if st.Live != 0 {
-		t.Fatalf("live = %d, want 0: %+v", st.Live, st)
-	}
-	// Growing back is also live.
-	h.SetMagazineCapacity(1, 16)
-	if _, capacity := h.Magazines(); capacity != 16 {
-		t.Fatalf("capacity = %d, want 16", capacity)
-	}
-	p := alloc(t, tm, h, 2, 2)
-	h.Free(2, p, 2)
-	if err := h.Drain(1); err != nil {
-		t.Fatal(err)
-	}
-	if st := h.Stats(); st.Live != 0 {
-		t.Fatalf("live = %d after grow cycle: %+v", st.Live, st)
-	}
-}
-
 // TestHeapDrainSurfacesAsyncErrorOnce mirrors the stmkv regression: an
 // async reclamation failure is returned by exactly one Drain and then
 // cleared, so periodic drains in a long-lived process report recovery.

@@ -227,7 +227,7 @@ type Store struct {
 
 	// board is the TM's telemetry board when the TM carries one;
 	// privatization cycles are recorded per thread alongside the store's
-	// own counter so the adaptive controller sees them.
+	// own counter so /stats, cmd/stress and bench/ see them.
 	board *telemetry.Board
 }
 
@@ -411,11 +411,6 @@ func (s *Store) Stats() Stats {
 // Allocs-Frees equals the shard count (one live table block each) —
 // the store-level leak-accounting invariant.
 func (s *Store) HeapStats() stmalloc.Stats { return s.heap.Stats() }
-
-// Heap exposes the table heap itself, so the adaptive controller (and
-// tests) can retune its magazine capacity live; see
-// stmalloc.Heap.SetMagazineCapacity.
-func (s *Store) Heap() *stmalloc.Heap { return s.heap }
 
 // mix64 is the splitmix64 finalizer: the key hash.
 func mix64(x uint64) uint64 {

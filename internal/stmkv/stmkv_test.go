@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"safepriv/internal/engine"
-	"safepriv/internal/quiesce"
 	"safepriv/internal/stmkv"
 )
 
@@ -627,159 +626,6 @@ func TestKVBatchReclaimResizeRace(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestKVLiveRetuningChurnRace hammers the adaptive engine's two live
-// levers — SetFenceMode (wait→combine→defer cycling) and the table
-// heap's SetMagazineCapacity (shrink/grow cycling) — concurrently with
-// point operations, privatizing Resizes and scans. This is the churn
-// the adapt controller performs, at a far higher rate than its policy
-// ever would. After the retuners stop and the store drains, the exact
-// leak accounting must hold: one live table block per shard, zero
-// pending frees, zero blocks parked on the free side. Run under -race
-// in CI.
-func TestKVLiveRetuningChurnRace(t *testing.T) {
-	const shards, slots = 4, 64
-	const workers = 3
-	// ids: 1..workers point ops, workers+1 resizer, workers+2 the
-	// capacity retuner's flush transactions.
-	threads := workers + 2
-	tm, err := engine.NewSpec("tl2", stmkv.RegsNeededBatch(shards, slots, threads), threads, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := stmkv.New(tm, shards, slots, stmkv.WithBatchReclaim(threads))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fencer, ok := tm.(interface {
-		SetFenceMode(quiesce.Mode)
-		FenceMode() quiesce.Mode
-	})
-	if !ok {
-		t.Fatal("TM does not expose live fence retuning")
-	}
-	const keys = 60
-	for k := int64(1); k <= keys; k++ {
-		if err := s.Put(1, k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rounds := 30
-	if testing.Short() {
-		rounds = 8
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, threads)
-	for w := 1; w <= workers; w++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(th) * 67))
-			for i := 0; i < rounds*5; i++ {
-				k := int64(r.Intn(keys) + 1)
-				switch r.Intn(4) {
-				case 0:
-					if err := s.Put(th, k, k*10); err != nil {
-						errs <- fmt.Errorf("worker %d put: %w", th, err)
-						return
-					}
-				case 1:
-					if _, _, err := s.Get(th, k); err != nil {
-						errs <- fmt.Errorf("worker %d get: %w", th, err)
-						return
-					}
-				case 2:
-					if _, err := s.Delete(th, k); err != nil {
-						errs <- fmt.Errorf("worker %d delete: %w", th, err)
-						return
-					}
-					if err := s.Put(th, k, k); err != nil {
-						errs <- fmt.Errorf("worker %d re-put: %w", th, err)
-						return
-					}
-				default:
-					if _, err := s.Scan(th); err != nil {
-						errs <- fmt.Errorf("worker %d scan: %w", th, err)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	// One resizer keeps the privatize→rehash→publish traffic flowing
-	// (each Resize frees every shard's replaced table).
-	wg.Add(1)
-	go func(th int) {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			if err := s.Resize(th, 16+(i%2)*32); err != nil {
-				errs <- fmt.Errorf("resizer round %d: %w", i, err)
-				return
-			}
-		}
-	}(workers + 1)
-	// The retuners: flip the fence mode and the magazine capacity as
-	// fast as they'll go, until the workers finish.
-	stop := make(chan struct{})
-	var rwg sync.WaitGroup
-	rwg.Add(2)
-	go func() {
-		defer rwg.Done()
-		modes := []quiesce.Mode{quiesce.Combine, quiesce.Defer, quiesce.Wait}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			fencer.SetFenceMode(modes[i%len(modes)])
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	go func() {
-		defer rwg.Done()
-		caps := []int{1, 4, 2, 8}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			s.Heap().SetMagazineCapacity(workers+2, caps[i%len(caps)])
-			time.Sleep(300 * time.Microsecond)
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	rwg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	fencer.SetFenceMode(quiesce.Wait)
-	if err := s.Drain(workers + 1); err != nil {
-		t.Fatal(err)
-	}
-	hs := s.HeapStats()
-	if hs.Live != int64(shards) {
-		t.Fatalf("heap holds %d live blocks after Drain, want one table per shard (%d): %+v", hs.Live, shards, hs)
-	}
-	if hs.PendingFrees != 0 {
-		t.Fatalf("%d pending frees after Drain", hs.PendingFrees)
-	}
-	if hs.MagFree != 0 {
-		t.Fatalf("%d blocks parked on the free side after Drain", hs.MagFree)
-	}
-	for k := int64(1); k <= keys; k++ {
-		v, ok, err := s.Get(1, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok && v != k && v != k*10 {
-			t.Fatalf("key %d holds %d, want %d or %d", k, v, k, k*10)
-		}
 	}
 }
 

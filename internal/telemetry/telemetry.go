@@ -2,7 +2,7 @@
 // cache-line-padded per-thread counter slots that the hot paths
 // (core.Atomically's retry loop, quiesce.Service's fences, stmalloc's
 // magazine layer) bump with plain atomic adds, and an aggregating
-// Snapshot the adaptive controller and the benchmark emitters read.
+// Snapshot that kvserve's /stats, cmd/stress and bench/ read.
 //
 // The design constraint is zero allocation and zero sharing on the
 // write side: each thread id owns one Slot, each Slot occupies its own
@@ -48,13 +48,13 @@ type Slot struct {
 	Scans atomic.Int64
 	// ScanWindows counts privatized scan windows (one
 	// privatize→fence→walk→publish cycle each); ScanWindows/Scans is
-	// the windows-per-scan fan-out the bench emitters report.
+	// the windows-per-scan fan-out bench/ reports.
 	ScanWindows atomic.Int64
 	// RehashWindows counts incremental-rehash migration windows (one
 	// privatize→fence→copy-stripe→publish cycle each); a table double
 	// of 2^k buckets takes 2^k/stripe windows, so RehashWindows growing
 	// while FenceWaitNs stays flat is the "no stop-the-world resize"
-	// signal the hash bench rows assert.
+	// signal (bench/'s stmds.rehash_windows, TestRehashStorm).
 	RehashWindows atomic.Int64
 	// GateSpinWakes, GateParks and GateTimeouts count how stalls on a
 	// publish gate (package pubgate) ended: the spin saw the gate open,
@@ -161,8 +161,8 @@ func (b *Board) Snapshot() Snapshot {
 }
 
 // Delta returns the per-counter difference s - prev: the activity in
-// the window between two snapshots. The controller samples on deltas
-// so old history can't drown out a phase change.
+// the window between two snapshots. bench/ reads each measured slice
+// as a delta, so setup traffic stays out of the per-layer counters.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	return Snapshot{
 		Commits:        s.Commits - prev.Commits,

@@ -305,15 +305,6 @@ func (tm *TM) QuiesceStats() quiesce.Stats { return tm.qs.Stats() }
 // board core.Atomically and the quiescence service record into.
 func (tm *TM) TelemetryBoard() *telemetry.Board { return tm.board }
 
-// SetFenceMode switches the quiescence service's fence mode live (the
-// adaptive controller's lever); see quiesce.Service.SetMode for the
-// drain semantics. The static FenceNoOp and FenceSkipReadOnly policies
-// are not affected.
-func (tm *TM) SetFenceMode(m quiesce.Mode) { tm.qs.SetMode(m) }
-
-// FenceMode returns the quiescence service's current fence mode.
-func (tm *TM) FenceMode() quiesce.Mode { return tm.qs.Mode() }
-
 // Begin implements core.TM (Figure 9 txbegin): set the active flag,
 // then sample the read timestamp.
 func (tm *TM) Begin(thread int) core.Txn {

@@ -2,16 +2,12 @@ package txexec
 
 import (
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
-	"safepriv/internal/adapt"
 	"safepriv/internal/baseline"
 	"safepriv/internal/engine"
 	"safepriv/internal/model"
 	"safepriv/internal/progen"
-	"safepriv/internal/quiesce"
 	"safepriv/internal/tl2"
 )
 
@@ -221,66 +217,5 @@ func TestOracleIsBaselineRun(t *testing.T) {
 	}
 	if !Equal(o, g) {
 		t.Fatal("oracle differs from a baseline run with the same seed")
-	}
-}
-
-// TestDifferentialAdaptiveModeFlips is the adaptive-engine
-// differential: the adapt specs run the same oracle comparison while a
-// flipper goroutine forces fence-mode switches mid-schedule
-// (wait→combine→defer→wait, faster than any sane controller would).
-// Live retuning must be observationally invisible: SetFenceMode drains
-// the deferred queue before flipping, so no program outcome may depend
-// on when the flips land.
-func TestDifferentialAdaptiveModeFlips(t *testing.T) {
-	progSeeds := int64(6)
-	if testing.Short() {
-		progSeeds = 3
-	}
-	modes := []quiesce.Mode{quiesce.Combine, quiesce.Defer, quiesce.Wait}
-	for _, spec := range []string{"tl2+adapt", "norec+adapt"} {
-		t.Run(spec, func(t *testing.T) {
-			for seed := int64(1); seed <= progSeeds; seed++ {
-				p := progenProgram(seed)
-				for ss := int64(0); ss < schedSeeds; ss++ {
-					oracle, err := Oracle(p, ss)
-					if err != nil {
-						t.Fatalf("seed %d sched %d: oracle: %v", seed, ss, err)
-					}
-					tm, err := engine.NewSpec(spec, p.Regs, len(p.Threads), nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					atm, ok := tm.(adapt.TM)
-					if !ok {
-						t.Fatalf("%s TM does not expose the adaptive interface", spec)
-					}
-					stop := make(chan struct{})
-					var fwg sync.WaitGroup
-					fwg.Add(1)
-					go func() {
-						defer fwg.Done()
-						for i := 0; ; i++ {
-							select {
-							case <-stop:
-								return
-							default:
-							}
-							atm.SetFenceMode(modes[i%len(modes)])
-							time.Sleep(100 * time.Microsecond)
-						}
-					}()
-					got, runErr := Run(p, tm, Options{Seed: ss, Windows: true})
-					close(stop)
-					fwg.Wait()
-					if runErr != nil {
-						t.Fatalf("seed %d sched %d: %s: %v", seed, ss, spec, runErr)
-					}
-					if !Equal(got, oracle) {
-						t.Fatalf("seed %d sched %d: %s diverged from baseline under mode flips: %s",
-							seed, ss, spec, Diff(got, oracle))
-					}
-				}
-			}
-		})
 	}
 }

@@ -32,10 +32,9 @@ const (
 )
 
 // Named rejections for the Params.DS / Params.Scan vocabularies. The
-// workloads validate both axes up front — before any allocator or
-// controller is built — so an unknown string is a usage error callers
-// can errors.Is against, never a silent fall-through to a default
-// implementation.
+// workloads validate both axes up front — before any allocator is
+// built — so an unknown string is a usage error callers can errors.Is
+// against, never a silent fall-through to a default implementation.
 var (
 	// ErrUnknownDS rejects a Params.DS value outside the workload's
 	// vocabulary (map-churn: skip, map, hash; scan-churn: skip, map, kv).
@@ -132,7 +131,6 @@ func SetChurn(tm core.TM, p Params) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	ctl := startAdapt(tm, heap, threads+1, p.Adapt)
 	set := stmds.NewSet(tm, dsRegHead, alloc)
 	live := p.LiveSet
 	if live <= 0 {
@@ -165,8 +163,7 @@ func SetChurn(tm core.TM, p Params) (Stats, error) {
 	}
 	wg.Wait()
 	close(errs)
-	st := c.stats()
-	finishAdapt(&st, tm, ctl)
+	st := c.runStats(tm)
 	if err := dsFinish(&st, heap, alloc, hist); err != nil {
 		return st, err
 	}
@@ -193,7 +190,6 @@ func QueuePipe(tm core.TM, p Params) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	ctl := startAdapt(tm, heap, threads+1, p.Adapt)
 	q := stmds.NewQueue(tm, dsRegQHead, dsRegQTail, alloc)
 	depth := int64(p.LiveSet)
 	if depth <= 0 {
@@ -252,8 +248,7 @@ func QueuePipe(tm core.TM, p Params) (Stats, error) {
 	}
 	wg.Wait()
 	close(errs)
-	st := c.stats()
-	finishAdapt(&st, tm, ctl)
+	st := c.runStats(tm)
 	if err := dsFinish(&st, heap, alloc, hist); err != nil {
 		return st, err
 	}
@@ -288,7 +283,6 @@ func MapChurn(tm core.TM, p Params) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	ctl := startAdapt(tm, heap, threads+1, p.Adapt)
 	var m stmds.OrderedMap
 	switch p.DS {
 	case "", "skip":
@@ -346,8 +340,7 @@ func MapChurn(tm core.TM, p Params) (Stats, error) {
 	}
 	wg.Wait()
 	close(errs)
-	st := c.stats()
-	finishAdapt(&st, tm, ctl)
+	st := c.runStats(tm)
 	if hm, ok := m.(*stmds.HashMap); ok {
 		// Settle any in-progress incremental rehash before the allocator
 		// stats: mid-rehash both bucket arrays are live, so the footprint
@@ -383,7 +376,6 @@ func RehashStorm(tm core.TM, p Params) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	ctl := startAdapt(tm, heap, threads+1, p.Adapt)
 	hm := stmds.NewHashMap(tm, dsHashHead, alloc)
 	c := newCounter(threads)
 	var wg sync.WaitGroup
@@ -410,8 +402,7 @@ func RehashStorm(tm core.TM, p Params) (Stats, error) {
 	}
 	wg.Wait()
 	close(errs)
-	st := c.stats()
-	finishAdapt(&st, tm, ctl)
+	st := c.runStats(tm)
 	if err := hm.DrainRehash(1); err != nil {
 		return st, err
 	}

@@ -10,10 +10,10 @@ import (
 )
 
 // TestSetChurnAllTMs smokes the set-churn workload through the
-// registry on both allocator axes, and on tl2 across the fence modes
-// and the adaptive controller: every spec must complete the run, and on
-// quiesce the allocator counters must balance against the residual
-// live set in a footprint that does not grow with the op count.
+// registry on both allocator axes, and on tl2 across the fence modes:
+// every spec must complete the run, and on quiesce the allocator
+// counters must balance against the residual live set in a footprint
+// that does not grow with the op count.
 func TestSetChurnAllTMs(t *testing.T) {
 	ops := 400
 	if testing.Short() {
@@ -33,8 +33,7 @@ func TestSetChurnAllTMs(t *testing.T) {
 	rows = append(rows,
 		row{"tl2+combine+quiesce", true, false},
 		row{"tl2+defer+quiesce", true, false},
-		row{"tl2+defer+quiesce+batch", true, true},
-		row{"tl2+adapt", true, true}) // adapt implies quiesce+batch
+		row{"tl2+defer+quiesce+batch", true, true})
 	for _, r := range rows {
 		t.Run(r.spec, func(t *testing.T) {
 			st, err := engine.RunWorkload(r.spec, "set-churn",
@@ -298,7 +297,7 @@ func TestScanChurn(t *testing.T) {
 		{"kv", "window"},
 	}
 	for _, tc := range cases {
-		for _, spec := range []string{"tl2+quiesce", "norec+quiesce", "wtstm+quiesce", "tl2+combine+quiesce", "tl2+defer+quiesce"} {
+		for _, spec := range []string{"tl2+quiesce", "norec+quiesce", "wtstm+quiesce", "tl2+combine+quiesce", "tl2+defer+quiesce", "tl2+quiesce+batch"} {
 			t.Run(spec+"/"+tc.ds+"/"+tc.scan, func(t *testing.T) {
 				st, err := engine.RunWorkload(spec, "scan-churn",
 					workload.Params{Threads: 4, Ops: ops, Seed: 7, LiveSet: 64, DS: tc.ds, Scan: tc.scan})

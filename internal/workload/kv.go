@@ -44,13 +44,8 @@ type KVConfig struct {
 	Keyspace int64
 	// BatchThreads builds the store's table heap with the stmalloc
 	// magazine layer for thread ids 1..BatchThreads (the spec's batch
-	// reclaim axis; also the magazine lever an adaptive run retunes).
+	// reclaim axis).
 	BatchThreads int
-	// Adapt runs the internal/adapt controller for the duration of the
-	// workload: fence mode and magazine capacity retune live from the
-	// TM's telemetry. The TM needs one spare thread id beyond
-	// `threads` for the controller's resize transactions.
-	Adapt bool
 }
 
 // KVStore runs a concurrent key-value workload against a fresh
@@ -77,7 +72,6 @@ func KVStore(tm core.TM, threads, ops int, cfg KVConfig, seed int64) (Stats, err
 	if err != nil {
 		return Stats{}, err
 	}
-	ctl := startAdapt(tm, store.Heap(), threads+1, cfg.Adapt)
 	if cfg.Keyspace == 0 {
 		cfg.Keyspace = int64(cfg.Shards*store.SlotsPerShard()) / 2
 		if cfg.Keyspace < 8 {
@@ -132,13 +126,10 @@ func KVStore(tm core.TM, threads, ops int, cfg KVConfig, seed int64) (Stats, err
 	}
 	wg.Wait()
 	close(errs)
-	st := c.stats()
+	st := c.runStats(tm)
 	st.PrivLatency = lat
-	// Stop the controller before the drain so FinalFence/FinalMagCap
-	// are the levers' resting positions, then settle any deferred
-	// maintenance before reading the privatization counters (and
-	// surface its errors like any worker error).
-	finishAdapt(&st, tm, ctl)
+	// Settle any deferred maintenance before reading the privatization
+	// counters (and surface its errors like any worker error).
 	if err := store.Drain(1); err != nil {
 		return st, err
 	}

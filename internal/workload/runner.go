@@ -74,11 +74,6 @@ type Params struct {
 	// "snapshot" (one read-only transaction per structure or shard —
 	// the contrast configuration).
 	Scan string
-	// Adapt runs the internal/adapt controller for the duration of the
-	// run: a sampling goroutine retunes the TM's fence mode and the
-	// workload heap's magazine capacity from telemetry.
-	// engine.RunWorkload fills it from the spec's adapt modifier.
-	Adapt bool
 }
 
 // Runner executes a named workload against a TM.
@@ -136,12 +131,11 @@ var runners = map[string]Runner{
 // kvBase folds the spec-derived Params axes into a KVConfig: a batch
 // reclaim spec gives the store's table heap per-thread magazines for
 // the worker ids (unless the fence is unsafe — no grace period to
-// amortize), and an adapt spec attaches the controller.
+// amortize).
 func kvBase(p Params, cfg KVConfig) KVConfig {
 	if p.Reclaim == "batch" && !p.UnsafeFence {
 		cfg.BatchThreads = p.Threads
 	}
-	cfg.Adapt = p.Adapt
 	return cfg
 }
 

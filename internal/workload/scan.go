@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"safepriv/internal/core"
-	"safepriv/internal/stmalloc"
 	"safepriv/internal/stmds"
 	"safepriv/internal/stmkv"
 	"safepriv/internal/telemetry"
@@ -82,11 +81,10 @@ func ScanChurn(tm core.TM, p Params) (Stats, error) {
 	// privatized windows it took and how many pairs it saw), and the
 	// end-of-run settle.
 	var (
-		put       func(th int, k int64) error
-		del       func(th int, k int64) error
-		scan      func(th int) (windows, pairs int64, err error)
-		finish    func(st *Stats) error
-		adaptHeap *stmalloc.Heap
+		put    func(th int, k int64) error
+		del    func(th int, k int64) error
+		scan   func(th int) (windows, pairs int64, err error)
+		finish func(st *Stats) error
 	)
 	switch p.DS {
 	case "", "skip", "map":
@@ -94,7 +92,6 @@ func ScanChurn(tm core.TM, p Params) (Stats, error) {
 		if err != nil {
 			return Stats{}, err
 		}
-		adaptHeap = heap
 		var m stmds.OrderedMap
 		if p.DS == "map" {
 			if mode == "window" {
@@ -201,7 +198,6 @@ func ScanChurn(tm core.TM, p Params) (Stats, error) {
 		}
 	}
 
-	ctl := startAdapt(tm, adaptHeap, threads+1, p.Adapt)
 	c := newCounter(threads)
 	var churnDone atomic.Bool
 	var scanOps, scanWindows, scanPairs int64
@@ -250,7 +246,7 @@ func ScanChurn(tm core.TM, p Params) (Stats, error) {
 	scanWg.Wait()
 	close(errs)
 
-	st := c.stats()
+	st := c.runStats(tm)
 	st.ScanOps = scanOps
 	st.ScanWindows = scanWindows
 	st.ScanPairs = scanPairs
@@ -264,7 +260,6 @@ func ScanChurn(tm core.TM, p Params) (Stats, error) {
 	if wc+wa > 0 {
 		st.WriterAbortRate = float64(wa) / float64(wc+wa)
 	}
-	finishAdapt(&st, tm, ctl)
 	if err := finish(&st); err != nil {
 		return st, err
 	}

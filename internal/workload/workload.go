@@ -93,14 +93,6 @@ type Stats struct {
 	// run-wide Telemetry.AbortRate() which also contains the scanner's
 	// own retries. Zero without a board or a scanner.
 	WriterAbortRate float64
-	// AdaptFlips and AdaptResizes count the adaptive controller's
-	// fence-mode switches and magazine-capacity changes during the run;
-	// FinalFence and FinalMagCap are where its two levers ended. All
-	// zero unless Params.Adapt ran a controller.
-	AdaptFlips   int64
-	AdaptResizes int64
-	FinalFence   string
-	FinalMagCap  int
 }
 
 // counter keeps per-thread tallies on separate cache lines so the
@@ -120,6 +112,16 @@ func (c *counter) stats() Stats {
 		s.Commits += c.slots[i].commits
 		s.Aborts += c.slots[i].aborts
 		s.Fences += c.slots[i].fences
+	}
+	return s
+}
+
+// runStats is the exit path of the data-structure and store drivers:
+// the harness tallies plus the TM's telemetry snapshot.
+func (c *counter) runStats(tm core.TM) Stats {
+	s := c.stats()
+	if p, ok := tm.(telemetry.Provider); ok {
+		s.Telemetry = p.TelemetryBoard().Snapshot()
 	}
 	return s
 }
