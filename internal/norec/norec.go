@@ -307,15 +307,20 @@ func (tx *Txn) Commit() error {
 		}
 		tx.snapshot = s
 	}
+	// The commit is decided. Committed is recorded before the write-back
+	// makes any value visible: an uninstrumented Load sees a register as
+	// soon as it is stored, a transaction once seq is released, and
+	// neither read's response may enter the history ahead of the
+	// committed action it depends on.
+	wver := tx.snapshot + 2
+	if s := tm.sink; s != nil {
+		s.Committed(tx.thread, wver)
+	}
 	// Write back while holding the lock (seq odd).
 	for _, w := range tx.wset {
 		tm.regs[w.x].Store(w.v)
 	}
-	wver := tx.snapshot + 2
 	tm.seq.Store(wver)
-	if s := tm.sink; s != nil {
-		s.Committed(tx.thread, wver)
-	}
 	tx.finish()
 	return nil
 }

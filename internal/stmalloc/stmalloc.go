@@ -41,36 +41,62 @@
 //
 // # The magazine layer
 //
-// WithMagazines adds a per-thread cache of blocks per size class
-// (after Bonwick's slab/magazine design, with RCU call_rcu-style batch
-// reclamation): New pops from the owning thread's cache, and Free
-// pushes onto it — both through registers only that thread touches, so
-// the hot paths are transactions that never conflict and still roll
-// back cleanly on abort. The shared structures are touched only in
-// batches:
+// WithMagazines gives each thread two things (after Bonwick's
+// slab/magazine design, with RCU call_rcu-style batch reclamation): an
+// alloc-side cache of quiesced blocks per size class, living in TM
+// registers only that thread normally touches, and a list of parked
+// frees, living in plain Go memory. A block's magazine life:
 //
-//   - An empty cache refills by unlinking up to a magazine's worth of
-//     blocks from one shard free list in the allocating transaction —
-//     one shared-list access amortized over the next capacity pops.
-//   - A full free-side magazine is retired as one batch: ONE
-//     transactional unlink of the whole chain, ONE grace-period
-//     registration (FenceAsync — riding the combine/defer leader
-//     machinery, so concurrent retirers share grace periods too), one
-//     uninstrumented wipe pass over every block, and one publish back
-//     to the shard free lists. Reclamation cost scales with free
-//     epochs, not free count.
+//  1. Park. Free appends (ptr, class) to the thread's parked list under
+//     a per-thread mutex. No transaction runs and the block is not
+//     touched.
+//  2. Retire. The Free that fills the list to capacity+1 blocks hands
+//     the whole list to ONE grace-period registration (FenceAsync —
+//     riding the combine/defer machinery, so concurrent retirers share
+//     grace periods too). Reclamation cost scales with free epochs, not
+//     free count.
+//  3. Recycle. After the grace period, one uninstrumented wipe pass
+//     covers every block, then one transaction pushes them onto the
+//     freeing thread's own alloc-side cache, up to recycleFactor ×
+//     capacity blocks per class. The rest go to their home shard lists
+//     (coalescing with free buddies); on a heap that has ever split,
+//     every block does, so the buddy layer keeps re-forming large
+//     blocks.
+//  4. Reuse. New pops from the thread's cache: a transaction that never
+//     conflicts with other allocators. An empty cache refills by
+//     unlinking up to capacity+1 blocks from one shard free list in the
+//     allocating transaction.
 //
-// The free-side push writes the block's link register transactionally,
-// so a doomed reader still traversing the block is caught by its
-// validation — the block is touched uninstrumented only after the
-// batch's grace period. FreeQuiesced blocks (already fenced by the
-// caller) are wiped immediately and recycled through the alloc-side
-// cache. FlushThread retires a thread's partial magazines (thread
-// exit); Drain flushes every thread's parked frees under one shared
-// grace period before settling. When every shard list and bump region
-// is empty, New steals from other threads' alloc-side caches before
-// reporting ErrOutOfSpace — parked frees are never stolen (they have
-// not quiesced).
+// A thread's blocks therefore stay with the thread that allocates them
+// next, and two threads churning the same class stop meeting on the
+// shard list heads at every retire and every refill.
+//
+// Why the parked list is safe without a transaction. A block is
+// parked only after the caller's unlinking transaction committed, so
+// every transaction that can still hold a reference to it was active
+// at its Free, hence also when its batch retires, and the batch's
+// grace period waits for all of them. Until then nothing writes the
+// block at all, not even transactionally: a doomed reader still walking
+// it reads exactly what it read before the unlink. After the grace
+// period the block is private, so the uninstrumented wipe is race-free,
+// and the recycle transaction's commit publishes it again. This is the
+// per-free path's argument (Fig. 7) applied to a batch. It is why the
+// list lives in Go memory rather than as a chain threaded through the
+// blocks' link registers: pushing onto such a chain, even
+// transactionally, writes a block that doomed readers may still be
+// traversing.
+//
+// FreeQuiesced blocks (already fenced by the caller) are wiped
+// immediately and recycled through the alloc-side cache. FlushThread
+// retires a leaving thread's parked list to the shard lists (never into
+// the cache it is flushing) and returns its cache to them; Drain
+// retires every thread's parked frees under ONE shared grace period,
+// routing each block to its owner, before settling. When every shard
+// list and bump region is empty, New moves the thread's own cached
+// blocks of other classes to the shard lists (so a split or a
+// coalescing pass can use them) and steals half of another thread's
+// cache of the class before reporting ErrOutOfSpace — parked frees are
+// never stolen (they have not quiesced).
 //
 // # Block splitting and coalescing
 //
@@ -108,9 +134,13 @@
 // class. A split→free→coalesce round trip therefore nets to zero:
 // after a Drain, Allocs-Frees is the caller-held block count no matter
 // how the free space has been cut up or re-formed underneath. With
-// magazines the counters move to per-thread registers (counted when a
-// block passes between the heap and the caller, not when it migrates
-// between pools), so the invariant is unchanged. Reclaim latency —
+// magazines the counters move per thread and are counted when a block
+// passes between the heap and the caller, not when it migrates between
+// pools: allocations in a per-thread register (transactional, like the
+// shard counters), frees in a per-thread atomic bumped by Free itself —
+// exact, because Free runs once per block outside any transaction. A
+// parked block therefore counts as freed (it is not Live) and as
+// pending (PendingFrees) until its batch recycles. Reclaim latency —
 // Free call to slot re-entering the free list — is recorded through an
 // optional LatencyRecorder (workload.Hist satisfies it); on the batch
 // path the retire trigger's timestamp stands in for the whole batch.
@@ -119,6 +149,7 @@ package stmalloc
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -170,35 +201,39 @@ const shardHdrLive = offLists + numClasses
 func HeaderRegs(shards int) int { return shards * shardHdr }
 
 // Per-thread magazine header layout (registers, relative to the
-// thread's magazine base): the thread's transactional alloc/free
-// counters, then per size class the alloc-side cache (head, count) and
-// the free-side magazine (head, count). Chains link blocks through
-// their first register, like the shard free lists.
+// thread's magazine base): the thread's transactional alloc counter,
+// then per size class the alloc-side cache (head, count). Cached blocks
+// link through their first register, like the shard free lists. Parked
+// frees live outside the TM (parkList).
 const (
 	offMagAllocs = 0
-	offMagFrees  = 1
-	magClassBase = 2
+	magClassBase = 1
 	magAllocHead = 0
 	magAllocCnt  = 1
-	magFreeHead  = 2
-	magFreeCnt   = 3
-	magClassRegs = 4
-	// magHdrRegs rounds the 58 live registers (2 counters + 14
-	// classes × 4) up to 64 — a whole number of cache lines (512B) —
-	// so adjacent threads' magazine headers never share a line. The
-	// per-thread accounting counters are the hottest registers in a
-	// batch-reclaim run; without the pad thread t's counters sat on
-	// the same line as thread t+1's first class slots.
-	magHdrRegs = 64
+	magClassRegs = 2
+	// magHdrRegs rounds the 29 live registers (1 counter + 14 classes ×
+	// 2) up to 32 — a whole number of cache lines (256B) — so adjacent
+	// threads' magazine headers never share a line: thread t's alloc
+	// counter, written on every allocation, would otherwise sit on the
+	// same line as thread t+1's cache heads.
+	magHdrRegs = 32
 )
 
 // magHdrLive is the number of registers a magazine header actually
 // uses; the rest of magHdrRegs is cache-line padding.
 const magHdrLive = magClassBase + numClasses*magClassRegs
 
-// defaultMagCap is the default magazine capacity (blocks per class per
-// side) when WithMagazines is given capacity <= 0.
+// defaultMagCap is the default magazine capacity when WithMagazines is
+// given capacity <= 0: blocks per refill of a class's alloc-side cache
+// (plus the one the refill serves), and parked frees per thread before
+// a batch retire (plus the one that triggers it).
 const defaultMagCap = 8
+
+// recycleFactor bounds how many recycled blocks a batch retire may push
+// onto its owner's alloc-side cache: recycleFactor × capacity per class.
+// Past it blocks go to the shard lists, so one thread's burst of frees
+// cannot hoard an unbounded share of the arena.
+const recycleFactor = 4
 
 // MagazineRegs returns the register footprint of the per-thread
 // magazine headers for the given thread count — the extra header
@@ -253,9 +288,14 @@ type ClassDemand struct {
 //     straddle shard chunks, so each chunk's bump tail can strand up
 //     to one block of fragmentation, plus
 //   - when magazines are enabled (magThreads > 0, capacity magCap or
-//     the default), a full magazine on BOTH sides of every demanded
-//     class for every thread — blocks parked there are neither live
-//     nor on a shard free list, so they are pure extra footprint.
+//     the default), 2 × magCap blocks of every demanded class for every
+//     thread: a full alloc-side cache and a full parked list, whose
+//     blocks are neither live nor on a shard free list. A batch retire
+//     may recycle up to recycleFactor × magCap blocks into a cache, but
+//     the excess needs no budget: those blocks are quiesced, so when
+//     the shard lists and bump regions run dry another thread's New
+//     steals them (stealHalf) and its own New spills them to the shard
+//     lists before splitting — they strand nothing.
 //
 // Returns 0 if any entry is unallocatable (Regs out of range or a
 // negative Count) — the same convention as BlockRegs.
@@ -330,10 +370,10 @@ func WithTransactionalFree() Option { return func(h *Heap) { h.txnFree = true } 
 func WithLatencyRecorder(r LatencyRecorder) Option { return func(h *Heap) { h.rec = r } }
 
 // WithMagazines adds the per-thread magazine layer for thread ids
-// 1..threads (see the package comment): thread-local alloc/free caches
-// of up to `capacity` blocks per size class per side (capacity <= 0
-// selects the default), with full free-side magazines retired as one
-// batch under one grace period. Threads outside 1..threads (the TM's
+// 1..threads (see the package comment): thread-local alloc-side caches
+// refilled `capacity` blocks at a time, and parked-free lists retired
+// as one batch under one grace period every capacity+1 frees (capacity
+// <= 0 selects the default). Threads outside 1..threads (the TM's
 // reserved reclaim thread, harness spares) fall back to the shared
 // path. Incompatible with WithTransactionalFree, whose whole point is
 // to never ride the fence the batch retire amortizes.
@@ -368,11 +408,12 @@ type Stats struct {
 	BumpRegs int64
 	// PendingFrees counts Free calls whose grace period has not yet
 	// completed (their blocks are neither live nor on a free list —
-	// including frees parked in magazines awaiting a batch retire).
+	// including frees parked on a thread's list awaiting a batch
+	// retire).
 	PendingFrees int64
-	// MagAlloc and MagFree count blocks resident in the per-thread
-	// magazines at snapshot time: quiesced blocks cached on the alloc
-	// side, and parked frees awaiting a batch retire. Zero on heaps
+	// MagAlloc counts quiesced blocks cached on the per-thread
+	// alloc-side caches at snapshot time; MagFree counts parked frees
+	// (on the threads' parked lists, not yet retired). Zero on heaps
 	// without magazines.
 	MagAlloc, MagFree int64
 	// Batches counts batch retires: grace-period registrations that
@@ -406,9 +447,13 @@ type Heap struct {
 	rec        LatencyRecorder
 	recTick    atomic.Uint64 // per-free latency sampling counter
 
-	// magCap is the magazine capacity (blocks per class per side),
-	// fixed by WithMagazines and read on every magazine fill.
+	// magCap is the magazine capacity (see defaultMagCap), fixed by
+	// WithMagazines.
 	magCap int
+
+	// parked[th] is magazine thread th's parked-free list (index 0
+	// unused).
+	parked []parkList
 
 	// board, when set, receives magazine hit/miss and batch telemetry.
 	board *telemetry.Board
@@ -447,6 +492,72 @@ type padInt64 struct {
 type paddedErr struct {
 	atomic.Pointer[error]
 	_ [56]byte
+}
+
+// parkList is one magazine thread's parked frees: blocks whose Free has
+// returned but whose batch has not retired. Plain Go memory, not TM
+// registers — nothing touches a parked block until its grace period
+// has passed (see the package comment). mu serializes the owner's Free
+// against FlushThread, Drain and Stats; frees counts the thread's
+// frees. spare is the slice of the list's last published batch, kept
+// for its next one, so a steady-state retire allocates no slice.
+// Padded so neighbouring threads' lists never share a cache line.
+type parkList struct {
+	mu     sync.Mutex
+	blocks []retired
+	spare  []retired
+	frees  atomic.Int64
+	_      [64]byte
+}
+
+// park appends r and, when that fills the list past capacity, empties
+// it, returning the whole batch to retire.
+func (p *parkList) park(r retired, capacity int) []retired {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.blocks = append(p.blocks, r)
+	if len(p.blocks) <= capacity {
+		return nil
+	}
+	return p.takeLocked(capacity)
+}
+
+// take empties the list, returning its blocks (nil when empty).
+func (p *parkList) take(capacity int) []retired {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.blocks) == 0 {
+		return nil
+	}
+	return p.takeLocked(capacity)
+}
+
+// takeLocked hands the current slice to the caller — it lives on in the
+// retire callback — and continues on the spare, or on a fresh slice
+// sized for a full batch.
+func (p *parkList) takeLocked(capacity int) []retired {
+	b := p.blocks
+	p.blocks, p.spare = p.spare, nil
+	if p.blocks == nil {
+		p.blocks = make([]retired, 0, capacity+1)
+	}
+	return b
+}
+
+// reuse keeps a published batch's slice as the list's spare.
+func (p *parkList) reuse(b []retired) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.spare == nil {
+		p.spare = b[:0]
+	}
+}
+
+// count returns the number of parked blocks.
+func (p *parkList) count() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.blocks)
 }
 
 // New builds a heap over tm's registers [first, limit). Register 0
@@ -499,6 +610,10 @@ func New(tm core.TM, first, limit int, opts ...Option) (*Heap, error) {
 		for r := 0; r < magHdrRegs; r++ {
 			tm.Store(1, h.magBase(t)+r, 0)
 		}
+	}
+	h.parked = make([]parkList, h.magThreads+1)
+	for t := 1; t <= h.magThreads; t++ {
+		h.parked[t].blocks = make([]retired, 0, h.magCap+1)
 	}
 	h.affinity = make([]atomic.Int32, h.magThreads+2)
 	// Auto-attach the TM's telemetry board (all registry TMs carry
@@ -867,9 +982,9 @@ func (h *Heap) bump(tx core.Txn, s int, size int64) (int64, error) {
 // preference: the thread's own cache, a batch refill from a shard free
 // list (the thread's affinity shard first, so repeat refills keep
 // drawing from one shard instead of ping-ponging shard headers across
-// cores), a bump region, and finally HALF of another thread's cache
-// (blocks parked on free-side magazines are never taken — they have
-// not quiesced).
+// cores), a bump region, a split of a larger free block, HALF of
+// another thread's cache (parked frees are never taken — they have not
+// quiesced), and the last-resort coalescing pass.
 func (h *Heap) newMag(tx core.Txn, th, c, n int) (int64, error) {
 	ptr, err := h.popMag(tx, th, c)
 	if err != nil {
@@ -908,7 +1023,14 @@ func (h *Heap) newMag(tx core.Txn, th, c, n int) (int64, error) {
 		}
 	}
 	if ptr == 0 {
-		// No exact block, no bump space: split a larger free block.
+		// No exact block, no bump space: split a larger free block. The
+		// thread's own cache may hold the only one — a batch retire
+		// recycles into it until the heap first splits — so move the
+		// cache to the shard lists first, where the split (and, failing
+		// that, the coalescing pass) can reach it.
+		if err := h.spillCache(tx, th); err != nil {
+			return 0, err
+		}
 		start := h.homeShard(th)
 		for i := 0; i < h.shards && ptr == 0; i++ {
 			s := (start + i) % h.shards
@@ -932,8 +1054,9 @@ func (h *Heap) newMag(tx core.Txn, th, c, n int) (int64, error) {
 	}
 	if ptr == 0 {
 		// Last resort before ErrOutOfSpace: the free space may exist
-		// only as fragmented split buddies (e.g. magazine flushes push
-		// cached fragments back without merging). Coalesce and retry.
+		// only as fragmented split buddies (e.g. cache spills and
+		// flushes push fragments back without merging). Coalesce and
+		// retry.
 		start := h.homeShard(th)
 		for i := 0; i < h.shards && ptr == 0; i++ {
 			s := (start + i) % h.shards
@@ -948,7 +1071,7 @@ func (h *Heap) newMag(tx core.Txn, th, c, n int) (int64, error) {
 	if ptr == 0 {
 		return 0, fmt.Errorf("stmalloc: no shard or magazine can serve %d registers: %w", n, ErrOutOfSpace)
 	}
-	if err := h.countMag(tx, th, offMagAllocs); err != nil {
+	if err := h.countMagAlloc(tx, th); err != nil {
 		return 0, err
 	}
 	return ptr, nil
@@ -1046,8 +1169,8 @@ func (h *Heap) stealHalf(tx core.Txn, th, victim, c int) (int64, error) {
 }
 
 // popMag pops one block from thread owner's alloc-side cache (0 when
-// empty). Popping another thread's cache is legal — all magazine
-// traffic is transactional — it just conflicts with the owner.
+// empty). Popping another thread's cache is legal — all alloc-side
+// cache traffic is transactional — it just conflicts with the owner.
 func (h *Heap) popMag(tx core.Txn, owner, c int) (int64, error) {
 	reg := h.magClass(owner, c)
 	head, err := tx.Read(reg + magAllocHead)
@@ -1093,58 +1216,78 @@ func (h *Heap) refill(tx core.Txn, th, s, c int) (int64, error) {
 	if !h.validPtr(head) {
 		return 0, core.ErrAborted
 	}
-	take := make([]int64, 1, h.magCap+1)
-	take[0] = head
-	for len(take) < h.magCap+1 {
-		nxt, err := tx.Read(int(take[len(take)-1]))
+	// Take up to magCap+1 blocks, head..tail (n of them); the list
+	// keeps the remainder after tail.
+	second, tail, n := int64(0), head, 1
+	for {
+		next, err := tx.Read(int(tail))
 		if err != nil {
 			return 0, err
 		}
-		if nxt == 0 {
-			break
-		}
-		if !h.validPtr(nxt) {
+		if next != 0 && !h.validPtr(next) {
 			return 0, core.ErrAborted
 		}
-		take = append(take, nxt)
+		if next == 0 || n == h.magCap+1 {
+			if err := tx.Write(h.hdr(s)+offLists+c, next); err != nil {
+				return 0, err
+			}
+			break
+		}
+		if n == 1 {
+			second = next
+		}
+		tail, n = next, n+1
 	}
-	tail := take[len(take)-1]
-	tailNext, err := tx.Read(int(tail))
-	if err != nil {
-		return 0, err
-	}
-	if tailNext != 0 && !h.validPtr(tailNext) {
-		return 0, core.ErrAborted
-	}
-	if err := tx.Write(h.hdr(s)+offLists+c, tailNext); err != nil {
-		return 0, err
-	}
-	if len(take) > 1 {
-		// The chain from take[1] on is already linked; install it as
-		// the cache and cut the tail.
+	if n > 1 {
+		// The chain from second on is already linked; install it as the
+		// cache and cut the tail.
 		reg := h.magClass(th, c)
-		if err := tx.Write(reg+magAllocHead, take[1]); err != nil {
+		if err := tx.Write(reg+magAllocHead, second); err != nil {
 			return 0, err
 		}
-		if err := tx.Write(reg+magAllocCnt, int64(len(take)-1)); err != nil {
+		if err := tx.Write(reg+magAllocCnt, int64(n-1)); err != nil {
 			return 0, err
 		}
 		if err := tx.Write(int(tail), 0); err != nil {
 			return 0, err
 		}
 	}
-	return take[0], nil
+	return head, nil
 }
 
-// countMag bumps one of thread th's transactional traffic counters
-// (offMagAllocs or offMagFrees).
-func (h *Heap) countMag(tx core.Txn, th, off int) error {
-	reg := h.magBase(th) + off
+// countMagAlloc bumps thread th's transactional allocation counter.
+func (h *Heap) countMagAlloc(tx core.Txn, th int) error {
+	reg := h.magBase(th) + offMagAllocs
 	v, err := tx.Read(reg)
 	if err != nil {
 		return err
 	}
 	return tx.Write(reg, v+1)
+}
+
+// pushMag pushes the wiped, quiescent class-c block at ptr onto thread
+// owner's alloc-side cache inside tx, unless the cache already holds
+// limit blocks; it reports whether it did.
+func (h *Heap) pushMag(tx core.Txn, owner int, ptr int64, c int, limit int64) (bool, error) {
+	reg := h.magClass(owner, c)
+	cnt, err := tx.Read(reg + magAllocCnt)
+	if err != nil || cnt >= limit {
+		return false, err
+	}
+	head, err := tx.Read(reg + magAllocHead)
+	if err != nil {
+		return false, err
+	}
+	if head != 0 && !h.validPtr(head) {
+		return false, core.ErrAborted
+	}
+	if err := tx.Write(int(ptr), head); err != nil {
+		return false, err
+	}
+	if err := tx.Write(reg+magAllocHead, ptr); err != nil {
+		return false, err
+	}
+	return true, tx.Write(reg+magAllocCnt, cnt+1)
 }
 
 // validBump guards the bump pointer the same way validPtr guards list
@@ -1191,21 +1334,23 @@ func (h *Heap) shardOf(ptr int64) int {
 // unlinked the block transactionally before calling Free, and must not
 // touch it afterwards. On a defer-mode TM Free never blocks; use Drain
 // to settle. Under WithTransactionalFree the grace period and the wipe
-// are skipped and the push happens inline.
+// are skipped and the push happens inline. On a magazine thread the
+// block is parked instead and reclaimed with its batch (see the
+// package comment).
 func (h *Heap) Free(th int, ptr int64, n int) {
 	c, ok := classOf(n)
 	if !ok {
 		h.fail(fmt.Errorf("stmalloc: Free of unallocatable size %d at %d", n, ptr))
 		return
 	}
-	start := h.recStart()
 	h.pending.Add(1)
-	if h.txnFree {
-		h.release(th, ptr, c, start, false)
-		return
-	}
 	if h.hasMagazine(th) {
 		h.freeMag(th, ptr, c)
+		return
+	}
+	start := h.recStart()
+	if h.txnFree {
+		h.release(th, ptr, c, start, false)
 		return
 	}
 	h.tm.FenceAsync(th, func(cb int) {
@@ -1213,91 +1358,41 @@ func (h *Heap) Free(th int, ptr int64, n int) {
 	})
 }
 
-// retired is one block awaiting (or leaving) a batch retire.
+// retired is one block awaiting (or leaving) a batch retire. owner is
+// the magazine thread whose alloc-side cache the block recycles into,
+// or 0 to publish it to its home shard's free list.
 type retired struct {
 	ptr   int64
 	class int
+	owner int
 }
 
-// freeMag is the magazine Free: push ptr onto the thread's free-side
-// magazine with a small transaction — the block's link register is
-// written transactionally, so a doomed reader still traversing the
-// block aborts on validation instead of seeing a torn value; nothing
-// touches the block uninstrumented before its batch's grace period.
-// The push that fills the magazine instead unlinks the whole chain and
-// retires it as one batch.
+// freeMag is the magazine Free: count the free, park the block on the
+// thread's list — no transaction, and the block is not touched — and,
+// when that fills the list past capacity, retire the whole list as one
+// batch.
 func (h *Heap) freeMag(th int, ptr int64, c int) {
-	reg := h.magClass(th, c)
-	var batch []retired
-	err := core.Atomically(h.tm, th, func(tx core.Txn) error {
-		batch = batch[:0]
-		cnt, err := tx.Read(reg + magFreeCnt)
-		if err != nil {
-			return err
-		}
-		head, err := tx.Read(reg + magFreeHead)
-		if err != nil {
-			return err
-		}
-		if head != 0 && !h.validPtr(head) {
-			return core.ErrAborted
-		}
-		if cnt < int64(h.magCap) {
-			if err := tx.Write(int(ptr), head); err != nil {
-				return err
-			}
-			if err := tx.Write(reg+magFreeHead, ptr); err != nil {
-				return err
-			}
-			if err := tx.Write(reg+magFreeCnt, cnt+1); err != nil {
-				return err
-			}
-			return h.countMag(tx, th, offMagFrees)
-		}
-		// Full magazine: one transactional unlink of the whole chain,
-		// with this block riding along.
-		for cur := head; cur != 0; {
-			if !h.validPtr(cur) || len(batch) > h.maxChain() {
-				return core.ErrAborted
-			}
-			batch = append(batch, retired{ptr: cur, class: c})
-			nxt, err := tx.Read(int(cur))
-			if err != nil {
-				return err
-			}
-			cur = nxt
-		}
-		batch = append(batch, retired{ptr: ptr, class: c})
-		if err := tx.Write(reg+magFreeHead, 0); err != nil {
-			return err
-		}
-		if err := tx.Write(reg+magFreeCnt, 0); err != nil {
-			return err
-		}
-		return h.countMag(tx, th, offMagFrees)
-	})
-	if err != nil {
-		h.pending.Add(-1)
-		h.fail(fmt.Errorf("stmalloc: magazine free of %d failed: %w", ptr, err))
-		return
-	}
+	p := &h.parked[th]
+	p.frees.Add(1)
+	batch := p.park(retired{ptr: ptr, class: c, owner: th}, h.magCap)
 	if sl := h.board.Slot(th); sl != nil {
-		if len(batch) > 0 {
-			sl.MagMisses.Add(1) // full magazine: took the shared path
+		if batch != nil {
+			sl.MagMisses.Add(1) // full list: pays a grace period
 		} else {
 			sl.MagHits.Add(1) // parked thread-locally
 		}
 	}
-	if len(batch) > 0 {
-		h.retire(th, batch)
+	if batch != nil {
+		h.retire(th, batch, p)
 	}
 }
 
 // retire reclaims a batch of unlinked blocks: ONE grace-period
 // registration covers the whole batch (riding the TM's combine/defer
 // machinery), after which every block is wiped uninstrumented and
-// published back to the shard free lists.
-func (h *Heap) retire(th int, batch []retired) {
+// published (publishBatch). A batch taken whole from a parked list
+// names it as home, which gets the slice back once published.
+func (h *Heap) retire(th int, batch []retired, home *parkList) {
 	h.batches.Add(1)
 	if sl := h.board.Slot(th); sl != nil {
 		sl.ReclaimBatches.Add(1)
@@ -1305,15 +1400,17 @@ func (h *Heap) retire(th int, batch []retired) {
 	start := time.Now()
 	h.tm.FenceAsync(th, func(cb int) {
 		h.publishBatch(cb, batch, start)
+		if home != nil {
+			home.reuse(batch)
+		}
 	})
 }
 
 // publishBatch is the tail of a batch retire, after the grace period:
 // one uninstrumented wipe pass over every block (the idiom's private
 // phase, amortized — all blocks are unreachable and quiescent), then
-// publish transactions pushing them onto their home shards' class
-// lists. Publishes chunk so one retire cannot exceed the TM's
-// comfortable write-set size.
+// publish transactions routing each block (recycle). Publishes chunk so
+// one retire cannot exceed the TM's comfortable write-set size.
 func (h *Heap) publishBatch(th int, batch []retired, start time.Time) {
 	defer h.pending.Add(-int64(len(batch)))
 	for _, r := range batch {
@@ -1332,7 +1429,7 @@ func (h *Heap) publishBatch(th int, batch []retired, start time.Time) {
 		part := batch[lo:hi]
 		err := core.Atomically(h.tm, th, func(tx core.Txn) error {
 			for _, r := range part {
-				if err := h.pushFree(tx, r.ptr, r.class); err != nil {
+				if err := h.recycle(tx, r); err != nil {
 					return err
 				}
 			}
@@ -1351,6 +1448,20 @@ func (h *Heap) publishBatch(th int, batch []retired, start time.Time) {
 	}
 }
 
+// recycle publishes one wiped, quiescent block inside tx: onto its
+// owner's alloc-side cache while that holds fewer than recycleFactor ×
+// capacity blocks of the class, else onto its home shard's list. On a
+// heap that has ever split every block takes the shard list, where it
+// can coalesce with its buddy.
+func (h *Heap) recycle(tx core.Txn, r retired) error {
+	if r.owner != 0 && !h.everSplit.Load() {
+		if ok, err := h.pushMag(tx, r.owner, r.ptr, r.class, int64(recycleFactor*h.magCap)); ok || err != nil {
+			return err
+		}
+	}
+	return h.pushFree(tx, r.ptr, r.class)
+}
+
 // FreeQuiesced is Free for a block the caller already knows to be
 // quiescent — its own privatize→fence cycle guarantees no transaction
 // holds a stale reference (stmkv's growth path). The grace period is
@@ -1367,41 +1478,18 @@ func (h *Heap) FreeQuiesced(th int, ptr int64, n int) {
 	h.pending.Add(1)
 	if h.hasMagazine(th) {
 		start := h.recStart()
+		h.parked[th].frees.Add(1)
 		// Quiescent already: the uninstrumented wipe is race-free now.
 		for i := 1; i < 1<<c; i++ {
 			h.tm.Store(th, int(ptr)+i, 0)
 		}
-		reg := h.magClass(th, c)
 		err := core.Atomically(h.tm, th, func(tx core.Txn) error {
-			cnt, err := tx.Read(reg + magAllocCnt)
-			if err != nil {
+			if ok, err := h.pushMag(tx, th, ptr, c, int64(h.magCap)); ok || err != nil {
 				return err
-			}
-			if cnt < int64(h.magCap) {
-				head, err := tx.Read(reg + magAllocHead)
-				if err != nil {
-					return err
-				}
-				if head != 0 && !h.validPtr(head) {
-					return core.ErrAborted
-				}
-				if err := tx.Write(int(ptr), head); err != nil {
-					return err
-				}
-				if err := tx.Write(reg+magAllocHead, ptr); err != nil {
-					return err
-				}
-				if err := tx.Write(reg+magAllocCnt, cnt+1); err != nil {
-					return err
-				}
-				return h.countMag(tx, th, offMagFrees)
 			}
 			// Cache full: spill to the home shard's list (coalescing
 			// with free buddies on a heap that has ever split).
-			if err := h.pushFree(tx, ptr, c); err != nil {
-				return err
-			}
-			return h.countMag(tx, th, offMagFrees)
+			return h.pushFree(tx, ptr, c)
 		})
 		h.pending.Add(-1)
 		if err != nil {
@@ -1416,124 +1504,87 @@ func (h *Heap) FreeQuiesced(th int, ptr int64, n int) {
 	h.release(th, ptr, c, h.recStart(), !h.txnFree)
 }
 
-// FlushThread empties thread th's magazines: the free-side chains of
-// every class retire as ONE batch (one grace period for everything the
-// thread had parked), and the alloc-side cache returns to the shard
-// free lists (its blocks are wiped and quiescent, so no grace period
-// is needed). Call it when a worker goroutine retires mid-run so its
-// parked frees don't strand; it is safe to call concurrently with the
-// owner (all magazine traffic is transactional) and is a no-op without
-// magazines.
+// FlushThread empties thread th's magazines: its parked frees retire as
+// ONE batch (one grace period for everything the thread had parked)
+// bound for the shard free lists — never into the cache being flushed —
+// and its alloc-side cache returns to the shard free lists at once (its
+// blocks are wiped and quiescent, so no grace period is needed). It
+// first waits for the thread's batches already in flight, which recycle
+// into that cache. On a defer-mode TM the flushed batch's blocks reach
+// the lists after FlushThread returns; Drain settles them. Call it when
+// a worker goroutine retires mid-run so its parked frees and cached
+// blocks don't strand. It is a no-op without magazines.
 func (h *Heap) FlushThread(th int) {
 	if !h.hasMagazine(th) {
 		return
 	}
-	if batch := h.unlinkFreeMags(th, th); len(batch) > 0 {
-		h.retire(th, batch)
+	h.tm.FenceBarrier(th)
+	p := &h.parked[th]
+	if batch := p.take(h.magCap); batch != nil {
+		for i := range batch {
+			batch[i].owner = 0
+		}
+		h.retire(th, batch, p)
 	}
-	h.flushAllocMags(th, th)
+	err := core.Atomically(h.tm, th, func(tx core.Txn) error {
+		return h.spillCache(tx, th)
+	})
+	if err != nil {
+		h.fail(fmt.Errorf("stmalloc: alloc-cache flush of thread %d failed: %w", th, err))
+	}
 }
 
-// unlinkFreeMags empties thread owner's free-side magazines (every
-// class) in one transaction run by txTh — the batched unlink —
-// returning the parked blocks.
-func (h *Heap) unlinkFreeMags(txTh, owner int) []retired {
-	var batch []retired
-	err := core.Atomically(h.tm, txTh, func(tx core.Txn) error {
-		batch = batch[:0]
-		for c := 0; c < numClasses; c++ {
-			reg := h.magClass(owner, c)
-			head, err := tx.Read(reg + magFreeHead)
+// spillCache moves every block on thread owner's alloc-side cache onto
+// its home shard's free list inside tx. No counter updates: the blocks
+// move between free pools, not between the heap and a caller. The
+// push does not coalesce (the last-resort pass in New does).
+func (h *Heap) spillCache(tx core.Txn, owner int) error {
+	for c := 0; c < numClasses; c++ {
+		reg := h.magClass(owner, c)
+		head, err := tx.Read(reg + magAllocHead)
+		if err != nil {
+			return err
+		}
+		if head == 0 {
+			continue
+		}
+		n := 0
+		for cur := head; cur != 0; {
+			if !h.validPtr(cur) || n > h.maxChain() {
+				return core.ErrAborted
+			}
+			nxt, err := tx.Read(int(cur))
 			if err != nil {
 				return err
 			}
-			if head == 0 {
-				continue
+			if nxt != 0 && !h.validPtr(nxt) {
+				return core.ErrAborted
 			}
-			n := 0
-			for cur := head; cur != 0; {
-				if !h.validPtr(cur) || n > h.maxChain() {
-					return core.ErrAborted
-				}
-				batch = append(batch, retired{ptr: cur, class: c})
-				n++
-				nxt, err := tx.Read(int(cur))
-				if err != nil {
-					return err
-				}
-				cur = nxt
-			}
-			if err := tx.Write(reg+magFreeHead, 0); err != nil {
-				return err
-			}
-			if err := tx.Write(reg+magFreeCnt, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		h.fail(fmt.Errorf("stmalloc: magazine flush of thread %d failed: %w", owner, err))
-		return nil
-	}
-	return batch
-}
-
-// flushAllocMags returns thread owner's cached (wiped, quiescent)
-// blocks to their home shards' free lists in one transaction run by
-// txTh. No grace period and no counter updates: the blocks move
-// between free pools, not between the heap and a caller.
-func (h *Heap) flushAllocMags(txTh, owner int) {
-	err := core.Atomically(h.tm, txTh, func(tx core.Txn) error {
-		for c := 0; c < numClasses; c++ {
-			reg := h.magClass(owner, c)
-			head, err := tx.Read(reg + magAllocHead)
+			s := h.shardOf(cur)
+			sh, err := tx.Read(h.hdr(s) + offLists + c)
 			if err != nil {
 				return err
 			}
-			n := 0
-			for cur := head; cur != 0; {
-				if !h.validPtr(cur) || n > h.maxChain() {
-					return core.ErrAborted
-				}
-				nxt, err := tx.Read(int(cur))
-				if err != nil {
-					return err
-				}
-				if nxt != 0 && !h.validPtr(nxt) {
-					return core.ErrAborted
-				}
-				s := h.shardOf(cur)
-				sh, err := tx.Read(h.hdr(s) + offLists + c)
-				if err != nil {
-					return err
-				}
-				if sh != 0 && !h.validPtr(sh) {
-					return core.ErrAborted
-				}
-				if err := tx.Write(int(cur), sh); err != nil {
-					return err
-				}
-				if err := tx.Write(h.hdr(s)+offLists+c, cur); err != nil {
-					return err
-				}
-				cur = nxt
-				n++
+			if sh != 0 && !h.validPtr(sh) {
+				return core.ErrAborted
 			}
-			if head != 0 {
-				if err := tx.Write(reg+magAllocHead, 0); err != nil {
-					return err
-				}
-				if err := tx.Write(reg+magAllocCnt, 0); err != nil {
-					return err
-				}
+			if err := tx.Write(int(cur), sh); err != nil {
+				return err
 			}
+			if err := tx.Write(h.hdr(s)+offLists+c, cur); err != nil {
+				return err
+			}
+			cur = nxt
+			n++
 		}
-		return nil
-	})
-	if err != nil {
-		h.fail(fmt.Errorf("stmalloc: alloc-cache flush of thread %d failed: %w", owner, err))
+		if err := tx.Write(reg+magAllocHead, 0); err != nil {
+			return err
+		}
+		if err := tx.Write(reg+magAllocCnt, 0); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // pushFree publishes the class-c block at ptr onto its home shard's
@@ -1649,24 +1700,22 @@ func (h *Heap) fail(err error) {
 
 // Drain blocks until every reclamation registered by Free before the
 // call has completed, and returns the first error any reclamation hit.
-// On a magazine heap it first flushes every thread's parked frees and
-// retires them under ONE shared grace period (frees parked in a
-// magazine have not been registered with the fence yet), leaving the
-// alloc-side caches in place. th must be a valid thread id not
-// currently inside a transaction.
+// On a magazine heap it first takes every thread's parked frees and
+// retires them under ONE shared grace period (parked frees have not
+// been registered with the fence yet); each block still recycles into
+// its own thread's alloc-side cache, and the caches stay in place. th
+// must be a valid thread id not currently inside a transaction.
 //
 // Each async error is surfaced exactly once: the Drain that returns it
 // clears it, so periodic drains in a long-running process report
 // recovery as nil instead of repeating the first failure forever.
 func (h *Heap) Drain(th int) error {
-	if h.magThreads > 0 {
-		var all []retired
-		for t := 1; t <= h.magThreads; t++ {
-			all = append(all, h.unlinkFreeMags(th, t)...)
-		}
-		if len(all) > 0 {
-			h.retire(th, all)
-		}
+	var all []retired
+	for t := 1; t <= h.magThreads; t++ {
+		all = append(all, h.parked[t].take(h.magCap)...)
+	}
+	if len(all) > 0 {
+		h.retire(th, all, nil)
 	}
 	h.tm.FenceBarrier(th)
 	if e := h.asyncErr.Swap(nil); e != nil {
@@ -1675,9 +1724,9 @@ func (h *Heap) Drain(th int) error {
 	return nil
 }
 
-// Stats reads the per-shard counters non-transactionally. Call it
-// quiesced (after Drain, or with no concurrent mutators) for exact
-// numbers; under concurrency it is a monotone approximation.
+// Stats reads the counters non-transactionally. Call it quiesced
+// (after Drain, or with no concurrent mutators) for exact numbers;
+// under concurrency it is an approximation.
 func (h *Heap) Stats() Stats {
 	st := Stats{
 		Shards:       make([]ShardStats, h.shards),
@@ -1701,11 +1750,10 @@ func (h *Heap) Stats() Stats {
 	}
 	for t := 1; t <= h.magThreads; t++ {
 		st.Allocs += h.tm.Load(1, h.magBase(t)+offMagAllocs)
-		st.Frees += h.tm.Load(1, h.magBase(t)+offMagFrees)
+		st.Frees += h.parked[t].frees.Load()
+		st.MagFree += int64(h.parked[t].count())
 		for c := 0; c < numClasses; c++ {
-			reg := h.magClass(t, c)
-			st.MagAlloc += h.tm.Load(1, reg+magAllocCnt)
-			st.MagFree += h.tm.Load(1, reg+magFreeCnt)
+			st.MagAlloc += h.tm.Load(1, h.magClass(t, c)+magAllocCnt)
 		}
 	}
 	st.Live = st.Allocs - st.Frees

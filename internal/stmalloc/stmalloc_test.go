@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"safepriv/internal/engine"
 	"safepriv/internal/stmalloc"
 	"safepriv/internal/stmds"
+	"safepriv/internal/telemetry"
 	"safepriv/internal/workload"
 )
 
@@ -785,4 +788,217 @@ func TestRegsForDemand(t *testing.T) {
 	if st := h.Stats(); st.Live != 0 {
 		t.Fatalf("live = %d after freeing the whole profile: %+v", st.Live, st)
 	}
+}
+
+// --- Parked frees: the magazine free path ---
+
+// magHeap builds a one-shard magazine heap (capacity 8) over a fresh TM
+// of the given spec with room for threads+1 TM thread ids.
+func magHeap(t *testing.T, spec string, threads int) (core.TM, *stmalloc.Heap) {
+	t.Helper()
+	tm := engine.MustNewSpec(spec, 1<<12, threads+2, nil)
+	h, err := stmalloc.New(tm, 8, tm.NumRegs(),
+		stmalloc.WithShards(1), stmalloc.WithMagazines(threads, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tm, h
+}
+
+// TestMagazineParkedBlocksUntouched pins the parked-free contract: Free
+// on a magazine thread writes nothing — every register of a parked
+// block reads (uninstrumented) exactly what the caller left there until
+// the Free that retires its batch — and once its grace period has run
+// (here: after Drain) registers 1.. are wiped.
+func TestMagazineParkedBlocksUntouched(t *testing.T) {
+	for _, spec := range []string{"tl2", "tl2+defer"} {
+		t.Run(spec, func(t *testing.T) {
+			tm, h := magHeap(t, spec, 1)
+			const n = 4
+			var ptrs []int64
+			for i := 0; i < 12; i++ {
+				p := alloc(t, tm, h, 1, n)
+				for r := 0; r < n; r++ {
+					tm.Store(1, int(p)+r, 1000*int64(i)+int64(r)+1)
+				}
+				ptrs = append(ptrs, p)
+			}
+			untouched := func(blocks []int64) {
+				t.Helper()
+				for _, p := range blocks {
+					i := slices.Index(ptrs, p)
+					for r := 0; r < n; r++ {
+						if v, want := tm.Load(1, int(p)+r), 1000*int64(i)+int64(r)+1; v != want {
+							t.Fatalf("parked block %d reg %d = %d, want %d", p, r, v, want)
+						}
+					}
+				}
+			}
+			wiped := func(blocks []int64) {
+				t.Helper()
+				for _, p := range blocks {
+					for r := 1; r < n; r++ {
+						if v := tm.Load(1, int(p)+r); v != 0 {
+							t.Fatalf("reclaimed block %d reg %d = %d, want 0", p, r, v)
+						}
+					}
+				}
+			}
+			// Capacity 8: the first eight frees park, the ninth retires.
+			for i := 0; i < 8; i++ {
+				h.Free(1, ptrs[i], n)
+				untouched(ptrs[:i+1])
+			}
+			h.Free(1, ptrs[8], n)
+			for i := 9; i < 12; i++ {
+				h.Free(1, ptrs[i], n)
+				untouched(ptrs[9 : i+1])
+			}
+			if err := h.Drain(1); err != nil {
+				t.Fatal(err)
+			}
+			wiped(ptrs)
+			if st := h.Stats(); st.Live != 0 || st.PendingFrees != 0 || st.MagFree != 0 {
+				t.Fatalf("stats after Drain: %+v", st)
+			}
+		})
+	}
+}
+
+// TestMagazineRecyclesToOwner: a retired batch lands on the freeing
+// thread's own alloc-side cache. After one full retire on thread 1, its
+// next capacity allocations are blocks of that batch, served without a
+// magazine miss, and thread 2's cache is neither fed nor drained.
+func TestMagazineRecyclesToOwner(t *testing.T) {
+	tm, h := magHeap(t, "tl2", 2)
+	// Thread 2 caches three blocks of its own.
+	var own2 []int64
+	for i := 0; i < 3; i++ {
+		own2 = append(own2, alloc(t, tm, h, 2, 4))
+	}
+	for _, p := range own2 {
+		h.FreeQuiesced(2, p, 4)
+	}
+	// Thread 1 frees a whole batch: eight park, the ninth retires it.
+	var batch []int64
+	for i := 0; i < 9; i++ {
+		batch = append(batch, alloc(t, tm, h, 1, 4))
+	}
+	for _, p := range batch {
+		h.Free(1, p, 4)
+	}
+	if st := h.Stats(); st.MagAlloc != 3+9 || st.MagFree != 0 || st.PendingFrees != 0 {
+		t.Fatalf("after one retire: %+v, want MagAlloc=12 MagFree=0 PendingFrees=0", st)
+	}
+	slot := tm.(telemetry.Provider).TelemetryBoard().Slot(1)
+	misses := slot.MagMisses.Load()
+	for i := 0; i < 8; i++ {
+		if p := alloc(t, tm, h, 1, 4); !slices.Contains(batch, p) {
+			t.Fatalf("allocation %d on thread 1 = %d, not a block of its retired batch %v", i, p, batch)
+		}
+	}
+	if got := slot.MagMisses.Load(); got != misses {
+		t.Fatalf("thread 1 took %d magazine misses popping its recycled blocks", got-misses)
+	}
+	for i := 0; i < 3; i++ {
+		if p := alloc(t, tm, h, 2, 4); !slices.Contains(own2, p) {
+			t.Fatalf("thread 2 allocated %d, not one of its cached blocks %v", p, own2)
+		}
+	}
+	if st := h.Stats(); st.MagAlloc != 1 {
+		t.Fatalf("MagAlloc = %d, want the batch's one unpopped block", st.MagAlloc)
+	}
+}
+
+// TestMagazineFlushThreadDefer: on a defer-mode TM retire callbacks run
+// after the Free (or FlushThread) that registered them. FlushThread must
+// still leave the thread's alloc-side cache empty once they have run:
+// its parked frees go to the shard lists, and a batch already in flight
+// (which recycles into that cache) is settled before the cache spills.
+func TestMagazineFlushThreadDefer(t *testing.T) {
+	tm, h := magHeap(t, "tl2+defer", 1)
+	var ptrs []int64
+	for i := 0; i < 12; i++ {
+		ptrs = append(ptrs, alloc(t, tm, h, 1, 4))
+	}
+	for _, p := range ptrs { // one full batch in flight, three parked
+		h.Free(1, p, 4)
+	}
+	h.FlushThread(1)
+	if err := h.Drain(1); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.Stats(); st.MagAlloc != 0 || st.MagFree != 0 || st.Live != 0 || st.PendingFrees != 0 {
+		t.Fatalf("after FlushThread+Drain: %+v, want MagAlloc=0 MagFree=0 Live=0 PendingFrees=0", st)
+	}
+}
+
+// TestMagazineDrainOneGracePeriod: Drain retires every thread's partial
+// parked list under ONE grace-period registration.
+func TestMagazineDrainOneGracePeriod(t *testing.T) {
+	tm, h := magHeap(t, "tl2", 2)
+	for th, n := range map[int]int{1: 3, 2: 5} {
+		var ptrs []int64
+		for i := 0; i < n; i++ {
+			ptrs = append(ptrs, alloc(t, tm, h, th, 4))
+		}
+		for _, p := range ptrs {
+			h.Free(th, p, 4)
+		}
+	}
+	before := h.Stats()
+	if before.MagFree != 8 || before.Batches != 0 {
+		t.Fatalf("before Drain: %+v, want MagFree=8 Batches=0", before)
+	}
+	if err := h.Drain(1); err != nil {
+		t.Fatal(err)
+	}
+	st := h.Stats()
+	if st.Batches != before.Batches+1 {
+		t.Fatalf("Drain over two threads' parked lists took %d batches, want 1", st.Batches-before.Batches)
+	}
+	if st.MagFree != 0 || st.Live != 0 || st.PendingFrees != 0 || st.MagAlloc != 8 {
+		t.Fatalf("after Drain: %+v, want MagFree=0 Live=0 PendingFrees=0 MagAlloc=8", st)
+	}
+}
+
+// TestMagazineAllocationsPerBatch is the Go-heap budget of the magazine
+// pair: in steady state a New+Free pair allocates nothing, and a batch
+// retire allocates its grace-period callback (the parked list reuses
+// the slice of its last published batch). 90 000 pairs — 10 000 batches
+// at capacity 8 — must stay within 2 allocations per batch.
+func TestMagazineAllocationsPerBatch(t *testing.T) {
+	tm, h := magHeap(t, "tl2", 1)
+	var ptr int64
+	newBlock := func(tx core.Txn) (err error) {
+		ptr, err = h.New(tx, 1, 3)
+		return err
+	}
+	pair := func() {
+		if err := core.Atomically(tm, 1, newBlock); err != nil {
+			t.Fatal(err)
+		}
+		h.Free(1, ptr, 3)
+	}
+	for i := 0; i < 1000; i++ {
+		pair()
+	}
+	const pairs = 90000
+	b0 := h.Stats().Batches
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pairs; i++ {
+		pair()
+	}
+	runtime.ReadMemStats(&after)
+	batches := h.Stats().Batches - b0
+	mallocs := int64(after.Mallocs - before.Mallocs)
+	if batches < pairs/9 {
+		t.Fatalf("%d batches for %d frees at capacity 8", batches, pairs)
+	}
+	if mallocs > 2*batches {
+		t.Fatalf("%d allocations over %d pairs (%d batches): %.2f per batch, budget 2",
+			mallocs, pairs, batches, float64(mallocs)/float64(batches))
+	}
+	t.Logf("%d allocations over %d batches (%.3f per batch)", mallocs, batches, float64(mallocs)/float64(batches))
 }

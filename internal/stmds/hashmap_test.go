@@ -129,8 +129,8 @@ func TestHashMapOracle(t *testing.T) {
 
 // TestHashMapRehashWindowsRecorded pins the telemetry contract: a
 // script that doubles the table records RehashWindows (and
-// Privatizations) on the TM's board, and mean fence wait during the
-// incremental rehash is what the bench emitter asserts on.
+// Privatizations) on the TM's board — the counter the benchmark reports
+// as stmds.rehash_windows.
 func TestHashMapRehashWindowsRecorded(t *testing.T) {
 	tm, _, hm := hashHeap(t, "tl2+quiesce", 1, 400)
 	for k := int64(1); k <= 400; k++ {

@@ -316,6 +316,15 @@ func (tx *Txn) Commit() error {
 		}
 	}
 
+	// The commit is decided. Committed is recorded before the write-back
+	// makes any value visible: an uninstrumented Load sees a register as
+	// soon as it is stored, a transactional Read once its stripe
+	// unlocks, and neither read's response may enter the history ahead
+	// of the committed action it depends on.
+	if s := tm.cfg.Sink; s != nil {
+		s.Committed(tx.thread, tx.wver)
+	}
+
 	// Write back and release (lines 51–54): reg[x] := v for every
 	// write-set register, then ver := wver and unlock per stripe — the
 	// last two are one store of the combined word.
@@ -333,10 +342,6 @@ func (tx *Txn) Commit() error {
 			panic("tl2: register version not monotonic")
 		}
 		tm.table.Lock(tx.locked[j].s).Unlock(tx.wver)
-	}
-
-	if s := tm.cfg.Sink; s != nil {
-		s.Committed(tx.thread, tx.wver)
 	}
 	tx.finish()
 	return nil

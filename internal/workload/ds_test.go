@@ -85,7 +85,7 @@ func TestSetChurnAllTMs(t *testing.T) {
 // growth from its 16 initial buckets through rehash windows.
 func TestMapChurnAllTMs(t *testing.T) {
 	// Enough ops that the 20% delete share still fills at least one
-	// thread's free-side magazine on the batch axis.
+	// thread's parked-free list on the batch axis.
 	ops := 400
 	if testing.Short() {
 		ops = 200
