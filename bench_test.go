@@ -122,23 +122,29 @@ func BenchmarkE9Fence(b *testing.B) {
 	wls := []struct {
 		name string
 		regs int
+		run  func(tm core.TM, mode workload.FenceMode) (workload.Stats, error)
 	}{
-		{"shorttxn", 64},
-		{"bank", 64},
-		{"readmostly", 256},
-		{"pipeline", 65},
+		{"shorttxn", 64, func(tm core.TM, mode workload.FenceMode) (workload.Stats, error) {
+			return workload.PerThread(tm, threads, ops, mode)
+		}},
+		{"bank", 64, func(tm core.TM, mode workload.FenceMode) (workload.Stats, error) {
+			return workload.Bank(tm, threads, ops, mode, 1)
+		}},
+		{"readmostly", 256, func(tm core.TM, mode workload.FenceMode) (workload.Stats, error) {
+			return workload.ReadMostly(tm, threads, ops, 4, 90, mode, 1)
+		}},
+		// threads-1 workers plus the maintenance thread; 10 privatize/
+		// publish rounds.
+		{"pipeline", 65, func(tm core.TM, mode workload.FenceMode) (workload.Stats, error) {
+			return workload.Pipeline(tm, threads-1, ops, 10, mode, 1)
+		}},
 	}
 	for _, w := range wls {
-		run, ok := workload.ByName(w.name)
-		if !ok {
-			b.Fatalf("unknown workload %q", w.name)
-		}
 		for _, mode := range []workload.FenceMode{workload.FenceNone, workload.FenceAfterEveryTxn} {
 			b.Run(fmt.Sprintf("%s/%s", w.name, mode), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					tm := engine.MustNewSpec("tl2", w.regs, threads+2, nil)
-					// Rounds 10 matches the seed benchmark's pipeline shape.
-					if _, err := run(tm, workload.Params{Threads: threads, Ops: ops, Mode: mode, Seed: 1, Rounds: 10}); err != nil {
+					if _, err := w.run(tm, mode); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -19,8 +19,8 @@
 //     one grace period) and the background reclaimer.
 //   - Telemetry layer: internal/telemetry cache-line-padded per-thread
 //     counter boards on every TM (commits, aborts, fences,
-//     privatizations, magazine traffic), read by kvserve's /stats,
-//     cmd/stress and bench/.
+//     privatizations, magazine traffic), read by kvserve's /stats and
+//     bench/.
 //   - Heap layer: internal/stmalloc, the quiescence-based safe memory
 //     reclamation allocator (unlink transactionally, ride the fence,
 //     reuse), with the typed ErrOutOfSpace exhaustion contract, a
@@ -48,12 +48,9 @@
 //     allocator; internal/stmkv, the sharded privatization-safe KV
 //     store whose shard tables are heap blocks and whose ScanPage
 //     paginates privatized scans behind an opaque resumable cursor
-//     with O(limit) buffering; the named workloads of
-//     internal/workload (incl. the set-churn/queue-pipe/map-churn
-//     reclamation shapes, hash-churn — map-churn pinned to the hash
-//     map — and rehash-storm, the table-growth stress, and
-//     scan-churn, the scan-vs-churn contrast that measures the
-//     snapshot scan's grace-period hazard); and the
+//     with O(limit) buffering; the paper's timing workloads in
+//     internal/workload (bank, counter, read-mostly, pipeline and
+//     per-thread, driven by the E9 and E13 benchmarks); and the
 //     cross-TM differential executor internal/txexec, whose windowed
 //     data-structure mode interleaves scripted map operations
 //     mid-transaction and replays the recorded order against plain Go

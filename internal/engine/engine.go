@@ -1,6 +1,6 @@
 // Package engine is the unified construction layer for every TM in the
 // repository: a registry keyed by specification strings so harnesses
-// (cmd/stress, cmd/litmus, internal/workload, bench_test.go) select any
+// (cmd/stress, cmd/litmus, internal/mgc, bench/, bench_test.go) select any
 // TM × clock × fence × quiescer configuration by name instead of
 // calling bespoke constructors. Adding a TM or a configuration axis is
 // an edit here, not a cross-cutting change to every harness.
@@ -42,8 +42,8 @@
 // allocator axis, and free and batch the reclaim-granularity axis. The
 // allocator and reclaim axes do not change the TM itself — they are
 // carried in the Config for the layers that build transactional data
-// structures over the TM (internal/workload, cmd/stress,
-// bench_test.go): on a quiesce spec they allocate from an
+// structures over the TM (internal/kvserve and the internal/txexec
+// differential suites): on a quiesce spec they allocate from an
 // internal/stmalloc heap whose Free rides the TM's fence, on a bump
 // spec from the append-only stmds bump allocator, and on a batch spec
 // the heap grows per-thread magazines so reclamation cost scales with

@@ -7,7 +7,6 @@ import (
 
 	"safepriv/internal/core"
 	"safepriv/internal/record"
-	"safepriv/internal/workload"
 )
 
 // smoke exercises one constructed TM end to end: a read-modify-write
@@ -195,8 +194,7 @@ func TestParseBenignModifiers(t *testing.T) {
 		"tl2+bump":         "tl2",
 		"baseline+bump":    "baseline",
 		"tl2+quiesce+free": "tl2+quiesce",
-		// One default per axis beside a real modifier: what cmd/stress
-		// assembles from -fence combine -alloc bump -reclaim free.
+		// One default per axis beside a real modifier.
 		"tl2+combine+bump+free": "tl2+combine",
 	} {
 		cfg, err := Parse(spec)
@@ -212,39 +210,6 @@ func TestParseBenignModifiers(t *testing.T) {
 func TestWtstmRejectsSink(t *testing.T) {
 	if _, err := NewSpec("wtstm", 4, 2, record.NewRecorder()); err == nil {
 		t.Fatal("wtstm with a sink must be rejected")
-	}
-}
-
-// TestRunWorkload: every registered workload runs against a registry
-// TM through the one-call form.
-func TestRunWorkload(t *testing.T) {
-	for _, wl := range workload.Names() {
-		t.Run(wl, func(t *testing.T) {
-			st, err := RunWorkload("tl2", wl, workload.Params{Threads: 3, Ops: 50, Mode: workload.FenceSelective, Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Commits == 0 {
-				t.Fatal("no commits")
-			}
-		})
-	}
-	// The store and data-structure drivers carry the TM's telemetry
-	// snapshot out in their stats.
-	for _, wl := range []string{"kvstore", "set-churn", "scan-churn"} {
-		st, err := RunWorkload("tl2+quiesce", wl, workload.Params{Threads: 3, Ops: 50, Seed: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", wl, err)
-		}
-		if st.Telemetry.Commits == 0 {
-			t.Fatalf("%s: telemetry snapshot empty: %+v", wl, st.Telemetry)
-		}
-	}
-	if _, err := RunWorkload("tl2", "nosuch", workload.Params{Threads: 1, Ops: 1}); err == nil {
-		t.Fatal("unknown workload accepted")
-	}
-	if _, err := RunWorkload("nosuchtm", "counter", workload.Params{Threads: 1, Ops: 1}); err == nil {
-		t.Fatal("unknown TM accepted")
 	}
 }
 
@@ -276,8 +241,7 @@ func TestStripesFlowThrough(t *testing.T) {
 }
 
 // TestAllocAxisFlow: the allocator axis parses on every TM, round-trips
-// through Spec(), reports fence safety, and flows into RunWorkload's
-// churn workloads.
+// through Spec(), and reports fence safety.
 func TestAllocAxisFlow(t *testing.T) {
 	for _, tmName := range TMs() {
 		cfg, err := Parse(tmName + "+quiesce")
@@ -303,20 +267,10 @@ func TestAllocAxisFlow(t *testing.T) {
 			t.Fatalf("%s not reported unsafe", spec)
 		}
 	}
-	st, err := RunWorkload("tl2+defer+quiesce", "set-churn",
-		workload.Params{Threads: 2, Ops: 120, Seed: 1, LiveSet: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Frees == 0 || st.ReclaimLatency == nil {
-		t.Fatalf("quiesce spec did not reach the reclaiming allocator: %+v", st)
-	}
 }
 
 // TestReclaimAxisFlow: the reclaim-granularity axis parses, implies
-// quiesce, round-trips, and flows into RunWorkload's churn workloads —
-// a batch run reclaims through the magazine layer (cached blocks
-// visible in the stats) and keeps the exact leak accounting.
+// quiesce, round-trips, and constructs.
 func TestReclaimAxisFlow(t *testing.T) {
 	cfg, err := Parse("tl2+quiesce+batch")
 	if err != nil {
@@ -336,22 +290,6 @@ func TestReclaimAxisFlow(t *testing.T) {
 	implied.Regs, implied.Threads = 4, 3
 	if _, err := New(implied); err != nil {
 		t.Fatalf("norec+batch construction: %v", err)
-	}
-	for _, spec := range []string{"tl2+quiesce+batch", "norec+batch", "tl2+defer+quiesce+batch"} {
-		st, err := RunWorkload(spec, "set-churn",
-			workload.Params{Threads: 2, Ops: 150, Seed: 1, LiveSet: 16})
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		if st.Frees == 0 {
-			t.Fatalf("%s: batch run reclaimed nothing: %+v", spec, st)
-		}
-		if st.ReclaimBatches == 0 {
-			t.Fatalf("%s: batch run registered no batch retires: %+v", spec, st)
-		}
-		if st.ReclaimBatches >= st.Frees {
-			t.Fatalf("%s: %d batches for %d frees — no amortization", spec, st.ReclaimBatches, st.Frees)
-		}
 	}
 }
 

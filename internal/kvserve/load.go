@@ -92,8 +92,7 @@ func (c *LoadConfig) fill() {
 }
 
 // LoadReport is one run's outcome. Latency quantiles come from a
-// workload.Hist, so they are power-of-two upper bounds (the same
-// histogram the in-process benches report).
+// workload.Hist, so they are power-of-two upper bounds.
 type LoadReport struct {
 	Ops       int64
 	Errors    int64

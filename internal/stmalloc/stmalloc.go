@@ -140,10 +140,7 @@
 // shard counters), frees in a per-thread atomic bumped by Free itself —
 // exact, because Free runs once per block outside any transaction. A
 // parked block therefore counts as freed (it is not Live) and as
-// pending (PendingFrees) until its batch recycles. Reclaim latency —
-// Free call to slot re-entering the free list — is recorded through an
-// optional LatencyRecorder (workload.Hist satisfies it); on the batch
-// path the retire trigger's timestamp stands in for the whole batch.
+// pending (PendingFrees) until its batch recycles.
 package stmalloc
 
 import (
@@ -151,7 +148,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"safepriv/internal/core"
 	"safepriv/internal/telemetry"
@@ -330,29 +326,6 @@ func RegsForDemand(shards, magThreads, magCap int, demand []ClassDemand) int {
 	return HeaderRegs(shards) + MagazineRegs(magThreads) + arena
 }
 
-// LatencyRecorder receives reclaim-latency samples: the time from the
-// Free call to the block re-entering the free list. Per-free frees are
-// SAMPLED (one in recEvery) so the two clock reads and the locked Add
-// stay off the reclamation fast path — the histogram's percentiles
-// converge over any bench-scale run, but Count() is no longer the free
-// count. Batch retires still record every block (the batch pays one
-// clock read regardless). *workload.Hist satisfies it.
-type LatencyRecorder interface {
-	Add(d time.Duration)
-}
-
-// recEvery is the per-free latency sampling interval.
-const recEvery = 8
-
-// recStart opens a latency sample for one in recEvery per-free
-// reclamations; the zero time means "not sampled this time".
-func (h *Heap) recStart() time.Time {
-	if h.rec == nil || h.recTick.Add(1)%recEvery != 0 {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
 // Option mutates heap construction.
 type Option func(*Heap)
 
@@ -365,9 +338,6 @@ func WithShards(n int) Option { return func(h *Heap) { h.shards = n } }
 // reclamation mode that stays safe when the TM's fence is a no-op
 // (nofence/skipro anomaly specs).
 func WithTransactionalFree() Option { return func(h *Heap) { h.txnFree = true } }
-
-// WithLatencyRecorder routes reclaim-latency samples to r.
-func WithLatencyRecorder(r LatencyRecorder) Option { return func(h *Heap) { h.rec = r } }
 
 // WithMagazines adds the per-thread magazine layer for thread ids
 // 1..threads (see the package comment): thread-local alloc-side caches
@@ -444,8 +414,6 @@ type Heap struct {
 	shards     int
 	txnFree    bool
 	magThreads int // 0 = no magazine layer
-	rec        LatencyRecorder
-	recTick    atomic.Uint64 // per-free latency sampling counter
 
 	// magCap is the magazine capacity (see defaultMagCap), fixed by
 	// WithMagazines.
@@ -1348,13 +1316,12 @@ func (h *Heap) Free(th int, ptr int64, n int) {
 		h.freeMag(th, ptr, c)
 		return
 	}
-	start := h.recStart()
 	if h.txnFree {
-		h.release(th, ptr, c, start, false)
+		h.release(th, ptr, c, false)
 		return
 	}
 	h.tm.FenceAsync(th, func(cb int) {
-		h.release(cb, ptr, c, start, true)
+		h.release(cb, ptr, c, true)
 	})
 }
 
@@ -1397,9 +1364,8 @@ func (h *Heap) retire(th int, batch []retired, home *parkList) {
 	if sl := h.board.Slot(th); sl != nil {
 		sl.ReclaimBatches.Add(1)
 	}
-	start := time.Now()
 	h.tm.FenceAsync(th, func(cb int) {
-		h.publishBatch(cb, batch, start)
+		h.publishBatch(cb, batch)
 		if home != nil {
 			home.reuse(batch)
 		}
@@ -1411,7 +1377,7 @@ func (h *Heap) retire(th int, batch []retired, home *parkList) {
 // phase, amortized — all blocks are unreachable and quiescent), then
 // publish transactions routing each block (recycle). Publishes chunk so
 // one retire cannot exceed the TM's comfortable write-set size.
-func (h *Heap) publishBatch(th int, batch []retired, start time.Time) {
+func (h *Heap) publishBatch(th int, batch []retired) {
 	defer h.pending.Add(-int64(len(batch)))
 	for _, r := range batch {
 		// Register ptr+0 is skipped — the publish below turns it into
@@ -1438,12 +1404,6 @@ func (h *Heap) publishBatch(th int, batch []retired, start time.Time) {
 		if err != nil {
 			h.fail(fmt.Errorf("stmalloc: batch publish of %d blocks failed: %w", len(part), err))
 			return
-		}
-	}
-	if h.rec != nil {
-		d := time.Since(start)
-		for range batch {
-			h.rec.Add(d)
 		}
 	}
 }
@@ -1477,7 +1437,6 @@ func (h *Heap) FreeQuiesced(th int, ptr int64, n int) {
 	}
 	h.pending.Add(1)
 	if h.hasMagazine(th) {
-		start := h.recStart()
 		h.parked[th].frees.Add(1)
 		// Quiescent already: the uninstrumented wipe is race-free now.
 		for i := 1; i < 1<<c; i++ {
@@ -1494,14 +1453,10 @@ func (h *Heap) FreeQuiesced(th int, ptr int64, n int) {
 		h.pending.Add(-1)
 		if err != nil {
 			h.fail(fmt.Errorf("stmalloc: quiesced free of %d failed: %w", ptr, err))
-			return
-		}
-		if h.rec != nil && !start.IsZero() {
-			h.rec.Add(time.Since(start))
 		}
 		return
 	}
-	h.release(th, ptr, c, h.recStart(), !h.txnFree)
+	h.release(th, ptr, c, !h.txnFree)
 }
 
 // FlushThread empties thread th's magazines: its parked frees retire as
@@ -1665,9 +1620,8 @@ func (h *Heap) unlinkBlock(tx core.Txn, s, c int, want int64) (bool, error) {
 // uninstrumented (legal only when it is quiescent), then push it onto
 // its home shard's class list with a transaction whose commit makes
 // the block reachable again — the publish of the idiom. The push
-// coalesces with free buddies on a heap that has ever split. A zero
-// start means this free was not chosen for latency sampling.
-func (h *Heap) release(th int, ptr int64, c int, start time.Time, wipe bool) {
+// coalesces with free buddies on a heap that has ever split.
+func (h *Heap) release(th int, ptr int64, c int, wipe bool) {
 	defer h.pending.Add(-1)
 	if wipe {
 		// The idiom's private phase: the block is unreachable and
@@ -1687,10 +1641,6 @@ func (h *Heap) release(th int, ptr int64, c int, start time.Time, wipe bool) {
 	})
 	if err != nil {
 		h.fail(fmt.Errorf("stmalloc: free of %d (shard %d) failed: %w", ptr, s, err))
-		return
-	}
-	if h.rec != nil && !start.IsZero() {
-		h.rec.Add(time.Since(start))
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"safepriv/internal/stmalloc"
 	"safepriv/internal/stmds"
 	"safepriv/internal/telemetry"
-	"safepriv/internal/workload"
 )
 
 // alloc runs one allocating transaction on thread th.
@@ -131,28 +130,6 @@ func TestAbortedAllocationRollsBack(t *testing.T) {
 	tx.Abort()
 	if st := h.Stats(); st.Allocs != 0 || st.BumpRegs != 0 {
 		t.Fatalf("aborted allocation leaked: %+v", st)
-	}
-}
-
-func TestLatencyRecorder(t *testing.T) {
-	tm := engine.MustNewSpec("tl2+defer", 1<<10, 3, nil)
-	hist := new(workload.Hist)
-	h, err := stmalloc.New(tm, 8, tm.NumRegs(), stmalloc.WithLatencyRecorder(hist))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Per-free latency is sampled (one in recEvery=8), so push enough
-	// frees through that several must land in the histogram.
-	const frees = 64
-	for i := 0; i < frees; i++ {
-		p := alloc(t, tm, h, 1, 2)
-		h.Free(1, p, 2)
-	}
-	if err := h.Drain(1); err != nil {
-		t.Fatal(err)
-	}
-	if n := hist.Count(); n < frees/16 || n > frees {
-		t.Fatalf("latency recorder saw %d samples for %d sampled frees", n, frees)
 	}
 }
 
@@ -300,30 +277,39 @@ func TestTransactionalFreeFallback(t *testing.T) {
 
 // TestBoundedFootprintUnderChurn pins the reclamation payoff at the
 // allocator level: serial churn far past the arena's bump capacity
-// succeeds with a bounded footprint (the same traffic on a bump
-// allocator would exhaust it — the workload-level test demonstrates
-// that contrast end to end).
+// succeeds with a bounded footprint, while the same traffic over the
+// same arena on the stmds bump allocator runs out of space.
 func TestBoundedFootprintUnderChurn(t *testing.T) {
+	// ~4000 inserts = 8000 registers of traffic through a <1024-reg
+	// arena.
+	churn := func(tm core.TM, alloc stmds.Allocator) error {
+		set := stmds.NewSet(tm, 1, alloc)
+		r := rand.New(rand.NewSource(5))
+		for i := 0; i < 8000; i++ {
+			k := int64(r.Intn(40) + 1)
+			var err error
+			if r.Intn(2) == 0 {
+				_, err = set.Insert(1, k)
+			} else {
+				_, err = set.Remove(1, k)
+			}
+			if err != nil {
+				return fmt.Errorf("op %d: %w", i, err)
+			}
+		}
+		return nil
+	}
+	bumpTM := engine.MustNewSpec("tl2", 1<<10, 2, nil)
+	if err := churn(bumpTM, stmds.NewAlloc(bumpTM, 2, 8, bumpTM.NumRegs())); !errors.Is(err, stmds.ErrOutOfSpace) {
+		t.Fatalf("bump churn past the arena returned %v, want ErrOutOfSpace", err)
+	}
 	tm := engine.MustNewSpec("tl2", 1<<10, 2, nil)
 	h, err := stmalloc.New(tm, 8, tm.NumRegs(), stmalloc.WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := stmds.NewSet(tm, 1, h)
-	// ~4000 inserts = 8000 registers of traffic through a <1024-reg
-	// arena.
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 8000; i++ {
-		k := int64(r.Intn(40) + 1)
-		var err error
-		if r.Intn(2) == 0 {
-			_, err = set.Insert(1, k)
-		} else {
-			_, err = set.Remove(1, k)
-		}
-		if err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
+	if err := churn(tm, h); err != nil {
+		t.Fatalf("reclaiming churn failed where it must reuse: %v", err)
 	}
 	if err := h.Drain(1); err != nil {
 		t.Fatal(err)

@@ -811,9 +811,9 @@ func (s *HashMap) DrainRehash(th int) error {
 	}
 }
 
-// HashMap satisfies OrderedMap — Snapshot sorts — so the churn
-// workloads and differential harnesses drive it through the same
-// interface as Map and SkipMap.
+// HashMap satisfies OrderedMap — Snapshot sorts — so property tests
+// and differential harnesses drive it through the same interface as
+// Map and SkipMap.
 var _ OrderedMap = (*HashMap)(nil)
 
 // HashSet is a thin set wrapper over HashMap: membership only, values

@@ -221,7 +221,8 @@ func TestOrderedMapEquivalence(t *testing.T) {
 
 // TestSkipMapSnapshotDuringChurn is the -race suite: churn workers
 // put/delete with the k↦k*7+1 value convention while a reader thread
-// takes full snapshots. Every snapshot must be sorted, duplicate-free
+// takes full snapshots — of the skiplist, and of the sorted-list Map
+// under the same traffic. Every snapshot must be sorted, duplicate-free
 // and value-consistent — a torn read of a half-linked tower or of a
 // magazine-recycled block would surface here (and under -race, as a
 // data race). Runs on the deferred fence with magazines: retirement
@@ -234,69 +235,77 @@ func TestSkipMapSnapshotDuringChurn(t *testing.T) {
 	if testing.Short() {
 		ops = 250
 	}
-	heap, sm, _ := demandHeap(t, "tl2+defer", threads+1, 300,
-		stmalloc.WithMagazines(threads+1, 3))
-	var stop atomic.Bool
-	errs := make(chan error, threads+1)
-	var churners sync.WaitGroup
-	for th := 1; th <= threads; th++ {
-		churners.Add(1)
-		go func(th int) {
-			defer churners.Done()
-			r := rand.New(rand.NewSource(int64(th) * 977))
-			for i := 0; i < ops; i++ {
-				k := 1 + r.Int63n(200)
-				var err error
-				if r.Intn(2) == 0 {
-					_, err = sm.Put(th, k, k*7+1)
-				} else {
-					_, err = sm.Delete(th, k)
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
+	for _, impl := range []string{"skip", "list"} {
+		t.Run(impl, func(t *testing.T) {
+			heap, sm, lm := demandHeap(t, "tl2+defer", threads+1, 300,
+				stmalloc.WithMagazines(threads+1, 3))
+			var m stmds.OrderedMap = sm
+			if impl == "list" {
+				m = lm
 			}
-		}(th)
-	}
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		th := threads + 1
-		for !stop.Load() {
-			snap, err := sm.Snapshot(th)
+			var stop atomic.Bool
+			errs := make(chan error, threads+1)
+			var churners sync.WaitGroup
+			for th := 1; th <= threads; th++ {
+				churners.Add(1)
+				go func(th int) {
+					defer churners.Done()
+					r := rand.New(rand.NewSource(int64(th) * 977))
+					for i := 0; i < ops; i++ {
+						k := 1 + r.Int63n(200)
+						var err error
+						if r.Intn(2) == 0 {
+							_, err = m.Put(th, k, k*7+1)
+						} else {
+							_, err = m.Delete(th, k)
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(th)
+			}
+			readerDone := make(chan struct{})
+			go func() {
+				defer close(readerDone)
+				th := threads + 1
+				for !stop.Load() {
+					snap, err := m.Snapshot(th)
+					if err != nil {
+						errs <- err
+						return
+					}
+					for i, kv := range snap {
+						if i > 0 && snap[i-1].Key >= kv.Key {
+							errs <- fmt.Errorf("snapshot unsorted/duplicated at key %d", kv.Key)
+							return
+						}
+						if kv.Val != kv.Key*7+1 {
+							errs <- fmt.Errorf("snapshot value %d for key %d breaks the k*7+1 convention", kv.Val, kv.Key)
+							return
+						}
+					}
+				}
+			}()
+			churners.Wait()
+			stop.Store(true)
+			<-readerDone
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if err := heap.Drain(1); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := m.Snapshot(1)
 			if err != nil {
-				errs <- err
-				return
+				t.Fatal(err)
 			}
-			for i, kv := range snap {
-				if i > 0 && snap[i-1].Key >= kv.Key {
-					errs <- fmt.Errorf("snapshot unsorted/duplicated at key %d", kv.Key)
-					return
-				}
-				if kv.Val != kv.Key*7+1 {
-					errs <- fmt.Errorf("snapshot value %d for key %d breaks the k*7+1 convention", kv.Val, kv.Key)
-					return
-				}
+			if st := heap.Stats(); st.Live != int64(len(snap)) {
+				t.Fatalf("leak accounting after churn: live %d blocks, resident pairs %d (stats %+v)",
+					st.Live, len(snap), st)
 			}
-		}
-	}()
-	churners.Wait()
-	stop.Store(true)
-	<-readerDone
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if err := heap.Drain(1); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := sm.Snapshot(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := heap.Stats(); st.Live != int64(len(snap)) {
-		t.Fatalf("leak accounting after churn: live %d blocks, resident pairs %d (stats %+v)",
-			st.Live, len(snap), st)
+		})
 	}
 }

@@ -59,9 +59,7 @@ type Allocator interface {
 // removed nodes leak until the arena is exhausted (New then returns
 // ErrOutOfSpace). Use internal/stmalloc for reclaiming workloads.
 type Alloc struct {
-	tm      core.TM
 	counter int
-	first   int
 	limit   int
 }
 
@@ -70,7 +68,7 @@ type Alloc struct {
 // the counter register to `first` (non-transactionally, before use).
 func NewAlloc(tm core.TM, counter, first, limit int) *Alloc {
 	tm.Store(1, counter, int64(first))
-	return &Alloc{tm: tm, counter: counter, first: first, limit: limit}
+	return &Alloc{counter: counter, limit: limit}
 }
 
 // New allocates n consecutive registers inside tx and returns the index
@@ -92,16 +90,9 @@ func (a *Alloc) New(tx core.Txn, th, n int) (int64, error) {
 }
 
 // Free implements Allocator; the bump allocator cannot reclaim, so
-// removed nodes leak (the contrast configuration of the churn
-// benchmarks).
+// removed nodes leak (the contrast configuration to a reclaiming
+// heap).
 func (a *Alloc) Free(th int, ptr int64, n int) {}
-
-// Footprint returns the registers ever allocated from the arena — for
-// a bump allocator also its steady-state footprint, since nothing is
-// reused.
-func (a *Alloc) Footprint() int64 {
-	return a.tm.Load(1, a.counter) - int64(a.first)
-}
 
 // setNodeRegs is the register footprint of a set/queue node
 // (key/value, next); mapNodeRegs of a map node (key, value, next).
@@ -490,8 +481,8 @@ func (m *Map) Len(th int) (int, error) {
 }
 
 // OrderedMap is the interface both ordered-map implementations (the
-// sorted-list Map and the skiplist SkipMap) satisfy: what workloads and
-// property tests need to run the same script against either, or against
+// sorted-list Map and the skiplist SkipMap) satisfy: what property
+// tests need to run the same script against either, or against
 // a plain map[int64]int64 oracle.
 type OrderedMap interface {
 	Get(th int, k int64) (v int64, ok bool, err error)

@@ -227,7 +227,7 @@ type Store struct {
 
 	// board is the TM's telemetry board when the TM carries one;
 	// privatization cycles are recorded per thread alongside the store's
-	// own counter so /stats, cmd/stress and bench/ see them.
+	// own counter so /stats and bench/ see them.
 	board *telemetry.Board
 }
 
@@ -354,42 +354,8 @@ func New(tm core.TM, shards, slots int, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// NewForTM derives the geometry from the TM itself: `shards` shards
-// with the largest per-shard slot arena whose RegsNeeded budget fits
-// tm's registers. This lets harnesses size the TM once (RegsFor) and
-// still sweep the shard count.
-func NewForTM(tm core.TM, shards int, opts ...Option) (*Store, error) {
-	if shards <= 0 {
-		return nil, fmt.Errorf("stmkv: bad shard count %d", shards)
-	}
-	// Probe the options for the batch-reclaim thread count: a magazine
-	// heap needs extra header and cache headroom per slot budget.
-	probe := &Store{}
-	for _, o := range opts {
-		o(probe)
-	}
-	need := func(slots int) int { return RegsNeededBatch(shards, slots, probe.batchThreads) }
-	lo, hi := 1, tm.NumRegs()
-	if need(lo) > tm.NumRegs() {
-		return nil, fmt.Errorf("stmkv: %d registers cannot host %d shards (need %d)",
-			tm.NumRegs(), shards, need(lo))
-	}
-	for lo < hi { // largest slots whose budget fits NumRegs
-		mid := (lo + hi + 1) / 2
-		if n := need(mid); n != 0 && n <= tm.NumRegs() {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return New(tm, shards, lo, opts...)
-}
-
 // Shards returns the shard count.
 func (s *Store) Shards() int { return s.shards }
-
-// SlotsPerShard returns the per-shard maximum active capacity.
-func (s *Store) SlotsPerShard() int { return s.slots }
 
 // Stats returns a snapshot of the privatization counters.
 func (s *Store) Stats() Stats {

@@ -227,27 +227,15 @@ func TestBadGeometry(t *testing.T) {
 	if _, err := stmkv.New(tm, 0, 1); err == nil {
 		t.Fatal("zero shards accepted")
 	}
-	if _, err := stmkv.NewForTM(tm, 100); err == nil {
-		t.Fatal("stmkv.NewForTM with too many shards accepted")
-	}
-	if _, err := stmkv.NewForTM(tm, 1); err == nil {
+	if _, err := stmkv.New(tm, 1, 1); err == nil {
 		t.Fatal("8 registers cannot host a shard header plus its heap")
 	}
-	// Derived geometry: NewForTM picks the largest slot arena whose
-	// RegsNeeded budget fits, so it is at least the arena the budget
-	// was computed for, and the store must fill to that many keys per
-	// shard without ErrFull.
+	// A TM sized at exactly the RegsNeeded budget hosts the geometry,
+	// and the store fills to that many keys per shard without ErrFull.
 	tm2 := engine.MustNewSpec("baseline", stmkv.RegsNeeded(2, 32), 2, nil)
-	s, err := stmkv.NewForTM(tm2, 2)
+	s, err := stmkv.New(tm2, 2, 32)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.Shards() != 2 || s.SlotsPerShard() < 32 {
-		t.Fatalf("derived geometry %d/%d, want 2 shards with ≥32 slots", s.Shards(), s.SlotsPerShard())
-	}
-	if stmkv.RegsNeeded(2, s.SlotsPerShard()) > tm2.NumRegs() {
-		t.Fatalf("derived geometry needs %d regs, TM has %d",
-			stmkv.RegsNeeded(2, s.SlotsPerShard()), tm2.NumRegs())
 	}
 	// 32 keys fit even if every one hashes to the same shard.
 	for k := int64(1); k <= 32; k++ {
@@ -371,7 +359,8 @@ func TestDeferredClearDoesNotBlock(t *testing.T) {
 // on disjoint key ranges (so each range's final contents are a pure
 // function of its own op sequence) while Scan/Resize privatize shards
 // under them. The final Scan must equal the union of the per-worker
-// model maps — on every TM, in every fence mode.
+// model maps — on every TM, in every fence mode, and with the workers'
+// Scans as read-only transactions (WithTransactionalScan) on every TM.
 func TestConcurrentDisjointRanges(t *testing.T) {
 	workers := 4
 	opsPer := 300
@@ -380,13 +369,25 @@ func TestConcurrentDisjointRanges(t *testing.T) {
 		opsPer = 120
 		specs = allSpecs
 	}
+	type row struct {
+		name, spec string
+		opts       []stmkv.Option
+	}
+	var rows []row
 	for _, spec := range specs {
-		t.Run(spec, func(t *testing.T) {
+		rows = append(rows, row{name: spec, spec: spec})
+	}
+	for _, spec := range allSpecs {
+		rows = append(rows, row{spec + "/txn-scan", spec, []stmkv.Option{stmkv.WithTransactionalScan()}})
+	}
+	for _, tc := range rows {
+		spec := tc.spec
+		t.Run(tc.name, func(t *testing.T) {
 			tm, err := engine.NewSpec(spec, stmkv.RegsNeeded(4, 512), workers+2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := stmkv.New(tm, 4, 512)
+			s, err := stmkv.New(tm, 4, 512, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,7 @@
 // cache-line-padded per-thread counter slots that the hot paths
 // (core.Atomically's retry loop, quiesce.Service's fences, stmalloc's
 // magazine layer) bump with plain atomic adds, and an aggregating
-// Snapshot that kvserve's /stats, cmd/stress and bench/ read.
+// Snapshot that kvserve's /stats and bench/ read.
 //
 // The design constraint is zero allocation and zero sharing on the
 // write side: each thread id owns one Slot, each Slot occupies its own

@@ -9,9 +9,8 @@ import (
 	"safepriv/internal/stmds"
 )
 
-// The data-structure differential suite: the churn-workload structures
-// (sorted-list set, sorted-list map, FIFO queue — the shapes behind
-// the set-churn and queue-pipe workloads) driven by a deterministic
+// The data-structure differential suite: the churn structures
+// (sorted-list set, sorted-list map, FIFO queue) driven by a deterministic
 // scripted operation sequence over the reclaiming allocator, on every
 // registry TM in every safe fence mode, checked op by op against a
 // serial map/slice oracle. Memory reclamation makes this a real
@@ -125,8 +124,8 @@ func sortInt64(s []int64) {
 }
 
 // runOnTM executes the script on the structures over a real TM with
-// the reclaiming allocator (register layout mirrors the ds workloads:
-// heads in 1..3, heap from 8).
+// the reclaiming allocator (register layout: heads in 1..3, heap from
+// 8).
 func runOnTM(t *testing.T, spec string, script []dsOp) dsOutcome {
 	t.Helper()
 	tm, err := engine.NewSpec(spec, 1<<12, 3, nil)

@@ -2,18 +2,304 @@ package workload_test
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"safepriv/internal/core"
 	"safepriv/internal/engine"
+	"safepriv/internal/stmalloc"
 	"safepriv/internal/stmds"
-	"safepriv/internal/workload"
+	"safepriv/internal/telemetry"
 )
 
-// TestSetChurnAllTMs smokes the set-churn workload through the
-// registry on both allocator axes, and on tl2 across the fence modes:
-// every spec must complete the run, and on quiesce the allocator
-// counters must balance against the residual live set in a footprint
-// that does not grow with the op count.
+// The churn tests below run dynamic data-structure traffic — the
+// shapes the paper's privatization idiom makes sustainable — over
+// every TM spec's allocator axes, end to end: spec string → TM →
+// stmds structure → stmalloc heap (or the bump allocator) → settled
+// allocator counters. The drivers are test-local; the package's timed
+// workloads are the five paper drivers in workload.go.
+
+// Register layout of the churn drivers: a few pointer registers at the
+// front, the allocator arena after them. Register 0 stays unused.
+const (
+	dsRegHead  = 1  // set/map head
+	dsRegQHead = 2  // queue head
+	dsRegQTail = 3  // queue tail
+	dsRegBump  = 4  // bump allocator counter
+	dsArena    = 8  // first arena register (set and queue churn)
+	dsMapHead  = 8  // skiplist / hash-map head block
+	dsMapArena = 32 // first arena register for map churn and the storm
+)
+
+// churnStats is what one churn run settles to.
+type churnStats struct {
+	commits       int64
+	heapRegs      int64 // allocator footprint: bump high-water
+	allocs, frees int64 // reclaiming heap only
+	batches       int64 // magazine retires
+	rehashWindows int64 // from the TM's telemetry board
+}
+
+// churnTM builds the TM named by spec with regs registers and thread
+// ids for `threads` workers plus two spare ids.
+func churnTM(t *testing.T, spec string, regs, threads int) (core.TM, engine.Config) {
+	t.Helper()
+	cfg, err := engine.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Regs, cfg.Threads = regs, threads+2
+	tm, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tm, cfg
+}
+
+// churnAlloc builds the allocator the spec selects over tm's registers
+// [arena, NumRegs): the stmds bump allocator, or the stmalloc heap
+// (sharded per worker, magazines for the workers on a batch spec,
+// fully transactional reclamation on an unsafe fence).
+func churnAlloc(tm core.TM, cfg engine.Config, threads, arena int) (stmds.Allocator, *stmalloc.Heap, error) {
+	if cfg.Alloc != "quiesce" && cfg.Reclaim != "batch" {
+		return stmds.NewAlloc(tm, dsRegBump, arena, tm.NumRegs()), nil, nil
+	}
+	opts := []stmalloc.Option{stmalloc.WithShards(min(max(threads, 1), 8))}
+	if cfg.Reclaim == "batch" {
+		opts = append(opts, stmalloc.WithMagazines(threads, 0))
+	}
+	if cfg.UnsafeFence() {
+		opts = append(opts, stmalloc.WithTransactionalFree())
+	}
+	heap, err := stmalloc.New(tm, arena, tm.NumRegs(), opts...)
+	return heap, heap, err
+}
+
+// settle drains the heap and reads the run's allocator and telemetry
+// tallies; the drain's error wins over the workers'.
+func settle(tm core.TM, heap *stmalloc.Heap, arena int, commits int64, werr error) (churnStats, error) {
+	st := churnStats{commits: commits}
+	if p, ok := tm.(telemetry.Provider); ok {
+		st.rehashWindows = p.TelemetryBoard().Snapshot().RehashWindows
+	}
+	if heap == nil {
+		st.heapRegs = tm.Load(1, dsRegBump) - int64(arena)
+		return st, werr
+	}
+	if err := heap.Drain(1); err != nil {
+		return st, err
+	}
+	hs := heap.Stats()
+	st.heapRegs, st.allocs, st.frees, st.batches = hs.BumpRegs, hs.Allocs, hs.Frees, hs.Batches
+	return st, werr
+}
+
+// workers runs work on one goroutine per thread id in [first, last]
+// and returns the first error any of them returned.
+func workers(first, last int, work func(th int) error) error {
+	var wg sync.WaitGroup
+	errs := make(chan error, last-first+1)
+	for th := first; th <= last; th++ {
+		wg.Add(1)
+		go func(th int) {
+			defer wg.Done()
+			if err := work(th); err != nil {
+				errs <- err
+			}
+		}(th)
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs
+}
+
+// setChurn: `threads` workers each insert or remove (equal odds) `ops`
+// keys drawn from twice the target live set on one sorted-list set.
+func setChurn(tm core.TM, cfg engine.Config, threads, ops, live int, seed int64) (churnStats, error) {
+	alloc, heap, err := churnAlloc(tm, cfg, threads, dsArena)
+	if err != nil {
+		return churnStats{}, err
+	}
+	set := stmds.NewSet(tm, dsRegHead, alloc)
+	var commits atomic.Int64
+	werr := workers(1, threads, func(th int) error {
+		r := rand.New(rand.NewSource(seed + int64(th)*1777))
+		for i := 0; i < ops; i++ {
+			k := 1 + r.Int63n(int64(2*live))
+			var err error
+			if r.Intn(2) == 0 {
+				_, err = set.Insert(th, k)
+			} else {
+				_, err = set.Remove(th, k)
+			}
+			if err != nil {
+				return fmt.Errorf("set churn worker %d op %d: %w", th, i, err)
+			}
+			commits.Add(1)
+		}
+		return nil
+	})
+	return settle(tm, heap, dsArena, commits.Load(), werr)
+}
+
+// queuePipe: half the threads enqueue `ops` values each, the other
+// half dequeue until all have passed; the depth stays under `depth`.
+func queuePipe(tm core.TM, cfg engine.Config, threads, ops int, depth, seed int64) (churnStats, error) {
+	alloc, heap, err := churnAlloc(tm, cfg, threads, dsArena)
+	if err != nil {
+		return churnStats{}, err
+	}
+	q := stmds.NewQueue(tm, dsRegQHead, dsRegQTail, alloc)
+	producers := (threads + 1) / 2
+	target := int64(producers) * int64(ops)
+	var outstanding, consumed, commits atomic.Int64
+	var failed atomic.Bool
+	werr := workers(1, threads, func(th int) error {
+		if th <= producers {
+			r := rand.New(rand.NewSource(seed + int64(th)*911))
+			for i := 0; i < ops; i++ {
+				for outstanding.Load() >= depth && !failed.Load() {
+					runtime.Gosched()
+				}
+				if failed.Load() {
+					return nil
+				}
+				if err := q.Enqueue(th, r.Int63()); err != nil {
+					failed.Store(true)
+					return fmt.Errorf("queue producer %d op %d: %w", th, i, err)
+				}
+				outstanding.Add(1)
+				commits.Add(1)
+			}
+			return nil
+		}
+		for consumed.Load() < target && !failed.Load() {
+			_, ok, err := q.Dequeue(th)
+			if err != nil {
+				failed.Store(true)
+				return fmt.Errorf("queue consumer %d: %w", th, err)
+			}
+			if !ok {
+				runtime.Gosched()
+				continue
+			}
+			outstanding.Add(-1)
+			consumed.Add(1)
+			commits.Add(1)
+		}
+		return nil
+	})
+	return settle(tm, heap, dsArena, commits.Load(), werr)
+}
+
+// mapRegs sizes map churn and the rehash storm: the demand of `keys`
+// resident pairs in any map implementation, floored at 1<<17.
+func mapRegs(threads, keys int) int {
+	demand := append(stmds.MapDemand(keys), stmds.SkipMapDemand(keys)...)
+	demand = append(demand, stmds.HashMapDemand(keys)...)
+	return max(dsMapArena+stmalloc.RegsForDemand(8, threads, 0, demand), 1<<17)
+}
+
+// mapChurn: `threads` workers each run `ops` get/put/delete (60/20/20)
+// on one ordered map ("map", "skip" or "hash") prefilled to the target
+// live set, keys from twice that window, values k↦k.
+func mapChurn(tm core.TM, cfg engine.Config, ds string, threads, ops, live int, seed int64) (churnStats, error) {
+	alloc, heap, err := churnAlloc(tm, cfg, threads, dsMapArena)
+	if err != nil {
+		return churnStats{}, err
+	}
+	var m stmds.OrderedMap
+	switch ds {
+	case "skip":
+		m = stmds.NewSkipMap(tm, dsMapHead, threads, alloc)
+	case "map":
+		m = stmds.NewMap(tm, dsRegHead, alloc)
+	case "hash":
+		m = stmds.NewHashMap(tm, dsMapHead, alloc)
+	}
+	keyspace := int64(2 * live)
+	for k := int64(2); k <= keyspace; k += 2 {
+		if _, err := m.Put(1, k, k); err != nil {
+			return churnStats{}, fmt.Errorf("map churn prefill key %d: %w", k, err)
+		}
+	}
+	hm, isHash := m.(*stmds.HashMap)
+	if isHash {
+		// Open the churn on a settled table, not on the prefill's rehash.
+		if err := hm.DrainRehash(1); err != nil {
+			return churnStats{}, err
+		}
+	}
+	var commits atomic.Int64
+	werr := workers(1, threads, func(th int) error {
+		r := rand.New(rand.NewSource(seed + int64(th)*2399))
+		for i := 0; i < ops; i++ {
+			key := 1 + r.Int63n(keyspace)
+			var err error
+			switch kind := r.Intn(100); {
+			case kind < 60:
+				_, _, err = m.Get(th, key)
+			case kind < 80:
+				_, err = m.Put(th, key, key)
+			default:
+				_, err = m.Delete(th, key)
+			}
+			if err != nil {
+				return fmt.Errorf("map churn worker %d op %d: %w", th, i, err)
+			}
+			commits.Add(1)
+		}
+		return nil
+	})
+	if isHash {
+		// Mid-rehash both bucket arrays are live; settle before counting.
+		if err := hm.DrainRehash(1); err != nil {
+			return churnStats{}, err
+		}
+	}
+	return settle(tm, heap, dsMapArena, commits.Load(), werr)
+}
+
+// rehashStorm: `threads` workers each insert `ops` distinct keys
+// (thread-partitioned, nothing deleted) into one hash map that starts
+// at its initial 16 buckets, so the table doubles through the
+// cooperative incremental rehash many times.
+func rehashStorm(tm core.TM, cfg engine.Config, threads, ops int) (churnStats, error) {
+	alloc, heap, err := churnAlloc(tm, cfg, threads, dsMapArena)
+	if err != nil {
+		return churnStats{}, err
+	}
+	hm := stmds.NewHashMap(tm, dsMapHead, alloc)
+	var commits atomic.Int64
+	werr := workers(1, threads, func(th int) error {
+		base := int64(th) << 32
+		for i := 0; i < ops; i++ {
+			k := base + int64(i)
+			added, err := hm.Put(th, k, k)
+			if err != nil {
+				return fmt.Errorf("rehash storm worker %d op %d: %w", th, i, err)
+			}
+			if !added {
+				return fmt.Errorf("rehash storm worker %d op %d: fresh key %d already present", th, i, k)
+			}
+			commits.Add(1)
+		}
+		return nil
+	})
+	if err := hm.DrainRehash(1); err != nil {
+		return churnStats{}, err
+	}
+	return settle(tm, heap, dsMapArena, commits.Load(), werr)
+}
+
+// TestSetChurnAllTMs runs set churn on both allocator axes of every
+// TM, and on tl2 across the fence modes: every spec must complete the
+// run, and on quiesce the heap must reclaim in a footprint that does
+// not grow with the op count.
 func TestSetChurnAllTMs(t *testing.T) {
 	ops := 400
 	if testing.Short() {
@@ -36,51 +322,42 @@ func TestSetChurnAllTMs(t *testing.T) {
 		row{"tl2+defer+quiesce+batch", true, true})
 	for _, r := range rows {
 		t.Run(r.spec, func(t *testing.T) {
-			st, err := engine.RunWorkload(r.spec, "set-churn",
-				workload.Params{Threads: 4, Ops: ops, Seed: 3, LiveSet: 64})
+			tm, cfg := churnTM(t, r.spec, 1<<16, 4)
+			st, err := setChurn(tm, cfg, 4, ops, 64, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Commits != int64(4*ops) {
-				t.Fatalf("commits %d, want %d", st.Commits, 4*ops)
+			if st.commits != int64(4*ops) {
+				t.Fatalf("commits %d, want %d", st.commits, 4*ops)
 			}
-			if st.HeapRegs <= 0 {
+			if st.heapRegs <= 0 {
 				t.Fatalf("no footprint reported: %+v", st)
 			}
 			if r.reclaims {
-				if st.Frees == 0 {
+				if st.frees == 0 {
 					t.Fatalf("quiesce run reclaimed nothing: %+v", st)
 				}
 				// The bump footprint of this traffic is ~2 regs per
 				// insert; a reclaiming run stays under one per op.
-				if st.HeapRegs > int64(4*ops) {
-					t.Fatalf("quiesce footprint %d regs not bounded (%d ops)", st.HeapRegs, 4*ops)
-				}
-				// Per-free latency is sampled, so the histogram holds a
-				// subset of the frees — but never more, and not zero on
-				// a churn-scale run.
-				if st.ReclaimLatency == nil || st.ReclaimLatency.Count() == 0 ||
-					st.ReclaimLatency.Count() > st.Frees {
-					t.Fatalf("reclaim latency samples %v, frees %d",
-						st.ReclaimLatency.Count(), st.Frees)
+				if st.heapRegs > int64(4*ops) {
+					t.Fatalf("quiesce footprint %d regs not bounded (%d ops)", st.heapRegs, 4*ops)
 				}
 			}
 			if r.batch {
-				if st.ReclaimBatches == 0 || st.ReclaimBatches >= st.Frees {
+				if st.batches == 0 || st.batches >= st.frees {
 					t.Fatalf("batch run shows no amortization: %d batches for %d frees",
-						st.ReclaimBatches, st.Frees)
+						st.batches, st.frees)
 				}
 			}
 		})
 	}
 }
 
-// TestMapChurnAllTMs smokes the map-churn workload through the
-// registry on both ordered-map implementations (the sorted-list Map
-// and the skiplist SkipMap) over the reclaiming allocator: every TM ×
-// ds × reclaim axis (plus batched magazines over the deferred
-// reclaimer on tl2) must complete with full commit counts and real
-// reclamation — for the skiplist that means whole towers
+// TestMapChurnAllTMs runs map churn on the sorted-list Map, the
+// skiplist SkipMap and the chained HashMap over the reclaiming
+// allocator: every TM × ds × reclaim axis (plus batched magazines over
+// the deferred reclaimer on tl2) must complete with full commit counts
+// and real reclamation — for the skiplist that means whole towers
 // (multi-size-class blocks) cycling through the heap, for the hash map
 // growth from its 16 initial buckets through rehash windows.
 func TestMapChurnAllTMs(t *testing.T) {
@@ -95,24 +372,24 @@ func TestMapChurnAllTMs(t *testing.T) {
 			for _, ds := range []string{"map", "skip", "hash"} {
 				spec := tmName + "+" + alloc
 				t.Run(spec+"/ds="+ds, func(t *testing.T) {
-					st, err := engine.RunWorkload(spec, "map-churn",
-						workload.Params{Threads: 4, Ops: ops, Seed: 7, LiveSet: 64, DS: ds})
+					tm, cfg := churnTM(t, spec, mapRegs(4, 4096), 4)
+					st, err := mapChurn(tm, cfg, ds, 4, ops, 64, 7)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if st.Commits != int64(4*ops) {
-						t.Fatalf("commits %d, want %d", st.Commits, 4*ops)
+					if st.commits != int64(4*ops) {
+						t.Fatalf("commits %d, want %d", st.commits, 4*ops)
 					}
-					if st.Frees == 0 {
+					if st.frees == 0 {
 						t.Fatalf("quiesce run reclaimed nothing: %+v", st)
 					}
-					if ds == "hash" && st.Telemetry.RehashWindows == 0 {
-						t.Fatalf("hash churn from 16 buckets recorded no rehash windows: %+v", st.Telemetry)
+					if ds == "hash" && st.rehashWindows == 0 {
+						t.Fatalf("hash churn from 16 buckets recorded no rehash windows: %+v", st)
 					}
-					if st.Allocs <= st.Frees-1 {
-						t.Fatalf("counters inverted: allocs %d, frees %d", st.Allocs, st.Frees)
+					if st.allocs <= st.frees-1 {
+						t.Fatalf("counters inverted: allocs %d, frees %d", st.allocs, st.frees)
 					}
-					if alloc == "quiesce+batch" && st.ReclaimBatches == 0 {
+					if alloc == "quiesce+batch" && st.batches == 0 {
 						t.Fatalf("batch run retired no magazines: %+v", st)
 					}
 				})
@@ -120,63 +397,17 @@ func TestMapChurnAllTMs(t *testing.T) {
 		}
 	}
 	// The bump contrast completes at this size (and leaks by design).
-	st, err := engine.RunWorkload("tl2+bump", "map-churn",
-		workload.Params{Threads: 2, Ops: 100, Seed: 7, LiveSet: 64, DS: "skip"})
+	tm, cfg := churnTM(t, "tl2+bump", mapRegs(2, 4096), 2)
+	st, err := mapChurn(tm, cfg, "skip", 2, 100, 64, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Frees != 0 || st.HeapRegs == 0 {
+	if st.frees != 0 || st.heapRegs == 0 {
 		t.Fatalf("bump run should leak into a growing footprint: %+v", st)
 	}
 }
 
-// TestAxisVocabularyErrors pins the up-front Params.DS / Params.Scan
-// validation: every workload that reads the axes rejects unknown
-// strings before building anything, with the package's NAMED errors —
-// so callers (cmd/stress) can errors.Is rather than match message text,
-// and no unknown value can fall through to a silent default
-// implementation.
-func TestAxisVocabularyErrors(t *testing.T) {
-	cases := []struct {
-		name     string
-		workload string
-		p        workload.Params
-		want     error
-	}{
-		{"map-churn unknown ds", "map-churn", workload.Params{Threads: 1, Ops: 1, DS: "btree"}, workload.ErrUnknownDS},
-		{"map-churn typo of hash", "map-churn", workload.Params{Threads: 1, Ops: 1, DS: "hashmap"}, workload.ErrUnknownDS},
-		{"hash-churn wrong ds", "hash-churn", workload.Params{Threads: 1, Ops: 1, DS: "skip"}, workload.ErrUnknownDS},
-		{"rehash-storm wrong ds", "rehash-storm", workload.Params{Threads: 1, Ops: 1, DS: "map"}, workload.ErrUnknownDS},
-		{"scan-churn unknown ds", "scan-churn", workload.Params{Threads: 2, Ops: 1, DS: "hash"}, workload.ErrUnknownDS},
-		{"scan-churn unknown scan", "scan-churn", workload.Params{Threads: 2, Ops: 1, Scan: "chunked"}, workload.ErrUnknownScan},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := engine.RunWorkload("tl2+quiesce", tc.workload, tc.p)
-			if err == nil {
-				t.Fatalf("%s accepted %+v, want %v", tc.workload, tc.p, tc.want)
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("%s rejected %+v with %v, not the named %v", tc.workload, tc.p, err, tc.want)
-			}
-		})
-	}
-	// The accepted vocabularies stay accepted (tiny runs).
-	for _, ok := range []struct {
-		workload string
-		p        workload.Params
-	}{
-		{"map-churn", workload.Params{Threads: 1, Ops: 5, LiveSet: 8, DS: "hash"}},
-		{"hash-churn", workload.Params{Threads: 1, Ops: 5, LiveSet: 8, DS: "hash"}},
-		{"rehash-storm", workload.Params{Threads: 1, Ops: 5}},
-	} {
-		if _, err := engine.RunWorkload("tl2+quiesce", ok.workload, ok.p); err != nil {
-			t.Fatalf("%s rejected valid params %+v: %v", ok.workload, ok.p, err)
-		}
-	}
-}
-
-// TestRehashStorm smokes the table-growth stress on the quiesce axes:
+// TestRehashStorm runs the table-growth stress on the quiesce axes:
 // the storm must actually rehash (telemetry windows recorded) and
 // settle to exact accounting — every inserted pair live, plus one
 // bucket array, with all the intermediate array generations freed.
@@ -188,30 +419,31 @@ func TestRehashStorm(t *testing.T) {
 	const threads = 4
 	for _, spec := range []string{"tl2+quiesce", "norec+quiesce", "tl2+defer+quiesce+batch"} {
 		t.Run(spec, func(t *testing.T) {
-			st, err := engine.RunWorkload(spec, "rehash-storm",
-				workload.Params{Threads: threads, Ops: ops, Seed: 11})
+			tm, cfg := churnTM(t, spec, mapRegs(threads, 1<<13), threads)
+			st, err := rehashStorm(tm, cfg, threads, ops)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Commits != int64(threads*ops) {
-				t.Fatalf("commits %d, want %d", st.Commits, threads*ops)
+			if st.commits != int64(threads*ops) {
+				t.Fatalf("commits %d, want %d", st.commits, threads*ops)
 			}
-			if st.Telemetry.RehashWindows == 0 {
-				t.Fatalf("%d inserts from 16 buckets recorded no rehash windows: %+v", threads*ops, st.Telemetry)
+			if st.rehashWindows == 0 {
+				t.Fatalf("%d inserts from 16 buckets recorded no rehash windows: %+v", threads*ops, st)
 			}
-			if st.Frees == 0 {
+			if st.frees == 0 {
 				t.Fatalf("no freed array generations: %+v", st)
 			}
 			// Exact: live blocks = the inserted pairs + ONE bucket array.
-			if live := st.Allocs - st.Frees; live != int64(threads*ops)+1 {
+			if live := st.allocs - st.frees; live != int64(threads*ops)+1 {
 				t.Fatalf("allocs-frees = %d, want %d pairs + 1 array", live, threads*ops)
 			}
 		})
 	}
 }
 
-// TestQueuePipeAllTMs smokes queue-pipe: all values stream through,
-// and on quiesce the drained queue holds no live blocks.
+// TestQueuePipeAllTMs streams values through a queue on every TM's
+// quiesce axis: all values pass, and the drained queue holds no live
+// blocks.
 func TestQueuePipeAllTMs(t *testing.T) {
 	ops := 300
 	if testing.Short() {
@@ -219,35 +451,33 @@ func TestQueuePipeAllTMs(t *testing.T) {
 	}
 	for _, tmName := range engine.TMs() {
 		t.Run(tmName+"+quiesce", func(t *testing.T) {
-			st, err := engine.RunWorkload(tmName+"+quiesce", "queue-pipe",
-				workload.Params{Threads: 4, Ops: ops, Seed: 5, LiveSet: 32})
+			tm, cfg := churnTM(t, tmName+"+quiesce", 1<<16, 4)
+			st, err := queuePipe(tm, cfg, 4, ops, 32, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// 2 producers × ops enqueues + as many dequeues.
-			if want := int64(2 * 2 * ops); st.Commits != want {
-				t.Fatalf("commits %d, want %d", st.Commits, want)
+			if want := int64(2 * 2 * ops); st.commits != want {
+				t.Fatalf("commits %d, want %d", st.commits, want)
 			}
-			if st.Allocs != st.Frees {
-				t.Fatalf("drained pipe leaks: allocs %d, frees %d", st.Allocs, st.Frees)
+			if st.allocs != st.frees {
+				t.Fatalf("drained pipe leaks: allocs %d, frees %d", st.allocs, st.frees)
 			}
 		})
 	}
 }
 
-// TestChurnBoundedSpace is the PR's headline contrast, end to end: on
-// the same small TM, the same churn traffic exhausts the bump
-// allocator with the typed ErrOutOfSpace, while the quiesce allocator
-// completes it in a bounded register footprint — the paper's
-// privatization idiom is what makes long-running dynamic workloads
-// possible at all.
+// TestChurnBoundedSpace is the end-to-end contrast: on the same small
+// TM, the same churn traffic exhausts the bump allocator with the
+// typed ErrOutOfSpace, while the quiesce allocator completes it in a
+// bounded register footprint — the paper's privatization idiom is what
+// makes long-running dynamic workloads possible at all.
 func TestChurnBoundedSpace(t *testing.T) {
 	const regs = 2048
 	const threads, ops = 4, 2000 // ~4k inserts × 2 regs ≫ 2048 registers
-	run := func(alloc string) (workload.Stats, error) {
-		tm := engine.MustNewSpec("tl2", regs, threads+2, nil)
-		return workload.SetChurn(tm,
-			workload.Params{Threads: threads, Ops: ops, Seed: 9, Alloc: alloc, LiveSet: 64})
+	run := func(alloc string) (churnStats, error) {
+		tm, cfg := churnTM(t, "tl2+"+alloc, regs, threads)
+		return setChurn(tm, cfg, threads, ops, 64, 9)
 	}
 	if _, err := run("bump"); !errors.Is(err, stmds.ErrOutOfSpace) {
 		t.Fatalf("bump churn past the arena returned %v, want ErrOutOfSpace", err)
@@ -256,82 +486,26 @@ func TestChurnBoundedSpace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("quiesce churn failed where it must reclaim: %v", err)
 	}
-	if st.HeapRegs >= regs/2 {
-		t.Fatalf("quiesce footprint %d regs is not bounded well below the %d-reg arena", st.HeapRegs, regs)
+	if st.heapRegs >= regs/2 {
+		t.Fatalf("quiesce footprint %d regs is not bounded well below the %d-reg arena", st.heapRegs, regs)
 	}
-	if st.Frees == 0 {
+	if st.frees == 0 {
 		t.Fatal("quiesce churn reclaimed nothing")
 	}
 	t.Logf("bump: ErrOutOfSpace; quiesce: %d ops in %d regs (allocs %d, frees %d)",
-		threads*ops, st.HeapRegs, st.Allocs, st.Frees)
+		threads*ops, st.heapRegs, st.allocs, st.frees)
 }
 
 // TestSetChurnUnsafeFenceFallback: the nofence spec routes the quiesce
 // allocator through its fully transactional fallback (no grace period
-// to ride); the run must still complete with balanced accounting.
+// to ride); the run must still complete and reclaim.
 func TestSetChurnUnsafeFenceFallback(t *testing.T) {
-	st, err := engine.RunWorkload("tl2+nofence+quiesce", "set-churn",
-		workload.Params{Threads: 4, Ops: 200, Seed: 1, LiveSet: 32})
+	tm, cfg := churnTM(t, "tl2+nofence+quiesce", 1<<16, 4)
+	st, err := setChurn(tm, cfg, 4, 200, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Frees == 0 {
+	if st.frees == 0 {
 		t.Fatalf("transactional-fallback run reclaimed nothing: %+v", st)
-	}
-}
-
-// TestScanChurn smokes the range-scan-under-churn workload across
-// structures and scan strategies: every run must complete at least one
-// full scan, window runs must report a window fan-out, and the churners
-// must commit their full op budget.
-func TestScanChurn(t *testing.T) {
-	ops := 200
-	if testing.Short() {
-		ops = 80
-	}
-	cases := []struct{ ds, scan string }{
-		{"skip", "snapshot"},
-		{"skip", "window"},
-		{"map", "snapshot"},
-		{"kv", "snapshot"},
-		{"kv", "window"},
-	}
-	for _, tc := range cases {
-		for _, spec := range []string{"tl2+quiesce", "norec+quiesce", "wtstm+quiesce", "tl2+combine+quiesce", "tl2+defer+quiesce", "tl2+quiesce+batch"} {
-			t.Run(spec+"/"+tc.ds+"/"+tc.scan, func(t *testing.T) {
-				st, err := engine.RunWorkload(spec, "scan-churn",
-					workload.Params{Threads: 4, Ops: ops, Seed: 7, LiveSet: 64, DS: tc.ds, Scan: tc.scan})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Commits != int64(3*ops) { // 3 churners: thread 1 is the scanner
-					t.Fatalf("churner commits %d, want %d", st.Commits, 3*ops)
-				}
-				if st.ScanOps == 0 || st.ScanPairs == 0 {
-					t.Fatalf("no scans ran: %+v", st)
-				}
-				if tc.scan == "window" && st.ScanWindows < st.ScanOps {
-					t.Fatalf("window run reports %d windows over %d scans", st.ScanWindows, st.ScanOps)
-				}
-				if st.WriterAbortRate < 0 || st.WriterAbortRate >= 1 {
-					t.Fatalf("implausible writer abort rate %v", st.WriterAbortRate)
-				}
-			})
-		}
-	}
-}
-
-// TestScanChurnRejectsBadAxes pins the vocabulary errors: unknown scan
-// mode, unknown structure, and windowed scans on the sorted list.
-func TestScanChurnRejectsBadAxes(t *testing.T) {
-	for _, p := range []workload.Params{
-		{Threads: 2, Ops: 1, Scan: "chunked"},
-		{Threads: 2, Ops: 1, DS: "btree"},
-		{Threads: 2, Ops: 1, DS: "map", Scan: "window"},
-		{Threads: 1, Ops: 1},
-	} {
-		if _, err := engine.RunWorkload("tl2+quiesce", "scan-churn", p); err == nil {
-			t.Fatalf("params %+v accepted, want error", p)
-		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // Hist is a concurrency-safe power-of-two latency histogram: bucket i
-// counts samples in [2^i, 2^(i+1)) nanoseconds. It exists so workloads
-// can report privatization-latency quantiles (the fence-mode
-// experiments' headline number) without retaining per-sample slices.
+// counts samples in [2^i, 2^(i+1)) nanoseconds. kvserve's load
+// generator reports its per-op and per-scan latency quantiles through
+// it without retaining per-sample slices.
 type Hist struct {
 	buckets [64]atomic.Int64
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"safepriv/internal/engine"
 	"safepriv/internal/workload"
 )
 
@@ -42,26 +41,6 @@ func TestHistQuantiles(t *testing.T) {
 	}
 	h.Add(0) // non-positive durations must not panic
 	h.Add(-time.Second)
-}
-
-// TestKVStoreRecordsLatency: the KV workload populates the
-// privatization-latency histogram, in every fence mode.
-func TestKVStoreRecordsLatency(t *testing.T) {
-	for _, spec := range []string{"tl2", "tl2+combine", "tl2+defer"} {
-		t.Run(spec, func(t *testing.T) {
-			tm := engine.MustNewSpec(spec, workload.RegsFor("kv-scan", 2), 5, nil)
-			st, err := workload.KVStore(tm, 2, 300, workload.KVConfig{ScanEvery: 100}, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.PrivLatency == nil || st.PrivLatency.Count() == 0 {
-				t.Fatalf("no privatization latencies recorded (stats %+v)", st)
-			}
-			if st.Fences == 0 {
-				t.Fatal("no privatizations counted")
-			}
-		})
-	}
 }
 
 // TestHistQuantileEdgeCases pins the contract at the boundaries the

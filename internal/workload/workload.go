@@ -1,9 +1,10 @@
 // Package workload provides the synthetic STAMP-like workloads used by
-// the fence-overhead and scalability experiments (E9, E13 in
-// DESIGN.md). Each workload runs a fixed number of operations per
-// thread against a core.TM and reports commit/abort/fence counts, so
-// benchmarks can compare TL2 against the global-lock baseline and
-// measure the cost of conservative fence placement (Yoo et al. [42]).
+// the fence-overhead and scalability experiments (E9, E13 in README's
+// "Reproducing the paper's experiments" table). Each workload runs a
+// fixed number of operations per thread against a core.TM and reports
+// commit/abort/fence counts, so benchmarks can compare TL2 against the
+// global-lock baseline and measure the cost of conservative fence
+// placement (Yoo et al. [42]).
 package workload
 
 import (
@@ -13,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"safepriv/internal/core"
-	"safepriv/internal/telemetry"
 )
 
 // FenceMode selects where transactional fences are inserted.
@@ -49,50 +49,6 @@ type Stats struct {
 	Commits int64
 	Aborts  int64
 	Fences  int64
-	// PrivLatency is the privatization-latency histogram (time each
-	// privatizing bulk operation took, as the caller saw it). Only the
-	// KV workloads record it; nil elsewhere.
-	PrivLatency *Hist
-	// ReclaimLatency is the memory-reclamation latency histogram (Free
-	// call to the block re-entering the free list). Only the
-	// data-structure churn workloads on a reclaiming allocator record
-	// it; nil elsewhere.
-	ReclaimLatency *Hist
-	// HeapRegs is the allocator's steady-state register footprint
-	// after the run (bump high-water): bounded under churn on a
-	// reclaiming allocator, monotonically growing on the bump
-	// allocator. Zero for workloads without an allocator.
-	HeapRegs int64
-	// Allocs and Frees are the allocator's exact block counters
-	// (transactional: aborted attempts don't count). Allocs-Frees is
-	// the live node count. Zero for workloads without a reclaiming
-	// allocator.
-	Allocs, Frees int64
-	// MagCached counts blocks resident in the allocator's per-thread
-	// magazines after the run settles (free, merely cached — the gap
-	// between HeapRegs and the live set a batch reclaim spec carries).
-	// Zero without the magazine layer.
-	MagCached int64
-	// ReclaimBatches counts batch retires: grace-period registrations
-	// that each covered a whole magazine of frees, so
-	// Frees/ReclaimBatches is the amortization the batch reclaim mode
-	// achieved. Zero without the magazine layer.
-	ReclaimBatches int64
-	// Telemetry is the TM's aggregated per-thread counter snapshot at
-	// the end of the run (zero value when the TM carries no board).
-	Telemetry telemetry.Snapshot
-	// ScanOps, ScanWindows, ScanPairs are the scan-churn workload's
-	// scanner-side tallies: completed whole-structure scans, the
-	// privatized windows they took (1 per snapshot scan; one per
-	// RangeWindows/ScanPage window otherwise), and the total pairs
-	// returned. Zero for workloads without a scanner.
-	ScanOps, ScanWindows, ScanPairs int64
-	// WriterAbortRate is the abort rate of the churner threads alone
-	// (scan-churn), from their telemetry slots over the churn phase —
-	// the cost the scanner imposes on writers, separated from the
-	// run-wide Telemetry.AbortRate() which also contains the scanner's
-	// own retries. Zero without a board or a scanner.
-	WriterAbortRate float64
 }
 
 // counter keeps per-thread tallies on separate cache lines so the
@@ -116,17 +72,31 @@ func (c *counter) stats() Stats {
 	return s
 }
 
-// runStats is the exit path of the data-structure and store drivers:
-// the harness tallies plus the TM's telemetry snapshot.
-func (c *counter) runStats(tm core.TM) Stats {
-	s := c.stats()
-	if p, ok := tm.(telemetry.Provider); ok {
-		s.Telemetry = p.TelemetryBoard().Snapshot()
-	}
-	return s
+// fence issues and counts one transactional fence on thread th.
+func (c *counter) fence(tm core.TM, th int) {
+	tm.Fence(th)
+	c.slots[th].fences++
 }
 
-func (c *counter) fence(th int) { c.slots[th].fences++ }
+// run runs work on one goroutine per thread id in [first, last], waits
+// for all of them, and returns the tallies with the first error any
+// worker returned.
+func (c *counter) run(first, last int, work func(th int) error) (Stats, error) {
+	var wg sync.WaitGroup
+	errs := make(chan error, last-first+1)
+	for th := first; th <= last; th++ {
+		wg.Add(1)
+		go func(th int) {
+			defer wg.Done()
+			if err := work(th); err != nil {
+				errs <- err
+			}
+		}(th)
+	}
+	wg.Wait()
+	close(errs)
+	return c.stats(), <-errs
+}
 
 // atomically runs body with retry, counting commits and aborts.
 func atomically(tm core.TM, th int, c *counter, body func(core.Txn) error) error {
@@ -149,53 +119,40 @@ func atomically(tm core.TM, th int, c *counter, body func(core.Txn) error) error
 func Bank(tm core.TM, threads, ops int, mode FenceMode, seed int64) (Stats, error) {
 	c := newCounter(threads)
 	accounts := tm.NumRegs()
-	var wg sync.WaitGroup
-	errs := make(chan error, threads)
-	for th := 1; th <= threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed + int64(th)))
-			for i := 0; i < ops; i++ {
-				from, to := r.Intn(accounts), r.Intn(accounts)
-				if from == to {
-					to = (to + 1) % accounts
-				}
-				amt := int64(r.Intn(5) + 1)
-				err := atomically(tm, th, c, func(tx core.Txn) error {
-					f, err := tx.Read(from)
-					if err != nil {
-						return err
-					}
-					g, err := tx.Read(to)
-					if err != nil {
-						return err
-					}
-					if f < amt {
-						return nil
-					}
-					if err := tx.Write(from, f-amt); err != nil {
-						return err
-					}
-					return tx.Write(to, g+amt)
-				})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if mode == FenceAfterEveryTxn {
-					tm.Fence(th)
-					c.fence(th)
-				}
+	return c.run(1, threads, func(th int) error {
+		r := rand.New(rand.NewSource(seed + int64(th)))
+		for i := 0; i < ops; i++ {
+			from, to := r.Intn(accounts), r.Intn(accounts)
+			if from == to {
+				to = (to + 1) % accounts
 			}
-		}(th)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return c.stats(), err
-	}
-	return c.stats(), nil
+			amt := int64(r.Intn(5) + 1)
+			err := atomically(tm, th, c, func(tx core.Txn) error {
+				f, err := tx.Read(from)
+				if err != nil {
+					return err
+				}
+				g, err := tx.Read(to)
+				if err != nil {
+					return err
+				}
+				if f < amt {
+					return nil
+				}
+				if err := tx.Write(from, f-amt); err != nil {
+					return err
+				}
+				return tx.Write(to, g+amt)
+			})
+			if err != nil {
+				return err
+			}
+			if mode == FenceAfterEveryTxn {
+				c.fence(tm, th)
+			}
+		}
+		return nil
+	})
 }
 
 // Total sums all registers non-transactionally (call when quiesced).
@@ -213,92 +170,83 @@ func Total(tm core.TM) int64 {
 func ReadMostly(tm core.TM, threads, ops, scan, readPct int, mode FenceMode, seed int64) (Stats, error) {
 	c := newCounter(threads)
 	regs := tm.NumRegs()
-	var wg sync.WaitGroup
-	errs := make(chan error, threads)
-	for th := 1; th <= threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed + int64(th)))
-			for i := 0; i < ops; i++ {
-				var err error
-				if r.Intn(100) < readPct {
-					err = atomically(tm, th, c, func(tx core.Txn) error {
-						var acc int64
-						for k := 0; k < scan; k++ {
-							v, err := tx.Read(r.Intn(regs))
-							if err != nil {
-								return err
-							}
-							acc += v
-						}
-						return nil
-					})
-				} else {
-					x := r.Intn(regs)
-					err = atomically(tm, th, c, func(tx core.Txn) error {
-						v, err := tx.Read(x)
+	return c.run(1, threads, func(th int) error {
+		r := rand.New(rand.NewSource(seed + int64(th)))
+		for i := 0; i < ops; i++ {
+			var err error
+			if r.Intn(100) < readPct {
+				err = atomically(tm, th, c, func(tx core.Txn) error {
+					var acc int64
+					for k := 0; k < scan; k++ {
+						v, err := tx.Read(r.Intn(regs))
 						if err != nil {
 							return err
 						}
-						return tx.Write(x, v+1)
-					})
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				if mode == FenceAfterEveryTxn {
-					tm.Fence(th)
-					c.fence(th)
-				}
+						acc += v
+					}
+					return nil
+				})
+			} else {
+				x := r.Intn(regs)
+				err = atomically(tm, th, c, func(tx core.Txn) error {
+					v, err := tx.Read(x)
+					if err != nil {
+						return err
+					}
+					return tx.Write(x, v+1)
+				})
 			}
-		}(th)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return c.stats(), err
-	}
-	return c.stats(), nil
+			if err != nil {
+				return err
+			}
+			if mode == FenceAfterEveryTxn {
+				c.fence(tm, th)
+			}
+		}
+		return nil
+	})
 }
 
 // Counter is the maximally contended workload: every thread increments
 // register 0. Short transactions make conservative fencing's relative
 // overhead largest (the "worst case" shape of Yoo et al.).
 func Counter(tm core.TM, threads, ops int, mode FenceMode) (Stats, error) {
+	return increment(tm, threads, ops, mode, func(int) int { return 0 })
+}
+
+// PerThread is the uncontended short-transaction workload: thread t
+// increments its own register only. No conflicts, minimal transactions —
+// the configuration where conservative fencing's relative overhead is
+// largest (the worst-case shape of Yoo et al. [42]).
+func PerThread(tm core.TM, threads, ops int, mode FenceMode) (Stats, error) {
+	// Spread threads' registers across cache lines (8 int64 per 64-byte
+	// line).
+	return increment(tm, threads, ops, mode, func(th int) int { return ((th - 1) * 8) % tm.NumRegs() })
+}
+
+// increment is Counter and PerThread: each of `threads` workers
+// increments register reg(th) `ops` times, one transaction each.
+func increment(tm core.TM, threads, ops int, mode FenceMode, reg func(th int) int) (Stats, error) {
 	c := newCounter(threads)
-	var wg sync.WaitGroup
-	errs := make(chan error, threads)
-	for th := 1; th <= threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			for i := 0; i < ops; i++ {
-				err := atomically(tm, th, c, func(tx core.Txn) error {
-					v, err := tx.Read(0)
-					if err != nil {
-						return err
-					}
-					return tx.Write(0, v+1)
-				})
+	return c.run(1, threads, func(th int) error {
+		x := reg(th)
+		for i := 0; i < ops; i++ {
+			err := atomically(tm, th, c, func(tx core.Txn) error {
+				v, err := tx.Read(x)
 				if err != nil {
-					errs <- err
-					return
+					return err
 				}
-				if mode == FenceAfterEveryTxn {
-					tm.Fence(th)
-					c.fence(th)
-				}
+				return tx.Write(x, v+1)
+			})
+			if err != nil {
+				return err
 			}
-		}(th)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return c.stats(), err
-	}
-	return c.stats(), nil
+			if mode == FenceAfterEveryTxn {
+				c.fence(tm, th)
+			}
+		}
+		return nil
+	})
 }
 
 // Pipeline is the privatization workload: `threads` workers update a
@@ -309,7 +257,8 @@ func Counter(tm core.TM, threads, ops int, mode FenceMode) (Stats, error) {
 // the fence is (unsafely) skipped — only for measuring its cost; the
 // workload tolerates the resulting races by not asserting on data.
 //
-// Register 0 is the flag; registers 1.. are the data region.
+// Register 0 is the flag; registers 1.. are the data region. Thread 1
+// is the maintenance thread, threads 2..threads+1 the workers.
 func Pipeline(tm core.TM, threads, ops, rounds int, mode FenceMode, seed int64) (Stats, error) {
 	c := newCounter(threads)
 	regs := tm.NumRegs()
@@ -319,43 +268,8 @@ func Pipeline(tm core.TM, threads, ops, rounds int, mode FenceMode, seed int64) 
 	const flag = 0
 	var next atomic.Int64
 	next.Store(1 << 20) // data values disjoint from flag protocol values
-	var wg sync.WaitGroup
-	errs := make(chan error, threads+1)
 
-	// Workers (threads 2..threads+1).
-	for th := 2; th <= threads+1; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed + int64(th)))
-			for i := 0; i < ops; i++ {
-				x := 1 + r.Intn(regs-1)
-				err := atomically(tm, th, c, func(tx core.Txn) error {
-					f, err := tx.Read(flag)
-					if err != nil {
-						return err
-					}
-					if f%2 != 0 {
-						return nil // privatized: leave the region alone
-					}
-					return tx.Write(x, next.Add(1))
-				})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if mode == FenceAfterEveryTxn {
-					tm.Fence(th)
-					c.fence(th)
-				}
-			}
-		}(th)
-	}
-
-	// Maintenance thread (thread 1).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	maintain := func() error {
 		for round := 0; round < rounds; round++ {
 			priv := int64(2*round + 1) // odd
 			pub := int64(2*round + 2)  // even
@@ -363,12 +277,10 @@ func Pipeline(tm core.TM, threads, ops, rounds int, mode FenceMode, seed int64) 
 				return tx.Write(flag, priv)
 			})
 			if err != nil {
-				errs <- err
-				return
+				return err
 			}
 			if mode != FenceNone {
-				tm.Fence(1)
-				c.fence(1)
+				c.fence(tm, 1)
 			}
 			// Private phase: uninstrumented batch update.
 			for x := 1; x < regs; x++ {
@@ -379,57 +291,36 @@ func Pipeline(tm core.TM, threads, ops, rounds int, mode FenceMode, seed int64) 
 				return tx.Write(flag, pub)
 			})
 			if err != nil {
-				errs <- err
-				return
+				return err
 			}
 		}
-	}()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return c.stats(), err
+		return nil
 	}
-	return c.stats(), nil
-}
 
-// PerThread is the uncontended short-transaction workload: thread t
-// increments register t-1 only. No conflicts, minimal transactions —
-// the configuration where conservative fencing's relative overhead is
-// largest (the worst-case shape of Yoo et al. [42]).
-func PerThread(tm core.TM, threads, ops int, mode FenceMode) (Stats, error) {
-	c := newCounter(threads)
-	var wg sync.WaitGroup
-	errs := make(chan error, threads)
-	for th := 1; th <= threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			// Spread threads' registers across cache lines (8 int64 per
-			// 64-byte line).
-			x := ((th - 1) * 8) % tm.NumRegs()
-			for i := 0; i < ops; i++ {
-				err := atomically(tm, th, c, func(tx core.Txn) error {
-					v, err := tx.Read(x)
-					if err != nil {
-						return err
-					}
-					return tx.Write(x, v+1)
-				})
+	return c.run(1, threads+1, func(th int) error {
+		if th == 1 {
+			return maintain()
+		}
+		r := rand.New(rand.NewSource(seed + int64(th)))
+		for i := 0; i < ops; i++ {
+			x := 1 + r.Intn(regs-1)
+			err := atomically(tm, th, c, func(tx core.Txn) error {
+				f, err := tx.Read(flag)
 				if err != nil {
-					errs <- err
-					return
+					return err
 				}
-				if mode == FenceAfterEveryTxn {
-					tm.Fence(th)
-					c.fence(th)
+				if f%2 != 0 {
+					return nil // privatized: leave the region alone
 				}
+				return tx.Write(x, next.Add(1))
+			})
+			if err != nil {
+				return err
 			}
-		}(th)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return c.stats(), err
-	}
-	return c.stats(), nil
+			if mode == FenceAfterEveryTxn {
+				c.fence(tm, th)
+			}
+		}
+		return nil
+	})
 }

@@ -1,7 +1,6 @@
 package workload_test
 
 import (
-	"fmt"
 	"testing"
 
 	"safepriv/internal/core"
@@ -58,6 +57,26 @@ func TestCounterExact(t *testing.T) {
 			}
 		})
 	}
+	// PerThread runs the same increments, one register per thread.
+	for name, tm := range tms(t, 32, 5) {
+		t.Run(name+"/per-thread", func(t *testing.T) {
+			st, err := workload.PerThread(tm, 4, 100, workload.FenceNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Commits != 400 || st.Fences != 0 {
+				t.Fatalf("stats = %+v, want 400 commits and no fences", st)
+			}
+			if got := workload.Total(tm); got != 400 {
+				t.Fatalf("total = %d, want 400", got)
+			}
+			for th := 1; th <= 4; th++ {
+				if got := tm.Load(1, (th-1)*8); got != 100 {
+					t.Fatalf("thread %d's register = %d, want 100", th, got)
+				}
+			}
+		})
+	}
 }
 
 func TestReadMostlyCompletes(t *testing.T) {
@@ -97,84 +116,5 @@ func TestPipelineNeedsRegisters(t *testing.T) {
 func TestFenceModeString(t *testing.T) {
 	if workload.FenceNone.String() != "none" || workload.FenceAfterEveryTxn.String() != "conservative" || workload.FenceSelective.String() != "selective" {
 		t.Fatal("FenceMode names wrong")
-	}
-}
-
-func TestKVStoreWorkloadAllTMs(t *testing.T) {
-	ops := 400
-	if testing.Short() {
-		ops = 150
-	}
-	for _, shards := range []int{1, workload.KVDefaultShards, 16} {
-		for name, tm := range tms(t, workload.RegsFor("kvstore", 4), 6) {
-			t.Run(fmt.Sprintf("%s/shards-%d", name, shards), func(t *testing.T) {
-				st, err := workload.KVStore(tm, 4, ops, workload.KVConfig{Shards: shards, ScanEvery: 100}, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Commits != int64(4*ops) {
-					t.Fatalf("completed ops = %d, want %d", st.Commits, 4*ops)
-				}
-				if st.Fences == 0 {
-					t.Fatal("no privatizations despite scans and growth")
-				}
-			})
-		}
-	}
-}
-
-func TestKVWorkloadsViaRegistry(t *testing.T) {
-	for _, name := range []string{"kvstore", "kv-scan", "kv-zipfian"} {
-		t.Run(name, func(t *testing.T) {
-			run, ok := workload.ByName(name)
-			if !ok {
-				t.Fatalf("workload %q not registered", name)
-			}
-			tm := engine.MustNewSpec("tl2", workload.RegsFor(name, 3), 5, nil)
-			st, err := run(tm, workload.Params{Threads: 3, Ops: 120, Seed: 2, Shards: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Commits != 3*120 {
-				t.Fatalf("completed ops = %d", st.Commits)
-			}
-		})
-	}
-}
-
-// TestKVPrivatizeKnob: PrivatizeEvery is the privatization-frequency
-// knob — a tighter cadence must produce more privatize cycles than a
-// disabled one on the identical workload.
-func TestKVPrivatizeKnob(t *testing.T) {
-	fences := func(privEvery int) int64 {
-		run, _ := workload.ByName("kvstore")
-		tm := engine.MustNewSpec("tl2", workload.RegsFor("kvstore", 3), 5, nil)
-		st, err := run(tm, workload.Params{Threads: 3, Ops: 200, Seed: 3, PrivatizeEvery: privEvery})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Fences
-	}
-	often, never := fences(50), fences(-1)
-	if often <= never {
-		t.Fatalf("PrivatizeEvery=50 produced %d privatizations, disabled produced %d", often, never)
-	}
-}
-
-func TestWorkloadRegistryNames(t *testing.T) {
-	names := workload.Names()
-	if len(names) == 0 {
-		t.Fatal("empty workload registry")
-	}
-	for _, name := range names {
-		if _, ok := workload.ByName(name); !ok {
-			t.Fatalf("workload.ByName(%q) missing", name)
-		}
-		if workload.RegsFor(name, 4) <= 0 {
-			t.Fatalf("workload.RegsFor(%q) not positive", name)
-		}
-	}
-	if _, ok := workload.ByName("nosuch"); ok {
-		t.Fatal("workload.ByName accepted an unknown workload")
 	}
 }
