@@ -14,9 +14,9 @@
 //
 // On SIGINT/SIGTERM the server shuts down in the safe order: stop
 // accepting, drain in-flight HTTP requests, then kvserve.Server.Drain
-// — settle deferred privatizations and reclamations and surface any
-// asynchronous error. Exit status 0 means every deferred operation
-// completed; 1 means startup failed or the drain surfaced an error.
+// — stop the write coalescer, settle the store's table heap and
+// surface any reclamation error. Exit status 0 means the drain came
+// back clean; 1 means startup failed or the drain surfaced an error.
 package main
 
 import (
@@ -99,7 +99,7 @@ func main() {
 	}
 
 	// Shutdown order per the package doc: drain in-flight HTTP first,
-	// then settle the store's deferred work.
+	// then stop the coalescer and settle the store.
 	log.Info("signal received, draining")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -13,17 +13,16 @@
 //     specification strings (TM × clock × fence × quiescer × alloc ×
 //     reclaim granularity).
 //   - Quiescence layer: internal/rcu grace periods (with
-//     scheduler-aware parked waits) under the internal/quiesce service
-//     — wait/combine/defer fence modes, the asynchronous fence
-//     (FenceAsync), its batched form (FenceAsyncBatch: N callbacks,
-//     one grace period) and the background reclaimer.
+//     scheduler-aware parked waits) under the internal/quiesce service,
+//     which runs the paper's one fence — block until every transaction
+//     active at the call has finished — over pooled snapshot buffers,
+//     plus the filtered fence that reproduces the GCC libitm bug.
 //   - Telemetry layer: internal/telemetry cache-line-padded per-thread
 //     counter boards on every TM (commits, aborts, fences,
 //     privatizations, magazine traffic), read by kvserve's /stats and
 //     bench/.
 //   - Heap layer: internal/stmalloc, the quiescence-based safe memory
-//     reclamation allocator (unlink transactionally, ride the fence,
-//     reuse), with the typed ErrOutOfSpace exhaustion contract, a
+//     reclamation allocator (unlink transactionally, fence, reuse), with the typed ErrOutOfSpace exhaustion contract, a
 //     per-thread magazine layer (the engine's batch reclaim axis) that
 //     amortizes one grace period over a whole magazine of frees,
 //     buddy-style splitting and coalescing across the power-of-two
@@ -60,7 +59,7 @@
 //     onto the TM's fixed thread contract, an optional write coalescer
 //     commits adjacent PUTs as one transaction, GET /scan streams
 //     ScanPage's paginated privatized windows as chunked JSON with a
-//     resumable cursor, and Drain settles all deferred work on
+//     resumable cursor, and Drain settles the coalescer and the heap on
 //     shutdown. cmd/kvserver wraps it as an env-configured process
 //     (Dockerfile included); cmd/kvload is the closed/open-loop load
 //     driver reporting p50/p99/p999, with -scan mixing paginated

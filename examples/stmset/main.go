@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"safepriv/internal/quiesce"
 	"safepriv/internal/stmalloc"
 	"safepriv/internal/stmds"
 	"safepriv/internal/tl2"
@@ -31,9 +30,9 @@ func main() {
 		perOps  = 6000    // ~threads·perOps/4 winning inserts ≫ the arena below
 		regs    = 1 << 14 // well under the allocation traffic: reclamation must keep up
 	)
-	// Defer fence mode: frees batch on the TM's background reclaimer,
-	// so removers never block on a grace period.
-	tm := tl2.New(regs, threads+1, tl2.WithFenceMode(quiesce.Defer))
+	// Every Free fences on the remover's thread before the node is
+	// reused: the grace period is what makes reclamation safe.
+	tm := tl2.New(regs, threads)
 	heap, err := stmalloc.New(tm, 8, tm.NumRegs(), stmalloc.WithShards(4))
 	if err != nil {
 		panic(err)
@@ -56,14 +55,6 @@ func main() {
 				}
 				if err != nil {
 					panic(err)
-				}
-				// Backpressure: periodically wait for pending
-				// reclamations, so producers cannot outrun the
-				// background reclaimer indefinitely.
-				if i%500 == 499 {
-					if err := heap.Drain(th); err != nil {
-						panic(err)
-					}
 				}
 			}
 		}(th)

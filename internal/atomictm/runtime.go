@@ -39,15 +39,11 @@ type Option func(*config)
 
 type config struct {
 	stripes int
-	mode    quiesce.Mode
 	sink    record.Sink
 }
 
 // WithStripes sets the lock-table size (0 = stripe default).
 func WithStripes(n int) Option { return func(c *config) { c.stripes = n } }
-
-// WithFenceMode selects the quiescence mode (wait, combine, defer).
-func WithFenceMode(m quiesce.Mode) Option { return func(c *config) { c.mode = m } }
 
 // WithSink attaches a recording sink.
 func WithSink(s record.Sink) Option { return func(c *config) { c.sink = s } }
@@ -67,21 +63,19 @@ type slot struct {
 }
 
 // New returns a strongly-atomic TM with regs registers and thread ids
-// 1..threads. Thread id threads+1 is reserved for the quiescence
-// service's reclaimer (deferred-fence callbacks).
+// 1..threads.
 func New(regs, threads int, opts ...Option) *TM {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	reclaim := threads + 1
 	tm := &TM{
 		table:   stripe.New(regs, cfg.stripes),
-		qs:      quiesce.New(rcu.NewFlags(reclaim), cfg.mode, reclaim),
+		qs:      quiesce.New(rcu.NewFlags(threads)),
 		sink:    cfg.sink,
-		threads: make([]slot, reclaim+1),
+		threads: make([]slot, threads+1),
 	}
-	tm.board = telemetry.NewBoard(reclaim)
+	tm.board = telemetry.NewBoard(threads)
 	tm.qs.SetBoard(tm.board)
 	for t := range tm.threads {
 		tm.threads[t].tx.tm = tm
@@ -145,17 +139,6 @@ func (tm *TM) Fence(thread int) {
 		sk.FEnd(thread)
 	}
 }
-
-// FenceAsync implements core.TM: the quiescence service's Defer.
-// Deferred grace periods are not recorded in the sink.
-func (tm *TM) FenceAsync(thread int, fn func(thread int)) { tm.qs.Defer(thread, fn) }
-
-// FenceAsyncBatch implements core.BatchFencer: every callback shares
-// one grace period.
-func (tm *TM) FenceAsyncBatch(thread int, fns []func(thread int)) { tm.qs.DeferBatch(thread, fns) }
-
-// FenceBarrier implements core.TM.
-func (tm *TM) FenceBarrier(thread int) { tm.qs.Barrier() }
 
 // TelemetryBoard implements telemetry.Provider: the per-thread counter
 // board core.Atomically and the quiescence service record into.

@@ -21,16 +21,6 @@ import (
 	"safepriv/internal/telemetry"
 )
 
-// Option mutates TM construction.
-type Option func(*config)
-
-type config struct{ mode quiesce.Mode }
-
-// WithFenceMode selects the quiescence mode (wait, combine, defer).
-// The baseline's grace period is structural — acquire and release the
-// global lock — so the quiescence service wraps that wait.
-func WithFenceMode(m quiesce.Mode) Option { return func(c *config) { c.mode = m } }
-
 // TM is a global-lock transactional memory implementing core.TM.
 type TM struct {
 	mu    sync.Mutex
@@ -42,21 +32,16 @@ type TM struct {
 }
 
 // New returns a global-lock TM with regs registers and thread ids
-// 1..threads. Thread id threads+1 is reserved for the quiescence
-// service's reclaimer (deferred-fence callbacks).
-func New(regs, threads int, sink record.Sink, opts ...Option) *TM {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	reclaim := threads + 1
-	tm := &TM{regs: make([]int64, regs), sink: sink, txns: make([]txn, reclaim+1)}
+// 1..threads. The grace period is structural — acquire and release the
+// global lock — so the quiescence service wraps that wait.
+func New(regs, threads int, sink record.Sink) *TM {
+	tm := &TM{regs: make([]int64, regs), sink: sink, txns: make([]txn, threads+1)}
 	tm.qs = quiesce.NewFunc(func() {
 		tm.mu.Lock()
 		//lint:ignore SA2001 empty critical section is the grace period
 		tm.mu.Unlock()
-	}, cfg.mode, reclaim)
-	tm.board = telemetry.NewBoard(reclaim)
+	})
+	tm.board = telemetry.NewBoard(threads)
 	tm.qs.SetBoard(tm.board)
 	for t := range tm.txns {
 		tm.txns[t].tm = tm
@@ -92,17 +77,6 @@ func (tm *TM) Fence(thread int) {
 		tm.sink.FEnd(thread)
 	}
 }
-
-// FenceAsync implements core.TM: the quiescence service's Defer.
-// Deferred grace periods are not recorded in the sink.
-func (tm *TM) FenceAsync(thread int, fn func(thread int)) { tm.qs.Defer(thread, fn) }
-
-// FenceAsyncBatch implements core.BatchFencer: every callback shares
-// one grace period.
-func (tm *TM) FenceAsyncBatch(thread int, fns []func(thread int)) { tm.qs.DeferBatch(thread, fns) }
-
-// FenceBarrier implements core.TM.
-func (tm *TM) FenceBarrier(thread int) { tm.qs.Barrier() }
 
 // TelemetryBoard implements telemetry.Provider: the per-thread counter
 // board core.Atomically and the quiescence service record into.

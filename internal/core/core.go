@@ -4,9 +4,15 @@
 // transactionally (inside atomic blocks) or non-transactionally
 // (uninstrumented), plus the transactional fence command.
 //
-// Implementations: internal/tl2 (the paper's case-study TM, Figure 9,
-// with RCU-style fences, Figure 7) and internal/baseline (a global-lock
-// TM that is trivially strongly atomic).
+// Implementations, all built through internal/engine: internal/tl2
+// (the paper's case-study TM, Figure 9, with RCU-style fences,
+// Figure 7), internal/norec (NOrec, privatization-safe without
+// fences), internal/wtstm (a write-through undo-log TM, subject to the
+// delayed-abort anomaly), internal/atomictm (a striped two-phase-locking
+// runtime that is strongly atomic by construction) and
+// internal/baseline (a global-lock TM that is trivially strongly
+// atomic). Their fences wait out grace periods through the shared
+// quiescence service, internal/quiesce.
 //
 // The contract established by the paper (Theorem 5.3) applies: if the
 // program is data-race free assuming strong atomicity — in particular,
@@ -64,52 +70,10 @@ type TM interface {
 	// transaction active at the time of the call has committed or
 	// aborted. It must not be called inside a transaction.
 	Fence(thread int)
-	// FenceAsync is the asynchronous fence (the call_rcu analogue of
-	// Fence): it registers fn to run once every transaction active at
-	// the time of the call has committed or aborted. fn receives a
-	// thread id valid for transactional and non-transactional access
-	// for the duration of the callback. A TM whose fence mode is
-	// deferred returns immediately and later runs fn on a background
-	// reclaimer under a reserved thread id (distinct from every
-	// application thread id, and shared by all callbacks, which run
-	// serially in registration order); any other TM fences
-	// synchronously and runs fn(thread) inline before returning. fn
-	// must not call Fence, FenceAsync or FenceBarrier on the same TM.
-	FenceAsync(thread int, fn func(thread int))
-	// FenceBarrier blocks until every callback registered by FenceAsync
-	// before the call has run. On TMs whose fence mode is not deferred
-	// it returns immediately (callbacks ran inline). It must not be
-	// called inside a transaction.
-	FenceBarrier(thread int)
 	// Load reads register x non-transactionally (uninstrumented).
 	Load(thread, x int) int64
 	// Store writes register x non-transactionally (uninstrumented).
 	Store(thread, x int, v int64)
-}
-
-// BatchFencer is the optional batched form of FenceAsync: the TM
-// registers every callback in fns under ONE grace period that starts
-// after the call, instead of one per callback. Callbacks run in slice
-// order under the same thread-id contract as FenceAsync. All registry
-// TMs implement it; callers should go through FenceAsyncBatch, which
-// falls back to per-callback FenceAsync on TMs that do not.
-type BatchFencer interface {
-	FenceAsyncBatch(thread int, fns []func(thread int))
-}
-
-// FenceAsyncBatch registers fns under one shared grace period when the
-// TM supports batched registration (BatchFencer), and degrades to one
-// FenceAsync per callback otherwise. K callbacks from one caller pay
-// for one grace period instead of K — the amortization the magazine
-// allocator and stmkv's bulk maintenance are built on.
-func FenceAsyncBatch(tm TM, thread int, fns []func(thread int)) {
-	if bf, ok := tm.(BatchFencer); ok {
-		bf.FenceAsyncBatch(thread, fns)
-		return
-	}
-	for _, fn := range fns {
-		tm.FenceAsync(thread, fn)
-	}
 }
 
 // MaxAttempts bounds Atomically's retry loop; exceeding it returns

@@ -20,10 +20,10 @@
 //	epochs     epoch-based grace period          (tl2, norec, wtstm)
 //	flags      flag-based grace period — the default
 //	sorted     commit locks in register order    (tl2)
-//	combine    concurrent fences coalesce onto shared grace periods
-//	defer      fences batch through a background reclaimer; FenceAsync
-//	           callbacks never block the caller  (all TMs)
+//	wait       the paper's fence: wait out every active transaction —
+//	           the default, for explicitness      (all TMs)
 //	nofence    Fence is a no-op — unsafe, for anomaly reproduction
+//	           (tl2, wtstm)
 //	skipro     fence skips read-only txns (GCC libitm bug) (tl2)
 //	quiesce    data structures reclaim memory through the stmalloc
 //	           quiescence-based allocator          (all TMs)
@@ -33,12 +33,11 @@
 //	           frees park in thread-local magazines and whole
 //	           magazines retire under one shared grace period
 //	           (requires a quiesce allocator and a safe fence)
-//	free       one grace-period registration per Free — the default
-//	           reclaim granularity, for explicitness
+//	free       one grace period per Free — the default reclaim
+//	           granularity, for explicitness
 //
-// combine, defer, nofence, skipro and wait all set the one fence axis,
-// so any two of them in a spec conflict (in particular nofence+combine
-// and combine+defer are rejected); bump and quiesce likewise share the
+// wait, nofence and skipro all set the one fence axis, so any two of
+// them in a spec conflict; bump and quiesce likewise share the
 // allocator axis, and free and batch the reclaim-granularity axis. The
 // allocator and reclaim axes do not change the TM itself — they are
 // carried in the Config for the layers that build transactional data
@@ -54,8 +53,8 @@
 // back to stmalloc's fully-transactional reclamation, which needs no
 // grace period.
 //
-// Examples: "tl2+gv4+epochs+sorted", "wtstm+nofence", "norec+defer",
-// "tl2+gv4+combine", "tl2+defer+quiesce", "tl2+quiesce+batch".
+// Examples: "tl2+gv4+epochs+sorted", "wtstm+nofence", "norec+epochs",
+// "tl2+skipro", "tl2+quiesce", "tl2+quiesce+batch".
 package engine
 
 import (
@@ -67,7 +66,6 @@ import (
 	"safepriv/internal/baseline"
 	"safepriv/internal/core"
 	"safepriv/internal/norec"
-	"safepriv/internal/quiesce"
 	"safepriv/internal/record"
 	"safepriv/internal/tl2"
 	"safepriv/internal/wtstm"
@@ -87,8 +85,8 @@ type Config struct {
 	// Clock selects the global version clock: "" or "fai" (default),
 	// or "gv4". Only tl2 and wtstm have a clock.
 	Clock string
-	// Fence selects the fence behaviour: "" or "wait" (default),
-	// "combine", "defer", "noop", or "skipro" (tl2 only).
+	// Fence selects the fence behaviour: "" or "wait" (default), "noop"
+	// (tl2, wtstm), or "skipro" (tl2 only).
 	Fence string
 	// Quiescer selects the grace-period implementation backing the
 	// fence: "" or "flags" (default), or "epochs".
@@ -127,10 +125,6 @@ func (c Config) Spec() string {
 		mods = append(mods, "sorted")
 	}
 	switch c.Fence {
-	case "combine":
-		mods = append(mods, "combine")
-	case "defer":
-		mods = append(mods, "defer")
 	case "noop":
 		mods = append(mods, "nofence")
 	case "skipro":
@@ -181,10 +175,6 @@ func Parse(spec string) (Config, error) {
 			err = setAxis("fence", &cfg.Fence, "noop", m)
 		case "wait":
 			err = setAxis("fence", &cfg.Fence, "wait", m)
-		case "combine":
-			err = setAxis("fence", &cfg.Fence, "combine", m)
-		case "defer":
-			err = setAxis("fence", &cfg.Fence, "defer", m)
 		case "skipro":
 			err = setAxis("fence", &cfg.Fence, "skipro", m)
 		case "bump", "quiesce":
@@ -249,9 +239,8 @@ func (c *Config) normalize() error {
 		}
 		return nil
 	}
-	// Every TM serves the three safe fence modes through the shared
-	// quiescence service; the unsafe policies (noop, skipro) stay
-	// TM-specific.
+	// Every TM serves the paper's fence through the shared quiescence
+	// service; the unsafe policies (noop, skipro) stay TM-specific.
 	fenceIn := func(allowed ...string) error {
 		for _, a := range allowed {
 			if c.Fence == a {
@@ -265,7 +254,7 @@ func (c *Config) normalize() error {
 		if c.SortedLocks || c.Stripes != 0 {
 			return fmt.Errorf("engine: TM %q supports no modifiers", c.TM)
 		}
-		if err := fenceIn("wait", "combine", "defer"); err != nil {
+		if err := fenceIn("wait"); err != nil {
 			return err
 		}
 		return reject(axis{"clock", c.Clock, "fai"}, axis{"quiescer", c.Quiescer, "flags"})
@@ -273,7 +262,7 @@ func (c *Config) normalize() error {
 		if c.SortedLocks {
 			return fmt.Errorf("engine: TM %q supports only the stripes modifier", c.TM)
 		}
-		if err := fenceIn("wait", "combine", "defer"); err != nil {
+		if err := fenceIn("wait"); err != nil {
 			return err
 		}
 		return reject(axis{"clock", c.Clock, "fai"}, axis{"quiescer", c.Quiescer, "flags"})
@@ -281,7 +270,7 @@ func (c *Config) normalize() error {
 		if c.SortedLocks || c.Stripes != 0 {
 			return fmt.Errorf("engine: TM %q has no lock table", c.TM)
 		}
-		if err := fenceIn("wait", "combine", "defer"); err != nil {
+		if err := fenceIn("wait"); err != nil {
 			return err
 		}
 		return reject(axis{"clock", c.Clock, "fai"})
@@ -289,7 +278,7 @@ func (c *Config) normalize() error {
 		if c.SortedLocks {
 			return fmt.Errorf("engine: TM %q does not support sorted", c.TM)
 		}
-		if err := fenceIn("wait", "combine", "defer", "noop"); err != nil {
+		if err := fenceIn("wait", "noop"); err != nil {
 			return err
 		}
 		if c.Sink != nil {
@@ -308,29 +297,16 @@ func (c *Config) normalize() error {
 // transactional reclamation on such a TM.
 func (c Config) UnsafeFence() bool { return c.Fence == "noop" || c.Fence == "skipro" }
 
-// fenceMode maps the fence axis to a quiescence mode ("wait" for the
-// unsafe policies, whose handling is TM-specific).
-func fenceMode(fence string) quiesce.Mode {
-	switch fence {
-	case "combine":
-		return quiesce.Combine
-	case "defer":
-		return quiesce.Defer
-	}
-	return quiesce.Wait
-}
-
 // New constructs the TM described by cfg.
 func New(cfg Config) (core.TM, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	mode := fenceMode(cfg.Fence)
 	switch cfg.TM {
 	case "baseline":
-		return baseline.New(cfg.Regs, cfg.Threads, cfg.Sink, baseline.WithFenceMode(mode)), nil
+		return baseline.New(cfg.Regs, cfg.Threads, cfg.Sink), nil
 	case "atomic":
-		opts := []atomictm.Option{atomictm.WithFenceMode(mode)}
+		var opts []atomictm.Option
 		if cfg.Stripes != 0 {
 			opts = append(opts, atomictm.WithStripes(cfg.Stripes))
 		}
@@ -339,13 +315,13 @@ func New(cfg Config) (core.TM, error) {
 		}
 		return atomictm.New(cfg.Regs, cfg.Threads, opts...), nil
 	case "norec":
-		opts := []norec.Option{norec.WithFenceMode(mode)}
+		var opts []norec.Option
 		if cfg.Quiescer == "epochs" {
 			opts = append(opts, norec.WithEpochFence())
 		}
 		return norec.New(cfg.Regs, cfg.Threads, cfg.Sink, opts...), nil
 	case "wtstm":
-		opts := []wtstm.Option{wtstm.WithFenceMode(mode)}
+		var opts []wtstm.Option
 		if cfg.Clock == "gv4" {
 			opts = append(opts, wtstm.WithGV4())
 		}
@@ -360,7 +336,7 @@ func New(cfg Config) (core.TM, error) {
 		}
 		return wtstm.New(cfg.Regs, cfg.Threads, opts...), nil
 	case "tl2":
-		opts := []tl2.Option{tl2.WithFenceMode(mode)}
+		var opts []tl2.Option
 		if cfg.Clock == "gv4" {
 			opts = append(opts, tl2.WithGV4())
 		}
@@ -422,32 +398,22 @@ func MustNewSpec(spec string, regs, threads int, sink record.Sink) core.TM {
 func Specs() []string {
 	s := []string{
 		"baseline",
-		"baseline+combine",
 		"atomic",
-		"atomic+defer",
 		"norec",
 		"norec+epochs",
-		"norec+combine",
-		"norec+defer",
 		"norec+quiesce",
 		"wtstm",
 		"wtstm+gv4",
 		"wtstm+epochs",
 		"wtstm+nofence",
-		"wtstm+combine",
 		"tl2",
 		"tl2+gv4",
 		"tl2+epochs",
 		"tl2+sorted",
 		"tl2+nofence",
 		"tl2+skipro",
-		"tl2+combine",
-		"tl2+defer",
-		"tl2+gv4+combine",
 		"tl2+quiesce",
-		"tl2+defer+quiesce",
 		"tl2+quiesce+batch",
-		"tl2+defer+quiesce+batch",
 		"norec+quiesce+batch",
 	}
 	sort.Strings(s)

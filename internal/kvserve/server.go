@@ -27,8 +27,8 @@
 //
 // Shutdown protocol: the owner first drains in-flight HTTP requests
 // (http.Server.Shutdown), then calls Server.Drain, which stops the
-// write coalescer, settles every deferred privatization and
-// reclamation (stmkv.Store.Drain), and surfaces any async error — the
+// write coalescer, settles the store's table heap (stmkv.Store.Drain:
+// parked frees retire) and surfaces any reclamation error — the
 // ordering cmd/kvserver implements on SIGTERM.
 package kvserve
 
@@ -185,12 +185,12 @@ func (s *Server) Telemetry() telemetry.Snapshot {
 	return s.board.Snapshot()
 }
 
-// Drain finishes the server's asynchronous work: it stops accepting
-// coalesced writes, settles every deferred privatization and
-// reclamation, and returns the first async error any of them hit. Call
-// it after the HTTP listener has drained its in-flight requests; Drain
-// is idempotent (a second call only re-drains the store, which reports
-// errors registered since).
+// Drain finishes the server's outstanding work: it stops accepting
+// coalesced writes, settles the store's table heap, and returns the
+// first reclamation error the heap hit. Call it after the HTTP listener
+// has drained its in-flight requests; Drain is idempotent (a second
+// call only re-drains the store, which reports errors registered
+// since).
 func (s *Server) Drain() error {
 	s.ready.Store(false)
 	if s.drained.CompareAndSwap(false, true) {

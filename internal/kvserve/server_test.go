@@ -49,7 +49,7 @@ func do(t *testing.T, method, url, body string) (int, string) {
 }
 
 func TestServerEndToEnd(t *testing.T) {
-	for _, spec := range []string{"tl2", "tl2+combine", "norec"} {
+	for _, spec := range []string{"tl2", "tl2+quiesce+batch", "norec"} {
 		t.Run(spec, func(t *testing.T) {
 			_, ts := newTestServer(t, kvserve.Config{Spec: spec, Shards: 4, Slots: 64, Threads: 4})
 
@@ -261,7 +261,7 @@ func TestServerMagazineSpec(t *testing.T) {
 // scan-mix modes, and the server must drain clean afterwards
 // (newTestServer's cleanup).
 func TestRunLoad(t *testing.T) {
-	for _, spec := range []string{"tl2", "tl2+combine", "norec"} {
+	for _, spec := range []string{"tl2", "tl2+quiesce+batch", "norec"} {
 		_, ts := newTestServer(t, kvserve.Config{Spec: spec, Shards: 4, Slots: 128, Threads: 4, BatchWrites: 8})
 		for name, cfg := range map[string]kvserve.LoadConfig{
 			"closed":  {BaseURL: ts.URL, Conns: 4, Ops: 400, ReadPct: 60, DeletePct: 10, Keys: 256},

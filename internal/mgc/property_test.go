@@ -14,8 +14,8 @@ import (
 // configurations for which Theorem 5.3 promises that every recorded
 // most-general-client history passes the strong-opacity pipeline.
 // (wtstm has no sink; +nofence/+skipro are deliberately unsafe. The
-// combine and defer fence modes are safe — they change how the grace
-// period is waited out, not what it waits for — so they are included.)
+// quiesce and batch allocator axes do not change the TM, so their specs
+// are included as they stand.)
 func safeSinkSpecs(t *testing.T) []string {
 	t.Helper()
 	var out []string

@@ -42,15 +42,11 @@ type Option func(*options)
 
 type options struct {
 	epochs bool
-	mode   quiesce.Mode
 }
 
 // WithEpochFence selects the epoch-based grace period for the fence
 // instead of the flag-based one.
 func WithEpochFence() Option { return func(o *options) { o.epochs = true } }
-
-// WithFenceMode selects the quiescence mode (wait, combine, defer).
-func WithFenceMode(m quiesce.Mode) Option { return func(o *options) { o.mode = m } }
 
 // TM is a NOrec transactional memory implementing core.TM.
 type TM struct {
@@ -71,27 +67,24 @@ type slot struct {
 }
 
 // New returns a NOrec TM with regs registers and thread ids 1..threads.
-// Thread id threads+1 is reserved for the quiescence service's
-// reclaimer (deferred-fence callbacks).
 func New(regs, threads int, sink record.Sink, opts ...Option) *TM {
 	var o options
 	for _, f := range opts {
 		f(&o)
 	}
-	reclaim := threads + 1
 	tm := &TM{
 		regs:    make([]atomic.Int64, regs),
 		sink:    sink,
-		threads: make([]slot, reclaim+1),
+		threads: make([]slot, threads+1),
 	}
 	var q rcu.Quiescer
 	if o.epochs {
-		q = rcu.NewEpochs(reclaim)
+		q = rcu.NewEpochs(threads)
 	} else {
-		q = rcu.NewFlags(reclaim)
+		q = rcu.NewFlags(threads)
 	}
-	tm.qs = quiesce.New(q, o.mode, reclaim)
-	tm.board = telemetry.NewBoard(reclaim)
+	tm.qs = quiesce.New(q)
+	tm.board = telemetry.NewBoard(threads)
 	tm.qs.SetBoard(tm.board)
 	for t := range tm.threads {
 		tm.threads[t].tx.tm = tm
@@ -132,17 +125,6 @@ func (tm *TM) Fence(thread int) {
 		tm.sink.FEnd(thread)
 	}
 }
-
-// FenceAsync implements core.TM: the quiescence service's Defer.
-// Deferred grace periods are not recorded in the sink.
-func (tm *TM) FenceAsync(thread int, fn func(thread int)) { tm.qs.Defer(thread, fn) }
-
-// FenceAsyncBatch implements core.BatchFencer: every callback shares
-// one grace period.
-func (tm *TM) FenceAsyncBatch(thread int, fns []func(thread int)) { tm.qs.DeferBatch(thread, fns) }
-
-// FenceBarrier implements core.TM.
-func (tm *TM) FenceBarrier(thread int) { tm.qs.Barrier() }
 
 // TelemetryBoard implements telemetry.Provider: the per-thread counter
 // board core.Atomically and the quiescence service record into.

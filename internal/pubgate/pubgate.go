@@ -84,10 +84,10 @@ func (g *Gate) sample() *chan struct{} {
 // The stall outcomes are counted in th's telemetry slot when tm carries
 // a board: GateSpinWakes, GateParks, GateTimeouts.
 func (g *Gate) Retry(tm core.TM, th int, private error, body func(core.Txn) error) error {
-	return g.retry(tm, th, private, body, maxWaits)
+	return g.retry(tm, th, private, body, maxWaits, parkTimeout)
 }
 
-func (g *Gate) retry(tm core.TM, th int, private error, body func(core.Txn) error, maxWaits int) error {
+func (g *Gate) retry(tm core.TM, th int, private error, body func(core.Txn) error, maxWaits int, parkTimeout time.Duration) error {
 	var (
 		slot  *telemetry.Slot // set on the first stall
 		timer *time.Timer     // one per call, reused across parks

@@ -110,7 +110,7 @@ func TestSplitRollsBackOnAbort(t *testing.T) {
 }
 
 // TestSplitFreeCoalesceRoundTrip is the exact-accounting regression for
-// split blocks, on every TM × fence mode × reclaim granularity: carve a
+// split blocks, on every TM × reclaim granularity: carve a
 // 64-register block into class-2 pieces via splits, free every piece,
 // and check the round trip nets to zero leak — Allocs−Frees counts
 // blocks as currently sized, so split/coalesce traffic must not move
@@ -167,6 +167,11 @@ func TestSplitFreeCoalesceRoundTrip(t *testing.T) {
 					t.Fatalf("BumpRegs = %d after round trip, want 64", st.BumpRegs)
 				}
 			})
+		}
+	}
+	for _, spec := range retiredSpecs(testing.Short()) {
+		for _, reclaim := range []string{"free", "batch"} {
+			t.Run(spec+"/"+reclaim, func(t *testing.T) { requireRefused(t, spec) })
 		}
 	}
 }

@@ -1,5 +1,6 @@
 package stmalloc
 
-// InjectAsyncErr records err as if a deferred reclamation had failed —
-// the test hook behind Drain's surface-once regression test.
+// InjectAsyncErr records err as if a reclamation had failed outside any
+// call that could return it — the test hook behind Drain's
+// surface-once regression test.
 func (h *Heap) InjectAsyncErr(err error) { h.fail(err) }

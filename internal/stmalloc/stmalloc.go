@@ -10,14 +10,12 @@
 //     with everything else.
 //  2. The data structure unlinks the block transactionally (a Remove
 //     or Dequeue that commits).
-//  3. Free(th, ptr, n) rides the TM's asynchronous fence
-//     (core.TM.FenceAsync): after a grace period in which every
+//  3. Free(th, ptr, n) runs the TM's fence (core.TM.Fence): once every
 //     transaction active at the Free has finished — so no stale
 //     reference survives — the block is wiped with *uninstrumented*
 //     stores (the idiom's private phase) and pushed back onto its home
-//     shard's free list by a small transaction (the publish). On a
-//     defer-mode TM the caller never blocks; on wait/combine TMs the
-//     fence is synchronous.
+//     shard's free list by a small transaction (the publish), all on
+//     the caller's thread before Free returns.
 //
 // The free lists themselves live in TM registers (each free block's
 // first register is the next-free link, shard list heads live in the
@@ -50,11 +48,9 @@
 //  1. Park. Free appends (ptr, class) to the thread's parked list under
 //     a per-thread mutex. No transaction runs and the block is not
 //     touched.
-//  2. Retire. The Free that fills the list to capacity+1 blocks hands
-//     the whole list to ONE grace-period registration (FenceAsync —
-//     riding the combine/defer machinery, so concurrent retirers share
-//     grace periods too). Reclamation cost scales with free epochs, not
-//     free count.
+//  2. Retire. The Free that fills the list to capacity+1 blocks runs
+//     ONE fence for the whole list. Reclamation cost scales with free
+//     epochs, not free count.
 //  3. Recycle. After the grace period, one uninstrumented wipe pass
 //     covers every block, then one transaction pushes them onto the
 //     freeing thread's own alloc-side cache, up to recycleFactor ×
@@ -432,14 +428,13 @@ type Heap struct {
 	// across cores. A hint only — correctness never depends on it.
 	affinity []atomic.Int32
 
-	// pending counts Frees registered but not yet pushed back, and
-	// batches counts batch retires (magazine fills and flushes). Each
-	// sits on its own cache line: they are bumped from different
-	// threads (Free callers vs the reclaimer) and previously shared
-	// one line with each other and asyncErr.
+	// pending counts Frees begun but not yet pushed back, and batches
+	// counts batch retires (magazine fills and flushes). Each sits on
+	// its own cache line: every freeing thread bumps them, and they
+	// previously shared one line with each other and firstErr.
 	pending  padInt64
 	batches  padInt64
-	asyncErr paddedErr
+	firstErr paddedErr
 
 	// everSplit gates the publish-time buddy search: heaps that never
 	// split never pay it. Set inside the (possibly aborting) split
@@ -455,8 +450,8 @@ type padInt64 struct {
 	_ [56]byte
 }
 
-// paddedErr holds the first error a deferred reclamation hit (Drain
-// surfaces it), padded off the counters around it.
+// paddedErr holds the first error a reclamation hit (Free returns none;
+// Drain surfaces it), padded off the counters around it.
 type paddedErr struct {
 	atomic.Pointer[error]
 	_ [56]byte
@@ -500,9 +495,9 @@ func (p *parkList) take(capacity int) []retired {
 	return p.takeLocked(capacity)
 }
 
-// takeLocked hands the current slice to the caller — it lives on in the
-// retire callback — and continues on the spare, or on a fresh slice
-// sized for a full batch.
+// takeLocked hands the current slice to the caller — it lives on until
+// the retire has published it — and continues on the spare, or on a
+// fresh slice sized for a full batch.
 func (p *parkList) takeLocked(capacity int) []retired {
 	b := p.blocks
 	p.blocks, p.spare = p.spare, nil
@@ -1295,16 +1290,14 @@ func (h *Heap) shardOf(ptr int64) int {
 }
 
 // Free returns the n-register block at ptr to the heap once no
-// transaction can still hold a stale reference: it registers the
-// reclamation with the TM's asynchronous fence, and after the grace
-// period wipes the block uninstrumented and pushes it (in a small
+// transaction can still hold a stale reference: it runs the TM's
+// fence, then wipes the block uninstrumented and pushes it (in a small
 // transaction) onto its home shard's free list. The caller must have
-// unlinked the block transactionally before calling Free, and must not
-// touch it afterwards. On a defer-mode TM Free never blocks; use Drain
-// to settle. Under WithTransactionalFree the grace period and the wipe
-// are skipped and the push happens inline. On a magazine thread the
-// block is parked instead and reclaimed with its batch (see the
-// package comment).
+// unlinked the block transactionally before calling Free, must not be
+// inside a transaction, and must not touch the block afterwards. Under
+// WithTransactionalFree the fence and the wipe are skipped. On a
+// magazine thread the block is parked instead and reclaimed with its
+// batch (see the package comment).
 func (h *Heap) Free(th int, ptr int64, n int) {
 	c, ok := classOf(n)
 	if !ok {
@@ -1316,13 +1309,10 @@ func (h *Heap) Free(th int, ptr int64, n int) {
 		h.freeMag(th, ptr, c)
 		return
 	}
-	if h.txnFree {
-		h.release(th, ptr, c, false)
-		return
+	if !h.txnFree {
+		h.tm.Fence(th)
 	}
-	h.tm.FenceAsync(th, func(cb int) {
-		h.release(cb, ptr, c, true)
-	})
+	h.release(th, ptr, c, !h.txnFree)
 }
 
 // retired is one block awaiting (or leaving) a batch retire. owner is
@@ -1354,9 +1344,8 @@ func (h *Heap) freeMag(th int, ptr int64, c int) {
 	}
 }
 
-// retire reclaims a batch of unlinked blocks: ONE grace-period
-// registration covers the whole batch (riding the TM's combine/defer
-// machinery), after which every block is wiped uninstrumented and
+// retire reclaims a batch of unlinked blocks: ONE fence covers the
+// whole batch, after which every block is wiped uninstrumented and
 // published (publishBatch). A batch taken whole from a parked list
 // names it as home, which gets the slice back once published.
 func (h *Heap) retire(th int, batch []retired, home *parkList) {
@@ -1364,12 +1353,11 @@ func (h *Heap) retire(th int, batch []retired, home *parkList) {
 	if sl := h.board.Slot(th); sl != nil {
 		sl.ReclaimBatches.Add(1)
 	}
-	h.tm.FenceAsync(th, func(cb int) {
-		h.publishBatch(cb, batch)
-		if home != nil {
-			home.reuse(batch)
-		}
-	})
+	h.tm.Fence(th)
+	h.publishBatch(th, batch)
+	if home != nil {
+		home.reuse(batch)
+	}
 }
 
 // publishBatch is the tail of a batch retire, after the grace period:
@@ -1463,17 +1451,13 @@ func (h *Heap) FreeQuiesced(th int, ptr int64, n int) {
 // ONE batch (one grace period for everything the thread had parked)
 // bound for the shard free lists — never into the cache being flushed —
 // and its alloc-side cache returns to the shard free lists at once (its
-// blocks are wiped and quiescent, so no grace period is needed). It
-// first waits for the thread's batches already in flight, which recycle
-// into that cache. On a defer-mode TM the flushed batch's blocks reach
-// the lists after FlushThread returns; Drain settles them. Call it when
-// a worker goroutine retires mid-run so its parked frees and cached
-// blocks don't strand. It is a no-op without magazines.
+// blocks are wiped and quiescent, so no grace period is needed). Call
+// it when a worker goroutine retires mid-run so its parked frees and
+// cached blocks don't strand. It is a no-op without magazines.
 func (h *Heap) FlushThread(th int) {
 	if !h.hasMagazine(th) {
 		return
 	}
-	h.tm.FenceBarrier(th)
 	p := &h.parked[th]
 	if batch := p.take(h.magCap); batch != nil {
 		for i := range batch {
@@ -1645,18 +1629,16 @@ func (h *Heap) release(th int, ptr int64, c int, wipe bool) {
 }
 
 func (h *Heap) fail(err error) {
-	h.asyncErr.CompareAndSwap(nil, &err)
+	h.firstErr.CompareAndSwap(nil, &err)
 }
 
-// Drain blocks until every reclamation registered by Free before the
-// call has completed, and returns the first error any reclamation hit.
-// On a magazine heap it first takes every thread's parked frees and
-// retires them under ONE shared grace period (parked frees have not
-// been registered with the fence yet); each block still recycles into
+// Drain settles the heap and returns the first error any reclamation
+// hit. On a magazine heap it takes every thread's parked frees and
+// retires them under ONE shared fence; each block still recycles into
 // its own thread's alloc-side cache, and the caches stay in place. th
 // must be a valid thread id not currently inside a transaction.
 //
-// Each async error is surfaced exactly once: the Drain that returns it
+// Each error is surfaced exactly once: the Drain that returns it
 // clears it, so periodic drains in a long-running process report
 // recovery as nil instead of repeating the first failure forever.
 func (h *Heap) Drain(th int) error {
@@ -1667,8 +1649,7 @@ func (h *Heap) Drain(th int) error {
 	if len(all) > 0 {
 		h.retire(th, all, nil)
 	}
-	h.tm.FenceBarrier(th)
-	if e := h.asyncErr.Swap(nil); e != nil {
+	if e := h.firstErr.Swap(nil); e != nil {
 		return *e
 	}
 	return nil

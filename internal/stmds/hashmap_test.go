@@ -159,16 +159,15 @@ func TestHashMapRehashWindowsRecorded(t *testing.T) {
 // value convention) while a reader takes full snapshots. Torn chain
 // walks against the uninstrumented stripe unzip — the race the guard
 // protocol exists to prevent — surface as convention violations, as
-// duplicate keys, or under -race as data races. Magazines + deferred
-// fence put batch retires on background goroutines racing the
-// migration windows.
+// duplicate keys, or under -race as data races. Magazines put batch
+// retires on the churners' goroutines, racing the migration windows.
 func TestHashMapChurnDuringRehash(t *testing.T) {
 	const threads = 4
 	ops := 1500
 	if testing.Short() {
 		ops = 400
 	}
-	_, heap, hm := hashHeap(t, "tl2+defer", threads+1, 800,
+	_, heap, hm := hashHeap(t, "tl2", threads+1, 800,
 		stmalloc.WithMagazines(threads+1, 3))
 	var stop atomic.Bool
 	errs := make(chan error, threads+1)

@@ -225,10 +225,10 @@ func TestOrderedMapEquivalence(t *testing.T) {
 // under the same traffic. Every snapshot must be sorted, duplicate-free
 // and value-consistent — a torn read of a half-linked tower or of a
 // magazine-recycled block would surface here (and under -race, as a
-// data race). Runs on the deferred fence with magazines: retirement
-// happens on background goroutines while traversals are in flight,
-// which is exactly the reclamation race the windowed differential
-// suite schedules deterministically and this test leaves wild.
+// data race). Runs with magazines: batch retires run on the churners'
+// goroutines while traversals are in flight, which is exactly the
+// reclamation race the windowed differential suite schedules
+// deterministically and this test leaves wild.
 func TestSkipMapSnapshotDuringChurn(t *testing.T) {
 	const threads = 4
 	ops := 800
@@ -237,7 +237,7 @@ func TestSkipMapSnapshotDuringChurn(t *testing.T) {
 	}
 	for _, impl := range []string{"skip", "list"} {
 		t.Run(impl, func(t *testing.T) {
-			heap, sm, lm := demandHeap(t, "tl2+defer", threads+1, 300,
+			heap, sm, lm := demandHeap(t, "tl2", threads+1, 300,
 				stmalloc.WithMagazines(threads+1, 3))
 			var m stmds.OrderedMap = sm
 			if impl == "list" {

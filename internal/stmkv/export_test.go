@@ -1,8 +1,9 @@
 package stmkv
 
-// InjectAsyncErr records err as if a deferred maintenance callback had
-// failed — the test hook behind Drain's surface-once regression test.
-func (s *Store) InjectAsyncErr(err error) { s.fail(err) }
+// FailReclamation makes the store's table heap record a reclamation
+// failure — a Free of a size no class holds, which the heap reports
+// through its next Drain — so a test can watch Store.Drain surface it.
+func (s *Store) FailReclamation(th int) { s.heap.Free(th, 0, 1<<40) }
 
 // HoldShard privatizes one shard — read-private as a scan window does,
 // or exclusive as a rehash does — fences, and hands back the publish,

@@ -150,7 +150,7 @@ func val(k int64) int64 { return k*31 + 7 }
 
 // TestScanWindowsBesideChurn runs Scan and ScanPage walkers beside a
 // reader of never-modified keys and a writer checked against a plain-map
-// oracle, on every TM in every fence mode. The reader's Gets run through
+// oracle, on every TM. The reader's Gets run through
 // the walkers' read-private windows; the writer's puts grow and compact
 // the shards under the walkers; and every other ScanPage walk resizes
 // the store between its first two pages, so a rehash of the shard its
@@ -172,7 +172,7 @@ func TestScanWindowsBesideChurn(t *testing.T) {
 	if testing.Short() {
 		writerOps = 400
 	}
-	for _, spec := range fenceModeSpecs() {
+	for _, spec := range allSpecs {
 		t.Run(spec, func(t *testing.T) {
 			tm, err := engine.NewSpec(spec, stmkv.RegsNeeded(shards, slots), pager, nil)
 			if err != nil {
@@ -348,5 +348,9 @@ func TestScanWindowsBesideChurn(t *testing.T) {
 				walks[scanner].Load(), walks[pager].Load(),
 				st.Grows, st.ScanWindows, st.ReadThroughs, st.GateSpinWakes, st.GateParks)
 		})
+		for _, fence := range retiredFenceModes {
+			retired := spec + fence
+			t.Run(retired, func(t *testing.T) { requireRefused(t, retired) })
+		}
 	}
 }

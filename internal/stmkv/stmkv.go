@@ -76,22 +76,16 @@
 // one big read-only transaction per shard, no fence, the natural choice
 // on a TM like NOrec whose privatization is safe without fences.
 //
-// Clear and Resize use *deferred, batched* privatization: every
-// shard's flag flips odd inline (ascending order, so concurrent bulk
-// operations never deadlock), then ONE shared grace period
-// (core.FenceAsyncBatch) covers all shards' operate→publish tails. On
-// a TM built with the defer fence mode the caller returns without ever
-// blocking on a grace period and the wipes/rehashes happen on the TM's
-// reclaimer; on wait/combine TMs one (combined) fence replaces the
-// per-shard fences. Either way no reader can observe a half-maintained
-// shard — point operations wait while the shard is exclusive (on the
-// store's publish gate, package pubgate, rather than by re-running
-// their transaction), and the flag returns to shared only after the
-// deferred work published. Drain
-// waits for all outstanding deferred maintenance and surfaces its
-// errors. WithBatchReclaim additionally gives the table heap
-// per-thread magazine caches, so the table blocks a rehash replaces
-// recycle thread-locally.
+// Clear and Resize use *batched* privatization: every shard's flag
+// flips odd (ascending order, so concurrent bulk operations never
+// deadlock), then ONE fence covers all shards' operate→publish tails
+// instead of one fence per shard. No reader can observe a
+// half-maintained shard — point operations wait while the shard is
+// exclusive (on the store's publish gate, package pubgate, rather than
+// by re-running their transaction), and the flag returns to shared only
+// after the work published. WithBatchReclaim additionally gives the
+// table heap per-thread magazine caches, so the table blocks a rehash
+// replaces recycle thread-locally.
 package stmkv
 
 import (
@@ -219,11 +213,6 @@ type Store struct {
 	scans          padInt64
 	clears         padInt64
 	scanWindows    padInt64
-
-	// asyncErr holds the first error a deferred maintenance callback
-	// hit (publish contention, heap exhaustion) since the last Drain;
-	// Drain surfaces it once and clears it.
-	asyncErr atomic.Pointer[error]
 
 	// board is the TM's telemetry board when the TM carries one;
 	// privatization cycles are recorded per thread alongside the store's
@@ -929,15 +918,10 @@ func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next str
 	return pairs, "", nil
 }
 
-// Clear empties the store via deferred privatization: each shard's
-// flag flips odd inline, and the wipe→publish tail runs after the
-// grace period through the TM's asynchronous fence. On a defer-mode TM
-// Clear returns before the wipes have happened; every subsequent
-// operation on a still-private shard blocks until its wipe publishes,
-// so callers observe the cleared state, just possibly later. Use Drain
-// to wait for completion.
+// Clear empties the store: every shard privatizes, one fence covers
+// them all, and each shard is wiped and published before Clear returns.
 func (s *Store) Clear(th int) error {
-	return s.privatizeAllDeferred(th, func(th, sh int) {
+	return s.privatizeAll(th, func(sh int) error {
 		base := s.base(sh)
 		tm := s.tm
 		tab := tm.Load(th, base+offTable)
@@ -949,17 +933,15 @@ func (s *Store) Clear(th int) error {
 		tm.Store(th, base+offCount, 0)
 		tm.Store(th, base+offTombs, 0)
 		s.clears.Add(1)
+		return nil
 	})
 }
 
 // Resize rehashes every shard to the given active capacity (clamped to
-// [live keys, slot arena]). Like Clear, the rehash→publish tails are
-// deferred and batched: all shards privatize up front and ONE shared
-// grace period (core.FenceAsyncBatch) covers every shard's rehash — on
-// a defer-mode TM the caller never blocks and the reclaimer runs the
-// batch; on wait/combine TMs one fence replaces the per-shard fences.
-// The replaced table blocks return to the heap (through the rehashing
-// thread's magazine cache under WithBatchReclaim).
+// [live keys, slot arena]). Like Clear, all shards privatize up front
+// and ONE fence covers every shard's rehash. The replaced table blocks
+// return to the heap (through the rehashing thread's magazine cache
+// under WithBatchReclaim).
 func (s *Store) Resize(th, slots int) error {
 	if slots < 1 {
 		slots = 1
@@ -967,39 +949,22 @@ func (s *Store) Resize(th, slots int) error {
 	if slots > s.slots {
 		slots = s.slots
 	}
-	return s.privatizeAllDeferred(th, func(th, sh int) {
+	return s.privatizeAll(th, func(sh int) error {
 		base := s.base(sh)
 		target := int64(slots)
 		if live := s.tm.Load(th, base+offCount); target < live {
 			target = live
 		}
-		if err := s.rehashTo(th, base, target); err != nil {
-			s.fail(err)
-		}
+		return s.rehashTo(th, base, target)
 	})
 }
 
-// Drain blocks until every deferred Clear/Resize registered before the
-// call has completed and returns the first error any of them — or the
-// table heap's reclamations — hit. On TMs whose fence mode is not
-// deferred the maintenance ran inline and Drain only collects errors.
-//
-// Each async error is surfaced exactly once: the Drain that returns it
-// also clears it, so a later Drain reports only failures registered
-// since. A long-running caller (cmd/kvserver drains on every shutdown
-// and liveness probe) therefore sees recovery as a nil Drain instead
-// of the first failure repeated forever.
-func (s *Store) Drain(th int) error {
-	s.tm.FenceBarrier(th)
-	if e := s.asyncErr.Swap(nil); e != nil {
-		return *e
-	}
-	return s.heap.Drain(th)
-}
-
-func (s *Store) fail(err error) {
-	s.asyncErr.CompareAndSwap(nil, &err)
-}
+// Drain settles the table heap and returns the first error its
+// reclamations hit (stmalloc.Heap.Drain). Each error is surfaced
+// exactly once, so a long-running caller (cmd/kvserver drains on every
+// shutdown and liveness probe) sees recovery as a nil Drain instead of
+// the first failure repeated forever.
+func (s *Store) Drain(th int) error { return s.heap.Drain(th) }
 
 // grow makes room in a shard for `need` more inserts after a put hit
 // the load factor: it doubles the active capacity (repeatedly, for
@@ -1151,42 +1116,41 @@ func (s *Store) privatize(th, base int, state int64) error {
 	return nil
 }
 
-// privatizeAllDeferred is the batched bulk-maintenance cycle: commit
-// the exclusive-privatizing transaction for every shard (ascending
-// order, so concurrent bulk operations cannot deadlock), then register one
-// callback per shard — work(th, shard) followed by the publish that
-// re-shares it — under ONE shared grace period via core.FenceAsyncBatch.
-// The fence starts after every privatizing transaction committed, so
-// when the callbacks run no transaction that saw any of the shards
-// shared is still live. work must use only uninstrumented accesses and
-// heap calls.
-func (s *Store) privatizeAllDeferred(th int, work func(th, shard int)) error {
-	fns := make([]func(int), 0, s.shards)
+// privatizeAll is the batched bulk-maintenance cycle: commit the
+// exclusive-privatizing transaction for every shard (ascending order,
+// so concurrent bulk operations cannot deadlock), run ONE fence, then
+// work(shard) and the publish that re-shares it, shard by shard. The
+// fence starts after every privatizing transaction committed, so no
+// transaction that saw any of the shards shared is still live when the
+// work runs. work must use only uninstrumented accesses and heap
+// calls. Every shard is published even when work fails on another; the
+// errors are joined.
+func (s *Store) privatizeAll(th int, work func(shard int) error) error {
 	for sh := 0; sh < s.shards; sh++ {
-		base := s.base(sh)
-		if err := s.acquirePrivate(th, base, flagExclusive); err != nil {
+		if err := s.acquirePrivate(th, s.base(sh), flagExclusive); err != nil {
 			// Re-share what we already hold: a half-acquired bulk op
 			// must not leave shards privatized forever. A publish that
-			// fails here leaves its shard stuck odd — record it so
-			// Drain surfaces the stuck shard instead of reporting
-			// success while point operations time out against it.
-			for done := 0; done < len(fns); done++ {
+			// fails here leaves its shard stuck odd — report it instead
+			// of letting point operations time out against it silently.
+			for done := 0; done < sh; done++ {
 				if perr := s.publish(th, s.base(done)); perr != nil {
-					s.fail(fmt.Errorf("stmkv: rollback publish of shard %d failed (shard stuck private): %w", done, perr))
+					err = errors.Join(err, fmt.Errorf("stmkv: rollback publish of shard %d failed (shard stuck private): %w", done, perr))
 				}
 			}
 			return err
 		}
-		sh := sh
-		fns = append(fns, func(cb int) {
-			work(cb, sh)
-			if err := s.publish(cb, s.base(sh)); err != nil {
-				s.fail(err)
-			}
-		})
 	}
-	core.FenceAsyncBatch(s.tm, th, fns)
-	return nil
+	s.tm.Fence(th)
+	var errs []error
+	for sh := 0; sh < s.shards; sh++ {
+		if err := work(sh); err != nil {
+			errs = append(errs, err)
+		}
+		if err := s.publish(th, s.base(sh)); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // publish commits a transaction rounding the shard's flag up to the

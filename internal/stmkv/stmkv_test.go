@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"safepriv/internal/engine"
 	"safepriv/internal/stmkv"
+	"safepriv/internal/telemetry"
 )
 
 // allSpecs is every production TM in the registry: the store must work
@@ -245,26 +247,37 @@ func TestBadGeometry(t *testing.T) {
 	}
 }
 
-// fenceModeSpecs crosses every registry TM with the three fence modes
-// ("" is the default wait).
-func fenceModeSpecs() []string {
-	var out []string
-	for _, tm := range allSpecs {
-		for _, mode := range []string{"", "+combine", "+defer"} {
-			out = append(out, tm+mode)
-		}
+// retiredFenceModes are the modifiers of the coalescing and deferred
+// fence modes, which the engine no longer has: the paper has one safe
+// fence. The suites that ran on every TM × fence mode keep a row per TM
+// and retired mode, pinning that a store can no longer be configured
+// for one.
+var retiredFenceModes = []string{"+combine", "+defer"}
+
+// requireRefused fails unless the engine refuses spec for naming an
+// unknown modifier.
+func requireRefused(t *testing.T, spec string) {
+	t.Helper()
+	if _, err := engine.NewSpec(spec, stmkv.RegsNeeded(2, 64), 3, nil); err == nil || !strings.Contains(err.Error(), "unknown modifier") {
+		t.Fatalf("NewSpec(%q) = %v, want an unknown-modifier error", spec, err)
 	}
-	return out
 }
 
 // TestKVFenceModes runs the store's full lifecycle — puts crossing the
-// growth path, scans, resize, clear, drain, reuse — on every TM in
-// every fence mode: the privatization suite the combine/defer plumbing
-// must pass unchanged.
+// growth path, scans, resize, clear, drain, reuse — on every TM with
+// the paper's fence, the only safe one. A Resize or Clear of N shards
+// privatizes all N and runs ONE fence for them, counted on the TM's
+// telemetry board.
 func TestKVFenceModes(t *testing.T) {
-	for _, spec := range fenceModeSpecs() {
+	const shards = 4
+	for _, spec := range allSpecs {
 		t.Run(spec, func(t *testing.T) {
-			s := newStore(t, spec, 2, 64, 3)
+			tm := engine.MustNewSpec(spec, stmkv.RegsNeeded(shards, 64), 3, nil)
+			board := tm.(telemetry.Provider).TelemetryBoard()
+			s, err := stmkv.New(tm, shards, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := map[int64]int64{}
 			for k := int64(1); k <= 40; k++ {
 				if err := s.Put(1, k, k*3); err != nil {
@@ -279,31 +292,37 @@ func TestKVFenceModes(t *testing.T) {
 			if got := scanMap(t, kvs); len(got) != len(want) {
 				t.Fatalf("Scan has %d keys, want %d", len(got), len(want))
 			}
+			before := board.Snapshot()
 			if err := s.Resize(1, 48); err != nil {
 				t.Fatal(err)
 			}
-			// Point ops interleave with possibly still-deferred resizes:
-			// they must block-retry, never observe a private shard.
+			d := board.Snapshot().Delta(before)
+			if d.Fences != 1 || d.Privatizations != shards {
+				t.Fatalf("Resize of %d shards ran %d fences over %d privatizations, want 1 over %d", shards, d.Fences, d.Privatizations, shards)
+			}
 			for k := int64(1); k <= 40; k++ {
 				v, ok, err := s.Get(2, k)
 				if err != nil || !ok || v != k*3 {
 					t.Fatalf("Get(%d) after Resize = %d,%v,%v", k, v, ok, err)
 				}
 			}
+			before = board.Snapshot()
 			if err := s.Clear(1); err != nil {
 				t.Fatal(err)
 			}
-			// Len is a point transaction: it waits out any deferred wipe.
+			if d := board.Snapshot().Delta(before); d.Fences != 1 {
+				t.Fatalf("Clear of %d shards ran %d fences, want 1", shards, d.Fences)
+			}
 			if ln, err := s.Len(2); err != nil || ln != 0 {
 				t.Fatalf("Len after Clear = %d, %v", ln, err)
 			}
 			if err := s.Drain(1); err != nil {
 				t.Fatalf("Drain: %v", err)
 			}
-			if got := s.Stats(); got.Clears != 2 {
-				t.Fatalf("Clears = %d after drained Clear of 2 shards", got.Clears)
+			if got := s.Stats(); got.Clears != shards {
+				t.Fatalf("Clears = %d after Clear of %d shards", got.Clears, shards)
 			}
-			// The store stays usable after deferred maintenance.
+			// The store stays usable after bulk maintenance.
 			if err := s.Put(1, 7, 77); err != nil {
 				t.Fatal(err)
 			}
@@ -311,47 +330,10 @@ func TestKVFenceModes(t *testing.T) {
 				t.Fatalf("post-clear Get = %d,%v", v, ok)
 			}
 		})
-	}
-}
-
-// TestDeferredClearDoesNotBlock pins the defer mode's point: Clear on a
-// defer-mode TM returns without waiting for the grace period, while a
-// transaction is still active on another thread. (On a wait-mode TM the
-// same Clear would block until the transaction exits.)
-func TestDeferredClearDoesNotBlock(t *testing.T) {
-	tm := engine.MustNewSpec("tl2+defer", stmkv.RegsNeeded(2, 32), 4, nil)
-	s, err := stmkv.New(tm, 2, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(1, 5, 50); err != nil {
-		t.Fatal(err)
-	}
-	// Hold a transaction open on thread 3: any synchronous fence would
-	// block on it.
-	tx := tm.Begin(3)
-	if _, err := tx.Read(0); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.Clear(2) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
+		for _, fence := range retiredFenceModes {
+			retired := spec + fence
+			t.Run(retired, func(t *testing.T) { requireRefused(t, retired) })
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("deferred Clear blocked on an active transaction")
-	}
-	// The held transaction read shard 0's flag, so Clear's privatizing
-	// write dooms it: commit may legitimately abort. Either way it
-	// exits, letting the deferred grace period elapse.
-	_ = tx.Commit()
-	if err := s.Drain(2); err != nil {
-		t.Fatal(err)
-	}
-	if ln, err := s.Len(1); err != nil || ln != 0 {
-		t.Fatalf("Len after drained Clear = %d, %v", ln, err)
 	}
 }
 
@@ -359,22 +341,20 @@ func TestDeferredClearDoesNotBlock(t *testing.T) {
 // on disjoint key ranges (so each range's final contents are a pure
 // function of its own op sequence) while Scan/Resize privatize shards
 // under them. The final Scan must equal the union of the per-worker
-// model maps — on every TM, in every fence mode, and with the workers'
-// Scans as read-only transactions (WithTransactionalScan) on every TM.
+// model maps — on every TM, and with the workers' Scans as read-only
+// transactions (WithTransactionalScan) on every TM.
 func TestConcurrentDisjointRanges(t *testing.T) {
 	workers := 4
 	opsPer := 300
-	specs := fenceModeSpecs()
 	if testing.Short() {
 		opsPer = 120
-		specs = allSpecs
 	}
 	type row struct {
 		name, spec string
 		opts       []stmkv.Option
 	}
 	var rows []row
-	for _, spec := range specs {
+	for _, spec := range allSpecs {
 		rows = append(rows, row{name: spec, spec: spec})
 	}
 	for _, spec := range allSpecs {
@@ -477,6 +457,12 @@ func TestConcurrentDisjointRanges(t *testing.T) {
 			}
 		})
 	}
+	for _, spec := range allSpecs {
+		for _, fence := range retiredFenceModes {
+			retired := spec + fence
+			t.Run(retired, func(t *testing.T) { requireRefused(t, retired) })
+		}
+	}
 }
 
 // TestScanIsPerShardSnapshot pins the documented ordering contract:
@@ -512,17 +498,15 @@ func TestScanIsPerShardSnapshot(t *testing.T) {
 // privatize→rehash→publish cycles plus FreeQuiesced of every replaced
 // table) interleaved with point operations. After a Drain the
 // store-level leak invariant must hold — exactly one live table block
-// per shard — every Resize ran one privatize cycle per shard, none
-// lost to a deferred or combined fence — and every surviving key must
-// be readable. The per-free rows run the same race on a store without
-// magazines in each fence mode. Run under -race in CI.
+// per shard — every Resize ran one privatize cycle per shard — and
+// every surviving key must be readable. The per-free row runs the same
+// race on a store without magazines. Run under -race in CI.
 func TestKVBatchReclaimResizeRace(t *testing.T) {
 	for _, tc := range []struct {
 		spec  string
 		batch bool
 	}{
-		{"tl2", true}, {"tl2+defer", true}, {"norec+combine", true},
-		{"tl2", false}, {"tl2+combine", false}, {"tl2+defer", false},
+		{"tl2", true}, {"norec", true}, {"tl2", false},
 	} {
 		name := tc.spec + "/per-free"
 		if tc.batch {
@@ -631,22 +615,18 @@ func TestKVBatchReclaimResizeRace(t *testing.T) {
 }
 
 // TestDrainSurfacesAsyncErrorOnce is the long-running-server regression
-// test: an async maintenance failure must be returned by exactly one
-// Drain, not by every Drain for the rest of the process's life. The
-// second Drain after the injected deferred failure reports recovery
-// (nil), and the store keeps serving.
+// test: a reclamation failure must be returned by exactly one Drain,
+// not by every Drain for the rest of the process's life. The second
+// Drain after the failure reports recovery (nil), and the store keeps
+// serving.
 func TestDrainSurfacesAsyncErrorOnce(t *testing.T) {
-	for _, spec := range []string{"tl2", "tl2+defer"} {
+	for _, spec := range []string{"tl2"} {
 		t.Run(spec, func(t *testing.T) {
-			tm := engine.MustNewSpec(spec, stmkv.RegsNeeded(2, 64), 3, nil)
-			s, err := stmkv.New(tm, 2, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			injected := errors.New("injected deferred failure")
-			s.InjectAsyncErr(injected)
-			if err := s.Drain(1); !errors.Is(err, injected) {
-				t.Fatalf("first Drain = %v, want the injected error", err)
+			s := newStore(t, spec, 2, 64, 3)
+			failed := func(err error) bool { return err != nil && strings.Contains(err.Error(), "unallocatable") }
+			s.FailReclamation(2)
+			if err := s.Drain(1); !failed(err) {
+				t.Fatalf("first Drain = %v, want the reclamation failure", err)
 			}
 			if err := s.Drain(1); err != nil {
 				t.Fatalf("second Drain after recovery = %v, want nil (stale error resurfaced)", err)
@@ -656,12 +636,15 @@ func TestDrainSurfacesAsyncErrorOnce(t *testing.T) {
 			if err := s.Put(1, 7, 70); err != nil {
 				t.Fatal(err)
 			}
-			s.InjectAsyncErr(injected)
-			if err := s.Drain(1); !errors.Is(err, injected) {
-				t.Fatalf("Drain after second injection = %v, want the injected error", err)
+			s.FailReclamation(2)
+			if err := s.Drain(1); !failed(err) {
+				t.Fatalf("Drain after the second failure = %v, want the reclamation failure", err)
 			}
 			if err := s.Drain(1); err != nil {
 				t.Fatalf("final Drain = %v, want nil", err)
+			}
+			if v, ok, err := s.Get(1, 7); err != nil || !ok || v != 70 {
+				t.Fatalf("Get(7) after the failures = %d,%v,%v", v, ok, err)
 			}
 		})
 	}

@@ -23,8 +23,8 @@ type Slot struct {
 	Commits atomic.Int64
 	// Aborts counts aborted attempts (retries within core.Atomically).
 	Aborts atomic.Int64
-	// Fences counts transactional fences issued (grace-period waits or
-	// registrations) attributed to this thread.
+	// Fences counts transactional fences issued (grace-period waits)
+	// attributed to this thread.
 	Fences atomic.Int64
 	// FenceWaitNs accumulates nanoseconds spent blocked inside
 	// synchronous fence waits.
@@ -37,8 +37,8 @@ type Slot struct {
 	// MagMisses counts allocator slow paths (magazine empty/full, the
 	// request went to a shard free list or the bump frontier).
 	MagMisses atomic.Int64
-	// ReclaimBatches counts whole-magazine retires (one grace-period
-	// registration amortized over a batch of frees).
+	// ReclaimBatches counts whole-magazine retires (one fence amortized
+	// over a batch of frees).
 	ReclaimBatches atomic.Int64
 	// BackoffNs accumulates nanoseconds spent in contention backoff
 	// between aborted attempts.
@@ -70,17 +70,15 @@ type Slot struct {
 }
 
 // Board is a fixed set of per-thread Slots. Thread ids follow the
-// repo-wide convention: 1-based, with the reclaim/background thread at
-// threads+1; index 0 is a shared overflow slot for recorders that have
-// no thread identity (e.g. the deferred reclaimer's fence bookkeeping).
+// repo-wide convention: 1-based; index 0 is a shared overflow slot for
+// recorders that have no thread identity (e.g. the quiescence service's
+// fence bookkeeping).
 type Board struct {
 	slots []Slot
 }
 
 // NewBoard builds a Board with slots for thread ids 0..threads
-// (0 = anonymous/shared, 1..threads = the convention's thread ids,
-// which already include the reclaim thread when the caller sized
-// threads as workers+1).
+// (0 = anonymous/shared, 1..threads = the convention's thread ids).
 func NewBoard(threads int) *Board {
 	if threads < 1 {
 		threads = 1

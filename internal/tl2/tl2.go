@@ -90,10 +90,6 @@ type Config struct {
 	// Epochs selects the epoch-based grace period instead of the
 	// paper's flag-based one (ablation E14).
 	Epochs bool
-	// Mode selects how Fence waits the grace period out (package
-	// quiesce): Wait (default), Combine, or Defer. It is orthogonal to
-	// the Fence policy, which picks *what* is waited for.
-	Mode quiesce.Mode
 	// GV4 selects the pass-on-failure global clock (ablation).
 	GV4 bool
 	// SortedLocks acquires commit-time locks in ascending register
@@ -146,9 +142,6 @@ func WithFence(p FencePolicy) Option { return func(c *Config) { c.Fence = p } }
 // WithEpochFence selects the epoch-based grace period.
 func WithEpochFence() Option { return func(c *Config) { c.Epochs = true } }
 
-// WithFenceMode selects the quiescence mode (wait, combine, defer).
-func WithFenceMode(m quiesce.Mode) Option { return func(c *Config) { c.Mode = m } }
-
 // WithGV4 selects the GV4 clock.
 func WithGV4() Option { return func(c *Config) { c.GV4 = true } }
 
@@ -183,19 +176,17 @@ type TM struct {
 }
 
 // New constructs a TL2 TM with regs registers and thread ids
-// 1..threads. Thread id threads+1 is reserved for the quiescence
-// service's reclaimer (deferred-fence callbacks).
+// 1..threads.
 func New(regs, threads int, opts ...Option) *TM {
 	cfg := Config{Regs: regs, Threads: threads}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	reclaim := threads + 1
 	tm := &TM{
 		cfg:      cfg,
 		table:    stripe.New(regs, cfg.Stripes),
-		hasWrite: make([]writerFlag, reclaim+1),
-		threads:  make([]threadState, reclaim+1),
+		hasWrite: make([]writerFlag, threads+1),
+		threads:  make([]threadState, threads+1),
 	}
 	if cfg.GV4 {
 		tm.clock = vclock.NewGV4()
@@ -204,12 +195,12 @@ func New(regs, threads int, opts ...Option) *TM {
 	}
 	var q rcu.Quiescer
 	if cfg.Epochs {
-		q = rcu.NewEpochs(reclaim)
+		q = rcu.NewEpochs(threads)
 	} else {
-		q = rcu.NewFlags(reclaim)
+		q = rcu.NewFlags(threads)
 	}
-	tm.qs = quiesce.New(q, cfg.Mode, reclaim)
-	tm.board = telemetry.NewBoard(reclaim)
+	tm.qs = quiesce.New(q)
+	tm.board = telemetry.NewBoard(threads)
 	tm.qs.SetBoard(tm.board)
 	for t := range tm.threads {
 		tx := &tm.threads[t].tx
@@ -267,39 +258,6 @@ func (tm *TM) Fence(thread int) {
 		}
 	}
 }
-
-// FenceAsync implements core.TM. Under the unsafe no-op fence policy
-// the callback runs immediately (there is no grace period to wait for,
-// matching Fence); otherwise it is the quiescence service's Defer.
-// Deferred grace periods are not recorded in the sink: a sink-attached
-// TM records only its synchronous fences.
-func (tm *TM) FenceAsync(thread int, fn func(thread int)) {
-	if tm.cfg.Fence == FenceNoOp {
-		fn(thread)
-		return
-	}
-	tm.qs.Defer(thread, fn)
-}
-
-// FenceAsyncBatch implements core.BatchFencer: every callback shares
-// one grace period (inline, with no grace period, under the unsafe
-// no-op fence policy, matching FenceAsync).
-func (tm *TM) FenceAsyncBatch(thread int, fns []func(thread int)) {
-	if tm.cfg.Fence == FenceNoOp {
-		for _, fn := range fns {
-			fn(thread)
-		}
-		return
-	}
-	tm.qs.DeferBatch(thread, fns)
-}
-
-// FenceBarrier implements core.TM.
-func (tm *TM) FenceBarrier(thread int) { tm.qs.Barrier() }
-
-// QuiesceStats exposes the quiescence service's counters (fences,
-// grace periods, deferred callbacks) for harness reports.
-func (tm *TM) QuiesceStats() quiesce.Stats { return tm.qs.Stats() }
 
 // TelemetryBoard implements telemetry.Provider: the per-thread counter
 // board core.Atomically and the quiescence service record into.

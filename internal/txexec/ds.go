@@ -20,8 +20,8 @@ package txexec
 //     serialize it before the back against the pinned order.)
 //   - Ops carry post-commit actions (node frees, the Fig. 7 idiom).
 //     These never run inside a window or while any transaction is open
-//     on the executor goroutine — a Free can fence, and wait/combine
-//     fences would deadlock against the goroutine's own paused front.
+//     on the executor goroutine — a Free fences, and the fence would
+//     deadlock against the goroutine's own paused front.
 //     Instead they queue on a pending list that drains at seeded
 //     quiescent points between rounds (and fully at the end), so
 //     reclamation — including magazine batch retires — races the

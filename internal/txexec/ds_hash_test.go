@@ -19,8 +19,8 @@ import (
 // stretches of the schedule run MID-REHASH: two live arrays, routing
 // split by the migration cursor, with deferred frees and magazine
 // batch retires (including the freed old arrays recycling through the
-// buddy splitter) draining between the same rounds. Every TM × fence
-// mode × reclaim axis must reproduce the replay of the pinned
+// buddy splitter) draining between the same rounds. Every TM × reclaim
+// axis must reproduce the replay of the pinned
 // serialization order on a plain Go map, with exact post-drain leak
 // accounting over the split/coalesced heap.
 
@@ -328,9 +328,9 @@ func runHashOnTM(t *testing.T, spec string, seed int64, scripts [][]hashWinOp) {
 // TestDifferentialHashMapWindows: HashMap churn under windowed
 // interleavings — with the incremental rehash advancing between rounds
 // and magazine batch retires racing the bucket migration — on every
-// registry TM × wait/combine/defer fence mode × free/batch reclaim
-// must match the replay of the pinned serialization order, with exact
-// post-drain leak accounting including split/coalesced blocks.
+// registry TM × free/batch reclaim must match the replay of the pinned
+// serialization order, with exact post-drain leak accounting including
+// split/coalesced blocks.
 func TestDifferentialHashMapWindows(t *testing.T) {
 	seeds := int64(3)
 	opsPerThread := 40
@@ -338,15 +338,17 @@ func TestDifferentialHashMapWindows(t *testing.T) {
 		seeds, opsPerThread = 1, 25
 	}
 	for _, tmName := range engine.TMs() {
-		for _, mode := range []string{"", "+combine", "+defer"} {
-			for _, reclaim := range []string{"+quiesce", "+quiesce+batch"} {
-				spec := tmName + mode + reclaim
-				t.Run(spec, func(t *testing.T) {
-					for seed := int64(1); seed <= seeds; seed++ {
-						scripts := hashWinScripts(seed*83, 3, opsPerThread)
-						runHashOnTM(t, spec, seed*17+1, scripts)
-					}
-				})
+		for _, reclaim := range []string{"+quiesce", "+quiesce+batch"} {
+			spec := tmName + reclaim
+			t.Run(spec, func(t *testing.T) {
+				for seed := int64(1); seed <= seeds; seed++ {
+					scripts := hashWinScripts(seed*83, 3, opsPerThread)
+					runHashOnTM(t, spec, seed*17+1, scripts)
+				}
+			})
+			for _, fence := range retiredFenceModes {
+				spec := tmName + fence + reclaim
+				t.Run(spec, func(t *testing.T) { requireRefused(t, spec) })
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // churn driven through RunDS, so rival ordered-map operations commit
 // INSIDE each other's execution windows — mid-traversal — while
 // deferred frees and magazine batch retires drain at seeded points
-// between rounds. Every TM × fence mode × reclaim axis must reproduce
+// between rounds. Every TM × reclaim axis must reproduce
 // the replay of the pinned serialization order on a plain Go map, and
 // the post-drain leak accounting must balance exactly.
 
@@ -369,9 +369,9 @@ func isBaseline(spec string) bool {
 }
 
 // TestDifferentialSkipMapWindows: SkipMap/Map churn under windowed
-// interleavings on every registry TM × wait/combine/defer fence mode ×
-// free/batch reclaim must match the replay of the pinned serialization
-// order, with exact post-drain leak accounting.
+// interleavings on every registry TM × free/batch reclaim must match
+// the replay of the pinned serialization order, with exact post-drain
+// leak accounting.
 func TestDifferentialSkipMapWindows(t *testing.T) {
 	seeds := int64(3)
 	opsPerThread := 40
@@ -379,15 +379,17 @@ func TestDifferentialSkipMapWindows(t *testing.T) {
 		seeds, opsPerThread = 1, 25
 	}
 	for _, tmName := range engine.TMs() {
-		for _, mode := range []string{"", "+combine", "+defer"} {
-			for _, reclaim := range []string{"+quiesce", "+quiesce+batch"} {
-				spec := tmName + mode + reclaim
-				t.Run(spec, func(t *testing.T) {
-					for seed := int64(1); seed <= seeds; seed++ {
-						scripts := dsWinScripts(seed*71, 3, opsPerThread)
-						runWinOnTM(t, spec, seed*13+1, scripts)
-					}
-				})
+		for _, reclaim := range []string{"+quiesce", "+quiesce+batch"} {
+			spec := tmName + reclaim
+			t.Run(spec, func(t *testing.T) {
+				for seed := int64(1); seed <= seeds; seed++ {
+					scripts := dsWinScripts(seed*71, 3, opsPerThread)
+					runWinOnTM(t, spec, seed*13+1, scripts)
+				}
+			})
+			for _, fence := range retiredFenceModes {
+				spec := tmName + fence + reclaim
+				t.Run(spec, func(t *testing.T) { requireRefused(t, spec) })
 			}
 		}
 	}

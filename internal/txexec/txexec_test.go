@@ -119,26 +119,6 @@ func TestDifferentialAllTMsMatchBaseline(t *testing.T) {
 	}
 }
 
-// TestDifferentialFenceModes runs the same differential oracle with the
-// combine and defer fence modes on every registry TM: coalesced and
-// reclaimer-batched grace periods must not change any program's
-// observable outcome. (Programs include explicit fences — the
-// privatization idiom progen generates — so the fence path is on the
-// tested surface, including the deferred mode's ride through the
-// background reclaimer.)
-func TestDifferentialFenceModes(t *testing.T) {
-	progSeeds := int64(8)
-	if testing.Short() {
-		progSeeds = 3
-	}
-	for _, tmName := range engine.TMs() {
-		for _, mode := range []string{"combine", "defer"} {
-			spec := tmName + "+" + mode
-			t.Run(spec, func(t *testing.T) { diffAgainstOracle(t, spec, progSeeds) })
-		}
-	}
-}
-
 // TestDifferentialFlagsInjectedBugs is the negative test: the harness
 // must reject the injected-bug TL2 variants on every program seed —
 // each buggy variant diverges from the oracle on at least one of the

@@ -297,9 +297,8 @@ func rehashStorm(tm core.TM, cfg engine.Config, threads, ops int) (churnStats, e
 }
 
 // TestSetChurnAllTMs runs set churn on both allocator axes of every
-// TM, and on tl2 across the fence modes: every spec must complete the
-// run, and on quiesce the heap must reclaim in a footprint that does
-// not grow with the op count.
+// TM: every spec must complete the run, and on quiesce the heap must
+// reclaim in a footprint that does not grow with the op count.
 func TestSetChurnAllTMs(t *testing.T) {
 	ops := 400
 	if testing.Short() {
@@ -316,10 +315,6 @@ func TestSetChurnAllTMs(t *testing.T) {
 			row{tmName + "+quiesce", true, false},
 			row{tmName + "+quiesce+batch", true, true})
 	}
-	rows = append(rows,
-		row{"tl2+combine+quiesce", true, false},
-		row{"tl2+defer+quiesce", true, false},
-		row{"tl2+defer+quiesce+batch", true, true})
 	for _, r := range rows {
 		t.Run(r.spec, func(t *testing.T) {
 			tm, cfg := churnTM(t, r.spec, 1<<16, 4)
@@ -355,11 +350,11 @@ func TestSetChurnAllTMs(t *testing.T) {
 
 // TestMapChurnAllTMs runs map churn on the sorted-list Map, the
 // skiplist SkipMap and the chained HashMap over the reclaiming
-// allocator: every TM × ds × reclaim axis (plus batched magazines over
-// the deferred reclaimer on tl2) must complete with full commit counts
-// and real reclamation — for the skiplist that means whole towers
-// (multi-size-class blocks) cycling through the heap, for the hash map
-// growth from its 16 initial buckets through rehash windows.
+// allocator: every TM × ds × reclaim axis must complete with full
+// commit counts and real reclamation — for the skiplist that means
+// whole towers (multi-size-class blocks) cycling through the heap, for
+// the hash map growth from its 16 initial buckets through rehash
+// windows.
 func TestMapChurnAllTMs(t *testing.T) {
 	// Enough ops that the 20% delete share still fills at least one
 	// thread's parked-free list on the batch axis.
@@ -367,7 +362,7 @@ func TestMapChurnAllTMs(t *testing.T) {
 	if testing.Short() {
 		ops = 200
 	}
-	for _, tmName := range append(engine.TMs(), "tl2+defer") {
+	for _, tmName := range engine.TMs() {
 		for _, alloc := range []string{"quiesce", "quiesce+batch"} {
 			for _, ds := range []string{"map", "skip", "hash"} {
 				spec := tmName + "+" + alloc
@@ -417,7 +412,7 @@ func TestRehashStorm(t *testing.T) {
 		ops = 150
 	}
 	const threads = 4
-	for _, spec := range []string{"tl2+quiesce", "norec+quiesce", "tl2+defer+quiesce+batch"} {
+	for _, spec := range []string{"tl2+quiesce", "norec+quiesce", "tl2+quiesce+batch"} {
 		t.Run(spec, func(t *testing.T) {
 			tm, cfg := churnTM(t, spec, mapRegs(threads, 1<<13), threads)
 			st, err := rehashStorm(tm, cfg, threads, ops)

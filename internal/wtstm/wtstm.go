@@ -53,9 +53,6 @@ type Config struct {
 	GV4 bool
 	// Epochs selects the epoch-based grace period.
 	Epochs bool
-	// Mode selects how Fence waits the grace period out (package
-	// quiesce): Wait (default), Combine, or Defer.
-	Mode quiesce.Mode
 	// UnsafeFence makes Fence a no-op, to exhibit the delayed-abort
 	// anomaly in tests and experiments.
 	UnsafeFence bool
@@ -72,9 +69,6 @@ func WithGV4() Option { return func(c *Config) { c.GV4 = true } }
 
 // WithEpochFence selects the epoch-based grace period.
 func WithEpochFence() Option { return func(c *Config) { c.Epochs = true } }
-
-// WithFenceMode selects the quiescence mode (wait, combine, defer).
-func WithFenceMode(m quiesce.Mode) Option { return func(c *Config) { c.Mode = m } }
 
 // WithUnsafeFence makes Fence a no-op.
 func WithUnsafeFence() Option { return func(c *Config) { c.UnsafeFence = true } }
@@ -95,18 +89,16 @@ type slot struct {
 }
 
 // New returns a write-through TM with regs registers and thread ids
-// 1..threads. Thread id threads+1 is reserved for the quiescence
-// service's reclaimer (deferred-fence callbacks).
+// 1..threads.
 func New(regs, threads int, opts ...Option) *TM {
 	cfg := Config{Regs: regs, Threads: threads}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	reclaim := threads + 1
 	tm := &TM{
 		cfg:     cfg,
 		table:   stripe.New(regs, cfg.Stripes),
-		threads: make([]slot, reclaim+1),
+		threads: make([]slot, threads+1),
 	}
 	if cfg.GV4 {
 		tm.clock = vclock.NewGV4()
@@ -115,12 +107,12 @@ func New(regs, threads int, opts ...Option) *TM {
 	}
 	var q rcu.Quiescer
 	if cfg.Epochs {
-		q = rcu.NewEpochs(reclaim)
+		q = rcu.NewEpochs(threads)
 	} else {
-		q = rcu.NewFlags(reclaim)
+		q = rcu.NewFlags(threads)
 	}
-	tm.qs = quiesce.New(q, cfg.Mode, reclaim)
-	tm.board = telemetry.NewBoard(reclaim)
+	tm.qs = quiesce.New(q)
+	tm.board = telemetry.NewBoard(threads)
 	tm.qs.SetBoard(tm.board)
 	for t := range tm.threads {
 		tm.threads[t].tx.tm = tm
@@ -146,33 +138,6 @@ func (tm *TM) Fence(thread int) {
 	}
 	tm.qs.Fence()
 }
-
-// FenceAsync implements core.TM. Under the unsafe no-op fence the
-// callback runs immediately, matching Fence; otherwise it is the
-// quiescence service's Defer.
-func (tm *TM) FenceAsync(thread int, fn func(thread int)) {
-	if tm.cfg.UnsafeFence {
-		fn(thread)
-		return
-	}
-	tm.qs.Defer(thread, fn)
-}
-
-// FenceAsyncBatch implements core.BatchFencer: every callback shares
-// one grace period (inline, with no grace period, under the unsafe
-// no-op fence).
-func (tm *TM) FenceAsyncBatch(thread int, fns []func(thread int)) {
-	if tm.cfg.UnsafeFence {
-		for _, fn := range fns {
-			fn(thread)
-		}
-		return
-	}
-	tm.qs.DeferBatch(thread, fns)
-}
-
-// FenceBarrier implements core.TM.
-func (tm *TM) FenceBarrier(thread int) { tm.qs.Barrier() }
 
 // TelemetryBoard implements telemetry.Provider: the per-thread counter
 // board core.Atomically and the quiescence service record into.
