@@ -24,6 +24,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"time"
 
 	"safepriv/internal/telemetry"
@@ -86,12 +87,20 @@ const MaxAttempts = 1_000_000
 var ErrContention = errors.New("stm: transaction did not commit after MaxAttempts attempts")
 
 // Contention backoff: after backoffAfter consecutive aborted attempts
-// Atomically stops retrying immediately and sleeps an exponentially
+// Atomically stops retrying immediately and waits an exponentially
 // growing, jittered, capped delay between attempts. Immediate retry is
 // optimal for one-off validation failures, but under sustained
 // write-write contention it turns the retry loop into a coherence
 // storm where every thread invalidates the others' lines; backing off
 // desynchronizes the herd (the classic CSMA/CD remedy).
+//
+// The wait yields the processor (runtime.Gosched) until the delay has
+// elapsed; it never arms a timer. The delays are 1–100 µs, and a timer
+// that short returns when the scheduler next polls timers — about a
+// millisecond later on a small host. A retry that waits out a private
+// window would then wait ten to a thousand times the delay it asked
+// for. Yielding lets the owner of the window, or the conflicting
+// committer, run in the meantime.
 const (
 	// backoffAfter is how many aborted attempts are retried immediately
 	// before backoff engages — transient conflicts stay latency-free.
@@ -103,7 +112,7 @@ const (
 	BackoffCap = 100 * time.Microsecond
 )
 
-// BackoffDelay returns the delay Atomically sleeps before retry number
+// BackoffDelay returns the delay Atomically waits before retry number
 // `attempt` (0-based) on `thread`: zero for the first backoffAfter
 // attempts, then exponential doubling from backoffBase with
 // deterministic per-(thread,attempt) jitter, clamped to BackoffCap.
@@ -150,15 +159,16 @@ func Atomically(tm TM, thread int, body func(Txn) error) error {
 	}
 	for attempt := 0; attempt < MaxAttempts; attempt++ {
 		if d := BackoffDelay(thread, attempt); d > 0 {
-			// Record the delay taken, not the delay asked for: the host
-			// may return from a microsecond sleep a millisecond later.
-			var start time.Time
-			if slot != nil {
-				start = time.Now()
+			// Record the delay taken, not the delay asked for: a yield
+			// may hand the processor to a goroutine that keeps it longer.
+			start := time.Now()
+			elapsed := time.Duration(0)
+			for elapsed < d {
+				runtime.Gosched()
+				elapsed = time.Since(start)
 			}
-			time.Sleep(d)
 			if slot != nil {
-				slot.BackoffNs.Add(int64(time.Since(start)))
+				slot.BackoffNs.Add(int64(elapsed))
 			}
 		}
 		tx := tm.Begin(thread)

@@ -186,11 +186,11 @@ func TestBackoffDelayCap(t *testing.T) {
 }
 
 // TestBackoffNsCountsElapsed: the telemetry slot's BackoffNs is the time
-// the backoff sleeps took — at least the delays asked for, at most the
+// the backoff waits took — at least the delays asked for, at most the
 // wall time of the whole call.
 func TestBackoffNsCountsElapsed(t *testing.T) {
 	// Attempts 0..aborts-1 abort and attempt `aborts` commits, so the
-	// call sleeps before attempts 3..aborts: five backoffs.
+	// call waits before attempts 3..aborts: five backoffs.
 	const thread, aborts = 1, 7
 	var asked time.Duration
 	for a := 0; a <= aborts; a++ {

@@ -1,8 +1,8 @@
 //go:build race
 
-package stmalloc_test
+package coretest
 
-// raceEnabled reports a -race build. The race detector makes sync.Pool
+// RaceEnabled reports a -race build. The race detector makes sync.Pool
 // drop a share of its Puts on purpose, so the fence's pooled snapshot
 // buffers allocate and Go-heap budgets do not hold.
-const raceEnabled = true
+const RaceEnabled = true

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"safepriv/internal/kvserve"
@@ -115,6 +118,60 @@ func TestScanPaginated(t *testing.T) {
 		if st, body := do(t, http.MethodGet, ts.URL+"/scan?"+q, ""); st != http.StatusBadRequest {
 			t.Fatalf("scan?%s = %d (%s), want 400", q, st, body)
 		}
+	}
+}
+
+// TestScanHugeLimit: /scan?limit= has no upper bound, and the store
+// makes room for a shard's pairs before it privatizes the shard. The
+// room is clamped to one shard's slots, so a limit of 10⁹ returns every
+// pair from a buffer of about one shard, even on a large store that is
+// nearly empty (16×4096 slots would be 1 MiB of pairs).
+func TestScanHugeLimit(t *testing.T) {
+	for _, tc := range []struct {
+		shards, slots int
+		maxBytes      uint64
+	}{
+		{2, 64, 64 << 10},
+		{16, 4096, 256 << 10},
+	} {
+		t.Run(fmt.Sprintf("%dx%d", tc.shards, tc.slots), func(t *testing.T) {
+			srv, err := kvserve.New(kvserve.Config{Spec: "tl2", Shards: tc.shards, Slots: tc.slots, Threads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				if err := srv.Drain(); err != nil {
+					t.Errorf("cleanup Drain: %v", err)
+				}
+			})
+			h := srv.Handler()
+			const n = 50
+			for k := 1; k <= n; k++ {
+				req := httptest.NewRequest(http.MethodPut, fmt.Sprintf("/kv/%d", k), strings.NewReader(fmt.Sprint(k*10)))
+				rec := httptest.NewRecorder()
+				if h.ServeHTTP(rec, req); rec.Code != http.StatusNoContent {
+					t.Fatalf("PUT %d = %d", k, rec.Code)
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/scan?limit=1000000000", nil))
+			runtime.ReadMemStats(&after)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("scan?limit=1e9 = %d (%s)", rec.Code, rec.Body)
+			}
+			var page kvserve.ScanPageReply
+			if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+				t.Fatalf("page JSON: %v", err)
+			}
+			if len(page.Pairs) != n || page.More {
+				t.Fatalf("scan?limit=1e9 returned %d pairs (more %v), want all %d", len(page.Pairs), page.More, n)
+			}
+			if bytes := after.TotalAlloc - before.TotalAlloc; bytes > tc.maxBytes {
+				t.Fatalf("scan?limit=1e9 allocated %d bytes, want <= %d", bytes, tc.maxBytes)
+			}
+		})
 	}
 }
 

@@ -15,7 +15,6 @@
 package quiesce
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -28,9 +27,13 @@ import (
 // period supplied as a closure, for TMs like the global-lock baseline
 // whose quiescence is structural).
 type Service struct {
-	q    rcu.Quiescer
-	snap rcu.Snapshotter // non-nil when q supports the split API
-	gp   func()          // fallback blocking grace period
+	q rcu.Quiescer
+	// snap is q's split grace period when q has one (rcu.Flags, Epochs
+	// and NoOp do). Its wait parks on a condition variable that
+	// transaction exits signal, so a fence wakes the moment the observed
+	// transactions finish rather than at a poll's next tick.
+	snap rcu.Parker
+	gp   func() // fallback blocking grace period
 
 	// board, when set, receives fence and fence-wait telemetry. Fences
 	// record into the board's shared slot 0: the fence is the slow path
@@ -45,8 +48,8 @@ type Service struct {
 // New builds a service over q.
 func New(q rcu.Quiescer) *Service {
 	s := &Service{q: q, gp: q.Wait}
-	if sn, ok := q.(rcu.Snapshotter); ok {
-		s.snap = sn
+	if p, ok := q.(rcu.Parker); ok {
+		s.snap = p
 	}
 	return s
 }
@@ -72,27 +75,6 @@ func (s *Service) Exit(t int) { s.q.Exit(t) }
 // Active reports whether thread t currently runs a transaction.
 func (s *Service) Active(t int) bool { return s.q.Active(t) }
 
-// awaitQuiesced waits out one snapshot. When the quiescer supports the
-// parked wait (rcu.Parker) the caller sleeps on a condition variable
-// that transaction exits signal — on an oversubscribed scheduler a
-// polling fence can starve behind CPU-bound transaction threads for
-// whole preemption quanta, while a parked one wakes the moment the
-// observed transactions finish. Quiescers without parking fall back to
-// a yield-then-sleep poll.
-func (s *Service) awaitQuiesced(g rcu.Gen) {
-	if p, ok := s.snap.(rcu.Parker); ok {
-		p.WaitQuiesced(g)
-		return
-	}
-	for i := 0; !s.snap.Quiesced(g); i++ {
-		if i < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-}
-
 // Fence blocks until every transaction active at the time of the call
 // has completed. It must not be called inside a transaction.
 func (s *Service) Fence() {
@@ -111,7 +93,7 @@ func (s *Service) Fence() {
 			g = new(rcu.Gen)
 		}
 		*g = s.snap.SnapshotInto(*g)
-		s.awaitQuiesced(*g)
+		s.snap.WaitQuiesced(*g)
 		s.waitPool.Put(g)
 	}
 	if sl != nil {
@@ -134,5 +116,5 @@ func (s *Service) FenceFiltered(keep func(thread int) bool) {
 			g.Drop(t)
 		}
 	}
-	s.awaitQuiesced(g)
+	s.snap.WaitQuiesced(g)
 }

@@ -35,6 +35,27 @@ func boardFences(counted bool, n int64) int64 {
 	return 0
 }
 
+// TestNoOpFenceDoesNotWait: over rcu.NoOp the service runs the split
+// grace period like any other quiescer, and its fences return at once
+// although a transaction is active.
+func TestNoOpFenceDoesNotWait(t *testing.T) {
+	s := New(rcu.NewNoOp(maxThread))
+	if s.snap == nil {
+		t.Fatal("rcu.NoOp is not a Parker")
+	}
+	s.Enter(2)
+	for _, mode := range fenceModes {
+		done := make(chan struct{})
+		go func() { mode.fence(s); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s fence over NoOp waited for an active transaction", mode.name)
+		}
+	}
+	s.Exit(2)
+}
+
 // TestFenceBlocksUntilExitAllModes: both fences have the paper's
 // semantics — they do not return while a transaction that was active at
 // the call is still running, and return once it exits.

@@ -22,8 +22,7 @@
 // Both quiescers also expose the grace period in split form
 // (Snapshotter): SnapshotInto captures the set of in-flight
 // transactions without blocking, and Quiesced polls whether they have
-// all finished. The split form is what internal/quiesce builds its
-// batched (combining) and asynchronous (deferred) fences on — the
+// all finished. internal/quiesce runs its fences on the split form: the
 // snapshot buffer is caller-owned, so repeated grace periods allocate
 // nothing.
 //
@@ -92,8 +91,8 @@ type Snapshotter interface {
 
 // Parker is a Snapshotter whose grace-period wait can park the caller:
 // WaitQuiesced blocks until Quiesced(g) holds, sleeping on a condition
-// variable that transaction exits signal instead of polling. Flags and
-// Epochs implement it; internal/quiesce prefers it over its poll loop.
+// variable that transaction exits signal instead of polling. Flags,
+// Epochs and NoOp implement it; internal/quiesce waits through it.
 type Parker interface {
 	Snapshotter
 	// WaitQuiesced blocks until every thread observed active in g has
@@ -320,3 +319,6 @@ func (q *NoOp) SnapshotInto(g Gen) Gen { return sizeGen(g, 0) }
 
 // Quiesced implements Snapshotter: an empty snapshot is always done.
 func (q *NoOp) Quiesced(g Gen) bool { return true }
+
+// WaitQuiesced implements Parker by not waiting.
+func (q *NoOp) WaitQuiesced(g Gen) {}

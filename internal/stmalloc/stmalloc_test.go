@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"safepriv/internal/core"
+	"safepriv/internal/core/coretest"
 	"safepriv/internal/engine"
 	"safepriv/internal/stmalloc"
 	"safepriv/internal/stmds"
@@ -977,7 +978,7 @@ func TestMagazineDrainOneGracePeriod(t *testing.T) {
 // batches at capacity 8 — must stay under 0.01 allocations per batch,
 // leaving room for a stray runtime allocation or two.
 func TestMagazineAllocationsPerBatch(t *testing.T) {
-	if raceEnabled {
+	if coretest.RaceEnabled {
 		t.Skip("allocation budgets do not hold under -race")
 	}
 	tm, h := magHeap(t, "tl2", 1)
@@ -1020,7 +1021,7 @@ func TestMagazineAllocationsPerBatch(t *testing.T) {
 // transaction, fence, wipe, publishing transaction — allocates nothing
 // in steady state.
 func TestPerFreePairAllocatesNothing(t *testing.T) {
-	if raceEnabled {
+	if coretest.RaceEnabled {
 		t.Skip("allocation budgets do not hold under -race")
 	}
 	tm := engine.MustNewSpec("tl2", 1<<12, 1, nil)

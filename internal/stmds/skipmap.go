@@ -538,11 +538,20 @@ type WindowIter struct {
 	cursor  int64
 	done    bool
 	started bool
-	// lastN is the previous window's pair count: windows of one scan
-	// are equally wide, so it sizes the next window's slice in one
-	// allocation instead of growing it by doubling from nil.
-	lastN int
+	// want is the capacity of the next window's slice, allocated before
+	// the window is privatized (see Next).
+	want int
 }
+
+// Window slice sizes: a scan's first window gets room for its whole
+// span, up to firstWindowCap pairs (1 MiB), so only a span wider than
+// that can end its first window early; later windows are sized from the
+// pairs the previous one found, but never below minWindowCap, so a
+// sparse stretch of keys does not shrink the slice to a pair or two.
+const (
+	firstWindowCap = 1 << 16
+	minWindowCap   = 16
+)
 
 // RangeWindows returns a windowed scan iterator over keys in
 // [from, to], privatizing span-wide key windows per Next call
@@ -551,7 +560,7 @@ func (s *SkipMap) RangeWindows(from, to, span int64) *WindowIter {
 	if span < 1 {
 		span = DefaultScanSpan
 	}
-	it := &WindowIter{s: s, to: to, span: span, cursor: from}
+	it := &WindowIter{s: s, to: to, span: span, cursor: from, want: int(min(span, firstWindowCap))}
 	if from > to {
 		it.done = true
 	}
@@ -568,6 +577,17 @@ func (it *WindowIter) Done() bool { return it.done }
 // Next runs one window cycle and returns the window's pairs in
 // ascending key order (possibly none) and whether more windows remain.
 // The pairs are a consistent snapshot of the window as of its fence.
+//
+// Nothing allocates between the window's fence and its publish: the
+// slice is allocated before the privatizing transaction, with room for
+// the previous window's pair count plus an eighth (the first window
+// gets min(span, 1<<16)). A walk that fills the slice — a window denser
+// than the one before it by more than an eighth, or a first window of
+// more than 1<<16 pairs — ends the window early, at the first node it
+// has no room for. The cursor resumes at that node's key, which the
+// frozen chain already gave the walker, and the next window's slice is
+// twice as large. An early end never ends the scan, even when the
+// window's bounds reach the scan's end.
 func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 	s := it.s
 	if it.done {
@@ -586,6 +606,7 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 	if uint64(hi)-uint64(lo) >= uint64(it.span) {
 		hi = lo + it.span - 1
 	}
+	pairs = make([]KV, 0, it.want)
 	// Privatize: flip the guard odd, record the bounds, and capture the
 	// first node with key >= lo in the same transaction — opacity makes
 	// the captured pointer consistent with the commit that made the
@@ -627,14 +648,19 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 	tm := s.tm
 	cur := start
 	endOfChain := cur == nilPtr
-	var boundary int64 // first key past hi; meaningful when !endOfChain and the loop broke
-	if it.lastN > 0 {
-		pairs = make([]KV, 0, it.lastN+it.lastN/8) // headroom for churn between windows
-	}
+	// boundary is the key of the node the walk stopped at: the first key
+	// past hi, or the first key there was no room for (early). It is
+	// meaningful when !endOfChain.
+	var boundary int64
+	early := false
 	for cur != nilPtr {
 		k := tm.Load(th, int(cur))
 		if k > hi {
 			boundary = k
+			break
+		}
+		if len(pairs) == cap(pairs) {
+			boundary, early = k, true
 			break
 		}
 		pairs = append(pairs, KV{k, tm.Load(th, int(cur)+1)})
@@ -642,19 +668,31 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 			endOfChain = true
 		}
 	}
-	it.lastN = len(pairs)
 	if err := s.publishWindow(th); err != nil {
 		return pairs, false, err
 	}
+	// Size the next window: double after an early end, else this
+	// window's count plus an eighth for churn between windows. A window
+	// never holds more than span distinct keys.
+	if early {
+		it.want = 2 * cap(pairs)
+	} else {
+		it.want = max(len(pairs)+len(pairs)/8, minWindowCap)
+	}
+	it.want = int(min(int64(it.want), it.span))
 	// Advance. Reaching the end of the chain ends the scan outright:
 	// the end-of-chain pointer the walker read was itself frozen
 	// (inserts at or past lo stalled), so no key past the window
-	// existed at the fence instant. Otherwise skip the cursor ahead to
+	// existed at the fence instant. An early end resumes at the node it
+	// stopped at, a key in [lo, hi]. Otherwise skip the cursor ahead to
 	// the boundary key — the frozen chain proves the gap between them
 	// is empty.
-	if endOfChain || boundary > it.to || hi >= it.to {
+	switch {
+	case early:
+		it.cursor = boundary
+	case endOfChain || boundary > it.to || hi >= it.to:
 		it.done = true
-	} else {
+	default:
 		it.cursor = boundary // in (hi, to]: skip the known-empty gap
 	}
 	return pairs, !it.done, nil

@@ -7,12 +7,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"safepriv/internal/core/coretest"
 	"safepriv/internal/engine"
+	"safepriv/internal/stmalloc"
 	"safepriv/internal/stmds"
 )
 
@@ -123,6 +126,84 @@ func TestRangeWindowsPagination(t *testing.T) {
 	}
 	if got := collect(1501, math.MaxInt64, 100); len(got) != 0 {
 		t.Fatalf("past-the-end range returned %d pairs", len(got))
+	}
+
+	// A window denser than its slice: under a 256-key span the second
+	// window outgrows the slice sized from the sparse first one, so it
+	// ends early, again and again as the slice doubles, and the last
+	// early end falls in the window that reaches the scan's end. Every
+	// key still comes back once, in ascending order.
+	_, dense, _ := demandHeap(t, "tl2", 1, 2600)
+	want = putSparseThenDense(t, dense)
+	it = dense.RangeWindows(1, denseTo, 256)
+	var got []stmds.KV
+	windows := 0
+	for more := true; more; windows++ {
+		var pairs []stmds.KV
+		if pairs, more, err = it.Next(1); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, pairs...)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("sparse-then-dense scan returned %d pairs, want %d, each once, in order", len(got), len(want))
+	}
+	if spanWindows := int((denseTo + 255) / 256); windows <= spanWindows {
+		t.Fatalf("sparse-then-dense scan took %d windows, want more than %d (early ends)", windows, spanWindows)
+	}
+}
+
+// denseTo is the last key putSparseThenDense inserts.
+const denseTo = 2500
+
+// putSparseThenDense puts every 32nd key of 1..256 and every key of
+// 257..denseTo into sm and returns the pairs in key order.
+func putSparseThenDense(t *testing.T, sm *stmds.SkipMap) []stmds.KV {
+	t.Helper()
+	var kvs []stmds.KV
+	for k := int64(1); k <= denseTo; k++ {
+		if k <= 256 && k%32 != 0 {
+			continue
+		}
+		if _, err := sm.Put(1, k, k*7+1); err != nil {
+			t.Fatal(err)
+		}
+		kvs = append(kvs, stmds.KV{Key: k, Val: k*7 + 1})
+	}
+	return kvs
+}
+
+// TestRangeWindowsAllocateNothing: from a window's fence to its
+// publish, a windowed scan allocates nothing, early-ended windows
+// included.
+func TestRangeWindowsAllocateNothing(t *testing.T) {
+	if coretest.RaceEnabled {
+		t.Skip("-race: sync.Pool drops Puts, so the fence allocates")
+	}
+	regs := arenaAt + stmalloc.RegsForDemand(4, 1, 3, stmds.SkipMapDemand(denseTo))
+	probe := coretest.NewWindowProbe(engine.MustNewSpec("tl2", regs, 3, nil))
+	heap, err := stmalloc.New(probe, arenaAt, probe.NumRegs(), stmalloc.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := stmds.NewSkipMap(probe, skipHead, 1, heap)
+	keys := len(putSparseThenDense(t, sm))
+	probe.Reset()
+	for _, span := range []int64{64, 256, 4096} {
+		it, got := sm.RangeWindows(1, denseTo, span), 0
+		for more := true; more; {
+			var pairs []stmds.KV
+			if pairs, more, err = it.Next(1); err != nil {
+				t.Fatal(err)
+			}
+			got += len(pairs)
+		}
+		if got != keys {
+			t.Fatalf("span %d: scan returned %d pairs, want %d", span, got, keys)
+		}
+	}
+	if probe.Mallocs != 0 {
+		t.Fatalf("%d allocations inside %d scan windows, want 0", probe.Mallocs, probe.Windows)
 	}
 }
 

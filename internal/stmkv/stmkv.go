@@ -92,6 +92,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"safepriv/internal/core"
@@ -859,6 +860,13 @@ func (s *Store) parseCursor(str string) (scanCursor, error) {
 // server memory and writer stall time are both O(limit), not O(store):
 // this is the pagination fast lane behind kvserve's /scan.
 //
+// Nothing allocates between a window's fence and its publish. Before
+// each shard is privatized the page gets room for min(limit − pairs so
+// far, slots) more pairs: a shard's table never holds more than slots
+// keys, so the walk cannot outgrow it, and a huge limit on a sparse
+// store reserves at most one shard's worth beyond what the page holds.
+// The next cursor is encoded after the last window has published.
+//
 // Consistency matches Scan's: per shard-window, not global. A page
 // boundary additionally splits a shard across two windows; if a rehash
 // replaces the shard's table between those pages, the cursor detects
@@ -888,6 +896,7 @@ func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next str
 			return pairs, encodeCursor(scanCursor{int64(sh), 0, 0, 0}), nil
 		}
 		base := s.base(sh)
+		pairs = slices.Grow(pairs, min(limit-len(pairs), s.slots))
 		if err := s.privatize(th, base, flagReadPrivate); err != nil {
 			return nil, "", err
 		}
@@ -902,17 +911,18 @@ func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next str
 			// restart the shard from slot 0.
 			slot = c.slot
 		}
-		for ; slot < cap; slot++ {
-			if len(pairs) == limit {
-				next = encodeCursor(scanCursor{int64(sh), slot, tab, cap})
-				return pairs, next, s.publish(th, base)
-			}
+		for ; slot < cap && len(pairs) < limit; slot++ {
 			if k := tm.Load(th, keyReg(tab, int(slot))); k > 0 {
 				pairs = append(pairs, KV{k, tm.Load(th, valReg(tab, int(slot)))})
 			}
 		}
 		if err := s.publish(th, base); err != nil {
 			return nil, "", err
+		}
+		if slot < cap {
+			// The page filled inside this shard: the next page resumes
+			// at the first slot not read, against this table block.
+			return pairs, encodeCursor(scanCursor{int64(sh), slot, tab, cap}), nil
 		}
 	}
 	return pairs, "", nil
