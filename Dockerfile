@@ -3,7 +3,7 @@
 # stage is scratch.
 #
 #   docker build -t kvserver .
-#   docker run -p 8070:8070 -e KVSERVER_SPEC=tl2+quiesce+batch kvserver
+#   docker run -p 8070:8070 -e KVSERVER_SPEC=tl2 kvserver
 #
 # Configuration is by KVSERVER_* environment variables; see
 # cmd/kvserver/main.go for the full list and defaults.

@@ -10,12 +10,10 @@
 //	KVSERVER_SHARDS   store shard count         (default "16")
 //	KVSERVER_SLOTS    per-shard slot arena      (default "512")
 //	KVSERVER_THREADS  request worker pool size  (default "8")
-//	KVSERVER_BATCH    write-coalescing batch; 0 disables (default "0")
 //
 // On SIGINT/SIGTERM the server shuts down in the safe order: stop
 // accepting, drain in-flight HTTP requests, then kvserve.Server.Drain
-// — stop the write coalescer, settle the store's table heap and
-// surface any reclamation error. Exit status 0 means the drain came
+// — settle the store's table heap and surface any reclamation error. Exit status 0 means the drain came
 // back clean; 1 means startup failed or the drain surfaced an error.
 package main
 
@@ -60,12 +58,11 @@ func main() {
 
 	addr := getEnv("KVSERVER_ADDR", ":8070")
 	cfg := kvserve.Config{
-		Spec:        getEnv("KVSERVER_SPEC", "tl2"),
-		Shards:      getEnvInt(log, "KVSERVER_SHARDS", 16),
-		Slots:       getEnvInt(log, "KVSERVER_SLOTS", 512),
-		Threads:     getEnvInt(log, "KVSERVER_THREADS", 8),
-		BatchWrites: getEnvInt(log, "KVSERVER_BATCH", 0),
-		Logger:      log,
+		Spec:    getEnv("KVSERVER_SPEC", "tl2"),
+		Shards:  getEnvInt(log, "KVSERVER_SHARDS", 16),
+		Slots:   getEnvInt(log, "KVSERVER_SLOTS", 512),
+		Threads: getEnvInt(log, "KVSERVER_THREADS", 8),
+		Logger:  log,
 	}
 
 	srv, err := kvserve.New(cfg)
@@ -99,7 +96,7 @@ func main() {
 	}
 
 	// Shutdown order per the package doc: drain in-flight HTTP first,
-	// then stop the coalescer and settle the store.
+	// then settle the store.
 	log.Info("signal received, draining")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

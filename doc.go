@@ -10,8 +10,8 @@
 //   - Runtime layer: five executable TMs (tl2, norec, wtstm, baseline,
 //     atomictm) over shared primitives (stripe, vlock, vclock, oaset),
 //     all constructed through the internal/engine registry's
-//     specification strings (TM × clock × fence × quiescer × alloc ×
-//     reclaim granularity).
+//     specification strings (TM × clock × fence × quiescer; a spec
+//     names a TM, and heaps are shaped by their own options).
 //   - Quiescence layer: internal/rcu grace periods (with
 //     scheduler-aware parked waits) under the internal/quiesce service,
 //     which runs the paper's one fence — block until every transaction
@@ -23,7 +23,7 @@
 //     bench/.
 //   - Heap layer: internal/stmalloc, the quiescence-based safe memory
 //     reclamation allocator (unlink transactionally, fence, reuse), with the typed ErrOutOfSpace exhaustion contract, a
-//     per-thread magazine layer (the engine's batch reclaim axis) that
+//     per-thread magazine layer (stmalloc.WithMagazines) that
 //     amortizes one grace period over a whole magazine of frees,
 //     buddy-style splitting and coalescing across the power-of-two
 //     size-class ladder (a freed large block splits into the small
@@ -56,11 +56,10 @@
 //     maps as the oracle.
 //   - Serving layer: internal/kvserve, the HTTP front-end over the KV
 //     store — a thread-id pool maps goroutine-per-connection serving
-//     onto the TM's fixed thread contract, an optional write coalescer
-//     commits adjacent PUTs as one transaction, GET /scan streams
-//     ScanPage's paginated privatized windows as chunked JSON with a
-//     resumable cursor, and Drain settles the coalescer and the heap on
-//     shutdown. cmd/kvserver wraps it as an env-configured process
+//     onto the TM's fixed thread contract, each request runs one store
+//     operation, GET /scan streams ScanPage's paginated privatized
+//     windows as chunked JSON with a resumable cursor, and Drain
+//     settles the heap on shutdown. cmd/kvserver wraps it as an env-configured process
 //     (Dockerfile included); cmd/kvload is the closed/open-loop load
 //     driver reporting p50/p99/p999, with -scan mixing paginated
 //     scans into the load under their own latency quantiles.

@@ -3,7 +3,10 @@
 // (cmd/stress, cmd/litmus, internal/mgc, bench/, bench_test.go) select any
 // TM × clock × fence × quiescer configuration by name instead of
 // calling bespoke constructors. Adding a TM or a configuration axis is
-// an edit here, not a cross-cutting change to every harness.
+// an edit here, not a cross-cutting change to every harness. A spec
+// names a TM and nothing else: the shape of a heap built over the TM
+// (bump or reclaiming, per-free or magazine) is chosen where the heap
+// is built, with internal/stmalloc's options.
 //
 // A specification is a base TM name followed by '+'-separated
 // modifiers:
@@ -25,36 +28,14 @@
 //	nofence    Fence is a no-op — unsafe, for anomaly reproduction
 //	           (tl2, wtstm)
 //	skipro     fence skips read-only txns (GCC libitm bug) (tl2)
-//	quiesce    data structures reclaim memory through the stmalloc
-//	           quiescence-based allocator          (all TMs)
-//	bump       append-only bump allocation — the default, for
-//	           explicitness
-//	batch      the stmalloc heap adds the per-thread magazine layer:
-//	           frees park in thread-local magazines and whole
-//	           magazines retire under one shared grace period
-//	           (requires a quiesce allocator and a safe fence)
-//	free       one grace period per Free — the default reclaim
-//	           granularity, for explicitness
 //
 // wait, nofence and skipro all set the one fence axis, so any two of
-// them in a spec conflict; bump and quiesce likewise share the
-// allocator axis, and free and batch the reclaim-granularity axis. The
-// allocator and reclaim axes do not change the TM itself — they are
-// carried in the Config for the layers that build transactional data
-// structures over the TM (internal/kvserve and the internal/txexec
-// differential suites): on a quiesce spec they allocate from an
-// internal/stmalloc heap whose Free rides the TM's fence, on a bump
-// spec from the append-only stmds bump allocator, and on a batch spec
-// the heap grows per-thread magazines so reclamation cost scales with
-// free epochs instead of free count. batch conflicts with an explicit
-// bump allocator (nothing to batch) and with the unsafe fence specs
-// (no grace period to amortize); "tm+batch" alone implies quiesce. On
-// the unsafe fence specs (nofence, skipro) the quiesce layers fall
-// back to stmalloc's fully-transactional reclamation, which needs no
-// grace period.
+// them in a spec conflict. A heap whose Free rides the fence must not
+// ride an unsafe one (nofence, skipro): Config.UnsafeFence tells its
+// builder to fall back to stmalloc.WithTransactionalFree.
 //
 // Examples: "tl2+gv4+epochs+sorted", "wtstm+nofence", "norec+epochs",
-// "tl2+skipro", "tl2+quiesce", "tl2+quiesce+batch".
+// "tl2+skipro".
 package engine
 
 import (
@@ -91,16 +72,6 @@ type Config struct {
 	// Quiescer selects the grace-period implementation backing the
 	// fence: "" or "flags" (default), or "epochs".
 	Quiescer string
-	// Alloc selects the allocator the data-structure layers build over
-	// the TM: "" or "bump" (default), or "quiesce" (the stmalloc
-	// reclaiming heap). It does not affect TM construction.
-	Alloc string
-	// Reclaim selects the reclamation granularity of a quiesce
-	// allocator: "" or "free" (default — one grace-period registration
-	// per Free), or "batch" (the stmalloc magazine layer: thread-local
-	// caches, whole magazines retired under one shared grace period).
-	// It does not affect TM construction.
-	Reclaim string
 	// SortedLocks acquires TL2 commit locks in register order.
 	SortedLocks bool
 	// Stripes sets the version-lock table size for the striped TMs
@@ -129,12 +100,6 @@ func (c Config) Spec() string {
 		mods = append(mods, "nofence")
 	case "skipro":
 		mods = append(mods, "skipro")
-	}
-	if c.Alloc == "quiesce" {
-		mods = append(mods, "quiesce")
-	}
-	if c.Reclaim == "batch" {
-		mods = append(mods, "batch")
 	}
 	if len(mods) == 0 {
 		return c.TM
@@ -177,10 +142,6 @@ func Parse(spec string) (Config, error) {
 			err = setAxis("fence", &cfg.Fence, "wait", m)
 		case "skipro":
 			err = setAxis("fence", &cfg.Fence, "skipro", m)
-		case "bump", "quiesce":
-			err = setAxis("alloc", &cfg.Alloc, strings.TrimSpace(m), m)
-		case "free", "batch":
-			err = setAxis("reclaim", &cfg.Reclaim, strings.TrimSpace(m), m)
 		case "sorted":
 			if cfg.SortedLocks {
 				err = fmt.Errorf("engine: duplicate modifier %q in spec %q", m, spec)
@@ -211,24 +172,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Quiescer == "" {
 		c.Quiescer = "flags"
-	}
-	if c.Reclaim == "" {
-		c.Reclaim = "free"
-	}
-	if c.Reclaim == "batch" {
-		// Batched reclamation presupposes a reclaiming allocator and a
-		// real grace period: an explicit bump allocator or an unsafe
-		// fence conflicts; a bare "tm+batch" implies quiesce.
-		if c.Alloc == "bump" {
-			return fmt.Errorf("engine: reclaim=%q requires alloc=quiesce, not %q (a bump allocator never frees)", c.Reclaim, c.Alloc)
-		}
-		if c.UnsafeFence() {
-			return fmt.Errorf("engine: reclaim=%q needs a grace period to amortize; fence=%q gives none", c.Reclaim, c.Fence)
-		}
-		c.Alloc = "quiesce"
-	}
-	if c.Alloc == "" {
-		c.Alloc = "bump"
 	}
 	type axis struct{ name, val, dflt string }
 	reject := func(ax ...axis) error {
@@ -292,9 +235,10 @@ func (c *Config) normalize() error {
 }
 
 // UnsafeFence reports whether the configuration's fence gives no grace
-// period guarantee (the nofence/skipro anomaly policies): layers that
-// reclaim memory through the fence must fall back to fully
-// transactional reclamation on such a TM.
+// period guarantee (the nofence/skipro anomaly policies): a heap built
+// over such a TM must reclaim fully transactionally
+// (stmalloc.WithTransactionalFree), and cmd/litmus expects violations
+// from it.
 func (c Config) UnsafeFence() bool { return c.Fence == "noop" || c.Fence == "skipro" }
 
 // New constructs the TM described by cfg.
@@ -401,7 +345,6 @@ func Specs() []string {
 		"atomic",
 		"norec",
 		"norec+epochs",
-		"norec+quiesce",
 		"wtstm",
 		"wtstm+gv4",
 		"wtstm+epochs",
@@ -412,9 +355,6 @@ func Specs() []string {
 		"tl2+sorted",
 		"tl2+nofence",
 		"tl2+skipro",
-		"tl2+quiesce",
-		"tl2+quiesce+batch",
-		"norec+quiesce+batch",
 	}
 	sort.Strings(s)
 	return s

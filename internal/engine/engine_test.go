@@ -36,10 +36,14 @@ func smoke(t *testing.T, spec string, tm core.TM) {
 
 // TestSpecsRoundTrip: every registered configuration parses, reprints
 // to itself, constructs a working TM, and passes the smoke transaction
-// + fence + non-transactional access.
+// + fence + non-transactional access. The specs Specs() listed for the
+// retired heap axes keep a row each, pinning that they are refused.
 func TestSpecsRoundTrip(t *testing.T) {
-	if n := len(Specs()); n != 18 {
-		t.Fatalf("len(Specs()) = %d, want 18", n)
+	if n := len(Specs()); n != 14 {
+		t.Fatalf("len(Specs()) = %d, want 14", n)
+	}
+	for _, spec := range retiredHeapSpecs {
+		t.Run(spec, func(t *testing.T) { requireUnknown(t, spec) })
 	}
 	for _, spec := range Specs() {
 		t.Run(spec, func(t *testing.T) {
@@ -111,24 +115,26 @@ var parseErrorCases = []struct {
 	{"tl2+wait+skipro", "duplicate fence"},
 	{"tl2+wait+wait", "duplicate fence"},
 	{"wtstm+nofence+wait", "duplicate fence"},
-	// The allocator axis: bump and quiesce set one axis, so any two
-	// of them conflict.
-	{"tl2+quiesce+quiesce", "duplicate alloc"},
-	{"tl2+bump+bump", "duplicate alloc"},
-	{"tl2+bump+quiesce", "duplicate alloc"},
-	{"norec+quiesce+bump", "duplicate alloc"},
-	// The reclaim-granularity axis: free and batch conflict with
-	// each other, and batch needs a reclaiming allocator and a real
-	// grace period.
-	{"tl2+batch+batch", "duplicate reclaim"},
-	{"tl2+free+free", "duplicate reclaim"},
-	{"tl2+free+batch", "duplicate reclaim"},
-	{"tl2+batch+free", "duplicate reclaim"},
-	{"tl2+bump+batch", "requires alloc=quiesce"},
-	{"norec+batch+bump", "requires alloc=quiesce"},
-	{"tl2+nofence+quiesce+batch", "needs a grace period"},
-	{"tl2+skipro+batch", "needs a grace period"},
-	{"wtstm+nofence+batch", "needs a grace period"},
+	// The heap's shape is not a spec axis: bump, quiesce, free and
+	// batch are unknown alone and in the combinations the allocator and
+	// reclaim axes used to reject.
+	{"tl2+bump", "unknown modifier"},
+	{"wtstm+quiesce", "unknown modifier"},
+	{"tl2+free", "unknown modifier"},
+	{"norec+batch", "unknown modifier"},
+	{"tl2+quiesce+quiesce", "unknown modifier"},
+	{"tl2+bump+bump", "unknown modifier"},
+	{"tl2+bump+quiesce", "unknown modifier"},
+	{"norec+quiesce+bump", "unknown modifier"},
+	{"tl2+batch+batch", "unknown modifier"},
+	{"tl2+free+free", "unknown modifier"},
+	{"tl2+free+batch", "unknown modifier"},
+	{"tl2+batch+free", "unknown modifier"},
+	{"tl2+bump+batch", "unknown modifier"},
+	{"norec+batch+bump", "unknown modifier"},
+	{"tl2+nofence+quiesce+batch", "unknown modifier"},
+	{"tl2+skipro+batch", "unknown modifier"},
+	{"wtstm+nofence+batch", "unknown modifier"},
 	// Parse fine, rejected by construction.
 	{"norec+gv4", "does not support"},
 	{"baseline+sorted", "supports no modifiers"},
@@ -176,11 +182,27 @@ var retiredFenceCases = []struct {
 	{"wtstm+combine+defer", "unknown modifier"},
 }
 
+// retiredHeapSpecs are the specs Specs() listed while the heap's shape
+// was a spec axis (alloc: bump or quiesce; reclaim: free or batch). No
+// TM read either axis; a heap is shaped where it is built
+// (stmalloc.WithMagazines, stmalloc.WithTransactionalFree).
+var retiredHeapSpecs = []string{"norec+quiesce", "norec+quiesce+batch", "tl2+quiesce", "tl2+quiesce+batch"}
+
+// errorSpecs is every spec TestParseErrors expects refused, with the
+// fragment its error must carry.
+func errorSpecs() []struct{ spec, want string } {
+	cases := append(parseErrorCases, retiredFenceCases...)
+	for _, spec := range retiredHeapSpecs {
+		cases = append(cases, struct{ spec, want string }{spec, "unknown modifier"})
+	}
+	return cases
+}
+
 // TestParseErrors is the table-driven error-path test for Parse and
 // New. Every error carries the package prefix and the distinguishing
 // fragment.
 func TestParseErrors(t *testing.T) {
-	for _, tc := range append(parseErrorCases, retiredFenceCases...) {
+	for _, tc := range errorSpecs() {
 		t.Run(tc.spec, func(t *testing.T) {
 			cfg, err := Parse(tc.spec)
 			if err == nil {
@@ -204,15 +226,12 @@ func TestParseErrors(t *testing.T) {
 // canonicalizes away.
 func TestParseBenignModifiers(t *testing.T) {
 	for spec, canon := range map[string]string{
-		"tl2+fai":          "tl2",
-		"tl2+wait":         "tl2",
-		"tl2+flags":        "tl2",
-		"wtstm+fai":        "wtstm",
-		"tl2+bump":         "tl2",
-		"baseline+bump":    "baseline",
-		"tl2+quiesce+free": "tl2+quiesce",
+		"tl2+fai":   "tl2",
+		"tl2+wait":  "tl2",
+		"tl2+flags": "tl2",
+		"wtstm+fai": "wtstm",
 		// One default per axis beside a real modifier.
-		"tl2+gv4+wait+bump+free": "tl2+gv4",
+		"tl2+gv4+wait+flags": "tl2+gv4",
 	} {
 		cfg, err := Parse(spec)
 		if err != nil {
@@ -257,22 +276,30 @@ func TestStripesFlowThrough(t *testing.T) {
 	}
 }
 
-// TestAllocAxisFlow: the allocator axis parses on every TM, round-trips
-// through Spec(), and reports fence safety.
+// requireUnknown fails unless Parse refuses spec for naming an unknown
+// modifier.
+func requireUnknown(t *testing.T, spec string) {
+	t.Helper()
+	if _, err := Parse(spec); err == nil || !strings.Contains(err.Error(), "unknown modifier") {
+		t.Fatalf("Parse(%q) = %v, want an unknown-modifier error", spec, err)
+	}
+}
+
+// TestAllocAxisFlow: the allocator axis no longer flows through the
+// engine. Every TM refuses bump and quiesce, so a caller still choosing
+// its heap by spec fails instead of silently getting another heap. What
+// a heap builder does read from the engine, whether the fence is safe
+// to ride, is reported as before.
 func TestAllocAxisFlow(t *testing.T) {
 	for _, tmName := range TMs() {
-		cfg, err := Parse(tmName + "+quiesce")
+		requireUnknown(t, tmName+"+bump")
+		requireUnknown(t, tmName+"+quiesce")
+		cfg, err := Parse(tmName)
 		if err != nil {
-			t.Fatalf("Parse(%s+quiesce): %v", tmName, err)
-		}
-		if cfg.Alloc != "quiesce" {
-			t.Fatalf("%s+quiesce parsed Alloc=%q", tmName, cfg.Alloc)
-		}
-		if got := cfg.Spec(); got != tmName+"+quiesce" {
-			t.Fatalf("Spec() = %q, want %q", got, tmName+"+quiesce")
+			t.Fatal(err)
 		}
 		if cfg.UnsafeFence() {
-			t.Fatalf("%s+quiesce reported an unsafe fence", tmName)
+			t.Fatalf("%s reported an unsafe fence", tmName)
 		}
 	}
 	for _, spec := range []string{"tl2+nofence", "tl2+skipro", "wtstm+nofence"} {
@@ -286,41 +313,29 @@ func TestAllocAxisFlow(t *testing.T) {
 	}
 }
 
-// TestReclaimAxisFlow: the reclaim-granularity axis parses, implies
-// quiesce, round-trips, and constructs.
+// TestReclaimAxisFlow: the reclaim-granularity axis no longer flows
+// through the engine either. free and batch are refused on every TM,
+// beside a safe fence and an unsafe one alike; magazines are a heap
+// option (stmalloc.WithMagazines).
 func TestReclaimAxisFlow(t *testing.T) {
-	cfg, err := Parse("tl2+quiesce+batch")
-	if err != nil {
-		t.Fatal(err)
+	for _, tmName := range TMs() {
+		requireUnknown(t, tmName+"+free")
+		requireUnknown(t, tmName+"+batch")
 	}
-	if cfg.Alloc != "quiesce" || cfg.Reclaim != "batch" {
-		t.Fatalf("parsed alloc=%q reclaim=%q", cfg.Alloc, cfg.Reclaim)
-	}
-	if got := cfg.Spec(); got != "tl2+quiesce+batch" {
-		t.Fatalf("Spec() = %q, want round-trip", got)
-	}
-	// A bare batch modifier implies the quiesce allocator.
-	implied, err := Parse("norec+batch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	implied.Regs, implied.Threads = 4, 3
-	if _, err := New(implied); err != nil {
-		t.Fatalf("norec+batch construction: %v", err)
-	}
+	requireUnknown(t, "tl2+nofence+batch")
 }
 
 // FuzzParse pins the spec grammar: Parse never panics; the canonical
 // form of anything it accepts is a fixed point (explicit defaults such
-// as fai/flags/wait/bump/free may drop out once, on the way to it); and
-// a parsed configuration either fails construction with an error or
-// yields a TM that commits an empty transaction. The seed corpus is
-// Specs() plus every TestParseErrors row, so plain `go test` runs it.
+// as fai/flags/wait may drop out once, on the way to it); and a parsed
+// configuration either fails construction with an error or yields a TM
+// that commits an empty transaction. The seed corpus is Specs() plus
+// every TestParseErrors row, so plain `go test` runs it.
 func FuzzParse(f *testing.F) {
 	for _, spec := range Specs() {
 		f.Add(spec)
 	}
-	for _, tc := range append(parseErrorCases, retiredFenceCases...) {
+	for _, tc := range errorSpecs() {
 		f.Add(tc.spec)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {

@@ -10,11 +10,8 @@
 // for the duration of one store operation and releases it, so at most
 // Config.Threads store operations run concurrently and the TM's
 // threading contract holds under any number of connections — the pool
-// doubles as admission control. Optionally (Config.BatchWrites > 0) a
-// write coalescer funnels concurrent PUTs through one dedicated thread
-// id and commits adjacent requests as ONE transaction via
-// stmkv.PutBatch, trading conflict-window width for per-commit
-// overhead.
+// doubles as admission control. Every request is one store operation:
+// a PUT is one stmkv.Put transaction on the pooled thread id.
 //
 // Endpoints (values are decimal int64 text; /scan and /stats are JSON):
 //
@@ -26,10 +23,10 @@
 //	GET    /healthz    200 once serving, 503 while starting or draining
 //
 // Shutdown protocol: the owner first drains in-flight HTTP requests
-// (http.Server.Shutdown), then calls Server.Drain, which stops the
-// write coalescer, settles the store's table heap (stmkv.Store.Drain:
-// parked frees retire) and surfaces any reclamation error — the
-// ordering cmd/kvserver implements on SIGTERM.
+// (http.Server.Shutdown), then calls Server.Drain, which flips healthz
+// to 503, settles the store's table heap (stmkv.Store.Drain) and
+// surfaces any reclamation error — the ordering cmd/kvserver
+// implements on SIGTERM.
 package kvserve
 
 import (
@@ -56,8 +53,7 @@ import (
 // documented default.
 type Config struct {
 	// Spec is the engine specification of the TM the store runs on
-	// (default "tl2"). A batch-reclaim spec ("tl2+quiesce+batch") puts
-	// the store's table heap behind per-thread magazines.
+	// (default "tl2").
 	Spec string
 	// Shards is the store's shard count (default 16).
 	Shards int
@@ -65,13 +61,8 @@ type Config struct {
 	Slots int
 	// Threads is the request worker pool size: the number of store
 	// operations that may run concurrently (default 8). The TM is
-	// sized with two extra ids: the write coalescer and the drain/stats
-	// admin thread.
+	// sized with one extra id, the drain admin thread.
 	Threads int
-	// BatchWrites > 0 coalesces up to that many adjacent PUTs into one
-	// transaction through a dedicated writer thread (0 = every PUT is
-	// its own transaction on a pooled thread id).
-	BatchWrites int
 	// Logger receives the server's structured log (default
 	// slog.Default()).
 	Logger *slog.Logger
@@ -102,14 +93,12 @@ type Server struct {
 	store *stmkv.Store
 	scan  scanner // s.store, unless a test injected a failing source
 	pool  *stmkv.ThreadPool
-	wb    *writeBatcher
 	board *telemetry.Board
 	log   *slog.Logger
 
 	adminTh int
 	start   time.Time
 	ready   atomic.Bool
-	drained atomic.Bool
 }
 
 // New builds the TM described by cfg.Spec, a store over it, and the
@@ -117,24 +106,11 @@ type Server struct {
 // server is ready (healthz reports 200).
 func New(cfg Config) (*Server, error) {
 	cfg.fill()
-	parsed, err := engine.Parse(cfg.Spec)
-	if err != nil {
-		return nil, err
-	}
-	// Thread budget: ids 1..Threads for request workers, +1 the write
-	// coalescer, +2 the admin (drain/stats) thread.
+	// Thread budget: ids 1..Threads for request workers, +1 the admin
+	// (drain) thread.
 	workers := cfg.Threads
-	batcherTh := workers + 1
-	adminTh := workers + 2
-	var kvOpts []stmkv.Option
-	magThreads := 0
-	if parsed.Reclaim == "batch" && !parsed.UnsafeFence() {
-		// Magazines for every thread that can rehash a table: the
-		// request workers and the coalescer.
-		magThreads = batcherTh
-		kvOpts = append(kvOpts, stmkv.WithBatchReclaim(magThreads))
-	}
-	regs := stmkv.RegsNeededBatch(cfg.Shards, cfg.Slots, magThreads)
+	adminTh := workers + 1
+	regs := stmkv.RegsNeeded(cfg.Shards, cfg.Slots)
 	if regs == 0 {
 		return nil, fmt.Errorf("kvserve: unallocatable geometry shards=%d slots=%d", cfg.Shards, cfg.Slots)
 	}
@@ -142,7 +118,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := stmkv.New(tm, cfg.Shards, cfg.Slots, kvOpts...)
+	store, err := stmkv.New(tm, cfg.Shards, cfg.Slots)
 	if err != nil {
 		return nil, err
 	}
@@ -163,13 +139,10 @@ func New(cfg Config) (*Server, error) {
 	if p, ok := tm.(telemetry.Provider); ok {
 		s.board = p.TelemetryBoard()
 	}
-	if cfg.BatchWrites > 0 {
-		s.wb = newWriteBatcher(store, batcherTh, cfg.BatchWrites)
-	}
 	s.ready.Store(true)
 	s.log.Info("kvserve ready",
 		"spec", cfg.Spec, "shards", cfg.Shards, "slots", cfg.Slots,
-		"threads", workers, "batch_writes", cfg.BatchWrites, "regs", regs)
+		"threads", workers, "regs", regs)
 	return s, nil
 }
 
@@ -185,19 +158,13 @@ func (s *Server) Telemetry() telemetry.Snapshot {
 	return s.board.Snapshot()
 }
 
-// Drain finishes the server's outstanding work: it stops accepting
-// coalesced writes, settles the store's table heap, and returns the
-// first reclamation error the heap hit. Call it after the HTTP listener
-// has drained its in-flight requests; Drain is idempotent (a second
-// call only re-drains the store, which reports errors registered
-// since).
+// Drain finishes the server's outstanding work: healthz turns 503, the
+// store's table heap settles, and Drain returns the first reclamation
+// error the heap hit. Call it after the HTTP listener has drained its
+// in-flight requests; Drain is idempotent (a second call only re-drains
+// the store, which reports errors registered since).
 func (s *Server) Drain() error {
 	s.ready.Store(false)
-	if s.drained.CompareAndSwap(false, true) {
-		if s.wb != nil {
-			s.wb.shutdown()
-		}
-	}
 	return s.store.Drain(s.adminTh)
 }
 
@@ -222,8 +189,6 @@ func errStatus(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, stmkv.ErrFull):
 		return http.StatusInsufficientStorage
-	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusRequestTimeout
 	default:
@@ -310,11 +275,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "body must be a decimal int64 value", http.StatusBadRequest)
 		return
 	}
-	if s.wb != nil {
-		err = s.wb.put(r.Context(), key, val)
-	} else {
-		err = s.withThread(r, func(th int) error { return s.store.Put(th, key, val) })
-	}
+	err = s.withThread(r, func(th int) error { return s.store.Put(th, key, val) })
 	if err != nil {
 		s.fail(w, r, err)
 		return
@@ -499,13 +460,12 @@ func (s *Server) scanStream(w http.ResponseWriter, r *http.Request, from, to int
 
 // StatsReply is the /stats document.
 type StatsReply struct {
-	Spec        string  `json:"spec"`
-	Shards      int     `json:"shards"`
-	Slots       int     `json:"slots"`
-	Threads     int     `json:"threads"`
-	BatchWrites int     `json:"batch_writes"`
-	UptimeSec   float64 `json:"uptime_sec"`
-	Store       struct {
+	Spec      string  `json:"spec"`
+	Shards    int     `json:"shards"`
+	Slots     int     `json:"slots"`
+	Threads   int     `json:"threads"`
+	UptimeSec float64 `json:"uptime_sec"`
+	Store     struct {
 		Keys           int64 `json:"keys"`
 		Privatizations int64 `json:"privatizations"`
 		Grows          int64 `json:"grows"`
@@ -542,7 +502,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	reply.Shards = s.cfg.Shards
 	reply.Slots = s.cfg.Slots
 	reply.Threads = s.cfg.Threads
-	reply.BatchWrites = s.cfg.BatchWrites
 	reply.UptimeSec = time.Since(s.start).Seconds()
 	err := s.withThread(r, func(th int) error {
 		var err error

@@ -48,10 +48,25 @@ func do(t *testing.T, method, url, body string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
+// retiredSpec is the spec the server suites ran while the heap's shape
+// was a spec axis: "+batch" put the store's table heap behind
+// magazines. The engine now refuses it, so a server configured for it
+// fails at startup instead of serving with another heap; its rows pin
+// that.
+const retiredSpec = "tl2+quiesce+batch"
+
+func requireRefused(t *testing.T, spec string) {
+	t.Helper()
+	if _, err := kvserve.New(kvserve.Config{Spec: spec}); err == nil || !strings.Contains(err.Error(), "unknown modifier") {
+		t.Fatalf("New(Spec: %q) = %v, want an unknown-modifier error", spec, err)
+	}
+}
+
 func TestServerEndToEnd(t *testing.T) {
-	for _, spec := range []string{"tl2", "tl2+quiesce+batch", "norec"} {
+	t.Run(retiredSpec, func(t *testing.T) { requireRefused(t, retiredSpec) })
+	for _, spec := range []string{"tl2", "norec"} {
 		t.Run(spec, func(t *testing.T) {
-			_, ts := newTestServer(t, kvserve.Config{Spec: spec, Shards: 4, Slots: 64, Threads: 4})
+			srv, ts := newTestServer(t, kvserve.Config{Spec: spec, Shards: 4, Slots: 64, Threads: 4})
 
 			if st, _ := do(t, http.MethodGet, ts.URL+"/healthz", ""); st != http.StatusOK {
 				t.Fatalf("healthz = %d, want 200", st)
@@ -126,143 +141,103 @@ func TestServerEndToEnd(t *testing.T) {
 					t.Fatalf("stats JSON lacks the store's %s counter: %s", field, statsBody)
 				}
 			}
-		})
-	}
-}
 
-func TestServerConcurrentMixedLoad(t *testing.T) {
-	for _, cfg := range []kvserve.Config{
-		{Spec: "tl2", Shards: 4, Slots: 256, Threads: 4},
-		{Spec: "tl2", Shards: 4, Slots: 256, Threads: 4, BatchWrites: 8},
-	} {
-		name := "direct"
-		if cfg.BatchWrites > 0 {
-			name = "batched"
-		}
-		t.Run(name, func(t *testing.T) {
-			srv, ts := newTestServer(t, cfg)
-			const workers, opsPer = 8, 50
-			var wg sync.WaitGroup
-			errc := make(chan error, workers)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					c := &http.Client{Timeout: 30 * time.Second}
-					for i := 0; i < opsPer; i++ {
-						key := int64(w*opsPer + i + 1)
-						url := fmt.Sprintf("%s/kv/%d", ts.URL, key)
-						req, _ := http.NewRequest(http.MethodPut, url, strings.NewReader(fmt.Sprint(key*3)))
-						resp, err := c.Do(req)
-						if err != nil {
-							errc <- err
-							return
-						}
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-						if resp.StatusCode != http.StatusNoContent {
-							errc <- fmt.Errorf("PUT %d: status %d", key, resp.StatusCode)
-							return
-						}
-						resp, err = c.Get(url)
-						if err != nil {
-							errc <- err
-							return
-						}
-						b, _ := io.ReadAll(resp.Body)
-						resp.Body.Close()
-						if got := strings.TrimSpace(string(b)); got != fmt.Sprint(key*3) {
-							errc <- fmt.Errorf("GET %d = %q, want %d", key, got, key*3)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			close(errc)
-			for err := range errc {
-				t.Fatal(err)
-			}
-			var stats kvserve.StatsReply
-			_, body := do(t, http.MethodGet, ts.URL+"/stats", "")
-			if err := json.Unmarshal([]byte(body), &stats); err != nil {
-				t.Fatalf("stats JSON: %v", err)
-			}
-			if want := int64(workers * opsPer); stats.Store.Keys != want {
-				t.Fatalf("keys = %d, want %d", stats.Store.Keys, want)
-			}
+			// Shutdown: Drain flips healthz to 503 and is idempotent.
 			if err := srv.Drain(); err != nil {
 				t.Fatalf("Drain: %v", err)
 			}
+			if st, _ := do(t, http.MethodGet, ts.URL+"/healthz", ""); st != http.StatusServiceUnavailable {
+				t.Fatalf("healthz after Drain = %d, want 503", st)
+			}
+			if err := srv.Drain(); err != nil {
+				t.Fatalf("second Drain: %v", err)
+			}
 		})
 	}
 }
 
-// TestServerDrainRejectsBatchedWrites pins the shutdown ordering: after
-// Drain, coalesced writes get 503 (ErrDraining) rather than hanging or
-// panicking, and healthz flips to 503.
-func TestServerDrainRejectsBatchedWrites(t *testing.T) {
-	srv, err := kvserve.New(kvserve.Config{Spec: "tl2", Shards: 4, Slots: 64, Threads: 2, BatchWrites: 4})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	if st, _ := do(t, http.MethodPut, ts.URL+"/kv/1", "1"); st != http.StatusNoContent {
-		t.Fatalf("PUT before drain = %d, want 204", st)
-	}
-	if err := srv.Drain(); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	if st, _ := do(t, http.MethodPut, ts.URL+"/kv/2", "2"); st != http.StatusServiceUnavailable {
-		t.Fatalf("PUT after drain = %d, want 503", st)
-	}
-	if st, _ := do(t, http.MethodGet, ts.URL+"/healthz", ""); st != http.StatusServiceUnavailable {
-		t.Fatalf("healthz after drain = %d, want 503", st)
-	}
-	// Drain is idempotent.
-	if err := srv.Drain(); err != nil {
-		t.Fatalf("second Drain: %v", err)
-	}
-}
-
-// TestServerMagazineSpec boots the server on a batch-reclaim spec, the
-// one configuration that puts the store's table heap behind per-thread
-// magazines: enough PUTs to grow every shard (each grow frees the
-// replaced table through a magazine), /stats serves, and after Drain
-// the heap holds exactly one table per shard with nothing parked.
-func TestServerMagazineSpec(t *testing.T) {
+// TestServerConcurrentMixedLoad: concurrent PUT/GET pairs on distinct
+// keys, each PUT its own transaction on a pooled thread id. The load
+// grows every shard, so replaced tables are freed under the server; after
+// Drain the heap holds exactly one table per shard with nothing pending.
+func TestServerConcurrentMixedLoad(t *testing.T) {
 	const shards = 4
-	srv, ts := newTestServer(t, kvserve.Config{Spec: "tl2+quiesce+batch", Shards: shards, Slots: 64, Threads: 4})
-	for k := 1; k <= 128; k++ {
-		if st, _ := do(t, http.MethodPut, fmt.Sprintf("%s/kv/%d", ts.URL, k), fmt.Sprint(k)); st != http.StatusNoContent {
-			t.Fatalf("PUT %d failed", k)
+	t.Run("direct", func(t *testing.T) {
+		srv, ts := newTestServer(t, kvserve.Config{Spec: "tl2", Shards: shards, Slots: 256, Threads: 4})
+		const workers, opsPer = 8, 50
+		var wg sync.WaitGroup
+		errc := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				c := &http.Client{Timeout: 30 * time.Second}
+				for i := 0; i < opsPer; i++ {
+					key := int64(w*opsPer + i + 1)
+					url := fmt.Sprintf("%s/kv/%d", ts.URL, key)
+					req, _ := http.NewRequest(http.MethodPut, url, strings.NewReader(fmt.Sprint(key*3)))
+					resp, err := c.Do(req)
+					if err != nil {
+						errc <- err
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusNoContent {
+						errc <- fmt.Errorf("PUT %d: status %d", key, resp.StatusCode)
+						return
+					}
+					resp, err = c.Get(url)
+					if err != nil {
+						errc <- err
+						return
+					}
+					b, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if got := strings.TrimSpace(string(b)); got != fmt.Sprint(key*3) {
+						errc <- fmt.Errorf("GET %d = %q, want %d", key, got, key*3)
+						return
+					}
+				}
+			}(w)
 		}
-	}
-	if st, _ := do(t, http.MethodGet, ts.URL+"/stats", ""); st != http.StatusOK {
-		t.Fatalf("stats = %d", st)
-	}
-	if err := srv.Drain(); err != nil {
-		t.Fatalf("Drain on a magazine-backed store: %v", err)
-	}
-	hs := srv.Store().HeapStats()
-	if hs.Frees == 0 {
-		t.Fatalf("no table was ever freed; the magazine path did not run: %+v", hs)
-	}
-	if hs.Live != shards || hs.PendingFrees != 0 || hs.MagFree != 0 {
-		t.Fatalf("after Drain want %d live tables, 0 pending, 0 parked: %+v", shards, hs)
-	}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Fatal(err)
+		}
+		var stats kvserve.StatsReply
+		_, body := do(t, http.MethodGet, ts.URL+"/stats", "")
+		if err := json.Unmarshal([]byte(body), &stats); err != nil {
+			t.Fatalf("stats JSON: %v", err)
+		}
+		if want := int64(workers * opsPer); stats.Store.Keys != want {
+			t.Fatalf("keys = %d, want %d", stats.Store.Keys, want)
+		}
+		if err := srv.Drain(); err != nil {
+			t.Fatalf("Drain: %v", err)
+		}
+		hs := srv.Store().HeapStats()
+		if hs.Frees == 0 {
+			t.Fatalf("%d keys in %d shards freed no table; no shard grew: %+v", workers*opsPer, shards, hs)
+		}
+		if hs.Live != shards || hs.PendingFrees != 0 {
+			t.Fatalf("after Drain want %d live tables and 0 pending frees: %+v", shards, hs)
+		}
+	})
 }
 
 // TestRunLoad exercises the load driver against a live in-process
-// server per engine spec, write coalescer on: every run must complete
-// with zero errors in closed-loop, open-loop (paced), zipfian and
-// scan-mix modes, and the server must drain clean afterwards
-// (newTestServer's cleanup).
+// server per engine spec: every run must complete with zero errors in
+// closed-loop, open-loop (paced), zipfian and scan-mix modes, and the
+// server must drain clean afterwards (newTestServer's cleanup).
 func TestRunLoad(t *testing.T) {
-	for _, spec := range []string{"tl2", "tl2+quiesce+batch", "norec"} {
-		_, ts := newTestServer(t, kvserve.Config{Spec: spec, Shards: 4, Slots: 128, Threads: 4, BatchWrites: 8})
+	modes := []string{"closed", "open", "zipfian", "scans"}
+	for _, name := range modes {
+		t.Run(retiredSpec+"/"+name, func(t *testing.T) { requireRefused(t, retiredSpec) })
+	}
+	for _, spec := range []string{"tl2", "norec"} {
+		_, ts := newTestServer(t, kvserve.Config{Spec: spec, Shards: 4, Slots: 128, Threads: 4})
 		for name, cfg := range map[string]kvserve.LoadConfig{
 			"closed":  {BaseURL: ts.URL, Conns: 4, Ops: 400, ReadPct: 60, DeletePct: 10, Keys: 256},
 			"open":    {BaseURL: ts.URL, Conns: 4, Ops: 200, QPS: 2000, ReadPct: 60, DeletePct: 10, Keys: 256},

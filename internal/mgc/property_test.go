@@ -2,6 +2,7 @@ package mgc
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"safepriv/internal/core"
@@ -13,9 +14,7 @@ import (
 // supports a recording sink and has a correct fence — the
 // configurations for which Theorem 5.3 promises that every recorded
 // most-general-client history passes the strong-opacity pipeline.
-// (wtstm has no sink; +nofence/+skipro are deliberately unsafe. The
-// quiesce and batch allocator axes do not change the TM, so their specs
-// are included as they stand.)
+// (wtstm has no sink; +nofence/+skipro are deliberately unsafe.)
 func safeSinkSpecs(t *testing.T) []string {
 	t.Helper()
 	var out []string
@@ -43,12 +42,24 @@ func safeSinkSpecs(t *testing.T) []string {
 // runs recorded on the live TM must pass the full strong-opacity
 // pipeline (well-formedness, DRF, consistency, graph acyclicity,
 // witness membership). Short mode bounds the seeds; the full run soaks.
+// The registry once listed four heap-shape specs that built the same
+// TMs as tl2 and norec; their rows pin that the harness now refuses
+// them.
 func TestPropertyOpacityPerSpec(t *testing.T) {
 	seeds := int64(6)
 	shape := Config{Threads: 4, DataRegs: 4, TxnsPerThread: 20, OpsPerTxn: 3, Rounds: 4}
 	if testing.Short() {
 		seeds = 2
 		shape = Config{Threads: 3, DataRegs: 3, TxnsPerThread: 8, OpsPerTxn: 2, Rounds: 2}
+	}
+	for _, spec := range []string{"norec+quiesce", "norec+quiesce+batch", "tl2+quiesce", "tl2+quiesce+batch"} {
+		t.Run(spec, func(t *testing.T) {
+			cfg := shape
+			cfg.TM = spec
+			if _, err := RunAndCheck(cfg); err == nil || !strings.Contains(err.Error(), "unknown modifier") {
+				t.Fatalf("RunAndCheck on %q = %v, want an unknown-modifier error", spec, err)
+			}
+		})
 	}
 	for _, spec := range safeSinkSpecs(t) {
 		t.Run(spec, func(t *testing.T) {

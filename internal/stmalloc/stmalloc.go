@@ -273,7 +273,7 @@ type ClassDemand struct {
 // RegsForDemand returns the total register budget (headers included) a
 // heap needs to keep the given demand profile live: pass the result as
 // `limit-first` to New. It generalizes the single-class geometry of
-// stmkv.RegsNeededBatch to multi-size-class clients:
+// stmkv.RegsNeeded to multi-size-class clients:
 //
 //   - every demanded block at its size-class roundup, plus
 //   - one max-class block of slack per shard, because a block cannot

@@ -132,7 +132,7 @@ func TestHashMapOracle(t *testing.T) {
 // Privatizations) on the TM's board — the counter the benchmark reports
 // as stmds.rehash_windows.
 func TestHashMapRehashWindowsRecorded(t *testing.T) {
-	tm, _, hm := hashHeap(t, "tl2+quiesce", 1, 400)
+	tm, _, hm := hashHeap(t, "tl2", 1, 400)
 	for k := int64(1); k <= 400; k++ {
 		if _, err := hm.Put(1, k, k*7+1); err != nil {
 			t.Fatal(err)

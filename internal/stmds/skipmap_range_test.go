@@ -188,20 +188,21 @@ func TestRangeWindowsAllocateNothing(t *testing.T) {
 	}
 	sm := stmds.NewSkipMap(probe, skipHead, 1, heap)
 	keys := len(putSparseThenDense(t, sm))
-	probe.Reset()
-	for _, span := range []int64{64, 256, 4096} {
-		it, got := sm.RangeWindows(1, denseTo, span), 0
-		for more := true; more; {
-			var pairs []stmds.KV
-			if pairs, more, err = it.Next(1); err != nil {
-				t.Fatal(err)
+	probe.Measure(func() {
+		for _, span := range []int64{64, 256, 4096} {
+			it, got := sm.RangeWindows(1, denseTo, span), 0
+			for more := true; more; {
+				var pairs []stmds.KV
+				if pairs, more, err = it.Next(1); err != nil {
+					t.Fatal(err)
+				}
+				got += len(pairs)
 			}
-			got += len(pairs)
+			if got != keys {
+				t.Fatalf("span %d: scan returned %d pairs, want %d", span, got, keys)
+			}
 		}
-		if got != keys {
-			t.Fatalf("span %d: scan returned %d pairs, want %d", span, got, keys)
-		}
-	}
+	})
 	if probe.Mallocs != 0 {
 		t.Fatalf("%d allocations inside %d scan windows, want 0", probe.Mallocs, probe.Windows)
 	}

@@ -61,21 +61,22 @@ func TestScanPageWindowsAllocateNothing(t *testing.T) {
 	}
 	const n = 5_000
 	s, probe := budgetStore(t, n)
-	probe.Reset()
-	got, cursor := 0, ""
-	for {
-		pairs, next, err := s.ScanPage(1, cursor, 256)
-		if err != nil {
-			t.Fatal(err)
+	probe.Measure(func() {
+		got, cursor := 0, ""
+		for {
+			pairs, next, err := s.ScanPage(1, cursor, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += len(pairs)
+			if cursor = next; cursor == "" {
+				break
+			}
 		}
-		got += len(pairs)
-		if cursor = next; cursor == "" {
-			break
+		if got != n {
+			t.Fatalf("walk returned %d pairs, want %d", got, n)
 		}
-	}
-	if got != n {
-		t.Fatalf("walk returned %d pairs, want %d", got, n)
-	}
+	})
 	if probe.Windows < 16 {
 		t.Fatalf("walk closed %d windows, want one per shard at least", probe.Windows)
 	}

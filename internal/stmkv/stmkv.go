@@ -83,9 +83,7 @@
 // half-maintained shard — point operations wait while the shard is
 // exclusive (on the store's publish gate, package pubgate, rather than
 // by re-running their transaction), and the flag returns to shared only
-// after the work published. WithBatchReclaim additionally gives the
-// table heap per-thread magazine caches, so the table blocks a rehash
-// replaces recycle thread-locally.
+// after the work published.
 package stmkv
 
 import (
@@ -158,15 +156,6 @@ type Option func(*Store)
 // all; on TL2 the transactional scan pays validation instead).
 func WithTransactionalScan() Option { return func(s *Store) { s.txnScan = true } }
 
-// WithBatchReclaim builds the store's table heap with the stmalloc
-// magazine layer for thread ids 1..threads: a replaced table block
-// recycles through the rehashing thread's alloc-side cache (it is
-// already quiescent after the shard's fence), so repeated grow/Resize
-// cycles pop their next table locally instead of contending on the
-// heap's shard lists. Size the TM with RegsNeededBatch instead of
-// RegsNeeded.
-func WithBatchReclaim(threads int) Option { return func(s *Store) { s.batchThreads = threads } }
-
 // Stats counts the store's privatization traffic.
 type Stats struct {
 	// Privatizations is the number of privatize→fence→publish cycles
@@ -196,12 +185,11 @@ type KV struct {
 
 // Store is a sharded transactional KV store over a core.TM.
 type Store struct {
-	tm           core.TM
-	heap         *stmalloc.Heap
-	shards       int
-	slots        int // maximum active capacity per shard
-	txnScan      bool
-	batchThreads int // >0: table heap carries magazines for ids 1..batchThreads
+	tm      core.TM
+	heap    *stmalloc.Heap
+	shards  int
+	slots   int // maximum active capacity per shard
+	txnScan bool
 
 	// gate is opened on every publish; operations that found their
 	// shard private wait on it (retryShared).
@@ -261,24 +249,6 @@ func RegsNeeded(shards, slots int) int {
 	return shards*hdrRegs + stmalloc.HeaderRegs(hs) + arena
 }
 
-// kvMagCap is the magazine capacity of a WithBatchReclaim table heap:
-// table blocks are large and few, so the cache is shallow.
-const kvMagCap = 2
-
-// RegsNeededBatch is RegsNeeded for a WithBatchReclaim(threads) store:
-// the magazine headers plus headroom for the blocks the per-thread
-// caches may hold back from the shared pool (per thread at most
-// kvMagCap blocks per class, summing to < 2·kvMagCap·maxBlock over the
-// power-of-two ladder).
-func RegsNeededBatch(shards, slots, threads int) int {
-	n := RegsNeeded(shards, slots)
-	if n == 0 || threads <= 0 {
-		return n
-	}
-	maxBlock := stmalloc.BlockRegs(2 * slots)
-	return n + stmalloc.MagazineRegs(threads) + threads*2*kvMagCap*maxBlock
-}
-
 // New builds a store with `shards` shards of at most `slots` active
 // slots each over tm's registers [0, RegsNeeded(shards, slots)). The
 // headers and the heap are initialized non-transactionally (thread 1),
@@ -297,15 +267,11 @@ func New(tm core.TM, shards, slots int, opts ...Option) (*Store, error) {
 	if p, ok := tm.(telemetry.Provider); ok {
 		s.board = p.TelemetryBoard()
 	}
-	need := RegsNeededBatch(shards, slots, s.batchThreads)
+	need := RegsNeeded(shards, slots)
 	if tm.NumRegs() < need {
 		return nil, fmt.Errorf("stmkv: TM has %d registers, geometry needs %d", tm.NumRegs(), need)
 	}
-	heapOpts := []stmalloc.Option{stmalloc.WithShards(kvHeapShards(shards))}
-	if s.batchThreads > 0 {
-		heapOpts = append(heapOpts, stmalloc.WithMagazines(s.batchThreads, kvMagCap))
-	}
-	heap, err := stmalloc.New(tm, shards*hdrRegs, need, heapOpts...)
+	heap, err := stmalloc.New(tm, shards*hdrRegs, need, stmalloc.WithShards(kvHeapShards(shards)))
 	if err != nil {
 		return nil, fmt.Errorf("stmkv: heap: %w", err)
 	}
@@ -599,8 +565,9 @@ func (s *Store) Put(th int, key, val int64) error {
 	}
 }
 
-// PutBatch commits every pair in one transaction: the write-coalescing
-// primitive behind cmd/kvserver's request batching. The pairs may span
+// PutBatch commits every pair in one transaction: an atomic multi-key
+// write (the benchmark's stmkv.putbatch_ns_per_pair rung times it;
+// kvserve issues only single-key writes). The pairs may span
 // shards (the transaction reads each touched shard's flag, so the DRF
 // guard of Theorem 5.3 still holds per shard) and may repeat keys
 // (later writes win — the probe reads its own earlier writes). The
@@ -950,8 +917,8 @@ func (s *Store) Clear(th int) error {
 // Resize rehashes every shard to the given active capacity (clamped to
 // [live keys, slot arena]). Like Clear, all shards privatize up front
 // and ONE fence covers every shard's rehash. The replaced table blocks
-// return to the heap (through the rehashing thread's magazine cache
-// under WithBatchReclaim).
+// return to the heap's shard lists (stmalloc.FreeQuiesced: the fence
+// already covered them).
 func (s *Store) Resize(th, slots int) error {
 	if slots < 1 {
 		slots = 1

@@ -492,39 +492,26 @@ func TestScanIsPerShardSnapshot(t *testing.T) {
 	}
 }
 
-// TestKVBatchReclaimResizeRace is the batch-retire-vs-Resize race: a
-// WithBatchReclaim store whose table blocks recycle through per-thread
-// magazine caches, hammered by concurrent Resizes (each one batch of
-// privatize→rehash→publish cycles plus FreeQuiesced of every replaced
-// table) interleaved with point operations. After a Drain the
-// store-level leak invariant must hold — exactly one live table block
-// per shard — every Resize ran one privatize cycle per shard — and
-// every surviving key must be readable. The per-free row runs the same
-// race on a store without magazines. Run under -race in CI.
+// TestKVBatchReclaimResizeRace is the reclaim-vs-Resize race:
+// concurrent Resizes, each one batch of privatize→rehash→publish cycles
+// whose replaced tables return to the heap under the one fence that
+// privatized them (FreeQuiesced, one per shard), interleaved with point
+// operations that grow shards and free their tables on their own. After
+// a Drain the store-level leak invariant must hold — exactly one live
+// table block per shard — every Resize ran one privatize cycle per
+// shard — and every surviving key must be readable. Run under -race in
+// CI.
 func TestKVBatchReclaimResizeRace(t *testing.T) {
-	for _, tc := range []struct {
-		spec  string
-		batch bool
-	}{
-		{"tl2", true}, {"norec", true}, {"tl2", false},
-	} {
-		name := tc.spec + "/per-free"
-		if tc.batch {
-			name = tc.spec + "/batch"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, spec := range []string{"tl2", "norec"} {
+		t.Run(spec+"/per-free", func(t *testing.T) {
 			const shards, slots = 4, 64
 			const workers, resizers = 2, 2
 			threads := workers + resizers + 1
-			tm, err := engine.NewSpec(tc.spec, stmkv.RegsNeededBatch(shards, slots, threads), threads+1, nil)
+			tm, err := engine.NewSpec(spec, stmkv.RegsNeeded(shards, slots), threads+1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var opts []stmkv.Option
-			if tc.batch {
-				opts = append(opts, stmkv.WithBatchReclaim(threads))
-			}
-			s, err := stmkv.New(tm, shards, slots, opts...)
+			s, err := stmkv.New(tm, shards, slots)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -650,8 +637,8 @@ func TestDrainSurfacesAsyncErrorOnce(t *testing.T) {
 	}
 }
 
-// TestPutBatch: the write-coalescing primitive commits many pairs in
-// one transaction — across shards, through growth, with duplicate keys
+// TestPutBatch: the atomic multi-key write commits many pairs in one
+// transaction — across shards, through growth, with duplicate keys
 // resolving to the last write.
 func TestPutBatch(t *testing.T) {
 	for _, spec := range allSpecs {

@@ -123,15 +123,30 @@ func sortInt64(s []int64) {
 	}
 }
 
-// runOnTM executes the script on the structures over a real TM with
-// the reclaiming allocator (register layout: heads in 1..3, heap from
-// 8).
-func runOnTM(t *testing.T, spec string, script []dsOp) dsOutcome {
+// heapShape is a test-local heap configuration: the suites cross every
+// TM with these shapes. A heap's shape is chosen where the heap is
+// built (stmalloc options), never by the engine spec. A row is named
+// by the TM spec plus the shape's label — the names the rows carried
+// while the shape was a spec modifier.
+type heapShape struct {
+	label     string
+	magazines bool // stmalloc.WithMagazines
+}
+
+var (
+	perFree    = heapShape{"quiesce", false}
+	magazine   = heapShape{"quiesce+batch", true}
+	heapShapes = []heapShape{perFree, magazine}
+)
+
+func (h heapShape) row(spec string) string { return spec + "+" + h.label }
+
+// heapOptions returns the stmalloc options of shape over the TM that
+// spec names: magazines of capacity magCap for thread ids 1..threads,
+// and a fully transactional Free beside an unsafe fence, which gives
+// the heap no grace period to ride.
+func heapOptions(t *testing.T, spec string, shape heapShape, threads, magCap int) []stmalloc.Option {
 	t.Helper()
-	tm, err := engine.NewSpec(spec, 1<<12, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg, err := engine.Parse(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -140,12 +155,24 @@ func runOnTM(t *testing.T, spec string, script []dsOp) dsOutcome {
 	if cfg.UnsafeFence() {
 		opts = append(opts, stmalloc.WithTransactionalFree())
 	}
-	if cfg.Reclaim == "batch" {
-		// A shallow magazine so the script's small keyspace cycles
-		// blocks through park→retire→refill many times.
-		opts = append(opts, stmalloc.WithMagazines(2, 4))
+	if shape.magazines {
+		opts = append(opts, stmalloc.WithMagazines(threads, magCap))
 	}
-	heap, err := stmalloc.New(tm, 8, tm.NumRegs(), opts...)
+	return opts
+}
+
+// runOnTM executes the script on the structures over a real TM with
+// the reclaiming allocator (register layout: heads in 1..3, heap from
+// 8). A magazine heap is shallow so the script's small keyspace cycles
+// blocks through park→retire→refill many times.
+func runOnTM(t *testing.T, spec string, shape heapShape, script []dsOp) dsOutcome {
+	t.Helper()
+	tm, err := engine.NewSpec(spec, 1<<12, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, err := stmalloc.New(tm, 8, tm.NumRegs(), heapOptions(t, spec, shape, 2, 4)...)
+	spec = shape.row(spec) // the row name, in failure messages
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,19 +314,18 @@ func TestDifferentialDataStructures(t *testing.T) {
 		seeds, opsPerSeed = 2, 150
 	}
 	for _, tmName := range engine.TMs() {
-		spec := tmName + "+quiesce"
-		t.Run(spec, func(t *testing.T) {
+		t.Run(perFree.row(tmName), func(t *testing.T) {
 			for seed := int64(1); seed <= seeds; seed++ {
 				script := dsScript(seed*31, opsPerSeed)
 				want := runOracle(script)
-				got := runOnTM(t, spec, script)
+				got := runOnTM(t, tmName, perFree, script)
 				if where, ok := diffOutcome(got, want); !ok {
 					t.Fatalf("seed %d: diverged from oracle at %s", seed, where)
 				}
 			}
 		})
 		for _, fence := range retiredFenceModes {
-			spec := tmName + fence + "+quiesce"
+			spec := perFree.row(tmName + fence)
 			t.Run(spec, func(t *testing.T) { requireRefused(t, spec) })
 		}
 	}
@@ -322,23 +348,23 @@ func requireRefused(t *testing.T, spec string) {
 }
 
 // TestDifferentialDataStructuresBatch is the differential suite on the
-// magazine reclamation path: frees park in thread-local magazines and
-// whole chains retire under one shared grace period, so register reuse
-// happens in bursts — the batch axis must still reproduce the serial oracle exactly, and the post-drain leak
-// accounting must balance with blocks resident in the alloc-side
-// cache.
+// magazine heap: frees park in thread-local magazines and whole chains
+// retire under one shared grace period, so register reuse happens in
+// bursts — the magazine heap must still reproduce the serial oracle
+// exactly, and the post-drain leak accounting must balance with blocks
+// resident in the alloc-side cache.
 func TestDifferentialDataStructuresBatch(t *testing.T) {
 	seeds := int64(4)
 	opsPerSeed := 400
 	if testing.Short() {
 		seeds, opsPerSeed = 2, 150
 	}
-	for _, spec := range []string{"tl2+quiesce+batch", "norec+quiesce+batch"} {
-		t.Run(spec, func(t *testing.T) {
+	for _, spec := range []string{"tl2", "norec"} {
+		t.Run(magazine.row(spec), func(t *testing.T) {
 			for seed := int64(1); seed <= seeds; seed++ {
 				script := dsScript(seed*53, opsPerSeed)
 				want := runOracle(script)
-				got := runOnTM(t, spec, script)
+				got := runOnTM(t, spec, magazine, script)
 				if where, ok := diffOutcome(got, want); !ok {
 					t.Fatalf("seed %d: diverged from oracle at %s", seed, where)
 				}
@@ -352,11 +378,11 @@ func TestDifferentialDataStructuresBatch(t *testing.T) {
 // the (absent) fence, and with the fallback the serial behaviour still
 // matches the oracle.
 func TestDifferentialDataStructuresNofence(t *testing.T) {
-	for _, spec := range []string{"tl2+nofence+quiesce", "wtstm+nofence+quiesce"} {
-		t.Run(spec, func(t *testing.T) {
+	for _, spec := range []string{"tl2+nofence", "wtstm+nofence"} {
+		t.Run(perFree.row(spec), func(t *testing.T) {
 			script := dsScript(17, 300)
 			want := runOracle(script)
-			got := runOnTM(t, spec, script)
+			got := runOnTM(t, spec, perFree, script)
 			if where, ok := diffOutcome(got, want); !ok {
 				t.Fatalf("diverged from oracle at %s", where)
 			}

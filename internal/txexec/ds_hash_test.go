@@ -223,18 +223,15 @@ func replayHashOracle(t *testing.T, scripts [][]hashWinOp, order []DSRef) (resul
 	return results, final
 }
 
-// runHashOnTM builds a HashMap over a demand-sized reclaiming heap on
-// one spec, runs the windowed schedule, and checks the run against the
-// replay oracle, the rehash telemetry, and the exact leak accounting
-// (which now includes blocks the buddy layer split and coalesced:
-// every freed old array re-enters circulation as smaller blocks).
-func runHashOnTM(t *testing.T, spec string, seed int64, scripts [][]hashWinOp) {
+// runHashOnTM builds a HashMap over a demand-sized reclaiming heap of
+// the given shape on one spec, runs the windowed schedule, and checks
+// the run against the replay oracle, the rehash telemetry, and the
+// exact leak accounting (which now includes blocks the buddy layer
+// split and coalesced: every freed old array re-enters circulation as
+// smaller blocks).
+func runHashOnTM(t *testing.T, spec string, shape heapShape, seed int64, scripts [][]hashWinOp) {
 	t.Helper()
 	threads := len(scripts)
-	cfg, err := engine.Parse(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const hashHead = 1
 	heapFirst := hashHead + stmds.HashHeadRegs
 	maxNodes := 0
@@ -242,7 +239,7 @@ func runHashOnTM(t *testing.T, spec string, seed int64, scripts [][]hashWinOp) {
 		maxNodes += len(s)
 	}
 	magThreads, magCap := 0, 0
-	if cfg.Reclaim == "batch" {
+	if shape.magazines {
 		magThreads, magCap = threads, 3 // shallow: park→retire→refill cycles often
 	}
 	// HashMapDemand(256) budgets array generations up to 512 buckets —
@@ -254,19 +251,13 @@ func runHashOnTM(t *testing.T, spec string, seed int64, scripts [][]hashWinOp) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var opts []stmalloc.Option
-	opts = append(opts, stmalloc.WithShards(4))
-	if cfg.UnsafeFence() {
-		opts = append(opts, stmalloc.WithTransactionalFree())
-	}
-	if magThreads > 0 {
-		opts = append(opts, stmalloc.WithMagazines(magThreads, magCap))
-	}
+	opts := append([]stmalloc.Option{stmalloc.WithShards(4)}, heapOptions(t, spec, shape, magThreads, magCap)...)
 	heap, err := stmalloc.New(tm, heapFirst, tm.NumRegs(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hm := stmds.NewHashMap(tm, hashHead, heap)
+	spec = shape.row(spec) // the row name, in failure messages
 
 	got, err := RunDS(tm, buildHashOps(hm, heap, scripts), Options{
 		Seed:    seed,
@@ -328,9 +319,9 @@ func runHashOnTM(t *testing.T, spec string, seed int64, scripts [][]hashWinOp) {
 // TestDifferentialHashMapWindows: HashMap churn under windowed
 // interleavings — with the incremental rehash advancing between rounds
 // and magazine batch retires racing the bucket migration — on every
-// registry TM × free/batch reclaim must match the replay of the pinned
-// serialization order, with exact post-drain leak accounting including
-// split/coalesced blocks.
+// registry TM × per-free/magazine heap must match the replay of the
+// pinned serialization order, with exact post-drain leak accounting
+// including split/coalesced blocks.
 func TestDifferentialHashMapWindows(t *testing.T) {
 	seeds := int64(3)
 	opsPerThread := 40
@@ -338,16 +329,15 @@ func TestDifferentialHashMapWindows(t *testing.T) {
 		seeds, opsPerThread = 1, 25
 	}
 	for _, tmName := range engine.TMs() {
-		for _, reclaim := range []string{"+quiesce", "+quiesce+batch"} {
-			spec := tmName + reclaim
-			t.Run(spec, func(t *testing.T) {
+		for _, shape := range heapShapes {
+			t.Run(shape.row(tmName), func(t *testing.T) {
 				for seed := int64(1); seed <= seeds; seed++ {
 					scripts := hashWinScripts(seed*83, 3, opsPerThread)
-					runHashOnTM(t, spec, seed*17+1, scripts)
+					runHashOnTM(t, tmName, shape, seed*17+1, scripts)
 				}
 			})
 			for _, fence := range retiredFenceModes {
-				spec := tmName + fence + reclaim
+				spec := shape.row(tmName + fence)
 				t.Run(spec, func(t *testing.T) { requireRefused(t, spec) })
 			}
 		}

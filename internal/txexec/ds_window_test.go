@@ -14,7 +14,7 @@ import (
 // churn driven through RunDS, so rival ordered-map operations commit
 // INSIDE each other's execution windows — mid-traversal — while
 // deferred frees and magazine batch retires drain at seeded points
-// between rounds. Every TM × reclaim axis must reproduce
+// between rounds. Every TM × heap shape must reproduce
 // the replay of the pinned serialization order on a plain Go map, and
 // the post-drain leak accounting must balance exactly.
 
@@ -263,15 +263,12 @@ func replayWinOracle(t *testing.T, scripts [][]dsWinOp, order []DSRef) (results 
 }
 
 // runWinOnTM builds the structures over a demand-sized reclaiming heap
-// on one spec, runs the windowed schedule, and checks the run against
-// the replay oracle and the exact leak accounting.
-func runWinOnTM(t *testing.T, spec string, seed int64, scripts [][]dsWinOp) {
+// of the given shape on one spec, runs the windowed schedule, and
+// checks the run against the replay oracle and the exact leak
+// accounting.
+func runWinOnTM(t *testing.T, spec string, shape heapShape, seed int64, scripts [][]dsWinOp) {
 	t.Helper()
 	threads := len(scripts)
-	cfg, err := engine.Parse(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Register layout: list head at 1, skiplist head block at 8, heap
 	// after it, sized by the demand geometry: every scripted put could
 	// in principle be live at once (deferred frees park blocks), plus
@@ -283,7 +280,7 @@ func runWinOnTM(t *testing.T, spec string, seed int64, scripts [][]dsWinOp) {
 		maxNodes += len(s)
 	}
 	magThreads, magCap := 0, 0
-	if cfg.Reclaim == "batch" {
+	if shape.magazines {
 		magThreads, magCap = threads, 3 // shallow: park→retire→refill cycles often
 	}
 	demand := append(stmds.MapDemand(maxNodes), stmds.SkipMapDemand(maxNodes)...)
@@ -292,20 +289,14 @@ func runWinOnTM(t *testing.T, spec string, seed int64, scripts [][]dsWinOp) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var opts []stmalloc.Option
-	opts = append(opts, stmalloc.WithShards(4))
-	if cfg.UnsafeFence() {
-		opts = append(opts, stmalloc.WithTransactionalFree())
-	}
-	if magThreads > 0 {
-		opts = append(opts, stmalloc.WithMagazines(magThreads, magCap))
-	}
+	opts := append([]stmalloc.Option{stmalloc.WithShards(4)}, heapOptions(t, spec, shape, magThreads, magCap)...)
 	heap, err := stmalloc.New(tm, heapFirst, tm.NumRegs(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mp := stmds.NewMap(tm, listHead, heap)
 	sm := stmds.NewSkipMap(tm, skipHead, threads, heap)
+	spec = shape.row(spec) // the row name, in failure messages
 
 	got, err := RunDS(tm, buildWinOps(mp, sm, heap, scripts), Options{
 		Seed:    seed,
@@ -369,9 +360,9 @@ func isBaseline(spec string) bool {
 }
 
 // TestDifferentialSkipMapWindows: SkipMap/Map churn under windowed
-// interleavings on every registry TM × free/batch reclaim must match
-// the replay of the pinned serialization order, with exact post-drain
-// leak accounting.
+// interleavings on every registry TM × per-free/magazine heap must
+// match the replay of the pinned serialization order, with exact
+// post-drain leak accounting.
 func TestDifferentialSkipMapWindows(t *testing.T) {
 	seeds := int64(3)
 	opsPerThread := 40
@@ -379,16 +370,15 @@ func TestDifferentialSkipMapWindows(t *testing.T) {
 		seeds, opsPerThread = 1, 25
 	}
 	for _, tmName := range engine.TMs() {
-		for _, reclaim := range []string{"+quiesce", "+quiesce+batch"} {
-			spec := tmName + reclaim
-			t.Run(spec, func(t *testing.T) {
+		for _, shape := range heapShapes {
+			t.Run(shape.row(tmName), func(t *testing.T) {
 				for seed := int64(1); seed <= seeds; seed++ {
 					scripts := dsWinScripts(seed*71, 3, opsPerThread)
-					runWinOnTM(t, spec, seed*13+1, scripts)
+					runWinOnTM(t, tmName, shape, seed*13+1, scripts)
 				}
 			})
 			for _, fence := range retiredFenceModes {
-				spec := tmName + fence + reclaim
+				spec := shape.row(tmName + fence)
 				t.Run(spec, func(t *testing.T) { requireRefused(t, spec) })
 			}
 		}

@@ -18,10 +18,37 @@ import (
 
 // The churn tests below run dynamic data-structure traffic — the
 // shapes the paper's privatization idiom makes sustainable — over
-// every TM spec's allocator axes, end to end: spec string → TM →
-// stmds structure → stmalloc heap (or the bump allocator) → settled
-// allocator counters. The drivers are test-local; the package's timed
-// workloads are the five paper drivers in workload.go.
+// every TM crossed with the heap shapes below, end to end: spec string
+// → TM → stmds structure → stmalloc heap (or the bump allocator) →
+// settled allocator counters. The drivers are test-local; the
+// package's timed workloads are the five paper drivers in workload.go.
+
+// heapShape is a test-local heap choice. A heap's shape is chosen where
+// the heap is built (stmalloc options, or the stmds bump allocator),
+// never by the engine spec. A row is named by the TM spec plus the
+// shape's label — the names the rows carried while the shape was a
+// spec modifier.
+type heapShape struct {
+	label     string
+	reclaims  bool // a stmalloc heap; false selects the bump allocator
+	magazines bool // stmalloc.WithMagazines
+}
+
+var (
+	bump     = heapShape{"bump", false, false}
+	perFree  = heapShape{"quiesce", true, false}
+	magazine = heapShape{"quiesce+batch", true, true}
+)
+
+func (h heapShape) row(spec string) string { return spec + "+" + h.label }
+
+// churnHeap is the heap a churn run builds: its shape, and whether the
+// TM's fence is unsafe to ride, so that Free must be fully
+// transactional.
+type churnHeap struct {
+	heapShape
+	txnFree bool
+}
 
 // Register layout of the churn drivers: a few pointer registers at the
 // front, the allocator arena after them. Register 0 stays unused.
@@ -45,8 +72,9 @@ type churnStats struct {
 }
 
 // churnTM builds the TM named by spec with regs registers and thread
-// ids for `threads` workers plus two spare ids.
-func churnTM(t *testing.T, spec string, regs, threads int) (core.TM, engine.Config) {
+// ids for `threads` workers plus two spare ids, and plans a heap of the
+// given shape over it.
+func churnTM(t *testing.T, spec string, shape heapShape, regs, threads int) (core.TM, churnHeap) {
 	t.Helper()
 	cfg, err := engine.Parse(spec)
 	if err != nil {
@@ -57,22 +85,22 @@ func churnTM(t *testing.T, spec string, regs, threads int) (core.TM, engine.Conf
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tm, cfg
+	return tm, churnHeap{shape, cfg.UnsafeFence()}
 }
 
-// churnAlloc builds the allocator the spec selects over tm's registers
+// churnAlloc builds the planned allocator over tm's registers
 // [arena, NumRegs): the stmds bump allocator, or the stmalloc heap
-// (sharded per worker, magazines for the workers on a batch spec,
+// (sharded per worker, magazines for the workers on a magazine shape,
 // fully transactional reclamation on an unsafe fence).
-func churnAlloc(tm core.TM, cfg engine.Config, threads, arena int) (stmds.Allocator, *stmalloc.Heap, error) {
-	if cfg.Alloc != "quiesce" && cfg.Reclaim != "batch" {
+func churnAlloc(tm core.TM, h churnHeap, threads, arena int) (stmds.Allocator, *stmalloc.Heap, error) {
+	if !h.reclaims {
 		return stmds.NewAlloc(tm, dsRegBump, arena, tm.NumRegs()), nil, nil
 	}
 	opts := []stmalloc.Option{stmalloc.WithShards(min(max(threads, 1), 8))}
-	if cfg.Reclaim == "batch" {
+	if h.magazines {
 		opts = append(opts, stmalloc.WithMagazines(threads, 0))
 	}
-	if cfg.UnsafeFence() {
+	if h.txnFree {
 		opts = append(opts, stmalloc.WithTransactionalFree())
 	}
 	heap, err := stmalloc.New(tm, arena, tm.NumRegs(), opts...)
@@ -119,8 +147,8 @@ func workers(first, last int, work func(th int) error) error {
 
 // setChurn: `threads` workers each insert or remove (equal odds) `ops`
 // keys drawn from twice the target live set on one sorted-list set.
-func setChurn(tm core.TM, cfg engine.Config, threads, ops, live int, seed int64) (churnStats, error) {
-	alloc, heap, err := churnAlloc(tm, cfg, threads, dsArena)
+func setChurn(tm core.TM, h churnHeap, threads, ops, live int, seed int64) (churnStats, error) {
+	alloc, heap, err := churnAlloc(tm, h, threads, dsArena)
 	if err != nil {
 		return churnStats{}, err
 	}
@@ -148,8 +176,8 @@ func setChurn(tm core.TM, cfg engine.Config, threads, ops, live int, seed int64)
 
 // queuePipe: half the threads enqueue `ops` values each, the other
 // half dequeue until all have passed; the depth stays under `depth`.
-func queuePipe(tm core.TM, cfg engine.Config, threads, ops int, depth, seed int64) (churnStats, error) {
-	alloc, heap, err := churnAlloc(tm, cfg, threads, dsArena)
+func queuePipe(tm core.TM, h churnHeap, threads, ops int, depth, seed int64) (churnStats, error) {
+	alloc, heap, err := churnAlloc(tm, h, threads, dsArena)
 	if err != nil {
 		return churnStats{}, err
 	}
@@ -207,8 +235,8 @@ func mapRegs(threads, keys int) int {
 // mapChurn: `threads` workers each run `ops` get/put/delete (60/20/20)
 // on one ordered map ("map", "skip" or "hash") prefilled to the target
 // live set, keys from twice that window, values k↦k.
-func mapChurn(tm core.TM, cfg engine.Config, ds string, threads, ops, live int, seed int64) (churnStats, error) {
-	alloc, heap, err := churnAlloc(tm, cfg, threads, dsMapArena)
+func mapChurn(tm core.TM, h churnHeap, ds string, threads, ops, live int, seed int64) (churnStats, error) {
+	alloc, heap, err := churnAlloc(tm, h, threads, dsMapArena)
 	if err != nil {
 		return churnStats{}, err
 	}
@@ -268,8 +296,8 @@ func mapChurn(tm core.TM, cfg engine.Config, ds string, threads, ops, live int, 
 // (thread-partitioned, nothing deleted) into one hash map that starts
 // at its initial 16 buckets, so the table doubles through the
 // cooperative incremental rehash many times.
-func rehashStorm(tm core.TM, cfg engine.Config, threads, ops int) (churnStats, error) {
-	alloc, heap, err := churnAlloc(tm, cfg, threads, dsMapArena)
+func rehashStorm(tm core.TM, h churnHeap, threads, ops int) (churnStats, error) {
+	alloc, heap, err := churnAlloc(tm, h, threads, dsMapArena)
 	if err != nil {
 		return churnStats{}, err
 	}
@@ -296,79 +324,68 @@ func rehashStorm(tm core.TM, cfg engine.Config, threads, ops int) (churnStats, e
 	return settle(tm, heap, dsMapArena, commits.Load(), werr)
 }
 
-// TestSetChurnAllTMs runs set churn on both allocator axes of every
-// TM: every spec must complete the run, and on quiesce the heap must
-// reclaim in a footprint that does not grow with the op count.
+// TestSetChurnAllTMs runs set churn on every TM × heap shape: every run
+// must complete, and a reclaiming heap must reclaim in a footprint that
+// does not grow with the op count.
 func TestSetChurnAllTMs(t *testing.T) {
 	ops := 400
 	if testing.Short() {
 		ops = 150
 	}
-	type row struct {
-		spec            string
-		reclaims, batch bool
-	}
-	var rows []row
 	for _, tmName := range engine.TMs() {
-		rows = append(rows,
-			row{tmName + "+bump", false, false},
-			row{tmName + "+quiesce", true, false},
-			row{tmName + "+quiesce+batch", true, true})
-	}
-	for _, r := range rows {
-		t.Run(r.spec, func(t *testing.T) {
-			tm, cfg := churnTM(t, r.spec, 1<<16, 4)
-			st, err := setChurn(tm, cfg, 4, ops, 64, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.commits != int64(4*ops) {
-				t.Fatalf("commits %d, want %d", st.commits, 4*ops)
-			}
-			if st.heapRegs <= 0 {
-				t.Fatalf("no footprint reported: %+v", st)
-			}
-			if r.reclaims {
-				if st.frees == 0 {
-					t.Fatalf("quiesce run reclaimed nothing: %+v", st)
+		for _, shape := range []heapShape{bump, perFree, magazine} {
+			t.Run(shape.row(tmName), func(t *testing.T) {
+				tm, h := churnTM(t, tmName, shape, 1<<16, 4)
+				st, err := setChurn(tm, h, 4, ops, 64, 3)
+				if err != nil {
+					t.Fatal(err)
 				}
-				// The bump footprint of this traffic is ~2 regs per
-				// insert; a reclaiming run stays under one per op.
-				if st.heapRegs > int64(4*ops) {
-					t.Fatalf("quiesce footprint %d regs not bounded (%d ops)", st.heapRegs, 4*ops)
+				if st.commits != int64(4*ops) {
+					t.Fatalf("commits %d, want %d", st.commits, 4*ops)
 				}
-			}
-			if r.batch {
-				if st.batches == 0 || st.batches >= st.frees {
-					t.Fatalf("batch run shows no amortization: %d batches for %d frees",
-						st.batches, st.frees)
+				if st.heapRegs <= 0 {
+					t.Fatalf("no footprint reported: %+v", st)
 				}
-			}
-		})
+				if shape.reclaims {
+					if st.frees == 0 {
+						t.Fatalf("reclaiming run reclaimed nothing: %+v", st)
+					}
+					// The bump footprint of this traffic is ~2 regs per
+					// insert; a reclaiming run stays under one per op.
+					if st.heapRegs > int64(4*ops) {
+						t.Fatalf("reclaiming footprint %d regs not bounded (%d ops)", st.heapRegs, 4*ops)
+					}
+				}
+				if shape.magazines {
+					if st.batches == 0 || st.batches >= st.frees {
+						t.Fatalf("magazine run shows no amortization: %d batches for %d frees",
+							st.batches, st.frees)
+					}
+				}
+			})
+		}
 	}
 }
 
 // TestMapChurnAllTMs runs map churn on the sorted-list Map, the
 // skiplist SkipMap and the chained HashMap over the reclaiming
-// allocator: every TM × ds × reclaim axis must complete with full
-// commit counts and real reclamation — for the skiplist that means
-// whole towers (multi-size-class blocks) cycling through the heap, for
-// the hash map growth from its 16 initial buckets through rehash
-// windows.
+// allocator: every TM × ds × heap shape must complete with full commit
+// counts and real reclamation — for the skiplist that means whole
+// towers (multi-size-class blocks) cycling through the heap, for the
+// hash map growth from its 16 initial buckets through rehash windows.
 func TestMapChurnAllTMs(t *testing.T) {
 	// Enough ops that the 20% delete share still fills at least one
-	// thread's parked-free list on the batch axis.
+	// thread's parked-free list on the magazine heap.
 	ops := 400
 	if testing.Short() {
 		ops = 200
 	}
 	for _, tmName := range engine.TMs() {
-		for _, alloc := range []string{"quiesce", "quiesce+batch"} {
+		for _, shape := range []heapShape{perFree, magazine} {
 			for _, ds := range []string{"map", "skip", "hash"} {
-				spec := tmName + "+" + alloc
-				t.Run(spec+"/ds="+ds, func(t *testing.T) {
-					tm, cfg := churnTM(t, spec, mapRegs(4, 4096), 4)
-					st, err := mapChurn(tm, cfg, ds, 4, ops, 64, 7)
+				t.Run(shape.row(tmName)+"/ds="+ds, func(t *testing.T) {
+					tm, h := churnTM(t, tmName, shape, mapRegs(4, 4096), 4)
+					st, err := mapChurn(tm, h, ds, 4, ops, 64, 7)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -376,7 +393,7 @@ func TestMapChurnAllTMs(t *testing.T) {
 						t.Fatalf("commits %d, want %d", st.commits, 4*ops)
 					}
 					if st.frees == 0 {
-						t.Fatalf("quiesce run reclaimed nothing: %+v", st)
+						t.Fatalf("reclaiming run reclaimed nothing: %+v", st)
 					}
 					if ds == "hash" && st.rehashWindows == 0 {
 						t.Fatalf("hash churn from 16 buckets recorded no rehash windows: %+v", st)
@@ -384,16 +401,16 @@ func TestMapChurnAllTMs(t *testing.T) {
 					if st.allocs <= st.frees-1 {
 						t.Fatalf("counters inverted: allocs %d, frees %d", st.allocs, st.frees)
 					}
-					if alloc == "quiesce+batch" && st.batches == 0 {
-						t.Fatalf("batch run retired no magazines: %+v", st)
+					if shape.magazines && st.batches == 0 {
+						t.Fatalf("magazine run retired no magazines: %+v", st)
 					}
 				})
 			}
 		}
 	}
 	// The bump contrast completes at this size (and leaks by design).
-	tm, cfg := churnTM(t, "tl2+bump", mapRegs(2, 4096), 2)
-	st, err := mapChurn(tm, cfg, "skip", 2, 100, 64, 7)
+	tm, h := churnTM(t, "tl2", bump, mapRegs(2, 4096), 2)
+	st, err := mapChurn(tm, h, "skip", 2, 100, 64, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,9 +419,9 @@ func TestMapChurnAllTMs(t *testing.T) {
 	}
 }
 
-// TestRehashStorm runs the table-growth stress on the quiesce axes:
-// the storm must actually rehash (telemetry windows recorded) and
-// settle to exact accounting — every inserted pair live, plus one
+// TestRehashStorm runs the table-growth stress on both reclaiming heap
+// shapes: the storm must actually rehash (telemetry windows recorded)
+// and settle to exact accounting — every inserted pair live, plus one
 // bucket array, with all the intermediate array generations freed.
 func TestRehashStorm(t *testing.T) {
 	ops := 500
@@ -412,10 +429,13 @@ func TestRehashStorm(t *testing.T) {
 		ops = 150
 	}
 	const threads = 4
-	for _, spec := range []string{"tl2+quiesce", "norec+quiesce", "tl2+quiesce+batch"} {
-		t.Run(spec, func(t *testing.T) {
-			tm, cfg := churnTM(t, spec, mapRegs(threads, 1<<13), threads)
-			st, err := rehashStorm(tm, cfg, threads, ops)
+	for _, r := range []struct {
+		spec  string
+		shape heapShape
+	}{{"tl2", perFree}, {"norec", perFree}, {"tl2", magazine}} {
+		t.Run(r.shape.row(r.spec), func(t *testing.T) {
+			tm, h := churnTM(t, r.spec, r.shape, mapRegs(threads, 1<<13), threads)
+			st, err := rehashStorm(tm, h, threads, ops)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -436,18 +456,18 @@ func TestRehashStorm(t *testing.T) {
 	}
 }
 
-// TestQueuePipeAllTMs streams values through a queue on every TM's
-// quiesce axis: all values pass, and the drained queue holds no live
-// blocks.
+// TestQueuePipeAllTMs streams values through a queue over a per-free
+// heap on every TM: all values pass, and the drained queue holds no
+// live blocks.
 func TestQueuePipeAllTMs(t *testing.T) {
 	ops := 300
 	if testing.Short() {
 		ops = 100
 	}
 	for _, tmName := range engine.TMs() {
-		t.Run(tmName+"+quiesce", func(t *testing.T) {
-			tm, cfg := churnTM(t, tmName+"+quiesce", 1<<16, 4)
-			st, err := queuePipe(tm, cfg, 4, ops, 32, 5)
+		t.Run(perFree.row(tmName), func(t *testing.T) {
+			tm, h := churnTM(t, tmName, perFree, 1<<16, 4)
+			st, err := queuePipe(tm, h, 4, ops, 32, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -464,39 +484,42 @@ func TestQueuePipeAllTMs(t *testing.T) {
 
 // TestChurnBoundedSpace is the end-to-end contrast: on the same small
 // TM, the same churn traffic exhausts the bump allocator with the
-// typed ErrOutOfSpace, while the quiesce allocator completes it in a
+// typed ErrOutOfSpace, while the reclaiming heap completes it in a
 // bounded register footprint — the paper's privatization idiom is what
 // makes long-running dynamic workloads possible at all.
 func TestChurnBoundedSpace(t *testing.T) {
 	const regs = 2048
 	const threads, ops = 4, 2000 // ~4k inserts × 2 regs ≫ 2048 registers
-	run := func(alloc string) (churnStats, error) {
-		tm, cfg := churnTM(t, "tl2+"+alloc, regs, threads)
-		return setChurn(tm, cfg, threads, ops, 64, 9)
+	run := func(shape heapShape) (churnStats, error) {
+		tm, h := churnTM(t, "tl2", shape, regs, threads)
+		return setChurn(tm, h, threads, ops, 64, 9)
 	}
-	if _, err := run("bump"); !errors.Is(err, stmds.ErrOutOfSpace) {
+	if _, err := run(bump); !errors.Is(err, stmds.ErrOutOfSpace) {
 		t.Fatalf("bump churn past the arena returned %v, want ErrOutOfSpace", err)
 	}
-	st, err := run("quiesce")
+	st, err := run(perFree)
 	if err != nil {
-		t.Fatalf("quiesce churn failed where it must reclaim: %v", err)
+		t.Fatalf("reclaiming churn failed where it must reclaim: %v", err)
 	}
 	if st.heapRegs >= regs/2 {
-		t.Fatalf("quiesce footprint %d regs is not bounded well below the %d-reg arena", st.heapRegs, regs)
+		t.Fatalf("reclaiming footprint %d regs is not bounded well below the %d-reg arena", st.heapRegs, regs)
 	}
 	if st.frees == 0 {
-		t.Fatal("quiesce churn reclaimed nothing")
+		t.Fatal("reclaiming churn reclaimed nothing")
 	}
-	t.Logf("bump: ErrOutOfSpace; quiesce: %d ops in %d regs (allocs %d, frees %d)",
+	t.Logf("bump: ErrOutOfSpace; per-free heap: %d ops in %d regs (allocs %d, frees %d)",
 		threads*ops, st.heapRegs, st.allocs, st.frees)
 }
 
-// TestSetChurnUnsafeFenceFallback: the nofence spec routes the quiesce
-// allocator through its fully transactional fallback (no grace period
-// to ride); the run must still complete and reclaim.
+// TestSetChurnUnsafeFenceFallback: on the nofence spec the per-free
+// heap reclaims through its fully transactional fallback (no grace
+// period to ride); the run must still complete and reclaim.
 func TestSetChurnUnsafeFenceFallback(t *testing.T) {
-	tm, cfg := churnTM(t, "tl2+nofence+quiesce", 1<<16, 4)
-	st, err := setChurn(tm, cfg, 4, 200, 32, 1)
+	tm, h := churnTM(t, "tl2+nofence", perFree, 1<<16, 4)
+	if !h.txnFree {
+		t.Fatal("tl2+nofence did not select the transactional free")
+	}
+	st, err := setChurn(tm, h, 4, 200, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
