@@ -3,6 +3,7 @@ package stmds
 import (
 	"errors"
 	"math"
+	"math/bits"
 
 	"safepriv/internal/core"
 	"safepriv/internal/pubgate"
@@ -77,11 +78,14 @@ func SkipMapDemand(nodes int) []stmalloc.ClassDemand {
 // guard register odd and records the window bounds, one transactional
 // Fence quiesces every transaction that saw the guard even, the level-0
 // chain is walked with uninstrumented Loads to the window boundary, and
-// a publishing transaction flips the guard back even. Writers (Put and
-// Delete) read the guard first; while a window is private, only writes
-// that could touch a register the walker reads stall (key >= lo and
-// level-0 predecessor key <= hi — everything else proceeds), parking on
-// the map's publish gate exactly like stmkv's point operations.
+// a publishing transaction flips the guard back even. A window walks at
+// most windowPairs pairs, over a key range sized from the density the
+// previous window found; the caller's span only caps that range.
+// Writers (Put and Delete) read the guard first; while a window is
+// private, only writes that could touch a register the walker reads
+// stall (key >= lo and level-0 predecessor key <= hi — everything else
+// proceeds), parking on the map's publish gate exactly like stmkv's
+// point operations, for at most one bounded walk.
 //
 // The atomicity contract is PER WINDOW, not per scan: each window's
 // pairs are a consistent frozen snapshot of the chain as of that
@@ -518,23 +522,21 @@ func (s *SkipMap) Len(th int) (int, error) {
 	return n, err
 }
 
-// DefaultScanSpan is the key-window width Range privatizes per cycle
-// when the caller has no better number: wide enough that one fence
-// amortizes over hundreds of pairs on dense key sets, narrow enough
-// that writers stall on a small slice of the key space.
-const DefaultScanSpan = 1024
-
 // WindowIter is a resumable windowed range scan (see the SkipMap type
 // comment for the per-window atomicity contract). Each Next call
 // privatizes the next key window, fences once, walks the frozen
 // level-0 chain uninstrumented, publishes, and advances the cursor.
+// A window walks at most windowPairs pairs, over a key range sized
+// from the density the previous window found, so a writer aimed into
+// it waits out one bounded walk whatever the caller's span.
 // A WindowIter is owned by a single goroutine; the privatize→publish
 // cycle is contained inside each Next call, so an abandoned iterator
 // never leaves a window privatized.
 type WindowIter struct {
 	s       *SkipMap
 	to      int64
-	span    int64
+	span    uint64 // cap on a window's key width, in [1, MaxInt64]
+	width   uint64 // the next window's key width, in [1, span]
 	cursor  int64
 	done    bool
 	started bool
@@ -543,24 +545,26 @@ type WindowIter struct {
 	want int
 }
 
-// Window slice sizes: a scan's first window gets room for its whole
-// span, up to firstWindowCap pairs (1 MiB), so only a span wider than
-// that can end its first window early; later windows are sized from the
-// pairs the previous one found, but never below minWindowCap, so a
-// sparse stretch of keys does not shrink the slice to a pair or two.
+// Window bounds: no window walks more than windowPairs pairs (16 KiB
+// of slice). Slices are sized from the pairs the previous window
+// found, but never below minWindowCap, so a sparse stretch of keys
+// does not shrink the slice to a pair or two.
 const (
-	firstWindowCap = 1 << 16
-	minWindowCap   = 16
+	windowPairs  = 1024
+	minWindowCap = 16
 )
 
 // RangeWindows returns a windowed scan iterator over keys in
-// [from, to], privatizing span-wide key windows per Next call
-// (span < 1 selects DefaultScanSpan).
+// [from, to]. span caps the key width of each window (span < 1: no
+// cap); within it, every Next call privatizes a key range sized to
+// hold about windowPairs pairs at the density the previous window
+// found — min(span, windowPairs) keys for the first one.
 func (s *SkipMap) RangeWindows(from, to, span int64) *WindowIter {
 	if span < 1 {
-		span = DefaultScanSpan
+		span = math.MaxInt64
 	}
-	it := &WindowIter{s: s, to: to, span: span, cursor: from, want: int(min(span, firstWindowCap))}
+	w := min(span, windowPairs)
+	it := &WindowIter{s: s, to: to, span: uint64(span), width: uint64(w), cursor: from, want: int(w)}
 	if from > to {
 		it.done = true
 	}
@@ -578,16 +582,22 @@ func (it *WindowIter) Done() bool { return it.done }
 // ascending key order (possibly none) and whether more windows remain.
 // The pairs are a consistent snapshot of the window as of its fence.
 //
+// The window is [cursor, cursor+width-1] ∩ [cursor, to]. After the
+// walk, width becomes covered × windowPairs / pairs, the key range
+// that holds windowPairs pairs at the density just seen (covered is
+// the number of keys the walk accounted for); an empty window doubles
+// it. Width stays in [1, span].
+//
 // Nothing allocates between the window's fence and its publish: the
 // slice is allocated before the privatizing transaction, with room for
-// the previous window's pair count plus an eighth (the first window
-// gets min(span, 1<<16)). A walk that fills the slice — a window denser
-// than the one before it by more than an eighth, or a first window of
-// more than 1<<16 pairs — ends the window early, at the first node it
-// has no room for. The cursor resumes at that node's key, which the
-// frozen chain already gave the walker, and the next window's slice is
-// twice as large. An early end never ends the scan, even when the
-// window's bounds reach the scan's end.
+// the previous window's pair count plus an eighth, at most
+// windowPairs and the window's width. A walk that fills the slice — a
+// window denser than its estimate, or one that reaches windowPairs
+// pairs — ends the window early, at the first node it has no room
+// for. The cursor resumes at that node's key, which the frozen chain
+// already gave the walker, and the next window's slice is twice as
+// large (up to windowPairs). An early end never ends the scan, even
+// when the window's bounds reach the scan's end.
 func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 	s := it.s
 	if it.done {
@@ -599,12 +609,12 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 			sl.Scans.Add(1)
 		}
 	}
-	// Clamp the window to [cursor, cursor+span-1] ∩ [cursor, to]; the
+	// Clamp the window to [cursor, cursor+width-1] ∩ [cursor, to]; the
 	// unsigned difference is exact for cursor <= to even at the int64
-	// extremes.
+	// extremes, and hi-lo+1 <= width never exceeds MaxInt64.
 	lo, hi := it.cursor, it.to
-	if uint64(hi)-uint64(lo) >= uint64(it.span) {
-		hi = lo + it.span - 1
+	if uint64(hi)-uint64(lo) >= it.width {
+		hi = lo + int64(it.width-1)
 	}
 	pairs = make([]KV, 0, it.want)
 	// Privatize: flip the guard odd, record the bounds, and capture the
@@ -671,15 +681,22 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 	if err := s.publishWindow(th); err != nil {
 		return pairs, false, err
 	}
-	// Size the next window: double after an early end, else this
-	// window's count plus an eighth for churn between windows. A window
-	// never holds more than span distinct keys.
+	// Size the next window. Its key range comes from this window's
+	// density: an early end accounted for the keys below boundary, a
+	// full walk for the whole window. Its slice doubles after an early
+	// end, else holds this window's count plus an eighth for churn
+	// between windows; a window never holds more than width keys.
+	covered := uint64(hi) - uint64(lo) + 1
+	if early {
+		covered = uint64(boundary) - uint64(lo)
+	}
+	it.width = nextWidth(it.width, covered, len(pairs), it.span)
 	if early {
 		it.want = 2 * cap(pairs)
 	} else {
 		it.want = max(len(pairs)+len(pairs)/8, minWindowCap)
 	}
-	it.want = int(min(int64(it.want), it.span))
+	it.want = int(min(uint64(it.want), windowPairs, it.width))
 	// Advance. Reaching the end of the chain ends the scan outright:
 	// the end-of-chain pointer the walker read was itself frozen
 	// (inserts at or past lo stalled), so no key past the window
@@ -696,6 +713,24 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 		it.cursor = boundary // in (hi, to]: skip the known-empty gap
 	}
 	return pairs, !it.done, nil
+}
+
+// nextWidth returns the key width that holds windowPairs pairs at the
+// density of n pairs over covered keys, or twice width when n is 0,
+// capped at span. covered, width and span are at most MaxInt64, so the
+// doubling fits in a uint64 and the scaling is done in 128 bits. The
+// n pairs have distinct keys among the covered ones, so covered >= n
+// and the result is at least 1.
+func nextWidth(width, covered uint64, n int, span uint64) uint64 {
+	if n == 0 {
+		return min(2*width, span)
+	}
+	hi, lo := bits.Mul64(covered, windowPairs)
+	if hi >= uint64(n) {
+		return span // the quotient does not fit in 64 bits
+	}
+	w, _ := bits.Div64(hi, lo, uint64(n))
+	return min(w, span)
 }
 
 // publishWindow commits the guard back to even and wakes every writer
@@ -715,11 +750,12 @@ func (s *SkipMap) publishWindow(th int) error {
 }
 
 // Range streams every pair with from <= key <= to into fn in ascending
-// key order through a DefaultScanSpan windowed scan; fn returning
-// false stops the scan early. The per-window atomicity contract
-// applies — see the SkipMap type comment.
+// key order through a windowed scan with no span cap (each window
+// still walks at most windowPairs pairs); fn returning false stops the
+// scan early. The per-window atomicity contract applies — see the
+// SkipMap type comment.
 func (s *SkipMap) Range(th int, from, to int64, fn func(k, v int64) bool) error {
-	it := s.RangeWindows(from, to, DefaultScanSpan)
+	it := s.RangeWindows(from, to, 0)
 	for {
 		pairs, more, err := it.Next(th)
 		if err != nil {

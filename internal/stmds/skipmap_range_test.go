@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"safepriv/internal/core"
 	"safepriv/internal/core/coretest"
 	"safepriv/internal/engine"
 	"safepriv/internal/stmalloc"
@@ -120,6 +121,53 @@ func TestRangeWindowsPagination(t *testing.T) {
 		t.Fatalf("early-stopped Range visited %d pairs, want 10", n)
 	}
 
+	// The int64 extremes: a scan from MinInt64 to MaxInt64 with no
+	// effective span cap walks every key once, in order, across the
+	// empty stretches between MinInt64+1, the dense run and MaxInt64-1,
+	// and so does a scan whose first window is empty. The sparse ladder
+	// grows each window's key width by a factor of windowPairs until
+	// the next width no longer fits in 64 bits.
+	extremes := []int64{math.MinInt64 + 1, -1, 0}
+	for k := int64(1); k <= 3000; k++ {
+		extremes = append(extremes, k)
+	}
+	extremes = append(extremes, math.MaxInt64-1)
+	ladder := []int64{0, 1 << 20, 1 << 30, 1 << 40, 1 << 50, 1 << 60, math.MaxInt64 - 1}
+	for _, row := range []struct {
+		name string
+		keys []int64
+		from int64
+	}{
+		{"extremes", extremes, math.MinInt64},
+		{"extremes-empty-first-window", extremes, math.MinInt64 + 2},
+		{"ladder", ladder, 0},
+	} {
+		_, m, _ := demandHeap(t, "tl2", 1, len(row.keys))
+		var want []stmds.KV
+		for _, k := range row.keys {
+			if _, err := m.Put(1, k, k*7+1); err != nil {
+				t.Fatal(err)
+			}
+			if k >= row.from {
+				want = append(want, stmds.KV{Key: k, Val: k*7 + 1})
+			}
+		}
+		for _, span := range []int64{math.MaxInt64, 0} {
+			var got []stmds.KV
+			it := m.RangeWindows(row.from, math.MaxInt64, span)
+			for more := true; more; {
+				var pairs []stmds.KV
+				if pairs, more, err = it.Next(1); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, pairs...)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, span %d: scan returned %d pairs, want %d, each once, in order", row.name, span, len(got), len(want))
+			}
+		}
+	}
+
 	// Inverted and empty ranges.
 	if got := collect(900, 300, 100); len(got) != 0 {
 		t.Fatalf("inverted range returned %d pairs", len(got))
@@ -150,6 +198,68 @@ func TestRangeWindowsPagination(t *testing.T) {
 	}
 	if spanWindows := int((denseTo + 255) / 256); windows <= spanWindows {
 		t.Fatalf("sparse-then-dense scan took %d windows, want more than %d (early ends)", windows, spanWindows)
+	}
+}
+
+// guardProbe is a core.TM that records the key bounds of every scan
+// window a SkipMap at head privatizes: at each Fence that finds the
+// guard odd, the range [lo, hi] its guard registers hold.
+type guardProbe struct {
+	core.TM
+	head   int
+	lo, hi []int64
+}
+
+func (p *guardProbe) Fence(th int) {
+	p.TM.Fence(th)
+	if p.Load(th, p.head+stmds.SkipMaxLevel)&1 == 1 {
+		p.lo = append(p.lo, p.Load(th, p.head+stmds.SkipMaxLevel+1))
+		p.hi = append(p.hi, p.Load(th, p.head+stmds.SkipMaxLevel+2))
+	}
+}
+
+// TestRangeWindowsBounded: a scan whose span covers the whole dense
+// key set still walks at most WindowPairs pairs per window, guards at
+// most 2 × WindowPairs keys per window after the first, and returns
+// every key once, in order.
+func TestRangeWindowsBounded(t *testing.T) {
+	const n = 8192
+	regs := arenaAt + stmalloc.RegsForDemand(4, 1, 3, stmds.SkipMapDemand(n))
+	probe := &guardProbe{TM: engine.MustNewSpec("tl2", regs, 3, nil), head: skipHead}
+	heap, err := stmalloc.New(probe, arenaAt, probe.NumRegs(), stmalloc.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := stmds.NewSkipMap(probe, skipHead, 1, heap)
+	var want []stmds.KV
+	for k := int64(1); k <= n; k++ {
+		if _, err := sm.Put(1, k, k*7+1); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, stmds.KV{Key: k, Val: k*7 + 1})
+	}
+	var got []stmds.KV
+	it, windows := sm.RangeWindows(1, n, n), 0
+	for more := true; more; windows++ {
+		var pairs []stmds.KV
+		if pairs, more, err = it.Next(1); err != nil {
+			t.Fatal(err)
+		}
+		if len(pairs) > stmds.WindowPairs {
+			t.Fatalf("window %d returned %d pairs, want at most %d", windows, len(pairs), stmds.WindowPairs)
+		}
+		got = append(got, pairs...)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("scan returned %d pairs, want %d, each once, in order", len(got), len(want))
+	}
+	if len(probe.lo) != windows {
+		t.Fatalf("probe saw %d private windows at a fence, the scan ran %d", len(probe.lo), windows)
+	}
+	for i := 1; i < len(probe.lo); i++ {
+		if w := probe.hi[i] - probe.lo[i] + 1; w > 2*stmds.WindowPairs {
+			t.Fatalf("window %d guards [%d, %d], %d keys, want at most %d", i, probe.lo[i], probe.hi[i], w, 2*stmds.WindowPairs)
+		}
 	}
 }
 
