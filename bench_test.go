@@ -287,11 +287,17 @@ func BenchmarkClockTick(b *testing.B) {
 		{"gv4", vclock.NewGV4()},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			var exclusive atomic.Int64
 			b.RunParallel(func(pb *testing.PB) {
+				n := int64(0)
 				for pb.Next() {
-					c.ck.Tick()
+					if _, excl := c.ck.Tick(); excl {
+						n++
+					}
 				}
+				exclusive.Add(n)
 			})
+			b.ReportMetric(float64(exclusive.Load())/float64(b.N), "exclusive/op")
 		})
 	}
 }

@@ -64,9 +64,64 @@ func (p *WindowProbe) Measure(pass func()) {
 
 // TelemetryBoard forwards the wrapped TM's board (nil without one), so
 // the code under test takes the same telemetry paths as in production.
-func (p *WindowProbe) TelemetryBoard() *telemetry.Board {
-	if pr, ok := p.TM.(telemetry.Provider); ok {
+func (p *WindowProbe) TelemetryBoard() *telemetry.Board { return boardOf(p.TM) }
+
+// boardOf returns tm's telemetry board, nil without one.
+func boardOf(tm core.TM) *telemetry.Board {
+	if pr, ok := tm.(telemetry.Provider); ok {
 		return pr.TelemetryBoard()
 	}
 	return nil
 }
+
+// ReadCounter is a core.TM that counts the transactional reads its
+// transactions make and, among them, the repeated ones: reads of a
+// register the same transaction has already read. Reads and Repeats
+// accumulate across transactions until Reset; drive it from one
+// goroutine.
+type ReadCounter struct {
+	core.TM
+	tx countingTxn
+
+	Reads, Repeats int
+}
+
+// countingTxn is the transaction ReadCounter hands out; seen holds the
+// registers the current transaction has read.
+type countingTxn struct {
+	core.Txn
+	c    *ReadCounter
+	seen map[int]struct{}
+}
+
+// NewReadCounter wraps tm.
+func NewReadCounter(tm core.TM) *ReadCounter {
+	c := &ReadCounter{TM: tm}
+	c.tx = countingTxn{c: c, seen: make(map[int]struct{})}
+	return c
+}
+
+// Reset zeroes the counters.
+func (c *ReadCounter) Reset() { c.Reads, c.Repeats = 0, 0 }
+
+// Begin begins a transaction whose reads are counted.
+func (c *ReadCounter) Begin(th int) core.Txn {
+	clear(c.tx.seen)
+	c.tx.Txn = c.TM.Begin(th)
+	return &c.tx
+}
+
+// Read counts the read, and counts it as repeated when the transaction
+// has read x before.
+func (t *countingTxn) Read(x int) (int64, error) {
+	t.c.Reads++
+	if _, ok := t.seen[x]; ok {
+		t.c.Repeats++
+	} else {
+		t.seen[x] = struct{}{}
+	}
+	return t.Txn.Read(x)
+}
+
+// TelemetryBoard forwards the wrapped TM's board (nil without one).
+func (c *ReadCounter) TelemetryBoard() *telemetry.Board { return boardOf(c.TM) }

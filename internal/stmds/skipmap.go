@@ -208,42 +208,63 @@ func (s *SkipMap) nextReg(node int64, level int) int {
 	return int(node) + skipNodeHdr + level
 }
 
-// findTx descends the tower: for every level l, update[l] is the
-// register holding the pointer to the first node with key >= k on the
-// level-l list (a head register or a next field). cand is that node at
-// level 0 (nilPtr if every key is < k), and prevKey is the key of the
-// level-0 predecessor owning update[0] (math.MinInt64 when that is the
-// head block) — the write paths compare it against an active scan
-// window's bounds. One transactional read set of O(log n) expected
-// size — the structural reason SkipMap aborts less than Map under the
-// same churn.
-func (s *SkipMap) findTx(tx core.Txn, k int64) (update [SkipMaxLevel]int, cand, prevKey int64, err error) {
+// skipPath is what a descent to key k found. On every level l,
+// succ[l] is the first node with key >= k on the level-l list (nilPtr
+// when there is none) and update[l] the register holding the pointer
+// to it (a head register or a next field). succ[0] is the candidate:
+// the node holding k, if any node does. candKey is its key (meaningful
+// when succ[0] != nilPtr), and prevKey the key of the level-0
+// predecessor owning update[0] (math.MinInt64 when that is the head
+// block) — the write paths compare it against an active scan window's
+// bounds.
+type skipPath struct {
+	update  [SkipMaxLevel]int
+	succ    [SkipMaxLevel]int64
+	candKey int64
+	prevKey int64
+}
+
+// findTx descends the tower to k and fills p. It reads no register
+// twice: succ[l] is the last pointer read on level l, and a level
+// whose walk arrives at the node the level above stopped at stops
+// there without reading that node's key again (it is >= k). One
+// transactional read set of O(log n) expected size — the structural
+// reason SkipMap aborts less than Map under the same churn.
+func (s *SkipMap) findTx(tx core.Txn, k int64, p *skipPath) error {
 	prev := nilPtr // nilPtr marks "still at the head block"
-	prevKey = math.MinInt64
+	p.prevKey = math.MinInt64
+	// stop is the node the last level stopped at (nilPtr: none yet) and
+	// stopKey its key.
+	stop, stopKey := nilPtr, int64(0)
 	for level := SkipMaxLevel - 1; level >= 0; level-- {
+		reg := s.nextReg(prev, level)
 		for {
-			cur, err := tx.Read(s.nextReg(prev, level))
+			cur, err := tx.Read(reg)
 			if err != nil {
-				return update, 0, prevKey, err
+				return err
 			}
-			if cur == nilPtr {
+			p.succ[level] = cur
+			if cur == nilPtr || cur == stop {
 				break
 			}
 			key, err := tx.Read(int(cur))
 			if err != nil {
-				return update, 0, prevKey, err
+				return err
 			}
 			if key >= k {
+				stop, stopKey = cur, key
 				break
 			}
 			// prev only ever advances, so after the level-0 loop it IS
 			// the level-0 predecessor and prevKey its key.
-			prev, prevKey = cur, key
+			prev, p.prevKey = cur, key
+			reg = s.nextReg(prev, level)
 		}
-		update[level] = s.nextReg(prev, level)
+		p.update[level] = reg
 	}
-	cand, err = tx.Read(update[0])
-	return update, cand, prevKey, err
+	// A non-nil succ[0] is where level 0 stopped.
+	p.candKey = stopKey
+	return nil
 }
 
 // guardCheck implements the writer side of the scan-window protocol:
@@ -280,15 +301,11 @@ func (s *SkipMap) guardCheck(tx core.Txn, gf, k, prevKey int64) error {
 // the scan guard: a private window is only ever read by its scanner,
 // so transactional reads racing the walk are read-read and race-free.
 func (s *SkipMap) GetTx(tx core.Txn, k int64) (v int64, ok bool, err error) {
-	_, cand, _, err := s.findTx(tx, k)
-	if err != nil || cand == nilPtr {
+	var p skipPath
+	if err := s.findTx(tx, k, &p); err != nil || p.succ[0] == nilPtr || p.candKey != k {
 		return 0, false, err
 	}
-	key, err := tx.Read(int(cand))
-	if err != nil || key != k {
-		return 0, false, err
-	}
-	if v, err = tx.Read(int(cand) + 1); err != nil {
+	if v, err = tx.Read(int(p.succ[0]) + 1); err != nil {
 		return 0, false, err
 	}
 	return v, true, nil
@@ -312,21 +329,15 @@ func (s *SkipMap) PutTx(tx core.Txn, th int, k, v int64, height int) (bool, erro
 	if err != nil {
 		return false, err
 	}
-	update, cand, prevKey, err := s.findTx(tx, k)
-	if err != nil {
+	var p skipPath
+	if err := s.findTx(tx, k, &p); err != nil {
 		return false, err
 	}
-	if err := s.guardCheck(tx, gf, k, prevKey); err != nil {
+	if err := s.guardCheck(tx, gf, k, p.prevKey); err != nil {
 		return false, err
 	}
-	if cand != nilPtr {
-		key, err := tx.Read(int(cand))
-		if err != nil {
-			return false, err
-		}
-		if key == k {
-			return false, tx.Write(int(cand)+1, v) // update in place
-		}
+	if p.succ[0] != nilPtr && p.candKey == k {
+		return false, tx.Write(int(p.succ[0])+1, v) // update in place
 	}
 	node, err := s.alloc.New(tx, th, TowerRegs(height))
 	if err != nil {
@@ -342,14 +353,10 @@ func (s *SkipMap) PutTx(tx core.Txn, th int, k, v int64, height int) (bool, erro
 		return false, err
 	}
 	for l := 0; l < height; l++ {
-		nxt, err := tx.Read(update[l])
-		if err != nil {
+		if err := tx.Write(int(node)+skipNodeHdr+l, p.succ[l]); err != nil {
 			return false, err
 		}
-		if err := tx.Write(int(node)+skipNodeHdr+l, nxt); err != nil {
-			return false, err
-		}
-		if err := tx.Write(update[l], node); err != nil {
+		if err := tx.Write(p.update[l], node); err != nil {
 			return false, err
 		}
 	}
@@ -368,16 +375,16 @@ func (s *SkipMap) DeleteTx(tx core.Txn, k int64) (removed bool, victim int64, vi
 	if err != nil {
 		return false, 0, 0, err
 	}
-	update, cand, prevKey, err := s.findTx(tx, k)
-	if err != nil || cand == nilPtr {
+	var p skipPath
+	if err := s.findTx(tx, k, &p); err != nil || p.succ[0] == nilPtr {
 		return false, 0, 0, err
 	}
-	if err := s.guardCheck(tx, gf, k, prevKey); err != nil {
+	if err := s.guardCheck(tx, gf, k, p.prevKey); err != nil {
 		return false, 0, 0, err
 	}
-	key, err := tx.Read(int(cand))
-	if err != nil || key != k {
-		return false, 0, 0, err
+	cand := p.succ[0]
+	if p.candKey != k {
+		return false, 0, 0, nil
 	}
 	hgt, err := tx.Read(int(cand) + 2)
 	if err != nil {
@@ -391,21 +398,17 @@ func (s *SkipMap) DeleteTx(tx core.Txn, k int64) (removed bool, victim int64, vi
 		return false, 0, 0, core.ErrAborted
 	}
 	for l := 0; l < int(hgt); l++ {
-		// In committed state update[l] points at cand on every level the
-		// tower spans (keys are unique, so cand is the first key >= k
-		// wherever it appears); re-check defensively all the same.
-		ptr, err := tx.Read(update[l])
-		if err != nil {
-			return false, 0, 0, err
-		}
-		if ptr != cand {
+		// In committed state succ[l] is cand on every level the tower
+		// spans (keys are unique, so cand is the first key >= k wherever
+		// it appears); re-check defensively all the same.
+		if p.succ[l] != cand {
 			continue
 		}
 		nxt, err := tx.Read(int(cand) + skipNodeHdr + l)
 		if err != nil {
 			return false, 0, 0, err
 		}
-		if err := tx.Write(update[l], nxt); err != nil {
+		if err := tx.Write(p.update[l], nxt); err != nil {
 			return false, 0, 0, err
 		}
 	}
@@ -639,8 +642,9 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 		if err := tx.Write(s.head+skipGHi, hi); err != nil {
 			return err
 		}
-		_, cand, _, err := s.findTx(tx, lo)
-		start = cand
+		var p skipPath
+		err = s.findTx(tx, lo, &p)
+		start = p.succ[0]
 		return err
 	})
 	if err != nil {

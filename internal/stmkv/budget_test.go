@@ -1,6 +1,7 @@
 package stmkv_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"safepriv/internal/core/coretest"
@@ -82,5 +83,56 @@ func TestScanPageWindowsAllocateNothing(t *testing.T) {
 	}
 	if probe.Mallocs != 0 {
 		t.Fatalf("%d allocations inside %d scan windows, want 0", probe.Mallocs, probe.Windows)
+	}
+}
+
+// TestReadBudgets pins what a point operation reads on a seeded
+// 20 000-key store: the mean number of transactional reads per
+// operation over 4 000 operations on keys drawn from twice the key
+// count (about half of them present), and no read of a register the
+// operation's transaction has already read. The counts are exact for
+// the seed; the budgets are the counts measured, rounded up.
+func TestReadBudgets(t *testing.T) {
+	const shards, slots, keys, ops = 16, 4096, 20_000, 4_000
+	tm, err := engine.NewSpec("tl2", stmkv.RegsNeeded(shards, slots), 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := coretest.NewReadCounter(tm)
+	s, err := stmkv.New(rc, shards, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	for present := map[int64]bool{}; len(present) < keys; {
+		k := 1 + r.Int63n(2*keys)
+		if err := s.Put(1, k, k); err != nil {
+			t.Fatal(err)
+		}
+		present[k] = true
+	}
+	for _, row := range []struct {
+		op     string
+		budget float64
+		run    func(k int64) error
+	}{
+		{"Get", 6.3, func(k int64) error { _, _, err := s.Get(1, k); return err }},
+		{"Put", 8.1, func(k int64) error { return s.Put(1, k, k) }},
+		{"Delete", 7.5, func(k int64) error { _, err := s.Delete(1, k); return err }},
+	} {
+		rc.Reset()
+		for range ops {
+			if err := row.run(1 + r.Int63n(2*keys)); err != nil {
+				t.Fatalf("%s: %v", row.op, err)
+			}
+		}
+		mean := float64(rc.Reads) / ops
+		t.Logf("%s: %.2f reads, %.2f repeated, per operation", row.op, mean, float64(rc.Repeats)/ops)
+		if rc.Repeats != 0 {
+			t.Errorf("%s: %d reads of a register already read in the same transaction, want 0", row.op, rc.Repeats)
+		}
+		if mean > row.budget {
+			t.Errorf("%s: %.2f reads per operation, budget %.1f", row.op, mean, row.budget)
+		}
 	}
 }

@@ -14,27 +14,51 @@
 //     optimistic read aborting on lock/version conflict    (lines 14–24)
 //   - write:   buffered in the write-set                   (lines 26–28)
 //   - txcommit: lock write-set (trylock, abort on failure);
-//     wver := clock++ + 1; validate read-set; write back
-//     reg, ver and unlock per register; committed          (lines 30–55)
+//     wver := clock++ + 1; validate read-set (skipped after
+//     an exclusive tick to rver+1); write back reg, ver and
+//     unlock per register; committed                       (lines 30–55)
 //   - abort/commit handlers clear active[t] after the
 //     response is recorded                                 (lines 57–63)
 //   - fence: two-pass wait on active flags                 (lines 30–37)
 //
-// Begin, read, write, the handlers and the fence are the figure
-// verbatim. txcommit departs from it in one place, from the TL2
-// authors' own paper and not selectable (internal/model keeps Figure 9
-// as printed and is the reference the checker explores): a transaction
-// with an empty write set commits without locking, without ticking the
-// clock and without revalidating. Every read was validated against
-// rver when it was made, so the read set is a consistent snapshot of
-// the memory at rver and the transaction serializes there. A read-only
-// transaction therefore writes no shared word but its own active flag.
-// A transaction that writes runs txcommit as printed: lock, tick,
-// revalidate, write back.
+// Begin, the handlers and the fence are the figure verbatim; read and
+// write are too, except that a transaction that has written nothing
+// reads without looking up its (empty) write set. txcommit departs
+// from the figure in two places, both from the TL2 authors' own paper
+// (Dice, Shalev and Shavit, DISC 2006) and neither selectable
+// (internal/model keeps Figure 9 as printed and is the reference the
+// checker explores):
 //
-// This does not touch the privatization argument: the fence waits on
-// the active flag, which the commit handler clears after the response
-// on every path, never on a timestamp.
+//   - A transaction with an empty write set commits without locking,
+//     without ticking the clock and without revalidating. Every read
+//     was validated against rver when it was made, so the read set is
+//     a consistent snapshot of the memory at rver and the transaction
+//     serializes there. A read-only transaction therefore writes no
+//     shared word but its own active flag.
+//   - A writer whose tick was exclusive (vclock.Clock.Tick: its own
+//     increment produced the value, as FAI's always does and GV4's
+//     does when its CAS wins) and drew wver == rver+1 skips the
+//     read-set revalidation. Such a tick moved the clock from rver
+//     itself, so every other writer's timestamp is <= rver or is
+//     drawn after this tick. Every writer locks its write set before
+//     the clock reaches its timestamp (a GV4 adopter's CAS failed
+//     because the clock moved on after it sampled it) and holds the
+//     locks through its write-back. So a writer with a timestamp
+//     <= rver locked before this transaction sampled rver: a read saw
+//     its lock and aborted, or saw its write, at a version <= rver,
+//     and stays valid. A writer whose timestamp is drawn after this
+//     tick writes back after it too: a read saw its lock and aborted,
+//     or came before its write, and that writer serializes after this
+//     one.
+//     An adopted GV4 value is not exclusive: the committer it was
+//     adopted from ticked after rver and may have overwritten the
+//     read set (TestGV4AdoptedTickValidates). Every other writer
+//     locks, ticks, revalidates and writes back as printed.
+//
+// Neither touches the privatization argument. Uninstrumented stores
+// never bump versions, so revalidation never covered them, and the
+// fence waits on the active flag, which the commit handler clears
+// after the response on every path, never on a timestamp.
 //
 // Non-transactional accesses are uninstrumented: plain atomic loads and
 // stores of reg[x] that ignore locks and versions — the source of the

@@ -151,10 +151,11 @@ func TestReadOnlyCommitSnapshot(t *testing.T) {
 }
 
 // TestWriterCommitRevalidation: a transaction that writes runs Figure
-// 9's txcommit as printed, as two-transaction schedules.
+// 9's txcommit, revalidating its read set unless its exclusive tick
+// drew rver+1, as two-transaction schedules.
 func TestWriterCommitRevalidation(t *testing.T) {
-	// No commit since begin: the writer draws wver == rver+1, its read
-	// set revalidates clean and it commits.
+	// No commit since begin: the writer's exclusive tick draws
+	// wver == rver+1, so it skips the revalidation and commits.
 	tm := New(4, 3)
 	tx1 := tm.BeginTL2(1)
 	if _, err := tx1.Read(0); err != nil {
@@ -169,6 +170,31 @@ func TestWriterCommitRevalidation(t *testing.T) {
 	}
 	if got := tm.Load(1, 1); got != 4 {
 		t.Fatalf("committed write = %d, want 4", got)
+	}
+
+	// A commit in flight has locked a register of the read set but not
+	// ticked: it will tick after the writer, so it serializes after it.
+	// Nothing ticked since rver, so the writer draws rver+1 and commits
+	// without revalidating, although the lock is held.
+	tm = New(4, 3)
+	tx1 = tm.BeginTL2(1)
+	if _, err := tx1.Read(0); err != nil {
+		t.Fatal(err)
+	}
+	old, ok := tm.table.LockFor(0).TryLockVersioned(2)
+	if !ok {
+		t.Fatal("register 0's lock is taken")
+	}
+	tx1.Write(1, 4)
+	if err := tx1.Commit(); err != nil {
+		t.Fatalf("commit beside a lock held without a tick: %v", err)
+	}
+	tm.table.LockFor(0).AbortUnlock(old)
+	if tx1.WVer() != tx1.RVer()+1 {
+		t.Fatalf("lock held: wver = %d, rver = %d, want rver+1", tx1.WVer(), tx1.RVer())
+	}
+	if got := tm.Load(1, 1); got != 4 {
+		t.Fatalf("lock held: committed write = %d, want 4", got)
 	}
 
 	// One commit in between: the writer draws rver+2 and revalidates.
@@ -218,11 +244,11 @@ type adoptingClock struct {
 	between func()
 }
 
-func (c *adoptingClock) Tick() int64 {
+func (c *adoptingClock) Tick() (int64, bool) {
 	if f := c.between; f != nil {
 		c.between = nil
 		f()
-		return c.GV4.Load()
+		return c.GV4.Load(), false
 	}
 	return c.GV4.Tick()
 }

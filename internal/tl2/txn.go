@@ -142,12 +142,15 @@ func (tx *Txn) Read(x int) (int64, error) {
 	if !tx.live {
 		panic("tl2: Read on finished transaction")
 	}
-	if v, ok := tx.wsetLookup(x); ok {
-		// Write-set hit: a local read.
-		if s := tm.cfg.Sink; s != nil {
-			s.ReadOK(tx.thread, x, v)
+	// A transaction that has written nothing cannot hit its write set.
+	if len(tx.wset) != 0 {
+		if v, ok := tx.wsetLookup(x); ok {
+			// Write-set hit: a local read.
+			if s := tm.cfg.Sink; s != nil {
+				s.ReadOK(tx.thread, x, v)
+			}
+			return v, nil
 		}
-		return v, nil
 	}
 	l := tm.table.LockFor(x)
 	w1 := l.Raw()
@@ -212,12 +215,13 @@ func (tx *Txn) unlockAbort() {
 }
 
 // Commit implements core.Txn (Figure 9 txcommit, lines 30–55), with
-// the one departure from the figure that the package doc argues safe:
+// the two departures from the figure that the package doc argues safe:
 // an empty write set commits at once — no lock, no clock tick, no
-// revalidation (Figure 9 as printed ticks and revalidates always).
-// Everything else — lock acquisition, the tick, the read-set
-// revalidation, write-back, version install and unlock, the handlers
-// clearing the active flag last — is the figure.
+// revalidation — and a writer whose exclusive tick drew rver+1 skips
+// the revalidation (Figure 9 as printed ticks and revalidates always).
+// Everything else — lock acquisition, the tick, write-back, version
+// install and unlock, the handlers clearing the active flag last — is
+// the figure.
 func (tx *Txn) Commit() error {
 	tm := tx.tm
 	if !tx.live {
@@ -240,7 +244,7 @@ func (tx *Txn) Commit() error {
 	if tm.cfg.Bug == BugNoCommitLocks {
 		// Injected bug: unguarded write-back; version bumps are dropped
 		// too, so readers cannot even detect the interleaving.
-		tx.wver = tm.clock.Tick()
+		tx.wver, _ = tm.clock.Tick()
 		for i := range tx.wset {
 			tm.table.Store(tx.wset[i].x, tx.wset[i].v)
 		}
@@ -289,7 +293,8 @@ func (tx *Txn) Commit() error {
 	}
 
 	// Generate the write timestamp (line 40).
-	tx.wver = tm.clock.Tick()
+	var exclusive bool
+	tx.wver, exclusive = tm.clock.Tick()
 	if tm.cfg.DebugInvariants {
 		if tx.wver <= tx.rver {
 			panic("tl2: INV.7(a) violated: wver <= rver")
@@ -300,19 +305,23 @@ func (tx *Txn) Commit() error {
 	// locked by another transaction or its version exceeds rver. The
 	// paper keeps ver[x] readable while lock[x] is held; our combined
 	// lock word hides it, so for stripes the transaction itself has
-	// locked we validate the version captured at lock time.
+	// locked we validate the version captured at lock time. After an
+	// exclusive tick to rver+1 the clock did not move since rver, and
+	// there is nothing to revalidate (see the package doc).
 	if tm.cfg.Bug == BugSkipCommitValidation {
 		tx.rset = tx.rset[:0] // injected bug: nothing to validate
 	}
-	for _, x := range tx.rset {
-		ts, locked, owner := tm.table.LockFor(x).Sample()
-		if locked && owner == tx.thread {
-			locked = false
-			ts = tx.stripeOldVer(tm.table.StripeOf(x))
-		}
-		if locked || tx.rver < ts {
-			tx.unlockAbort()
-			return tx.abortCommit()
+	if !exclusive || tx.wver != tx.rver+1 {
+		for _, x := range tx.rset {
+			ts, locked, owner := tm.table.LockFor(x).Sample()
+			if locked && owner == tx.thread {
+				locked = false
+				ts = tx.stripeOldVer(tm.table.StripeOf(x))
+			}
+			if locked || tx.rver < ts {
+				tx.unlockAbort()
+				return tx.abortCommit()
+			}
 		}
 	}
 

@@ -16,8 +16,12 @@ type Clock interface {
 	// Load samples the clock (transaction begin: rver := clock).
 	Load() int64
 	// Tick advances the clock and returns the new value (commit:
-	// wver := fetch_and_increment(clock)+1).
-	Tick() int64
+	// wver := fetch_and_increment(clock)+1). exclusive reports that
+	// this call's own increment moved the clock from v-1 to v; no
+	// other exclusive Tick returns v. A committer that draws
+	// v == rver+1 exclusively knows the clock did not move between its
+	// rver sample and its own increment.
+	Tick() (v int64, exclusive bool)
 }
 
 // pad avoids false sharing between the clock word and its neighbors.
@@ -36,8 +40,9 @@ func NewFAI() *FAI { return &FAI{} }
 // Load samples the clock.
 func (c *FAI) Load() int64 { return c.v.Load() }
 
-// Tick increments the clock and returns the new value.
-func (c *FAI) Tick() int64 { return c.v.Add(1) }
+// Tick increments the clock and returns the new value; every tick is
+// exclusive.
+func (c *FAI) Tick() (int64, bool) { return c.v.Add(1), true }
 
 // GV4 is the "pass on failure" clock of Felber et al.: a committer
 // attempts a single CAS from the sampled value; if the CAS fails,
@@ -59,14 +64,15 @@ func NewGV4() *GV4 { return &GV4{} }
 func (c *GV4) Load() int64 { return c.v.Load() }
 
 // Tick advances the clock by one from its current value, or adopts a
-// concurrent advance.
-func (c *GV4) Tick() int64 {
+// concurrent advance. Only a tick whose own CAS won is exclusive.
+func (c *GV4) Tick() (int64, bool) {
 	old := c.v.Load()
 	if c.v.CompareAndSwap(old, old+1) {
-		return old + 1
+		return old + 1, true
 	}
 	// Someone else advanced the clock; their new value is a valid write
 	// timestamp for us too (it exceeds every read timestamp sampled
 	// before our commit), but it may race further advances, so reload.
-	return c.v.Load()
+	// It is shared with the committer that advanced it.
+	return c.v.Load(), false
 }

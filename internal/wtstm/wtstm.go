@@ -275,7 +275,8 @@ func (tx *Txn) Commit() error {
 		tx.finish()
 		return nil
 	}
-	tx.wver = tm.clock.Tick()
+	// The exclusive flag is ignored: this TM always revalidates.
+	tx.wver, _ = tm.clock.Tick()
 	for _, x := range tx.rset {
 		ts, locked, owner := tm.table.LockFor(x).Sample()
 		if locked && owner == tx.thread {
