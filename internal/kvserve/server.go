@@ -469,6 +469,7 @@ type StatsReply struct {
 		Keys           int64 `json:"keys"`
 		Privatizations int64 `json:"privatizations"`
 		Grows          int64 `json:"grows"`
+		Compactions    int64 `json:"compactions"`
 		Scans          int64 `json:"scans"`
 		Clears         int64 `json:"clears"`
 		// How stalls on a private shard ended, and Gets that ran beside
@@ -515,6 +516,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.store.Stats()
 	reply.Store.Privatizations = st.Privatizations
 	reply.Store.Grows = st.Grows
+	reply.Store.Compactions = st.Compactions
 	reply.Store.Scans = st.Scans
 	reply.Store.Clears = st.Clears
 	reply.Store.GateSpinWakes = st.GateSpinWakes

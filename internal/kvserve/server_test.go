@@ -136,7 +136,7 @@ func TestServerEndToEnd(t *testing.T) {
 			if stats.Telemetry.Commits == 0 {
 				t.Fatalf("stats telemetry commits = 0, want > 0 after %d PUTs", n)
 			}
-			for _, field := range []string{"gate_spin_wakes", "gate_parks", "gate_timeouts", "read_throughs"} {
+			for _, field := range []string{"compactions", "gate_spin_wakes", "gate_parks", "gate_timeouts", "read_throughs"} {
 				if !strings.Contains(statsBody, `"`+field+`":`) {
 					t.Fatalf("stats JSON lacks the store's %s counter: %s", field, statsBody)
 				}

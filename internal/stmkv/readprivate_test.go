@@ -144,6 +144,145 @@ func TestShardStatesAdmitAndStall(t *testing.T) {
 	}
 }
 
+// TestScanPageWindowAdmitsWritersOutside pins the partial window: with
+// slots [lo, hi] of a shard read-private, a write to a slot outside the
+// range commits at once, a write inside it parks until the publish, and
+// a Get inside reads through. A ScanPage whose density estimate comes up
+// short — every key clustered at the end of the table — walks the shard
+// in a second window and still returns each key once.
+func TestScanPageWindowAdmitsWritersOutside(t *testing.T) {
+	const owner = 5
+	newTL2Store := func(slots int) (*stmkv.Store, *telemetry.Board) {
+		tm, err := engine.NewSpec("tl2", stmkv.RegsNeeded(1, slots), owner, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := stmkv.New(tm, 1, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Resize(1, slots); err != nil {
+			t.Fatal(err)
+		}
+		return s, tm.(telemetry.Provider).TelemetryBoard()
+	}
+
+	const lo, hi = 16, 47
+	s, board := newTL2Store(64)
+	var inside, outside []int64
+	for k := int64(1); k <= 16; k++ {
+		if err := s.Put(1, k, k*10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := int64(1); k <= 16; k++ {
+		if slot, _ := s.SlotOf(1, k); slot >= lo && slot <= hi {
+			inside = append(inside, k)
+		} else {
+			outside = append(outside, k)
+		}
+	}
+	fresh := int64(1000)
+	for slot, _ := s.SlotOf(1, fresh); slot >= lo && slot <= hi; slot, _ = s.SlotOf(1, fresh) {
+		fresh++
+	}
+	if len(inside) < 3 || len(outside) < 2 {
+		t.Fatalf("keys 1..16 put %d slots inside [%d, %d] and %d outside; the test needs 3 and 2", len(inside), lo, hi, len(outside))
+	}
+
+	release, err := s.HoldSlots(owner, 0, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalls := func() int64 { st := s.Stats(); return st.GateSpinWakes + st.GateParks + st.GateTimeouts }
+	before, through := stalls(), s.Stats().ReadThroughs
+	promptly(t, "Put updating a slot outside the window", func() error { return s.Put(1, outside[0], 111) })
+	promptly(t, "Put inserting outside the window", func() error { return s.Put(1, fresh, 222) })
+	promptly(t, "Delete outside the window", func() error {
+		if removed, err := s.Delete(1, outside[1]); err != nil || !removed {
+			return fmt.Errorf("Delete(%d) = %v,%v", outside[1], removed, err)
+		}
+		return nil
+	})
+	if got := stalls() - before; got != 0 {
+		t.Fatalf("writes outside the window stalled %d times", got)
+	}
+	promptly(t, "Get inside the window", func() error {
+		if v, ok, err := s.Get(1, inside[2]); err != nil || !ok || v != inside[2]*10 {
+			return fmt.Errorf("Get(%d) = %d,%v,%v", inside[2], v, ok, err)
+		}
+		return nil
+	})
+	if got := s.Stats().ReadThroughs - through; got != 1 {
+		t.Fatalf("ReadThroughs grew by %d for one Get inside the window, want 1", got)
+	}
+	put := parked(t, board, 1, "Put inside the window", func() error { return s.Put(1, inside[0], 333) })
+	del := parked(t, board, 2, "Delete inside the window", func() error { _, err := s.Delete(2, inside[1]); return err })
+	if err := release(); err != nil {
+		t.Fatal(err)
+	}
+	finished(t, "Put inside the window", put)
+	finished(t, "Delete inside the window", del)
+	for _, want := range []struct {
+		key, val int64
+		ok       bool
+	}{
+		{outside[0], 111, true}, {fresh, 222, true}, {outside[1], 0, false},
+		{inside[0], 333, true}, {inside[1], 0, false}, {inside[2], inside[2] * 10, true},
+	} {
+		if v, ok, err := s.Get(1, want.key); err != nil || ok != want.ok || v != want.val {
+			t.Fatalf("Get(%d) = %d,%v,%v after the window, want %d,%v", want.key, v, ok, err, want.val, want.ok)
+		}
+	}
+
+	// 64 keys whose probes start in the top quarter of a 512-slot table:
+	// a 32-pair page expects them spread over the whole table, so its
+	// first window ends before the first key.
+	s, _ = newTL2Store(512)
+	var keys []int64
+	for k := int64(1); len(keys) < 64; k++ {
+		if slot, cap := s.SlotOf(1, k); slot >= cap*3/4 && slot < cap*15/16 {
+			keys = append(keys, k)
+		}
+	}
+	for _, k := range keys {
+		if err := s.Put(1, k, k*10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	windows := s.Stats().ScanWindows
+	pairs, next, err := s.ScanPage(1, "", 32)
+	if err != nil || len(pairs) != 32 || next == "" {
+		t.Fatalf("first page: %d pairs, next %q, err %v", len(pairs), next, err)
+	}
+	if got := s.Stats().ScanWindows - windows; got != 2 {
+		t.Fatalf("first page over clustered keys took %d windows, want 2", got)
+	}
+	seen := map[int64]int{}
+	for {
+		for _, kv := range pairs {
+			if kv.Val != kv.Key*10 {
+				t.Fatalf("pair %+v breaks the k*10 convention", kv)
+			}
+			seen[kv.Key]++
+		}
+		if next == "" {
+			break
+		}
+		if pairs, next, err = s.ScanPage(1, next, 32); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range keys {
+		if seen[k] != 1 {
+			t.Fatalf("key %d returned %d times, want once", k, seen[k])
+		}
+	}
+	if len(seen) != len(keys) {
+		t.Fatalf("walk returned %d distinct keys, want %d", len(seen), len(keys))
+	}
+}
+
 // val is the value every writer stores under k, so any pair a scan
 // returns can be checked without knowing who wrote it.
 func val(k int64) int64 { return k*31 + 7 }

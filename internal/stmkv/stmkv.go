@@ -15,6 +15,8 @@
 //	base+3  tombs  tombstones
 //	base+4  table  register index of the table block (slot i key at
 //	               table+2i, value at table+2i+1)
+//	base+5  winLo  first and last slot a read-private owner loads;
+//	base+6  winHi  meaningful only while the flag is read-private
 //
 // Point operations (Get/Put/Delete) are single transactions that follow
 // the DRF discipline of the paper: they read the shard's flag first and
@@ -34,30 +36,43 @@
 //	0       shared         —                        all
 //	1       exclusive      loads and stores         none
 //	        (grow/rehash, Clear, Resize)
-//	3       read-private   loads only               read-only on the shard:
-//	        (Scan, ScanPage)                        Get, Len, transactional scan
+//	3       read-private   loads of the keys and    Get, Len, transactional
+//	        (Scan,         values of the slots      scan; Put and Delete that
+//	        ScanPage)      [winLo, winHi]           write outside the window
 //
-// Put, Delete and every privatizing transaction stall while the flag
-// is odd; Get, Len and the transactional scan stall only on state 1.
-// So a scan window costs the readers of its shard nothing, and two
-// owners never hold one shard at once.
+// Every privatizing transaction stalls while the flag is odd. Put and
+// Delete stall on state 1, and on state 3 when the slot they are about
+// to write — a value update, an insert, a reused or a new tombstone —
+// lies in the window; Get, Len and the transactional scan stall only on
+// state 1. So a scan window costs the readers of its shard nothing, a
+// writer elsewhere in the shard commits beside the walk, and two owners
+// never hold one shard at once. Scan holds the window [0, cap−1], the
+// whole shard; ScanPage holds only the slots it will walk.
 //
 // Safety. The paper's data race is a pair of conflicting accesses, one
 // transactional and one not, unordered by happens-before — and two
 // accesses conflict only if at least one is a write. In the
-// read-private state every uninstrumented access to the shard is a
-// load, and every transaction admitted past the flag only reads the
-// shard's registers, so no conflicting pair exists at all: the readers
-// need no ordering with the owner. Writers are kept out exactly as in
-// the exclusive state: those that read the flag after the privatizing
-// commit see it odd and stall, those that read it before are waited out
-// by the fence — which is why read-privatizing still fences. An
-// exclusive owner that follows a scan window fences after its own
-// privatizing commit, and that fence waits for every transaction still
-// running, whichever state it saw. (stmds.SkipMap's GetTx rests on the
-// same argument: it reads beside a scan window without consulting the
-// guard.) internal/litmus carries the idiom and its racy twin as the
-// programs read-privatize and read-privatize-racy.
+// read-private state every uninstrumented access is a load of a key or
+// value register of a slot in [winLo, winHi] (the window's bounds, the
+// table pointer and the capacity are read inside the privatizing
+// transaction). A transaction that only reads the shard conflicts with
+// none of them, so readers need no ordering with the owner. A
+// transaction that writes a slot in the window reads the flag and the
+// bounds first: if it read them after the privatizing commit it sees
+// the window and stalls before writing, and if it began before that
+// commit the fence waits it out — which is why read-privatizing still
+// fences. A writer outside the window stores to registers the owner
+// never loads (count and tombs included), so it races with nothing.
+// A key that stays present keeps its slot until a rehash, which is
+// exclusive and which a ScanPage cursor detects, so consecutive slot
+// ranges cover every such key once. An exclusive owner that follows a
+// scan window fences after its own privatizing commit, and that fence
+// waits for every transaction still running, whichever state it saw.
+// (stmds.SkipMap's GetTx rests on the same argument: it reads beside a
+// scan window without consulting the guard, and its writers check a
+// key range as stmkv's check a slot range.) internal/litmus carries the
+// idiom and its racy twin as the programs read-privatize and
+// read-privatize-racy.
 //
 // Growth is where the store meets the allocator: a rehash allocates a
 // fresh table block from the heap (a transaction), rebuilds the table
@@ -90,6 +105,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -105,8 +121,10 @@ const (
 	offCount = 2
 	offTombs = 3
 	offTable = 4
+	offWinLo = 5
+	offWinHi = 6
 	// hdrRegs is the per-shard header size in registers.
-	hdrRegs = 5
+	hdrRegs = 7
 
 	// The two low bits of a shard's flag are its privatization state
 	// (see the package comment); the bits above count publishes.
@@ -161,8 +179,10 @@ type Stats struct {
 	// Privatizations is the number of privatize→fence→publish cycles
 	// (every bulk operation on every shard contributes one).
 	Privatizations int64
-	// Grows is the number of capacity-doubling rehashes.
-	Grows int64
+	// Grows is the number of rehashes Put triggered that doubled a
+	// shard's capacity; Compactions is the number it triggered at the
+	// same capacity, only to drop tombstones. Resize counts in neither.
+	Grows, Compactions int64
 	// Scans, Clears count bulk reads and wipes (per shard).
 	Scans, Clears int64
 	// ScanWindows counts privatized scan windows: one
@@ -199,6 +219,7 @@ type Store struct {
 	// by maintenance threads while readers poll Stats.
 	privatizations padInt64
 	grows          padInt64
+	compactions    padInt64
 	scans          padInt64
 	clears         padInt64
 	scanWindows    padInt64
@@ -306,6 +327,8 @@ func New(tm core.TM, shards, slots int, opts ...Option) (*Store, error) {
 		tm.Store(1, base+offCount, 0)
 		tm.Store(1, base+offTombs, 0)
 		tm.Store(1, base+offTable, tab)
+		tm.Store(1, base+offWinLo, 0)
+		tm.Store(1, base+offWinHi, 0)
 	}
 	return s, nil
 }
@@ -319,6 +342,7 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Privatizations: s.privatizations.Load(),
 		Grows:          s.grows.Load(),
+		Compactions:    s.compactions.Load(),
 		Scans:          s.scans.Load(),
 		Clears:         s.clears.Load(),
 		ScanWindows:    s.scanWindows.Load(),
@@ -360,24 +384,46 @@ func (s *Store) base(shard int) int { return shard * hdrRegs }
 func keyReg(tab int64, i int) int { return int(tab) + 2*i }
 func valReg(tab int64, i int) int { return int(tab) + 2*i + 1 }
 
-// writable is the DRF guard of every transaction that may write the
-// shard's registers (Put, Delete, and the privatizing transactions
-// themselves): read the shard's flag and refuse to proceed while it is
-// odd — private in either state. Because the read is transactional, a
-// privatizer committing after it dooms this transaction — the conflict
-// Theorem 5.3 relies on. A transaction that passed the guard may safely
-// read the rest of the header (cap, table pointer): the uninstrumented
-// accesses of a private phase start only after a fence that waited for
-// every transaction that saw the flag even.
-func writable(tx core.Txn, base int) error {
+// window is the slot range [lo, hi] a read-private shard's owner
+// loads. noWindow (lo > hi) holds no slot.
+type window struct{ lo, hi int64 }
+
+var noWindow = window{0, -1}
+
+// holds reports whether slot i is in the window: a writer must not
+// store to it.
+func (w window) holds(i int) bool { return w.lo <= int64(i) && int64(i) <= w.hi }
+
+// writable is the DRF guard of Put and Delete: read the shard's flag,
+// refuse to proceed while it is exclusive, and return the window while
+// it is read-private, so the caller refuses (errShardPrivate) before it
+// writes a slot the window holds. Because the reads are transactional,
+// a privatizer committing after them dooms this transaction — the
+// conflict Theorem 5.3 relies on. A transaction that passed the guard
+// may safely read the rest of the header (cap, table pointer): the
+// uninstrumented accesses of a private phase start only after a fence
+// that waited for every transaction that saw the flag even, and a
+// read-private owner stores nothing.
+func writable(tx core.Txn, base int) (window, error) {
 	f, err := tx.Read(base + offFlag)
 	if err != nil {
-		return err
+		return noWindow, err
 	}
-	if f&1 == 1 {
-		return errShardPrivate
+	switch f & flagStateMask {
+	case flagExclusive:
+		return noWindow, errShardPrivate
+	case flagReadPrivate:
+		lo, err := tx.Read(base + offWinLo)
+		if err != nil {
+			return noWindow, err
+		}
+		hi, err := tx.Read(base + offWinHi)
+		if err != nil {
+			return noWindow, err
+		}
+		return window{lo, hi}, nil
 	}
-	return nil
+	return noWindow, nil
 }
 
 // readable is the guard of the transactions that only read the shard
@@ -461,13 +507,15 @@ func (s *Store) Get(th int, key int64) (v int64, ok bool, err error) {
 
 // putInTx is the body of one Put inside a running transaction: the
 // writable() guard, the probe, and the insert/update writes. It returns
-// errNeedGrow when the shard is over the load factor (the caller
-// privatizes, grows, and retries). Both Put and PutBatch build on it;
+// errShardPrivate, before writing, when the slot it would write lies in
+// a read-private window, and errNeedGrow when the shard is over the
+// load factor (the caller privatizes, grows, and retries). Both Put and PutBatch build on it;
 // the read-own-writes guarantee of every registry TM means a batch may
 // put the same key twice in one transaction (the second probe finds
 // the first insert in the write set and takes the update path).
 func (s *Store) putInTx(tx core.Txn, base int, key, val int64) error {
-	if err := writable(tx, base); err != nil {
+	w, err := writable(tx, base)
+	if err != nil {
 		return err
 	}
 	tab, cap, err := s.table(tx, base)
@@ -490,6 +538,9 @@ func (s *Store) putInTx(tx core.Txn, base int, key, val int64) error {
 			return err
 		}
 		if k == key {
+			if w.holds(i) {
+				return errShardPrivate
+			}
 			return tx.Write(valReg(tab, i), val)
 		}
 		if k == keyTomb && firstTomb < 0 {
@@ -507,6 +558,11 @@ func (s *Store) putInTx(tx core.Txn, base int, key, val int64) error {
 			at := i
 			if firstTomb >= 0 {
 				at = firstTomb
+			}
+			if w.holds(at) {
+				return errShardPrivate
+			}
+			if firstTomb >= 0 {
 				if err := tx.Write(base+offTombs, tombs-1); err != nil {
 					return err
 				}
@@ -524,6 +580,9 @@ func (s *Store) putInTx(tx core.Txn, base int, key, val int64) error {
 		}
 	}
 	if firstTomb >= 0 {
+		if w.holds(firstTomb) {
+			return errShardPrivate
+		}
 		if err := tx.Write(keyReg(tab, firstTomb), key); err != nil {
 			return err
 		}
@@ -629,7 +688,8 @@ func (s *Store) Delete(th int, key int64) (removed bool, err error) {
 	base := s.base(s.shardOf(key))
 	err = s.retryShared(th, func(tx core.Txn) error {
 		removed = false
-		if err := writable(tx, base); err != nil {
+		w, err := writable(tx, base)
+		if err != nil {
 			return err
 		}
 		tab, cap, err := s.table(tx, base)
@@ -646,6 +706,9 @@ func (s *Store) Delete(th int, key int64) (removed bool, err error) {
 				return nil
 			}
 			if k == key {
+				if w.holds(i) {
+					return errShardPrivate
+				}
 				count, err := tx.Read(base + offCount)
 				if err != nil {
 					return err
@@ -822,25 +885,34 @@ func (s *Store) parseCursor(str string) (scanCursor, error) {
 
 // ScanPage returns up to limit key-value pairs starting at cursor (""
 // for the first page) and an opaque cursor for the next page ("" when
-// the store is exhausted). Each visited shard is privatized for one
-// uninstrumented window — regardless of WithTransactionalScan — so
+// the store is exhausted). It walks each visited shard in one or more
+// uninstrumented windows — regardless of WithTransactionalScan — so
 // server memory and writer stall time are both O(limit), not O(store):
 // this is the pagination fast lane behind kvserve's /scan.
 //
+// A window is read-private over the slots it will walk, not over the
+// whole shard (package comment), so writers to the shard's other slots
+// commit beside it. Its privatizing transaction reads the shard's
+// capacity, table and live count, starts at the cursor's slot (or 0),
+// and ends where the page's remaining pairs should run out at the
+// shard's density, with a margin (scanWindowSlots). A walk that reaches
+// the window's end before the page is full publishes and opens the next
+// window on the same shard where it stopped, exactly as a cursor
+// resumes.
+//
 // Nothing allocates between a window's fence and its publish. Before
-// each shard is privatized the page gets room for min(limit − pairs so
+// each shard is walked the page gets room for min(limit − pairs so
 // far, slots) more pairs: a shard's table never holds more than slots
 // keys, so the walk cannot outgrow it, and a huge limit on a sparse
 // store reserves at most one shard's worth beyond what the page holds.
 // The next cursor is encoded after the last window has published.
 //
-// Consistency matches Scan's: per shard-window, not global. A page
-// boundary additionally splits a shard across two windows; if a rehash
-// replaces the shard's table between those pages, the cursor detects
-// the stale table identity and restarts that shard from slot 0, so a
-// paginated scan delivers every stable key at least once (possibly
-// twice within the restarted shard) rather than missing rehash-moved
-// keys.
+// Consistency matches Scan's: per window, not global. A page or window
+// boundary additionally splits a shard; if a rehash replaces the
+// shard's table across that boundary, the resume detects the stale
+// table identity and restarts that shard from slot 0, so a paginated
+// scan delivers every stable key at least once (possibly twice within
+// the restarted shard) rather than missing rehash-moved keys.
 func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next string, err error) {
 	if limit <= 0 {
 		limit = DefaultScanPageLimit
@@ -864,35 +936,77 @@ func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next str
 		}
 		base := s.base(sh)
 		pairs = slices.Grow(pairs, min(limit-len(pairs), s.slots))
-		if err := s.privatize(th, base, flagReadPrivate); err != nil {
-			return nil, "", err
-		}
 		s.scans.Add(1)
-		s.recordScanWindow(th)
-		tab := tm.Load(th, base+offTable)
-		cap := tm.Load(th, base+offCap)
-		slot := int64(0)
-		if sh == int(c.shard) && c.tab == tab && c.cap == cap {
-			// Same table block as when the cursor was cut: resume at
-			// the exact slot. A mismatch means a rehash moved the keys;
-			// restart the shard from slot 0.
-			slot = c.slot
-		}
-		for ; slot < cap && len(pairs) < limit; slot++ {
-			if k := tm.Load(th, keyReg(tab, int(slot))); k > 0 {
-				pairs = append(pairs, KV{k, tm.Load(th, valReg(tab, int(slot)))})
+		for {
+			tab, cap, w, err := s.openScanWindow(th, base, c, limit-len(pairs))
+			if err != nil {
+				return nil, "", err
+			}
+			slot := w.lo
+			for ; slot <= w.hi && len(pairs) < limit; slot++ {
+				if k := tm.Load(th, keyReg(tab, int(slot))); k > 0 {
+					pairs = append(pairs, KV{k, tm.Load(th, valReg(tab, int(slot)))})
+				}
+			}
+			if err := s.publish(th, base); err != nil {
+				return nil, "", err
+			}
+			if slot >= cap {
+				break
+			}
+			// The next window, or the next page, resumes at the first
+			// slot not read, against this table block.
+			c = scanCursor{int64(sh), slot, tab, cap}
+			if len(pairs) == limit {
+				return pairs, encodeCursor(c), nil
 			}
 		}
-		if err := s.publish(th, base); err != nil {
-			return nil, "", err
-		}
-		if slot < cap {
-			// The page filled inside this shard: the next page resumes
-			// at the first slot not read, against this table block.
-			return pairs, encodeCursor(scanCursor{int64(sh), slot, tab, cap}), nil
-		}
+		c = scanCursor{}
 	}
 	return pairs, "", nil
+}
+
+// openScanWindow privatizes the slots of the shard at base that the next
+// need pairs of a page should span, and fences. The window starts at
+// c.slot if c's table identity (pointer and capacity) is the shard's
+// current one — a mismatch means a rehash moved the keys, and the walk
+// restarts at slot 0. It returns the table the window walks.
+func (s *Store) openScanWindow(th, base int, c scanCursor, need int) (tab, cap int64, w window, err error) {
+	err = s.acquire(th, base, flagReadPrivate, func(tx core.Txn) error {
+		var err error
+		if tab, cap, err = s.table(tx, base); err != nil {
+			return err
+		}
+		count, err := tx.Read(base + offCount)
+		if err != nil {
+			return err
+		}
+		w.lo = 0
+		if c.tab == tab && c.cap == cap {
+			w.lo = c.slot
+		}
+		w.hi = w.lo + scanWindowSlots(int64(need), cap-w.lo, cap, count) - 1
+		return setWindow(tx, base, w)
+	})
+	if err != nil {
+		return 0, 0, noWindow, err
+	}
+	s.tm.Fence(th)
+	s.recordScanWindow(th)
+	return tab, cap, w, nil
+}
+
+// scanWindowSlots is how many slots a ScanPage window spans to find need
+// more pairs in a table of cap slots holding count keys: the slots need
+// pairs fill at the table's density, plus a quarter and 32 slots of
+// margin, so a window seldom comes up short. It is at most rest, the
+// slots left to walk, and all of them when the shard is empty or the
+// product would overflow.
+func scanWindowSlots(need, rest, cap, count int64) int64 {
+	if count <= 0 || need > math.MaxInt64/5/cap {
+		return rest
+	}
+	return min(rest, need*cap*5/(4*count)+32)
 }
 
 // Clear empties the store: every shard privatizes, one fence covers
@@ -991,6 +1105,7 @@ func (s *Store) grow(th, shard int, need int64) error {
 			_ = s.publish(th, base)
 			return err
 		}
+		s.compactions.Add(1)
 	case due && count+need > cap:
 		// Cannot double (at the arena), nothing to compact, and the
 		// demand exceeds the slots themselves: it will never fit. (At
@@ -1056,9 +1171,26 @@ func (s *Store) rehashTo(th, base int, newCap int64) error {
 
 // acquirePrivate commits the transaction moving the shard's flag from
 // shared to state (flagExclusive or flagReadPrivate) — the privatizing
-// transaction of Figure 7, without the fence. If another thread holds
-// the shard private in either state, it waits its turn.
+// transaction of Figure 7, without the fence. A read-private hold
+// covers the whole shard: its window is [0, cap−1].
 func (s *Store) acquirePrivate(th, base int, state int64) error {
+	return s.acquire(th, base, state, func(tx core.Txn) error {
+		if state != flagReadPrivate {
+			return nil
+		}
+		cap, err := tx.Read(base + offCap)
+		if err != nil {
+			return err
+		}
+		return setWindow(tx, base, window{0, cap - 1})
+	})
+}
+
+// acquire commits a privatizing transaction: it reads the shard's
+// flag, runs body (which may read the header and set the window), and
+// moves the flag from shared to state. If another thread holds the
+// shard private in either state, it waits its turn.
+func (s *Store) acquire(th, base int, state int64, body func(core.Txn) error) error {
 	err := s.retryShared(th, func(tx core.Txn) error {
 		f, err := tx.Read(base + offFlag)
 		if err != nil {
@@ -1066,6 +1198,9 @@ func (s *Store) acquirePrivate(th, base int, state int64) error {
 		}
 		if f&1 == 1 {
 			return errShardPrivate // another bulk op holds the shard
+		}
+		if err := body(tx); err != nil {
+			return err
 		}
 		return tx.Write(base+offFlag, f+state)
 	})
@@ -1077,6 +1212,15 @@ func (s *Store) acquirePrivate(th, base int, state int64) error {
 		sl.Privatizations.Add(1)
 	}
 	return nil
+}
+
+// setWindow writes a read-private window's bounds inside its
+// privatizing transaction.
+func setWindow(tx core.Txn, base int, w window) error {
+	if err := tx.Write(base+offWinLo, w.lo); err != nil {
+		return err
+	}
+	return tx.Write(base+offWinHi, w.hi)
 }
 
 // privatize commits a transaction moving the shard's flag to state,

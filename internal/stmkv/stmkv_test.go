@@ -159,6 +159,41 @@ func TestScanClearResize(t *testing.T) {
 	}
 }
 
+// TestCompactions: a delete-heavy shard whose live keys fit its
+// capacity (below the arena, where puts keep the load factor) rebuilds
+// in place to drop tombstones, and Stats counts each such rehash in
+// Compactions, not in Grows.
+func TestCompactions(t *testing.T) {
+	const live, slots = 8, 64
+	s := newStore(t, "tl2", 1, 2*slots, 2)
+	if err := s.Resize(1, slots); err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(1); k <= 1000; k++ {
+		if err := s.Put(1, k, k*10); err != nil {
+			t.Fatalf("Put(%d): %v", k, err)
+		}
+		if k > live {
+			if removed, err := s.Delete(1, k-live); err != nil || !removed {
+				t.Fatalf("Delete(%d) = %v,%v", k-live, removed, err)
+			}
+		}
+	}
+	st := s.Stats()
+	if st.Compactions == 0 || st.Grows != 0 {
+		t.Fatalf("churn at %d live keys in %d slots: %d compactions, %d grows; want some and none", live, slots, st.Compactions, st.Grows)
+	}
+	for k := int64(1000 - live + 1); k <= 1000; k++ {
+		if v, ok, err := s.Get(1, k); err != nil || !ok || v != k*10 {
+			t.Fatalf("Get(%d) = %d,%v,%v after compactions", k, v, ok, err)
+		}
+	}
+	if n, err := s.Len(1); err != nil || n != live {
+		t.Fatalf("Len = %d,%v, want %d", n, err, live)
+	}
+	t.Logf("%d compactions over 1000 puts and 992 deletes", st.Compactions)
+}
+
 func TestFull(t *testing.T) {
 	s := newStore(t, "tl2", 1, 4, 2)
 	var sawFull bool
