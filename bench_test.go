@@ -221,16 +221,13 @@ func BenchmarkClockContended(b *testing.B) {
 
 func BenchmarkE14FenceQuiet(b *testing.B) {
 	for _, im := range []struct {
-		name string
-		mk   func(int) rcu.Quiescer
-	}{
-		{"flags", func(n int) rcu.Quiescer { return rcu.NewFlags(n) }},
-		{"epochs", func(n int) rcu.Quiescer { return rcu.NewEpochs(n) }},
-	} {
+		name   string
+		epochs bool
+	}{{"flags", false}, {"epochs", true}} {
 		b.Run(im.name, func(b *testing.B) {
-			q := im.mk(8)
+			f := rcu.New(8, im.epochs, nil)
 			for i := 0; i < b.N; i++ {
-				q.Wait()
+				f.Wait()
 			}
 		})
 	}
@@ -238,18 +235,20 @@ func BenchmarkE14FenceQuiet(b *testing.B) {
 
 func BenchmarkE14FenceUnderLoad(b *testing.B) {
 	// Fences racing short transactions: measures grace-period latency
-	// with genuinely active transactions.
+	// with genuinely active transactions. Each writer commits once
+	// before the clock starts, so no fence runs ahead of its load.
 	for _, spec := range []string{"tl2", "tl2+epochs"} {
 		b.Run(spec, func(b *testing.B) {
 			tm := engine.MustNewSpec(spec, 8, 6, nil)
 			stop := make(chan struct{})
-			var wg sync.WaitGroup
+			var wg, started sync.WaitGroup
 			for th := 2; th <= 5; th++ {
 				wg.Add(1)
+				started.Add(1)
 				go func(th int) {
 					defer wg.Done()
 					x := th - 2
-					for {
+					for n := 0; ; n++ {
 						select {
 						case <-stop:
 							return
@@ -262,9 +261,13 @@ func BenchmarkE14FenceUnderLoad(b *testing.B) {
 							}
 							return tx.Write(x, v+1)
 						})
+						if n == 0 {
+							started.Done()
+						}
 					}
 				}(th)
 			}
+			started.Wait()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tm.Fence(1)

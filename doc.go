@@ -12,11 +12,11 @@
 //     all constructed through the internal/engine registry's
 //     specification strings (TM × clock × fence × quiescer; a spec
 //     names a TM, and heaps are shaped by their own options).
-//   - Quiescence layer: internal/rcu grace periods (with
-//     scheduler-aware parked waits) under the internal/quiesce service,
-//     which runs the paper's one fence — block until every transaction
-//     active at the call has finished — over pooled snapshot buffers,
-//     plus the filtered fence that reproduces the GCC libitm bug.
+//   - Quiescence layer: internal/rcu, one grace-period type every TM
+//     fences through. It runs the paper's one fence — block until every
+//     transaction active at the call has finished — with
+//     scheduler-aware parked waits over pooled snapshot buffers, plus
+//     the filtered fence that reproduces the GCC libitm bug.
 //   - Telemetry layer: internal/telemetry cache-line-padded per-thread
 //     counter boards on every TM (commits, aborts, fences,
 //     privatizations, magazine traffic), read by kvserve's /stats and

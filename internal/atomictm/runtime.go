@@ -27,7 +27,6 @@ import (
 	"runtime"
 
 	"safepriv/internal/core"
-	"safepriv/internal/quiesce"
 	"safepriv/internal/rcu"
 	"safepriv/internal/record"
 	"safepriv/internal/stripe"
@@ -51,7 +50,7 @@ func WithSink(s record.Sink) Option { return func(c *config) { c.sink = s } }
 // TM is the executable strongly-atomic TM. It implements core.TM.
 type TM struct {
 	table   *stripe.Table
-	qs      *quiesce.Service
+	fence   *rcu.Fence
 	board   *telemetry.Board
 	sink    record.Sink
 	threads []slot
@@ -71,12 +70,11 @@ func New(regs, threads int, opts ...Option) *TM {
 	}
 	tm := &TM{
 		table:   stripe.New(regs, cfg.stripes),
-		qs:      quiesce.New(rcu.NewFlags(threads)),
 		sink:    cfg.sink,
 		threads: make([]slot, threads+1),
 	}
 	tm.board = telemetry.NewBoard(threads)
-	tm.qs.SetBoard(tm.board)
+	tm.fence = rcu.New(threads, false, tm.board)
 	for t := range tm.threads {
 		tm.threads[t].tx.tm = tm
 		tm.threads[t].tx.thread = t
@@ -134,14 +132,14 @@ func (tm *TM) Fence(thread int) {
 	if sk := tm.sink; sk != nil {
 		sk.FBegin(thread)
 	}
-	tm.qs.Fence()
+	tm.fence.Wait()
 	if sk := tm.sink; sk != nil {
 		sk.FEnd(thread)
 	}
 }
 
 // TelemetryBoard implements telemetry.Provider: the per-thread counter
-// board core.Atomically and the quiescence service record into.
+// board core.Atomically and the fence record into.
 func (tm *TM) TelemetryBoard() *telemetry.Board { return tm.board }
 
 // Begin implements core.TM.
@@ -151,7 +149,7 @@ func (tm *TM) Begin(thread int) core.Txn {
 		panic(fmt.Sprintf("atomictm: thread %d began a transaction inside a transaction", thread))
 	}
 	tx.reset()
-	tm.qs.Enter(thread)
+	tm.fence.Enter(thread)
 	if sk := tm.sink; sk != nil {
 		sk.TxBegin(thread)
 	}
@@ -186,7 +184,7 @@ func (tx *Txn) reset() {
 
 func (tx *Txn) finish() {
 	tx.live = false
-	tx.tm.qs.Exit(tx.thread)
+	tx.tm.fence.Exit(tx.thread)
 }
 
 // lockStripe acquires x's stripe unless already held; false means

@@ -16,7 +16,7 @@ import (
 	"sync"
 
 	"safepriv/internal/core"
-	"safepriv/internal/quiesce"
+	"safepriv/internal/rcu"
 	"safepriv/internal/record"
 	"safepriv/internal/telemetry"
 )
@@ -25,24 +25,18 @@ import (
 type TM struct {
 	mu    sync.Mutex
 	regs  []int64
-	qs    *quiesce.Service
+	fence *rcu.Fence
 	board *telemetry.Board
 	sink  record.Sink
 	txns  []txn
 }
 
 // New returns a global-lock TM with regs registers and thread ids
-// 1..threads. The grace period is structural — acquire and release the
-// global lock — so the quiescence service wraps that wait.
+// 1..threads.
 func New(regs, threads int, sink record.Sink) *TM {
 	tm := &TM{regs: make([]int64, regs), sink: sink, txns: make([]txn, threads+1)}
-	tm.qs = quiesce.NewFunc(func() {
-		tm.mu.Lock()
-		//lint:ignore SA2001 empty critical section is the grace period
-		tm.mu.Unlock()
-	})
 	tm.board = telemetry.NewBoard(threads)
-	tm.qs.SetBoard(tm.board)
+	tm.fence = rcu.New(threads, false, tm.board)
 	for t := range tm.txns {
 		tm.txns[t].tm = tm
 		tm.txns[t].thread = t
@@ -57,6 +51,7 @@ func (tm *TM) NumRegs() int { return len(tm.regs) }
 // of the transaction.
 func (tm *TM) Begin(thread int) core.Txn {
 	tm.mu.Lock()
+	tm.fence.Enter(thread)
 	tx := &tm.txns[thread]
 	tx.undo = tx.undo[:0]
 	tx.live = true
@@ -66,20 +61,20 @@ func (tm *TM) Begin(thread int) core.Txn {
 	return tx
 }
 
-// Fence implements core.TM: acquiring and releasing the global lock
-// waits for the (sole possible) active transaction.
+// Fence implements core.TM: a grace period over the (sole possible)
+// active transaction, which holds the global lock from Enter to Exit.
 func (tm *TM) Fence(thread int) {
 	if tm.sink != nil {
 		tm.sink.FBegin(thread)
 	}
-	tm.qs.Fence()
+	tm.fence.Wait()
 	if tm.sink != nil {
 		tm.sink.FEnd(thread)
 	}
 }
 
 // TelemetryBoard implements telemetry.Provider: the per-thread counter
-// board core.Atomically and the quiescence service record into.
+// board core.Atomically and the fence record into.
 func (tm *TM) TelemetryBoard() *telemetry.Board { return tm.board }
 
 // Load implements core.TM.
@@ -143,6 +138,7 @@ func (tx *txn) Commit() error {
 		s.Committed(tx.thread, 0)
 	}
 	tx.live = false
+	tx.tm.fence.Exit(tx.thread)
 	tx.tm.mu.Unlock()
 	return nil
 }
@@ -161,5 +157,6 @@ func (tx *txn) Abort() {
 		s.Aborted(tx.thread)
 	}
 	tx.live = false
+	tx.tm.fence.Exit(tx.thread)
 	tx.tm.mu.Unlock()
 }

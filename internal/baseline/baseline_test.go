@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"safepriv/internal/atomictm"
 	"safepriv/internal/core"
@@ -147,4 +148,30 @@ func TestFenceDoesNotDeadlock(t *testing.T) {
 		}(th)
 	}
 	wg.Wait()
+}
+
+// TestFenceWaitsForActiveTransaction: the fence is a grace period, not
+// a no-op the global lock makes harmless — it returns only once the
+// transaction running at the call has committed or aborted.
+func TestFenceWaitsForActiveTransaction(t *testing.T) {
+	tm := New(1, 2, nil)
+	for _, end := range []func(core.Txn){
+		func(tx core.Txn) { tx.Commit() },
+		func(tx core.Txn) { tx.Abort() },
+	} {
+		tx := tm.Begin(2)
+		done := make(chan struct{})
+		go func() { tm.Fence(1); close(done) }()
+		select {
+		case <-done:
+			t.Fatal("Fence returned while a transaction was active")
+		case <-time.After(50 * time.Millisecond):
+		}
+		end(tx)
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatal("Fence did not return after the transaction ended")
+		}
+	}
 }

@@ -11,8 +11,8 @@
 // delayed-abort anomaly), internal/atomictm (a striped two-phase-locking
 // runtime that is strongly atomic by construction) and
 // internal/baseline (a global-lock TM that is trivially strongly
-// atomic). Their fences wait out grace periods through the shared
-// quiescence service, internal/quiesce.
+// atomic). Their fences wait out grace periods through one shared
+// type, internal/rcu's Fence.
 //
 // The contract established by the paper (Theorem 5.3) applies: if the
 // program is data-race free assuming strong atomicity — in particular,

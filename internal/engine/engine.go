@@ -182,8 +182,8 @@ func (c *Config) normalize() error {
 		}
 		return nil
 	}
-	// Every TM serves the paper's fence through the shared quiescence
-	// service; the unsafe policies (noop, skipro) stay TM-specific.
+	// Every TM serves the paper's fence through one rcu.Fence; the
+	// unsafe policies (noop, skipro) stay TM-specific.
 	fenceIn := func(allowed ...string) error {
 		for _, a := range allowed {
 			if c.Fence == a {

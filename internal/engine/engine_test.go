@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"safepriv/internal/core"
+	"safepriv/internal/core/coretest"
 	"safepriv/internal/record"
+	"safepriv/internal/telemetry"
 )
 
 // smoke exercises one constructed TM end to end: a read-modify-write
@@ -60,6 +62,36 @@ func TestSpecsRoundTrip(t *testing.T) {
 				t.Fatalf("New(%q): %v", spec, err)
 			}
 			smoke(t, spec, tm)
+		})
+	}
+}
+
+// TestIdleFenceCounts: on every safe spec, baseline's and the epoch
+// specs' included, an idle tm.Fence is one grace period on the TM's
+// board; the unsafe ablations count none. Either way the fence
+// allocates nothing (the allocation half skips under -race, where
+// sync.Pool drops the pooled snapshot buffers on purpose).
+func TestIdleFenceCounts(t *testing.T) {
+	unsafe := map[string]bool{"tl2+nofence": true, "tl2+skipro": true, "wtstm+nofence": true}
+	for _, spec := range Specs() {
+		t.Run(spec, func(t *testing.T) {
+			tm := MustNewSpec(spec, 4, 2, nil)
+			board := tm.(telemetry.Provider).TelemetryBoard()
+			want := int64(1)
+			if unsafe[spec] {
+				want = 0
+			}
+			before := board.Snapshot().Fences
+			tm.Fence(1)
+			if got := board.Snapshot().Fences - before; got != want {
+				t.Fatalf("an idle Fence added %d to the board's Fences, want %d", got, want)
+			}
+			if coretest.RaceEnabled {
+				return
+			}
+			if allocs := testing.AllocsPerRun(100, func() { tm.Fence(1) }); allocs != 0 {
+				t.Fatalf("an idle Fence allocated %.1f/op", allocs)
+			}
 		})
 	}
 }

@@ -108,7 +108,7 @@ func (t yieldTxn) Commit() error              { runtime.Gosched(); return t.Txn.
 // discipline relies on, and the pipeline must reject at least one run —
 // either as a racy history or as an outright opacity violation. If the
 // unsafe spec sailed through every seed, the checker (or the recording
-// of fences through internal/quiesce) would have gone blind.
+// of fences through rcu.Fence) would have gone blind.
 func TestNoFenceRejectedByChecker(t *testing.T) {
 	shape := Config{
 		Threads: 4, DataRegs: 4, TxnsPerThread: 20, OpsPerTxn: 3, Rounds: 6,

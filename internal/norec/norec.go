@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 
 	"safepriv/internal/core"
-	"safepriv/internal/quiesce"
 	"safepriv/internal/rcu"
 	"safepriv/internal/record"
 	"safepriv/internal/telemetry"
@@ -55,7 +54,7 @@ type TM struct {
 	seq     atomic.Int64
 	_       [56]byte
 	regs    []atomic.Int64
-	qs      *quiesce.Service
+	fence   *rcu.Fence
 	board   *telemetry.Board
 	sink    record.Sink
 	threads []slot
@@ -77,15 +76,8 @@ func New(regs, threads int, sink record.Sink, opts ...Option) *TM {
 		sink:    sink,
 		threads: make([]slot, threads+1),
 	}
-	var q rcu.Quiescer
-	if o.epochs {
-		q = rcu.NewEpochs(threads)
-	} else {
-		q = rcu.NewFlags(threads)
-	}
-	tm.qs = quiesce.New(q)
 	tm.board = telemetry.NewBoard(threads)
-	tm.qs.SetBoard(tm.board)
+	tm.fence = rcu.New(threads, o.epochs, tm.board)
 	for t := range tm.threads {
 		tm.threads[t].tx.tm = tm
 		tm.threads[t].tx.thread = t
@@ -120,14 +112,14 @@ func (tm *TM) Fence(thread int) {
 	if tm.sink != nil {
 		tm.sink.FBegin(thread)
 	}
-	tm.qs.Fence()
+	tm.fence.Wait()
 	if tm.sink != nil {
 		tm.sink.FEnd(thread)
 	}
 }
 
 // TelemetryBoard implements telemetry.Provider: the per-thread counter
-// board core.Atomically and the quiescence service record into.
+// board core.Atomically and the fence record into.
 func (tm *TM) TelemetryBoard() *telemetry.Board { return tm.board }
 
 // Begin implements core.TM.
@@ -137,7 +129,7 @@ func (tm *TM) Begin(thread int) core.Txn {
 		panic(fmt.Sprintf("norec: thread %d began a transaction inside a transaction", thread))
 	}
 	tx.reset()
-	tm.qs.Enter(thread)
+	tm.fence.Enter(thread)
 	if tm.sink != nil {
 		tm.sink.TxBegin(thread)
 	}
@@ -178,7 +170,7 @@ func (tx *Txn) reset() {
 
 func (tx *Txn) finish() {
 	tx.live = false
-	tx.tm.qs.Exit(tx.thread)
+	tx.tm.fence.Exit(tx.thread)
 }
 
 // validate re-reads the entire read log under a stable even sequence

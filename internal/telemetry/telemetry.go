@@ -1,6 +1,6 @@
 // Package telemetry provides the engine's runtime self-observation:
 // cache-line-padded per-thread counter slots that the hot paths
-// (core.Atomically's retry loop, quiesce.Service's fences, stmalloc's
+// (core.Atomically's retry loop, rcu.Fence's grace periods, stmalloc's
 // magazine layer) bump with plain atomic adds, and an aggregating
 // Snapshot that kvserve's /stats and bench/ read.
 //
@@ -71,8 +71,8 @@ type Slot struct {
 
 // Board is a fixed set of per-thread Slots. Thread ids follow the
 // repo-wide convention: 1-based; index 0 is a shared overflow slot for
-// recorders that have no thread identity (e.g. the quiescence service's
-// fence bookkeeping).
+// recorders that have no thread identity (e.g. rcu.Fence's grace-period
+// bookkeeping).
 type Board struct {
 	slots []Slot
 }

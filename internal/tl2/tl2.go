@@ -70,7 +70,6 @@ import (
 	"fmt"
 
 	"safepriv/internal/core"
-	"safepriv/internal/quiesce"
 	"safepriv/internal/rcu"
 	"safepriv/internal/record"
 	"safepriv/internal/stripe"
@@ -193,7 +192,7 @@ type TM struct {
 	cfg      Config
 	table    *stripe.Table
 	clock    vclock.Clock
-	qs       *quiesce.Service
+	fence    *rcu.Fence
 	board    *telemetry.Board
 	hasWrite []writerFlag // per thread: current txn wrote something
 	threads  []threadState
@@ -217,15 +216,8 @@ func New(regs, threads int, opts ...Option) *TM {
 	} else {
 		tm.clock = vclock.NewFAI()
 	}
-	var q rcu.Quiescer
-	if cfg.Epochs {
-		q = rcu.NewEpochs(threads)
-	} else {
-		q = rcu.NewFlags(threads)
-	}
-	tm.qs = quiesce.New(q)
 	tm.board = telemetry.NewBoard(threads)
-	tm.qs.SetBoard(tm.board)
+	tm.fence = rcu.New(threads, cfg.Epochs, tm.board)
 	for t := range tm.threads {
 		tx := &tm.threads[t].tx
 		tx.tm = tm
@@ -268,7 +260,7 @@ func (tm *TM) Fence(thread int) {
 		// The buggy fence: wait only for threads whose current
 		// transaction has performed a write. Doomed read-only
 		// transactions are not waited for.
-		tm.qs.FenceFiltered(func(t int) bool { return tm.hasWrite[t].v.Load() == 1 })
+		tm.fence.WaitFiltered(func(t int) bool { return tm.hasWrite[t].v.Load() == 1 })
 		if s := tm.cfg.Sink; s != nil {
 			s.FEnd(thread)
 		}
@@ -276,7 +268,7 @@ func (tm *TM) Fence(thread int) {
 		if s := tm.cfg.Sink; s != nil {
 			s.FBegin(thread)
 		}
-		tm.qs.Fence()
+		tm.fence.Wait()
 		if s := tm.cfg.Sink; s != nil {
 			s.FEnd(thread)
 		}
@@ -284,7 +276,7 @@ func (tm *TM) Fence(thread int) {
 }
 
 // TelemetryBoard implements telemetry.Provider: the per-thread counter
-// board core.Atomically and the quiescence service record into.
+// board core.Atomically and the fence record into.
 func (tm *TM) TelemetryBoard() *telemetry.Board { return tm.board }
 
 // Begin implements core.TM (Figure 9 txbegin): set the active flag,
@@ -295,7 +287,7 @@ func (tm *TM) Begin(thread int) core.Txn {
 		panic(fmt.Sprintf("tl2: thread %d began a transaction inside a transaction", thread))
 	}
 	tx.reset()
-	tm.qs.Enter(thread)
+	tm.fence.Enter(thread)
 	if s := tm.cfg.Sink; s != nil {
 		s.TxBegin(thread)
 	}

@@ -133,7 +133,7 @@ func (tx *Txn) reset() {
 func (tx *Txn) finish() {
 	tx.live = false
 	tx.tm.hasWrite[tx.thread].clear()
-	tx.tm.qs.Exit(tx.thread)
+	tx.tm.fence.Exit(tx.thread)
 }
 
 // Read implements core.Txn (Figure 9 lines 14–24).

@@ -33,7 +33,6 @@ import (
 	"fmt"
 
 	"safepriv/internal/core"
-	"safepriv/internal/quiesce"
 	"safepriv/internal/rcu"
 	"safepriv/internal/stripe"
 	"safepriv/internal/telemetry"
@@ -78,7 +77,7 @@ type TM struct {
 	cfg     Config
 	table   *stripe.Table
 	clock   vclock.Clock
-	qs      *quiesce.Service
+	fence   *rcu.Fence
 	board   *telemetry.Board
 	threads []slot
 }
@@ -105,15 +104,8 @@ func New(regs, threads int, opts ...Option) *TM {
 	} else {
 		tm.clock = vclock.NewFAI()
 	}
-	var q rcu.Quiescer
-	if cfg.Epochs {
-		q = rcu.NewEpochs(threads)
-	} else {
-		q = rcu.NewFlags(threads)
-	}
-	tm.qs = quiesce.New(q)
 	tm.board = telemetry.NewBoard(threads)
-	tm.qs.SetBoard(tm.board)
+	tm.fence = rcu.New(threads, cfg.Epochs, tm.board)
 	for t := range tm.threads {
 		tm.threads[t].tx.tm = tm
 		tm.threads[t].tx.thread = t
@@ -136,11 +128,11 @@ func (tm *TM) Fence(thread int) {
 	if tm.cfg.UnsafeFence {
 		return
 	}
-	tm.qs.Fence()
+	tm.fence.Wait()
 }
 
 // TelemetryBoard implements telemetry.Provider: the per-thread counter
-// board core.Atomically and the quiescence service record into.
+// board core.Atomically and the fence record into.
 func (tm *TM) TelemetryBoard() *telemetry.Board { return tm.board }
 
 // Begin implements core.TM.
@@ -150,7 +142,7 @@ func (tm *TM) Begin(thread int) core.Txn {
 		panic(fmt.Sprintf("wtstm: thread %d began a transaction inside a transaction", thread))
 	}
 	tx.reset()
-	tm.qs.Enter(thread)
+	tm.fence.Enter(thread)
 	tx.rver = tm.clock.Load()
 	tx.live = true
 	return tx
@@ -191,7 +183,7 @@ func (tx *Txn) reset() {
 
 func (tx *Txn) finish() {
 	tx.live = false
-	tx.tm.qs.Exit(tx.thread)
+	tx.tm.fence.Exit(tx.thread)
 }
 
 // ownsStripe reports whether the transaction already holds stripe s.
