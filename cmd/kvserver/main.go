@@ -6,7 +6,9 @@
 // Configuration is by environment, container-style:
 //
 //	KVSERVER_ADDR     listen address            (default ":8070")
-//	KVSERVER_SPEC     engine spec of the TM     (default "tl2")
+//	KVSERVER_SPEC     engine spec of the TM     (default "tl2"; the
+//	                  unsafe-fence ablations tl2+nofence and
+//	                  tl2+skipro are refused at startup)
 //	KVSERVER_SHARDS   store shard count         (default "16")
 //	KVSERVER_SLOTS    per-shard slot arena      (default "512")
 //	KVSERVER_THREADS  request worker pool size  (default "8")

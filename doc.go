@@ -39,11 +39,11 @@
 //     uninstrumented, publish — instead of one long read-only
 //     snapshot transaction, and the O(1) HashMap/HashSet, chained
 //     buckets whose bucket arrays are single large heap blocks and
-//     whose growth runs through incremental privatized rehash: each
-//     stripe of old buckets is privatized by a guard flip, fenced
-//     once, unzipped uninstrumented into the doubled array, and
-//     published, so the table doubles without ever pausing the
-//     churn) that free removed nodes through the
+//     whose every doubling is one Figure 7 cycle over the whole
+//     table: a grow bit in the head word privatizes it, one fence,
+//     every chain is unzipped uninstrumented into the doubled array,
+//     and the new array's word publishes it) that free removed nodes
+//     through the
 //     allocator; internal/stmkv, the sharded privatization-safe KV
 //     store whose shard tables are heap blocks and whose ScanPage
 //     paginates privatized scans behind an opaque resumable cursor

@@ -3,6 +3,7 @@ package coretest
 
 import (
 	"runtime"
+	"sync"
 
 	"safepriv/internal/core"
 	"safepriv/internal/telemetry"
@@ -125,3 +126,108 @@ func (t *countingTxn) Read(x int) (int64, error) {
 
 // TelemetryBoard forwards the wrapped TM's board (nil without one).
 func (c *ReadCounter) TelemetryBoard() *telemetry.Board { return boardOf(c.TM) }
+
+// CommitPauser is a core.TM that schedules one privatization race. It
+// parks a chosen thread's next transaction just before its Commit, and
+// releases it when another thread, the privatizer, starts its private
+// phase: at the privatizer's Fence or, if the privatizer never fences,
+// right after its first uninstrumented Load or Store of a register the
+// parked transaction wrote; the privatizer then waits for that commit
+// attempt to finish before it goes on.
+//
+// On a TM that writes in place (wtstm) a parked transaction's writes
+// are already in memory, and a privatizing transaction that overwrote
+// what it read dooms it. A real fence waits for its rollback, so the
+// private phase sees a clean region; without one, the private phase
+// reads the doomed values, or the rollback clobbers its stores (the
+// delayed-abort anomaly).
+type CommitPauser struct {
+	core.TM
+	thread int
+	armed  bool // thread's next transaction parks; only thread's goroutine uses it
+
+	writes                 map[int]bool // registers the parked transaction wrote
+	parked, released, done chan struct{}
+	release                sync.Once
+}
+
+// NewCommitPauser wraps tm and arms it to park thread's next
+// transaction.
+func NewCommitPauser(tm core.TM, thread int) *CommitPauser {
+	return &CommitPauser{TM: tm, thread: thread, armed: true, writes: make(map[int]bool),
+		parked: make(chan struct{}), released: make(chan struct{}), done: make(chan struct{})}
+}
+
+// Parked is closed once the parked transaction has reached its Commit.
+func (p *CommitPauser) Parked() <-chan struct{} { return p.parked }
+
+// Begin hands the armed thread a transaction that parks before its
+// commit, and every other call a plain one.
+func (p *CommitPauser) Begin(th int) core.Txn {
+	tx := p.TM.Begin(th)
+	if th != p.thread || !p.armed {
+		return tx
+	}
+	p.armed = false
+	return &pausedTxn{Txn: tx, p: p}
+}
+
+// Fence releases a parked transaction, then runs the wrapped fence.
+func (p *CommitPauser) Fence(th int) {
+	if p.privatizer(th) {
+		p.release.Do(func() { close(p.released) })
+	}
+	p.TM.Fence(th)
+}
+
+// Load and Store run the wrapped access, then release a parked
+// transaction that wrote x and wait for its commit attempt to finish.
+func (p *CommitPauser) Load(th, x int) int64 {
+	v := p.TM.Load(th, x)
+	p.touched(th, x)
+	return v
+}
+
+func (p *CommitPauser) Store(th, x int, v int64) {
+	p.TM.Store(th, x, v)
+	p.touched(th, x)
+}
+
+func (p *CommitPauser) touched(th, x int) {
+	if p.privatizer(th) && p.writes[x] {
+		p.release.Do(func() { close(p.released) })
+		<-p.done
+	}
+}
+
+// privatizer reports whether th is not the parked thread and a
+// transaction is parked.
+func (p *CommitPauser) privatizer(th int) bool {
+	select {
+	case <-p.parked:
+		return th != p.thread
+	default:
+		return false
+	}
+}
+
+// TelemetryBoard forwards the wrapped TM's board (nil without one).
+func (p *CommitPauser) TelemetryBoard() *telemetry.Board { return boardOf(p.TM) }
+
+// pausedTxn records its writes and parks in Commit until released.
+type pausedTxn struct {
+	core.Txn
+	p *CommitPauser
+}
+
+func (t *pausedTxn) Write(x int, v int64) error {
+	t.p.writes[x] = true
+	return t.Txn.Write(x, v)
+}
+
+func (t *pausedTxn) Commit() error {
+	close(t.p.parked)
+	<-t.p.released
+	defer close(t.p.done)
+	return t.Txn.Commit()
+}

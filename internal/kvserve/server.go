@@ -53,7 +53,9 @@ import (
 // documented default.
 type Config struct {
 	// Spec is the engine specification of the TM the store runs on
-	// (default "tl2").
+	// (default "tl2"). New refuses a spec whose fence is unsafe
+	// (engine.Config.UnsafeFence: the nofence and skipro ablations):
+	// the store's private windows would race its writers.
 	Spec string
 	// Shards is the store's shard count (default 16).
 	Shards int
@@ -113,6 +115,9 @@ func New(cfg Config) (*Server, error) {
 	regs := stmkv.RegsNeeded(cfg.Shards, cfg.Slots)
 	if regs == 0 {
 		return nil, fmt.Errorf("kvserve: unallocatable geometry shards=%d slots=%d", cfg.Shards, cfg.Slots)
+	}
+	if ecfg, err := engine.Parse(cfg.Spec); err == nil && ecfg.UnsafeFence() {
+		return nil, fmt.Errorf("kvserve: spec %q has an unsafe fence; serve a safe one", cfg.Spec)
 	}
 	tm, err := engine.NewSpec(cfg.Spec, regs, adminTh, nil)
 	if err != nil {

@@ -55,15 +55,25 @@ func do(t *testing.T, method, url, body string) (int, string) {
 // that.
 const retiredSpec = "tl2+quiesce+batch"
 
-func requireRefused(t *testing.T, spec string) {
+// unsafeSpecs are the fence ablations: they stay available to
+// cmd/litmus and the tests, but a server refuses them, since the
+// store's private windows would race its writers.
+var unsafeSpecs = []string{"tl2+nofence", "tl2+skipro"}
+
+// requireRefused fails unless New refuses spec with an error that
+// mentions why.
+func requireRefused(t *testing.T, spec, why string) {
 	t.Helper()
-	if _, err := kvserve.New(kvserve.Config{Spec: spec}); err == nil || !strings.Contains(err.Error(), "unknown modifier") {
-		t.Fatalf("New(Spec: %q) = %v, want an unknown-modifier error", spec, err)
+	if _, err := kvserve.New(kvserve.Config{Spec: spec}); err == nil || !strings.Contains(err.Error(), why) {
+		t.Fatalf("New(Spec: %q) = %v, want an error saying %q", spec, err, why)
 	}
 }
 
 func TestServerEndToEnd(t *testing.T) {
-	t.Run(retiredSpec, func(t *testing.T) { requireRefused(t, retiredSpec) })
+	t.Run(retiredSpec, func(t *testing.T) { requireRefused(t, retiredSpec, "unknown modifier") })
+	for _, spec := range unsafeSpecs {
+		t.Run(spec, func(t *testing.T) { requireRefused(t, spec, "unsafe fence") })
+	}
 	for _, spec := range []string{"tl2", "norec"} {
 		t.Run(spec, func(t *testing.T) {
 			srv, ts := newTestServer(t, kvserve.Config{Spec: spec, Shards: 4, Slots: 64, Threads: 4})
@@ -234,7 +244,7 @@ func TestServerConcurrentMixedLoad(t *testing.T) {
 func TestRunLoad(t *testing.T) {
 	modes := []string{"closed", "open", "zipfian", "scans"}
 	for _, name := range modes {
-		t.Run(retiredSpec+"/"+name, func(t *testing.T) { requireRefused(t, retiredSpec) })
+		t.Run(retiredSpec+"/"+name, func(t *testing.T) { requireRefused(t, retiredSpec, "unknown modifier") })
 	}
 	for _, spec := range []string{"tl2", "norec"} {
 		_, ts := newTestServer(t, kvserve.Config{Spec: spec, Shards: 4, Slots: 128, Threads: 4})

@@ -1,8 +1,8 @@
 // Package pubgate is the waiting half of the privatization idiom
 // (Figure 7 of the paper): the one place where an operation that found
-// its shard, scan window or rehash stripe privatized waits for the
+// its shard, scan window or hash table privatized waits for the
 // owner's publish. stmkv's shards, stmds.SkipMap's scan windows and
-// stmds.HashMap's rehash stripes all wait through it.
+// stmds.HashMap's doublings all wait through it.
 //
 // A Gate is a channel behind an atomic pointer. The owner calls Open
 // after its publishing transaction commits; Open swaps in a fresh

@@ -2,12 +2,14 @@ package stmds_test
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"safepriv/internal/core"
+	"safepriv/internal/core/coretest"
 	"safepriv/internal/engine"
 	"safepriv/internal/stmalloc"
 	"safepriv/internal/stmds"
@@ -39,10 +41,10 @@ func hashHeap(t *testing.T, spec string, threads, keys int, opts ...stmalloc.Opt
 // TestHashMapOracle runs a random point-op script against a
 // map[int64]int64 oracle on every registered TM, with enough distinct
 // keys that the table doubles several times mid-script — so the
-// incremental rehash (grow, cooperative stripe migration, old-array
-// free) runs under the oracle's eyes. Finishes with exact leak
-// accounting: after a rehash drain and a heap drain, live blocks are
-// exactly the resident nodes plus the one bucket array.
+// privatized doubling (grow, relink, old-array free) runs under the
+// oracle's eyes. Finishes with exact leak accounting: after a heap
+// drain, live blocks are exactly the resident nodes plus the one
+// bucket array.
 func TestHashMapOracle(t *testing.T) {
 	ops := 3000
 	if testing.Short() {
@@ -111,11 +113,6 @@ func TestHashMapOracle(t *testing.T) {
 					t.Fatalf("pair %d=%d, oracle %d", kv.Key, kv.Val, oracle[kv.Key])
 				}
 			}
-			// Settle any in-progress rehash before the leak accounting
-			// (mid-rehash both arrays are live).
-			if err := hm.DrainRehash(1); err != nil {
-				t.Fatal(err)
-			}
 			if err := heap.Drain(1); err != nil {
 				t.Fatal(err)
 			}
@@ -127,40 +124,43 @@ func TestHashMapOracle(t *testing.T) {
 	}
 }
 
-// TestHashMapRehashWindowsRecorded pins the telemetry contract: a
-// script that doubles the table records RehashWindows (and
-// Privatizations) on the TM's board — the counter the benchmark reports
-// as stmds.rehash_windows.
+// TestHashMapRehashWindowsRecorded pins the telemetry contract and
+// the exact cost of growth on a per-free heap: a table that doubled d
+// times recorded d RehashWindows (the counter the benchmark reports as
+// stmds.rehash_windows), each also a Privatization, and 2d Fences —
+// each doubling's own fence plus the grace period of the Free that
+// returns the old array. The inserts drive the table well past 64
+// buckets, so a doubling that took more than one window would show.
 func TestHashMapRehashWindowsRecorded(t *testing.T) {
-	tm, _, hm := hashHeap(t, "tl2", 1, 400)
-	for k := int64(1); k <= 400; k++ {
+	const keys = 2000
+	tm, _, hm := hashHeap(t, "tl2", 1, keys)
+	for k := int64(1); k <= keys; k++ {
 		if _, err := hm.Put(1, k, k*7+1); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := hm.DrainRehash(1); err != nil {
-		t.Fatal(err)
 	}
 	tp, ok := tm.(telemetry.Provider)
 	if !ok {
 		t.Skip("engine TM carries no telemetry board")
 	}
 	snap := tp.TelemetryBoard().Snapshot()
-	if snap.RehashWindows == 0 {
-		t.Fatalf("400 inserts from a 16-bucket table recorded no rehash windows: %+v", snap)
+	d := int64(bits.TrailingZeros(uint(hm.Buckets(1) / stmds.HashInitialBuckets)))
+	if d < 4 {
+		t.Fatalf("%d inserts doubled a 16-bucket table only %d times", keys, d)
 	}
-	if snap.Privatizations < snap.RehashWindows {
-		t.Fatalf("rehash windows (%d) not counted as privatizations (%d)", snap.RehashWindows, snap.Privatizations)
+	if snap.RehashWindows != d || snap.Privatizations != d || snap.Fences != 2*d {
+		t.Fatalf("%d doublings recorded %d rehash windows, %d privatizations, %d fences; want %d, %d, %d",
+			d, snap.RehashWindows, snap.Privatizations, snap.Fences, d, d, 2*d)
 	}
 }
 
 // TestHashMapChurnDuringRehash is the -race suite: churner threads
 // insert-heavy enough to force repeated doublings (with the k↦k*7+1
 // value convention) while a reader takes full snapshots. Torn chain
-// walks against the uninstrumented stripe unzip — the race the guard
-// protocol exists to prevent — surface as convention violations, as
+// walks against the uninstrumented relink — the race the grow bit and
+// fence exist to prevent — surface as convention violations, as
 // duplicate keys, or under -race as data races. Magazines put batch
-// retires on the churners' goroutines, racing the migration windows.
+// retires on the churners' goroutines, racing the doublings.
 func TestHashMapChurnDuringRehash(t *testing.T) {
 	const threads = 4
 	ops := 1500
@@ -221,9 +221,6 @@ func TestHashMapChurnDuringRehash(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if err := hm.DrainRehash(1); err != nil {
-		t.Fatal(err)
-	}
 	if err := heap.Drain(1); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +235,7 @@ func TestHashMapChurnDuringRehash(t *testing.T) {
 }
 
 // TestHashSet pins the thin wrapper: set semantics over the map, with
-// the same rehash machinery underneath.
+// the same doublings underneath.
 func TestHashSet(t *testing.T) {
 	regs := hashArenaAt + stmalloc.RegsForDemand(2, 0, 0, stmds.HashSetDemand(100))
 	tm := engine.MustNewSpec("tl2", regs, 3, nil)
@@ -276,5 +273,102 @@ func TestHashSet(t *testing.T) {
 		if keys[i-1] >= keys[i] {
 			t.Fatalf("set snapshot unsorted at %d", i)
 		}
+	}
+}
+
+// TestFenceNecessary holds one row per fence site in this package. A
+// row races the site's privatization against a writer that a
+// coretest.CommitPauser parks before its commit, then checks the
+// structure's contract. Every row passes on wtstm and fails with its
+// fence gone: on wtstm+nofence, or with the fence call deleted.
+func TestFenceNecessary(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		run  func(t *testing.T, spec string)
+	}{
+		{"HashMap.Grow", growFenceRow},
+	} {
+		t.Run(row.name, func(t *testing.T) { row.run(t, "wtstm") })
+	}
+}
+
+// growFenceRow parks an insert into bucket 0, the first bucket Grow
+// relinks, and then doubles the table. The privatizing transaction
+// overwrites the head word the insert read, so the insert is doomed;
+// its node and bucket write sit in memory until its rollback. With the
+// fence, Grow relinks only after the rollback. Without it, Grow follows
+// the doomed node, whose next-pointer the rollback resets, and bucket
+// 0's committed chain drops out of the table. The map must hold exactly
+// the committed pairs afterwards.
+func growFenceRow(t *testing.T, spec string) {
+	const grower, writer = 1, 2
+	regs := hashArenaAt + stmalloc.RegsForDemand(4, 0, 0, stmds.HashMapDemand(64))
+	tm := coretest.NewCommitPauser(engine.MustNewSpec(spec, regs, 3, nil), writer)
+	// The writer allocates from its own shard, so its locks never cover
+	// the grower's allocations.
+	heap, err := stmalloc.New(tm, hashArenaAt, tm.NumRegs(), stmalloc.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hm := stmds.NewHashMap(tm, hashHeadAt, heap)
+	want := map[int64]int64{}
+	for k := int64(1); k <= 40; k++ {
+		if _, err := hm.Put(grower, k, k*7+1); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = k*7 + 1
+	}
+	buckets, inZero := hm.Buckets(grower), 0
+	for k := range want {
+		if stmds.BucketOf(k, buckets) == 0 {
+			inZero++
+		}
+	}
+	k := int64(1000)
+	for stmds.BucketOf(k, buckets) != 0 {
+		k++
+	}
+	if inZero == 0 {
+		t.Fatalf("no prefilled key in bucket 0 of %d", buckets)
+	}
+
+	putErr := make(chan error, 1)
+	go func() {
+		tx := tm.Begin(writer)
+		if _, _, err := hm.PutTx(tx, writer, k, k*7+1); err != nil {
+			if tx.Live() {
+				tx.Abort()
+			}
+			putErr <- fmt.Errorf("put failed before its commit: %w", err)
+			return
+		}
+		putErr <- tx.Commit()
+	}()
+	select {
+	case <-tm.Parked():
+	case err := <-putErr:
+		t.Fatalf("the writer never parked: %v", err)
+	}
+	if grew, err := hm.Grow(grower); err != nil || !grew {
+		t.Fatalf("Grow = %v, %v", grew, err)
+	}
+	if err := <-putErr; err == nil {
+		want[k] = k*7 + 1
+	}
+	got, err := hm.Snapshot(grower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := hm.Buckets(grower); n != 2*buckets {
+		t.Fatalf("Grow left %d buckets, want %d", n, 2*buckets)
+	}
+	for _, kv := range got {
+		if v, ok := want[kv.Key]; !ok || v != kv.Val {
+			t.Errorf("pair %d=%d was never committed", kv.Key, kv.Val)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("the map holds %d pairs after the doubling, %d were committed (%d of them in bucket 0)",
+			len(got), len(want), inZero)
 	}
 }

@@ -133,9 +133,9 @@ const (
 )
 
 // errWindowPrivate aborts an op that would touch a privatized window —
-// a SkipMap scan window or a HashMap rehash stripe (or a scan/stripe
-// that found another one in progress); the caller waits on the publish
-// gate and retries.
+// a SkipMap scan window (or a scan that found another one in
+// progress), or a HashMap that a doubling holds; the caller waits on
+// the publish gate and retries.
 var errWindowPrivate = errors.New("stmds: window is privatized")
 
 // skipNodeHdr is the per-node header (key, value, height) preceding the

@@ -50,11 +50,10 @@ type Slot struct {
 	// privatize→fence→walk→publish cycle each); ScanWindows/Scans is
 	// the windows-per-scan fan-out bench/ reports.
 	ScanWindows atomic.Int64
-	// RehashWindows counts incremental-rehash migration windows (one
-	// privatize→fence→copy-stripe→publish cycle each); a table double
-	// of 2^k buckets takes 2^k/stripe windows, so RehashWindows growing
-	// while FenceWaitNs stays flat is the "no stop-the-world resize"
-	// signal (bench/'s stmds.rehash_windows, TestRehashStorm).
+	// RehashWindows counts stmds.HashMap doublings: one
+	// privatize→fence→relink→publish window each, so a table that
+	// doubled d times records d (bench/'s stmds.rehash_windows reads
+	// it under this name; TestHashMapRehashWindowsRecorded).
 	RehashWindows atomic.Int64
 	// GateSpinWakes, GateParks and GateTimeouts count how stalls on a
 	// publish gate (package pubgate) ended: the spin saw the gate open,

@@ -13,16 +13,13 @@ import (
 
 // The hash-map differential suite: HashMap point ops driven through
 // RunDS so rival ops commit inside each other's execution windows,
-// while the incremental rehash advances as scripted post-commit
-// actions — Grow installs the doubled array at one quiescent point,
-// each MigrateWindow moves one stripe at a later one, so whole
-// stretches of the schedule run MID-REHASH: two live arrays, routing
-// split by the migration cursor, with deferred frees and magazine
-// batch retires (including the freed old arrays recycling through the
-// buddy splitter) draining between the same rounds. Every TM × reclaim
-// axis must reproduce the replay of the pinned
-// serialization order on a plain Go map, with exact post-drain leak
-// accounting over the split/coalesced heap.
+// while the table doubles as scripted post-commit actions — each Grow
+// runs one whole privatized doubling at a quiescent point, with
+// deferred frees and magazine batch retires (including the freed old
+// arrays recycling through the buddy splitter) draining between the
+// same rounds. Every TM × reclaim axis must reproduce the replay of
+// the pinned serialization order on a plain Go map, with exact
+// post-drain leak accounting over the split/coalesced heap.
 
 type hashWinKind int
 
@@ -32,8 +29,7 @@ const (
 	hDel
 	hLen
 	hSnap
-	hGrow // post action: double the table (install only — no migration)
-	hMig  // post action: migrate one stripe of an in-progress rehash
+	hGrow // post action: double the table
 )
 
 type hashWinOp struct {
@@ -44,10 +40,8 @@ type hashWinOp struct {
 
 // hashWinScripts generates per-thread op scripts: churn-heavy over a
 // keyspace small enough to cycle nodes through the free lists, salted
-// with explicit grow/migrate steps so the table doubles several times
-// past the point where one stripe no longer covers the old array —
-// the runs between install and final stripe are the mid-rehash
-// interleavings this suite exists for.
+// with explicit grow steps so the table doubles several times while
+// rival ops sit in their execution windows.
 func hashWinScripts(seed int64, threads, opsPerThread int) [][]hashWinOp {
 	r := rand.New(rand.NewSource(seed))
 	scripts := make([][]hashWinOp, threads)
@@ -66,10 +60,8 @@ func hashWinScripts(seed int64, threads, opsPerThread int) [][]hashWinOp {
 				kind = hLen
 			case d < 80:
 				kind = hSnap
-			case d < 88:
-				kind = hGrow
 			default:
-				kind = hMig
+				kind = hGrow
 			}
 			ops[i] = hashWinOp{
 				kind: kind,
@@ -83,9 +75,9 @@ func hashWinScripts(seed int64, threads, opsPerThread int) [][]hashWinOp {
 }
 
 // buildHashOps lowers the scripts onto HashMap's Tx-level methods.
-// Deletes return their node free as the post-commit action; grow and
-// migrate steps run a point read transactionally (window fodder) and
-// carry the rehash machinery — which fences — as their post action,
+// Deletes return their node free as the post-commit action; grow
+// steps run a point read transactionally (window fodder) and carry the
+// doubling — which fences — as their post action,
 // since posts only run at quiescent points where a fence cannot
 // deadlock the executor.
 func buildHashOps(hm *stmds.HashMap, heap *stmalloc.Heap, scripts [][]hashWinOp) [][]DSOp {
@@ -116,7 +108,7 @@ func buildHashOps(hm *stmds.HashMap, heap *stmalloc.Heap, scripts [][]hashWinOp)
 				}}
 			case hDel:
 				ops[i] = DSOp{Name: "hash-del", Run: func(tx core.Txn, th int) (int64, func(), error) {
-					removed, victim, vregs, _, err := hm.DeleteTx(tx, o.key)
+					removed, victim, vregs, err := hm.DeleteTx(tx, o.key)
 					if err != nil || !removed {
 						return 0, nil, err
 					}
@@ -139,13 +131,6 @@ func buildHashOps(hm *stmds.HashMap, heap *stmalloc.Heap, scripts [][]hashWinOp)
 					}
 					return 0, func() { hm.Grow(th) }, nil
 				}}
-			case hMig:
-				ops[i] = DSOp{Name: "hash-mig", Run: func(tx core.Txn, th int) (int64, func(), error) {
-					if _, _, err := hm.GetTx(tx, o.key); err != nil {
-						return 0, nil, err
-					}
-					return 0, func() { hm.MigrateWindow(th) }, nil
-				}}
 			}
 		}
 		out[t] = ops
@@ -154,7 +139,7 @@ func buildHashOps(hm *stmds.HashMap, heap *stmalloc.Heap, scripts [][]hashWinOp)
 }
 
 // replayHashOracle replays the recorded serialization order on a plain
-// Go map. Grow/migrate steps are semantic no-ops (their observable
+// Go map. Grow steps are semantic no-ops (their observable
 // result is pinned to 0); everything else models the map directly.
 func replayHashOracle(t *testing.T, scripts [][]hashWinOp, order []DSRef) (results [][]int64, final map[int64]int64) {
 	t.Helper()
@@ -208,7 +193,7 @@ func replayHashOracle(t *testing.T, scripts [][]hashWinOp, order []DSRef) (resul
 			res = int64(len(final))
 		case hSnap:
 			res = hash(final)
-		case hGrow, hMig:
+		case hGrow:
 			res = 0
 		}
 		results[ref.Thread-1] = append(results[ref.Thread-1], res)
@@ -300,13 +285,10 @@ func runHashOnTM(t *testing.T, spec string, shape heapShape, seed int64, scripts
 			t.Fatalf("%s: final pair %v diverges from oracle", spec, p)
 		}
 	}
-	// Exact leak accounting: settle the rehash, drain reclamation, and
-	// the only live blocks are the resident nodes plus ONE bucket array
-	// — however many splits and coalesces the recycled arrays went
-	// through, Allocs−Frees counts blocks as currently sized.
-	if err := hm.DrainRehash(1); err != nil {
-		t.Fatalf("%s: DrainRehash: %v", spec, err)
-	}
+	// Exact leak accounting: drain reclamation, and the only live blocks
+	// are the resident nodes plus ONE bucket array — however many splits
+	// and coalesces the recycled arrays went through, Allocs−Frees counts
+	// blocks as currently sized.
 	if err := heap.Drain(1); err != nil {
 		t.Fatalf("%s: Drain: %v", spec, err)
 	}
@@ -317,8 +299,8 @@ func runHashOnTM(t *testing.T, spec string, shape heapShape, seed int64, scripts
 }
 
 // TestDifferentialHashMapWindows: HashMap churn under windowed
-// interleavings — with the incremental rehash advancing between rounds
-// and magazine batch retires racing the bucket migration — on every
+// interleavings — with whole-table doublings between rounds and
+// magazine batch retires racing them — on every
 // registry TM × per-free/magazine heap must match the replay of the
 // pinned serialization order, with exact post-drain leak accounting
 // including split/coalesced blocks.

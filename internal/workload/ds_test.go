@@ -255,13 +255,6 @@ func mapChurn(tm core.TM, h churnHeap, ds string, threads, ops, live int, seed i
 			return churnStats{}, fmt.Errorf("map churn prefill key %d: %w", k, err)
 		}
 	}
-	hm, isHash := m.(*stmds.HashMap)
-	if isHash {
-		// Open the churn on a settled table, not on the prefill's rehash.
-		if err := hm.DrainRehash(1); err != nil {
-			return churnStats{}, err
-		}
-	}
 	var commits atomic.Int64
 	werr := workers(1, threads, func(th int) error {
 		r := rand.New(rand.NewSource(seed + int64(th)*2399))
@@ -283,19 +276,13 @@ func mapChurn(tm core.TM, h churnHeap, ds string, threads, ops, live int, seed i
 		}
 		return nil
 	})
-	if isHash {
-		// Mid-rehash both bucket arrays are live; settle before counting.
-		if err := hm.DrainRehash(1); err != nil {
-			return churnStats{}, err
-		}
-	}
 	return settle(tm, heap, dsMapArena, commits.Load(), werr)
 }
 
 // rehashStorm: `threads` workers each insert `ops` distinct keys
 // (thread-partitioned, nothing deleted) into one hash map that starts
-// at its initial 16 buckets, so the table doubles through the
-// cooperative incremental rehash many times.
+// at its initial 16 buckets, so the table doubles many times, each
+// doubling one privatized cycle racing the other writers.
 func rehashStorm(tm core.TM, h churnHeap, threads, ops int) (churnStats, error) {
 	alloc, heap, err := churnAlloc(tm, h, threads, dsMapArena)
 	if err != nil {
@@ -318,9 +305,6 @@ func rehashStorm(tm core.TM, h churnHeap, threads, ops int) (churnStats, error) 
 		}
 		return nil
 	})
-	if err := hm.DrainRehash(1); err != nil {
-		return churnStats{}, err
-	}
 	return settle(tm, heap, dsMapArena, commits.Load(), werr)
 }
 
@@ -372,7 +356,8 @@ func TestSetChurnAllTMs(t *testing.T) {
 // allocator: every TM × ds × heap shape must complete with full commit
 // counts and real reclamation — for the skiplist that means whole
 // towers (multi-size-class blocks) cycling through the heap, for the
-// hash map growth from its 16 initial buckets through rehash windows.
+// hash map growth from its 16 initial buckets through privatized
+// doublings.
 func TestMapChurnAllTMs(t *testing.T) {
 	// Enough ops that the 20% delete share still fills at least one
 	// thread's parked-free list on the magazine heap.
