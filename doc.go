@@ -17,6 +17,12 @@
 //     transaction active at the call has finished — with
 //     scheduler-aware parked waits over pooled snapshot buffers, plus
 //     the filtered fence that reproduces the GCC libitm bug.
+//   - Privatization layer: internal/region, Figure 7's cycle as one
+//     primitive: a Guard (a flag whose two low bits say shared,
+//     exclusive or read-private, and a read-private window's bounds),
+//     an Owner that takes, fences once and publishes, and the publish
+//     Gate every waiter parks on. stmkv's shards, SkipMap's scan
+//     windows and HashMap's doublings all privatize through it.
 //   - Telemetry layer: internal/telemetry cache-line-padded per-thread
 //     counter boards on every TM (commits, aborts, fences,
 //     privatizations, magazine traffic), read by kvserve's /stats and

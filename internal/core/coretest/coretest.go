@@ -2,6 +2,7 @@
 package coretest
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -158,8 +159,30 @@ func NewCommitPauser(tm core.TM, thread int) *CommitPauser {
 		parked: make(chan struct{}), released: make(chan struct{}), done: make(chan struct{})}
 }
 
-// Parked is closed once the parked transaction has reached its Commit.
-func (p *CommitPauser) Parked() <-chan struct{} { return p.parked }
+// Park runs body as the armed thread's transaction on a goroutine of
+// its own and returns once that transaction has reached its Commit.
+// The channel then yields the commit's outcome. Park fails, and
+// nothing is parked, when body returns an error.
+func (p *CommitPauser) Park(body func(core.Txn) error) (<-chan error, error) {
+	done := make(chan error, 1)
+	go func() {
+		tx := p.Begin(p.thread)
+		if err := body(tx); err != nil {
+			if tx.Live() {
+				tx.Abort()
+			}
+			done <- fmt.Errorf("coretest: the transaction to park failed before its commit: %w", err)
+			return
+		}
+		done <- tx.Commit()
+	}()
+	select {
+	case <-p.parked:
+		return done, nil
+	case err := <-done:
+		return nil, err
+	}
+}
 
 // Begin hands the armed thread a transaction that parks before its
 // commit, and every other call a plain one.

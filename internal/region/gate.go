@@ -1,23 +1,4 @@
-// Package pubgate is the waiting half of the privatization idiom
-// (Figure 7 of the paper): the one place where an operation that found
-// its shard, scan window or hash table privatized waits for the
-// owner's publish. stmkv's shards, stmds.SkipMap's scan windows and
-// stmds.HashMap's doublings all wait through it.
-//
-// A Gate is a channel behind an atomic pointer. The owner calls Open
-// after its publishing transaction commits; Open swaps in a fresh
-// channel and closes the old one. A waiter (Retry) samples the pointer
-// before it runs its transaction, so a publish that lands between the
-// failed attempt and the wait has already replaced the sampled pointer
-// and the wait ends at once.
-//
-// The wait spins on the gate, not on the TM: it re-reads the Go-level
-// pointer, never a TM register, so it adds no non-transactional access
-// to the program the paper's DRF argument covers, costs the TM no
-// aborted attempts, and sees the publish within one cache miss. Only
-// when the spinning rounds are used up does the waiter park on the
-// channel, with a timeout that backstops a dead owner.
-package pubgate
+package region
 
 import (
 	"errors"
@@ -49,7 +30,22 @@ const (
 	maxWaits = 1 << 20
 )
 
-// Gate is a publish gate. The zero value is ready to use. It fills a
+// Gate is a publish gate: the waiting half of the idiom. The zero value
+// is ready to use.
+//
+// A Gate is a channel behind an atomic pointer. The owner calls Open
+// after its publishing transaction commits; Open swaps in a fresh
+// channel and closes the old one. A waiter (Retry) samples the pointer
+// before it runs its transaction, so a publish that lands between the
+// failed attempt and the wait has already replaced the sampled pointer
+// and the wait ends at once.
+//
+// The wait spins on the gate, not on the TM: it re-reads the Go-level
+// pointer, never a TM register, so it adds no non-transactional access
+// to the program the paper's DRF argument covers, costs the TM no
+// aborted attempts, and sees the publish within one cache miss. Only
+// when the spinning rounds are used up does the waiter park on the
+// channel, with a timeout that backstops a dead owner. It fills a
 // cache line of its own: every waiter re-reads it in a loop, so it must
 // not share a line with counters its neighbours bump.
 type Gate struct {
@@ -102,7 +98,7 @@ func (g *Gate) retry(tm core.TM, th int, private error, body func(core.Txn) erro
 			return err
 		}
 		if wait >= maxWaits {
-			return fmt.Errorf("pubgate: still private after %d waits (owner died?): %w", wait, err)
+			return fmt.Errorf("region: still private after %d waits (owner died?): %w", wait, err)
 		}
 		if wait == 0 {
 			if p, ok := tm.(telemetry.Provider); ok {

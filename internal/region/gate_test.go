@@ -1,4 +1,4 @@
-package pubgate
+package region
 
 import (
 	"errors"

@@ -30,17 +30,17 @@ func buddyHeap(t *testing.T, spec string, chunk, magThreads int) (core.TM, *stma
 	return tm, h
 }
 
-// allocSized runs one NewSized transaction on thread th.
+// allocSized runs one New transaction on thread th.
 func allocSized(t *testing.T, tm core.TM, h *stmalloc.Heap, th, n int) int64 {
 	t.Helper()
 	var ptr int64
 	err := core.Atomically(tm, th, func(tx core.Txn) error {
 		var err error
-		ptr, err = h.NewSized(tx, th, n)
+		ptr, err = h.New(tx, th, n)
 		return err
 	})
 	if err != nil {
-		t.Fatalf("NewSized(%d): %v", n, err)
+		t.Fatalf("New(%d): %v", n, err)
 	}
 	return ptr
 }
@@ -215,7 +215,7 @@ func TestCoalesceRecoversFragmentedBuddies(t *testing.T) {
 	var ptr int64
 	err := core.Atomically(tm, 1, func(tx core.Txn) error {
 		var err error
-		ptr, err = h.NewSized(tx, 1, 32)
+		ptr, err = h.New(tx, 1, 32)
 		return err
 	})
 	if errors.Is(err, stmalloc.ErrOutOfSpace) {

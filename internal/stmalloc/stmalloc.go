@@ -102,7 +102,7 @@
 // every block has a well-defined buddy: the block of the same size
 // whose chunk offset differs only in the size bit. On an allocation
 // miss — no free block of the class anywhere and every bump region
-// exhausted for it — New (and its variable-size alias NewSized) splits
+// exhausted for it — New splits
 // the smallest fitting larger free block inside the allocating
 // transaction: the lower half (recursively) serves the request, the
 // upper halves go onto their classes' free lists. All of it is
@@ -579,9 +579,8 @@ func New(tm core.TM, first, limit int, opts ...Option) (*Heap, error) {
 		h.parked[t].blocks = make([]retired, 0, h.magCap+1)
 	}
 	h.affinity = make([]atomic.Int32, h.magThreads+2)
-	// Auto-attach the TM's telemetry board (all registry TMs carry
-	// one), so magazine hit/miss rates flow without per-site wiring;
-	// SetBoard can still override.
+	// Attach the TM's telemetry board (all registry TMs carry one), so
+	// magazine hit/miss rates flow without per-site wiring.
 	if p, ok := tm.(telemetry.Provider); ok {
 		h.board = p.TelemetryBoard()
 	}
@@ -594,11 +593,6 @@ func New(tm core.TM, first, limit int, opts ...Option) (*Heap, error) {
 // capacity-independent: the same guard serves the shard free lists,
 // which no magazine capacity bounds.
 func (h *Heap) maxChain() int { return h.limit - h.arena }
-
-// SetBoard attaches a telemetry board: magazine hits/misses and batch
-// retires are recorded into the acting thread's slot. Call before the
-// heap sees traffic.
-func (h *Heap) SetBoard(b *telemetry.Board) { h.board = b }
 
 func (h *Heap) hdr(s int) int        { return h.first + s*shardHdr }
 func (h *Heap) chunkStart(s int) int { return h.arena + s*h.chunk }
@@ -651,19 +645,6 @@ func (h *Heap) New(tx core.Txn, th, n int) (int64, error) {
 		return h.newMag(tx, th, c, n)
 	}
 	return h.newShared(tx, th, c, n)
-}
-
-// NewSized is New under the name variable-size clients should reach
-// for: the entry point of the buddy layer. A request whose size-class
-// roundup has no free block and no bump space left splits the smallest
-// fitting larger free block inside tx (abort-safe), and a Free of the
-// resulting block later coalesces with its buddy when both are free —
-// so a client cycling through growing bucket arrays (stmds.HashMap)
-// recycles each retired array into node-sized blocks instead of
-// stranding arena space. Identical to New in behavior; both share the
-// split/coalesce miss path.
-func (h *Heap) NewSized(tx core.Txn, th, n int) (int64, error) {
-	return h.New(tx, th, n)
 }
 
 // newShared is the magazine-less allocation path: shard free lists,

@@ -1,11 +1,12 @@
 package stmds
 
 import (
+	"errors"
 	"math/bits"
 	"sort"
 
 	"safepriv/internal/core"
-	"safepriv/internal/pubgate"
+	"safepriv/internal/region"
 	"safepriv/internal/stmalloc"
 	"safepriv/internal/telemetry"
 )
@@ -90,9 +91,10 @@ func HashMapDemand(keys int) []stmalloc.ClassDemand {
 // A Put whose bucket chain reaches hashGrowChain asks its wrapper to
 // double the table (Grow), in one run of the paper's Fig. 7 cycle
 // (conf_ppopp_KhyzhaAGR18) over the whole table — the shape
-// stmkv's shard grow has. The new array is allocated and zeroed while
-// still unreachable; a transaction sets the grow bit in the head word
-// (the privatization); ONE transactional fence waits out every
+// stmkv's shard grow has, taken and published through the same
+// region.Owner. The new array is allocated and zeroed while still
+// unreachable; a transaction sets the grow bit in the head word (the
+// privatization); ONE transactional fence waits out every
 // transaction that saw the bit clear; every old chain is unzipped into
 // new buckets i and i+oldSize with uninstrumented loads and stores; a
 // publishing transaction installs the new array's word, bit clear, and
@@ -114,9 +116,9 @@ type HashMap struct {
 	alloc      Allocator
 	maxBuckets int
 
-	// gate is opened when a doubling publishes; ops that found the grow
-	// bit set wait on it (retryWindow).
-	gate pubgate.Gate
+	// own privatizes and publishes the table for a doubling (package
+	// region); ops that found the grow bit set wait on its gate.
+	own *region.Owner
 
 	board *telemetry.Board
 }
@@ -125,7 +127,7 @@ type HashMap struct {
 // [head, head+HashHeadRegs) and whose nodes and bucket arrays come
 // from alloc. The head registers must start zeroed (VInit).
 func NewHashMap(tm core.TM, head int, alloc Allocator) *HashMap {
-	s := &HashMap{tm: tm, head: head, alloc: alloc, maxBuckets: stmalloc.MaxBlockRegs}
+	s := &HashMap{tm: tm, head: head, alloc: alloc, maxBuckets: stmalloc.MaxBlockRegs, own: region.NewOwner(tm)}
 	if mb, ok := alloc.(interface{ MaxBlock() int }); ok {
 		s.maxBuckets = mb.MaxBlock()
 	}
@@ -141,7 +143,7 @@ func NewHashMap(tm core.TM, head int, alloc Allocator) *HashMap {
 func hashOf(k int64) uint64 { return splitmix64(uint64(k)) }
 
 // tableTx reads the head word: the bucket array and its index mask,
-// empty=true when the table has no array yet. Returns errWindowPrivate
+// empty=true when the table has no array yet. Returns region.ErrPrivate
 // while a doubling holds the table; the caller parks on the publish
 // gate and retries.
 func (s *HashMap) tableTx(tx core.Txn) (arr int64, mask uint64, empty bool, err error) {
@@ -152,7 +154,7 @@ func (s *HashMap) tableTx(tx core.Txn) (arr int64, mask uint64, empty bool, err 
 	case w == nilPtr:
 		return 0, 0, true, nil
 	case w&hashGrowBit != 0:
-		return 0, 0, false, errWindowPrivate
+		return 0, 0, false, region.ErrPrivate
 	}
 	arr, mask = unpackArr(w)
 	return arr, mask, false, nil
@@ -330,7 +332,7 @@ func (s *HashMap) walkTx(tx core.Txn, fn func(k, v int64)) error {
 // that finds a doubling in progress parks on the publish gate and
 // retries.
 func (s *HashMap) Get(th int, k int64) (v int64, ok bool, err error) {
-	err = s.retryWindow(th, func(tx core.Txn) (err error) {
+	err = s.own.Retry(th, func(tx core.Txn) (err error) {
 		v, ok, err = s.GetTx(tx, k)
 		return err
 	})
@@ -344,7 +346,7 @@ func (s *HashMap) Get(th int, k int64) (v int64, ok bool, err error) {
 // longer, and the Put has committed either way.
 func (s *HashMap) Put(th int, k, v int64) (bool, error) {
 	var added, needGrow bool
-	err := s.retryWindow(th, func(tx core.Txn) (err error) {
+	err := s.own.Retry(th, func(tx core.Txn) (err error) {
 		added, needGrow, err = s.PutTx(tx, th, k, v)
 		return err
 	})
@@ -364,7 +366,7 @@ func (s *HashMap) Delete(th int, k int64) (bool, error) {
 	var removed bool
 	var victim int64
 	var victimRegs int
-	err := s.retryWindow(th, func(tx core.Txn) (err error) {
+	err := s.own.Retry(th, func(tx core.Txn) (err error) {
 		removed, victim, victimRegs, err = s.DeleteTx(tx, k)
 		return err
 	})
@@ -380,7 +382,7 @@ func (s *HashMap) Delete(th int, k int64) (bool, error) {
 // Snapshot returns the pairs sorted by key, read in one transaction.
 func (s *HashMap) Snapshot(th int) ([]KV, error) {
 	var out []KV
-	err := s.retryWindow(th, func(tx core.Txn) (err error) {
+	err := s.own.Retry(th, func(tx core.Txn) (err error) {
 		out, err = s.SnapshotTx(tx)
 		return err
 	})
@@ -390,18 +392,16 @@ func (s *HashMap) Snapshot(th int) ([]KV, error) {
 // Len returns the pair count, read in one transaction.
 func (s *HashMap) Len(th int) (int, error) {
 	n := 0
-	err := s.retryWindow(th, func(tx core.Txn) (err error) {
+	err := s.own.Retry(th, func(tx core.Txn) (err error) {
 		n, err = s.LenTx(tx)
 		return err
 	})
 	return n, err
 }
 
-// retryWindow runs body transactionally, waiting on the publish gate
-// while it reports the table privatized.
-func (s *HashMap) retryWindow(th int, body func(core.Txn) error) error {
-	return s.gate.Retry(s.tm, th, errWindowPrivate, body)
-}
+// errGrowLost aborts the privatizing transaction of a Grow that found
+// the table already grown, or growing, by another thread.
+var errGrowLost = errors.New("stmds: another thread grew the table first")
 
 // Grow doubles the table in one privatize→fence→relink→publish cycle,
 // reporting whether it did: false when the table is empty (the first
@@ -440,25 +440,28 @@ func (s *HashMap) Grow(th int) (bool, error) {
 	}
 	// Privatize. The packed word covers both the geometry and the grow
 	// bit, so one compare detects that another thread grew first.
-	won := false
-	err = core.Atomically(tm, th, func(tx core.Txn) error {
+	err = s.own.Privatize(th, func(tx core.Txn) error {
 		cur, err := tx.Read(s.head)
-		if won = err == nil && cur == w; !won {
+		switch {
+		case err != nil:
 			return err
+		case cur != w:
+			return errGrowLost
 		}
 		return tx.Write(s.head, w|hashGrowBit)
 	})
-	if err != nil || !won {
+	if err != nil {
 		// The orphan array was never reachable and is already quiescent;
 		// the extra grace period Free runs is harmless.
 		s.alloc.Free(th, arr, newSize)
+		if errors.Is(err, errGrowLost) {
+			err = nil
+		}
 		return false, err
 	}
 	if sl := s.board.Slot(th); sl != nil {
-		sl.Privatizations.Add(1)
 		sl.RehashWindows.Add(1)
 	}
-	tm.Fence(th)
 	// The fence waited out every transaction that saw the grow bit
 	// clear, and every later one parks before touching a bucket, so the
 	// table is private: unzip old chain i into new buckets i and
@@ -479,10 +482,9 @@ func (s *HashMap) Grow(th int) (bool, error) {
 		tm.Store(th, int(arr)+i, lo)
 		tm.Store(th, int(arr)+i+oldSize, hi)
 	}
-	err = core.Atomically(tm, th, func(tx core.Txn) error {
+	err = s.own.Publish(th, func(tx core.Txn) error {
 		return tx.Write(s.head, packArr(arr, newSize))
 	})
-	s.gate.Open()
 	if err != nil {
 		return false, err
 	}

@@ -1,12 +1,11 @@
 package stmds
 
 import (
-	"errors"
 	"math"
 	"math/bits"
 
 	"safepriv/internal/core"
-	"safepriv/internal/pubgate"
+	"safepriv/internal/region"
 	"safepriv/internal/stmalloc"
 	"safepriv/internal/telemetry"
 )
@@ -74,18 +73,21 @@ func SkipMapDemand(nodes int) []stmalloc.ClassDemand {
 //
 // Range and RangeWindows read the map with the paper's privatization
 // idiom instead of one big read-only transaction: the scan privatizes a
-// bounded KEY WINDOW at a time — a transaction flips the head block's
-// guard register odd and records the window bounds, one transactional
-// Fence quiesces every transaction that saw the guard even, the level-0
-// chain is walked with uninstrumented Loads to the window boundary, and
-// a publishing transaction flips the guard back even. A window walks at
-// most windowPairs pairs, over a key range sized from the density the
-// previous window found; the caller's span only caps that range.
-// Writers (Put and Delete) read the guard first; while a window is
-// private, only writes that could touch a register the walker reads
-// stall (key >= lo and level-0 predecessor key <= hi — everything else
-// proceeds), parking on the map's publish gate exactly like stmkv's
-// point operations, for at most one bounded walk.
+// bounded KEY WINDOW at a time through package region — a transaction
+// takes the head block's region.Guard read-private over the window's
+// key bounds, one fence (region.Owner.Fence) quiesces every
+// transaction that saw it shared, the level-0 chain is walked with
+// uninstrumented Loads to the window boundary, and a publishing
+// transaction gives the guard back. A window walks at most windowPairs
+// pairs, over a key range sized from the density the previous window
+// found; the caller's span only caps that range. Writers (Put and
+// Delete) read the guard first; while a window is private, only writes
+// that could touch a register the walker reads stall (key >= lo and
+// level-0 predecessor key <= hi — everything else proceeds), parking
+// on the map's publish gate exactly like stmkv's point operations, for
+// at most one bounded walk. Reads (GetTx) never consult the guard: they
+// only load what the walker only loads, so region's read-private
+// argument admits them beside the window.
 //
 // The atomicity contract is PER WINDOW, not per scan: each window's
 // pairs are a consistent frozen snapshot of the chain as of that
@@ -103,9 +105,11 @@ type SkipMap struct {
 	alloc Allocator
 	rng   []uint64 // per-thread level-generator state, indexed by thread id
 
-	// gate is opened on every window publish; writers aimed into the
-	// active window wait on it (retryWindow).
-	gate pubgate.Gate
+	// own takes and publishes the scan windows (package region);
+	// writers aimed into the active window wait on its gate. guard is
+	// the window's mark, the last three registers of the head block.
+	own   *region.Owner
+	guard region.Guard
 
 	// board is the TM's telemetry board when it carries one; scans and
 	// scan windows are recorded per thread.
@@ -118,25 +122,11 @@ const SkipMaxLevel = 16
 
 // SkipHeadRegs is the register footprint of a SkipMap head block: one
 // head pointer per level, consecutive from `head`, followed by the
-// three scan-guard registers.
+// three registers of the scan window's region.Guard (flag, lo, hi).
+// While a window over keys [lo, hi] is read-private, the registers of
+// every node with a key in it — and the level-0 successor pointer
+// leading into it — are the scanner's to load.
 const SkipHeadRegs = SkipMaxLevel + 3
-
-// Scan-guard register offsets within the head block. The guard is the
-// skiplist analogue of stmkv's shard flag, scoped to a key window:
-// while gFlag is odd, the registers of every node with key in
-// [gLo, gHi] — and the level-0 successor pointer leading into that
-// range — are private to the scanning thread.
-const (
-	skipGFlag = SkipMaxLevel     // scan epoch: even = shared, odd = window private
-	skipGLo   = SkipMaxLevel + 1 // active window's lower key bound (inclusive)
-	skipGHi   = SkipMaxLevel + 2 // active window's upper key bound (inclusive)
-)
-
-// errWindowPrivate aborts an op that would touch a privatized window —
-// a SkipMap scan window (or a scan that found another one in
-// progress), or a HashMap that a doubling holds; the caller waits on
-// the publish gate and retries.
-var errWindowPrivate = errors.New("stmds: window is privatized")
 
 // skipNodeHdr is the per-node header (key, value, height) preceding the
 // next-pointer tower.
@@ -153,7 +143,8 @@ func TowerRegs(height int) int { return skipNodeHdr + height }
 // head registers must start zeroed (VInit), which reads as "all levels
 // empty".
 func NewSkipMap(tm core.TM, head, threads int, alloc Allocator) *SkipMap {
-	s := &SkipMap{tm: tm, head: head, alloc: alloc, rng: make([]uint64, threads+1)}
+	s := &SkipMap{tm: tm, head: head, alloc: alloc, rng: make([]uint64, threads+1), own: region.NewOwner(tm),
+		guard: region.Guard{Flag: head + SkipMaxLevel, Lo: head + SkipMaxLevel + 1, Hi: head + SkipMaxLevel + 2}}
 	for th := range s.rng {
 		s.rng[th] = splitmix64(uint64(th))
 	}
@@ -267,36 +258,6 @@ func (s *SkipMap) findTx(tx core.Txn, k int64, p *skipPath) error {
 	return nil
 }
 
-// guardCheck implements the writer side of the scan-window protocol:
-// called with the guard epoch gf (which the caller read BEFORE any
-// write — wtstm writes in place, so the guard read must come first)
-// and the write's key k plus its level-0 predecessor key. When a
-// window is private and the write could touch a register the
-// uninstrumented walker reads — its key lands at or past the window
-// start AND it splices at a node whose level-0 successor chain the
-// walker follows (predecessor key <= hi) — the write must stall.
-// Writes strictly below the window, or splicing strictly past it,
-// proceed: the walker never reads their registers (it only follows
-// level-0 pointers of nodes with keys in [lo, hi], plus the boundary
-// node's key).
-func (s *SkipMap) guardCheck(tx core.Txn, gf, k, prevKey int64) error {
-	if gf&1 == 0 {
-		return nil
-	}
-	lo, err := tx.Read(s.head + skipGLo)
-	if err != nil {
-		return err
-	}
-	hi, err := tx.Read(s.head + skipGHi)
-	if err != nil {
-		return err
-	}
-	if k >= lo && prevKey <= hi {
-		return errWindowPrivate
-	}
-	return nil
-}
-
 // GetTx is Get inside a caller-owned transaction. Reads never consult
 // the scan guard: a private window is only ever read by its scanner,
 // so transactional reads racing the walk are read-read and race-free.
@@ -315,9 +276,18 @@ func (s *SkipMap) GetTx(tx core.Txn, k int64) (v int64, ok bool, err error) {
 // supplied by the caller (clamped to [1, SkipMaxLevel]). Passing the
 // height in keeps the level draw outside the transaction so retries and
 // cross-TM runs insert identical towers. Reports whether k was absent.
-// Returns errWindowPrivate (without writing anything) when the write
+// Returns region.ErrPrivate (without writing anything) when the write
 // would touch an active scan window; Put parks and retries, callers
 // driving PutTx directly must do the same.
+//
+// The window check is the writer side of the scan-window protocol, read
+// before any write (wtstm writes in place). A write touches registers
+// the uninstrumented walker reads when its key lands at or past the
+// window start AND it splices at a node whose level-0 successor chain
+// the walker follows (predecessor key <= hi): [prevKey, k] overlaps the
+// window. Writes strictly below the window, or splicing strictly past
+// it, proceed: the walker only follows level-0 pointers of nodes with
+// keys in [lo, hi], plus the boundary node's key.
 func (s *SkipMap) PutTx(tx core.Txn, th int, k, v int64, height int) (bool, error) {
 	if height < 1 {
 		height = 1
@@ -325,7 +295,7 @@ func (s *SkipMap) PutTx(tx core.Txn, th int, k, v int64, height int) (bool, erro
 	if height > SkipMaxLevel {
 		height = SkipMaxLevel
 	}
-	gf, err := tx.Read(s.head + skipGFlag)
+	w, err := s.guard.Writable(tx)
 	if err != nil {
 		return false, err
 	}
@@ -333,8 +303,8 @@ func (s *SkipMap) PutTx(tx core.Txn, th int, k, v int64, height int) (bool, erro
 	if err := s.findTx(tx, k, &p); err != nil {
 		return false, err
 	}
-	if err := s.guardCheck(tx, gf, k, p.prevKey); err != nil {
-		return false, err
+	if w.Overlaps(p.prevKey, k) {
+		return false, region.ErrPrivate
 	}
 	if p.succ[0] != nilPtr && p.candKey == k {
 		return false, tx.Write(int(p.succ[0])+1, v) // update in place
@@ -368,10 +338,10 @@ func (s *SkipMap) PutTx(tx core.Txn, th int, k, v int64, height int) (bool, erro
 // returns the node for the caller to free AFTER the transaction
 // commits — never before, or the fence would not cover the unlink.
 // victimRegs is the block size to pass to Allocator.Free. Like PutTx it
-// returns errWindowPrivate before writing anything when the unlink
+// returns region.ErrPrivate before writing anything when the unlink
 // would touch an active scan window.
 func (s *SkipMap) DeleteTx(tx core.Txn, k int64) (removed bool, victim int64, victimRegs int, err error) {
-	gf, err := tx.Read(s.head + skipGFlag)
+	w, err := s.guard.Writable(tx)
 	if err != nil {
 		return false, 0, 0, err
 	}
@@ -379,8 +349,8 @@ func (s *SkipMap) DeleteTx(tx core.Txn, k int64) (removed bool, victim int64, vi
 	if err := s.findTx(tx, k, &p); err != nil || p.succ[0] == nilPtr {
 		return false, 0, 0, err
 	}
-	if err := s.guardCheck(tx, gf, k, p.prevKey); err != nil {
-		return false, 0, 0, err
+	if w.Overlaps(p.prevKey, k) {
+		return false, 0, 0, region.ErrPrivate
 	}
 	cand := p.succ[0]
 	if p.candKey != k {
@@ -473,7 +443,7 @@ func (s *SkipMap) Get(th int, k int64) (v int64, ok bool, err error) {
 func (s *SkipMap) Put(th int, k, v int64) (bool, error) {
 	height := s.Level(th)
 	var added bool
-	err := s.retryWindow(th, func(tx core.Txn) (err error) {
+	err := s.own.Retry(th, func(tx core.Txn) (err error) {
 		added, err = s.PutTx(tx, th, k, v, height)
 		return err
 	})
@@ -489,7 +459,7 @@ func (s *SkipMap) Delete(th int, k int64) (bool, error) {
 	var removed bool
 	var victim int64
 	var victimRegs int
-	err := s.retryWindow(th, func(tx core.Txn) (err error) {
+	err := s.own.Retry(th, func(tx core.Txn) (err error) {
 		removed, victim, victimRegs, err = s.DeleteTx(tx, k)
 		return err
 	})
@@ -497,12 +467,6 @@ func (s *SkipMap) Delete(th int, k int64) (bool, error) {
 		s.alloc.Free(th, victim, victimRegs)
 	}
 	return removed, err
-}
-
-// retryWindow runs body transactionally, waiting on the publish gate
-// while it reports the scan window privatized.
-func (s *SkipMap) retryWindow(th int, body func(core.Txn) error) error {
-	return s.gate.Retry(s.tm, th, errWindowPrivate, body)
 }
 
 // Snapshot returns the pairs in key order, read in one transaction.
@@ -620,30 +584,18 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 		hi = lo + int64(it.width-1)
 	}
 	pairs = make([]KV, 0, it.want)
-	// Privatize: flip the guard odd, record the bounds, and capture the
-	// first node with key >= lo in the same transaction — opacity makes
-	// the captured pointer consistent with the commit that made the
-	// window private.
+	// Privatize: take the guard read-private over [lo, hi] (waiting
+	// while another scan holds a window), capture the first node with
+	// key >= lo in the same transaction — opacity makes the captured
+	// pointer consistent with the commit that made the window private —
+	// and fence.
 	var start int64
-	err = s.retryWindow(th, func(tx core.Txn) error {
-		f, err := tx.Read(s.head + skipGFlag)
-		if err != nil {
-			return err
-		}
-		if f&1 == 1 {
-			return errWindowPrivate // another scan holds a window
-		}
-		if err := tx.Write(s.head+skipGFlag, f+1); err != nil {
-			return err
-		}
-		if err := tx.Write(s.head+skipGLo, lo); err != nil {
-			return err
-		}
-		if err := tx.Write(s.head+skipGHi, hi); err != nil {
+	err = s.own.Privatize(th, func(tx core.Txn) error {
+		if err := s.guard.Take(tx, region.ReadPrivate, region.Window{Lo: lo, Hi: hi}); err != nil {
 			return err
 		}
 		var p skipPath
-		err = s.findTx(tx, lo, &p)
+		err := s.findTx(tx, lo, &p)
 		start = p.succ[0]
 		return err
 	})
@@ -651,10 +603,8 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 		return nil, false, err
 	}
 	if sl := s.board.Slot(th); sl != nil {
-		sl.Privatizations.Add(1)
 		sl.ScanWindows.Add(1)
 	}
-	s.tm.Fence(th)
 	// The fence quiesced every transaction that saw the guard even, and
 	// writers that see it odd stall before touching the window, so the
 	// level-0 chain from start through the first key past hi is frozen:
@@ -682,7 +632,7 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 			endOfChain = true
 		}
 	}
-	if err := s.publishWindow(th); err != nil {
+	if err := s.own.Publish(th, s.guard.Give); err != nil {
 		return pairs, false, err
 	}
 	// Size the next window. Its key range comes from this window's
@@ -735,22 +685,6 @@ func nextWidth(width, covered uint64, n int, span uint64) uint64 {
 	}
 	w, _ := bits.Div64(hi, lo, uint64(n))
 	return min(w, span)
-}
-
-// publishWindow commits the guard back to even and wakes every writer
-// waiting on the gate.
-func (s *SkipMap) publishWindow(th int) error {
-	err := core.Atomically(s.tm, th, func(tx core.Txn) error {
-		f, err := tx.Read(s.head + skipGFlag)
-		if err != nil {
-			return err
-		}
-		return tx.Write(s.head+skipGFlag, f+1)
-	})
-	if err == nil {
-		s.gate.Open()
-	}
-	return err
 }
 
 // Range streams every pair with from <= key <= to into fn in ascending

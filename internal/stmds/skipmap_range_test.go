@@ -4,6 +4,7 @@
 package stmds_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"safepriv/internal/core"
 	"safepriv/internal/core/coretest"
 	"safepriv/internal/engine"
+	"safepriv/internal/region"
 	"safepriv/internal/stmalloc"
 	"safepriv/internal/stmds"
 )
@@ -441,5 +443,68 @@ func TestRangeDuringChurn(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPutTxWindowCheck pins which writes a read-private scan window
+// refuses. The map holds 10, 20 and 30; each row sets the guard's
+// registers as a window's privatizing transaction leaves them (or
+// leaves the map shared) and runs one PutTx. A write is refused exactly
+// when its key is at or past the window's start and it splices at a
+// node the walker follows: the level-0 predecessor's key is at most
+// the window's end. A front-of-list insert has predecessor key
+// MinInt64, so it must pass when no window is open.
+func TestPutTxWindowCheck(t *testing.T) {
+	tests := []struct {
+		name    string
+		window  *region.Window // nil: shared
+		key     int64
+		refused bool
+	}{
+		{"front insert, no window", nil, 1, false},
+		{"update, no window", nil, 20, false},
+		{"front insert, window at front", &region.Window{Lo: 0, Hi: 5}, 1, true},
+		{"update in window", &region.Window{Lo: 15, Hi: 25}, 20, true},
+		{"insert below window", &region.Window{Lo: 15, Hi: 25}, 5, false},
+		{"insert after window's last node", &region.Window{Lo: 15, Hi: 25}, 27, true},
+		{"insert past window", &region.Window{Lo: 15, Hi: 25}, 35, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			regs := arenaAt + stmalloc.RegsForDemand(4, 1, 3, stmds.SkipMapDemand(16))
+			tm := engine.MustNewSpec("tl2", regs, 2, nil)
+			heap, err := stmalloc.New(tm, arenaAt, tm.NumRegs(), stmalloc.WithShards(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sm := stmds.NewSkipMap(tm, skipHead, 1, heap)
+			// Put would wait on the gate if the check refused the front
+			// insert of 10; run each PutTx once instead.
+			for _, k := range []int64{10, 20, 30} {
+				err := core.Atomically(tm, 1, func(tx core.Txn) error {
+					_, err := sm.PutTx(tx, 1, k, k, 1)
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if w := tt.window; w != nil {
+				tm.Store(1, skipHead+stmds.SkipMaxLevel, region.ReadPrivate)
+				tm.Store(1, skipHead+stmds.SkipMaxLevel+1, w.Lo)
+				tm.Store(1, skipHead+stmds.SkipMaxLevel+2, w.Hi)
+			}
+			tx := tm.Begin(1)
+			_, err = sm.PutTx(tx, 1, tt.key, -tt.key, 1)
+			if tx.Live() {
+				tx.Abort()
+			}
+			switch {
+			case tt.refused && !errors.Is(err, region.ErrPrivate):
+				t.Fatalf("PutTx(%d) = %v, want region.ErrPrivate", tt.key, err)
+			case !tt.refused && err != nil:
+				t.Fatalf("PutTx(%d) = %v, want it to pass", tt.key, err)
+			}
+		})
 	}
 }

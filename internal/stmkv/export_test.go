@@ -1,39 +1,45 @@
 package stmkv
 
-import "safepriv/internal/core"
+import (
+	"math"
+
+	"safepriv/internal/core"
+	"safepriv/internal/region"
+)
 
 // FailReclamation makes the store's table heap record a reclamation
 // failure — a Free of a size no class holds, which the heap reports
 // through its next Drain — so a test can watch Store.Drain surface it.
 func (s *Store) FailReclamation(th int) { s.heap.Free(th, 0, 1<<40) }
 
-// HoldShard privatizes one shard — read-private as a scan window does,
-// or exclusive as a rehash does — fences, and hands back the publish,
-// so a test can observe who gets past a private shard and who waits.
+// HoldShard privatizes one shard — read-private over every slot as
+// Scan does, or exclusive as a rehash does — fences, and hands back the
+// publish, so a test can observe who gets past a private shard and who
+// waits.
 func (s *Store) HoldShard(th, shard int, readOnly bool) (release func() error, err error) {
-	state := flagExclusive
-	if readOnly {
-		state = flagReadPrivate
-	}
 	base := s.base(shard)
-	if err := s.privatize(th, base, state); err != nil {
+	if readOnly {
+		_, _, _, err = s.openScanWindow(th, base, scanCursor{}, math.MaxInt)
+	} else {
+		err = s.own.Privatize(th, exclusive(base))
+	}
+	if err != nil {
 		return nil, err
 	}
-	return func() error { return s.publish(th, base) }, nil
+	return func() error { return s.own.Publish(th, guard(base).Give) }, nil
 }
 
 // HoldSlots read-privatizes slots [lo, hi] of one shard, as a ScanPage
 // window does, fences, and hands back the publish.
 func (s *Store) HoldSlots(th, shard int, lo, hi int64) (release func() error, err error) {
-	base := s.base(shard)
-	err = s.acquire(th, base, flagReadPrivate, func(tx core.Txn) error {
-		return setWindow(tx, base, window{lo, hi})
+	g := guard(s.base(shard))
+	err = s.own.Privatize(th, func(tx core.Txn) error {
+		return g.Take(tx, region.ReadPrivate, region.Window{Lo: lo, Hi: hi})
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.tm.Fence(th)
-	return func() error { return s.publish(th, base) }, nil
+	return func() error { return s.own.Publish(th, g.Give) }, nil
 }
 
 // SlotOf returns the slot a Put of key would write in its shard's
@@ -63,4 +69,11 @@ func (s *Store) SlotOf(th int, key int64) (slot, cap int64) {
 		}
 	}
 	return tomb, cap
+}
+
+// PutTx runs one Put of key↦val inside the caller's transaction, as Put
+// does inside its own. It returns the store's internal errors as they
+// are: a shard that is private or needs growth fails the put.
+func (s *Store) PutTx(tx core.Txn, key, val int64) error {
+	return s.putInTx(tx, s.base(s.shardOf(key)), key, val)
 }

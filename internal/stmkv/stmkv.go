@@ -18,61 +18,32 @@
 //	base+5  winLo  first and last slot a read-private owner loads;
 //	base+6  winHi  meaningful only while the flag is read-private
 //
-// Point operations (Get/Put/Delete) are single transactions that follow
-// the DRF discipline of the paper: they read the shard's flag first and
-// touch the header and table only when the flag's state admits them.
-// Bulk operations (Scan, ScanPage, Clear, Resize, and the automatic
-// growth triggered by Put) privatize the shard exactly as Figure 7
-// prescribes — commit a transaction that moves the flag to a private
-// state, issue the transactional Fence, operate on the shard with
-// uninstrumented Load/Store, and publish it back with a transaction
-// that rounds the flag up to the next multiple of four. Under Theorem
-// 5.3 the resulting program is DRF assuming strong atomicity, so it is
-// safe on every TM in the registry, including weakly atomic TL2.
+// Point operations (Get/Put/Delete) are single transactions that read
+// the shard's flag first and touch the header and table only when its
+// state admits them. Bulk operations (Scan, ScanPage, Clear, Resize,
+// and the automatic growth triggered by Put) privatize the shard
+// through package region, which carries Figure 7's cycle, the state
+// encoding of the flag and the safety argument: the flag, winLo and
+// winHi are the shard's region.Guard. A shard is exclusive while a
+// rehash, Clear or Resize holds it, and read-private over the slot
+// window [winLo, winHi] while Scan or ScanPage walks it. Put and Delete
+// stall on the exclusive state, and on the read-private one when the
+// slot they are about to write — a value update, an insert, a reused
+// or a new tombstone — lies in the window; Get, Len and the
+// transactional scan stall only on the exclusive state. So a scan
+// window costs the readers of its shard nothing, and a writer elsewhere
+// in the shard commits beside the walk. Scan holds the window
+// [0, cap−1], the whole shard; ScanPage holds only the slots it will
+// walk.
 //
-// A shard is in one of three states:
-//
-//	flag&3  state          owner (uninstrumented)   transactions admitted
-//	0       shared         —                        all
-//	1       exclusive      loads and stores         none
-//	        (grow/rehash, Clear, Resize)
-//	3       read-private   loads of the keys and    Get, Len, transactional
-//	        (Scan,         values of the slots      scan; Put and Delete that
-//	        ScanPage)      [winLo, winHi]           write outside the window
-//
-// Every privatizing transaction stalls while the flag is odd. Put and
-// Delete stall on state 1, and on state 3 when the slot they are about
-// to write — a value update, an insert, a reused or a new tombstone —
-// lies in the window; Get, Len and the transactional scan stall only on
-// state 1. So a scan window costs the readers of its shard nothing, a
-// writer elsewhere in the shard commits beside the walk, and two owners
-// never hold one shard at once. Scan holds the window [0, cap−1], the
-// whole shard; ScanPage holds only the slots it will walk.
-//
-// Safety. The paper's data race is a pair of conflicting accesses, one
-// transactional and one not, unordered by happens-before — and two
-// accesses conflict only if at least one is a write. In the
-// read-private state every uninstrumented access is a load of a key or
-// value register of a slot in [winLo, winHi] (the window's bounds, the
-// table pointer and the capacity are read inside the privatizing
-// transaction). A transaction that only reads the shard conflicts with
-// none of them, so readers need no ordering with the owner. A
-// transaction that writes a slot in the window reads the flag and the
-// bounds first: if it read them after the privatizing commit it sees
-// the window and stalls before writing, and if it began before that
-// commit the fence waits it out — which is why read-privatizing still
-// fences. A writer outside the window stores to registers the owner
-// never loads (count and tombs included), so it races with nothing.
-// A key that stays present keeps its slot until a rehash, which is
-// exclusive and which a ScanPage cursor detects, so consecutive slot
-// ranges cover every such key once. An exclusive owner that follows a
-// scan window fences after its own privatizing commit, and that fence
-// waits for every transaction still running, whichever state it saw.
-// (stmds.SkipMap's GetTx rests on the same argument: it reads beside a
-// scan window without consulting the guard, and its writers check a
-// key range as stmkv's check a slot range.) internal/litmus carries the
-// idiom and its racy twin as the programs read-privatize and
-// read-privatize-racy.
+// Safety (region's argument covers the rest). A read-private owner
+// loads only the key and value registers of the slots in
+// [winLo, winHi]; it reads the bounds, the table pointer and the
+// capacity inside its privatizing transaction. A writer outside the
+// window stores to registers the owner never loads, count and tombs
+// included. A key that stays present keeps its slot until a rehash,
+// which is exclusive and which a ScanPage cursor detects, so
+// consecutive slot ranges cover every such key once.
 //
 // Growth is where the store meets the allocator: a rehash allocates a
 // fresh table block from the heap (a transaction), rebuilds the table
@@ -91,14 +62,14 @@
 // one big read-only transaction per shard, no fence, the natural choice
 // on a TM like NOrec whose privatization is safe without fences.
 //
-// Clear and Resize use *batched* privatization: every shard's flag
-// flips odd (ascending order, so concurrent bulk operations never
+// Clear and Resize use *batched* privatization: every shard is taken
+// exclusive (ascending order, so concurrent bulk operations never
 // deadlock), then ONE fence covers all shards' operate→publish tails
 // instead of one fence per shard. No reader can observe a
 // half-maintained shard — point operations wait while the shard is
-// exclusive (on the store's publish gate, package pubgate, rather than
-// by re-running their transaction), and the flag returns to shared only
-// after the work published.
+// exclusive (on the owner's publish gate, rather than by re-running
+// their transaction), and the flag returns to shared only after the
+// work published.
 package stmkv
 
 import (
@@ -110,7 +81,7 @@ import (
 	"sync/atomic"
 
 	"safepriv/internal/core"
-	"safepriv/internal/pubgate"
+	"safepriv/internal/region"
 	"safepriv/internal/stmalloc"
 	"safepriv/internal/telemetry"
 )
@@ -125,12 +96,6 @@ const (
 	offWinHi = 6
 	// hdrRegs is the per-shard header size in registers.
 	hdrRegs = 7
-
-	// The two low bits of a shard's flag are its privatization state
-	// (see the package comment); the bits above count publishes.
-	flagStateMask   int64 = 3
-	flagExclusive   int64 = 1 // owner loads and stores uninstrumented
-	flagReadPrivate int64 = 3 // owner only loads uninstrumented
 
 	keyEmpty int64 = 0
 	keyTomb  int64 = -1
@@ -156,10 +121,6 @@ var ErrBadKey = errors.New("stmkv: key must be positive")
 // ErrBadCursor is returned by ScanPage for a cursor string that did not
 // come from a previous ScanPage against this store geometry.
 var ErrBadCursor = errors.New("stmkv: malformed scan cursor")
-
-// errShardPrivate aborts a point operation that found its shard
-// privatized; the caller yields and retries once the owner publishes.
-var errShardPrivate = errors.New("stmkv: shard is privatized")
 
 // errNeedGrow aborts a Put whose shard is over the load-factor bound;
 // the caller privatizes and grows, then retries.
@@ -190,7 +151,7 @@ type Stats struct {
 	// privatizing Scan or by ScanPage.
 	ScanWindows int64
 	// GateSpinWakes, GateParks, GateTimeouts count how operations that
-	// stalled on a private shard waited (package pubgate): the spin saw
+	// stalled on a private shard waited (region.Gate): the spin saw
 	// a publish, the waiter parked, the park ran into its timeout.
 	// ReadThroughs counts Gets that ran beside a scan window instead of
 	// stalling. All four are summed from the TM's telemetry board and
@@ -211,22 +172,20 @@ type Store struct {
 	slots   int // maximum active capacity per shard
 	txnScan bool
 
-	// gate is opened on every publish; operations that found their
-	// shard private wait on it (retryShared).
-	gate pubgate.Gate
+	// own privatizes and publishes the shards (package region);
+	// operations that found their shard private wait on its gate.
+	own *region.Owner
 
 	// Maintenance counters, each on its own cache line: they are bumped
 	// by maintenance threads while readers poll Stats.
-	privatizations padInt64
-	grows          padInt64
-	compactions    padInt64
-	scans          padInt64
-	clears         padInt64
-	scanWindows    padInt64
+	grows       padInt64
+	compactions padInt64
+	scans       padInt64
+	clears      padInt64
+	scanWindows padInt64
 
-	// board is the TM's telemetry board when the TM carries one;
-	// privatization cycles are recorded per thread alongside the store's
-	// own counter so /stats and bench/ see them.
+	// board is the TM's telemetry board when the TM carries one; scans,
+	// scan windows and read-throughs are recorded per thread on it.
 	board *telemetry.Board
 }
 
@@ -281,7 +240,7 @@ func New(tm core.TM, shards, slots int, opts ...Option) (*Store, error) {
 	if stmalloc.BlockRegs(2*slots) == 0 {
 		return nil, fmt.Errorf("stmkv: %d slots per shard exceeds the allocator's block bound", slots)
 	}
-	s := &Store{tm: tm, shards: shards, slots: slots}
+	s := &Store{tm: tm, shards: shards, slots: slots, own: region.NewOwner(tm)}
 	for _, o := range opts {
 		o(s)
 	}
@@ -340,7 +299,7 @@ func (s *Store) Shards() int { return s.shards }
 func (s *Store) Stats() Stats {
 	tel := s.board.Snapshot()
 	return Stats{
-		Privatizations: s.privatizations.Load(),
+		Privatizations: s.own.Privatizations(),
 		Grows:          s.grows.Load(),
 		Compactions:    s.compactions.Load(),
 		Scans:          s.scans.Load(),
@@ -384,69 +343,24 @@ func (s *Store) base(shard int) int { return shard * hdrRegs }
 func keyReg(tab int64, i int) int { return int(tab) + 2*i }
 func valReg(tab int64, i int) int { return int(tab) + 2*i + 1 }
 
-// window is the slot range [lo, hi] a read-private shard's owner
-// loads. noWindow (lo > hi) holds no slot.
-type window struct{ lo, hi int64 }
-
-var noWindow = window{0, -1}
-
-// holds reports whether slot i is in the window: a writer must not
-// store to it.
-func (w window) holds(i int) bool { return w.lo <= int64(i) && int64(i) <= w.hi }
-
-// writable is the DRF guard of Put and Delete: read the shard's flag,
-// refuse to proceed while it is exclusive, and return the window while
-// it is read-private, so the caller refuses (errShardPrivate) before it
-// writes a slot the window holds. Because the reads are transactional,
-// a privatizer committing after them dooms this transaction — the
-// conflict Theorem 5.3 relies on. A transaction that passed the guard
-// may safely read the rest of the header (cap, table pointer): the
-// uninstrumented accesses of a private phase start only after a fence
-// that waited for every transaction that saw the flag even, and a
-// read-private owner stores nothing.
-func writable(tx core.Txn, base int) (window, error) {
-	f, err := tx.Read(base + offFlag)
-	if err != nil {
-		return noWindow, err
-	}
-	switch f & flagStateMask {
-	case flagExclusive:
-		return noWindow, errShardPrivate
-	case flagReadPrivate:
-		lo, err := tx.Read(base + offWinLo)
-		if err != nil {
-			return noWindow, err
-		}
-		hi, err := tx.Read(base + offWinHi)
-		if err != nil {
-			return noWindow, err
-		}
-		return window{lo, hi}, nil
-	}
-	return noWindow, nil
+// guard returns the privatization guard of the shard at base: its flag
+// and the slot range [winLo, winHi] of a read-private window.
+func guard(base int) region.Guard {
+	return region.Guard{Flag: base + offFlag, Lo: base + offWinLo, Hi: base + offWinHi}
 }
 
-// readable is the guard of the transactions that only read the shard
-// (Get, Len, the transactional scan): they stall on the exclusive state
-// alone. beside reports that the shard is read-private, i.e. the
-// transaction runs beside a scan window — both sides only load, so no
-// pair of their accesses conflicts (package comment, "Safety").
-func readable(tx core.Txn, base int) (beside bool, err error) {
-	f, err := tx.Read(base + offFlag)
-	if err != nil {
-		return false, err
-	}
-	switch f & flagStateMask {
-	case flagExclusive:
-		return false, errShardPrivate
-	case flagReadPrivate:
-		return true, nil
-	}
-	return false, nil
+// exclusive is the privatizing transaction that makes the shard at
+// base exclusive.
+func exclusive(base int) func(core.Txn) error {
+	return func(tx core.Txn) error { return guard(base).Take(tx, region.Exclusive, region.NoWindow) }
 }
 
-// table reads the shard's active geometry inside tx (after the guard):
-// the table block pointer and the active capacity.
+// table reads the shard's active geometry inside tx: the table block
+// pointer and the active capacity. Call it after the guard: a
+// transaction that passed it may read the rest of the header, since a
+// private phase starts only after a fence that waited for every
+// transaction that saw the shard shared, and a read-private owner
+// stores nothing.
 func (s *Store) table(tx core.Txn, base int) (tab, cap int64, err error) {
 	if cap, err = tx.Read(base + offCap); err != nil {
 		return 0, 0, err
@@ -465,10 +379,10 @@ func (s *Store) Get(th int, key int64) (v int64, ok bool, err error) {
 	}
 	base := s.base(s.shardOf(key))
 	var beside bool
-	err = s.retryShared(th, func(tx core.Txn) error {
+	err = s.own.Retry(th, func(tx core.Txn) error {
 		v, ok = 0, false
 		var err error
-		if beside, err = readable(tx, base); err != nil {
+		if beside, err = guard(base).Readable(tx); err != nil {
 			return err
 		}
 		tab, cap, err := s.table(tx, base)
@@ -506,15 +420,15 @@ func (s *Store) Get(th int, key int64) (v int64, ok bool, err error) {
 }
 
 // putInTx is the body of one Put inside a running transaction: the
-// writable() guard, the probe, and the insert/update writes. It returns
-// errShardPrivate, before writing, when the slot it would write lies in
+// guard, the probe, and the insert/update writes. It returns
+// region.ErrPrivate, before writing, when the slot it would write lies in
 // a read-private window, and errNeedGrow when the shard is over the
 // load factor (the caller privatizes, grows, and retries). Both Put and PutBatch build on it;
 // the read-own-writes guarantee of every registry TM means a batch may
 // put the same key twice in one transaction (the second probe finds
 // the first insert in the write set and takes the update path).
 func (s *Store) putInTx(tx core.Txn, base int, key, val int64) error {
-	w, err := writable(tx, base)
+	w, err := guard(base).Writable(tx)
 	if err != nil {
 		return err
 	}
@@ -538,8 +452,8 @@ func (s *Store) putInTx(tx core.Txn, base int, key, val int64) error {
 			return err
 		}
 		if k == key {
-			if w.holds(i) {
-				return errShardPrivate
+			if w.Holds(int64(i)) {
+				return region.ErrPrivate
 			}
 			return tx.Write(valReg(tab, i), val)
 		}
@@ -559,8 +473,8 @@ func (s *Store) putInTx(tx core.Txn, base int, key, val int64) error {
 			if firstTomb >= 0 {
 				at = firstTomb
 			}
-			if w.holds(at) {
-				return errShardPrivate
+			if w.Holds(int64(at)) {
+				return region.ErrPrivate
 			}
 			if firstTomb >= 0 {
 				if err := tx.Write(base+offTombs, tombs-1); err != nil {
@@ -580,8 +494,8 @@ func (s *Store) putInTx(tx core.Txn, base int, key, val int64) error {
 		}
 	}
 	if firstTomb >= 0 {
-		if w.holds(firstTomb) {
-			return errShardPrivate
+		if w.Holds(int64(firstTomb)) {
+			return region.ErrPrivate
 		}
 		if err := tx.Write(keyReg(tab, firstTomb), key); err != nil {
 			return err
@@ -608,7 +522,7 @@ func (s *Store) Put(th int, key, val int64) error {
 	shard := s.shardOf(key)
 	base := s.base(shard)
 	for {
-		err := s.retryShared(th, func(tx core.Txn) error {
+		err := s.own.Retry(th, func(tx core.Txn) error {
 			return s.putInTx(tx, base, key, val)
 		})
 		if err == nil {
@@ -644,7 +558,7 @@ func (s *Store) PutBatch(th int, pairs []KV) error {
 	}
 	for {
 		needGrow := -1
-		err := s.retryShared(th, func(tx core.Txn) error {
+		err := s.own.Retry(th, func(tx core.Txn) error {
 			needGrow = -1
 			for _, kv := range pairs {
 				sh := s.shardOf(kv.Key)
@@ -686,9 +600,9 @@ func (s *Store) Delete(th int, key int64) (removed bool, err error) {
 		return false, ErrBadKey
 	}
 	base := s.base(s.shardOf(key))
-	err = s.retryShared(th, func(tx core.Txn) error {
+	err = s.own.Retry(th, func(tx core.Txn) error {
 		removed = false
-		w, err := writable(tx, base)
+		w, err := guard(base).Writable(tx)
 		if err != nil {
 			return err
 		}
@@ -706,8 +620,8 @@ func (s *Store) Delete(th int, key int64) (removed bool, err error) {
 				return nil
 			}
 			if k == key {
-				if w.holds(i) {
-					return errShardPrivate
+				if w.Holds(int64(i)) {
+					return region.ErrPrivate
 				}
 				count, err := tx.Read(base + offCount)
 				if err != nil {
@@ -746,8 +660,8 @@ func (s *Store) Len(th int) (int64, error) {
 	for sh := 0; sh < s.shards; sh++ {
 		base := s.base(sh)
 		var n int64
-		err := s.retryShared(th, func(tx core.Txn) error {
-			if _, err := readable(tx, base); err != nil {
+		err := s.own.Retry(th, func(tx core.Txn) error {
+			if _, err := guard(base).Readable(tx); err != nil {
 				return err
 			}
 			var err error
@@ -764,67 +678,36 @@ func (s *Store) Len(th int) (int64, error) {
 
 // Scan returns every key-value pair, shard by shard. Each shard is
 // snapshot-consistent; the snapshot is per shard, not global. The
-// default implementation privatizes each shard (Figure 7); with
-// WithTransactionalScan the shard is read in one read-only transaction
-// instead.
+// default implementation is one ScanPage without a limit, so each shard
+// is walked in one read-private window over all its slots (Figure 7);
+// with WithTransactionalScan the shard is read in one read-only
+// transaction instead.
 func (s *Store) Scan(th int) ([]KV, error) {
+	if !s.txnScan {
+		out, _, err := s.ScanPage(th, "", math.MaxInt)
+		return out, err
+	}
 	if sl := s.board.Slot(th); sl != nil {
 		sl.Scans.Add(1)
 	}
 	var out []KV
 	for sh := 0; sh < s.shards; sh++ {
 		var err error
-		if s.txnScan {
-			out, err = s.scanShardTxn(th, sh, out)
-		} else {
-			out, err = s.scanShardPrivate(th, sh, out)
-		}
-		if err != nil {
+		if out, err = s.scanShardTxn(th, sh, out); err != nil {
 			return nil, err
-		}
-		if !s.txnScan {
-			s.recordScanWindow(th)
 		}
 		s.scans.Add(1)
 	}
 	return out, nil
 }
 
-// recordScanWindow bumps the per-shard window counters (store stats and
-// the TM's telemetry board) for one privatize→fence→walk→publish scan
-// window.
-func (s *Store) recordScanWindow(th int) {
-	s.scanWindows.Add(1)
-	if sl := s.board.Slot(th); sl != nil {
-		sl.ScanWindows.Add(1)
-	}
-}
-
-// scanShardPrivate is the paper's idiom: privatize (read-private: the
-// walk only loads), fence, read the table uninstrumented, publish.
-func (s *Store) scanShardPrivate(th, shard int, out []KV) ([]KV, error) {
-	base := s.base(shard)
-	if err := s.privatize(th, base, flagReadPrivate); err != nil {
-		return nil, err
-	}
-	tm := s.tm
-	tab := tm.Load(th, base+offTable)
-	cap := int(tm.Load(th, base+offCap))
-	for i := 0; i < cap; i++ {
-		if k := tm.Load(th, keyReg(tab, i)); k > 0 {
-			out = append(out, KV{k, tm.Load(th, valReg(tab, i))})
-		}
-	}
-	return out, s.publish(th, base)
-}
-
 // scanShardTxn reads the whole shard in one transaction.
 func (s *Store) scanShardTxn(th, shard int, out []KV) ([]KV, error) {
 	base := s.base(shard)
 	start := len(out)
-	err := s.retryShared(th, func(tx core.Txn) error {
+	err := s.own.Retry(th, func(tx core.Txn) error {
 		out = out[:start]
-		if _, err := readable(tx, base); err != nil {
+		if _, err := guard(base).Readable(tx); err != nil {
 			return err
 		}
 		tab, cap, err := s.table(tx, base)
@@ -942,13 +825,13 @@ func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next str
 			if err != nil {
 				return nil, "", err
 			}
-			slot := w.lo
-			for ; slot <= w.hi && len(pairs) < limit; slot++ {
+			slot := w.Lo
+			for ; slot <= w.Hi && len(pairs) < limit; slot++ {
 				if k := tm.Load(th, keyReg(tab, int(slot))); k > 0 {
 					pairs = append(pairs, KV{k, tm.Load(th, valReg(tab, int(slot)))})
 				}
 			}
-			if err := s.publish(th, base); err != nil {
+			if err := s.own.Publish(th, guard(base).Give); err != nil {
 				return nil, "", err
 			}
 			if slot >= cap {
@@ -966,13 +849,20 @@ func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next str
 	return pairs, "", nil
 }
 
-// openScanWindow privatizes the slots of the shard at base that the next
-// need pairs of a page should span, and fences. The window starts at
+// openScanWindow read-privatizes the slots of the shard at base that
+// the next need pairs of a page should span, and fences; a need of
+// MaxInt takes every slot from the window's start, as Scan does. The window starts at
 // c.slot if c's table identity (pointer and capacity) is the shard's
 // current one — a mismatch means a rehash moved the keys, and the walk
 // restarts at slot 0. It returns the table the window walks.
-func (s *Store) openScanWindow(th, base int, c scanCursor, need int) (tab, cap int64, w window, err error) {
-	err = s.acquire(th, base, flagReadPrivate, func(tx core.Txn) error {
+func (s *Store) openScanWindow(th, base int, c scanCursor, need int) (tab, cap int64, w region.Window, err error) {
+	g := guard(base)
+	err = s.own.Privatize(th, func(tx core.Txn) error {
+		// Check the flag before reading the header, which an exclusive
+		// owner stores to; Take reads it again.
+		if _, err := g.Readable(tx); err != nil {
+			return err
+		}
 		var err error
 		if tab, cap, err = s.table(tx, base); err != nil {
 			return err
@@ -981,18 +871,20 @@ func (s *Store) openScanWindow(th, base int, c scanCursor, need int) (tab, cap i
 		if err != nil {
 			return err
 		}
-		w.lo = 0
+		w.Lo = 0
 		if c.tab == tab && c.cap == cap {
-			w.lo = c.slot
+			w.Lo = c.slot
 		}
-		w.hi = w.lo + scanWindowSlots(int64(need), cap-w.lo, cap, count) - 1
-		return setWindow(tx, base, w)
+		w.Hi = w.Lo + scanWindowSlots(int64(need), cap-w.Lo, cap, count) - 1
+		return g.Take(tx, region.ReadPrivate, w)
 	})
 	if err != nil {
-		return 0, 0, noWindow, err
+		return 0, 0, region.NoWindow, err
 	}
-	s.tm.Fence(th)
-	s.recordScanWindow(th)
+	s.scanWindows.Add(1)
+	if sl := s.board.Slot(th); sl != nil {
+		sl.ScanWindows.Add(1)
+	}
 	return tab, cap, w, nil
 }
 
@@ -1068,11 +960,17 @@ func (s *Store) Drain(th int) error { return s.heap.Drain(th) }
 // demand (conservative for batches whose pairs update existing keys —
 // those need no slot — but a put only reports errNeedGrow when its
 // probe actually found no room).
-func (s *Store) grow(th, shard int, need int64) error {
+func (s *Store) grow(th, shard int, need int64) (err error) {
 	base := s.base(shard)
-	if err := s.privatize(th, base, flagExclusive); err != nil {
+	if err := s.own.Privatize(th, exclusive(base)); err != nil {
 		return err
 	}
+	// Publish whatever happens; the work's own error comes first.
+	defer func() {
+		if perr := s.own.Publish(th, guard(base).Give); err == nil {
+			err = perr
+		}
+	}()
 	tm := s.tm
 	cap := tm.Load(th, base+offCap)
 	count := tm.Load(th, base+offCount)
@@ -1095,14 +993,12 @@ func (s *Store) grow(th, shard int, need int64) error {
 	switch {
 	case newCap != cap:
 		if err := s.rehashTo(th, base, newCap); err != nil {
-			_ = s.publish(th, base)
 			return err
 		}
 		s.grows.Add(1)
 	case due && tombs > 0:
 		// Compaction: rebuild at the same capacity, dropping tombstones.
 		if err := s.rehashTo(th, base, cap); err != nil {
-			_ = s.publish(th, base)
 			return err
 		}
 		s.compactions.Add(1)
@@ -1111,13 +1007,9 @@ func (s *Store) grow(th, shard int, need int64) error {
 		// demand exceeds the slots themselves: it will never fit. (At
 		// the arena limit puts waive the load factor and fill the
 		// table completely, so count+need <= cap still succeeds.)
-		err := s.publish(th, base)
-		if err == nil {
-			err = ErrFull
-		}
-		return err
+		return ErrFull
 	}
-	return s.publish(th, base)
+	return nil
 }
 
 // rehashTo rebuilds the (privatized, quiesced) shard's table at newCap
@@ -1169,74 +1061,6 @@ func (s *Store) rehashTo(th, base int, newCap int64) error {
 	return nil
 }
 
-// acquirePrivate commits the transaction moving the shard's flag from
-// shared to state (flagExclusive or flagReadPrivate) — the privatizing
-// transaction of Figure 7, without the fence. A read-private hold
-// covers the whole shard: its window is [0, cap−1].
-func (s *Store) acquirePrivate(th, base int, state int64) error {
-	return s.acquire(th, base, state, func(tx core.Txn) error {
-		if state != flagReadPrivate {
-			return nil
-		}
-		cap, err := tx.Read(base + offCap)
-		if err != nil {
-			return err
-		}
-		return setWindow(tx, base, window{0, cap - 1})
-	})
-}
-
-// acquire commits a privatizing transaction: it reads the shard's
-// flag, runs body (which may read the header and set the window), and
-// moves the flag from shared to state. If another thread holds the
-// shard private in either state, it waits its turn.
-func (s *Store) acquire(th, base int, state int64, body func(core.Txn) error) error {
-	err := s.retryShared(th, func(tx core.Txn) error {
-		f, err := tx.Read(base + offFlag)
-		if err != nil {
-			return err
-		}
-		if f&1 == 1 {
-			return errShardPrivate // another bulk op holds the shard
-		}
-		if err := body(tx); err != nil {
-			return err
-		}
-		return tx.Write(base+offFlag, f+state)
-	})
-	if err != nil {
-		return err
-	}
-	s.privatizations.Add(1)
-	if sl := s.board.Slot(th); sl != nil {
-		sl.Privatizations.Add(1)
-	}
-	return nil
-}
-
-// setWindow writes a read-private window's bounds inside its
-// privatizing transaction.
-func setWindow(tx core.Txn, base int, w window) error {
-	if err := tx.Write(base+offWinLo, w.lo); err != nil {
-		return err
-	}
-	return tx.Write(base+offWinHi, w.hi)
-}
-
-// privatize commits a transaction moving the shard's flag to state,
-// then fences: after it returns, no transaction that saw the shard
-// shared is still running, so the uninstrumented accesses state allows
-// are race-free (Figure 7). The read-private state needs the fence as
-// much as the exclusive one: it waits out the writers that saw the flag
-// even.
-func (s *Store) privatize(th, base int, state int64) error {
-	if err := s.acquirePrivate(th, base, state); err != nil {
-		return err
-	}
-	s.tm.Fence(th)
-	return nil
-}
-
 // privatizeAll is the batched bulk-maintenance cycle: commit the
 // exclusive-privatizing transaction for every shard (ascending order,
 // so concurrent bulk operations cannot deadlock), run ONE fence, then
@@ -1248,53 +1072,28 @@ func (s *Store) privatize(th, base int, state int64) error {
 // errors are joined.
 func (s *Store) privatizeAll(th int, work func(shard int) error) error {
 	for sh := 0; sh < s.shards; sh++ {
-		if err := s.acquirePrivate(th, s.base(sh), flagExclusive); err != nil {
+		if err := s.own.Take(th, exclusive(s.base(sh))); err != nil {
 			// Re-share what we already hold: a half-acquired bulk op
 			// must not leave shards privatized forever. A publish that
 			// fails here leaves its shard stuck odd — report it instead
 			// of letting point operations time out against it silently.
 			for done := 0; done < sh; done++ {
-				if perr := s.publish(th, s.base(done)); perr != nil {
+				if perr := s.own.Publish(th, guard(s.base(done)).Give); perr != nil {
 					err = errors.Join(err, fmt.Errorf("stmkv: rollback publish of shard %d failed (shard stuck private): %w", done, perr))
 				}
 			}
 			return err
 		}
 	}
-	s.tm.Fence(th)
+	s.own.Fence(th)
 	var errs []error
 	for sh := 0; sh < s.shards; sh++ {
 		if err := work(sh); err != nil {
 			errs = append(errs, err)
 		}
-		if err := s.publish(th, s.base(sh)); err != nil {
+		if err := s.own.Publish(th, guard(s.base(sh)).Give); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// publish commits a transaction rounding the shard's flag up to the
-// next multiple of four — shared again, from either private state — and
-// wakes every operation waiting on the gate.
-func (s *Store) publish(th, base int) error {
-	err := core.Atomically(s.tm, th, func(tx core.Txn) error {
-		f, err := tx.Read(base + offFlag)
-		if err != nil {
-			return err
-		}
-		return tx.Write(base+offFlag, (f|flagStateMask)+1)
-	})
-	if err == nil {
-		s.gate.Open()
-	}
-	return err
-}
-
-// retryShared runs body transactionally, waiting on the store's
-// publish gate and retrying for as long as it reports the shard private.
-// Bodies start with the writable() or readable() guard, so they never
-// touch a shard's table in a state that forbids it.
-func (s *Store) retryShared(th int, body func(core.Txn) error) error {
-	return s.gate.Retry(s.tm, th, errShardPrivate, body)
 }
