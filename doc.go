@@ -31,11 +31,10 @@
 //     reclamation allocator (unlink transactionally, fence, reuse), with the typed ErrOutOfSpace exhaustion contract, a
 //     per-thread magazine layer (stmalloc.WithMagazines) that
 //     amortizes one grace period over a whole magazine of frees,
-//     buddy-style splitting and coalescing across the power-of-two
-//     size-class ladder (a freed large block splits into the small
-//     blocks the next churn phase demands; freed buddies merge back
-//     for the next large request), and RegsForDemand, which sizes
-//     arenas from multi-size-class ClassDemand profiles.
+//     a power-of-two size-class ladder whose free lists each serve only
+//     their own class (no block is split or merged), and
+//     RegsForDemand, which sizes arenas from multi-size-class
+//     ClassDemand profiles — one budget per class.
 //   - Application layer: internal/stmds dynamic structures (sorted set,
 //     sorted map, FIFO queue, and the O(log n) SkipMap whose
 //     variable-height towers span four heap size classes, whose

@@ -54,10 +54,7 @@
 //  3. Recycle. After the grace period, one uninstrumented wipe pass
 //     covers every block, then one transaction pushes them onto the
 //     freeing thread's own alloc-side cache, up to recycleFactor ×
-//     capacity blocks per class. The rest go to their home shard lists
-//     (coalescing with free buddies); on a heap that has ever split,
-//     every block does, so the buddy layer keeps re-forming large
-//     blocks.
+//     capacity blocks per class. The rest go to their home shard lists.
 //  4. Reuse. New pops from the thread's cache: a transaction that never
 //     conflicts with other allocators. An empty cache refills by
 //     unlinking up to capacity+1 blocks from one shard free list in the
@@ -83,60 +80,44 @@
 // traversing.
 //
 // FreeQuiesced blocks (already fenced by the caller) are wiped
-// immediately and recycled through the alloc-side cache. FlushThread
-// retires a leaving thread's parked list to the shard lists (never into
-// the cache it is flushing) and returns its cache to them; Drain
-// retires every thread's parked frees under ONE shared grace period,
-// routing each block to its owner, before settling. When every shard
-// list and bump region is empty, New moves the thread's own cached
-// blocks of other classes to the shard lists (so a split or a
-// coalescing pass can use them) and steals half of another thread's
-// cache of the class before reporting ErrOutOfSpace — parked frees are
-// never stolen (they have not quiesced).
+// immediately and pushed onto their home shard's list, on any thread.
+// FlushThread retires a leaving thread's parked list to the shard lists
+// (never into the cache it is flushing) and returns its cache to them;
+// Drain retires every thread's parked frees under ONE shared grace
+// period, routing each block to its owner, before settling. When every
+// shard list and bump region is empty, New steals half of another
+// thread's cache of the class before reporting ErrOutOfSpace — parked
+// frees are never stolen (they have not quiesced).
 //
-// # Block splitting and coalescing
+// # Size classes
 //
-// The size classes are powers of two and every block is aligned to its
-// own size relative to its shard chunk (the bump frontier rounds up,
-// returning the skipped pad to the free lists as smaller blocks), so
-// every block has a well-defined buddy: the block of the same size
-// whose chunk offset differs only in the size bit. On an allocation
-// miss — no free block of the class anywhere and every bump region
-// exhausted for it — New splits
-// the smallest fitting larger free block inside the allocating
-// transaction: the lower half (recursively) serves the request, the
-// upper halves go onto their classes' free lists. All of it is
-// transactional free-list surgery, so an abort rolls the split back
-// with everything else. Symmetrically, once a heap has ever split, a
-// block being published back to a free list first coalesces with its
-// buddy when both are free — cascading upward — so node-sized frees
-// re-form the large blocks that bucket arrays and tables need. A heap
-// that never splits never pays the buddy search. As a last resort
-// before ErrOutOfSpace, the allocator runs a whole-shard coalescing
-// pass over the free lists: a request larger than any free block still
-// succeeds when the free space exists as fragmented split buddies.
+// The size classes are powers of two, and a free list serves only its
+// own class: New never splits a larger free block and Free never
+// merges a block with its neighbours. None needs to, because every
+// client sizes its heap per class — stmkv.RegsNeeded budgets 2 ×
+// shards blocks of every class a table passes through, and
+// RegsForDemand takes one ClassDemand per class — so a class's blocks
+// come from the bump regions once and then circulate within the class.
+// A request that no class list, bump region or stolen cache can serve
+// is ErrOutOfSpace, whatever free blocks of other classes exist. The
+// bump frontier rounds up so every block is aligned to its own size
+// relative to its shard chunk, returning the skipped pad to the free
+// lists as smaller aligned blocks.
 //
 // # Exact accounting
 //
-// Per-shard statistics (allocations, frees, bump high-water, splits,
-// coalesces) are kept in registers and updated transactionally, so
-// they are exact: aborted attempts do not count, and Allocs-Frees
-// equals the number of live blocks (the leak-accounting invariant the
-// tests pin). The invariant counts blocks AS CURRENTLY SIZED: a split
-// turns one free block into several free blocks and a coalesce merges
-// two free blocks into one — free space reorganizing, with no counter
-// movement — while the allocation itself counts exactly one block at
-// its requested class and its Free counts exactly one at the same
-// class. A split→free→coalesce round trip therefore nets to zero:
-// after a Drain, Allocs-Frees is the caller-held block count no matter
-// how the free space has been cut up or re-formed underneath. With
-// magazines the counters move per thread and are counted when a block
-// passes between the heap and the caller, not when it migrates between
-// pools: allocations in a per-thread register (transactional, like the
-// shard counters), frees in a per-thread atomic bumped by Free itself —
+// Per-shard statistics (allocations, frees, bump high-water) are kept
+// in registers and updated transactionally, so they are exact: aborted
+// attempts do not count, and Allocs-Frees equals the number of live
+// blocks (the leak-accounting invariant the tests pin). With magazines
+// the counters move per thread and are counted when a block passes
+// between the heap and the caller, not when it migrates between pools:
+// allocations in a per-thread register (transactional, like the shard
+// counters), frees in a per-thread atomic bumped by Free itself —
 // exact, because Free runs once per block outside any transaction. A
 // parked block therefore counts as freed (it is not Live) and as
-// pending (PendingFrees) until its batch recycles.
+// pending (PendingFrees) until its batch recycles. A FreeQuiesced on a
+// magazine thread counts on its block's shard instead; Stats sums both.
 package stmalloc
 
 import (
@@ -166,16 +147,14 @@ const numClasses = 14
 const MaxBlockRegs = 1 << (numClasses - 1)
 
 // Per-shard header layout (registers, relative to the shard's header
-// base): bump pointer, transactional alloc/free/split/coalesce
-// counters, then one free-list head per size class.
+// base): bump pointer, transactional alloc/free counters, then one
+// free-list head per size class.
 const (
-	offBump      = 0
-	offAllocs    = 1
-	offFrees     = 2
-	offSplits    = 3
-	offCoalesces = 4
-	offLists     = 5
-	// shardHdr rounds the 19 live header registers up to 24 — a whole
+	offBump   = 0
+	offAllocs = 1
+	offFrees  = 2
+	offLists  = 3
+	// shardHdr rounds the 17 live header registers up to 24 — a whole
 	// number of cache lines (192B at 8B per register) — so consecutive
 	// shard headers never share a cache line: two shards' hot counters
 	// stay apart. Part of the false-sharing audit; the stripe and rcu
@@ -286,8 +265,7 @@ type ClassDemand struct {
 //     may recycle up to recycleFactor × magCap blocks into a cache, but
 //     the excess needs no budget: those blocks are quiesced, so when
 //     the shard lists and bump regions run dry another thread's New
-//     steals them (stealHalf) and its own New spills them to the shard
-//     lists before splitting — they strand nothing.
+//     steals them (stealHalf) — they strand nothing.
 //
 // Returns 0 if any entry is unallocatable (Regs out of range or a
 // negative Count) — the same convention as BlockRegs.
@@ -350,27 +328,14 @@ func WithMagazines(threads, capacity int) Option {
 	}
 }
 
-// ShardStats is one shard's traffic snapshot.
-type ShardStats struct {
-	// Allocs and Frees count blocks (transactionally exact).
-	Allocs, Frees int64
-	// BumpRegs is the shard's bump high-water: registers ever taken
-	// from its chunk (free-list reuse does not advance it).
-	BumpRegs int64
-	// Splits counts buddy halvings (a split from class C down to class
-	// c is C-c halvings); Coalesces counts buddy merges. Both are
-	// transactionally exact — free space reorganizing, so neither moves
-	// Allocs or Frees.
-	Splits, Coalesces int64
-}
-
 // Stats is a heap-wide snapshot.
 type Stats struct {
 	// Allocs, Frees count blocks across all shards; Live = Allocs-Frees
 	// is the number of blocks currently held by callers.
 	Allocs, Frees, Live int64
-	// BumpRegs sums the shards' bump high-waters: the heap's
-	// steady-state register footprint.
+	// BumpRegs sums the shards' bump high-waters (registers ever taken
+	// from their chunks; free-list reuse does not advance them): the
+	// heap's steady-state register footprint.
 	BumpRegs int64
 	// PendingFrees counts Free calls whose grace period has not yet
 	// completed (their blocks are neither live nor on a free list —
@@ -387,13 +352,10 @@ type Stats struct {
 	// path Frees/Batches is the amortization factor. Zero on heaps
 	// without magazines.
 	Batches int64
-	// Splits and Coalesces sum the shards' buddy halvings and merges.
-	// They never move Allocs or Frees: the leak invariant counts blocks
-	// as currently sized, and split/coalesce only reorganize free
-	// space.
+	// Splits and Coalesces are always zero: a free list serves only its
+	// own class, so no block is ever split or merged. They remain for
+	// readers that still report them.
 	Splits, Coalesces int64
-	// Shards holds the per-shard breakdown.
-	Shards []ShardStats
 }
 
 // Heap is a sharded free-list allocator over the register range
@@ -435,13 +397,6 @@ type Heap struct {
 	pending  padInt64
 	batches  padInt64
 	firstErr paddedErr
-
-	// everSplit gates the publish-time buddy search: heaps that never
-	// split never pay it. Set inside the (possibly aborting) split
-	// attempt, so it is a conservative hint, never a correctness
-	// condition — at worst a publish searches a list and finds no
-	// buddy.
-	everSplit atomic.Bool
 }
 
 // padInt64 is an atomic counter on its own cache line.
@@ -563,8 +518,6 @@ func New(tm core.TM, first, limit int, opts ...Option) (*Heap, error) {
 		tm.Store(1, h.hdr(s)+offBump, int64(h.chunkStart(s)))
 		tm.Store(1, h.hdr(s)+offAllocs, 0)
 		tm.Store(1, h.hdr(s)+offFrees, 0)
-		tm.Store(1, h.hdr(s)+offSplits, 0)
-		tm.Store(1, h.hdr(s)+offCoalesces, 0)
 		for c := 0; c < numClasses; c++ {
 			tm.Store(1, h.hdr(s)+offLists+c, 0)
 		}
@@ -628,11 +581,9 @@ func (h *Heap) validPtr(v int64) bool {
 
 // New allocates n consecutive registers inside tx and returns the
 // index of the first. th picks the preferred shard; allocation falls
-// over to other shards (free list first, then bump, then a buddy split
-// of a larger free block, then a coalescing pass over fragmented
-// buddies) before reporting ErrOutOfSpace. Aborted transactions roll
-// the allocation back — splits included, they are plain transactional
-// free-list surgery. On a magazine heap the common case pops from the
+// over to other shards (the class's free list first, then bump) before
+// reporting ErrOutOfSpace. Aborted transactions roll the allocation
+// back. On a magazine heap the common case pops from the
 // calling thread's cache — registers no other thread touches, so
 // concurrent allocators never conflict — refilling a magazine's worth
 // from a shard free list when the cache runs dry.
@@ -647,9 +598,8 @@ func (h *Heap) New(tx core.Txn, th, n int) (int64, error) {
 	return h.newShared(tx, th, c, n)
 }
 
-// newShared is the magazine-less allocation path: shard free lists,
-// then bump regions, then buddy splits, then the last-resort
-// coalescing pass; shard counters.
+// newShared is the magazine-less allocation path: each shard's class
+// free list, then its bump region; shard counters.
 func (h *Heap) newShared(tx core.Txn, th, c, n int) (int64, error) {
 	size := int64(1) << c
 	start := h.homeShard(th)
@@ -667,44 +617,11 @@ func (h *Heap) newShared(tx core.Txn, th, c, n int) (int64, error) {
 			}
 		}
 		if head != 0 {
-			if err := h.countAlloc(tx, s); err != nil {
+			if err := h.countShard(tx, s, offAllocs); err != nil {
 				return 0, err
 			}
 			h.noteShard(th, s)
 			return head, nil
-		}
-	}
-	// No exact block and no bump space anywhere: split the smallest
-	// fitting larger free block.
-	for i := 0; i < h.shards; i++ {
-		s := (start + i) % h.shards
-		ptr, err := h.splitFrom(tx, s, c)
-		if err != nil {
-			return 0, err
-		}
-		if ptr != 0 {
-			if err := h.countAlloc(tx, s); err != nil {
-				return 0, err
-			}
-			h.noteShard(th, s)
-			return ptr, nil
-		}
-	}
-	// Last resort before ErrOutOfSpace: the free space may exist only
-	// as fragmented split buddies. Coalesce each shard's lists and
-	// retry the class list and the split.
-	for i := 0; i < h.shards; i++ {
-		s := (start + i) % h.shards
-		ptr, err := h.coalesceAndRetry(tx, s, c)
-		if err != nil {
-			return 0, err
-		}
-		if ptr != 0 {
-			if err := h.countAlloc(tx, s); err != nil {
-				return 0, err
-			}
-			h.noteShard(th, s)
-			return ptr, nil
 		}
 	}
 	return 0, fmt.Errorf("stmalloc: no shard can serve %d registers: %w", n, ErrOutOfSpace)
@@ -736,152 +653,14 @@ func (h *Heap) popList(tx core.Txn, s, c int) (int64, error) {
 	return head, nil
 }
 
-// splitFrom pops the smallest free block of a class above c on shard s
-// and splits it down to class c inside tx: the lower half (recursively)
-// is returned for the current allocation, the upper halves go onto
-// their classes' free lists. Alignment is preserved — the popped block
-// is aligned to its own size, so every fragment is aligned to its.
-// Returns 0 when no larger class has a free block.
-func (h *Heap) splitFrom(tx core.Txn, s, c int) (int64, error) {
-	for C := c + 1; C < numClasses && 1<<C <= h.chunk; C++ {
-		ptr, err := h.popList(tx, s, C)
-		if err != nil {
-			return 0, err
-		}
-		if ptr == 0 {
-			continue
-		}
-		h.everSplit.Store(true)
-		for k := C - 1; k >= c; k-- {
-			frag := ptr + int64(1)<<k
-			fh, err := tx.Read(h.hdr(s) + offLists + k)
-			if err != nil {
-				return 0, err
-			}
-			if fh != 0 && !h.validPtr(fh) {
-				return 0, core.ErrAborted
-			}
-			if err := tx.Write(int(frag), fh); err != nil {
-				return 0, err
-			}
-			if err := tx.Write(h.hdr(s)+offLists+k, frag); err != nil {
-				return 0, err
-			}
-		}
-		if err := h.countShard(tx, s, offSplits, int64(C-c)); err != nil {
-			return 0, err
-		}
-		return ptr, nil
-	}
-	return 0, nil
-}
-
-// coalesceAndRetry is the pre-ErrOutOfSpace fallback: merge every free
-// buddy pair on shard s's lists bottom-up, then retry the class list
-// and the split path. Returns 0 when the shard still cannot serve
-// class c.
-func (h *Heap) coalesceAndRetry(tx core.Txn, s, c int) (int64, error) {
-	if err := h.coalesceShard(tx, s); err != nil {
-		return 0, err
-	}
-	ptr, err := h.popList(tx, s, c)
-	if err != nil || ptr != 0 {
-		return ptr, err
-	}
-	return h.splitFrom(tx, s, c)
-}
-
-// coalesceShard merges every free buddy pair it can find on shard s's
-// lists, bottom-up so merges cascade: two free class-c buddies become
-// one free class-c+1 block, which may pair again at c+1. A whole-list
-// rewrite per class, so it runs only on the brink of exhaustion — the
-// publish path's incremental cascade (pushFree) keeps steady-state
-// fragmentation down without it.
-func (h *Heap) coalesceShard(tx core.Txn, s int) error {
-	base := int64(h.chunkStart(s))
-	for c := 0; c+1 < numClasses && 1<<(c+1) <= h.chunk; c++ {
-		reg := h.hdr(s) + offLists + c
-		head, err := tx.Read(reg)
-		if err != nil {
-			return err
-		}
-		var blocks []int64
-		for cur := head; cur != 0; {
-			if !h.validPtr(cur) || len(blocks) > h.maxChain() {
-				return core.ErrAborted
-			}
-			blocks = append(blocks, cur)
-			if cur, err = tx.Read(int(cur)); err != nil {
-				return err
-			}
-		}
-		if len(blocks) < 2 {
-			continue
-		}
-		size := int64(1) << c
-		at := make(map[int64]bool, len(blocks))
-		for _, p := range blocks {
-			at[p] = true
-		}
-		var survivors, merged []int64
-		for _, p := range blocks {
-			switch {
-			case (p-base)&size == 0 && at[p+size]:
-				merged = append(merged, p) // lower half of a free pair
-			case (p-base)&size != 0 && at[p-size]:
-				// upper half of a free pair: consumed by its lower half
-			default:
-				survivors = append(survivors, p)
-			}
-		}
-		if len(merged) == 0 {
-			continue
-		}
-		// Rewrite the class list as the survivors, then push every
-		// merged block onto the next class up (read fresh when the loop
-		// reaches it, so cascades happen naturally).
-		prev := int64(0)
-		for i := len(survivors) - 1; i >= 0; i-- {
-			if err := tx.Write(int(survivors[i]), prev); err != nil {
-				return err
-			}
-			prev = survivors[i]
-		}
-		if err := tx.Write(reg, prev); err != nil {
-			return err
-		}
-		up := h.hdr(s) + offLists + c + 1
-		for _, p := range merged {
-			uh, err := tx.Read(up)
-			if err != nil {
-				return err
-			}
-			if uh != 0 && !h.validPtr(uh) {
-				return core.ErrAborted
-			}
-			if err := tx.Write(int(p), uh); err != nil {
-				return err
-			}
-			if err := tx.Write(up, p); err != nil {
-				return err
-			}
-		}
-		if err := h.countShard(tx, s, offCoalesces, int64(len(merged))); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // bump takes size registers from shard s's bump region, returning 0
 // (no error) when the chunk is exhausted. The frontier rounds up so
-// every block is aligned to its own size relative to the chunk start —
-// the invariant the buddy arithmetic (splitFrom, pushFree,
-// coalesceShard) rests on: a block's buddy is the same-size block
-// whose chunk offset differs only in the size bit. The skipped pad is
-// not stranded: it decomposes into maximal aligned power-of-two blocks
-// pushed onto their classes' free lists inside the same transaction.
-// Single-class traffic never pays a pad (the frontier stays aligned).
+// every block is aligned to its own size relative to the chunk start,
+// which fixes where blocks land and so the heap's bump high-water. The
+// skipped pad is not stranded: it decomposes into maximal aligned
+// power-of-two blocks pushed onto their classes' free lists inside the
+// same transaction. Single-class traffic never pays a pad (the frontier
+// stays aligned).
 func (h *Heap) bump(tx core.Txn, s int, size int64) (int64, error) {
 	b, err := tx.Read(h.hdr(s) + offBump)
 	if err != nil {
@@ -926,9 +705,8 @@ func (h *Heap) bump(tx core.Txn, s int, size int64) (int64, error) {
 // preference: the thread's own cache, a batch refill from a shard free
 // list (the thread's affinity shard first, so repeat refills keep
 // drawing from one shard instead of ping-ponging shard headers across
-// cores), a bump region, a split of a larger free block, HALF of
-// another thread's cache (parked frees are never taken — they have not
-// quiesced), and the last-resort coalescing pass.
+// cores), a bump region, then HALF of another thread's cache (parked
+// frees are never taken — they have not quiesced).
 func (h *Heap) newMag(tx core.Txn, th, c, n int) (int64, error) {
 	ptr, err := h.popMag(tx, th, c)
 	if err != nil {
@@ -967,48 +745,12 @@ func (h *Heap) newMag(tx core.Txn, th, c, n int) (int64, error) {
 		}
 	}
 	if ptr == 0 {
-		// No exact block, no bump space: split a larger free block. The
-		// thread's own cache may hold the only one — a batch retire
-		// recycles into it until the heap first splits — so move the
-		// cache to the shard lists first, where the split (and, failing
-		// that, the coalescing pass) can reach it.
-		if err := h.spillCache(tx, th); err != nil {
-			return 0, err
-		}
-		start := h.homeShard(th)
-		for i := 0; i < h.shards && ptr == 0; i++ {
-			s := (start + i) % h.shards
-			if ptr, err = h.splitFrom(tx, s, c); err != nil {
-				return 0, err
-			}
-			if ptr != 0 {
-				h.noteShard(th, s)
-			}
-		}
-	}
-	if ptr == 0 {
 		for t := 1; t <= h.magThreads && ptr == 0; t++ {
 			if t == th {
 				continue
 			}
 			if ptr, err = h.stealHalf(tx, th, t, c); err != nil {
 				return 0, err
-			}
-		}
-	}
-	if ptr == 0 {
-		// Last resort before ErrOutOfSpace: the free space may exist
-		// only as fragmented split buddies (e.g. cache spills and
-		// flushes push fragments back without merging). Coalesce and
-		// retry.
-		start := h.homeShard(th)
-		for i := 0; i < h.shards && ptr == 0; i++ {
-			s := (start + i) % h.shards
-			if ptr, err = h.coalesceAndRetry(tx, s, c); err != nil {
-				return 0, err
-			}
-			if ptr != 0 {
-				h.noteShard(th, s)
 			}
 		}
 	}
@@ -1242,20 +984,16 @@ func (h *Heap) validBump(s int, b int64) bool {
 	return b >= int64(h.chunkStart(s)) && b <= int64(h.chunkEnd(s))
 }
 
-func (h *Heap) countAlloc(tx core.Txn, s int) error {
-	return h.countShard(tx, s, offAllocs, 1)
-}
-
-// countShard adds n to one of shard s's transactional counters
-// (offAllocs, offFrees, offSplits, offCoalesces) — exact, because an
-// aborted transaction rolls the bump back.
-func (h *Heap) countShard(tx core.Txn, s, off int, n int64) error {
+// countShard adds one to shard s's transactional counter at off
+// (offAllocs or offFrees) — exact, because an aborted transaction
+// rolls the bump back.
+func (h *Heap) countShard(tx core.Txn, s, off int) error {
 	reg := h.hdr(s) + off
 	v, err := tx.Read(reg)
 	if err != nil {
 		return err
 	}
-	return tx.Write(reg, v+n)
+	return tx.Write(reg, v+1)
 }
 
 // shardOf maps a block pointer to its home shard.
@@ -1379,11 +1117,9 @@ func (h *Heap) publishBatch(th int, batch []retired) {
 
 // recycle publishes one wiped, quiescent block inside tx: onto its
 // owner's alloc-side cache while that holds fewer than recycleFactor ×
-// capacity blocks of the class, else onto its home shard's list. On a
-// heap that has ever split every block takes the shard list, where it
-// can coalesce with its buddy.
+// capacity blocks of the class, else onto its home shard's list.
 func (h *Heap) recycle(tx core.Txn, r retired) error {
-	if r.owner != 0 && !h.everSplit.Load() {
+	if r.owner != 0 {
 		if ok, err := h.pushMag(tx, r.owner, r.ptr, r.class, int64(recycleFactor*h.magCap)); ok || err != nil {
 			return err
 		}
@@ -1394,10 +1130,8 @@ func (h *Heap) recycle(tx core.Txn, r retired) error {
 // FreeQuiesced is Free for a block the caller already knows to be
 // quiescent — its own privatize→fence cycle guarantees no transaction
 // holds a stale reference (stmkv's growth path). The grace period is
-// skipped; the wipe happens inline, and on a magazine heap the block
-// recycles straight through the thread's alloc-side cache (spilling to
-// its home shard's list when the cache is full), so the next
-// allocation of the class pops it locally.
+// skipped: the block is wiped inline and pushed onto its home shard's
+// list, on magazine threads too.
 func (h *Heap) FreeQuiesced(th int, ptr int64, n int) {
 	c, ok := classOf(n)
 	if !ok {
@@ -1405,26 +1139,6 @@ func (h *Heap) FreeQuiesced(th int, ptr int64, n int) {
 		return
 	}
 	h.pending.Add(1)
-	if h.hasMagazine(th) {
-		h.parked[th].frees.Add(1)
-		// Quiescent already: the uninstrumented wipe is race-free now.
-		for i := 1; i < 1<<c; i++ {
-			h.tm.Store(th, int(ptr)+i, 0)
-		}
-		err := core.Atomically(h.tm, th, func(tx core.Txn) error {
-			if ok, err := h.pushMag(tx, th, ptr, c, int64(h.magCap)); ok || err != nil {
-				return err
-			}
-			// Cache full: spill to the home shard's list (coalescing
-			// with free buddies on a heap that has ever split).
-			return h.pushFree(tx, ptr, c)
-		})
-		h.pending.Add(-1)
-		if err != nil {
-			h.fail(fmt.Errorf("stmalloc: quiesced free of %d failed: %w", ptr, err))
-		}
-		return
-	}
 	h.release(th, ptr, c, !h.txnFree)
 }
 
@@ -1456,8 +1170,7 @@ func (h *Heap) FlushThread(th int) {
 
 // spillCache moves every block on thread owner's alloc-side cache onto
 // its home shard's free list inside tx. No counter updates: the blocks
-// move between free pools, not between the heap and a caller. The
-// push does not coalesce (the last-resort pass in New does).
+// move between free pools, not between the heap and a caller.
 func (h *Heap) spillCache(tx core.Txn, owner int) error {
 	for c := 0; c < numClasses; c++ {
 		reg := h.magClass(owner, c)
@@ -1508,37 +1221,9 @@ func (h *Heap) spillCache(tx core.Txn, owner int) error {
 }
 
 // pushFree publishes the class-c block at ptr onto its home shard's
-// free list inside tx. On a heap that has ever split, the push first
-// cascades buddy merges: while the block's buddy sits free on the same
-// class list, unlink it, merge, and try again one class up — "Free of
-// a split block coalesces with its buddy when both are free". Heaps
-// that never split skip the search entirely.
+// free list inside tx.
 func (h *Heap) pushFree(tx core.Txn, ptr int64, c int) error {
 	s := h.shardOf(ptr)
-	if h.everSplit.Load() {
-		base := int64(h.chunkStart(s))
-		for c+1 < numClasses && 1<<(c+1) <= h.chunk {
-			size := int64(1) << c
-			budOff := (ptr - base) ^ size
-			if budOff+size > int64(h.chunk) {
-				break
-			}
-			found, err := h.unlinkBlock(tx, s, c, base+budOff)
-			if err != nil {
-				return err
-			}
-			if !found {
-				break
-			}
-			if budOff < ptr-base {
-				ptr = base + budOff
-			}
-			c++
-			if err := h.countShard(tx, s, offCoalesces, 1); err != nil {
-				return err
-			}
-		}
-	}
 	head, err := tx.Read(h.hdr(s) + offLists + c)
 	if err != nil {
 		return err
@@ -1552,40 +1237,10 @@ func (h *Heap) pushFree(tx core.Txn, ptr int64, c int) error {
 	return tx.Write(h.hdr(s)+offLists+c, ptr)
 }
 
-// unlinkBlock removes the block `want` from shard s's class-c free
-// list if present, reporting whether it was found.
-func (h *Heap) unlinkBlock(tx core.Txn, s, c int, want int64) (bool, error) {
-	prev := h.hdr(s) + offLists + c
-	cur, err := tx.Read(prev)
-	if err != nil {
-		return false, err
-	}
-	n := 0
-	for cur != 0 {
-		if !h.validPtr(cur) || n > h.maxChain() {
-			return false, core.ErrAborted
-		}
-		nxt, err := tx.Read(int(cur))
-		if err != nil {
-			return false, err
-		}
-		if cur == want {
-			if nxt != 0 && !h.validPtr(nxt) {
-				return false, core.ErrAborted
-			}
-			return true, tx.Write(prev, nxt)
-		}
-		prev, cur = int(cur), nxt
-		n++
-	}
-	return false, nil
-}
-
 // release is the tail of every reclamation: optionally wipe the block
 // uninstrumented (legal only when it is quiescent), then push it onto
 // its home shard's class list with a transaction whose commit makes
-// the block reachable again — the publish of the idiom. The push
-// coalesces with free buddies on a heap that has ever split.
+// the block reachable again — the publish of the idiom.
 func (h *Heap) release(th int, ptr int64, c int, wipe bool) {
 	defer h.pending.Add(-1)
 	if wipe {
@@ -1602,7 +1257,7 @@ func (h *Heap) release(th int, ptr int64, c int, wipe bool) {
 		if err := h.pushFree(tx, ptr, c); err != nil {
 			return err
 		}
-		return h.countShard(tx, s, offFrees, 1)
+		return h.countShard(tx, s, offFrees)
 	})
 	if err != nil {
 		h.fail(fmt.Errorf("stmalloc: free of %d (shard %d) failed: %w", ptr, s, err))
@@ -1641,24 +1296,13 @@ func (h *Heap) Drain(th int) error {
 // under concurrency it is an approximation.
 func (h *Heap) Stats() Stats {
 	st := Stats{
-		Shards:       make([]ShardStats, h.shards),
 		PendingFrees: h.pending.Load(),
 		Batches:      h.batches.Load(),
 	}
 	for s := 0; s < h.shards; s++ {
-		sh := ShardStats{
-			Allocs:    h.tm.Load(1, h.hdr(s)+offAllocs),
-			Frees:     h.tm.Load(1, h.hdr(s)+offFrees),
-			BumpRegs:  h.tm.Load(1, h.hdr(s)+offBump) - int64(h.chunkStart(s)),
-			Splits:    h.tm.Load(1, h.hdr(s)+offSplits),
-			Coalesces: h.tm.Load(1, h.hdr(s)+offCoalesces),
-		}
-		st.Shards[s] = sh
-		st.Allocs += sh.Allocs
-		st.Frees += sh.Frees
-		st.BumpRegs += sh.BumpRegs
-		st.Splits += sh.Splits
-		st.Coalesces += sh.Coalesces
+		st.Allocs += h.tm.Load(1, h.hdr(s)+offAllocs)
+		st.Frees += h.tm.Load(1, h.hdr(s)+offFrees)
+		st.BumpRegs += h.tm.Load(1, h.hdr(s)+offBump) - int64(h.chunkStart(s))
 	}
 	for t := 1; t <= h.magThreads; t++ {
 		st.Allocs += h.tm.Load(1, h.magBase(t)+offMagAllocs)
@@ -1671,9 +1315,3 @@ func (h *Heap) Stats() Stats {
 	st.Live = st.Allocs - st.Frees
 	return st
 }
-
-// Footprint returns the heap's steady-state register footprint: the
-// sum of the shards' bump high-waters. A churn workload whose frees
-// keep up with its allocations has a bounded footprint no matter how
-// many operations run; a bump-only allocator's grows without bound.
-func (h *Heap) Footprint() int64 { return h.Stats().BumpRegs }

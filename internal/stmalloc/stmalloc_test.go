@@ -119,6 +119,92 @@ func TestOutOfSpace(t *testing.T) {
 	}
 }
 
+// TestClassListsServeOnlyTheirClass pins the size-class contract: a
+// free list serves only its own class. Each row bumps its hold blocks
+// in order from a one-shard heap whose chunk is exactly 32 registers,
+// optionally frees them all and drains, then probes: each probe is
+// either ErrOutOfSpace or served from a free list at the given chunk
+// offset, with the bump high-water unmoved. The first two rows leave
+// four free 8-register blocks and no bump space, so a 16-register
+// request fails — no pair of free blocks is merged to serve it — while
+// an 8-register one reuses the last block freed. The pad row bumps a
+// 4-register block, then a 16-register one aligned past a 12-register
+// pad, and takes the pad's two aligned blocks (4 registers at offset 4,
+// 8 at offset 8) back from their class lists.
+func TestClassListsServeOnlyTheirClass(t *testing.T) {
+	const first, chunk, outOfSpace = 8, 32, -1
+	type probe struct {
+		n  int   // registers requested
+		at int64 // chunk offset of the block served, or outOfSpace
+	}
+	tests := []struct {
+		name   string
+		mag    int   // magazine threads; 0 builds a per-free heap
+		hold   []int // block sizes bumped in order
+		free   bool  // free every held block and Drain before probing
+		probes []probe
+		live   int64 // Stats().Live after the probes
+	}{
+		{"per-free", 0, []int{8, 8, 8, 8}, true, []probe{{16, outOfSpace}, {8, 24}}, 1},
+		{"magazine", 1, []int{8, 8, 8, 8}, true, []probe{{16, outOfSpace}, {8, 24}}, 1},
+		{"pad", 0, []int{4, 16}, false, []probe{{4, 4}, {8, 8}, {16, outOfSpace}}, 4},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			regs := first + stmalloc.HeaderRegs(1) + stmalloc.MagazineRegs(tt.mag) + chunk
+			tm := engine.MustNewSpec("tl2", regs, 2, nil)
+			opts := []stmalloc.Option{stmalloc.WithShards(1)}
+			if tt.mag > 0 {
+				opts = append(opts, stmalloc.WithMagazines(tt.mag, 8))
+			}
+			h, err := stmalloc.New(tm, first, regs, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := int64(regs - chunk)
+			var held []int64
+			for _, n := range tt.hold {
+				held = append(held, alloc(t, tm, h, 1, n))
+			}
+			if tt.free {
+				for i, p := range held {
+					h.Free(1, p, tt.hold[i])
+				}
+				if err := h.Drain(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := h.Stats(); st.BumpRegs != chunk {
+				t.Fatalf("setup bumped %d registers, want the whole %d-register chunk", st.BumpRegs, chunk)
+			}
+			for _, pr := range tt.probes {
+				var ptr int64
+				err := core.Atomically(tm, 1, func(tx core.Txn) error {
+					var err error
+					ptr, err = h.New(tx, 1, pr.n)
+					return err
+				})
+				if pr.at == outOfSpace {
+					if !errors.Is(err, stmalloc.ErrOutOfSpace) {
+						t.Fatalf("New(%d) = offset %d, %v; want ErrOutOfSpace", pr.n, ptr-base, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("New(%d): %v", pr.n, err)
+				}
+				if ptr-base != pr.at {
+					t.Fatalf("New(%d) served chunk offset %d, want %d", pr.n, ptr-base, pr.at)
+				}
+			}
+			st := h.Stats()
+			if st.BumpRegs != chunk || st.Live != tt.live || st.PendingFrees != 0 {
+				t.Fatalf("after the probes: %+v, want BumpRegs=%d Live=%d PendingFrees=0", st, chunk, tt.live)
+			}
+		})
+	}
+}
+
 func TestAbortedAllocationRollsBack(t *testing.T) {
 	tm := engine.MustNewSpec("tl2", 1<<10, 2, nil)
 	h, err := stmalloc.New(tm, 8, tm.NumRegs())
@@ -333,7 +419,7 @@ func TestBoundedFootprintUnderChurn(t *testing.T) {
 	if err := h.Drain(1); err != nil {
 		t.Fatal(err)
 	}
-	if fp := h.Footprint(); fp > 256 {
+	if fp := h.Stats().BumpRegs; fp > 256 {
 		t.Fatalf("footprint %d regs after 8k churn ops over ≤40 live keys", fp)
 	}
 }
@@ -476,7 +562,7 @@ func TestMagazineBoundedFootprint(t *testing.T) {
 	}
 	// ≤40 live 2-reg nodes + one magazine (8 alloc-side + 8 parked, 2
 	// regs each) + retire slack.
-	if fp := h.Footprint(); fp > 256 {
+	if fp := h.Stats().BumpRegs; fp > 256 {
 		t.Fatalf("footprint %d regs after 8k churn ops over ≤40 live keys", fp)
 	}
 }
@@ -522,11 +608,11 @@ func TestFlushThreadPartialMagazine(t *testing.T) {
 		t.Fatalf("allocs-frees = %d, want %d live", st.Live, len(live))
 	}
 	// Thread 2 must reuse the flushed registers: footprint stays flat.
-	before := h.Footprint()
+	before := h.Stats().BumpRegs
 	for i := 0; i < len(freed); i++ {
 		alloc(t, tm, h, 2, 2)
 	}
-	if after := h.Footprint(); after != before {
+	if after := h.Stats().BumpRegs; after != before {
 		t.Fatalf("flushed blocks not reused: footprint %d -> %d", before, after)
 	}
 }
@@ -589,8 +675,8 @@ func TestMagazineSteal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Thread 1 drains the arena, then FreeQuiesced recycles two blocks
-	// straight into its alloc-side cache.
+	// Thread 1 drains the arena, then frees a full batch: eight park,
+	// the ninth retires all nine into its alloc-side cache.
 	var ptrs []int64
 	for {
 		var p int64
@@ -607,17 +693,18 @@ func TestMagazineSteal(t *testing.T) {
 		}
 		ptrs = append(ptrs, p)
 	}
-	h.FreeQuiesced(1, ptrs[0], 4)
-	h.FreeQuiesced(1, ptrs[1], 4)
-	if st := h.Stats(); st.MagAlloc != 2 {
-		t.Fatalf("FreeQuiesced did not cache: %+v", st)
+	for _, p := range ptrs[:9] {
+		h.Free(1, p, 4)
+	}
+	if st := h.Stats(); st.MagAlloc != 9 {
+		t.Fatalf("batch retire did not cache: %+v", st)
 	}
 	// Thread 2 has nothing local and nothing shared — it must steal.
 	p := alloc(t, tm, h, 2, 4)
-	if p != ptrs[0] && p != ptrs[1] {
-		t.Fatalf("allocated %d, want one of the cached blocks %v", p, ptrs[:2])
+	if !slices.Contains(ptrs[:9], p) {
+		t.Fatalf("allocated %d, want one of the cached blocks %v", p, ptrs[:9])
 	}
-	if st := h.Stats(); st.MagAlloc != 1 {
+	if st := h.Stats(); st.MagAlloc != 8 {
 		t.Fatalf("steal did not come from the cache: %+v", st)
 	}
 }
@@ -656,8 +743,8 @@ func TestStealTakesHalf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Thread 1 drains the arena, then recycles 6 quiesced blocks into
-	// its alloc-side cache.
+	// Thread 1 drains the arena, then frees a full batch: eight park,
+	// the ninth retires all nine into its alloc-side cache.
 	var ptrs []int64
 	for {
 		var p int64
@@ -674,29 +761,30 @@ func TestStealTakesHalf(t *testing.T) {
 		}
 		ptrs = append(ptrs, p)
 	}
-	if len(ptrs) < 6 {
+	if len(ptrs) < 9 {
 		t.Fatalf("arena too small: %d blocks", len(ptrs))
 	}
-	for _, p := range ptrs[:6] {
-		h.FreeQuiesced(1, p, 4)
+	for _, p := range ptrs[:9] {
+		h.Free(1, p, 4)
 	}
-	if st := h.Stats(); st.MagAlloc != 6 {
-		t.Fatalf("cache = %d, want 6", st.MagAlloc)
+	if st := h.Stats(); st.MagAlloc != 9 {
+		t.Fatalf("cache = %d, want 9", st.MagAlloc)
 	}
-	// Thread 2's first allocation must move half (3) out of thread 1's
-	// cache: one serves the allocation, two seed thread 2's cache.
+	// Thread 2's first allocation must move half (5) out of thread 1's
+	// cache: one serves the allocation, four seed thread 2's cache.
 	_ = alloc(t, tm, h, 2, 4)
-	if st := h.Stats(); st.MagAlloc != 5 {
-		t.Fatalf("after steal, cached = %d, want 5 (3 left + 2 seeded)", st.MagAlloc)
+	if st := h.Stats(); st.MagAlloc != 8 {
+		t.Fatalf("after steal, cached = %d, want 8 (4 left + 4 seeded)", st.MagAlloc)
 	}
-	// The next two thread-2 allocations hit its own cache: the victim's
-	// remaining 3 cached blocks must not move.
-	_ = alloc(t, tm, h, 2, 4)
-	_ = alloc(t, tm, h, 2, 4)
-	if st := h.Stats(); st.MagAlloc != 3 {
-		t.Fatalf("after local pops, cached = %d, want 3", st.MagAlloc)
+	// The next four thread-2 allocations hit its own cache: the
+	// victim's remaining 4 cached blocks must not move.
+	for i := 0; i < 4; i++ {
+		_ = alloc(t, tm, h, 2, 4)
 	}
-	if st := h.Stats(); st.Allocs-st.Frees != int64(len(ptrs)-6+3) {
+	if st := h.Stats(); st.MagAlloc != 4 {
+		t.Fatalf("after local pops, cached = %d, want 4", st.MagAlloc)
+	}
+	if st := h.Stats(); st.Allocs-st.Frees != int64(len(ptrs)-9+5) {
 		t.Fatalf("leak accounting off: %+v", st)
 	}
 }
@@ -878,13 +966,14 @@ func TestMagazineParkedBlocksUntouched(t *testing.T) {
 // magazine miss, and thread 2's cache is neither fed nor drained.
 func TestMagazineRecyclesToOwner(t *testing.T) {
 	tm, h := magHeap(t, "tl2", 2)
-	// Thread 2 caches three blocks of its own.
+	// Thread 2 caches nine blocks of its own: a full batch of frees,
+	// eight parked and the ninth retiring them all.
 	var own2 []int64
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 9; i++ {
 		own2 = append(own2, alloc(t, tm, h, 2, 4))
 	}
 	for _, p := range own2 {
-		h.FreeQuiesced(2, p, 4)
+		h.Free(2, p, 4)
 	}
 	// Thread 1 frees a whole batch: eight park, the ninth retires it.
 	var batch []int64
@@ -894,8 +983,8 @@ func TestMagazineRecyclesToOwner(t *testing.T) {
 	for _, p := range batch {
 		h.Free(1, p, 4)
 	}
-	if st := h.Stats(); st.MagAlloc != 3+9 || st.MagFree != 0 || st.PendingFrees != 0 {
-		t.Fatalf("after one retire: %+v, want MagAlloc=12 MagFree=0 PendingFrees=0", st)
+	if st := h.Stats(); st.MagAlloc != 9+9 || st.MagFree != 0 || st.PendingFrees != 0 {
+		t.Fatalf("after two retires: %+v, want MagAlloc=18 MagFree=0 PendingFrees=0", st)
 	}
 	slot := tm.(telemetry.Provider).TelemetryBoard().Slot(1)
 	misses := slot.MagMisses.Load()
@@ -907,7 +996,7 @@ func TestMagazineRecyclesToOwner(t *testing.T) {
 	if got := slot.MagMisses.Load(); got != misses {
 		t.Fatalf("thread 1 took %d magazine misses popping its recycled blocks", got-misses)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 9; i++ {
 		if p := alloc(t, tm, h, 2, 4); !slices.Contains(own2, p) {
 			t.Fatalf("thread 2 allocated %d, not one of its cached blocks %v", p, own2)
 		}

@@ -78,7 +78,8 @@ func HashMapDemand(keys int) []stmalloc.ClassDemand {
 //     above). It must start zeroed (VInit), which reads as "table
 //     uninitialized".
 //   - A bucket array of 2^b buckets is one 2^b-register stmalloc block
-//     (the variable-size demand the buddy split/coalesce layer serves);
+//     (each array size is its own size class; HashMapDemand budgets one
+//     block of every class the table passes through);
 //     bucket i's register holds the head pointer of i's chain.
 //   - A chain node occupies hashNodeRegs registers: key, value, next.
 //

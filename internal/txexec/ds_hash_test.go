@@ -16,10 +16,10 @@ import (
 // while the table doubles as scripted post-commit actions — each Grow
 // runs one whole privatized doubling at a quiescent point, with
 // deferred frees and magazine batch retires (including the freed old
-// arrays recycling through the buddy splitter) draining between the
-// same rounds. Every TM × reclaim axis must reproduce the replay of
-// the pinned serialization order on a plain Go map, with exact
-// post-drain leak accounting over the split/coalesced heap.
+// arrays, back on their own class lists) draining between the same
+// rounds. Every TM × reclaim axis must reproduce the replay of the
+// pinned serialization order on a plain Go map, with exact post-drain
+// leak accounting.
 
 type hashWinKind int
 
@@ -211,9 +211,8 @@ func replayHashOracle(t *testing.T, scripts [][]hashWinOp, order []DSRef) (resul
 // runHashOnTM builds a HashMap over a demand-sized reclaiming heap of
 // the given shape on one spec, runs the windowed schedule, and checks
 // the run against the replay oracle, the rehash telemetry, and the
-// exact leak accounting (which now includes blocks the buddy layer
-// split and coalesced: every freed old array re-enters circulation as
-// smaller blocks).
+// exact leak accounting (every freed old array returns to its class's
+// free list).
 func runHashOnTM(t *testing.T, spec string, shape heapShape, seed int64, scripts [][]hashWinOp) {
 	t.Helper()
 	threads := len(scripts)
@@ -286,9 +285,8 @@ func runHashOnTM(t *testing.T, spec string, shape heapShape, seed int64, scripts
 		}
 	}
 	// Exact leak accounting: drain reclamation, and the only live blocks
-	// are the resident nodes plus ONE bucket array — however many splits
-	// and coalesces the recycled arrays went through, Allocs−Frees counts
-	// blocks as currently sized.
+	// are the resident nodes plus ONE bucket array — however many old
+	// arrays the doublings freed.
 	if err := heap.Drain(1); err != nil {
 		t.Fatalf("%s: Drain: %v", spec, err)
 	}
@@ -303,7 +301,7 @@ func runHashOnTM(t *testing.T, spec string, shape heapShape, seed int64, scripts
 // magazine batch retires racing them — on every
 // registry TM × per-free/magazine heap must match the replay of the
 // pinned serialization order, with exact post-drain leak accounting
-// including split/coalesced blocks.
+// including the freed old arrays.
 func TestDifferentialHashMapWindows(t *testing.T) {
 	seeds := int64(3)
 	opsPerThread := 40
