@@ -30,9 +30,10 @@
 //	skipro     fence skips read-only txns (GCC libitm bug) (tl2)
 //
 // wait, nofence and skipro all set the one fence axis, so any two of
-// them in a spec conflict. A heap whose Free rides the fence must not
-// ride an unsafe one (nofence, skipro): Config.UnsafeFence tells its
-// builder to fall back to stmalloc.WithTransactionalFree.
+// them in a spec conflict. Every stmalloc heap reclaims through the
+// fence, so its blocks are safe only over a safe fence: an unsafe one
+// (nofence, skipro) reproduces the anomalies on the heap too, and
+// kvserve refuses it (Config.UnsafeFence).
 //
 // Examples: "tl2+gv4+epochs+sorted", "wtstm+nofence", "norec+epochs",
 // "tl2+skipro".
@@ -235,10 +236,8 @@ func (c *Config) normalize() error {
 }
 
 // UnsafeFence reports whether the configuration's fence gives no grace
-// period guarantee (the nofence/skipro anomaly policies): a heap built
-// over such a TM must reclaim fully transactionally
-// (stmalloc.WithTransactionalFree), and cmd/litmus expects violations
-// from it.
+// period guarantee (the nofence/skipro anomaly policies): kvserve
+// refuses such a TM, and cmd/litmus expects violations from it.
 func (c Config) UnsafeFence() bool { return c.Fence == "noop" || c.Fence == "skipro" }
 
 // New constructs the TM described by cfg.

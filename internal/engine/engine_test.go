@@ -217,7 +217,7 @@ var retiredFenceCases = []struct {
 // retiredHeapSpecs are the specs Specs() listed while the heap's shape
 // was a spec axis (alloc: bump or quiesce; reclaim: free or batch). No
 // TM read either axis; a heap is shaped where it is built
-// (stmalloc.WithMagazines, stmalloc.WithTransactionalFree).
+// (stmalloc.WithShards, stmalloc.WithMagazines).
 var retiredHeapSpecs = []string{"norec+quiesce", "norec+quiesce+batch", "tl2+quiesce", "tl2+quiesce+batch"}
 
 // errorSpecs is every spec TestParseErrors expects refused, with the

@@ -5,7 +5,8 @@
 // Theorem 5.3 a program that follows the idiom is DRF assuming strong
 // atomicity, so it is safe on every TM in the registry, weakly atomic
 // TL2 included. stmkv's shards, stmds.SkipMap's scan windows and
-// stmds.HashMap's doublings all privatize and publish through it.
+// stmds.HashMap's doublings all privatize and publish through it, and
+// stmalloc's block retires fence through it.
 //
 // Owner is the owning half: Take commits the privatizing transaction,
 // Fence is the one fence of every private phase, Privatize is Take then
@@ -61,14 +62,13 @@
 // running, whichever state it saw.
 //
 // internal/litmus carries the idiom and its racy twin as the programs
-// read-privatize and read-privatize-racy. TestFenceNecessary in stmkv
-// and stmds races every private phase against a writer parked before
-// its commit, and fails when Owner.Fence does nothing.
+// read-privatize and read-privatize-racy. TestFenceNecessary in stmkv,
+// stmds and stmalloc races every private phase against a writer parked
+// before its commit, and fails when Owner.Fence does nothing.
 package region
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"safepriv/internal/core"
 	"safepriv/internal/telemetry"
@@ -179,18 +179,16 @@ func (g Guard) Give(tx core.Txn) error {
 
 // Owner privatizes and publishes the regions of one structure over one
 // TM: the privatizing and publishing transactions, the fence between
-// them, the gate that wakes waiters, and the privatization count.
+// them, and the gate that wakes waiters. stmalloc's retires use its
+// Fence alone: their privatizing transaction is the caller's unlink.
 type Owner struct {
 	tm    core.TM
 	board *telemetry.Board
 	gate  Gate
-
-	privatizations atomic.Int64
-	_              [56]byte
 }
 
-// NewOwner returns an owner over tm. Privatizations are also counted on
-// tm's telemetry board when it carries one.
+// NewOwner returns an owner over tm. Privatizations are counted on tm's
+// telemetry board when it carries one.
 func NewOwner(tm core.TM) *Owner {
 	o := &Owner{tm: tm}
 	if p, ok := tm.(telemetry.Provider); ok {
@@ -213,7 +211,6 @@ func (o *Owner) Take(th int, body func(core.Txn) error) error {
 	if err := o.Retry(th, body); err != nil {
 		return err
 	}
-	o.privatizations.Add(1)
 	if sl := o.board.Slot(th); sl != nil {
 		sl.Privatizations.Add(1)
 	}
@@ -245,6 +242,3 @@ func (o *Owner) Publish(th int, body func(core.Txn) error) error {
 	}
 	return err
 }
-
-// Privatizations is the number of privatizing transactions committed.
-func (o *Owner) Privatizations() int64 { return o.privatizations.Load() }

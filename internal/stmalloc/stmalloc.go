@@ -10,12 +10,13 @@
 //     with everything else.
 //  2. The data structure unlinks the block transactionally (a Remove
 //     or Dequeue that commits).
-//  3. Free(th, ptr, n) runs the TM's fence (core.TM.Fence): once every
-//     transaction active at the Free has finished — so no stale
-//     reference survives — the block is wiped with *uninstrumented*
-//     stores (the idiom's private phase) and pushed back onto its home
-//     shard's free list by a small transaction (the publish), all on
-//     the caller's thread before Free returns.
+//  3. Free(th, ptr, n) retires the block: the heap's region.Owner
+//     fences (core.TM.Fence), and once every transaction active at the
+//     Free has finished — so no stale reference survives — the block is
+//     wiped with *uninstrumented* stores (the idiom's private phase) and
+//     pushed back onto its home shard's free list by a small
+//     transaction (the publish), all on the caller's thread before Free
+//     returns.
 //
 // The free lists themselves live in TM registers (each free block's
 // first register is the next-free link, shard list heads live in the
@@ -23,19 +24,13 @@
 // of allocator state are caught by the TM's opacity machinery like any
 // other conflict.
 //
-// Two escape hatches adjust the reclamation path:
-//
-//   - WithTransactionalFree is the fallback for TMs whose fence is
-//     unsafe or absent (the engine's nofence/skipro anomaly specs):
-//     Free pushes the block back immediately with a transaction and
-//     never touches it uninstrumented. This is safe on any opaque TM —
-//     a doomed reader still holding the block sees only transactional
-//     writes, which its validation catches — it just gives up the
-//     uninstrumented wipe the idiom buys.
-//   - FreeQuiesced skips the grace period because the caller already
-//     ran one: a privatize→fence→operate cycle (stmkv's growth path)
-//     that unlinked the block while the shard was quiescent may return
-//     it straight to the free list.
+// Every block is reclaimed one way: retire runs ONE fence for a batch
+// of blocks, then one uninstrumented wipe pass and the publish
+// transactions. A per-free Free is a batch of one; a magazine retire
+// (below) is a batch of capacity+1. The one escape is FreeQuiesced,
+// which skips the fence because the caller already ran one: a
+// privatize→fence→operate cycle (stmkv's growth path) that unlinked the
+// block while the shard was quiescent may publish it straight away.
 //
 // # The magazine layer
 //
@@ -81,8 +76,6 @@
 //
 // FreeQuiesced blocks (already fenced by the caller) are wiped
 // immediately and pushed onto their home shard's list, on any thread.
-// FlushThread retires a leaving thread's parked list to the shard lists
-// (never into the cache it is flushing) and returns its cache to them;
 // Drain retires every thread's parked frees under ONE shared grace
 // period, routing each block to its owner, before settling. When every
 // shard list and bump region is empty, New steals half of another
@@ -100,24 +93,19 @@
 // come from the bump regions once and then circulate within the class.
 // A request that no class list, bump region or stolen cache can serve
 // is ErrOutOfSpace, whatever free blocks of other classes exist. The
-// bump frontier rounds up so every block is aligned to its own size
-// relative to its shard chunk, returning the skipped pad to the free
-// lists as smaller aligned blocks.
+// bump frontier advances by exactly the block's size: no block needs
+// alignment, so no register is skipped.
 //
 // # Exact accounting
 //
-// Per-shard statistics (allocations, frees, bump high-water) are kept
-// in registers and updated transactionally, so they are exact: aborted
-// attempts do not count, and Allocs-Frees equals the number of live
-// blocks (the leak-accounting invariant the tests pin). With magazines
-// the counters move per thread and are counted when a block passes
-// between the heap and the caller, not when it migrates between pools:
-// allocations in a per-thread register (transactional, like the shard
-// counters), frees in a per-thread atomic bumped by Free itself —
-// exact, because Free runs once per block outside any transaction. A
-// parked block therefore counts as freed (it is not Live) and as
-// pending (PendingFrees) until its batch recycles. A FreeQuiesced on a
-// magazine thread counts on its block's shard instead; Stats sums both.
+// Allocations are counted in registers, per shard or per magazine
+// thread, inside the allocating transaction, so aborted attempts do not
+// count. Frees are counted once, by Free and FreeQuiesced, in one heap
+// atomic: exact, because each runs once per block outside any
+// transaction. Allocs-Frees therefore equals the number of live blocks
+// (the leak-accounting invariant the tests pin), and a block whose
+// retire has not yet published it counts as freed (it is not Live) and
+// as pending (PendingFrees).
 package stmalloc
 
 import (
@@ -127,6 +115,7 @@ import (
 	"sync/atomic"
 
 	"safepriv/internal/core"
+	"safepriv/internal/region"
 	"safepriv/internal/telemetry"
 )
 
@@ -147,24 +136,19 @@ const numClasses = 14
 const MaxBlockRegs = 1 << (numClasses - 1)
 
 // Per-shard header layout (registers, relative to the shard's header
-// base): bump pointer, transactional alloc/free counters, then one
-// free-list head per size class.
+// base): bump pointer, transactional alloc counter, then one free-list
+// head per size class.
 const (
 	offBump   = 0
 	offAllocs = 1
-	offFrees  = 2
-	offLists  = 3
-	// shardHdr rounds the 17 live header registers up to 24 — a whole
+	offLists  = 2
+	// shardHdr rounds the 16 live header registers up to 24 — a whole
 	// number of cache lines (192B at 8B per register) — so consecutive
 	// shard headers never share a cache line: two shards' hot counters
 	// stay apart. Part of the false-sharing audit; the stripe and rcu
 	// slots were already padded.
 	shardHdr = 24
 )
-
-// shardHdrLive is the number of registers a shard header actually
-// uses; the rest of shardHdr is cache-line padding.
-const shardHdrLive = offLists + numClasses
 
 // HeaderRegs returns the header size of a heap with the given shard
 // count; the usable arena is everything after it (and after the
@@ -189,10 +173,6 @@ const (
 	// same line as thread t+1's cache heads.
 	magHdrRegs = 32
 )
-
-// magHdrLive is the number of registers a magazine header actually
-// uses; the rest of magHdrRegs is cache-line padding.
-const magHdrLive = magClassBase + numClasses*magClassRegs
 
 // defaultMagCap is the default magazine capacity when WithMagazines is
 // given capacity <= 0: blocks per refill of a class's alloc-side cache
@@ -307,20 +287,13 @@ type Option func(*Heap)
 // chunk holds at least one minimal block).
 func WithShards(n int) Option { return func(h *Heap) { h.shards = n } }
 
-// WithTransactionalFree makes Free push blocks back immediately inside
-// a transaction, with no grace period and no uninstrumented wipe — the
-// reclamation mode that stays safe when the TM's fence is a no-op
-// (nofence/skipro anomaly specs).
-func WithTransactionalFree() Option { return func(h *Heap) { h.txnFree = true } }
-
 // WithMagazines adds the per-thread magazine layer for thread ids
 // 1..threads (see the package comment): thread-local alloc-side caches
 // refilled `capacity` blocks at a time, and parked-free lists retired
 // as one batch under one grace period every capacity+1 frees (capacity
 // <= 0 selects the default). Threads outside 1..threads (the TM's
 // reserved reclaim thread, harness spares) fall back to the shared
-// path. Incompatible with WithTransactionalFree, whose whole point is
-// to never ride the fence the batch retire amortizes.
+// path.
 func WithMagazines(threads, capacity int) Option {
 	return func(h *Heap) {
 		h.magThreads = threads
@@ -347,10 +320,11 @@ type Stats struct {
 	// (on the threads' parked lists, not yet retired). Zero on heaps
 	// without magazines.
 	MagAlloc, MagFree int64
-	// Batches counts batch retires: grace-period registrations that
-	// each covered a whole magazine (or flush) of frees. On the batch
-	// path Frees/Batches is the amortization factor. Zero on heaps
-	// without magazines.
+	// Batches counts batch retires: grace periods that each covered a
+	// whole magazine of frees, or a Drain's parked frees. On the batch
+	// path Frees/Batches is the amortization factor. It is read from
+	// the TM's telemetry board (ReclaimBatches), so it sums every heap
+	// over the TM, and it is zero without magazines or without a board.
 	Batches int64
 	// Splits and Coalesces are always zero: a free list serves only its
 	// own class, so no block is ever split or merged. They remain for
@@ -370,8 +344,11 @@ type Heap struct {
 	limit      int
 	chunk      int // registers per shard chunk
 	shards     int
-	txnFree    bool
 	magThreads int // 0 = no magazine layer
+
+	// own fences every retire: the one fence of the private phase, as
+	// for every other structure's (package region).
+	own *region.Owner
 
 	// magCap is the magazine capacity (see defaultMagCap), fixed by
 	// WithMagazines.
@@ -380,6 +357,11 @@ type Heap struct {
 	// parked[th] is magazine thread th's parked-free list (index 0
 	// unused).
 	parked []parkList
+
+	// drained collects every parked list for Drain's one retire; drainMu
+	// guards it, so a steady-state Drain allocates nothing.
+	drainMu sync.Mutex
+	drained []retired
 
 	// board, when set, receives magazine hit/miss and batch telemetry.
 	board *telemetry.Board
@@ -390,19 +372,20 @@ type Heap struct {
 	// across cores. A hint only — correctness never depends on it.
 	affinity []atomic.Int32
 
-	// pending counts Frees begun but not yet pushed back, and batches
-	// counts batch retires (magazine fills and flushes). Each sits on
-	// its own cache line: every freeing thread bumps them, and they
-	// previously shared one line with each other and firstErr.
-	pending  padInt64
-	batches  padInt64
+	counts   freeCounts
 	firstErr paddedErr
 }
 
-// padInt64 is an atomic counter on its own cache line.
-type padInt64 struct {
-	atomic.Int64
-	_ [56]byte
+// freeCounts are the heap's free counters, on a cache line of their
+// own: frees counts every Free and FreeQuiesced, published the blocks
+// their retires have published, so frees-published are pending. A free
+// bumps one shared counter, a retire the other once for its batch. The
+// padding on both sides keeps the fields every New and Free reads
+// (board, affinity, parked) off the line the counters bounce on.
+type freeCounts struct {
+	_                [64]byte
+	frees, published atomic.Int64
+	_                [56]byte
 }
 
 // paddedErr holds the first error a reclamation hit (Free returns none;
@@ -416,15 +399,14 @@ type paddedErr struct {
 // returned but whose batch has not retired. Plain Go memory, not TM
 // registers — nothing touches a parked block until its grace period
 // has passed (see the package comment). mu serializes the owner's Free
-// against FlushThread, Drain and Stats; frees counts the thread's
-// frees. spare is the slice of the list's last published batch, kept
-// for its next one, so a steady-state retire allocates no slice.
-// Padded so neighbouring threads' lists never share a cache line.
+// against Drain and Stats. spare is the slice of the list's last
+// published batch, kept for its next one, so a steady-state retire
+// allocates no slice. Padded so neighbouring threads' lists never share
+// a cache line.
 type parkList struct {
 	mu     sync.Mutex
 	blocks []retired
 	spare  []retired
-	frees  atomic.Int64
 	_      [64]byte
 }
 
@@ -440,14 +422,13 @@ func (p *parkList) park(r retired, capacity int) []retired {
 	return p.takeLocked(capacity)
 }
 
-// take empties the list, returning its blocks (nil when empty).
-func (p *parkList) take(capacity int) []retired {
+// drainTo empties the list onto dst and returns the extended dst.
+func (p *parkList) drainTo(dst []retired) []retired {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.blocks) == 0 {
-		return nil
-	}
-	return p.takeLocked(capacity)
+	dst = append(dst, p.blocks...)
+	p.blocks = p.blocks[:0]
+	return dst
 }
 
 // takeLocked hands the current slice to the caller — it lives on until
@@ -495,13 +476,8 @@ func New(tm core.TM, first, limit int, opts ...Option) (*Heap, error) {
 	if h.magThreads < 0 {
 		return nil, fmt.Errorf("stmalloc: bad magazine thread count %d", h.magThreads)
 	}
-	if h.magThreads > 0 {
-		if h.txnFree {
-			return nil, fmt.Errorf("stmalloc: magazines batch reclamation through the fence; they cannot combine with WithTransactionalFree")
-		}
-		if h.magCap <= 0 {
-			h.magCap = defaultMagCap
-		}
+	if h.magThreads > 0 && h.magCap <= 0 {
+		h.magCap = defaultMagCap
 	}
 	// Clamp shards so every chunk holds at least one minimal block.
 	for h.shards > 1 && (limit-first-HeaderRegs(h.shards)-MagazineRegs(h.magThreads))/h.shards < 1 {
@@ -517,7 +493,6 @@ func New(tm core.TM, first, limit int, opts ...Option) (*Heap, error) {
 	for s := 0; s < h.shards; s++ {
 		tm.Store(1, h.hdr(s)+offBump, int64(h.chunkStart(s)))
 		tm.Store(1, h.hdr(s)+offAllocs, 0)
-		tm.Store(1, h.hdr(s)+offFrees, 0)
 		for c := 0; c < numClasses; c++ {
 			tm.Store(1, h.hdr(s)+offLists+c, 0)
 		}
@@ -532,6 +507,7 @@ func New(tm core.TM, first, limit int, opts ...Option) (*Heap, error) {
 		h.parked[t].blocks = make([]retired, 0, h.magCap+1)
 	}
 	h.affinity = make([]atomic.Int32, h.magThreads+2)
+	h.own = region.NewOwner(tm)
 	// Attach the TM's telemetry board (all registry TMs carry one), so
 	// magazine hit/miss rates flow without per-site wiring.
 	if p, ok := tm.(telemetry.Provider); ok {
@@ -617,7 +593,7 @@ func (h *Heap) newShared(tx core.Txn, th, c, n int) (int64, error) {
 			}
 		}
 		if head != 0 {
-			if err := h.countShard(tx, s, offAllocs); err != nil {
+			if err := count(tx, h.hdr(s)+offAllocs); err != nil {
 				return 0, err
 			}
 			h.noteShard(th, s)
@@ -654,13 +630,7 @@ func (h *Heap) popList(tx core.Txn, s, c int) (int64, error) {
 }
 
 // bump takes size registers from shard s's bump region, returning 0
-// (no error) when the chunk is exhausted. The frontier rounds up so
-// every block is aligned to its own size relative to the chunk start,
-// which fixes where blocks land and so the heap's bump high-water. The
-// skipped pad is not stranded: it decomposes into maximal aligned
-// power-of-two blocks pushed onto their classes' free lists inside the
-// same transaction. Single-class traffic never pays a pad (the frontier
-// stays aligned).
+// (no error) when the chunk is exhausted.
 func (h *Heap) bump(tx core.Txn, s int, size int64) (int64, error) {
 	b, err := tx.Read(h.hdr(s) + offBump)
 	if err != nil {
@@ -669,36 +639,13 @@ func (h *Heap) bump(tx core.Txn, s int, size int64) (int64, error) {
 	if !h.validBump(s, b) {
 		return 0, core.ErrAborted
 	}
-	base := int64(h.chunkStart(s))
-	aligned := b + (size-(b-base)&(size-1))&(size-1)
-	if aligned+size > int64(h.chunkEnd(s)) {
+	if b+size > int64(h.chunkEnd(s)) {
 		return 0, nil
 	}
-	for p := b; p < aligned; {
-		off := p - base
-		k := 0
-		for k+1 < numClasses && off&(1<<(k+1)-1) == 0 && p+1<<(k+1) <= aligned {
-			k++
-		}
-		fh, err := tx.Read(h.hdr(s) + offLists + k)
-		if err != nil {
-			return 0, err
-		}
-		if fh != 0 && !h.validPtr(fh) {
-			return 0, core.ErrAborted
-		}
-		if err := tx.Write(int(p), fh); err != nil {
-			return 0, err
-		}
-		if err := tx.Write(h.hdr(s)+offLists+k, p); err != nil {
-			return 0, err
-		}
-		p += 1 << k
-	}
-	if err := tx.Write(h.hdr(s)+offBump, aligned+size); err != nil {
+	if err := tx.Write(h.hdr(s)+offBump, b+size); err != nil {
 		return 0, err
 	}
-	return aligned, nil
+	return b, nil
 }
 
 // newMag is the magazine allocation path, in falling order of
@@ -757,7 +704,7 @@ func (h *Heap) newMag(tx core.Txn, th, c, n int) (int64, error) {
 	if ptr == 0 {
 		return 0, fmt.Errorf("stmalloc: no shard or magazine can serve %d registers: %w", n, ErrOutOfSpace)
 	}
-	if err := h.countMagAlloc(tx, th); err != nil {
+	if err := count(tx, h.magBase(th)+offMagAllocs); err != nil {
 		return 0, err
 	}
 	return ptr, nil
@@ -941,16 +888,6 @@ func (h *Heap) refill(tx core.Txn, th, s, c int) (int64, error) {
 	return head, nil
 }
 
-// countMagAlloc bumps thread th's transactional allocation counter.
-func (h *Heap) countMagAlloc(tx core.Txn, th int) error {
-	reg := h.magBase(th) + offMagAllocs
-	v, err := tx.Read(reg)
-	if err != nil {
-		return err
-	}
-	return tx.Write(reg, v+1)
-}
-
 // pushMag pushes the wiped, quiescent class-c block at ptr onto thread
 // owner's alloc-side cache inside tx, unless the cache already holds
 // limit blocks; it reports whether it did.
@@ -984,11 +921,10 @@ func (h *Heap) validBump(s int, b int64) bool {
 	return b >= int64(h.chunkStart(s)) && b <= int64(h.chunkEnd(s))
 }
 
-// countShard adds one to shard s's transactional counter at off
-// (offAllocs or offFrees) — exact, because an aborted transaction
-// rolls the bump back.
-func (h *Heap) countShard(tx core.Txn, s, off int) error {
-	reg := h.hdr(s) + off
+// count adds one to the transactional allocation counter at register
+// reg (a shard's or a magazine thread's) — exact, because an aborted
+// transaction rolls the add back.
+func count(tx core.Txn, reg int) error {
 	v, err := tx.Read(reg)
 	if err != nil {
 		return err
@@ -1009,86 +945,101 @@ func (h *Heap) shardOf(ptr int64) int {
 }
 
 // Free returns the n-register block at ptr to the heap once no
-// transaction can still hold a stale reference: it runs the TM's
-// fence, then wipes the block uninstrumented and pushes it (in a small
-// transaction) onto its home shard's free list. The caller must have
+// transaction can still hold a stale reference. The caller must have
 // unlinked the block transactionally before calling Free, must not be
-// inside a transaction, and must not touch the block afterwards. Under
-// WithTransactionalFree the fence and the wipe are skipped. On a
-// magazine thread the block is parked instead and reclaimed with its
-// batch (see the package comment).
+// inside a transaction, and must not touch the block afterwards. Off a
+// magazine thread the block retires as a batch of one: a fence, then
+// the wipe and the publish onto its home shard's free list. On a
+// magazine thread it is parked instead and retires with its batch (see
+// the package comment).
 func (h *Heap) Free(th int, ptr int64, n int) {
-	c, ok := classOf(n)
+	r, ok := h.freed("Free", ptr, n)
 	if !ok {
-		h.fail(fmt.Errorf("stmalloc: Free of unallocatable size %d at %d", n, ptr))
 		return
 	}
-	h.pending.Add(1)
 	if h.hasMagazine(th) {
-		h.freeMag(th, ptr, c)
+		h.freeMag(th, r)
 		return
 	}
-	if !h.txnFree {
-		h.tm.Fence(th)
-	}
-	h.release(th, ptr, c, !h.txnFree)
+	h.retire(th, []retired{r})
 }
 
-// retired is one block awaiting (or leaving) a batch retire. owner is
-// the magazine thread whose alloc-side cache the block recycles into,
-// or 0 to publish it to its home shard's free list.
+// FreeQuiesced is Free for a block the caller already knows to be
+// quiescent — its own privatize→fence cycle guarantees no transaction
+// holds a stale reference (stmkv's growth path). The fence is skipped:
+// the block is wiped inline and pushed onto its home shard's list, on
+// magazine threads too.
+func (h *Heap) FreeQuiesced(th int, ptr int64, n int) {
+	if r, ok := h.freed("FreeQuiesced", ptr, n); ok {
+		h.publishBatch(th, []retired{r})
+	}
+}
+
+// freed counts one free of the n-register block at ptr, as pending
+// until it is published, and returns it bound for its home shard's
+// list. It returns false, recording the error for Drain, when n is not
+// allocatable.
+func (h *Heap) freed(op string, ptr int64, n int) (retired, bool) {
+	c, ok := classOf(n)
+	if !ok {
+		h.fail(fmt.Errorf("stmalloc: %s of unallocatable size %d at %d", op, n, ptr))
+		return retired{}, false
+	}
+	h.counts.frees.Add(1)
+	return retired{ptr: ptr, class: c}, true
+}
+
+// retired is one block awaiting (or leaving) a retire. owner is the
+// magazine thread whose alloc-side cache the block recycles into, or 0
+// to publish it to its home shard's free list.
 type retired struct {
 	ptr   int64
 	class int
 	owner int
 }
 
-// freeMag is the magazine Free: count the free, park the block on the
-// thread's list — no transaction, and the block is not touched — and,
-// when that fills the list past capacity, retire the whole list as one
-// batch.
-func (h *Heap) freeMag(th int, ptr int64, c int) {
+// freeMag is the magazine Free: park the block on the thread's list,
+// bound for its cache — no transaction, and the block is not touched —
+// and, when that fills the list past capacity, retire the whole list as
+// one batch and keep its slice for the list's next one.
+func (h *Heap) freeMag(th int, r retired) {
 	p := &h.parked[th]
-	p.frees.Add(1)
-	batch := p.park(retired{ptr: ptr, class: c, owner: th}, h.magCap)
+	r.owner = th
+	batch := p.park(r, h.magCap)
 	if sl := h.board.Slot(th); sl != nil {
 		if batch != nil {
 			sl.MagMisses.Add(1) // full list: pays a grace period
+			sl.ReclaimBatches.Add(1)
 		} else {
 			sl.MagHits.Add(1) // parked thread-locally
 		}
 	}
 	if batch != nil {
-		h.retire(th, batch, p)
+		h.retire(th, batch)
+		p.reuse(batch)
 	}
 }
 
 // retire reclaims a batch of unlinked blocks: ONE fence covers the
-// whole batch, after which every block is wiped uninstrumented and
-// published (publishBatch). A batch taken whole from a parked list
-// names it as home, which gets the slice back once published.
-func (h *Heap) retire(th int, batch []retired, home *parkList) {
-	h.batches.Add(1)
-	if sl := h.board.Slot(th); sl != nil {
-		sl.ReclaimBatches.Add(1)
-	}
-	h.tm.Fence(th)
+// whole batch, after which publishBatch wipes every block
+// uninstrumented and publishes it. A per-free Free retires a batch of
+// one, a magazine Free or a Drain whole parked lists.
+func (h *Heap) retire(th int, batch []retired) {
+	h.own.Fence(th)
 	h.publishBatch(th, batch)
-	if home != nil {
-		home.reuse(batch)
-	}
 }
 
-// publishBatch is the tail of a batch retire, after the grace period:
-// one uninstrumented wipe pass over every block (the idiom's private
-// phase, amortized — all blocks are unreachable and quiescent), then
+// publishBatch is the tail of every reclamation, after the grace
+// period: one uninstrumented wipe pass over every block (the idiom's
+// private phase — all blocks are unreachable and quiescent), then
 // publish transactions routing each block (recycle). Publishes chunk so
 // one retire cannot exceed the TM's comfortable write-set size.
 func (h *Heap) publishBatch(th int, batch []retired) {
-	defer h.pending.Add(-int64(len(batch)))
+	defer h.counts.published.Add(int64(len(batch)))
 	for _, r := range batch {
 		// Register ptr+0 is skipped — the publish below turns it into
-		// the free-list link.
+		// the free-list link. Callers must initialize blocks they
+		// allocate.
 		for i := 1; i < 1<<r.class; i++ {
 			h.tm.Store(th, int(r.ptr)+i, 0)
 		}
@@ -1109,7 +1060,7 @@ func (h *Heap) publishBatch(th int, batch []retired) {
 			return nil
 		})
 		if err != nil {
-			h.fail(fmt.Errorf("stmalloc: batch publish of %d blocks failed: %w", len(part), err))
+			h.fail(fmt.Errorf("stmalloc: publish of %d blocks failed: %w", len(part), err))
 			return
 		}
 	}
@@ -1125,99 +1076,6 @@ func (h *Heap) recycle(tx core.Txn, r retired) error {
 		}
 	}
 	return h.pushFree(tx, r.ptr, r.class)
-}
-
-// FreeQuiesced is Free for a block the caller already knows to be
-// quiescent — its own privatize→fence cycle guarantees no transaction
-// holds a stale reference (stmkv's growth path). The grace period is
-// skipped: the block is wiped inline and pushed onto its home shard's
-// list, on magazine threads too.
-func (h *Heap) FreeQuiesced(th int, ptr int64, n int) {
-	c, ok := classOf(n)
-	if !ok {
-		h.fail(fmt.Errorf("stmalloc: FreeQuiesced of unallocatable size %d at %d", n, ptr))
-		return
-	}
-	h.pending.Add(1)
-	h.release(th, ptr, c, !h.txnFree)
-}
-
-// FlushThread empties thread th's magazines: its parked frees retire as
-// ONE batch (one grace period for everything the thread had parked)
-// bound for the shard free lists — never into the cache being flushed —
-// and its alloc-side cache returns to the shard free lists at once (its
-// blocks are wiped and quiescent, so no grace period is needed). Call
-// it when a worker goroutine retires mid-run so its parked frees and
-// cached blocks don't strand. It is a no-op without magazines.
-func (h *Heap) FlushThread(th int) {
-	if !h.hasMagazine(th) {
-		return
-	}
-	p := &h.parked[th]
-	if batch := p.take(h.magCap); batch != nil {
-		for i := range batch {
-			batch[i].owner = 0
-		}
-		h.retire(th, batch, p)
-	}
-	err := core.Atomically(h.tm, th, func(tx core.Txn) error {
-		return h.spillCache(tx, th)
-	})
-	if err != nil {
-		h.fail(fmt.Errorf("stmalloc: alloc-cache flush of thread %d failed: %w", th, err))
-	}
-}
-
-// spillCache moves every block on thread owner's alloc-side cache onto
-// its home shard's free list inside tx. No counter updates: the blocks
-// move between free pools, not between the heap and a caller.
-func (h *Heap) spillCache(tx core.Txn, owner int) error {
-	for c := 0; c < numClasses; c++ {
-		reg := h.magClass(owner, c)
-		head, err := tx.Read(reg + magAllocHead)
-		if err != nil {
-			return err
-		}
-		if head == 0 {
-			continue
-		}
-		n := 0
-		for cur := head; cur != 0; {
-			if !h.validPtr(cur) || n > h.maxChain() {
-				return core.ErrAborted
-			}
-			nxt, err := tx.Read(int(cur))
-			if err != nil {
-				return err
-			}
-			if nxt != 0 && !h.validPtr(nxt) {
-				return core.ErrAborted
-			}
-			s := h.shardOf(cur)
-			sh, err := tx.Read(h.hdr(s) + offLists + c)
-			if err != nil {
-				return err
-			}
-			if sh != 0 && !h.validPtr(sh) {
-				return core.ErrAborted
-			}
-			if err := tx.Write(int(cur), sh); err != nil {
-				return err
-			}
-			if err := tx.Write(h.hdr(s)+offLists+c, cur); err != nil {
-				return err
-			}
-			cur = nxt
-			n++
-		}
-		if err := tx.Write(reg+magAllocHead, 0); err != nil {
-			return err
-		}
-		if err := tx.Write(reg+magAllocCnt, 0); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // pushFree publishes the class-c block at ptr onto its home shard's
@@ -1237,33 +1095,6 @@ func (h *Heap) pushFree(tx core.Txn, ptr int64, c int) error {
 	return tx.Write(h.hdr(s)+offLists+c, ptr)
 }
 
-// release is the tail of every reclamation: optionally wipe the block
-// uninstrumented (legal only when it is quiescent), then push it onto
-// its home shard's class list with a transaction whose commit makes
-// the block reachable again — the publish of the idiom.
-func (h *Heap) release(th int, ptr int64, c int, wipe bool) {
-	defer h.pending.Add(-1)
-	if wipe {
-		// The idiom's private phase: the block is unreachable and
-		// quiescent, so uninstrumented stores are race-free. Register
-		// ptr+0 is skipped — the push below turns it into the free-list
-		// link. Callers must initialize blocks they allocate.
-		for i := 1; i < 1<<c; i++ {
-			h.tm.Store(th, int(ptr)+i, 0)
-		}
-	}
-	s := h.shardOf(ptr)
-	err := core.Atomically(h.tm, th, func(tx core.Txn) error {
-		if err := h.pushFree(tx, ptr, c); err != nil {
-			return err
-		}
-		return h.countShard(tx, s, offFrees)
-	})
-	if err != nil {
-		h.fail(fmt.Errorf("stmalloc: free of %d (shard %d) failed: %w", ptr, s, err))
-	}
-}
-
 func (h *Heap) fail(err error) {
 	h.firstErr.CompareAndSwap(nil, &err)
 }
@@ -1278,13 +1109,18 @@ func (h *Heap) fail(err error) {
 // clears it, so periodic drains in a long-running process report
 // recovery as nil instead of repeating the first failure forever.
 func (h *Heap) Drain(th int) error {
-	var all []retired
+	h.drainMu.Lock()
 	for t := 1; t <= h.magThreads; t++ {
-		all = append(all, h.parked[t].take(h.magCap)...)
+		h.drained = h.parked[t].drainTo(h.drained)
 	}
-	if len(all) > 0 {
-		h.retire(th, all, nil)
+	if len(h.drained) > 0 {
+		if sl := h.board.Slot(th); sl != nil {
+			sl.ReclaimBatches.Add(1)
+		}
+		h.retire(th, h.drained)
+		h.drained = h.drained[:0]
 	}
+	h.drainMu.Unlock()
 	if e := h.firstErr.Swap(nil); e != nil {
 		return *e
 	}
@@ -1295,18 +1131,18 @@ func (h *Heap) Drain(th int) error {
 // (after Drain, or with no concurrent mutators) for exact numbers;
 // under concurrency it is an approximation.
 func (h *Heap) Stats() Stats {
+	published := h.counts.published.Load()
 	st := Stats{
-		PendingFrees: h.pending.Load(),
-		Batches:      h.batches.Load(),
+		Frees:   h.counts.frees.Load(),
+		Batches: h.board.Snapshot().ReclaimBatches,
 	}
+	st.PendingFrees = st.Frees - published
 	for s := 0; s < h.shards; s++ {
 		st.Allocs += h.tm.Load(1, h.hdr(s)+offAllocs)
-		st.Frees += h.tm.Load(1, h.hdr(s)+offFrees)
 		st.BumpRegs += h.tm.Load(1, h.hdr(s)+offBump) - int64(h.chunkStart(s))
 	}
 	for t := 1; t <= h.magThreads; t++ {
 		st.Allocs += h.tm.Load(1, h.magBase(t)+offMagAllocs)
-		st.Frees += h.parked[t].frees.Load()
 		st.MagFree += int64(h.parked[t].count())
 		for c := 0; c < numClasses; c++ {
 			st.MagAlloc += h.tm.Load(1, h.magClass(t, c)+magAllocCnt)

@@ -124,13 +124,10 @@ func TestOutOfSpace(t *testing.T) {
 // in order from a one-shard heap whose chunk is exactly 32 registers,
 // optionally frees them all and drains, then probes: each probe is
 // either ErrOutOfSpace or served from a free list at the given chunk
-// offset, with the bump high-water unmoved. The first two rows leave
-// four free 8-register blocks and no bump space, so a 16-register
-// request fails — no pair of free blocks is merged to serve it — while
-// an 8-register one reuses the last block freed. The pad row bumps a
-// 4-register block, then a 16-register one aligned past a 12-register
-// pad, and takes the pad's two aligned blocks (4 registers at offset 4,
-// 8 at offset 8) back from their class lists.
+// offset, with the bump high-water unmoved. Both rows leave four free
+// 8-register blocks and no bump space, so a 16-register request fails
+// — no pair of free blocks is merged to serve it — while an 8-register
+// one reuses the last block freed.
 func TestClassListsServeOnlyTheirClass(t *testing.T) {
 	const first, chunk, outOfSpace = 8, 32, -1
 	type probe struct {
@@ -147,7 +144,6 @@ func TestClassListsServeOnlyTheirClass(t *testing.T) {
 	}{
 		{"per-free", 0, []int{8, 8, 8, 8}, true, []probe{{16, outOfSpace}, {8, 24}}, 1},
 		{"magazine", 1, []int{8, 8, 8, 8}, true, []probe{{16, outOfSpace}, {8, 24}}, 1},
-		{"pad", 0, []int{4, 16}, false, []probe{{4, 4}, {8, 8}, {16, outOfSpace}}, 4},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -319,67 +315,6 @@ func TestLeakAccountingChurn(t *testing.T) {
 	}
 }
 
-// TestTransactionalFreeFallback exercises the nofence escape hatch:
-// with WithTransactionalFree, reclamation never rides the fence, so it
-// stays safe on a TM whose fence is a no-op. The leak invariant and
-// the set contents must still hold.
-func TestTransactionalFreeFallback(t *testing.T) {
-	for _, spec := range []string{"tl2+nofence", "wtstm+nofence", "tl2"} {
-		t.Run(spec, func(t *testing.T) {
-			const threads = 4
-			tm := engine.MustNewSpec(spec, 1<<13, threads+1, nil)
-			h, err := stmalloc.New(tm, 8, tm.NumRegs(),
-				stmalloc.WithShards(2), stmalloc.WithTransactionalFree())
-			if err != nil {
-				t.Fatal(err)
-			}
-			set := stmds.NewSet(tm, 1, h)
-			var wg sync.WaitGroup
-			errs := make(chan error, threads)
-			for th := 1; th <= threads; th++ {
-				wg.Add(1)
-				go func(th int) {
-					defer wg.Done()
-					r := rand.New(rand.NewSource(int64(th) * 7))
-					for i := 0; i < 200; i++ {
-						k := int64(r.Intn(64) + 1)
-						var err error
-						if r.Intn(2) == 0 {
-							_, err = set.Insert(th, k)
-						} else {
-							_, err = set.Remove(th, k)
-						}
-						if err != nil {
-							errs <- err
-							return
-						}
-					}
-				}(th)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-			if err := h.Drain(1); err != nil {
-				t.Fatal(err)
-			}
-			snap, err := set.Snapshot(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 1; i < len(snap); i++ {
-				if snap[i] <= snap[i-1] {
-					t.Fatalf("set unsorted after churn: %v", snap)
-				}
-			}
-			if st := h.Stats(); st.Live != int64(len(snap)) {
-				t.Fatalf("allocs-frees = %d, live %d", st.Live, len(snap))
-			}
-		})
-	}
-}
-
 // TestBoundedFootprintUnderChurn pins the reclamation payoff at the
 // allocator level: serial churn far past the arena's bump capacity
 // succeeds with a bounded footprint, while the same traffic over the
@@ -430,7 +365,7 @@ func TestBoundedFootprintUnderChurn(t *testing.T) {
 // batch path: concurrent set churn over a magazine heap on every TM,
 // with a concurrent Drain/FreeQuiesced interferer — the
 // interleaving that would expose a double count between the per-Free
-// push, the batch retire, and a flush taking the same chain. After the
+// push, the batch retire, and a Drain taking the same list. After the
 // final Drain, Allocs-Frees must equal the live set exactly and the
 // amortization must be real (fewer batches than frees). Run under
 // -race in CI.
@@ -473,7 +408,7 @@ func TestMagazineChurnLeakAccounting(t *testing.T) {
 				}(th)
 			}
 			// Interferer: FreeQuiesced traffic racing mid-churn Drains
-			// and FlushThreads on the same magazines the workers fill.
+			// of the same magazines the workers fill.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -490,14 +425,11 @@ func TestMagazineChurnLeakAccounting(t *testing.T) {
 						return
 					}
 					h.FreeQuiesced(th, ptr, 2)
-					switch i % 3 {
-					case 0:
+					if i%3 == 0 {
 						if err := h.Drain(th); err != nil {
 							errs <- fmt.Errorf("mid-churn drain %d: %w", i, err)
 							return
 						}
-					case 1:
-						h.FlushThread(th)
 					}
 				}
 			}()
@@ -567,60 +499,10 @@ func TestMagazineBoundedFootprint(t *testing.T) {
 	}
 }
 
-// TestFlushThreadPartialMagazine is the thread-exit edge case: a worker
-// leaves partially full magazines behind; FlushThread retires its
-// parked frees (one batch) and returns its cache to the shard lists, so
-// another thread reuses the registers instead of bumping fresh ones.
-func TestFlushThreadPartialMagazine(t *testing.T) {
-	tm := engine.MustNewSpec("tl2", 1<<10, 4, nil)
-	h, err := stmalloc.New(tm, 8, tm.NumRegs(),
-		stmalloc.WithShards(1), stmalloc.WithMagazines(2, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Thread 1: allocate 6 blocks, free 3 (parked — fewer than the
-	// capacity 8, so no retire happens), keep 3 live, then exit.
-	var live, freed []int64
-	for i := 0; i < 6; i++ {
-		p := alloc(t, tm, h, 1, 2)
-		if i%2 == 0 {
-			live = append(live, p)
-		} else {
-			freed = append(freed, p)
-		}
-	}
-	for _, p := range freed {
-		h.Free(1, p, 2)
-	}
-	st := h.Stats()
-	if st.MagFree != int64(len(freed)) {
-		t.Fatalf("expected %d parked frees, stats %+v", len(freed), st)
-	}
-	h.FlushThread(1)
-	if err := h.Drain(2); err != nil {
-		t.Fatal(err)
-	}
-	st = h.Stats()
-	if st.MagFree != 0 || st.MagAlloc != 0 {
-		t.Fatalf("magazines not empty after FlushThread+Drain: %+v", st)
-	}
-	if st.Live != int64(len(live)) {
-		t.Fatalf("allocs-frees = %d, want %d live", st.Live, len(live))
-	}
-	// Thread 2 must reuse the flushed registers: footprint stays flat.
-	before := h.Stats().BumpRegs
-	for i := 0; i < len(freed); i++ {
-		alloc(t, tm, h, 2, 2)
-	}
-	if after := h.Stats().BumpRegs; after != before {
-		t.Fatalf("flushed blocks not reused: footprint %d -> %d", before, after)
-	}
-}
-
 // TestOutOfSpaceWithParkedFrees is the exhaustion edge case: when the
 // last blocks of the arena sit parked on a free-side magazine, New
 // reports ErrOutOfSpace (parked frees have not quiesced and are never
-// stolen) — and a FlushThread+Drain recovers them.
+// stolen) — and a Drain recovers them.
 func TestOutOfSpaceWithParkedFrees(t *testing.T) {
 	tm := engine.MustNewSpec("tl2", 512, 3, nil)
 	h, err := stmalloc.New(tm, 8, tm.NumRegs(),
@@ -658,11 +540,10 @@ func TestOutOfSpaceWithParkedFrees(t *testing.T) {
 	if !errors.Is(err, stmalloc.ErrOutOfSpace) {
 		t.Fatalf("allocation served while the only free blocks were parked: %v", err)
 	}
-	h.FlushThread(1)
 	if err := h.Drain(1); err != nil {
 		t.Fatal(err)
 	}
-	alloc(t, tm, h, 1, 4) // the flushed blocks are allocatable again
+	alloc(t, tm, h, 1, 4) // the drained blocks are allocatable again
 }
 
 // TestMagazineSteal: when the shard lists and bump regions are empty
@@ -706,17 +587,6 @@ func TestMagazineSteal(t *testing.T) {
 	}
 	if st := h.Stats(); st.MagAlloc != 8 {
 		t.Fatalf("steal did not come from the cache: %+v", st)
-	}
-}
-
-// TestMagazinesRejectTransactionalFree: the two reclamation escapes are
-// mutually exclusive — batching exists to amortize the fence the
-// transactional fallback never takes.
-func TestMagazinesRejectTransactionalFree(t *testing.T) {
-	tm := engine.MustNewSpec("tl2", 1<<10, 3, nil)
-	if _, err := stmalloc.New(tm, 8, tm.NumRegs(),
-		stmalloc.WithMagazines(2, 4), stmalloc.WithTransactionalFree()); err == nil {
-		t.Fatal("magazines + transactional free accepted")
 	}
 }
 
@@ -1003,31 +873,6 @@ func TestMagazineRecyclesToOwner(t *testing.T) {
 	}
 	if st := h.Stats(); st.MagAlloc != 1 {
 		t.Fatalf("MagAlloc = %d, want the batch's one unpopped block", st.MagAlloc)
-	}
-}
-
-// TestMagazineFlushThreadAfterRetire: a retired batch recycles into the
-// freeing thread's alloc-side cache, and FlushThread must leave that
-// cache empty: the recycled blocks and the thread's parked frees both go
-// to the shard lists.
-func TestMagazineFlushThreadAfterRetire(t *testing.T) {
-	tm, h := magHeap(t, "tl2", 1)
-	var ptrs []int64
-	for i := 0; i < 12; i++ {
-		ptrs = append(ptrs, alloc(t, tm, h, 1, 4))
-	}
-	for _, p := range ptrs { // one full batch retired, three parked
-		h.Free(1, p, 4)
-	}
-	if st := h.Stats(); st.MagAlloc != 9 || st.MagFree != 3 {
-		t.Fatalf("before FlushThread: %+v, want MagAlloc=9 MagFree=3", st)
-	}
-	h.FlushThread(1)
-	if err := h.Drain(1); err != nil {
-		t.Fatal(err)
-	}
-	if st := h.Stats(); st.MagAlloc != 0 || st.MagFree != 0 || st.Live != 0 || st.PendingFrees != 0 {
-		t.Fatalf("after FlushThread+Drain: %+v, want MagAlloc=0 MagFree=0 Live=0 PendingFrees=0", st)
 	}
 }
 

@@ -135,7 +135,10 @@ type Option func(*Store)
 // all; on TL2 the transactional scan pays validation instead).
 func WithTransactionalScan() Option { return func(s *Store) { s.txnScan = true } }
 
-// Stats counts the store's privatization traffic.
+// Stats counts the store's privatization traffic. Grows, Compactions
+// and Clears are the store's own counters. The rest are summed from the
+// TM's telemetry board, so they count every structure over the TM, and
+// they stay zero on a TM without one.
 type Stats struct {
 	// Privatizations is the number of privatize→fence→publish cycles
 	// (every bulk operation on every shard contributes one).
@@ -144,18 +147,17 @@ type Stats struct {
 	// shard's capacity; Compactions is the number it triggered at the
 	// same capacity, only to drop tombstones. Resize counts in neither.
 	Grows, Compactions int64
-	// Scans, Clears count bulk reads and wipes (per shard).
+	// Scans counts Scan and ScanPage calls; Clears counts shard wipes.
 	Scans, Clears int64
 	// ScanWindows counts privatized scan windows: one
-	// privatize→fence→walk→publish cycle per shard visited by a
-	// privatizing Scan or by ScanPage.
+	// privatize→fence→walk→publish cycle each, one or more per shard a
+	// privatizing Scan or a ScanPage visits.
 	ScanWindows int64
 	// GateSpinWakes, GateParks, GateTimeouts count how operations that
 	// stalled on a private shard waited (region.Gate): the spin saw
 	// a publish, the waiter parked, the park ran into its timeout.
 	// ReadThroughs counts Gets that ran beside a scan window instead of
-	// stalling. All four are summed from the TM's telemetry board and
-	// stay zero on a TM without one.
+	// stalling.
 	GateSpinWakes, GateParks, GateTimeouts, ReadThroughs int64
 }
 
@@ -180,9 +182,7 @@ type Store struct {
 	// by maintenance threads while readers poll Stats.
 	grows       padInt64
 	compactions padInt64
-	scans       padInt64
 	clears      padInt64
-	scanWindows padInt64
 
 	// board is the TM's telemetry board when the TM carries one; scans,
 	// scan windows and read-throughs are recorded per thread on it.
@@ -299,12 +299,12 @@ func (s *Store) Shards() int { return s.shards }
 func (s *Store) Stats() Stats {
 	tel := s.board.Snapshot()
 	return Stats{
-		Privatizations: s.own.Privatizations(),
+		Privatizations: tel.Privatizations,
 		Grows:          s.grows.Load(),
 		Compactions:    s.compactions.Load(),
-		Scans:          s.scans.Load(),
+		Scans:          tel.Scans,
 		Clears:         s.clears.Load(),
-		ScanWindows:    s.scanWindows.Load(),
+		ScanWindows:    tel.ScanWindows,
 		GateSpinWakes:  tel.GateSpinWakes,
 		GateParks:      tel.GateParks,
 		GateTimeouts:   tel.GateTimeouts,
@@ -696,7 +696,6 @@ func (s *Store) Scan(th int) ([]KV, error) {
 		if out, err = s.scanShardTxn(th, sh, out); err != nil {
 			return nil, err
 		}
-		s.scans.Add(1)
 	}
 	return out, nil
 }
@@ -819,7 +818,6 @@ func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next str
 		}
 		base := s.base(sh)
 		pairs = slices.Grow(pairs, min(limit-len(pairs), s.slots))
-		s.scans.Add(1)
 		for {
 			tab, cap, w, err := s.openScanWindow(th, base, c, limit-len(pairs))
 			if err != nil {
@@ -881,7 +879,6 @@ func (s *Store) openScanWindow(th, base int, c scanCursor, need int) (tab, cap i
 	if err != nil {
 		return 0, 0, region.NoWindow, err
 	}
-	s.scanWindows.Add(1)
 	if sl := s.board.Slot(th); sl != nil {
 		sl.ScanWindows.Add(1)
 	}

@@ -141,24 +141,13 @@ var (
 
 func (h heapShape) row(spec string) string { return spec + "+" + h.label }
 
-// heapOptions returns the stmalloc options of shape over the TM that
-// spec names: magazines of capacity magCap for thread ids 1..threads,
-// and a fully transactional Free beside an unsafe fence, which gives
-// the heap no grace period to ride.
-func heapOptions(t *testing.T, spec string, shape heapShape, threads, magCap int) []stmalloc.Option {
-	t.Helper()
-	cfg, err := engine.Parse(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var opts []stmalloc.Option
-	if cfg.UnsafeFence() {
-		opts = append(opts, stmalloc.WithTransactionalFree())
-	}
+// heapOptions returns the stmalloc options of shape: magazines of
+// capacity magCap for thread ids 1..threads.
+func heapOptions(shape heapShape, threads, magCap int) []stmalloc.Option {
 	if shape.magazines {
-		opts = append(opts, stmalloc.WithMagazines(threads, magCap))
+		return []stmalloc.Option{stmalloc.WithMagazines(threads, magCap)}
 	}
-	return opts
+	return nil
 }
 
 // runOnTM executes the script on the structures over a real TM with
@@ -171,7 +160,7 @@ func runOnTM(t *testing.T, spec string, shape heapShape, script []dsOp) dsOutcom
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, err := stmalloc.New(tm, 8, tm.NumRegs(), heapOptions(t, spec, shape, 2, 4)...)
+	heap, err := stmalloc.New(tm, 8, tm.NumRegs(), heapOptions(shape, 2, 4)...)
 	spec = shape.row(spec) // the row name, in failure messages
 	if err != nil {
 		t.Fatal(err)
@@ -368,23 +357,6 @@ func TestDifferentialDataStructuresBatch(t *testing.T) {
 				if where, ok := diffOutcome(got, want); !ok {
 					t.Fatalf("seed %d: diverged from oracle at %s", seed, where)
 				}
-			}
-		})
-	}
-}
-
-// TestDifferentialDataStructuresNofence covers the transactional-free
-// fallback: on the nofence anomaly spec the allocator must not ride
-// the (absent) fence, and with the fallback the serial behaviour still
-// matches the oracle.
-func TestDifferentialDataStructuresNofence(t *testing.T) {
-	for _, spec := range []string{"tl2+nofence", "wtstm+nofence"} {
-		t.Run(perFree.row(spec), func(t *testing.T) {
-			script := dsScript(17, 300)
-			want := runOracle(script)
-			got := runOnTM(t, spec, perFree, script)
-			if where, ok := diffOutcome(got, want); !ok {
-				t.Fatalf("diverged from oracle at %s", where)
 			}
 		})
 	}

@@ -289,7 +289,7 @@ func runWinOnTM(t *testing.T, spec string, shape heapShape, seed int64, scripts 
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := append([]stmalloc.Option{stmalloc.WithShards(4)}, heapOptions(t, spec, shape, magThreads, magCap)...)
+	opts := append([]stmalloc.Option{stmalloc.WithShards(4)}, heapOptions(shape, magThreads, magCap)...)
 	heap, err := stmalloc.New(tm, heapFirst, tm.NumRegs(), opts...)
 	if err != nil {
 		t.Fatal(err)

@@ -42,14 +42,6 @@ var (
 
 func (h heapShape) row(spec string) string { return spec + "+" + h.label }
 
-// churnHeap is the heap a churn run builds: its shape, and whether the
-// TM's fence is unsafe to ride, so that Free must be fully
-// transactional.
-type churnHeap struct {
-	heapShape
-	txnFree bool
-}
-
 // Register layout of the churn drivers: a few pointer registers at the
 // front, the allocator arena after them. Register 0 stays unused.
 const (
@@ -72,36 +64,26 @@ type churnStats struct {
 }
 
 // churnTM builds the TM named by spec with regs registers and thread
-// ids for `threads` workers plus two spare ids, and plans a heap of the
-// given shape over it.
-func churnTM(t *testing.T, spec string, shape heapShape, regs, threads int) (core.TM, churnHeap) {
+// ids for `threads` workers plus two spare ids.
+func churnTM(t *testing.T, spec string, regs, threads int) core.TM {
 	t.Helper()
-	cfg, err := engine.Parse(spec)
+	tm, err := engine.NewSpec(spec, regs, threads+2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Regs, cfg.Threads = regs, threads+2
-	tm, err := engine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tm, churnHeap{shape, cfg.UnsafeFence()}
+	return tm
 }
 
-// churnAlloc builds the planned allocator over tm's registers
+// churnAlloc builds the allocator of shape h over tm's registers
 // [arena, NumRegs): the stmds bump allocator, or the stmalloc heap
-// (sharded per worker, magazines for the workers on a magazine shape,
-// fully transactional reclamation on an unsafe fence).
-func churnAlloc(tm core.TM, h churnHeap, threads, arena int) (stmds.Allocator, *stmalloc.Heap, error) {
+// (sharded per worker, magazines for the workers on a magazine shape).
+func churnAlloc(tm core.TM, h heapShape, threads, arena int) (stmds.Allocator, *stmalloc.Heap, error) {
 	if !h.reclaims {
 		return stmds.NewAlloc(tm, dsRegBump, arena, tm.NumRegs()), nil, nil
 	}
 	opts := []stmalloc.Option{stmalloc.WithShards(min(max(threads, 1), 8))}
 	if h.magazines {
 		opts = append(opts, stmalloc.WithMagazines(threads, 0))
-	}
-	if h.txnFree {
-		opts = append(opts, stmalloc.WithTransactionalFree())
 	}
 	heap, err := stmalloc.New(tm, arena, tm.NumRegs(), opts...)
 	return heap, heap, err
@@ -147,7 +129,7 @@ func workers(first, last int, work func(th int) error) error {
 
 // setChurn: `threads` workers each insert or remove (equal odds) `ops`
 // keys drawn from twice the target live set on one sorted-list set.
-func setChurn(tm core.TM, h churnHeap, threads, ops, live int, seed int64) (churnStats, error) {
+func setChurn(tm core.TM, h heapShape, threads, ops, live int, seed int64) (churnStats, error) {
 	alloc, heap, err := churnAlloc(tm, h, threads, dsArena)
 	if err != nil {
 		return churnStats{}, err
@@ -176,7 +158,7 @@ func setChurn(tm core.TM, h churnHeap, threads, ops, live int, seed int64) (chur
 
 // queuePipe: half the threads enqueue `ops` values each, the other
 // half dequeue until all have passed; the depth stays under `depth`.
-func queuePipe(tm core.TM, h churnHeap, threads, ops int, depth, seed int64) (churnStats, error) {
+func queuePipe(tm core.TM, h heapShape, threads, ops int, depth, seed int64) (churnStats, error) {
 	alloc, heap, err := churnAlloc(tm, h, threads, dsArena)
 	if err != nil {
 		return churnStats{}, err
@@ -235,7 +217,7 @@ func mapRegs(threads, keys int) int {
 // mapChurn: `threads` workers each run `ops` get/put/delete (60/20/20)
 // on one ordered map ("map", "skip" or "hash") prefilled to the target
 // live set, keys from twice that window, values k↦k.
-func mapChurn(tm core.TM, h churnHeap, ds string, threads, ops, live int, seed int64) (churnStats, error) {
+func mapChurn(tm core.TM, h heapShape, ds string, threads, ops, live int, seed int64) (churnStats, error) {
 	alloc, heap, err := churnAlloc(tm, h, threads, dsMapArena)
 	if err != nil {
 		return churnStats{}, err
@@ -283,7 +265,7 @@ func mapChurn(tm core.TM, h churnHeap, ds string, threads, ops, live int, seed i
 // (thread-partitioned, nothing deleted) into one hash map that starts
 // at its initial 16 buckets, so the table doubles many times, each
 // doubling one privatized cycle racing the other writers.
-func rehashStorm(tm core.TM, h churnHeap, threads, ops int) (churnStats, error) {
+func rehashStorm(tm core.TM, h heapShape, threads, ops int) (churnStats, error) {
 	alloc, heap, err := churnAlloc(tm, h, threads, dsMapArena)
 	if err != nil {
 		return churnStats{}, err
@@ -319,8 +301,8 @@ func TestSetChurnAllTMs(t *testing.T) {
 	for _, tmName := range engine.TMs() {
 		for _, shape := range []heapShape{bump, perFree, magazine} {
 			t.Run(shape.row(tmName), func(t *testing.T) {
-				tm, h := churnTM(t, tmName, shape, 1<<16, 4)
-				st, err := setChurn(tm, h, 4, ops, 64, 3)
+				tm := churnTM(t, tmName, 1<<16, 4)
+				st, err := setChurn(tm, shape, 4, ops, 64, 3)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -369,8 +351,8 @@ func TestMapChurnAllTMs(t *testing.T) {
 		for _, shape := range []heapShape{perFree, magazine} {
 			for _, ds := range []string{"map", "skip", "hash"} {
 				t.Run(shape.row(tmName)+"/ds="+ds, func(t *testing.T) {
-					tm, h := churnTM(t, tmName, shape, mapRegs(4, 4096), 4)
-					st, err := mapChurn(tm, h, ds, 4, ops, 64, 7)
+					tm := churnTM(t, tmName, mapRegs(4, 4096), 4)
+					st, err := mapChurn(tm, shape, ds, 4, ops, 64, 7)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -394,8 +376,8 @@ func TestMapChurnAllTMs(t *testing.T) {
 		}
 	}
 	// The bump contrast completes at this size (and leaks by design).
-	tm, h := churnTM(t, "tl2", bump, mapRegs(2, 4096), 2)
-	st, err := mapChurn(tm, h, "skip", 2, 100, 64, 7)
+	tm := churnTM(t, "tl2", mapRegs(2, 4096), 2)
+	st, err := mapChurn(tm, bump, "skip", 2, 100, 64, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,8 +401,8 @@ func TestRehashStorm(t *testing.T) {
 		shape heapShape
 	}{{"tl2", perFree}, {"norec", perFree}, {"tl2", magazine}} {
 		t.Run(r.shape.row(r.spec), func(t *testing.T) {
-			tm, h := churnTM(t, r.spec, r.shape, mapRegs(threads, 1<<13), threads)
-			st, err := rehashStorm(tm, h, threads, ops)
+			tm := churnTM(t, r.spec, mapRegs(threads, 1<<13), threads)
+			st, err := rehashStorm(tm, r.shape, threads, ops)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -451,8 +433,8 @@ func TestQueuePipeAllTMs(t *testing.T) {
 	}
 	for _, tmName := range engine.TMs() {
 		t.Run(perFree.row(tmName), func(t *testing.T) {
-			tm, h := churnTM(t, tmName, perFree, 1<<16, 4)
-			st, err := queuePipe(tm, h, 4, ops, 32, 5)
+			tm := churnTM(t, tmName, 1<<16, 4)
+			st, err := queuePipe(tm, perFree, 4, ops, 32, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -476,8 +458,7 @@ func TestChurnBoundedSpace(t *testing.T) {
 	const regs = 2048
 	const threads, ops = 4, 2000 // ~4k inserts × 2 regs ≫ 2048 registers
 	run := func(shape heapShape) (churnStats, error) {
-		tm, h := churnTM(t, "tl2", shape, regs, threads)
-		return setChurn(tm, h, threads, ops, 64, 9)
+		return setChurn(churnTM(t, "tl2", regs, threads), shape, threads, ops, 64, 9)
 	}
 	if _, err := run(bump); !errors.Is(err, stmds.ErrOutOfSpace) {
 		t.Fatalf("bump churn past the arena returned %v, want ErrOutOfSpace", err)
@@ -494,21 +475,4 @@ func TestChurnBoundedSpace(t *testing.T) {
 	}
 	t.Logf("bump: ErrOutOfSpace; per-free heap: %d ops in %d regs (allocs %d, frees %d)",
 		threads*ops, st.heapRegs, st.allocs, st.frees)
-}
-
-// TestSetChurnUnsafeFenceFallback: on the nofence spec the per-free
-// heap reclaims through its fully transactional fallback (no grace
-// period to ride); the run must still complete and reclaim.
-func TestSetChurnUnsafeFenceFallback(t *testing.T) {
-	tm, h := churnTM(t, "tl2+nofence", perFree, 1<<16, 4)
-	if !h.txnFree {
-		t.Fatal("tl2+nofence did not select the transactional free")
-	}
-	st, err := setChurn(tm, h, 4, 200, 32, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.frees == 0 {
-		t.Fatalf("transactional-fallback run reclaimed nothing: %+v", st)
-	}
 }
