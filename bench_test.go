@@ -18,6 +18,7 @@ import (
 	"safepriv/internal/rcu"
 	"safepriv/internal/record"
 	"safepriv/internal/spec"
+	"safepriv/internal/stmalloc"
 	"safepriv/internal/stmds"
 	"safepriv/internal/vclock"
 	"safepriv/internal/workload"
@@ -366,12 +367,21 @@ func BenchmarkRecordingOverhead(b *testing.B) {
 
 // --- Transactional data structures (STAMP-style usage) ---
 
+// benchHeap is a per-free stmalloc heap over tm's registers from 8 on;
+// the structures' head blocks sit below it.
+func benchHeap(b *testing.B, tm core.TM) *stmalloc.Heap {
+	heap, err := stmalloc.New(tm, 8, tm.NumRegs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return heap
+}
+
 func BenchmarkStmSetInsert(b *testing.B) {
 	for _, spec := range []string{"tl2", "norec", "baseline"} {
 		b.Run(spec, func(b *testing.B) {
 			tm := engine.MustNewSpec(spec, 1<<20, 10, nil)
-			alloc := stmds.NewAlloc(tm, 4, 8, tm.NumRegs())
-			set := stmds.NewSet(tm, 1, alloc)
+			set := stmds.NewHashSet(tm, 1, benchHeap(b, tm))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := set.Insert(1, int64(i%4096+1)); err != nil {
@@ -386,8 +396,7 @@ func BenchmarkStmSetContainsParallel(b *testing.B) {
 	for _, spec := range []string{"tl2", "norec"} {
 		b.Run(spec, func(b *testing.B) {
 			tm := engine.MustNewSpec(spec, 1<<18, 33, nil)
-			alloc := stmds.NewAlloc(tm, 4, 8, tm.NumRegs())
-			set := stmds.NewSet(tm, 1, alloc)
+			set := stmds.NewHashSet(tm, 1, benchHeap(b, tm))
 			for k := int64(1); k <= 256; k++ {
 				if _, err := set.Insert(1, k*3); err != nil {
 					b.Fatal(err)

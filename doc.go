@@ -35,10 +35,10 @@
 //     their own class (no block is split or merged), and
 //     RegsForDemand, which sizes arenas from multi-size-class
 //     ClassDemand profiles — one budget per class.
-//   - Application layer: internal/stmds dynamic structures (sorted set,
-//     sorted map, FIFO queue, and the O(log n) SkipMap whose
-//     variable-height towers span four heap size classes, whose
-//     Delete retires a whole tower under one grace period, and whose
+//   - Application layer: internal/stmds dynamic structures (the
+//     O(log n) SkipMap whose variable-height towers span four heap
+//     size classes, whose Delete retires a whole tower under one
+//     grace period, and whose
 //     Range/RangeWindows stream bounded key windows through the
 //     Figure 7 cycle — privatize a window, one fence, walk level 0
 //     uninstrumented, publish — instead of one long read-only

@@ -8,6 +8,7 @@ import (
 	"safepriv/internal/atomictm"
 	"safepriv/internal/baseline"
 	"safepriv/internal/core"
+	"safepriv/internal/core/coretest"
 	"safepriv/internal/norec"
 	"safepriv/internal/tl2"
 	"safepriv/internal/wtstm"
@@ -212,5 +213,42 @@ func TestBackoffNsCountsElapsed(t *testing.T) {
 	got := time.Duration(tm.TelemetryBoard().Slot(thread).BackoffNs.Load())
 	if got < asked || got > wall {
 		t.Fatalf("BackoffNs = %v, want between the %v asked for and the call's %v", got, asked, wall)
+	}
+}
+
+// TestAtomicallyAllocatesNothing pins the Go-heap cost of a
+// transaction on tl2: core.Atomically running a read-only and a
+// read-write block allocates nothing.
+func TestAtomicallyAllocatesNothing(t *testing.T) {
+	if coretest.RaceEnabled {
+		t.Skip("-race: allocation budgets do not hold")
+	}
+	tm := tl2.New(64, 2)
+	var sum int64
+	for _, row := range []struct {
+		name string
+		fn   func(tx core.Txn) error
+	}{
+		{"read-only", func(tx core.Txn) error {
+			v, err := tx.Read(3)
+			sum += v
+			return err
+		}},
+		{"read-write", func(tx core.Txn) error {
+			v, err := tx.Read(3)
+			if err != nil {
+				return err
+			}
+			return tx.Write(3, v+1)
+		}},
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := core.Atomically(tm, 1, row.fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s Atomically allocates %v times per call, want 0", row.name, allocs)
+		}
 	}
 }

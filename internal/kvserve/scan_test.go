@@ -113,8 +113,9 @@ func TestScanPaginated(t *testing.T) {
 		t.Fatalf("streamed filtered scan returned %d pairs, want 21", len(kvs))
 	}
 
-	// Malformed inputs are 400s, not 500s.
-	for _, q := range []string{"cursor=%2A%2A%2A", "limit=-1", "limit=x", "from=x", "to=x"} {
+	// Malformed inputs are 400s, not 500s. "MS4yLjMuNGp1bms" is
+	// "1.2.3.4junk": a cursor's numbers with trailing bytes.
+	for _, q := range []string{"cursor=%2A%2A%2A", "cursor=MS4yLjMuNGp1bms", "limit=-1", "limit=x", "from=x", "to=x"} {
 		if st, body := do(t, http.MethodGet, ts.URL+"/scan?"+q, ""); st != http.StatusBadRequest {
 			t.Fatalf("scan?%s = %d (%s), want 400", q, st, body)
 		}

@@ -8,8 +8,8 @@
 //  1. New(tx, th, n) allocates inside the caller's transaction, so an
 //     aborted transaction leaks nothing — the pop (or bump) rolls back
 //     with everything else.
-//  2. The data structure unlinks the block transactionally (a Remove
-//     or Dequeue that commits).
+//  2. The data structure unlinks the block transactionally (a Delete
+//     that commits).
 //  3. Free(th, ptr, n) retires the block: the heap's region.Owner
 //     fences (core.TM.Fence), and once every transaction active at the
 //     Free has finished — so no stale reference survives — the block is
@@ -366,6 +366,11 @@ type Heap struct {
 	// board, when set, receives magazine hit/miss and batch telemetry.
 	board *telemetry.Board
 
+	// listed[s*numClasses+c] hints that shard s's class-c free list
+	// holds a block: a publish sets it, and an allocation that finds the
+	// list empty clears it. A hint only, like affinity.
+	listed []atomic.Bool
+
 	// affinity[th] is thread th's last successful refill shard + 1
 	// (0 = none yet): refills and bumps try it first so a thread keeps
 	// drawing from one shard instead of ping-ponging the shard headers
@@ -507,6 +512,7 @@ func New(tm core.TM, first, limit int, opts ...Option) (*Heap, error) {
 		h.parked[t].blocks = make([]retired, 0, h.magCap+1)
 	}
 	h.affinity = make([]atomic.Int32, h.magThreads+2)
+	h.listed = make([]atomic.Bool, h.shards*numClasses)
 	h.own = region.NewOwner(tm)
 	// Attach the TM's telemetry board (all registry TMs carry one), so
 	// magazine hit/miss rates flow without per-site wiring.
@@ -557,7 +563,7 @@ func (h *Heap) validPtr(v int64) bool {
 
 // New allocates n consecutive registers inside tx and returns the
 // index of the first. th picks the preferred shard; allocation falls
-// over to other shards (the class's free list first, then bump) before
+// over to other shards (free lists first, then bump regions) before
 // reporting ErrOutOfSpace. Aborted transactions roll the allocation
 // back. On a magazine heap the common case pops from the
 // calling thread's cache — registers no other thread touches, so
@@ -574,23 +580,32 @@ func (h *Heap) New(tx core.Txn, th, n int) (int64, error) {
 	return h.newShared(tx, th, c, n)
 }
 
-// newShared is the magazine-less allocation path: each shard's class
-// free list, then its bump region; shard counters.
+// newShared is the magazine-less allocation path, reuse before growth:
+// the home shard's class free list and every other shard's that a
+// publish has hinted (listed), then each shard's bump region, then the
+// lists not tried yet, so every block is tried before ErrOutOfSpace;
+// shard counters.
 func (h *Heap) newShared(tx core.Txn, th, c, n int) (int64, error) {
-	size := int64(1) << c
 	start := h.homeShard(th)
-	for i := 0; i < h.shards; i++ {
+	for step := 0; step < 3*h.shards; step++ {
+		i := step % h.shards
 		s := (start + i) % h.shards
-		// Free list for the class.
-		head, err := h.popList(tx, s, c)
+		hint := &h.listed[s*numClasses+c]
+		hinted := i == 0 || hint.Load()
+		var head int64
+		var err error
+		switch pass := step / h.shards; {
+		case pass == 1:
+			head, err = h.bump(tx, s, int64(1)<<c)
+		case (pass == 0) == hinted:
+			if head, err = h.popList(tx, s, c); head == 0 && pass == 0 {
+				hint.Store(false)
+			}
+		default:
+			continue
+		}
 		if err != nil {
 			return 0, err
-		}
-		if head == 0 {
-			// Bump region.
-			if head, err = h.bump(tx, s, size); err != nil {
-				return 0, err
-			}
 		}
 		if head != 0 {
 			if err := count(tx, h.hdr(s)+offAllocs); err != nil {
@@ -1091,6 +1106,9 @@ func (h *Heap) pushFree(tx core.Txn, ptr int64, c int) error {
 	}
 	if err := tx.Write(int(ptr), head); err != nil {
 		return err
+	}
+	if hint := &h.listed[s*numClasses+c]; !hint.Load() {
+		hint.Store(true)
 	}
 	return tx.Write(h.hdr(s)+offLists+c, ptr)
 }

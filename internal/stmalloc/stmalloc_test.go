@@ -250,9 +250,10 @@ func requireRefused(t *testing.T, spec string) {
 
 // TestLeakAccountingChurn is the allocator's core invariant, on every
 // reclaiming spec: after N concurrent insert/remove churn rounds on a
-// set built over the heap, plus a Drain, allocated-minus-freed blocks
-// equal the live set size exactly — nothing leaked, nothing
-// double-freed. Run under -race in CI.
+// hash set built over the heap, plus a Drain, allocated-minus-freed
+// blocks equal the live set size plus the set's one bucket array
+// exactly — nothing leaked, nothing double-freed. Run under -race in
+// CI.
 func TestLeakAccountingChurn(t *testing.T) {
 	const threads = 4
 	rounds := 300
@@ -266,7 +267,7 @@ func TestLeakAccountingChurn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			set := stmds.NewSet(tm, 1, h)
+			set := stmds.NewHashSet(tm, 1, h)
 			var wg sync.WaitGroup
 			errs := make(chan error, threads)
 			for th := 1; th <= threads; th++ {
@@ -302,8 +303,8 @@ func TestLeakAccountingChurn(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := h.Stats()
-			if st.Live != int64(len(snap)) {
-				t.Fatalf("allocs-frees = %d, live set size %d (stats %+v)", st.Live, len(snap), st)
+			if st.Live != int64(len(snap)+1) {
+				t.Fatalf("allocs-frees = %d, live set size %d + 1 bucket array (stats %+v)", st.Live, len(snap), st)
 			}
 			if st.PendingFrees != 0 {
 				t.Fatalf("pending frees %d after Drain", st.PendingFrees)
@@ -316,53 +317,70 @@ func TestLeakAccountingChurn(t *testing.T) {
 }
 
 // TestBoundedFootprintUnderChurn pins the reclamation payoff at the
-// allocator level: serial churn far past the arena's bump capacity
-// succeeds with a bounded footprint, while the same traffic over the
-// same arena on the stmds bump allocator runs out of space.
+// allocator level: serial churn whose allocations add up to more
+// registers than the whole arena holds succeeds, with a bounded
+// footprint — only reuse can serve it.
 func TestBoundedFootprintUnderChurn(t *testing.T) {
-	// ~4000 inserts = 8000 registers of traffic through a <1024-reg
-	// arena.
-	churn := func(tm core.TM, alloc stmds.Allocator) error {
-		set := stmds.NewSet(tm, 1, alloc)
-		r := rand.New(rand.NewSource(5))
-		for i := 0; i < 8000; i++ {
-			k := int64(r.Intn(40) + 1)
-			var err error
-			if r.Intn(2) == 0 {
-				_, err = set.Insert(1, k)
-			} else {
-				_, err = set.Remove(1, k)
-			}
-			if err != nil {
-				return fmt.Errorf("op %d: %w", i, err)
-			}
-		}
-		return nil
-	}
-	bumpTM := engine.MustNewSpec("tl2", 1<<10, 2, nil)
-	if err := churn(bumpTM, stmds.NewAlloc(bumpTM, 2, 8, bumpTM.NumRegs())); !errors.Is(err, stmds.ErrOutOfSpace) {
-		t.Fatalf("bump churn past the arena returned %v, want ErrOutOfSpace", err)
-	}
+	// ~2000 inserts of 4-register nodes = 8000 registers of traffic
+	// through a <1024-reg arena.
 	tm := engine.MustNewSpec("tl2", 1<<10, 2, nil)
-	h, err := stmalloc.New(tm, 8, tm.NumRegs(), stmalloc.WithShards(1))
+	const first = 8
+	h, err := stmalloc.New(tm, first, tm.NumRegs(), stmalloc.WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := churn(tm, h); err != nil {
-		t.Fatalf("reclaiming churn failed where it must reuse: %v", err)
+	set := stmds.NewHashSet(tm, 1, h)
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 8000; i++ {
+		k := int64(r.Intn(40) + 1)
+		var err error
+		if r.Intn(2) == 0 {
+			_, err = set.Insert(1, k)
+		} else {
+			_, err = set.Remove(1, k)
+		}
+		if err != nil {
+			t.Fatalf("reclaiming churn failed where it must reuse: op %d: %v", i, err)
+		}
 	}
 	if err := h.Drain(1); err != nil {
 		t.Fatal(err)
 	}
-	if fp := h.Stats().BumpRegs; fp > 256 {
-		t.Fatalf("footprint %d regs after 8k churn ops over ≤40 live keys", fp)
+	st := h.Stats()
+	// Every allocation is at least a hash node (key, value, next) in
+	// its 4-register class.
+	if allocated, arena := st.Allocs*int64(stmalloc.BlockRegs(3)), int64(tm.NumRegs()-first); allocated <= arena {
+		t.Fatalf("churn allocated %d regs, not past the %d-reg arena: the run proves no reuse", allocated, arena)
+	}
+	if st.BumpRegs > 256 {
+		t.Fatalf("footprint %d regs after 8k churn ops over ≤40 live keys", st.BumpRegs)
+	}
+}
+
+// TestFreedBlockReusedBeforeBump pins reuse before growth on the
+// per-free path: a block freed into another thread's shard serves the
+// next allocation of its class from any thread, before a bump region
+// grows. Without it every shard's footprint grows to its own peak.
+func TestFreedBlockReusedBeforeBump(t *testing.T) {
+	tm := engine.MustNewSpec("tl2", 1<<10, 3, nil)
+	h, err := stmalloc.New(tm, 8, tm.NumRegs(), stmalloc.WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptr := alloc(t, tm, h, 1, 4) // thread 1's home shard
+	h.Free(2, ptr, 4)            // thread 2's home is the other shard
+	if got := alloc(t, tm, h, 2, 4); got != ptr {
+		t.Fatalf("thread 2 allocated %d, not the free block %d", got, ptr)
+	}
+	if st := h.Stats(); st.BumpRegs != 4 {
+		t.Fatalf("bump regions hold %d regs for one live block, want 4", st.BumpRegs)
 	}
 }
 
 // --- Magazine layer ---
 
 // TestMagazineChurnLeakAccounting is TestLeakAccountingChurn on the
-// batch path: concurrent set churn over a magazine heap on every TM,
+// batch path: concurrent hash-set churn over a magazine heap on every TM,
 // with a concurrent Drain/FreeQuiesced interferer — the
 // interleaving that would expose a double count between the per-Free
 // push, the batch retire, and a Drain taking the same list. After the
@@ -384,7 +402,7 @@ func TestMagazineChurnLeakAccounting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			set := stmds.NewSet(tm, 1, h)
+			set := stmds.NewHashSet(tm, 1, h)
 			var wg sync.WaitGroup
 			errs := make(chan error, threads+1)
 			for th := 1; th <= threads; th++ {
@@ -446,8 +464,8 @@ func TestMagazineChurnLeakAccounting(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := h.Stats()
-			if st.Live != int64(len(snap)) {
-				t.Fatalf("allocs-frees = %d, live set size %d (stats %+v)", st.Live, len(snap), st)
+			if st.Live != int64(len(snap)+1) {
+				t.Fatalf("allocs-frees = %d, live set size %d + 1 bucket array (stats %+v)", st.Live, len(snap), st)
 			}
 			if st.PendingFrees != 0 {
 				t.Fatalf("pending frees %d after Drain", st.PendingFrees)
@@ -475,7 +493,7 @@ func TestMagazineBoundedFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := stmds.NewSet(tm, 1, h)
+	set := stmds.NewHashSet(tm, 1, h)
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 8000; i++ {
 		k := int64(r.Intn(40) + 1)
@@ -492,8 +510,8 @@ func TestMagazineBoundedFootprint(t *testing.T) {
 	if err := h.Drain(1); err != nil {
 		t.Fatal(err)
 	}
-	// ≤40 live 2-reg nodes + one magazine (8 alloc-side + 8 parked, 2
-	// regs each) + retire slack.
+	// ≤40 live 4-reg nodes + one bucket array + one magazine (8
+	// alloc-side + 8 parked, 4 regs each) + retire slack.
 	if fp := h.Stats().BumpRegs; fp > 256 {
 		t.Fatalf("footprint %d regs after 8k churn ops over ≤40 live keys", fp)
 	}

@@ -114,7 +114,7 @@ func HashMapDemand(keys int) []stmalloc.ClassDemand {
 type HashMap struct {
 	tm         core.TM
 	head       int
-	alloc      Allocator
+	alloc      *stmalloc.Heap
 	maxBuckets int
 
 	// own privatizes and publishes the table for a doubling (package
@@ -127,11 +127,8 @@ type HashMap struct {
 // NewHashMap returns a hash map whose head block occupies registers
 // [head, head+HashHeadRegs) and whose nodes and bucket arrays come
 // from alloc. The head registers must start zeroed (VInit).
-func NewHashMap(tm core.TM, head int, alloc Allocator) *HashMap {
-	s := &HashMap{tm: tm, head: head, alloc: alloc, maxBuckets: stmalloc.MaxBlockRegs, own: region.NewOwner(tm)}
-	if mb, ok := alloc.(interface{ MaxBlock() int }); ok {
-		s.maxBuckets = mb.MaxBlock()
-	}
+func NewHashMap(tm core.TM, head int, alloc *stmalloc.Heap) *HashMap {
+	s := &HashMap{tm: tm, head: head, alloc: alloc, maxBuckets: alloc.MaxBlock(), own: region.NewOwner(tm)}
 	if p, ok := tm.(telemetry.Provider); ok {
 		s.board = p.TelemetryBoard()
 	}
@@ -262,7 +259,7 @@ func (s *HashMap) PutTx(tx core.Txn, th int, k, v int64) (added, needGrow bool, 
 // node and returns it for the caller to free AFTER the transaction
 // commits (the Fig. 7 cycle — the allocator rides the fence before the
 // registers are reused). victimRegs is the block size to pass to
-// Allocator.Free.
+// stmalloc's Free.
 func (s *HashMap) DeleteTx(tx core.Txn, k int64) (removed bool, victim int64, victimRegs int, err error) {
 	reg, empty, err := s.routeTx(tx, k)
 	if err != nil || empty {
@@ -490,8 +487,8 @@ func (s *HashMap) Grow(th int) (bool, error) {
 		return false, err
 	}
 	// The fence already waited out every transaction that could hold a
-	// pointer into the old array, so Free's grace period is redundant;
-	// it keeps Allocator at two methods.
+	// pointer into the old array, so Free's grace period is redundant
+	// (FreeQuiesced would skip it); a doubling is rare, so it stays.
 	s.alloc.Free(th, old, oldSize)
 	return true, nil
 }
@@ -501,25 +498,16 @@ func (s *HashMap) Grow(th int) (bool, error) {
 // only because the benchmark's ds-churn settle step calls it.
 func (s *HashMap) DrainRehash(th int) error { return nil }
 
-// HashMap satisfies OrderedMap — Snapshot sorts — so property tests
-// and differential harnesses drive it through the same interface as
-// Map and SkipMap.
-var _ OrderedMap = (*HashMap)(nil)
-
 // HashSet is a thin set wrapper over HashMap: membership only, values
 // pinned to zero.
 type HashSet struct {
 	m *HashMap
 }
 
-// HashSetDemand is the stmalloc demand profile of a HashSet holding up
-// to `keys` members (identical to the map's — same nodes, same
-// arrays).
-func HashSetDemand(keys int) []stmalloc.ClassDemand { return HashMapDemand(keys) }
-
 // NewHashSet returns a hash set whose head block occupies registers
-// [head, head+HashHeadRegs) and whose storage comes from alloc.
-func NewHashSet(tm core.TM, head int, alloc Allocator) *HashSet {
+// [head, head+HashHeadRegs) and whose storage comes from alloc; budget
+// it with HashMapDemand (same nodes, same arrays).
+func NewHashSet(tm core.TM, head int, alloc *stmalloc.Heap) *HashSet {
 	return &HashSet{m: NewHashMap(tm, head, alloc)}
 }
 

@@ -236,7 +236,7 @@ func TestHashMapChurnDuringRehash(t *testing.T) {
 // TestHashSet pins the thin wrapper: set semantics over the map, with
 // the same doublings underneath.
 func TestHashSet(t *testing.T) {
-	regs := hashArenaAt + stmalloc.RegsForDemand(2, 0, 0, stmds.HashSetDemand(100))
+	regs := hashArenaAt + stmalloc.RegsForDemand(2, 0, 0, stmds.HashMapDemand(100))
 	tm := engine.MustNewSpec("tl2", regs, 3, nil)
 	heap, err := stmalloc.New(tm, hashArenaAt, tm.NumRegs(), stmalloc.WithShards(2))
 	if err != nil {

@@ -10,13 +10,6 @@ import (
 	"safepriv/internal/telemetry"
 )
 
-// MapDemand is the stmalloc demand profile of a sorted-list Map (or
-// Set: same class) holding up to `nodes` live entries — single-class,
-// like stmkv's tables.
-func MapDemand(nodes int) []stmalloc.ClassDemand {
-	return []stmalloc.ClassDemand{{Regs: mapNodeRegs, Count: nodes}}
-}
-
 // SkipMapDemand is the stmalloc demand profile of a SkipMap holding up
 // to `nodes` live towers under the geometric(1/2) level generator.
 // Tower heights split across four block classes — TowerRegs(h) = 3+h
@@ -35,8 +28,7 @@ func SkipMapDemand(nodes int) []stmalloc.ClassDemand {
 }
 
 // SkipMap is a transactional skiplist map from int64 keys to int64
-// values: the O(log n) ordered map that replaces Map's O(n) list walk
-// for large key sets. Layout over TM registers:
+// values: the O(log n) ordered map. Layout over TM registers:
 //
 //   - The head block is SkipHeadRegs consecutive registers starting at
 //     `head`: head+l holds the level-l list head pointer (nilPtr when
@@ -60,9 +52,9 @@ func SkipMapDemand(nodes int) []stmalloc.ClassDemand {
 // the height once per call, outside the retry loop, so TM-dependent
 // abort counts cannot skew the geometry.
 //
-// Like Map, SkipMap needs no pointer-validity guards against reclaimed
-// nodes: traversals only follow pointers read inside the transaction,
-// and on an opaque TM a doomed reader aborts before it can observe the
+// SkipMap needs no pointer-validity guards against reclaimed nodes:
+// traversals only follow pointers read inside the transaction, and on
+// an opaque TM a doomed reader aborts before it can observe the
 // registers of a block that was unlinked, grace-period-settled, and
 // wiped (the guards in stmalloc protect its own uninstrumented-phase
 // metadata, which bypasses that argument). The one defensive check is
@@ -102,7 +94,7 @@ func SkipMapDemand(nodes int) []stmalloc.ClassDemand {
 type SkipMap struct {
 	tm    core.TM
 	head  int
-	alloc Allocator
+	alloc *stmalloc.Heap
 	rng   []uint64 // per-thread level-generator state, indexed by thread id
 
 	// own takes and publishes the scan windows (package region);
@@ -142,7 +134,7 @@ func TowerRegs(height int) int { return skipNodeHdr + height }
 // per thread so concurrent Puts stay deterministic per thread). The
 // head registers must start zeroed (VInit), which reads as "all levels
 // empty".
-func NewSkipMap(tm core.TM, head, threads int, alloc Allocator) *SkipMap {
+func NewSkipMap(tm core.TM, head, threads int, alloc *stmalloc.Heap) *SkipMap {
 	s := &SkipMap{tm: tm, head: head, alloc: alloc, rng: make([]uint64, threads+1), own: region.NewOwner(tm),
 		guard: region.Guard{Flag: head + SkipMaxLevel, Lo: head + SkipMaxLevel + 1, Hi: head + SkipMaxLevel + 2}}
 	for th := range s.rng {
@@ -219,8 +211,9 @@ type skipPath struct {
 // twice: succ[l] is the last pointer read on level l, and a level
 // whose walk arrives at the node the level above stopped at stops
 // there without reading that node's key again (it is >= k). One
-// transactional read set of O(log n) expected size — the structural
-// reason SkipMap aborts less than Map under the same churn.
+// transactional read set of O(log n) expected size, where a sorted
+// list's walk would read O(n) registers and abort on any write behind
+// it.
 func (s *SkipMap) findTx(tx core.Txn, k int64, p *skipPath) error {
 	prev := nilPtr // nilPtr marks "still at the head block"
 	p.prevKey = math.MinInt64
@@ -337,7 +330,7 @@ func (s *SkipMap) PutTx(tx core.Txn, th int, k, v int64, height int) (bool, erro
 // whole tower (every level it appears on) in this one transaction and
 // returns the node for the caller to free AFTER the transaction
 // commits — never before, or the fence would not cover the unlink.
-// victimRegs is the block size to pass to Allocator.Free. Like PutTx it
+// victimRegs is the block size to pass to stmalloc's Free. Like PutTx it
 // returns region.ErrPrivate before writing anything when the unlink
 // would touch an active scan window.
 func (s *SkipMap) DeleteTx(tx core.Txn, k int64) (removed bool, victim int64, victimRegs int, err error) {

@@ -15,11 +15,11 @@ import (
 	"safepriv/internal/stmds"
 )
 
-// Register layout shared by the suites: skiplist head block at
-// [skipHead, skipHead+SkipHeadRegs), list-map head at listHead, arena
-// from arenaAt.
+// Register layout shared by the suites: hash-map head at mapHead,
+// skiplist head block at [skipHead, skipHead+SkipHeadRegs), arena from
+// arenaAt.
 const (
-	listHead = 1
+	mapHead  = 1
 	skipHead = 8
 	arenaAt  = 8 + stmds.SkipHeadRegs
 )
@@ -27,9 +27,11 @@ const (
 // demandHeap sizes a TM + reclaiming heap from the multi-size-class
 // demand profiles — RegsForDemand's integration test rides along: a
 // heap sized by the profile must serve the scripts that stay inside it.
-func demandHeap(t *testing.T, spec string, threads, nodes int, opts ...stmalloc.Option) (*stmalloc.Heap, *stmds.SkipMap, *stmds.Map) {
+// Both structures share the heap; a HashMap allocates nothing until its
+// first Put.
+func demandHeap(t *testing.T, spec string, threads, nodes int, opts ...stmalloc.Option) (*stmalloc.Heap, *stmds.SkipMap, *stmds.HashMap) {
 	t.Helper()
-	demand := append(stmds.MapDemand(nodes), stmds.SkipMapDemand(nodes)...)
+	demand := append(stmds.HashMapDemand(nodes), stmds.SkipMapDemand(nodes)...)
 	regs := arenaAt + stmalloc.RegsForDemand(4, threads, 3, demand)
 	tm := engine.MustNewSpec(spec, regs, threads+2, nil)
 	opts = append([]stmalloc.Option{stmalloc.WithShards(4)}, opts...)
@@ -37,7 +39,7 @@ func demandHeap(t *testing.T, spec string, threads, nodes int, opts ...stmalloc.
 	if err != nil {
 		t.Fatal(err)
 	}
-	return heap, stmds.NewSkipMap(tm, skipHead, threads, heap), stmds.NewMap(tm, listHead, heap)
+	return heap, stmds.NewSkipMap(tm, skipHead, threads, heap), stmds.NewHashMap(tm, mapHead, heap)
 }
 
 // TestSkipMapLevelDeterminism pins the level generator's contract: the
@@ -109,12 +111,13 @@ func TestTowerRegsClassLadder(t *testing.T) {
 }
 
 // TestOrderedMapEquivalence is the property suite: on every registered
-// TM, both ordered-map implementations run the same random script
+// TM, both OrderedMap implementations run the same random script
 // against a map[int64]int64 oracle — every per-op result (value,
 // presence, added/removed) must match the oracle, the two
 // implementations must agree with each other through snapshots, and
 // after a drain the heap's live count must equal the resident pairs
-// exactly (a double free or a leak breaks the equality).
+// plus the hash map's one bucket array exactly (a double free or a
+// leak breaks the equality).
 func TestOrderedMapEquivalence(t *testing.T) {
 	ops := 1200
 	if testing.Short() {
@@ -122,83 +125,75 @@ func TestOrderedMapEquivalence(t *testing.T) {
 	}
 	for _, tmName := range engine.TMs() {
 		t.Run(tmName, func(t *testing.T) {
-			heap, sm, lm := demandHeap(t, tmName, 1, 200)
+			heap, sm, hm := demandHeap(t, tmName, 1, 200)
+			maps := []struct {
+				name string
+				m    stmds.OrderedMap
+			}{{"skip", sm}, {"hash", hm}}
 			oracle := map[int64]int64{}
 			r := rand.New(rand.NewSource(41))
 			for i := 0; i < ops; i++ {
 				k := 1 + r.Int63n(120)
-				switch d := r.Intn(100); {
+				d := r.Intn(100)
+				v := 1 + r.Int63n(1<<20)
+				want, had := oracle[k]
+				for _, x := range maps {
+					switch {
+					case d < 40:
+						added, err := x.m.Put(1, k, v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if added == had {
+							t.Fatalf("op %d %s Put(%d): added=%v oracle had=%v", i, x.name, k, added, had)
+						}
+					case d < 75:
+						removed, err := x.m.Delete(1, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if removed != had {
+							t.Fatalf("op %d %s Delete(%d): removed=%v oracle had=%v", i, x.name, k, removed, had)
+						}
+					case d < 95:
+						got, ok, err := x.m.Get(1, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ok != had || (had && got != want) {
+							t.Fatalf("op %d %s Get(%d) = (%d,%v), oracle (%d,%v)", i, x.name, k, got, ok, want, had)
+						}
+					default:
+						n, err := x.m.Len(1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if n != len(oracle) {
+							t.Fatalf("op %d %s Len = %d, oracle %d", i, x.name, n, len(oracle))
+						}
+					}
+				}
+				switch {
 				case d < 40:
-					v := 1 + r.Int63n(1<<20)
-					_, had := oracle[k]
-					sa, err := sm.Put(1, k, v)
-					if err != nil {
-						t.Fatal(err)
-					}
-					la, err := lm.Put(1, k, v)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if sa == had || la == had {
-						t.Fatalf("op %d Put(%d): skip added=%v list added=%v oracle had=%v", i, k, sa, la, had)
-					}
 					oracle[k] = v
 				case d < 75:
-					_, had := oracle[k]
-					sr, err := sm.Delete(1, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					lr, err := lm.Delete(1, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if sr != had || lr != had {
-						t.Fatalf("op %d Delete(%d): skip=%v list=%v oracle had=%v", i, k, sr, lr, had)
-					}
 					delete(oracle, k)
-				case d < 95:
-					want, had := oracle[k]
-					sv, sok, err := sm.Get(1, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					lv, lok, err := lm.Get(1, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if sok != had || lok != had || (had && (sv != want || lv != want)) {
-						t.Fatalf("op %d Get(%d): skip=(%d,%v) list=(%d,%v) oracle=(%d,%v)",
-							i, k, sv, sok, lv, lok, want, had)
-					}
-				default:
-					sn, err := sm.Len(1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ln, err := lm.Len(1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if sn != len(oracle) || ln != len(oracle) {
-						t.Fatalf("op %d Len: skip=%d list=%d oracle=%d", i, sn, ln, len(oracle))
-					}
 				}
 			}
 			ssnap, err := sm.Snapshot(1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lsnap, err := lm.Snapshot(1)
+			hsnap, err := hm.Snapshot(1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(ssnap) != len(oracle) || len(lsnap) != len(oracle) {
-				t.Fatalf("final sizes: skip=%d list=%d oracle=%d", len(ssnap), len(lsnap), len(oracle))
+			if len(ssnap) != len(oracle) || len(hsnap) != len(oracle) {
+				t.Fatalf("final sizes: skip=%d hash=%d oracle=%d", len(ssnap), len(hsnap), len(oracle))
 			}
 			for i := range ssnap {
-				if ssnap[i] != lsnap[i] {
-					t.Fatalf("snapshot divergence at %d: skip=%v list=%v", i, ssnap[i], lsnap[i])
+				if ssnap[i] != hsnap[i] {
+					t.Fatalf("snapshot divergence at %d: skip=%v hash=%v", i, ssnap[i], hsnap[i])
 				}
 				if i > 0 && ssnap[i-1].Key >= ssnap[i].Key {
 					t.Fatalf("snapshot unsorted at %d: %v", i, ssnap)
@@ -210,10 +205,11 @@ func TestOrderedMapEquivalence(t *testing.T) {
 			if err := heap.Drain(1); err != nil {
 				t.Fatal(err)
 			}
-			// Each map holds len(oracle) resident nodes.
-			if st := heap.Stats(); st.Live != int64(2*len(oracle)) {
-				t.Fatalf("leak accounting: live %d blocks, want %d (2 maps × %d pairs; stats %+v)",
-					st.Live, 2*len(oracle), len(oracle), st)
+			// Each map holds len(oracle) resident nodes; the hash map
+			// also holds its bucket array.
+			if st := heap.Stats(); st.Live != int64(2*len(oracle)+1) {
+				t.Fatalf("leak accounting: live %d blocks, want %d (2 maps × %d pairs + 1 bucket array; stats %+v)",
+					st.Live, 2*len(oracle)+1, len(oracle), st)
 			}
 		})
 	}
@@ -221,8 +217,8 @@ func TestOrderedMapEquivalence(t *testing.T) {
 
 // TestSkipMapSnapshotDuringChurn is the -race suite: churn workers
 // put/delete with the k↦k*7+1 value convention while a reader thread
-// takes full snapshots — of the skiplist, and of the sorted-list Map
-// under the same traffic. Every snapshot must be sorted, duplicate-free
+// takes full snapshots — of the skiplist, and of the HashMap under the
+// same traffic. Every snapshot must be sorted, duplicate-free
 // and value-consistent — a torn read of a half-linked tower or of a
 // magazine-recycled block would surface here (and under -race, as a
 // data race). Runs with magazines: batch retires run on the churners'
@@ -235,13 +231,14 @@ func TestSkipMapSnapshotDuringChurn(t *testing.T) {
 	if testing.Short() {
 		ops = 250
 	}
-	for _, impl := range []string{"skip", "list"} {
+	for _, impl := range []string{"skip", "hash"} {
 		t.Run(impl, func(t *testing.T) {
-			heap, sm, lm := demandHeap(t, "tl2", threads+1, 300,
+			heap, sm, hm := demandHeap(t, "tl2", threads+1, 300,
 				stmalloc.WithMagazines(threads+1, 3))
 			var m stmds.OrderedMap = sm
-			if impl == "list" {
-				m = lm
+			resident := 0 // blocks a map holds besides its nodes
+			if impl == "hash" {
+				m, resident = hm, 1 // the bucket array
 			}
 			var stop atomic.Bool
 			errs := make(chan error, threads+1)
@@ -302,9 +299,9 @@ func TestSkipMapSnapshotDuringChurn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st := heap.Stats(); st.Live != int64(len(snap)) {
-				t.Fatalf("leak accounting after churn: live %d blocks, resident pairs %d (stats %+v)",
-					st.Live, len(snap), st)
+			if st := heap.Stats(); st.Live != int64(len(snap)+resident) {
+				t.Fatalf("leak accounting after churn: live %d blocks, resident pairs %d + %d (stats %+v)",
+					st.Live, len(snap), resident, st)
 			}
 		})
 	}

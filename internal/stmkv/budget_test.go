@@ -33,7 +33,8 @@ func budgetStore(t *testing.T, n int64) (*stmkv.Store, *coretest.WindowProbe) {
 
 // TestScanPageAllocs pins what one 256-pair page allocates: the page,
 // the publish gate's fresh channel with the pointer the gate swaps in,
-// and the fmt/base64 cursor codec's parse and encode (the other 14).
+// and the fmt/base64 encoding of the next cursor. Parsing the cursor
+// allocates nothing.
 func TestScanPageAllocs(t *testing.T) {
 	if coretest.RaceEnabled {
 		t.Skip("-race: sync.Pool drops Puts, so the fence allocates")
@@ -48,8 +49,8 @@ func TestScanPageAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n > 17 {
-		t.Fatalf("ScanPage(256) allocates %v times a page, want <= 17", n)
+	if n > 9 {
+		t.Fatalf("ScanPage(256) allocates %v times a page, want <= 9", n)
 	}
 	t.Logf("ScanPage(256): %v allocations a page", n)
 }
@@ -133,6 +134,35 @@ func TestReadBudgets(t *testing.T) {
 		}
 		if mean > row.budget {
 			t.Errorf("%s: %.2f reads per operation, budget %.1f", row.op, mean, row.budget)
+		}
+	}
+}
+
+// TestPointOpsAllocateNothing pins the Go-heap cost of a point
+// operation on tl2: Get, Delete and Put allocate nothing. Deletes then
+// re-puts the same keys, so no Put outgrows the prefilled table.
+func TestPointOpsAllocateNothing(t *testing.T) {
+	if coretest.RaceEnabled {
+		t.Skip("-race: sync.Pool drops Puts, so the fence allocates")
+	}
+	s, _ := budgetStore(t, 20_000)
+	for _, op := range []struct {
+		name string
+		do   func(k int64) error
+	}{
+		{"Get", func(k int64) error { _, _, err := s.Get(1, k); return err }},
+		{"Delete", func(k int64) error { _, err := s.Delete(1, k); return err }},
+		{"Put", func(k int64) error { return s.Put(1, k, k*10) }},
+	} {
+		k := int64(0)
+		allocs := testing.AllocsPerRun(200, func() {
+			k++
+			if err := op.do(k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %v times per op, want 0", op.name, allocs)
 		}
 	}
 }

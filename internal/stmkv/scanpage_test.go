@@ -113,8 +113,9 @@ func TestScanPageBadCursor(t *testing.T) {
 	s := newStore(t, "tl2", 2, 64, 2)
 	for _, bad := range []string{
 		"not base64 ***",
-		"aGVsbG8",      // decodes, wrong shape
-		"OTk5LjAuMC4w", // "999.0.0.0": shard out of range
+		"aGVsbG8",         // decodes, wrong shape
+		"OTk5LjAuMC4w",    // "999.0.0.0": shard out of range
+		"MS4yLjMuNGp1bms", // "1.2.3.4junk": trailing bytes
 	} {
 		if _, _, err := s.ScanPage(1, bad, 10); !errors.Is(err, stmkv.ErrBadCursor) {
 			t.Fatalf("ScanPage(%q) error = %v, want ErrBadCursor", bad, err)

@@ -750,17 +750,45 @@ func encodeCursor(c scanCursor) string {
 	return base64.RawURLEncoding.EncodeToString([]byte(raw))
 }
 
+// cursorCodec decodes cursors strictly: a string whose last character
+// carries nonzero padding bits is not one encodeCursor emitted.
+var cursorCodec = base64.RawURLEncoding.Strict()
+
+// maxCursorRaw is the longest cursor encodeCursor emits, decoded: four
+// int64s and three dots.
+const maxCursorRaw = 4*19 + 3
+
+// parseCursor accepts exactly the strings encodeCursor emits: strict
+// base64 with no line breaks, four canonical decimals (no sign, space
+// or leading zero) and nothing after them. The cursor comes from
+// outside the program (/scan?cursor=), and parsing allocates only on
+// rejection.
 func (s *Store) parseCursor(str string) (scanCursor, error) {
-	raw, err := base64.RawURLEncoding.DecodeString(str)
-	if err != nil {
-		return scanCursor{}, fmt.Errorf("%w: %v", ErrBadCursor, err)
+	var src [(maxCursorRaw*8 + 5) / 6]byte
+	var raw [maxCursorRaw]byte
+	n, err := 0, error(nil)
+	if len(str) <= len(src) {
+		n, err = cursorCodec.Decode(raw[:], src[:copy(src[:], str)])
 	}
-	var c scanCursor
-	if n, err := fmt.Sscanf(string(raw), "%d.%d.%d.%d", &c.shard, &c.slot, &c.tab, &c.cap); err != nil || n != 4 {
-		return scanCursor{}, fmt.Errorf("%w: %q", ErrBadCursor, string(raw))
+	// Decode skips \r and \n, so a string longer than its encoding is
+	// not canonical.
+	bad := len(str) > len(src) || err != nil || cursorCodec.EncodedLen(n) != len(str)
+	var f [4]int64
+	i, digits := 0, 0
+	for _, b := range raw[:n] {
+		switch d := int64(b - '0'); {
+		case bad:
+		case b == '.' && digits > 0 && i < len(f)-1:
+			i, digits = i+1, 0
+		case b >= '0' && b <= '9' && (digits == 0 || f[i] > 0) && f[i] <= (math.MaxInt64-d)/10:
+			f[i], digits = f[i]*10+d, digits+1
+		default:
+			bad = true
+		}
 	}
-	if c.shard < 0 || c.shard >= int64(s.shards) || c.slot < 0 || c.tab < 0 || c.cap < 0 {
-		return scanCursor{}, fmt.Errorf("%w: %q out of range", ErrBadCursor, string(raw))
+	c := scanCursor{shard: f[0], slot: f[1], tab: f[2], cap: f[3]}
+	if bad || i != len(f)-1 || digits == 0 || c.shard >= int64(s.shards) {
+		return scanCursor{}, fmt.Errorf("%w: %q", ErrBadCursor, str)
 	}
 	return c, nil
 }

@@ -327,6 +327,25 @@ func TestKVFenceModes(t *testing.T) {
 			if got := scanMap(t, kvs); len(got) != len(want) {
 				t.Fatalf("Scan has %d keys, want %d", len(got), len(want))
 			}
+			// A ScanPage page runs one fence per window it opens.
+			paged := 0
+			for cursor := ""; ; {
+				before := board.Snapshot()
+				page, next, err := s.ScanPage(2, cursor, 16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				paged += len(page)
+				if d := board.Snapshot().Delta(before); d.ScanWindows == 0 || d.Fences != d.ScanWindows {
+					t.Fatalf("a ScanPage page ran %d fences over %d windows, want one per window", d.Fences, d.ScanWindows)
+				}
+				if cursor = next; cursor == "" {
+					break
+				}
+			}
+			if paged != len(want) {
+				t.Fatalf("ScanPage pages hold %d keys, want %d", paged, len(want))
+			}
 			before := board.Snapshot()
 			if err := s.Resize(1, 48); err != nil {
 				t.Fatal(err)

@@ -10,17 +10,17 @@ import (
 	"safepriv/internal/stmds"
 )
 
-// The data-structure differential suite: the churn structures
-// (sorted-list set, sorted-list map, FIFO queue) driven by a deterministic
-// scripted operation sequence over the reclaiming allocator, on every
-// registry TM, checked op by op against a serial map/slice oracle.
+// The data-structure differential suite: the churn structures (hash
+// set, skiplist map) driven by a deterministic scripted operation
+// sequence over the reclaiming allocator, on every registry TM,
+// checked op by op against a serial map oracle.
 // Memory reclamation makes this a real differential surface: every
 // remove frees its node through the TM's fence, and reused registers
 // must never leak stale values into later reads on any TM.
 
 // dsOp is one scripted operation.
 type dsOp struct {
-	kind int // 0 set-insert, 1 set-remove, 2 set-contains, 3 map-put, 4 map-delete, 5 map-get, 6 enqueue, 7 dequeue
+	kind int // 0 set-insert, 1 set-remove, 2 set-contains, 3 map-put, 4 map-delete, 5 map-get
 	key  int64
 	val  int64
 }
@@ -32,7 +32,7 @@ func dsScript(seed int64, n int) []dsOp {
 	ops := make([]dsOp, n)
 	for i := range ops {
 		ops[i] = dsOp{
-			kind: r.Intn(8),
+			kind: r.Intn(6),
 			key:  int64(r.Intn(24) + 1),
 			val:  int64(r.Intn(1000)),
 		}
@@ -42,10 +42,9 @@ func dsScript(seed int64, n int) []dsOp {
 
 // dsOutcome is the observable result trace plus final snapshots.
 type dsOutcome struct {
-	results []int64 // one entry per op: booleans as 0/1, gets as values (absent = -1), dequeues as value (-1 empty)
+	results []int64 // one entry per op: booleans as 0/1, gets as values (absent = -1)
 	set     []int64
 	pairs   []stmds.KV
-	queue   []int64
 }
 
 // runOracle executes the script against plain Go structures: the
@@ -54,7 +53,6 @@ func runOracle(script []dsOp) dsOutcome {
 	var out dsOutcome
 	set := map[int64]bool{}
 	m := map[int64]int64{}
-	var q []int64
 	b := func(v bool) int64 {
 		if v {
 			return 1
@@ -87,16 +85,6 @@ func runOracle(script []dsOp) dsOutcome {
 			} else {
 				out.results = append(out.results, -1)
 			}
-		case 6:
-			q = append(q, op.val)
-			out.results = append(out.results, 1)
-		case 7:
-			if len(q) == 0 {
-				out.results = append(out.results, -1)
-			} else {
-				out.results = append(out.results, q[0])
-				q = q[1:]
-			}
 		}
 	}
 	for k := range set {
@@ -111,7 +99,6 @@ func runOracle(script []dsOp) dsOutcome {
 	for _, k := range keys {
 		out.pairs = append(out.pairs, stmds.KV{Key: k, Val: m[k]})
 	}
-	out.queue = q
 	return out
 }
 
@@ -150,9 +137,16 @@ func heapOptions(shape heapShape, threads, magCap int) []stmalloc.Option {
 	return nil
 }
 
+// Register layout of runOnTM: the hash set's head at dsSetHead, the
+// skiplist's head block after it, the heap from dsArena.
+const (
+	dsSetHead = 1
+	dsMapHead = dsSetHead + stmds.HashHeadRegs
+	dsArena   = dsMapHead + stmds.SkipHeadRegs
+)
+
 // runOnTM executes the script on the structures over a real TM with
-// the reclaiming allocator (register layout: heads in 1..3, heap from
-// 8). A magazine heap is shallow so the script's small keyspace cycles
+// the reclaiming allocator. A magazine heap is shallow so the script's small keyspace cycles
 // blocks through park→retire→refill many times.
 func runOnTM(t *testing.T, spec string, shape heapShape, script []dsOp) dsOutcome {
 	t.Helper()
@@ -160,14 +154,13 @@ func runOnTM(t *testing.T, spec string, shape heapShape, script []dsOp) dsOutcom
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, err := stmalloc.New(tm, 8, tm.NumRegs(), heapOptions(shape, 2, 4)...)
+	heap, err := stmalloc.New(tm, dsArena, tm.NumRegs(), heapOptions(shape, 2, 4)...)
 	spec = shape.row(spec) // the row name, in failure messages
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := stmds.NewSet(tm, 1, heap)
-	mp := stmds.NewMap(tm, 2, heap)
-	q := stmds.NewQueue(tm, 3, 4, heap)
+	set := stmds.NewHashSet(tm, dsSetHead, heap)
+	mp := stmds.NewSkipMap(tm, dsMapHead, 2, heap)
 	var out dsOutcome
 	b := func(v bool) int64 {
 		if v {
@@ -209,18 +202,6 @@ func runOnTM(t *testing.T, spec string, shape heapShape, script []dsOp) dsOutcom
 			} else {
 				res = -1
 			}
-		case 6:
-			err = q.Enqueue(th, op.val)
-			res = 1
-		case 7:
-			var v int64
-			var ok bool
-			v, ok, err = q.Dequeue(th)
-			if ok {
-				res = v
-			} else {
-				res = -1
-			}
 		}
 		if err != nil {
 			t.Fatalf("%s: op %d (%+v): %v", spec, i, op, err)
@@ -233,22 +214,12 @@ func runOnTM(t *testing.T, spec string, shape heapShape, script []dsOp) dsOutcom
 	if out.pairs, err = mp.Snapshot(th); err != nil {
 		t.Fatal(err)
 	}
-	for {
-		v, ok, err := q.Dequeue(th)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		out.queue = append(out.queue, v)
-	}
 	if err := heap.Drain(th); err != nil {
 		t.Fatalf("%s: Drain: %v", spec, err)
 	}
-	// Everything was drained: the map pairs and set keys are the only
-	// live blocks.
-	want := int64(len(out.set) + len(out.pairs))
+	// Everything was drained: the map pairs, the set keys and the set's
+	// bucket array are the only live blocks.
+	want := int64(len(out.set) + len(out.pairs) + 1)
 	if st := heap.Stats(); st.Live != want {
 		t.Fatalf("%s: allocs-frees = %d, live nodes %d", spec, st.Live, want)
 	}
@@ -286,16 +257,13 @@ func diffOutcome(a, b dsOutcome) (string, bool) {
 			return "final map pair", false
 		}
 	}
-	if !eq(a.queue, b.queue) {
-		return "final queue", false
-	}
 	return "", true
 }
 
 // TestDifferentialDataStructures: the churn structures over the
 // reclaiming allocator on every registry TM must reproduce the serial
-// oracle exactly — op results, final set, map, and queue contents — on
-// every program seed.
+// oracle exactly — op results, final set and map contents — on every
+// program seed.
 func TestDifferentialDataStructures(t *testing.T) {
 	seeds := int64(6)
 	opsPerSeed := 400

@@ -10,8 +10,8 @@ import (
 	"safepriv/internal/stmds"
 )
 
-// The windowed data-structure differential suite: SkipMap and Map
-// churn driven through RunDS, so rival ordered-map operations commit
+// The windowed data-structure differential suite: SkipMap and HashMap
+// churn on one heap, driven through RunDS, so rival ordered-map operations commit
 // INSIDE each other's execution windows — mid-traversal — while
 // deferred frees and magazine batch retires drain at seeded points
 // between rounds. Every TM × heap shape must reproduce
@@ -94,8 +94,9 @@ func pairsHash(pairs []stmds.KV) int64 {
 // buildWinOps lowers the scripts onto the structures' Tx-level methods.
 // Deletes return their node free as the post-commit action; skiplist
 // Put memoizes its tower height on first execution so TM-driven
-// attempt reruns insert the same tower.
-func buildWinOps(mp *stmds.Map, sm *stmds.SkipMap, heap *stmalloc.Heap, scripts [][]dsWinOp) [][]DSOp {
+// attempt reruns insert the same tower. The hash map's grow request is
+// ignored, as in buildHashOps: its doublings have their own suite.
+func buildWinOps(mp *stmds.HashMap, sm *stmds.SkipMap, heap *stmalloc.Heap, scripts [][]dsWinOp) [][]DSOp {
 	b := func(v bool) int64 {
 		if v {
 			return 1
@@ -118,7 +119,7 @@ func buildWinOps(mp *stmds.Map, sm *stmds.SkipMap, heap *stmalloc.Heap, scripts 
 				}}
 			case wMapPut:
 				ops[i] = DSOp{Name: "map-put", Run: func(tx core.Txn, th int) (int64, func(), error) {
-					added, err := mp.PutTx(tx, th, o.key, o.val)
+					added, _, err := mp.PutTx(tx, th, o.key, o.val)
 					return b(added), nil, err
 				}}
 			case wMapDel:
@@ -269,11 +270,11 @@ func replayWinOracle(t *testing.T, scripts [][]dsWinOp, order []DSRef) (results 
 func runWinOnTM(t *testing.T, spec string, shape heapShape, seed int64, scripts [][]dsWinOp) {
 	t.Helper()
 	threads := len(scripts)
-	// Register layout: list head at 1, skiplist head block at 8, heap
-	// after it, sized by the demand geometry: every scripted put could
+	// Register layout: hash-map head at 1, skiplist head block at 8,
+	// heap after it, sized by the demand geometry: every scripted put could
 	// in principle be live at once (deferred frees park blocks), plus
 	// the magazine stock.
-	const listHead, skipHead = 1, 8
+	const mapHead, skipHead = 1, 8
 	heapFirst := skipHead + stmds.SkipHeadRegs
 	maxNodes := 0
 	for _, s := range scripts {
@@ -283,7 +284,7 @@ func runWinOnTM(t *testing.T, spec string, shape heapShape, seed int64, scripts 
 	if shape.magazines {
 		magThreads, magCap = threads, 3 // shallow: park→retire→refill cycles often
 	}
-	demand := append(stmds.MapDemand(maxNodes), stmds.SkipMapDemand(maxNodes)...)
+	demand := append(stmds.HashMapDemand(maxNodes), stmds.SkipMapDemand(maxNodes)...)
 	regs := heapFirst + stmalloc.RegsForDemand(4, magThreads, magCap, demand)
 	tm, err := engine.NewSpec(spec, regs, threads+2, nil)
 	if err != nil {
@@ -294,7 +295,7 @@ func runWinOnTM(t *testing.T, spec string, shape heapShape, seed int64, scripts 
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp := stmds.NewMap(tm, listHead, heap)
+	mp := stmds.NewHashMap(tm, mapHead, heap)
 	sm := stmds.NewSkipMap(tm, skipHead, threads, heap)
 	spec = shape.row(spec) // the row name, in failure messages
 
@@ -342,12 +343,13 @@ func runWinOnTM(t *testing.T, spec string, shape heapShape, seed int64, scripts 
 	checkFinal("map", mpPairs, mapFinal)
 	checkFinal("skipmap", smPairs, skipFinal)
 	// Exact leak accounting: after Drain the only live blocks are the
-	// nodes still linked into the two structures.
+	// nodes still linked into the two structures and the hash map's
+	// bucket array.
 	if err := heap.Drain(1); err != nil {
 		t.Fatalf("%s: Drain: %v", spec, err)
 	}
-	if st := heap.Stats(); st.Live != int64(len(mpPairs)+len(smPairs)) {
-		t.Fatalf("%s: allocs-frees = %d, live nodes %d", spec, st.Live, len(mpPairs)+len(smPairs))
+	if want := int64(len(mpPairs) + len(smPairs) + 1); heap.Stats().Live != want {
+		t.Fatalf("%s: allocs-frees = %d, live blocks %d", spec, heap.Stats().Live, want)
 	}
 }
 
@@ -359,7 +361,7 @@ func isBaseline(spec string) bool {
 	return len(spec) >= 8 && spec[:8] == "baseline"
 }
 
-// TestDifferentialSkipMapWindows: SkipMap/Map churn under windowed
+// TestDifferentialSkipMapWindows: SkipMap/HashMap churn under windowed
 // interleavings on every registry TM × per-free/magazine heap must
 // match the replay of the pinned serialization order, with exact
 // post-drain leak accounting.

@@ -1,10 +1,8 @@
 package workload_test
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,37 +17,31 @@ import (
 // The churn tests below run dynamic data-structure traffic — the
 // shapes the paper's privatization idiom makes sustainable — over
 // every TM crossed with the heap shapes below, end to end: spec string
-// → TM → stmds structure → stmalloc heap (or the bump allocator) →
-// settled allocator counters. The drivers are test-local; the
-// package's timed workloads are the five paper drivers in workload.go.
+// → TM → stmds structure → stmalloc heap → settled allocator counters.
+// The drivers are test-local; the package's timed workloads are the
+// five paper drivers in workload.go.
 
 // heapShape is a test-local heap choice. A heap's shape is chosen where
-// the heap is built (stmalloc options, or the stmds bump allocator),
-// never by the engine spec. A row is named by the TM spec plus the
-// shape's label — the names the rows carried while the shape was a
-// spec modifier.
+// the heap is built (stmalloc options), never by the engine spec. A row
+// is named by the TM spec plus the shape's label — the names the rows
+// carried while the shape was a spec modifier.
 type heapShape struct {
 	label     string
-	reclaims  bool // a stmalloc heap; false selects the bump allocator
 	magazines bool // stmalloc.WithMagazines
 }
 
 var (
-	bump     = heapShape{"bump", false, false}
-	perFree  = heapShape{"quiesce", true, false}
-	magazine = heapShape{"quiesce+batch", true, true}
+	perFree  = heapShape{"quiesce", false}
+	magazine = heapShape{"quiesce+batch", true}
 )
 
 func (h heapShape) row(spec string) string { return spec + "+" + h.label }
 
-// Register layout of the churn drivers: a few pointer registers at the
-// front, the allocator arena after them. Register 0 stays unused.
+// Register layout of the churn drivers: the structure's head block at
+// the front, the heap's arena after it. Register 0 stays unused.
 const (
-	dsRegHead  = 1  // set/map head
-	dsRegQHead = 2  // queue head
-	dsRegQTail = 3  // queue tail
-	dsRegBump  = 4  // bump allocator counter
-	dsArena    = 8  // first arena register (set and queue churn)
+	dsSetHead  = 1  // hash-set head
+	dsArena    = 8  // first arena register for set churn
 	dsMapHead  = 8  // skiplist / hash-map head block
 	dsMapArena = 32 // first arena register for map churn and the storm
 )
@@ -58,7 +50,7 @@ const (
 type churnStats struct {
 	commits       int64
 	heapRegs      int64 // allocator footprint: bump high-water
-	allocs, frees int64 // reclaiming heap only
+	allocs, frees int64
 	batches       int64 // magazine retires
 	rehashWindows int64 // from the TM's telemetry board
 }
@@ -74,31 +66,23 @@ func churnTM(t *testing.T, spec string, regs, threads int) core.TM {
 	return tm
 }
 
-// churnAlloc builds the allocator of shape h over tm's registers
-// [arena, NumRegs): the stmds bump allocator, or the stmalloc heap
-// (sharded per worker, magazines for the workers on a magazine shape).
-func churnAlloc(tm core.TM, h heapShape, threads, arena int) (stmds.Allocator, *stmalloc.Heap, error) {
-	if !h.reclaims {
-		return stmds.NewAlloc(tm, dsRegBump, arena, tm.NumRegs()), nil, nil
-	}
+// churnHeap builds the heap of shape h over tm's registers
+// [arena, NumRegs): sharded per worker, magazines for the workers on a
+// magazine shape.
+func churnHeap(tm core.TM, h heapShape, threads, arena int) (*stmalloc.Heap, error) {
 	opts := []stmalloc.Option{stmalloc.WithShards(min(max(threads, 1), 8))}
 	if h.magazines {
 		opts = append(opts, stmalloc.WithMagazines(threads, 0))
 	}
-	heap, err := stmalloc.New(tm, arena, tm.NumRegs(), opts...)
-	return heap, heap, err
+	return stmalloc.New(tm, arena, tm.NumRegs(), opts...)
 }
 
 // settle drains the heap and reads the run's allocator and telemetry
 // tallies; the drain's error wins over the workers'.
-func settle(tm core.TM, heap *stmalloc.Heap, arena int, commits int64, werr error) (churnStats, error) {
+func settle(tm core.TM, heap *stmalloc.Heap, commits int64, werr error) (churnStats, error) {
 	st := churnStats{commits: commits}
 	if p, ok := tm.(telemetry.Provider); ok {
 		st.rehashWindows = p.TelemetryBoard().Snapshot().RehashWindows
-	}
-	if heap == nil {
-		st.heapRegs = tm.Load(1, dsRegBump) - int64(arena)
-		return st, werr
 	}
 	if err := heap.Drain(1); err != nil {
 		return st, err
@@ -128,13 +112,13 @@ func workers(first, last int, work func(th int) error) error {
 }
 
 // setChurn: `threads` workers each insert or remove (equal odds) `ops`
-// keys drawn from twice the target live set on one sorted-list set.
+// keys drawn from twice the target live set on one hash set.
 func setChurn(tm core.TM, h heapShape, threads, ops, live int, seed int64) (churnStats, error) {
-	alloc, heap, err := churnAlloc(tm, h, threads, dsArena)
+	heap, err := churnHeap(tm, h, threads, dsArena)
 	if err != nil {
 		return churnStats{}, err
 	}
-	set := stmds.NewSet(tm, dsRegHead, alloc)
+	set := stmds.NewHashSet(tm, dsSetHead, heap)
 	var commits atomic.Int64
 	werr := workers(1, threads, func(th int) error {
 		r := rand.New(rand.NewSource(seed + int64(th)*1777))
@@ -153,83 +137,27 @@ func setChurn(tm core.TM, h heapShape, threads, ops, live int, seed int64) (chur
 		}
 		return nil
 	})
-	return settle(tm, heap, dsArena, commits.Load(), werr)
-}
-
-// queuePipe: half the threads enqueue `ops` values each, the other
-// half dequeue until all have passed; the depth stays under `depth`.
-func queuePipe(tm core.TM, h heapShape, threads, ops int, depth, seed int64) (churnStats, error) {
-	alloc, heap, err := churnAlloc(tm, h, threads, dsArena)
-	if err != nil {
-		return churnStats{}, err
-	}
-	q := stmds.NewQueue(tm, dsRegQHead, dsRegQTail, alloc)
-	producers := (threads + 1) / 2
-	target := int64(producers) * int64(ops)
-	var outstanding, consumed, commits atomic.Int64
-	var failed atomic.Bool
-	werr := workers(1, threads, func(th int) error {
-		if th <= producers {
-			r := rand.New(rand.NewSource(seed + int64(th)*911))
-			for i := 0; i < ops; i++ {
-				for outstanding.Load() >= depth && !failed.Load() {
-					runtime.Gosched()
-				}
-				if failed.Load() {
-					return nil
-				}
-				if err := q.Enqueue(th, r.Int63()); err != nil {
-					failed.Store(true)
-					return fmt.Errorf("queue producer %d op %d: %w", th, i, err)
-				}
-				outstanding.Add(1)
-				commits.Add(1)
-			}
-			return nil
-		}
-		for consumed.Load() < target && !failed.Load() {
-			_, ok, err := q.Dequeue(th)
-			if err != nil {
-				failed.Store(true)
-				return fmt.Errorf("queue consumer %d: %w", th, err)
-			}
-			if !ok {
-				runtime.Gosched()
-				continue
-			}
-			outstanding.Add(-1)
-			consumed.Add(1)
-			commits.Add(1)
-		}
-		return nil
-	})
-	return settle(tm, heap, dsArena, commits.Load(), werr)
+	return settle(tm, heap, commits.Load(), werr)
 }
 
 // mapRegs sizes map churn and the rehash storm: the demand of `keys`
-// resident pairs in any map implementation, floored at 1<<17.
+// resident pairs in either map implementation, floored at 1<<17.
 func mapRegs(threads, keys int) int {
-	demand := append(stmds.MapDemand(keys), stmds.SkipMapDemand(keys)...)
-	demand = append(demand, stmds.HashMapDemand(keys)...)
+	demand := append(stmds.SkipMapDemand(keys), stmds.HashMapDemand(keys)...)
 	return max(dsMapArena+stmalloc.RegsForDemand(8, threads, 0, demand), 1<<17)
 }
 
 // mapChurn: `threads` workers each run `ops` get/put/delete (60/20/20)
-// on one ordered map ("map", "skip" or "hash") prefilled to the target
-// live set, keys from twice that window, values k↦k.
+// on one ordered map ("skip" or "hash") prefilled to the target live
+// set, keys from twice that window, values k↦k.
 func mapChurn(tm core.TM, h heapShape, ds string, threads, ops, live int, seed int64) (churnStats, error) {
-	alloc, heap, err := churnAlloc(tm, h, threads, dsMapArena)
+	heap, err := churnHeap(tm, h, threads, dsMapArena)
 	if err != nil {
 		return churnStats{}, err
 	}
-	var m stmds.OrderedMap
-	switch ds {
-	case "skip":
-		m = stmds.NewSkipMap(tm, dsMapHead, threads, alloc)
-	case "map":
-		m = stmds.NewMap(tm, dsRegHead, alloc)
-	case "hash":
-		m = stmds.NewHashMap(tm, dsMapHead, alloc)
+	var m stmds.OrderedMap = stmds.NewSkipMap(tm, dsMapHead, threads, heap)
+	if ds == "hash" {
+		m = stmds.NewHashMap(tm, dsMapHead, heap)
 	}
 	keyspace := int64(2 * live)
 	for k := int64(2); k <= keyspace; k += 2 {
@@ -258,7 +186,7 @@ func mapChurn(tm core.TM, h heapShape, ds string, threads, ops, live int, seed i
 		}
 		return nil
 	})
-	return settle(tm, heap, dsMapArena, commits.Load(), werr)
+	return settle(tm, heap, commits.Load(), werr)
 }
 
 // rehashStorm: `threads` workers each insert `ops` distinct keys
@@ -266,11 +194,11 @@ func mapChurn(tm core.TM, h heapShape, ds string, threads, ops, live int, seed i
 // at its initial 16 buckets, so the table doubles many times, each
 // doubling one privatized cycle racing the other writers.
 func rehashStorm(tm core.TM, h heapShape, threads, ops int) (churnStats, error) {
-	alloc, heap, err := churnAlloc(tm, h, threads, dsMapArena)
+	heap, err := churnHeap(tm, h, threads, dsMapArena)
 	if err != nil {
 		return churnStats{}, err
 	}
-	hm := stmds.NewHashMap(tm, dsMapHead, alloc)
+	hm := stmds.NewHashMap(tm, dsMapHead, heap)
 	var commits atomic.Int64
 	werr := workers(1, threads, func(th int) error {
 		base := int64(th) << 32
@@ -287,19 +215,19 @@ func rehashStorm(tm core.TM, h heapShape, threads, ops int) (churnStats, error) 
 		}
 		return nil
 	})
-	return settle(tm, heap, dsMapArena, commits.Load(), werr)
+	return settle(tm, heap, commits.Load(), werr)
 }
 
-// TestSetChurnAllTMs runs set churn on every TM × heap shape: every run
-// must complete, and a reclaiming heap must reclaim in a footprint that
-// does not grow with the op count.
+// TestSetChurnAllTMs runs hash-set churn on every TM × heap shape:
+// every run must complete, and the heap must reclaim in a footprint
+// that does not grow with the op count.
 func TestSetChurnAllTMs(t *testing.T) {
 	ops := 400
 	if testing.Short() {
 		ops = 150
 	}
 	for _, tmName := range engine.TMs() {
-		for _, shape := range []heapShape{bump, perFree, magazine} {
+		for _, shape := range []heapShape{perFree, magazine} {
 			t.Run(shape.row(tmName), func(t *testing.T) {
 				tm := churnTM(t, tmName, 1<<16, 4)
 				st, err := setChurn(tm, shape, 4, ops, 64, 3)
@@ -312,15 +240,13 @@ func TestSetChurnAllTMs(t *testing.T) {
 				if st.heapRegs <= 0 {
 					t.Fatalf("no footprint reported: %+v", st)
 				}
-				if shape.reclaims {
-					if st.frees == 0 {
-						t.Fatalf("reclaiming run reclaimed nothing: %+v", st)
-					}
-					// The bump footprint of this traffic is ~2 regs per
-					// insert; a reclaiming run stays under one per op.
-					if st.heapRegs > int64(4*ops) {
-						t.Fatalf("reclaiming footprint %d regs not bounded (%d ops)", st.heapRegs, 4*ops)
-					}
+				if st.frees == 0 {
+					t.Fatalf("reclaiming run reclaimed nothing: %+v", st)
+				}
+				// Without reuse this traffic would take a 4-reg node
+				// per insert; the heap stays under one reg per op.
+				if st.heapRegs > int64(4*ops) {
+					t.Fatalf("reclaiming footprint %d regs not bounded (%d ops)", st.heapRegs, 4*ops)
 				}
 				if shape.magazines {
 					if st.batches == 0 || st.batches >= st.frees {
@@ -333,9 +259,8 @@ func TestSetChurnAllTMs(t *testing.T) {
 	}
 }
 
-// TestMapChurnAllTMs runs map churn on the sorted-list Map, the
-// skiplist SkipMap and the chained HashMap over the reclaiming
-// allocator: every TM × ds × heap shape must complete with full commit
+// TestMapChurnAllTMs runs map churn on the skiplist SkipMap and the
+// chained HashMap over the reclaiming allocator: every TM × ds × heap shape must complete with full commit
 // counts and real reclamation — for the skiplist that means whole
 // towers (multi-size-class blocks) cycling through the heap, for the
 // hash map growth from its 16 initial buckets through privatized
@@ -349,7 +274,7 @@ func TestMapChurnAllTMs(t *testing.T) {
 	}
 	for _, tmName := range engine.TMs() {
 		for _, shape := range []heapShape{perFree, magazine} {
-			for _, ds := range []string{"map", "skip", "hash"} {
+			for _, ds := range []string{"skip", "hash"} {
 				t.Run(shape.row(tmName)+"/ds="+ds, func(t *testing.T) {
 					tm := churnTM(t, tmName, mapRegs(4, 4096), 4)
 					st, err := mapChurn(tm, shape, ds, 4, ops, 64, 7)
@@ -374,15 +299,6 @@ func TestMapChurnAllTMs(t *testing.T) {
 				})
 			}
 		}
-	}
-	// The bump contrast completes at this size (and leaks by design).
-	tm := churnTM(t, "tl2", mapRegs(2, 4096), 2)
-	st, err := mapChurn(tm, bump, "skip", 2, 100, 64, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.frees != 0 || st.heapRegs == 0 {
-		t.Fatalf("bump run should leak into a growing footprint: %+v", st)
 	}
 }
 
@@ -423,49 +339,22 @@ func TestRehashStorm(t *testing.T) {
 	}
 }
 
-// TestQueuePipeAllTMs streams values through a queue over a per-free
-// heap on every TM: all values pass, and the drained queue holds no
-// live blocks.
-func TestQueuePipeAllTMs(t *testing.T) {
-	ops := 300
-	if testing.Short() {
-		ops = 100
-	}
-	for _, tmName := range engine.TMs() {
-		t.Run(perFree.row(tmName), func(t *testing.T) {
-			tm := churnTM(t, tmName, 1<<16, 4)
-			st, err := queuePipe(tm, perFree, 4, ops, 32, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// 2 producers × ops enqueues + as many dequeues.
-			if want := int64(2 * 2 * ops); st.commits != want {
-				t.Fatalf("commits %d, want %d", st.commits, want)
-			}
-			if st.allocs != st.frees {
-				t.Fatalf("drained pipe leaks: allocs %d, frees %d", st.allocs, st.frees)
-			}
-		})
-	}
-}
-
-// TestChurnBoundedSpace is the end-to-end contrast: on the same small
-// TM, the same churn traffic exhausts the bump allocator with the
-// typed ErrOutOfSpace, while the reclaiming heap completes it in a
-// bounded register footprint — the paper's privatization idiom is what
-// makes long-running dynamic workloads possible at all.
+// TestChurnBoundedSpace is the end-to-end payoff: on a small TM, churn
+// whose allocations add up to several times the arena completes in a
+// bounded register footprint — only reuse can serve it, and the
+// paper's privatization idiom is what makes reuse safe, so long-running
+// dynamic workloads are possible at all.
 func TestChurnBoundedSpace(t *testing.T) {
 	const regs = 2048
-	const threads, ops = 4, 2000 // ~4k inserts × 2 regs ≫ 2048 registers
-	run := func(shape heapShape) (churnStats, error) {
-		return setChurn(churnTM(t, "tl2", regs, threads), shape, threads, ops, 64, 9)
-	}
-	if _, err := run(bump); !errors.Is(err, stmds.ErrOutOfSpace) {
-		t.Fatalf("bump churn past the arena returned %v, want ErrOutOfSpace", err)
-	}
-	st, err := run(perFree)
+	const threads, ops = 4, 2000 // ~2k successful inserts × 4 regs ≫ 2048 registers
+	st, err := setChurn(churnTM(t, "tl2", regs, threads), perFree, threads, ops, 64, 9)
 	if err != nil {
 		t.Fatalf("reclaiming churn failed where it must reclaim: %v", err)
+	}
+	// Every allocation is at least a hash node (key, value, next) in
+	// its 4-register class.
+	if allocated := st.allocs * int64(stmalloc.BlockRegs(3)); allocated <= regs-dsArena {
+		t.Fatalf("churn allocated %d regs, not past the %d-reg arena: the run proves no reuse", allocated, regs-dsArena)
 	}
 	if st.heapRegs >= regs/2 {
 		t.Fatalf("reclaiming footprint %d regs is not bounded well below the %d-reg arena", st.heapRegs, regs)
@@ -473,6 +362,6 @@ func TestChurnBoundedSpace(t *testing.T) {
 	if st.frees == 0 {
 		t.Fatal("reclaiming churn reclaimed nothing")
 	}
-	t.Logf("bump: ErrOutOfSpace; per-free heap: %d ops in %d regs (allocs %d, frees %d)",
+	t.Logf("per-free heap: %d ops in %d regs (allocs %d, frees %d)",
 		threads*ops, st.heapRegs, st.allocs, st.frees)
 }
