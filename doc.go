@@ -31,12 +31,13 @@
 //     reclamation allocator (unlink transactionally, fence, reuse), with the typed ErrOutOfSpace exhaustion contract, a
 //     per-thread magazine layer (stmalloc.WithMagazines) that
 //     amortizes one grace period over a whole magazine of frees,
-//     a power-of-two size-class ladder whose free lists each serve only
-//     their own class (no block is split or merged), and
+//     a size-class ladder (exact for 1–8 registers, then powers of
+//     two up to 8192) whose free lists each serve only their own class
+//     (no block is split or merged), and
 //     RegsForDemand, which sizes arenas from multi-size-class
 //     ClassDemand profiles — one budget per class.
 //   - Application layer: internal/stmds dynamic structures (the
-//     O(log n) SkipMap whose variable-height towers span four heap
+//     O(log n) SkipMap whose variable-height towers span eight heap
 //     size classes, whose Delete retires a whole tower under one
 //     grace period, and whose
 //     Range/RangeWindows stream bounded key windows through the

@@ -80,7 +80,7 @@ func main() {
 			panic("set not sorted / contains duplicates")
 		}
 	}
-	// The demo's premise: allocation traffic (a 4-register block per
+	// The demo's premise: allocation traffic (a 3-register block per
 	// insert: key, value, next) far exceeds the arena, so completing
 	// without ErrOutOfSpace is what demonstrates reclamation keeping up.
 	if traffic := int64(stmalloc.BlockRegs(3)) * st.Allocs; traffic <= int64(regs) {

@@ -104,10 +104,10 @@ func TestNumRegs(t *testing.T) {
 }
 
 // TestAtomicallyRetriesBodyAbort: a body that returns ErrAborted of its
-// own accord (SkipMap's height guard, stmalloc's chain guards) leaves
-// the transaction live. Atomically must end it — rolling its in-place
-// writes back — before it begins the retry, or the retry begins inside
-// a transaction (a panic; on the global lock, a deadlock).
+// own accord (stmalloc's chain guards) leaves the transaction live.
+// Atomically must end it — rolling its in-place writes back — before
+// it begins the retry, or the retry begins inside a transaction (a
+// panic; on the global lock, a deadlock).
 func TestAtomicallyRetriesBodyAbort(t *testing.T) {
 	for name, tm := range implementations(2, 2) {
 		t.Run(name, func(t *testing.T) {

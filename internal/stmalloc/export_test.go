@@ -4,3 +4,7 @@ package stmalloc
 // call that could return it — the test hook behind Drain's
 // surface-once regression test.
 func (h *Heap) InjectAsyncErr(err error) { h.fail(err) }
+
+// MagazineRegs exports magazineRegs, the per-thread magazine header
+// budget, to the external test package.
+func MagazineRegs(threads int) int { return magazineRegs(threads) }

@@ -84,11 +84,17 @@
 //
 // # Size classes
 //
-// The size classes are powers of two, and a free list serves only its
-// own class: New never splits a larger free block and Free never
-// merges a block with its neighbours. None needs to, because every
-// client sizes its heap per class — stmkv.RegsNeeded budgets 2 ×
-// shards blocks of every class a table passes through, and
+// The ladder is quantum-spaced at the small end and geometric above
+// it, like jemalloc's (Evans, BSDCan 2006): one class for each size
+// from 1 to 8 registers, then the powers of two from 16 to 8192. A
+// request takes the smallest class that holds it, so a SkipMap tower
+// (2+h registers) or a hash-map node (3) occupies exactly the
+// registers it uses, while a bucket array or a stmkv table (a power of
+// two of at least 16 registers) keeps a class of its own size. A free
+// list serves only its own class: New never splits a larger free block
+// and Free never merges a block with its neighbours. None needs to,
+// because every client sizes its heap per class — stmkv.RegsNeeded
+// budgets 2 × shards blocks of every class a table passes through, and
 // RegsForDemand takes one ClassDemand per class — so a class's blocks
 // come from the bump regions once and then circulate within the class.
 // A request that no class list, bump region or stolen cache can serve
@@ -111,6 +117,7 @@ package stmalloc
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -124,16 +131,21 @@ import (
 // surface exhaustion distinctly from TM-level errors.
 var ErrOutOfSpace = errors.New("stmalloc: arena exhausted")
 
-// numClasses bounds the size-class ladder: class c serves blocks of
-// 1<<c registers, c in [0, numClasses). 14 classes put the largest
-// block at 8192 registers — enough for a hash-map bucket array to
-// keep its load factor at or below one through the bench live-set
-// sizes (a 4096-entry table wants 4096+ buckets, and a bucket array
-// is a single block).
-const numClasses = 14
+// smallClasses is the number of quantum-spaced classes: class c <
+// smallClasses serves blocks of exactly c+1 registers.
+const smallClasses = 8
 
-// MaxBlockRegs is the largest allocatable block (registers).
-const MaxBlockRegs = 1 << (numClasses - 1)
+// numClasses bounds the size-class ladder: the smallClasses exact
+// classes of 1..8 registers, then class c >= smallClasses serves
+// blocks of 16<<(c-smallClasses) registers, 16 up to 8192. The largest
+// block is enough for a hash-map bucket array to keep its load factor
+// at or below one through the bench live-set sizes (a 4096-entry table
+// wants 4096+ buckets, and a bucket array is a single block).
+const numClasses = smallClasses + 10
+
+// MaxBlockRegs is the largest allocatable block (registers): the top
+// class, 8192 registers.
+const MaxBlockRegs = 16 << (numClasses - 1 - smallClasses)
 
 // Per-shard header layout (registers, relative to the shard's header
 // base): bump pointer, transactional alloc counter, then one free-list
@@ -142,10 +154,10 @@ const (
 	offBump   = 0
 	offAllocs = 1
 	offLists  = 2
-	// shardHdr rounds the 16 live header registers up to 24 — a whole
-	// number of cache lines (192B at 8B per register) — so consecutive
-	// shard headers never share a cache line: two shards' hot counters
-	// stay apart. Part of the false-sharing audit; the stripe and rcu
+	// shardHdr rounds the 20 live header registers (bump, counter and
+	// 18 list heads) up to 24 — a whole number of cache lines (192B at
+	// 8B per register) — so consecutive shard headers never share a
+	// cache line: two shards' hot counters stay apart. Part of the false-sharing audit; the stripe and rcu
 	// slots were already padded.
 	shardHdr = 24
 )
@@ -166,12 +178,12 @@ const (
 	magAllocHead = 0
 	magAllocCnt  = 1
 	magClassRegs = 2
-	// magHdrRegs rounds the 29 live registers (1 counter + 14 classes ×
-	// 2) up to 32 — a whole number of cache lines (256B) — so adjacent
+	// magHdrRegs rounds the 37 live registers (1 counter + 18 classes ×
+	// 2) up to 40 — a whole number of cache lines (320B) — so adjacent
 	// threads' magazine headers never share a line: thread t's alloc
 	// counter, written on every allocation, would otherwise sit on the
 	// same line as thread t+1's cache heads.
-	magHdrRegs = 32
+	magHdrRegs = 40
 )
 
 // defaultMagCap is the default magazine capacity when WithMagazines is
@@ -186,10 +198,10 @@ const defaultMagCap = 8
 // cannot hoard an unbounded share of the arena.
 const recycleFactor = 4
 
-// MagazineRegs returns the register footprint of the per-thread
+// magazineRegs returns the register footprint of the per-thread
 // magazine headers for the given thread count — the extra header
 // budget a WithMagazines heap needs beyond HeaderRegs.
-func MagazineRegs(threads int) int {
+func magazineRegs(threads int) int {
 	if threads <= 0 {
 		return 0
 	}
@@ -197,33 +209,42 @@ func MagazineRegs(threads int) int {
 }
 
 // BlockRegs returns the register footprint a request for n registers
-// actually occupies (the size-class roundup), or 0 if n is not
-// allocatable.
+// actually occupies — n itself up to 8, else the next power of two —
+// or 0 if n is not allocatable.
 func BlockRegs(n int) int {
 	c, ok := classOf(n)
 	if !ok {
 		return 0
 	}
-	return 1 << c
+	return classRegs(c)
 }
 
-// classOf maps a request size to its size class.
+// classOf maps a request size to the smallest size class holding it.
 func classOf(n int) (int, bool) {
-	if n <= 0 || n > MaxBlockRegs {
+	switch {
+	case n <= 0 || n > MaxBlockRegs:
 		return 0, false
+	case n <= smallClasses:
+		return n - 1, true
 	}
-	c := 0
-	for 1<<c < n {
-		c++
+	// 9..16 → class 8 (16 registers), 17..32 → class 9, ...
+	return smallClasses + bits.Len(uint(n-1)) - 4, true
+}
+
+// classRegs is the block size of class c.
+func classRegs(c int) int {
+	if c < smallClasses {
+		return c + 1
 	}
-	return c, true
+	return 16 << (c - smallClasses)
 }
 
 // ClassDemand is one entry of a block-demand profile: Count live
 // blocks serving requests of Regs registers each. A profile with one
 // entry per size class a client touches describes its steady-state
 // heap geometry (stmkv's tables are single-class; a stmds.SkipMap
-// spans four classes, one per tower-height band).
+// spans eight classes: one per tower height up to 6, then the 16- and
+// 32-register classes).
 type ClassDemand struct {
 	Regs  int // request size in registers (rounded up to its class)
 	Count int // live blocks of this class the arena must hold at once
@@ -277,7 +298,7 @@ func RegsForDemand(shards, magThreads, magCap int, demand []ClassDemand) int {
 		arena += magThreads * stock
 	}
 	arena += shards * maxBlock
-	return HeaderRegs(shards) + MagazineRegs(magThreads) + arena
+	return HeaderRegs(shards) + magazineRegs(magThreads) + arena
 }
 
 // Option mutates heap construction.
@@ -485,10 +506,10 @@ func New(tm core.TM, first, limit int, opts ...Option) (*Heap, error) {
 		h.magCap = defaultMagCap
 	}
 	// Clamp shards so every chunk holds at least one minimal block.
-	for h.shards > 1 && (limit-first-HeaderRegs(h.shards)-MagazineRegs(h.magThreads))/h.shards < 1 {
+	for h.shards > 1 && (limit-first-HeaderRegs(h.shards)-magazineRegs(h.magThreads))/h.shards < 1 {
 		h.shards--
 	}
-	h.arena = first + HeaderRegs(h.shards) + MagazineRegs(h.magThreads)
+	h.arena = first + HeaderRegs(h.shards) + magazineRegs(h.magThreads)
 	if h.arena >= limit {
 		return nil, fmt.Errorf("stmalloc: arena [%d, %d) cannot hold a %d-shard header plus %d magazine threads", first, limit, h.shards, h.magThreads)
 	}
@@ -540,13 +561,13 @@ func (h *Heap) magClass(th, c int) int  { return h.magBase(th) + magClassBase + 
 func (h *Heap) hasMagazine(th int) bool { return h.magThreads > 0 && th >= 1 && th <= h.magThreads }
 
 // MaxBlock returns the largest block (registers) this heap can serve:
-// the size-class bound clamped to the chunk size.
+// the largest class that fits in a shard chunk.
 func (h *Heap) MaxBlock() int {
-	m := MaxBlockRegs
-	for m > h.chunk {
-		m >>= 1
+	c := numClasses - 1
+	for c > 0 && classRegs(c) > h.chunk {
+		c--
 	}
-	return m
+	return classRegs(c)
 }
 
 // Shards returns the shard count.
@@ -571,7 +592,7 @@ func (h *Heap) validPtr(v int64) bool {
 // from a shard free list when the cache runs dry.
 func (h *Heap) New(tx core.Txn, th, n int) (int64, error) {
 	c, ok := classOf(n)
-	if !ok || 1<<c > h.chunk {
+	if !ok || classRegs(c) > h.chunk {
 		return 0, fmt.Errorf("stmalloc: cannot serve %d-register block (max %d): %w", n, h.MaxBlock(), ErrOutOfSpace)
 	}
 	if h.hasMagazine(th) {
@@ -596,7 +617,7 @@ func (h *Heap) newShared(tx core.Txn, th, c, n int) (int64, error) {
 		var err error
 		switch pass := step / h.shards; {
 		case pass == 1:
-			head, err = h.bump(tx, s, int64(1)<<c)
+			head, err = h.bump(tx, s, int64(classRegs(c)))
 		case (pass == 0) == hinted:
 			if head, err = h.popList(tx, s, c); head == 0 && pass == 0 {
 				hint.Store(false)
@@ -694,7 +715,7 @@ func (h *Heap) newMag(tx core.Txn, th, c, n int) (int64, error) {
 		}
 	}
 	if ptr == 0 {
-		size := int64(1) << c
+		size := int64(classRegs(c))
 		start := h.homeShard(th)
 		for i := 0; i < h.shards && ptr == 0; i++ {
 			s := (start + i) % h.shards
@@ -1055,7 +1076,7 @@ func (h *Heap) publishBatch(th int, batch []retired) {
 		// Register ptr+0 is skipped — the publish below turns it into
 		// the free-list link. Callers must initialize blocks they
 		// allocate.
-		for i := 1; i < 1<<r.class; i++ {
+		for i := 1; i < classRegs(r.class); i++ {
 			h.tm.Store(th, int(r.ptr)+i, 0)
 		}
 	}

@@ -201,6 +201,56 @@ func TestClassListsServeOnlyTheirClass(t *testing.T) {
 	}
 }
 
+// TestBlockFootprint pins the size-class ladder: a request for n
+// registers occupies exactly n for n = 1..8 and the next power of two
+// from there up to MaxBlockRegs, and a one-shard heap's bump frontier
+// advances by exactly that when it serves one block of each size.
+func TestBlockFootprint(t *testing.T) {
+	want := func(n int) int {
+		if n <= 8 {
+			return n
+		}
+		b := 16
+		for b < n {
+			b *= 2
+		}
+		return b
+	}
+	for n := 1; n <= stmalloc.MaxBlockRegs; n++ {
+		if got := stmalloc.BlockRegs(n); got != want(n) {
+			t.Fatalf("BlockRegs(%d) = %d, want %d", n, got, want(n))
+		}
+	}
+	var sizes []int
+	for n := 1; n <= 8; n++ {
+		sizes = append(sizes, n)
+	}
+	for n := 9; n <= stmalloc.MaxBlockRegs; n = 2*n - 1 {
+		sizes = append(sizes, n) // 9, 17, 33, ...: just past a power of two
+	}
+	arena := 0
+	for _, n := range sizes {
+		arena += want(n)
+	}
+	const first = 8
+	regs := first + stmalloc.HeaderRegs(1) + arena
+	tm := engine.MustNewSpec("tl2", regs, 2, nil)
+	h, err := stmalloc.New(tm, first, regs, stmalloc.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range sizes {
+		before := h.Stats().BumpRegs
+		alloc(t, tm, h, 1, n)
+		if d := h.Stats().BumpRegs - before; d != int64(want(n)) {
+			t.Fatalf("a %d-register request bumped %d registers, want %d", n, d, want(n))
+		}
+	}
+	if st := h.Stats(); st.BumpRegs != int64(arena) {
+		t.Fatalf("footprint %d registers, want the %d the sizes add up to", st.BumpRegs, arena)
+	}
+}
+
 func TestAbortedAllocationRollsBack(t *testing.T) {
 	tm := engine.MustNewSpec("tl2", 1<<10, 2, nil)
 	h, err := stmalloc.New(tm, 8, tm.NumRegs())
@@ -321,7 +371,7 @@ func TestLeakAccountingChurn(t *testing.T) {
 // registers than the whole arena holds succeeds, with a bounded
 // footprint — only reuse can serve it.
 func TestBoundedFootprintUnderChurn(t *testing.T) {
-	// ~2000 inserts of 4-register nodes = 8000 registers of traffic
+	// ~2000 inserts of 3-register nodes = 6000 registers of traffic
 	// through a <1024-reg arena.
 	tm := engine.MustNewSpec("tl2", 1<<10, 2, nil)
 	const first = 8
@@ -347,8 +397,8 @@ func TestBoundedFootprintUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := h.Stats()
-	// Every allocation is at least a hash node (key, value, next) in
-	// its 4-register class.
+	// Every allocation is at least a hash node (key, value, next): a
+	// 3-register block.
 	if allocated, arena := st.Allocs*int64(stmalloc.BlockRegs(3)), int64(tm.NumRegs()-first); allocated <= arena {
 		t.Fatalf("churn allocated %d regs, not past the %d-reg arena: the run proves no reuse", allocated, arena)
 	}
@@ -510,8 +560,8 @@ func TestMagazineBoundedFootprint(t *testing.T) {
 	if err := h.Drain(1); err != nil {
 		t.Fatal(err)
 	}
-	// ≤40 live 4-reg nodes + one bucket array + one magazine (8
-	// alloc-side + 8 parked, 4 regs each) + retire slack.
+	// ≤40 live 3-reg nodes + one bucket array + one magazine (8
+	// alloc-side + 8 parked, 3 regs each) + retire slack.
 	if fp := h.Stats().BumpRegs; fp > 256 {
 		t.Fatalf("footprint %d regs after 8k churn ops over ≤40 live keys", fp)
 	}
@@ -713,14 +763,14 @@ func TestRegsForDemand(t *testing.T) {
 	// max-class slack block per shard, plus the shard headers.
 	demand := []stmalloc.ClassDemand{{Regs: 3, Count: 10}, {Regs: 7, Count: 4}}
 	got := stmalloc.RegsForDemand(2, 0, 0, demand)
-	want := stmalloc.HeaderRegs(2) + 10*4 + 4*8 + 2*8
+	want := stmalloc.HeaderRegs(2) + 10*3 + 4*7 + 2*7
 	if got != want {
 		t.Fatalf("RegsForDemand = %d, want %d", got, want)
 	}
 	// Magazines add 2×cap blocks per demanded class per thread, plus
 	// the magazine headers.
 	got = stmalloc.RegsForDemand(2, 3, 2, demand)
-	want += stmalloc.MagazineRegs(3) + 3*(2*2*4+2*2*8)
+	want += stmalloc.MagazineRegs(3) + 3*(2*2*3+2*2*7)
 	if got != want {
 		t.Fatalf("with magazines: RegsForDemand = %d, want %d", got, want)
 	}

@@ -40,7 +40,7 @@ func TestReadBudgets(t *testing.T) {
 		budget [3]float64 // mean reads per Get, Put, Delete
 		build  func(t *testing.T) (*coretest.ReadCounter, pointOps)
 	}{
-		{"SkipMap", [3]float64{52.9, 54.8, 55.5}, func(t *testing.T) (*coretest.ReadCounter, pointOps) {
+		{"SkipMap", [3]float64{52.9, 54.8, 54.5}, func(t *testing.T) (*coretest.ReadCounter, pointOps) {
 			rc, heap := budgetHeap(t, arenaAt, stmds.SkipMapDemand(2*keys))
 			m := stmds.NewSkipMap(rc, skipHead, 1, heap)
 			return rc, pointOps{

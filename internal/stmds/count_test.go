@@ -1,6 +1,7 @@
 package stmds_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"safepriv/internal/core/coretest"
@@ -42,6 +43,41 @@ func TestRangeWalkCounts(t *testing.T) {
 			t.Fatalf("span %d: a walk of %d windows counted %d windows, %d fences, %d privatizations, %d scans; want %d, %d, %d, 1",
 				span, windows, d.ScanWindows, d.Fences, d.Privatizations, d.Scans, windows, windows, windows)
 		}
+	}
+}
+
+// TestTowerFootprint pins what a structure's nodes occupy on a fresh
+// per-free heap. N seeded Puts into a SkipMap bump exactly the blocks
+// of their towers, with each height replayed from a second map's Level
+// stream: 2+h registers for every tower up to height 6, the 16- or
+// 32-register class above it. N Puts into a HashMap bump 3N registers
+// of nodes plus every bucket array the table passed through (16, 32,
+// ..., its final size: single-threaded growth frees each old array
+// back to its own class, where no later doubling can use it).
+func TestTowerFootprint(t *testing.T) {
+	const n = 3000
+	keys := rand.New(rand.NewSource(11)).Perm(4 * n)[:n]
+	heap, sm, _ := demandHeap(t, "tl2", 1, n)
+	replay := stmds.NewSkipMap(nil, skipHead, 1, nil)
+	want := int64(0)
+	for _, k := range keys {
+		if _, err := sm.Put(1, int64(k)+1, 1); err != nil {
+			t.Fatal(err)
+		}
+		want += int64(stmalloc.BlockRegs(2 + replay.Level(1)))
+	}
+	if got := heap.Stats().BumpRegs; got != want {
+		t.Fatalf("SkipMap: %d Puts bumped %d registers, want %d", n, got, want)
+	}
+	heap, _, hm := demandHeap(t, "tl2", 1, n)
+	for _, k := range keys {
+		if _, err := hm.Put(1, int64(k)+1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arrays := int64(2*hm.Buckets(1) - stmds.HashInitialBuckets)
+	if got := heap.Stats().BumpRegs; got != 3*n+arrays {
+		t.Fatalf("HashMap: %d Puts bumped %d registers, want %d nodes × 3 + %d of bucket arrays", n, got, n, arrays)
 	}
 }
 

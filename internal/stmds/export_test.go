@@ -17,3 +17,7 @@ func (s *HashMap) Buckets(th int) int {
 
 // BucketOf returns k's bucket in a table of the given bucket count.
 func BucketOf(k int64, buckets int) int { return int(hashOf(k) & uint64(buckets-1)) }
+
+// TowerRegs exports towerRegs, a tower's register footprint, to the
+// external test package.
+func TowerRegs(height int) int { return towerRegs(height) }

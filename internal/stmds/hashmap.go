@@ -99,8 +99,8 @@ func HashMapDemand(keys int) []stmalloc.ClassDemand {
 // transaction that saw the bit clear; every old chain is unzipped into
 // new buckets i and i+oldSize with uninstrumented loads and stores; a
 // publishing transaction installs the new array's word, bit clear, and
-// the old array goes back to the allocator through the normal
-// grace-period Free.
+// the old array goes back to the allocator through FreeQuiesced, since
+// the doubling's fence has already quiesced it.
 //
 // Every op reads the head word first, so an op born after the
 // privatization sees the bit and parks on the publish gate before it
@@ -449,9 +449,9 @@ func (s *HashMap) Grow(th int) (bool, error) {
 		return tx.Write(s.head, w|hashGrowBit)
 	})
 	if err != nil {
-		// The orphan array was never reachable and is already quiescent;
-		// the extra grace period Free runs is harmless.
-		s.alloc.Free(th, arr, newSize)
+		// The orphan array was never reachable and is already quiescent,
+		// so it needs no grace period.
+		s.alloc.FreeQuiesced(th, arr, newSize)
 		if errors.Is(err, errGrowLost) {
 			err = nil
 		}
@@ -486,10 +486,11 @@ func (s *HashMap) Grow(th int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	// The fence already waited out every transaction that could hold a
-	// pointer into the old array, so Free's grace period is redundant
-	// (FreeQuiesced would skip it); a doubling is rare, so it stays.
-	s.alloc.Free(th, old, oldSize)
+	// The doubling's fence already waited out every transaction that
+	// could hold a pointer into the old array, and every later one parked
+	// before touching a bucket, so the array is quiescent: a doubling
+	// runs one fence, not two.
+	s.alloc.FreeQuiesced(th, old, oldSize)
 	return true, nil
 }
 

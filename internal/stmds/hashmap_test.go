@@ -126,10 +126,10 @@ func TestHashMapOracle(t *testing.T) {
 // TestHashMapRehashWindowsRecorded pins the telemetry contract and
 // the exact cost of growth on a per-free heap: a table that doubled d
 // times recorded d RehashWindows (the counter the benchmark reports as
-// stmds.rehash_windows), each also a Privatization, and 2d Fences —
-// each doubling's own fence plus the grace period of the Free that
-// returns the old array. The inserts drive the table well past 64
-// buckets, so a doubling that took more than one window would show.
+// stmds.rehash_windows), each also a Privatization, and d Fences —
+// each doubling's own, which also quiesces the old array, so returning
+// it runs none. The inserts drive the table well past 64 buckets, so
+// a doubling that took more than one window would show.
 func TestHashMapRehashWindowsRecorded(t *testing.T) {
 	const keys = 2000
 	tm, _, hm := hashHeap(t, "tl2", 1, keys)
@@ -147,9 +147,9 @@ func TestHashMapRehashWindowsRecorded(t *testing.T) {
 	if d < 4 {
 		t.Fatalf("%d inserts doubled a 16-bucket table only %d times", keys, d)
 	}
-	if snap.RehashWindows != d || snap.Privatizations != d || snap.Fences != 2*d {
+	if snap.RehashWindows != d || snap.Privatizations != d || snap.Fences != d {
 		t.Fatalf("%d doublings recorded %d rehash windows, %d privatizations, %d fences; want %d, %d, %d",
-			d, snap.RehashWindows, snap.Privatizations, snap.Fences, d, d, 2*d)
+			d, snap.RehashWindows, snap.Privatizations, snap.Fences, d, d, d)
 	}
 }
 

@@ -11,20 +11,30 @@ import (
 )
 
 // SkipMapDemand is the stmalloc demand profile of a SkipMap holding up
-// to `nodes` live towers under the geometric(1/2) level generator.
-// Tower heights split across four block classes — TowerRegs(h) = 3+h
-// rounds to 4, 8, 16, 32 registers for h = 1, 2–5, 6–13, 14–16 — with
-// expected shares 1/2, 15/32, ~1/32, ~2^-13 of the towers. Counts
-// carry slack above the expectation so a run at the stated size does
-// not die of per-class variance: churn tests treat ErrOutOfSpace as a
-// sizing bug, not a retry.
+// to `nodes` live towers under the geometric(1/2) level generator: one
+// entry per block class the towers land in. Level draws height h with
+// probability 2^-h below SkipMaxLevel and 2^-(SkipMaxLevel-1) at it,
+// so a class's share p is the sum over the heights whose towerRegs(h)
+// round to it (h = 1..6 each have a class of their own, 7..14 share
+// the 16-register class and 15..16 the 32-register one). Its count is
+// the expected nodes·p plus four binomial standard deviations plus 8,
+// so a run at the stated size does not die of per-class variance:
+// churn tests treat ErrOutOfSpace as a sizing bug, not a retry.
 func SkipMapDemand(nodes int) []stmalloc.ClassDemand {
-	return []stmalloc.ClassDemand{
-		{Regs: TowerRegs(1), Count: nodes*60/100 + 8}, // height 1        → 4-reg blocks
-		{Regs: TowerRegs(5), Count: nodes*55/100 + 8}, // heights 2..5    → 8-reg blocks
-		{Regs: TowerRegs(13), Count: nodes*8/100 + 8}, // heights 6..13   → 16-reg blocks
-		{Regs: TowerRegs(16), Count: nodes*2/100 + 4}, // heights 14..16  → 32-reg blocks
+	var d []stmalloc.ClassDemand
+	p := 0.0
+	for h := 1; h <= SkipMaxLevel; h++ {
+		p += math.Ldexp(1, -min(h, SkipMaxLevel-1))
+		regs := stmalloc.BlockRegs(towerRegs(h))
+		if h < SkipMaxLevel && stmalloc.BlockRegs(towerRegs(h+1)) == regs {
+			continue // the next height shares this class
+		}
+		mean := float64(nodes) * p
+		count := int(math.Ceil(mean+4*math.Sqrt(mean*(1-p)))) + 8
+		d = append(d, stmalloc.ClassDemand{Regs: regs, Count: count})
+		p = 0
 	}
+	return d
 }
 
 // SkipMap is a transactional skiplist map from int64 keys to int64
@@ -33,18 +43,20 @@ func SkipMapDemand(nodes int) []stmalloc.ClassDemand {
 //   - The head block is SkipHeadRegs consecutive registers starting at
 //     `head`: head+l holds the level-l list head pointer (nilPtr when
 //     that level is empty).
-//   - A node of tower height h occupies TowerRegs(h) = 3+h registers:
-//     node+0 = key, node+1 = value, node+2 = height, node+3+l = the
-//     level-l successor pointer for l in [0, h).
+//   - A node of tower height h occupies towerRegs(h) = 2+h registers:
+//     node+0 = key, node+1 = value, node+2+l = the level-l successor
+//     pointer for l in [0, h). No register holds h: Delete's descent
+//     finds every level the tower is on (Pugh, CACM 1990).
 //
 // Towers are variable-height, so a SkipMap is a multi-size-class heap
-// client: heights 1..16 land in the 4/8/16/32-register stmalloc block
-// classes (one class per height band — see SkipMapDemand). Delete
-// unlinks the whole tower in ONE transaction and hands the node back to
-// the allocator only after that transaction commits, which on stmalloc
-// is the paper's Fig. 7 idiom: the unlink is the privatization, the
-// allocator rides the fence (or a magazine batch retire) before the
-// registers are wiped and reused.
+// client: heights 1..6 land in the exact 3- to 8-register stmalloc
+// block classes, 7..14 in the 16-register class and 15..16 in the
+// 32-register one (see SkipMapDemand). Delete unlinks the whole tower
+// in ONE transaction and hands the node back to the allocator only
+// after that transaction commits, which on stmalloc is the paper's
+// Fig. 7 idiom: the unlink is the privatization, the allocator rides
+// the fence (or a magazine batch retire) before the registers are
+// wiped and reused.
 //
 // Tower heights come from a deterministic per-thread xorshift64
 // generator (Level), so a given schedule allocates the same towers on
@@ -57,9 +69,9 @@ func SkipMapDemand(nodes int) []stmalloc.ClassDemand {
 // an opaque TM a doomed reader aborts before it can observe the
 // registers of a block that was unlinked, grace-period-settled, and
 // wiped (the guards in stmalloc protect its own uninstrumented-phase
-// metadata, which bypasses that argument). The one defensive check is
-// DeleteTx's height-range guard, which turns an impossible on-disk
-// height into core.ErrAborted instead of an out-of-bounds walk.
+// metadata, which bypasses that argument). DeleteTx cannot walk out of
+// a tower either: it unlinks only the levels whose descent stopped at
+// the node.
 //
 // # Range scans and the per-window atomicity contract
 //
@@ -120,13 +132,13 @@ const SkipMaxLevel = 16
 // leading into it — are the scanner's to load.
 const SkipHeadRegs = SkipMaxLevel + 3
 
-// skipNodeHdr is the per-node header (key, value, height) preceding the
+// skipNodeHdr is the per-node header (key, value) preceding the
 // next-pointer tower.
-const skipNodeHdr = 3
+const skipNodeHdr = 2
 
-// TowerRegs returns the register footprint of a node with tower height
+// towerRegs returns the register footprint of a node with tower height
 // h.
-func TowerRegs(height int) int { return skipNodeHdr + height }
+func towerRegs(height int) int { return skipNodeHdr + height }
 
 // NewSkipMap returns a skiplist map whose head block occupies registers
 // [head, head+SkipHeadRegs) and whose nodes come from alloc. threads is
@@ -302,7 +314,7 @@ func (s *SkipMap) PutTx(tx core.Txn, th int, k, v int64, height int) (bool, erro
 	if p.succ[0] != nilPtr && p.candKey == k {
 		return false, tx.Write(int(p.succ[0])+1, v) // update in place
 	}
-	node, err := s.alloc.New(tx, th, TowerRegs(height))
+	node, err := s.alloc.New(tx, th, towerRegs(height))
 	if err != nil {
 		return false, err
 	}
@@ -310,9 +322,6 @@ func (s *SkipMap) PutTx(tx core.Txn, th int, k, v int64, height int) (bool, erro
 		return false, err
 	}
 	if err := tx.Write(int(node)+1, v); err != nil {
-		return false, err
-	}
-	if err := tx.Write(int(node)+2, int64(height)); err != nil {
 		return false, err
 	}
 	for l := 0; l < height; l++ {
@@ -330,9 +339,11 @@ func (s *SkipMap) PutTx(tx core.Txn, th int, k, v int64, height int) (bool, erro
 // whole tower (every level it appears on) in this one transaction and
 // returns the node for the caller to free AFTER the transaction
 // commits — never before, or the fence would not cover the unlink.
-// victimRegs is the block size to pass to stmalloc's Free. Like PutTx it
-// returns region.ErrPrivate before writing anything when the unlink
-// would touch an active scan window.
+// victimRegs is the block size to pass to stmalloc's Free: the tower's
+// 2+h registers, with h counted from the levels the descent stopped at
+// the node rather than read from it. Like PutTx it returns
+// region.ErrPrivate before writing anything when the unlink would touch
+// an active scan window.
 func (s *SkipMap) DeleteTx(tx core.Txn, k int64) (removed bool, victim int64, victimRegs int, err error) {
 	w, err := s.guard.Writable(tx)
 	if err != nil {
@@ -349,33 +360,21 @@ func (s *SkipMap) DeleteTx(tx core.Txn, k int64) (removed bool, victim int64, vi
 	if p.candKey != k {
 		return false, 0, 0, nil
 	}
-	hgt, err := tx.Read(int(cand) + 2)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	if hgt < 1 || int(hgt) > SkipMaxLevel {
-		// No committed state stores an out-of-range height; a doomed
-		// transaction may have read a node already wiped by the
-		// allocator's uninstrumented phase. Abort and retry rather than
-		// walk a bogus tower.
-		return false, 0, 0, core.ErrAborted
-	}
-	for l := 0; l < int(hgt); l++ {
-		// In committed state succ[l] is cand on every level the tower
-		// spans (keys are unique, so cand is the first key >= k wherever
-		// it appears); re-check defensively all the same.
-		if p.succ[l] != cand {
-			continue
-		}
-		nxt, err := tx.Read(int(cand) + skipNodeHdr + l)
+	// The tower spans exactly the levels whose descent stopped at cand:
+	// keys are unique, so cand is the first key >= k on every level it
+	// is on, and a level it is not on stops at another node. Its height
+	// is therefore the count of those levels, and no register stores it.
+	h := 0
+	for ; h < SkipMaxLevel && p.succ[h] == cand; h++ {
+		nxt, err := tx.Read(int(cand) + skipNodeHdr + h)
 		if err != nil {
 			return false, 0, 0, err
 		}
-		if err := tx.Write(p.update[l], nxt); err != nil {
+		if err := tx.Write(p.update[h], nxt); err != nil {
 			return false, 0, 0, err
 		}
 	}
-	return true, cand, TowerRegs(int(hgt)), nil
+	return true, cand, towerRegs(h), nil
 }
 
 // SnapshotTx walks level 0 inside a caller-owned transaction, returning
@@ -446,7 +445,7 @@ func (s *SkipMap) Put(th int, k, v int64) (bool, error) {
 // Delete removes k, reporting whether it was present. The unlinked
 // tower goes back to the allocator after the removing transaction
 // commits — the Fig. 7 privatization cycle, with one grace period (or
-// one magazine slot) covering all 3+h registers at once. A delete that
+// one magazine slot) covering all 2+h registers at once. A delete that
 // hits an active scan window parks on the publish gate and retries.
 func (s *SkipMap) Delete(th int, k int64) (bool, error) {
 	var removed bool

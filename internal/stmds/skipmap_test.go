@@ -90,18 +90,16 @@ func TestSkipMapLevelDeterminism(t *testing.T) {
 
 // TestTowerRegsClassLadder pins the height → stmalloc-block-class
 // mapping the demand profiles and the multi-size-class claim rest on:
-// heights 1, 2–5, 6–13, 14–16 round to 4-, 8-, 16- and 32-register
-// blocks respectively.
+// heights 1–6 take exactly their 3..8 registers, 7–14 round to
+// 16-register blocks and 15–16 to 32-register ones.
 func TestTowerRegsClassLadder(t *testing.T) {
 	for h := 1; h <= stmds.SkipMaxLevel; h++ {
-		want := 4
+		want := 2 + h
 		switch {
-		case h > 13:
+		case h > 14:
 			want = 32
-		case h > 5:
+		case h > 6:
 			want = 16
-		case h > 1:
-			want = 8
 		}
 		if got := stmalloc.BlockRegs(stmds.TowerRegs(h)); got != want {
 			t.Fatalf("height %d: TowerRegs=%d rounds to %d-reg block, want %d",

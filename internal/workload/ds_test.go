@@ -243,7 +243,7 @@ func TestSetChurnAllTMs(t *testing.T) {
 				if st.frees == 0 {
 					t.Fatalf("reclaiming run reclaimed nothing: %+v", st)
 				}
-				// Without reuse this traffic would take a 4-reg node
+				// Without reuse this traffic would take a 3-reg node
 				// per insert; the heap stays under one reg per op.
 				if st.heapRegs > int64(4*ops) {
 					t.Fatalf("reclaiming footprint %d regs not bounded (%d ops)", st.heapRegs, 4*ops)
@@ -346,13 +346,13 @@ func TestRehashStorm(t *testing.T) {
 // dynamic workloads are possible at all.
 func TestChurnBoundedSpace(t *testing.T) {
 	const regs = 2048
-	const threads, ops = 4, 2000 // ~2k successful inserts × 4 regs ≫ 2048 registers
+	const threads, ops = 4, 2000 // ~2k successful inserts × 3 regs ≫ 2048 registers
 	st, err := setChurn(churnTM(t, "tl2", regs, threads), perFree, threads, ops, 64, 9)
 	if err != nil {
 		t.Fatalf("reclaiming churn failed where it must reclaim: %v", err)
 	}
-	// Every allocation is at least a hash node (key, value, next) in
-	// its 4-register class.
+	// Every allocation is at least a hash node (key, value, next): a
+	// 3-register block.
 	if allocated := st.allocs * int64(stmalloc.BlockRegs(3)); allocated <= regs-dsArena {
 		t.Fatalf("churn allocated %d regs, not past the %d-reg arena: the run proves no reuse", allocated, regs-dsArena)
 	}
