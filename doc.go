@@ -33,7 +33,8 @@
 //     amortizes one grace period over a whole magazine of frees,
 //     a size-class ladder (exact for 1–8 registers, then powers of
 //     two up to 8192) whose free lists each serve only their own class
-//     (no block is split or merged), and
+//     (no block is split or merged), in-place growth of a chunk's last
+//     block (NewIn, Extend), and
 //     RegsForDemand, which sizes arenas from multi-size-class
 //     ClassDemand profiles — one budget per class.
 //   - Application layer: internal/stmds dynamic structures (the
@@ -51,7 +52,8 @@
 //     and the new array's word publishes it) that free removed nodes
 //     through the
 //     allocator; internal/stmkv, the sharded privatization-safe KV
-//     store whose shard tables are heap blocks and whose ScanPage
+//     store whose shard tables each fill one heap chunk and grow in
+//     place inside their rehash's privatized window, and whose ScanPage
 //     paginates privatized scans behind an opaque resumable cursor
 //     with O(limit) buffering; the paper's timing workloads in
 //     internal/workload (bank, counter, read-mostly, pipeline and

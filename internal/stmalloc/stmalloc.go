@@ -29,8 +29,17 @@
 // transactions. A per-free Free is a batch of one; a magazine retire
 // (below) is a batch of capacity+1. The one escape is FreeQuiesced,
 // which skips the fence because the caller already ran one: a
-// privatize→fence→operate cycle (stmkv's growth path) that unlinked the
-// block while the shard was quiescent may publish it straight away.
+// privatize→fence→operate cycle (stmds.HashMap.Grow's doubling) that
+// unlinked the block while the structure was quiescent may publish it
+// straight away.
+//
+// A block can also grow instead of moving. NewIn bumps a block from one
+// named shard's chunk, and Extend grows a block that still ends at its
+// chunk's bump pointer by moving that pointer: the block's size is
+// read off the pointer, so neither the heap nor the caller keeps it
+// anywhere else. stmkv gives each shard's table a chunk of its own and
+// rebuilds the table in place, inside the privatize→fence window that
+// already makes its registers private.
 //
 // # The magazine layer
 //
@@ -93,10 +102,11 @@
 // two of at least 16 registers) keeps a class of its own size. A free
 // list serves only its own class: New never splits a larger free block
 // and Free never merges a block with its neighbours. None needs to,
-// because every client sizes its heap per class — stmkv.RegsNeeded
-// budgets 2 × shards blocks of every class a table passes through, and
-// RegsForDemand takes one ClassDemand per class — so a class's blocks
-// come from the bump regions once and then circulate within the class.
+// because every client sizes its heap per class — RegsForDemand takes
+// one ClassDemand per class, and stmkv.RegsNeeded gives each table one
+// chunk of its largest size, which the table grows into in place — so a
+// class's blocks come from the bump regions once and then circulate
+// within the class.
 // A request that no class list, bump region or stolen cache can serve
 // is ErrOutOfSpace, whatever free blocks of other classes exist. The
 // bump frontier advances by exactly the block's size: no block needs
@@ -242,7 +252,7 @@ func classRegs(c int) int {
 // ClassDemand is one entry of a block-demand profile: Count live
 // blocks serving requests of Regs registers each. A profile with one
 // entry per size class a client touches describes its steady-state
-// heap geometry (stmkv's tables are single-class; a stmds.SkipMap
+// heap geometry (a stmds.HashMap's nodes are one class; a stmds.SkipMap
 // spans eight classes: one per tower height up to 6, then the 16- and
 // 32-register classes).
 type ClassDemand struct {
@@ -252,8 +262,8 @@ type ClassDemand struct {
 
 // RegsForDemand returns the total register budget (headers included) a
 // heap needs to keep the given demand profile live: pass the result as
-// `limit-first` to New. It generalizes the single-class geometry of
-// stmkv.RegsNeeded to multi-size-class clients:
+// `limit-first` to New. It generalizes stmkv.RegsNeeded's one block per
+// chunk to multi-size-class clients:
 //
 //   - every demanded block at its size-class roundup, plus
 //   - one max-class block of slack per shard, because a block cannot
@@ -1002,7 +1012,8 @@ func (h *Heap) Free(th int, ptr int64, n int) {
 
 // FreeQuiesced is Free for a block the caller already knows to be
 // quiescent — its own privatize→fence cycle guarantees no transaction
-// holds a stale reference (stmkv's growth path). The fence is skipped:
+// holds a stale reference (stmds.HashMap.Grow's old bucket array). The
+// fence is skipped:
 // the block is wiped inline and pushed onto its home shard's list, on
 // magazine threads too.
 func (h *Heap) FreeQuiesced(th int, ptr int64, n int) {
@@ -1189,4 +1200,59 @@ func (h *Heap) Stats() Stats {
 	}
 	st.Live = st.Allocs - st.Frees
 	return st
+}
+
+// NewIn allocates an n-register block from the bump region of shard s
+// alone, inside tx, and reports ErrOutOfSpace when the chunk has no room
+// left. The block ends at the chunk's bump pointer until another
+// allocation passes it, so Extend can grow it in place; a client that
+// gives each of its tables a chunk of its own (stmkv) places them this
+// way. Aborted transactions roll the allocation back.
+func (h *Heap) NewIn(tx core.Txn, s, n int) (int64, error) {
+	c, ok := classOf(n)
+	if !ok || s < 0 || s >= h.shards {
+		return 0, fmt.Errorf("stmalloc: cannot serve %d registers in shard %d of %d: %w", n, s, h.shards, ErrOutOfSpace)
+	}
+	ptr, err := h.bump(tx, s, int64(classRegs(c)))
+	if err != nil {
+		return 0, err
+	}
+	if ptr == 0 {
+		return 0, fmt.Errorf("stmalloc: shard %d cannot serve %d registers: %w", s, n, ErrOutOfSpace)
+	}
+	return ptr, count(tx, h.hdr(s)+offAllocs)
+}
+
+// Extend grows the block at ptr in place, inside tx, to the class that
+// holds n registers. The block must end at its chunk's bump pointer (a
+// NewIn block no later allocation passed), so its size is the bump
+// pointer minus ptr: a block that already holds the class is left as
+// it is, and a smaller one moves the bump pointer. It reports
+// ErrOutOfSpace when the chunk has no room for the larger class. The
+// block stays one live block: Allocs does not move, and a Free passes
+// its extended size.
+func (h *Heap) Extend(tx core.Txn, ptr int64, n int) error {
+	c, ok := classOf(n)
+	if !ok || !h.validPtr(ptr) {
+		return fmt.Errorf("stmalloc: cannot extend block %d to %d registers: %w", ptr, n, ErrOutOfSpace)
+	}
+	s := h.shardOf(ptr)
+	b, err := tx.Read(h.hdr(s) + offBump)
+	if err != nil {
+		return err
+	}
+	if !h.validBump(s, b) {
+		return core.ErrAborted
+	}
+	if b <= ptr {
+		return fmt.Errorf("stmalloc: Extend of block %d at or past shard %d's bump pointer %d", ptr, s, b)
+	}
+	end := ptr + int64(classRegs(c))
+	switch {
+	case end <= b:
+		return nil
+	case end > int64(h.chunkEnd(s)):
+		return fmt.Errorf("stmalloc: shard %d cannot extend block %d to %d registers: %w", s, ptr, n, ErrOutOfSpace)
+	}
+	return tx.Write(h.hdr(s)+offBump, end)
 }

@@ -47,8 +47,7 @@ func (s *Store) HoldSlots(th, shard int, lo, hi int64) (release func() error, er
 // probe, else the first empty slot — and the table's capacity. It loads
 // uninstrumented, so the store must be quiescent.
 func (s *Store) SlotOf(th int, key int64) (slot, cap int64) {
-	base := s.base(s.shardOf(key))
-	tab := s.tm.Load(th, base+offTable)
+	tab, base := s.table(s.shardOf(key))
 	cap = s.tm.Load(th, base+offCap)
 	tomb := int64(-1)
 	i := slotStart(key, cap)
@@ -75,5 +74,9 @@ func (s *Store) SlotOf(th int, key int64) (slot, cap int64) {
 // does inside its own. It returns the store's internal errors as they
 // are: a shard that is private or needs growth fails the put.
 func (s *Store) PutTx(tx core.Txn, key, val int64) error {
-	return s.putInTx(tx, s.base(s.shardOf(key)), key, val)
+	return s.putInTx(tx, s.shardOf(key), key, val)
 }
+
+// CapOf returns shard's active capacity, loaded uninstrumented, so the
+// store must be quiescent.
+func (s *Store) CapOf(th, shard int) int64 { return s.tm.Load(th, s.base(shard)+offCap) }

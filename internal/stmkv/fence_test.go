@@ -17,8 +17,8 @@ import (
 // is doomed; on wtstm its value sits in the slot's value register until
 // its rollback. With the fence, the private phase starts after the
 // rollback. Without it, the phase loads the doomed value: a scan
-// returns it, a rehash copies it into the new table. Every value the
-// row reads back must be one a write committed. Every row passes on
+// returns it, a rehash copies it into the rebuilt table. Every value
+// the row reads back must be one a write committed. Every row passes on
 // wtstm and fails with its fence gone: on wtstm+nofence, or with the
 // fence call deleted.
 func TestFenceNecessary(t *testing.T) {
@@ -42,17 +42,18 @@ func TestFenceNecessary(t *testing.T) {
 			if err := s.Resize(th, 64); err != nil {
 				return nil, err
 			}
-			var all []stmkv.KV
-			for k := int64(1); k <= fenceKeys; k++ {
-				v, ok, err := s.Get(th, k)
-				if err != nil {
+			return getFenceKeys(s, th)
+		}},
+		// A Put past the load factor doubles the table in place: the
+		// rebuild overwrites the registers the parked update wrote.
+		{"grow", func(s *stmkv.Store, th int) ([]stmkv.KV, error) {
+			grows := s.Stats().Grows
+			for k := int64(fenceKeys + 1); s.Stats().Grows == grows; k++ {
+				if err := s.Put(th, k, val(k)); err != nil {
 					return nil, err
 				}
-				if ok {
-					all = append(all, stmkv.KV{Key: k, Val: v})
-				}
 			}
-			return all, nil
+			return getFenceKeys(s, th)
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) { fenceRow(t, "wtstm", row.read) })
@@ -61,6 +62,21 @@ func TestFenceNecessary(t *testing.T) {
 
 // fenceKeys is how many keys a fence row stores.
 const fenceKeys = 20
+
+// getFenceKeys reads keys 1..fenceKeys back through Get.
+func getFenceKeys(s *stmkv.Store, th int) ([]stmkv.KV, error) {
+	var all []stmkv.KV
+	for k := int64(1); k <= fenceKeys; k++ {
+		v, ok, err := s.Get(th, k)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			all = append(all, stmkv.KV{Key: k, Val: v})
+		}
+	}
+	return all, nil
+}
 
 func fenceRow(t *testing.T, spec string, read func(s *stmkv.Store, th int) ([]stmkv.KV, error)) {
 	const owner, writer, k = 1, 2, 5

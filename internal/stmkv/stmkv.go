@@ -3,18 +3,18 @@
 // from litmus test to hot path.
 //
 // The store divides its register span into a small per-shard header
-// region and a shared transactional heap (internal/stmalloc) that backs
-// every shard's hash table. Each shard is an open-addressing table
-// (linear probing, tombstone deletion) stored in a heap block; the
-// header carries:
+// region and a transactional heap (internal/stmalloc) with one chunk
+// per shard. Each shard is an open-addressing table (linear probing,
+// tombstone deletion) stored in the one block of its chunk, at a
+// register index fixed when the store is built (slot i key at tab+2i,
+// value at tab+2i+1); the header carries:
 //
 //	base+0  flag   privatization state in the two low bits (below),
 //	               publish count above them
-//	base+1  cap    active slot count of the current table block
+//	base+1  cap    active slot count of the table
 //	base+2  count  live keys
 //	base+3  tombs  tombstones
-//	base+4  table  register index of the table block (slot i key at
-//	               table+2i, value at table+2i+1)
+//	base+4  gen    rehash generation: one more after every rebuild
 //	base+5  winLo  first and last slot a read-private owner loads;
 //	base+6  winHi  meaningful only while the flag is read-private
 //
@@ -38,22 +38,26 @@
 //
 // Safety (region's argument covers the rest). A read-private owner
 // loads only the key and value registers of the slots in
-// [winLo, winHi]; it reads the bounds, the table pointer and the
-// capacity inside its privatizing transaction. A writer outside the
-// window stores to registers the owner never loads, count and tombs
-// included. A key that stays present keeps its slot until a rehash,
-// which is exclusive and which a ScanPage cursor detects, so
+// [winLo, winHi]; it reads the bounds, the generation and the capacity
+// inside its privatizing transaction. A writer outside the window
+// stores to registers the owner never loads, count and tombs included.
+// A key that stays present keeps its slot until a rehash, which is
+// exclusive, bumps gen, and so is detected by a ScanPage cursor:
 // consecutive slot ranges cover every such key once.
 //
-// Growth is where the store meets the allocator: a rehash allocates a
-// fresh table block from the heap (a transaction), rebuilds the table
-// into it with uninstrumented stores (the private phase — the shard is
-// quiesced by its own fence), installs it in the header, and returns
-// the old block through stmalloc.FreeQuiesced — the old block needs no
-// further grace period because the shard's fence already guaranteed no
-// transaction holds a stale reference to it. Freed table blocks are
-// recycled across shards, so a store that grows and shrinks repeatedly
-// occupies bounded register space.
+// Growth is where the store meets the allocator, and it happens in
+// place. Once the rehash's fence has run, the shard's registers belong
+// to the grower: it copies the live pairs out to Go memory, extends
+// the table's block in its chunk when the new capacity needs a larger
+// size class (stmalloc.Heap.Extend, one transaction on the chunk's
+// bump pointer, which no other shard touches), wipes the table and
+// re-inserts the pairs with uninstrumented stores, and publishes. No
+// second table is ever allocated and no block is freed, so a shard
+// occupies exactly the block of its largest capacity so far: a block
+// never shrinks, and RegsNeeded budgets one chunk of the largest class
+// per shard. The fence guards more here than a move would need: the
+// rebuild overwrites the very registers a doomed transaction may still
+// be reading or rolling back.
 //
 // The privatization frequency is therefore a first-class knob: it is
 // driven by how often callers Scan/Clear/Resize and by the growth
@@ -78,6 +82,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"sync/atomic"
 
 	"safepriv/internal/core"
@@ -91,7 +96,7 @@ const (
 	offCap   = 1
 	offCount = 2
 	offTombs = 3
-	offTable = 4
+	offGen   = 4
 	offWinLo = 5
 	offWinHi = 6
 	// hdrRegs is the per-shard header size in registers.
@@ -168,9 +173,12 @@ type KV struct {
 
 // Store is a sharded transactional KV store over a core.TM.
 type Store struct {
-	tm      core.TM
-	heap    *stmalloc.Heap
-	shards  int
+	tm     core.TM
+	heap   *stmalloc.Heap
+	shards int
+	// tabs[sh] is shard sh's table block, fixed at construction: the
+	// first register of heap shard sh's chunk. Read-only after New.
+	tabs    []int64
 	slots   int // maximum active capacity per shard
 	txnScan bool
 
@@ -195,22 +203,11 @@ type padInt64 struct {
 	_ [56]byte
 }
 
-// kvHeapShards sizes the table heap's shard count: enough to keep
-// concurrent growers of different shards off each other's bump
-// pointers, without one free-list head per store shard.
-func kvHeapShards(shards int) int {
-	if shards < 4 {
-		return shards
-	}
-	return 4
-}
-
 // RegsNeeded returns the register count a store with the given geometry
 // requires; size the TM with at least this many registers. The budget
-// covers the shard headers, the heap header, and a heap arena large
-// enough that every shard can grow to `slots` active slots — including
-// the transient old-table+new-table double occupancy of a rehash and
-// the lower-class blocks stranded on free lists as tables outgrow them.
+// covers the shard headers, a heap header with one heap shard per store
+// shard, and one chunk per shard that holds the table block at `slots`
+// active slots: each table grows in place inside its own chunk.
 func RegsNeeded(shards, slots int) int {
 	if shards <= 0 || slots <= 0 {
 		return 0
@@ -219,14 +216,7 @@ func RegsNeeded(shards, slots int) int {
 	if maxBlock == 0 {
 		return 0 // unallocatable geometry; New rejects it
 	}
-	hs := kvHeapShards(shards)
-	// Per size class at most 2*shards blocks are ever demanded at once
-	// (each shard's live table plus its in-flight replacement); summed
-	// over the power-of-two ladder up to maxBlock that is < 4·shards·
-	// maxBlock. One extra block per heap shard absorbs bump-tail
-	// fragmentation (a block cannot straddle heap chunks).
-	arena := 4*shards*maxBlock + hs*maxBlock
-	return shards*hdrRegs + stmalloc.HeaderRegs(hs) + arena
+	return shards*hdrRegs + stmalloc.HeaderRegs(shards) + shards*maxBlock
 }
 
 // New builds a store with `shards` shards of at most `slots` active
@@ -251,11 +241,12 @@ func New(tm core.TM, shards, slots int, opts ...Option) (*Store, error) {
 	if tm.NumRegs() < need {
 		return nil, fmt.Errorf("stmkv: TM has %d registers, geometry needs %d", tm.NumRegs(), need)
 	}
-	heap, err := stmalloc.New(tm, shards*hdrRegs, need, stmalloc.WithShards(kvHeapShards(shards)))
+	heap, err := stmalloc.New(tm, shards*hdrRegs, need, stmalloc.WithShards(shards))
 	if err != nil {
 		return nil, fmt.Errorf("stmkv: heap: %w", err)
 	}
 	s.heap = heap
+	s.tabs = make([]int64, shards)
 	// Start with a small active table and grow on demand: every growth
 	// is a privatize→rehash→publish cycle, so the paper's idiom runs on
 	// the hot path instead of only in explicit bulk calls.
@@ -268,12 +259,13 @@ func New(tm core.TM, shards, slots int, opts ...Option) (*Store, error) {
 		var tab int64
 		err := core.Atomically(tm, 1, func(tx core.Txn) error {
 			var err error
-			tab, err = heap.New(tx, 1, 2*initial)
+			tab, err = heap.NewIn(tx, sh, 2*initial)
 			return err
 		})
 		if err != nil {
 			return nil, fmt.Errorf("stmkv: initial table for shard %d: %w", sh, err)
 		}
+		s.tabs[sh] = tab
 		// Wipe the fresh block: the TM (and the heap region) may have
 		// been used before. Construction is single-threaded, so the
 		// uninstrumented stores are race-free.
@@ -285,7 +277,7 @@ func New(tm core.TM, shards, slots int, opts ...Option) (*Store, error) {
 		tm.Store(1, base+offCap, int64(initial))
 		tm.Store(1, base+offCount, 0)
 		tm.Store(1, base+offTombs, 0)
-		tm.Store(1, base+offTable, tab)
+		tm.Store(1, base+offGen, 0)
 		tm.Store(1, base+offWinLo, 0)
 		tm.Store(1, base+offWinHi, 0)
 	}
@@ -312,9 +304,9 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// HeapStats exposes the table heap's counters: after a Drain,
-// Allocs-Frees equals the shard count (one live table block each) —
-// the store-level leak-accounting invariant.
+// HeapStats exposes the table heap's counters: Live is the shard count
+// (one table block each) and Frees stays 0, since tables grow in place;
+// BumpRegs is the sum of the shards' table blocks.
 func (s *Store) HeapStats() stmalloc.Stats { return s.heap.Stats() }
 
 // mix64 is the splitmix64 finalizer: the key hash.
@@ -340,6 +332,9 @@ func slotStart(key int64, cap int64) int {
 
 func (s *Store) base(shard int) int { return shard * hdrRegs }
 
+// table returns shard's table block and the base of its header.
+func (s *Store) table(shard int) (tab int64, base int) { return s.tabs[shard], s.base(shard) }
+
 func keyReg(tab int64, i int) int { return int(tab) + 2*i }
 func valReg(tab int64, i int) int { return int(tab) + 2*i + 1 }
 
@@ -355,29 +350,13 @@ func exclusive(base int) func(core.Txn) error {
 	return func(tx core.Txn) error { return guard(base).Take(tx, region.Exclusive, region.NoWindow) }
 }
 
-// table reads the shard's active geometry inside tx: the table block
-// pointer and the active capacity. Call it after the guard: a
-// transaction that passed it may read the rest of the header, since a
-// private phase starts only after a fence that waited for every
-// transaction that saw the shard shared, and a read-private owner
-// stores nothing.
-func (s *Store) table(tx core.Txn, base int) (tab, cap int64, err error) {
-	if cap, err = tx.Read(base + offCap); err != nil {
-		return 0, 0, err
-	}
-	if tab, err = tx.Read(base + offTable); err != nil {
-		return 0, 0, err
-	}
-	return tab, cap, nil
-}
-
 // Get reads key's value; ok reports presence. th is the caller's TM
 // thread id.
 func (s *Store) Get(th int, key int64) (v int64, ok bool, err error) {
 	if key <= 0 {
 		return 0, false, ErrBadKey
 	}
-	base := s.base(s.shardOf(key))
+	tab, base := s.table(s.shardOf(key))
 	var beside bool
 	err = s.own.Retry(th, func(tx core.Txn) error {
 		v, ok = 0, false
@@ -385,7 +364,11 @@ func (s *Store) Get(th int, key int64) (v int64, ok bool, err error) {
 		if beside, err = guard(base).Readable(tx); err != nil {
 			return err
 		}
-		tab, cap, err := s.table(tx, base)
+		// Past the guard the header is safe to read: a private phase
+		// starts only after a fence that waited for every transaction
+		// that saw the shard shared, and a read-private owner stores
+		// nothing.
+		cap, err := tx.Read(base + offCap)
 		if err != nil {
 			return err
 		}
@@ -427,12 +410,13 @@ func (s *Store) Get(th int, key int64) (v int64, ok bool, err error) {
 // the read-own-writes guarantee of every registry TM means a batch may
 // put the same key twice in one transaction (the second probe finds
 // the first insert in the write set and takes the update path).
-func (s *Store) putInTx(tx core.Txn, base int, key, val int64) error {
+func (s *Store) putInTx(tx core.Txn, shard int, key, val int64) error {
+	tab, base := s.table(shard)
 	w, err := guard(base).Writable(tx)
 	if err != nil {
 		return err
 	}
-	tab, cap, err := s.table(tx, base)
+	cap, err := tx.Read(base + offCap)
 	if err != nil {
 		return err
 	}
@@ -520,10 +504,9 @@ func (s *Store) Put(th int, key, val int64) error {
 		return ErrBadKey
 	}
 	shard := s.shardOf(key)
-	base := s.base(shard)
 	for {
 		err := s.own.Retry(th, func(tx core.Txn) error {
-			return s.putInTx(tx, base, key, val)
+			return s.putInTx(tx, shard, key, val)
 		})
 		if err == nil {
 			return nil
@@ -562,7 +545,7 @@ func (s *Store) PutBatch(th int, pairs []KV) error {
 			needGrow = -1
 			for _, kv := range pairs {
 				sh := s.shardOf(kv.Key)
-				if err := s.putInTx(tx, s.base(sh), kv.Key, kv.Val); err != nil {
+				if err := s.putInTx(tx, sh, kv.Key, kv.Val); err != nil {
 					if errors.Is(err, errNeedGrow) {
 						needGrow = sh
 					}
@@ -599,14 +582,14 @@ func (s *Store) Delete(th int, key int64) (removed bool, err error) {
 	if key <= 0 {
 		return false, ErrBadKey
 	}
-	base := s.base(s.shardOf(key))
+	tab, base := s.table(s.shardOf(key))
 	err = s.own.Retry(th, func(tx core.Txn) error {
 		removed = false
 		w, err := guard(base).Writable(tx)
 		if err != nil {
 			return err
 		}
-		tab, cap, err := s.table(tx, base)
+		cap, err := tx.Read(base + offCap)
 		if err != nil {
 			return err
 		}
@@ -702,14 +685,14 @@ func (s *Store) Scan(th int) ([]KV, error) {
 
 // scanShardTxn reads the whole shard in one transaction.
 func (s *Store) scanShardTxn(th, shard int, out []KV) ([]KV, error) {
-	base := s.base(shard)
+	tab, base := s.table(shard)
 	start := len(out)
 	err := s.own.Retry(th, func(tx core.Txn) error {
 		out = out[:start]
 		if _, err := guard(base).Readable(tx); err != nil {
 			return err
 		}
-		tab, cap, err := s.table(tx, base)
+		cap, err := tx.Read(base + offCap)
 		if err != nil {
 			return err
 		}
@@ -737,17 +720,30 @@ func (s *Store) scanShardTxn(th, shard int, out []KV) ([]KV, error) {
 const DefaultScanPageLimit = 256
 
 // scanCursor is the decoded resume point of a paginated scan: the next
-// shard and slot to read, plus the table block identity (pointer and
-// capacity) the slot index was cut against, so a rehash between pages
-// is detected instead of silently skipping or rereading live keys at
-// the wrong offsets.
+// shard and slot to read, plus the table identity (rehash generation
+// and capacity) the slot index was cut against, so a rehash between
+// pages is detected instead of silently skipping or rereading live keys
+// at the wrong offsets.
 type scanCursor struct {
-	shard, slot, tab, cap int64
+	shard, slot, gen, cap int64
 }
 
+// encodeCursor renders c as base64 of its four dot-separated decimals.
+// Both steps run in stack buffers, so the string is its only
+// allocation.
 func encodeCursor(c scanCursor) string {
-	raw := fmt.Sprintf("%d.%d.%d.%d", c.shard, c.slot, c.tab, c.cap)
-	return base64.RawURLEncoding.EncodeToString([]byte(raw))
+	var raw [maxCursorRaw]byte
+	b := raw[:0]
+	for i, f := range [...]int64{c.shard, c.slot, c.gen, c.cap} {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendInt(b, f, 10)
+	}
+	var enc [(maxCursorRaw*8 + 5) / 6]byte
+	n := base64.RawURLEncoding.EncodedLen(len(b))
+	base64.RawURLEncoding.Encode(enc[:n], b)
+	return string(enc[:n])
 }
 
 // cursorCodec decodes cursors strictly: a string whose last character
@@ -786,7 +782,7 @@ func (s *Store) parseCursor(str string) (scanCursor, error) {
 			bad = true
 		}
 	}
-	c := scanCursor{shard: f[0], slot: f[1], tab: f[2], cap: f[3]}
+	c := scanCursor{shard: f[0], slot: f[1], gen: f[2], cap: f[3]}
 	if bad || i != len(f)-1 || digits == 0 || c.shard >= int64(s.shards) {
 		return scanCursor{}, fmt.Errorf("%w: %q", ErrBadCursor, str)
 	}
@@ -818,7 +814,7 @@ func (s *Store) parseCursor(str string) (scanCursor, error) {
 // The next cursor is encoded after the last window has published.
 //
 // Consistency matches Scan's: per window, not global. A page or window
-// boundary additionally splits a shard; if a rehash replaces the
+// boundary additionally splits a shard; if a rehash rebuilds the
 // shard's table across that boundary, the resume detects the stale
 // table identity and restarts that shard from slot 0, so a paginated
 // scan delivers every stable key at least once (possibly twice within
@@ -840,14 +836,14 @@ func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next str
 	for sh := int(c.shard); sh < s.shards; sh++ {
 		if len(pairs) == limit {
 			// Page filled exactly at a shard boundary: cut the cursor
-			// at the next shard's start without privatizing it (tab=0
-			// never matches a real block, so the resume starts clean).
+			// at the next shard's start without privatizing it (cap=0
+			// never matches a real table, so the resume starts clean).
 			return pairs, encodeCursor(scanCursor{int64(sh), 0, 0, 0}), nil
 		}
-		base := s.base(sh)
+		tab, base := s.table(sh)
 		pairs = slices.Grow(pairs, min(limit-len(pairs), s.slots))
 		for {
-			tab, cap, w, err := s.openScanWindow(th, base, c, limit-len(pairs))
+			gen, cap, w, err := s.openScanWindow(th, base, c, limit-len(pairs))
 			if err != nil {
 				return nil, "", err
 			}
@@ -864,8 +860,8 @@ func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next str
 				break
 			}
 			// The next window, or the next page, resumes at the first
-			// slot not read, against this table block.
-			c = scanCursor{int64(sh), slot, tab, cap}
+			// slot not read, against this table generation.
+			c = scanCursor{int64(sh), slot, gen, cap}
 			if len(pairs) == limit {
 				return pairs, encodeCursor(c), nil
 			}
@@ -878,10 +874,11 @@ func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next str
 // openScanWindow read-privatizes the slots of the shard at base that
 // the next need pairs of a page should span, and fences; a need of
 // MaxInt takes every slot from the window's start, as Scan does. The window starts at
-// c.slot if c's table identity (pointer and capacity) is the shard's
+// c.slot if c's table identity (generation and capacity) is the shard's
 // current one — a mismatch means a rehash moved the keys, and the walk
-// restarts at slot 0. It returns the table the window walks.
-func (s *Store) openScanWindow(th, base int, c scanCursor, need int) (tab, cap int64, w region.Window, err error) {
+// restarts at slot 0. It returns the identity of the table the window
+// walks.
+func (s *Store) openScanWindow(th, base int, c scanCursor, need int) (gen, cap int64, w region.Window, err error) {
 	g := guard(base)
 	err = s.own.Privatize(th, func(tx core.Txn) error {
 		// Check the flag before reading the header, which an exclusive
@@ -890,7 +887,10 @@ func (s *Store) openScanWindow(th, base int, c scanCursor, need int) (tab, cap i
 			return err
 		}
 		var err error
-		if tab, cap, err = s.table(tx, base); err != nil {
+		if cap, err = tx.Read(base + offCap); err != nil {
+			return err
+		}
+		if gen, err = tx.Read(base + offGen); err != nil {
 			return err
 		}
 		count, err := tx.Read(base + offCount)
@@ -898,7 +898,7 @@ func (s *Store) openScanWindow(th, base int, c scanCursor, need int) (tab, cap i
 			return err
 		}
 		w.Lo = 0
-		if c.tab == tab && c.cap == cap {
+		if c.gen == gen && c.cap == cap {
 			w.Lo = c.slot
 		}
 		w.Hi = w.Lo + scanWindowSlots(int64(need), cap-w.Lo, cap, count) - 1
@@ -910,7 +910,7 @@ func (s *Store) openScanWindow(th, base int, c scanCursor, need int) (tab, cap i
 	if sl := s.board.Slot(th); sl != nil {
 		sl.ScanWindows.Add(1)
 	}
-	return tab, cap, w, nil
+	return gen, cap, w, nil
 }
 
 // scanWindowSlots is how many slots a ScanPage window spans to find need
@@ -930,9 +930,8 @@ func scanWindowSlots(need, rest, cap, count int64) int64 {
 // them all, and each shard is wiped and published before Clear returns.
 func (s *Store) Clear(th int) error {
 	return s.privatizeAll(th, func(sh int) error {
-		base := s.base(sh)
+		tab, base := s.table(sh)
 		tm := s.tm
-		tab := tm.Load(th, base+offTable)
 		cap := int(tm.Load(th, base+offCap))
 		for i := 0; i < cap; i++ {
 			tm.Store(th, keyReg(tab, i), keyEmpty)
@@ -947,9 +946,9 @@ func (s *Store) Clear(th int) error {
 
 // Resize rehashes every shard to the given active capacity (clamped to
 // [live keys, slot arena]). Like Clear, all shards privatize up front
-// and ONE fence covers every shard's rehash. The replaced table blocks
-// return to the heap's shard lists (stmalloc.FreeQuiesced: the fence
-// already covered them).
+// and ONE fence covers every shard's rehash. Each table is rebuilt in
+// its own block, which grows when the capacity needs a larger class and
+// never shrinks.
 func (s *Store) Resize(th, slots int) error {
 	if slots < 1 {
 		slots = 1
@@ -958,20 +957,20 @@ func (s *Store) Resize(th, slots int) error {
 		slots = s.slots
 	}
 	return s.privatizeAll(th, func(sh int) error {
-		base := s.base(sh)
 		target := int64(slots)
-		if live := s.tm.Load(th, base+offCount); target < live {
+		if live := s.tm.Load(th, s.base(sh)+offCount); target < live {
 			target = live
 		}
-		return s.rehashTo(th, base, target)
+		return s.rehashTo(th, sh, target)
 	})
 }
 
-// Drain settles the table heap and returns the first error its
-// reclamations hit (stmalloc.Heap.Drain). Each error is surfaced
-// exactly once, so a long-running caller (cmd/kvserver drains on every
-// shutdown and liveness probe) sees recovery as a nil Drain instead of
-// the first failure repeated forever.
+// Drain settles the table heap and returns the first error a
+// reclamation on it hit (stmalloc.Heap.Drain); tables grow in place, so
+// the store itself frees nothing. Each error is surfaced exactly once,
+// so a long-running caller (cmd/kvserver drains on every shutdown and
+// liveness probe) sees recovery as a nil Drain instead of the first
+// failure repeated forever.
 func (s *Store) Drain(th int) error { return s.heap.Drain(th) }
 
 // grow makes room in a shard for `need` more inserts after a put hit
@@ -1017,13 +1016,13 @@ func (s *Store) grow(th, shard int, need int64) (err error) {
 	}
 	switch {
 	case newCap != cap:
-		if err := s.rehashTo(th, base, newCap); err != nil {
+		if err := s.rehashTo(th, shard, newCap); err != nil {
 			return err
 		}
 		s.grows.Add(1)
 	case due && tombs > 0:
 		// Compaction: rebuild at the same capacity, dropping tombstones.
-		if err := s.rehashTo(th, base, cap); err != nil {
+		if err := s.rehashTo(th, shard, cap); err != nil {
 			return err
 		}
 		s.compactions.Add(1)
@@ -1037,52 +1036,46 @@ func (s *Store) grow(th, shard int, need int64) (err error) {
 	return nil
 }
 
-// rehashTo rebuilds the (privatized, quiesced) shard's table at newCap
-// active slots, dropping tombstones: allocate a fresh block from the
-// heap, fill it with uninstrumented stores — race-free because the
-// shard's fence already ran — install it in the header, and return the
-// old block to the heap. The old block needs no further grace period
-// (FreeQuiesced): every transaction that could have read this shard's
-// table pointer completed before the fence.
-func (s *Store) rehashTo(th, base int, newCap int64) error {
+// rehashTo rebuilds the (privatized, quiesced) shard's table in place
+// at newCap active slots, dropping tombstones: copy the live pairs out,
+// extend the table's block when newCap needs a larger class, wipe the
+// table and re-insert the pairs with uninstrumented stores — race-free
+// because the shard's fence already ran — and bump the generation so a
+// ScanPage cursor cut against the old layout restarts the shard.
+func (s *Store) rehashTo(th, shard int, newCap int64) error {
 	tm := s.tm
+	tab, base := s.table(shard)
 	oldCap := tm.Load(th, base+offCap)
-	oldTab := tm.Load(th, base+offTable)
-	var newTab int64
+	live := make([]KV, 0, tm.Load(th, base+offCount))
+	for i := 0; i < int(oldCap); i++ {
+		if k := tm.Load(th, keyReg(tab, i)); k > 0 {
+			live = append(live, KV{k, tm.Load(th, valReg(tab, i))})
+		}
+	}
 	err := core.Atomically(tm, th, func(tx core.Txn) error {
-		var err error
-		newTab, err = s.heap.New(tx, th, int(2*newCap))
-		return err
+		return s.heap.Extend(tx, tab, int(2*newCap))
 	})
 	if err != nil {
 		return fmt.Errorf("stmkv: rehash to %d slots: %w", newCap, err)
 	}
 	for i := 0; i < int(newCap); i++ {
-		tm.Store(th, keyReg(newTab, i), keyEmpty)
-		tm.Store(th, valReg(newTab, i), 0)
+		tm.Store(th, keyReg(tab, i), keyEmpty)
+		tm.Store(th, valReg(tab, i), 0)
 	}
-	var live int64
-	for i := 0; i < int(oldCap); i++ {
-		k := tm.Load(th, keyReg(oldTab, i))
-		if k <= 0 {
-			continue
-		}
-		v := tm.Load(th, valReg(oldTab, i))
-		j := slotStart(k, newCap)
-		for tm.Load(th, keyReg(newTab, j)) != keyEmpty {
+	for _, kv := range live {
+		j := slotStart(kv.Key, newCap)
+		for tm.Load(th, keyReg(tab, j)) != keyEmpty {
 			if j++; j == int(newCap) {
 				j = 0
 			}
 		}
-		tm.Store(th, keyReg(newTab, j), k)
-		tm.Store(th, valReg(newTab, j), v)
-		live++
+		tm.Store(th, keyReg(tab, j), kv.Key)
+		tm.Store(th, valReg(tab, j), kv.Val)
 	}
-	tm.Store(th, base+offTable, newTab)
+	tm.Store(th, base+offGen, tm.Load(th, base+offGen)+1)
 	tm.Store(th, base+offCap, newCap)
-	tm.Store(th, base+offCount, live)
+	tm.Store(th, base+offCount, int64(len(live)))
 	tm.Store(th, base+offTombs, 0)
-	s.heap.FreeQuiesced(th, oldTab, int(2*oldCap))
 	return nil
 }
 
