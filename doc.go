@@ -38,7 +38,7 @@
 //     RegsForDemand, which sizes arenas from multi-size-class
 //     ClassDemand profiles — one budget per class.
 //   - Application layer: internal/stmds dynamic structures (the
-//     O(log n) SkipMap whose variable-height towers span eight heap
+//     O(log n) SkipMap whose variable-height towers span seven heap
 //     size classes, whose Delete retires a whole tower under one
 //     grace period, and whose
 //     Range/RangeWindows stream bounded key windows through the

@@ -78,14 +78,14 @@ func boardOf(tm core.TM) *telemetry.Board {
 
 // ReadCounter is a core.TM that counts the transactional reads its
 // transactions make and, among them, the repeated ones: reads of a
-// register the same transaction has already read. Reads and Repeats
-// accumulate across transactions until Reset; drive it from one
-// goroutine.
+// register the same transaction has already read. It also counts their
+// Write calls. Reads, Repeats and Writes accumulate across transactions
+// until Reset; drive it from one goroutine.
 type ReadCounter struct {
 	core.TM
 	tx countingTxn
 
-	Reads, Repeats int
+	Reads, Repeats, Writes int
 }
 
 // countingTxn is the transaction ReadCounter hands out; seen holds the
@@ -104,9 +104,9 @@ func NewReadCounter(tm core.TM) *ReadCounter {
 }
 
 // Reset zeroes the counters.
-func (c *ReadCounter) Reset() { c.Reads, c.Repeats = 0, 0 }
+func (c *ReadCounter) Reset() { c.Reads, c.Repeats, c.Writes = 0, 0, 0 }
 
-// Begin begins a transaction whose reads are counted.
+// Begin begins a transaction whose reads and writes are counted.
 func (c *ReadCounter) Begin(th int) core.Txn {
 	clear(c.tx.seen)
 	c.tx.Txn = c.TM.Begin(th)
@@ -123,6 +123,12 @@ func (t *countingTxn) Read(x int) (int64, error) {
 		t.seen[x] = struct{}{}
 	}
 	return t.Txn.Read(x)
+}
+
+// Write counts the write.
+func (t *countingTxn) Write(x int, v int64) error {
+	t.c.Writes++
+	return t.Txn.Write(x, v)
 }
 
 // TelemetryBoard forwards the wrapped TM's board (nil without one).

@@ -12,8 +12,8 @@ import (
 )
 
 const (
-	// spinLoads is how many times one spinning round re-reads the gate
-	// pointer (about a microsecond) before it yields the processor.
+	// spinLoads is how many times one spinning round re-reads the gate's
+	// generation (about a microsecond) before it yields the processor.
 	spinLoads = 1024
 	// spinRounds is how many spinning rounds precede parking: a private
 	// phase is one fence plus a bounded walk or copy, so the owner is
@@ -33,43 +33,52 @@ const (
 // Gate is a publish gate: the waiting half of the idiom. The zero value
 // is ready to use.
 //
-// A Gate is a channel behind an atomic pointer. The owner calls Open
-// after its publishing transaction commits; Open swaps in a fresh
-// channel and closes the old one. A waiter (Retry) samples the pointer
-// before it runs its transaction, so a publish that lands between the
-// failed attempt and the wait has already replaced the sampled pointer
-// and the wait ends at once.
+// A Gate is a generation counter and, while a waiter is parked, a
+// channel behind an atomic pointer. The owner calls Open after its
+// publishing transaction commits; Open bumps the generation and, if a
+// waiter installed a channel, swaps it out and closes it. A waiter
+// (Retry) samples the generation before it runs its transaction, so a
+// publish that lands between the failed attempt and the wait has
+// already moved it and the wait ends at once. Only a waiter that parks
+// makes a channel, so a publish nobody waits on allocates nothing.
 //
 // The wait spins on the gate, not on the TM: it re-reads the Go-level
-// pointer, never a TM register, so it adds no non-transactional access
-// to the program the paper's DRF argument covers, costs the TM no
-// aborted attempts, and sees the publish within one cache miss. Only
-// when the spinning rounds are used up does the waiter park on the
-// channel, with a timeout that backstops a dead owner. It fills a
+// generation, never a TM register, so it adds no non-transactional
+// access to the program the paper's DRF argument covers, costs the TM
+// no aborted attempts, and sees the publish within one cache miss.
+// Only when the spinning rounds are used up does the waiter park on
+// the channel, with a timeout that backstops a dead owner. It fills a
 // cache line of its own: every waiter re-reads it in a loop, so it must
 // not share a line with counters its neighbours bump.
 type Gate struct {
-	cur atomic.Pointer[chan struct{}]
-	_   [56]byte
+	gen atomic.Uint64                 // bumped by every Open
+	ch  atomic.Pointer[chan struct{}] // nil until a waiter parks
+	_   [48]byte
 }
 
 // Open wakes every waiter. Owners call it after each publish.
 func (g *Gate) Open() {
-	next := make(chan struct{})
-	if old := g.cur.Swap(&next); old != nil {
-		close(*old)
+	g.gen.Add(1)
+	if p := g.ch.Swap(nil); p != nil {
+		close(*p)
 	}
 }
 
-// sample returns the current channel's pointer, installing the first
-// channel if no Open or waiter has yet.
-func (g *Gate) sample() *chan struct{} {
-	if p := g.cur.Load(); p != nil {
-		return p
+// sample returns the gate's generation; every Open after it moves it.
+func (g *Gate) sample() uint64 { return g.gen.Load() }
+
+// parkChan returns the channel the next Open closes, installing one
+// when no waiter has since the last Open.
+func (g *Gate) parkChan() *chan struct{} {
+	for {
+		if p := g.ch.Load(); p != nil {
+			return p
+		}
+		c := make(chan struct{})
+		if g.ch.CompareAndSwap(nil, &c) {
+			return &c
+		}
 	}
-	first := make(chan struct{})
-	g.cur.CompareAndSwap(nil, &first)
-	return g.cur.Load()
 }
 
 // Retry runs body as a transaction of thread th, again after every
@@ -115,6 +124,16 @@ func (g *Gate) retry(tm core.TM, th int, private error, body func(core.Txn) erro
 			}
 			continue
 		}
+		// Open moves the generation before it swaps the channel out, so
+		// if the generation has not moved once the channel is loaded, an
+		// Open still to come closes it: no publish is missed.
+		parked := g.parkChan()
+		if g.sample() != gate {
+			if slot != nil {
+				slot.GateSpinWakes.Add(1)
+			}
+			continue
+		}
 		if slot != nil {
 			slot.GateParks.Add(1)
 		}
@@ -124,7 +143,7 @@ func (g *Gate) retry(tm core.TM, th int, private error, body func(core.Txn) erro
 			timer.Reset(parkTimeout)
 		}
 		select {
-		case <-*gate:
+		case <-*parked:
 		case <-timer.C:
 			if slot != nil {
 				slot.GateTimeouts.Add(1)
@@ -133,11 +152,11 @@ func (g *Gate) retry(tm core.TM, th int, private error, body func(core.Txn) erro
 	}
 }
 
-// spin re-reads the gate pointer until it differs from the sampled one
+// spin re-reads the generation until it differs from the sampled one
 // (a publish happened) or the round is used up.
-func (g *Gate) spin(gate *chan struct{}) bool {
+func (g *Gate) spin(gate uint64) bool {
 	for i := 0; i < spinLoads; i++ {
-		if g.cur.Load() != gate {
+		if g.sample() != gate {
 			return true
 		}
 	}

@@ -27,20 +27,34 @@ func guarded(private *atomic.Bool) func(core.Txn) error {
 	}
 }
 
+// TestOpenClosesTheSampledChannel: Open moves the sampled generation,
+// closes the channel waiters parked on, and leaves the next waiter a
+// fresh one; with no waiter parked it allocates nothing.
 func TestOpenClosesTheSampledChannel(t *testing.T) {
 	var g Gate
 	sampled := g.sample()
 	if g.sample() != sampled {
 		t.Fatal("two samples without an Open differ")
 	}
+	parked := g.parkChan()
+	if g.parkChan() != parked {
+		t.Fatal("two waiters without an Open park on different channels")
+	}
 	g.Open()
 	select {
-	case <-*sampled:
+	case <-*parked:
 	default:
-		t.Fatal("Open left the sampled channel open")
+		t.Fatal("Open left the parked channel open")
 	}
 	if g.sample() == sampled {
+		t.Fatal("Open did not move the generation")
+	}
+	if g.parkChan() == parked {
 		t.Fatal("Open did not replace the channel")
+	}
+	g.Open()
+	if allocs := testing.AllocsPerRun(100, g.Open); allocs != 0 {
+		t.Fatalf("Open with no parked waiter allocates %v times, want 0", allocs)
 	}
 }
 

@@ -11,20 +11,24 @@ import (
 )
 
 // SkipMapDemand is the stmalloc demand profile of a SkipMap holding up
-// to `nodes` live towers under the geometric(1/2) level generator: one
+// to `nodes` live towers under the geometric(1/4) level generator: one
 // entry per block class the towers land in. Level draws height h with
-// probability 2^-h below SkipMaxLevel and 2^-(SkipMaxLevel-1) at it,
-// so a class's share p is the sum over the heights whose towerRegs(h)
-// round to it (h = 1..6 each have a class of their own, 7..14 share
-// the 16-register class and 15..16 the 32-register one). Its count is
-// the expected nodes·p plus four binomial standard deviations plus 8,
-// so a run at the stated size does not die of per-class variance:
-// churn tests treat ErrOutOfSpace as a sizing bug, not a retry.
+// probability (3/4)·4^-(h-1) below SkipMaxLevel and 4^-(SkipMaxLevel-1)
+// at it, so a class's share p is the sum over the heights whose
+// towerRegs(h) round to it (h = 1..6 each have a class of their own,
+// 7..8 share the 16-register class). Its count is the expected nodes·p
+// plus four binomial standard deviations plus 8, so a run at the stated
+// size does not die of per-class variance: churn tests treat
+// ErrOutOfSpace as a sizing bug, not a retry.
 func SkipMapDemand(nodes int) []stmalloc.ClassDemand {
 	var d []stmalloc.ClassDemand
 	p := 0.0
 	for h := 1; h <= SkipMaxLevel; h++ {
-		p += math.Ldexp(1, -min(h, SkipMaxLevel-1))
+		share := math.Ldexp(1, -2*(h-1)) // P(height >= h) = 4^-(h-1)
+		if h < SkipMaxLevel {
+			share *= 0.75
+		}
+		p += share
 		regs := stmalloc.BlockRegs(towerRegs(h))
 		if h < SkipMaxLevel && stmalloc.BlockRegs(towerRegs(h+1)) == regs {
 			continue // the next height shares this class
@@ -50,13 +54,12 @@ func SkipMapDemand(nodes int) []stmalloc.ClassDemand {
 //
 // Towers are variable-height, so a SkipMap is a multi-size-class heap
 // client: heights 1..6 land in the exact 3- to 8-register stmalloc
-// block classes, 7..14 in the 16-register class and 15..16 in the
-// 32-register one (see SkipMapDemand). Delete unlinks the whole tower
-// in ONE transaction and hands the node back to the allocator only
-// after that transaction commits, which on stmalloc is the paper's
-// Fig. 7 idiom: the unlink is the privatization, the allocator rides
-// the fence (or a magazine batch retire) before the registers are
-// wiped and reused.
+// block classes and 7..8 in the 16-register class (see
+// SkipMapDemand). Delete unlinks the whole tower in ONE transaction
+// and hands the node back to the allocator only after that transaction
+// commits, which on stmalloc is the paper's Fig. 7 idiom: the unlink
+// is the privatization, the allocator rides the fence (or a magazine
+// batch retire) before the registers are wiped and reused.
 //
 // Tower heights come from a deterministic per-thread xorshift64
 // generator (Level), so a given schedule allocates the same towers on
@@ -120,9 +123,10 @@ type SkipMap struct {
 	board *telemetry.Board
 }
 
-// SkipMaxLevel is the fixed number of skiplist levels. 2^16 towers keep
-// the expected traversal O(log n) far past any arena this repo sizes.
-const SkipMaxLevel = 16
+// SkipMaxLevel is the fixed number of skiplist levels. Under Level's
+// geometric(1/4) heights, 4^8 = 65 536 towers keep the expected
+// traversal O(log n) far past any arena this repo sizes.
+const SkipMaxLevel = 8
 
 // SkipHeadRegs is the register footprint of a SkipMap head block: one
 // head pointer per level, consecutive from `head`, followed by the
@@ -171,12 +175,16 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// Level draws the next tower height for thread th: a geometric(1/2)
+// Level draws the next tower height for thread th: a geometric(1/4)
 // variable clamped to [1, SkipMaxLevel], from th's private xorshift64
-// stream. Deterministic: the i-th call for a given th returns the same
-// height in every run and on every TM. Not transactional state — a
-// retried Put must NOT redraw (Put draws once per call; the windowed
-// executor memoizes the draw across attempt reruns).
+// stream. Each level above the first takes two bits of the draw and
+// is reached when both are set. p = 1/4 is Pugh's (CACM 1990)
+// recommendation: the expected search cost L(n)/p is about that of
+// p = 1/2, but a tower carries 1⅓ successor pointers on average
+// instead of 2. Deterministic: the i-th call for a given th returns
+// the same height in every run and on every TM. Not transactional
+// state — a retried Put must NOT redraw (Put draws once per call; the
+// windowed executor memoizes the draw across attempt reruns).
 func (s *SkipMap) Level(th int) int {
 	if th < 0 || th >= len(s.rng) {
 		th = 0
@@ -187,9 +195,9 @@ func (s *SkipMap) Level(th int) int {
 	x ^= x << 17
 	s.rng[th] = x
 	h := 1
-	for x&1 == 1 && h < SkipMaxLevel {
+	for x&3 == 3 && h < SkipMaxLevel {
 		h++
-		x >>= 1
+		x >>= 2
 	}
 	return h
 }
@@ -490,7 +498,9 @@ func (s *SkipMap) Len(th int) (int, error) {
 // it waits out one bounded walk whatever the caller's span.
 // A WindowIter is owned by a single goroutine; the privatize→publish
 // cycle is contained inside each Next call, so an abandoned iterator
-// never leaves a window privatized.
+// never leaves a window privatized. Every window's pairs land in one
+// buffer the iterator keeps, so a walk allocates only when a window
+// wants more room than any before it.
 type WindowIter struct {
 	s       *SkipMap
 	to      int64
@@ -499,9 +509,11 @@ type WindowIter struct {
 	cursor  int64
 	done    bool
 	started bool
-	// want is the capacity of the next window's slice, allocated before
-	// the window is privatized (see Next).
+	// want is the capacity of the next window's slice, cut from buf
+	// (grown first when it is shorter) before the window is privatized
+	// (see Next).
 	want int
+	buf  []KV
 }
 
 // Window bounds: no window walks more than windowPairs pairs (16 KiB
@@ -540,6 +552,8 @@ func (it *WindowIter) Done() bool { return it.done }
 // Next runs one window cycle and returns the window's pairs in
 // ascending key order (possibly none) and whether more windows remain.
 // The pairs are a consistent snapshot of the window as of its fence.
+// They live in the iterator's buffer and are valid until the next
+// Next call: a caller that keeps them past it must copy them.
 //
 // The window is [cursor, cursor+width-1] ∩ [cursor, to]. After the
 // walk, width becomes covered × windowPairs / pairs, the key range
@@ -548,15 +562,16 @@ func (it *WindowIter) Done() bool { return it.done }
 // it. Width stays in [1, span].
 //
 // Nothing allocates between the window's fence and its publish: the
-// slice is allocated before the privatizing transaction, with room for
-// the previous window's pair count plus an eighth, at most
-// windowPairs and the window's width. A walk that fills the slice — a
-// window denser than its estimate, or one that reaches windowPairs
-// pairs — ends the window early, at the first node it has no room
-// for. The cursor resumes at that node's key, which the frozen chain
-// already gave the walker, and the next window's slice is twice as
-// large (up to windowPairs). An early end never ends the scan, even
-// when the window's bounds reach the scan's end.
+// slice is cut from the buffer, grown first if it is too short, before
+// the privatizing transaction, with room for the previous window's
+// pair count plus an eighth, at most windowPairs and the window's
+// width. A walk that fills the slice — a window denser than its
+// estimate, or one that reaches windowPairs pairs — ends the window
+// early, at the first node it has no room for. The cursor resumes at
+// that node's key, which the frozen chain already gave the walker, and
+// the next window's slice is twice as large (up to windowPairs). An
+// early end never ends the scan, even when the window's bounds reach
+// the scan's end.
 func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 	s := it.s
 	if it.done {
@@ -575,7 +590,10 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 	if uint64(hi)-uint64(lo) >= it.width {
 		hi = lo + int64(it.width-1)
 	}
-	pairs = make([]KV, 0, it.want)
+	if cap(it.buf) < it.want {
+		it.buf = make([]KV, it.want)
+	}
+	pairs = it.buf[:0:it.want]
 	// Privatize: take the guard read-private over [lo, hi] (waiting
 	// while another scan holds a window), capture the first node with
 	// key >= lo in the same transaction — opacity makes the captured

@@ -320,6 +320,44 @@ func TestRangeWindowsAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestWindowIterAllocs: every window of a walk reuses the iterator's
+// one buffer, so once the first window has sized it to windowPairs, a
+// Next call allocates nothing at all, privatize, fence and publish
+// included.
+func TestWindowIterAllocs(t *testing.T) {
+	if coretest.RaceEnabled {
+		t.Skip("-race: sync.Pool drops Puts, so the fence allocates")
+	}
+	const n = 8 * stmds.WindowPairs
+	_, sm, _ := demandHeap(t, "tl2", 1, n)
+	for k := int64(1); k <= n; k++ {
+		if _, err := sm.Put(1, k, k*7+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// With no span cap the first window wants windowPairs pairs, the
+	// most any window wants; the walk then takes n/windowPairs windows.
+	it := sm.RangeWindows(1, n, 0)
+	got := 0
+	next := func() {
+		pairs, more, err := it.Next(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got += len(pairs); !more && got != n {
+			t.Fatalf("walk returned %d pairs, want %d", got, n)
+		}
+	}
+	next()
+	// AllocsPerRun runs next once more before the runs it counts.
+	if allocs := testing.AllocsPerRun(n/stmds.WindowPairs-2, next); allocs != 0 {
+		t.Fatalf("Next allocates %v times per window after the first, want 0", allocs)
+	}
+	if !it.Done() {
+		t.Fatalf("walk not done after %d windows of %d pairs", n/stmds.WindowPairs, stmds.WindowPairs)
+	}
+}
+
 // TestRangeDuringChurn is the -race suite behind CI's scan leg: on
 // every TM, churners put/delete even keys (k↦k*7+1 value
 // convention) while two scanner threads run windowed full scans

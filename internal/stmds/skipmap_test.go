@@ -5,6 +5,7 @@ package stmds_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -46,13 +47,14 @@ func demandHeap(t *testing.T, spec string, threads, nodes int, opts ...stmalloc.
 // i-th draw for a given thread is identical across SkipMap instances
 // (and hence across TMs and runs), every draw lands in
 // [1, SkipMaxLevel], out-of-range thread ids fall back to stream 0,
-// and the distribution is roughly geometric(1/2) — about half the
-// draws are height 1.
+// and the distribution is geometric(1/4): about 3/4 of the draws are
+// height 1 and 3/16 height 2, each within four binomial standard
+// deviations.
 func TestSkipMapLevelDeterminism(t *testing.T) {
 	a := stmds.NewSkipMap(nil, skipHead, 4, nil)
 	b := stmds.NewSkipMap(nil, skipHead, 4, nil)
 	const draws = 4096
-	ones := 0
+	var heights [stmds.SkipMaxLevel + 1]int // thread 1's draws per height
 	for th := 0; th <= 4; th++ {
 		for i := 0; i < draws; i++ {
 			ha, hb := a.Level(th), b.Level(th)
@@ -62,13 +64,19 @@ func TestSkipMapLevelDeterminism(t *testing.T) {
 			if ha < 1 || ha > stmds.SkipMaxLevel {
 				t.Fatalf("thread %d draw %d: height %d out of [1,%d]", th, i, ha, stmds.SkipMaxLevel)
 			}
-			if th == 1 && ha == 1 {
-				ones++
+			if th == 1 {
+				heights[ha]++
 			}
 		}
 	}
-	if ones < draws*4/10 || ones > draws*6/10 {
-		t.Fatalf("height-1 share %d/%d is not ~1/2: generator is not geometric", ones, draws)
+	for _, share := range []struct {
+		h int
+		p float64
+	}{{1, 3.0 / 4}, {2, 3.0 / 16}} {
+		mean := draws * share.p
+		if dev := math.Abs(float64(heights[share.h]) - mean); dev > 4*math.Sqrt(mean*(1-share.p)) {
+			t.Fatalf("height-%d share %d/%d is not ~%.4f: generator is not geometric(1/4)", share.h, heights[share.h], draws, share.p)
+		}
 	}
 	// Streams must differ between threads (splitmix64 seeds them apart).
 	same := 0
@@ -90,15 +98,12 @@ func TestSkipMapLevelDeterminism(t *testing.T) {
 
 // TestTowerRegsClassLadder pins the height → stmalloc-block-class
 // mapping the demand profiles and the multi-size-class claim rest on:
-// heights 1–6 take exactly their 3..8 registers, 7–14 round to
-// 16-register blocks and 15–16 to 32-register ones.
+// heights 1–6 take exactly their 3..8 registers and 7–8 round to
+// 16-register blocks.
 func TestTowerRegsClassLadder(t *testing.T) {
 	for h := 1; h <= stmds.SkipMaxLevel; h++ {
 		want := 2 + h
-		switch {
-		case h > 14:
-			want = 32
-		case h > 6:
+		if h > 6 {
 			want = 16
 		}
 		if got := stmalloc.BlockRegs(stmds.TowerRegs(h)); got != want {

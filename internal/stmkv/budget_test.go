@@ -33,10 +33,10 @@ func budgetStore(t *testing.T, n int64) (*stmkv.Store, *coretest.WindowProbe) {
 	return s, probe
 }
 
-// TestScanPageAllocs pins what one 256-pair page allocates: the page,
-// the publish gate's fresh channel with the pointer the gate swaps in,
+// TestScanPageAllocs pins what one 256-pair page allocates: the page
 // and the next cursor's string, which encodeCursor builds in stack
-// buffers. Parsing the cursor allocates nothing.
+// buffers. Parsing the cursor allocates nothing, and neither does the
+// publish gate while no writer is parked on it.
 func TestScanPageAllocs(t *testing.T) {
 	if coretest.RaceEnabled {
 		t.Skip("-race: sync.Pool drops Puts, so the fence allocates")
@@ -51,8 +51,8 @@ func TestScanPageAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n > 4 {
-		t.Fatalf("ScanPage(256) allocates %v times a page, want <= 4", n)
+	if n > 2 {
+		t.Fatalf("ScanPage(256) allocates %v times a page, want <= 2", n)
 	}
 	t.Logf("ScanPage(256): %v allocations a page", n)
 }

@@ -546,15 +546,15 @@ func TestScanIsPerShardSnapshot(t *testing.T) {
 	}
 }
 
-// TestKVBatchReclaimResizeRace is the reclaim-vs-Resize race:
+// TestKVBatchReclaimResizeRace is the Resize-vs-growth race:
 // concurrent Resizes, each one batch of privatize→rehash→publish cycles
-// whose replaced tables return to the heap under the one fence that
-// privatized them (FreeQuiesced, one per shard), interleaved with point
-// operations that grow shards and free their tables on their own. After
-// a Drain the store-level leak invariant must hold — exactly one live
-// table block per shard — every Resize ran one privatize cycle per
-// shard — and every surviving key must be readable. Run under -race in
-// CI.
+// that rebuilds every shard's table in place, in the one block of its
+// heap chunk, under a single fence, interleaved with point operations
+// whose Puts grow shards in place on their own. Nothing is freed, so
+// after a Drain the heap must still hold exactly one live table block
+// per shard and no pending frees, every Resize must have run at least
+// one privatize cycle per shard, and every surviving key must be
+// readable with a value some Put wrote. Run under -race in CI.
 func TestKVBatchReclaimResizeRace(t *testing.T) {
 	for _, spec := range []string{"tl2", "norec"} {
 		t.Run(spec+"/per-free", func(t *testing.T) {
