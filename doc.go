@@ -20,15 +20,16 @@
 //   - Privatization layer: internal/region, Figure 7's cycle as one
 //     primitive: a Guard (a flag whose two low bits say shared,
 //     exclusive or read-private, and a read-private window's bounds),
-//     an Owner that takes, fences once and publishes, and the publish
-//     Gate every waiter parks on. stmkv's shards, SkipMap's scan
-//     windows and HashMap's doublings all privatize through it.
+//     an Owner whose Privatize commits and fences in one call and
+//     whose Publish re-shares, and the publish gate every waiter
+//     parks on. stmkv's shards, SkipMap's scan windows and HashMap's
+//     doublings all privatize through it.
 //   - Telemetry layer: internal/telemetry cache-line-padded per-thread
 //     counter boards on every TM (commits, aborts, fences,
 //     privatizations, magazine traffic), read by kvserve's /stats and
 //     bench/.
 //   - Heap layer: internal/stmalloc, the quiescence-based safe memory
-//     reclamation allocator (unlink transactionally, fence, reuse), with the typed ErrOutOfSpace exhaustion contract, a
+//     reclamation allocator (unlink transactionally, fence, reuse), a
 //     per-thread magazine layer (stmalloc.WithMagazines) that
 //     amortizes one grace period over a whole magazine of frees,
 //     a size-class ladder (exact for 1–8 registers, then powers of

@@ -6,7 +6,7 @@
 //
 // The set lives entirely in TM registers (a transactional heap). The
 // demo pushes far more allocation traffic through the heap than it has
-// registers: without reclamation the run would die with ErrOutOfSpace,
+// registers: without reclamation the heap would run out of space,
 // with it the footprint stays bounded by the live set. The reporting
 // thread takes its consistent snapshot with one big transaction,
 // showing the other way to get consistency.
@@ -82,7 +82,8 @@ func main() {
 	}
 	// The demo's premise: allocation traffic (a 3-register block per
 	// insert: key, value, next) far exceeds the arena, so completing
-	// without ErrOutOfSpace is what demonstrates reclamation keeping up.
+	// without running out of space is what demonstrates reclamation
+	// keeping up.
 	if traffic := int64(stmalloc.BlockRegs(3)) * st.Allocs; traffic <= int64(regs) {
 		panic("demo misconfigured: arena is not smaller than the allocation traffic")
 	}

@@ -306,16 +306,6 @@ func New(cfg Config) (core.TM, error) {
 	return nil, fmt.Errorf("engine: unknown TM %q", cfg.TM)
 }
 
-// MustNew is New, panicking on error — for harnesses whose
-// configurations are static.
-func MustNew(cfg Config) core.TM {
-	tm, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return tm
-}
-
 // NewSpec parses spec, applies sizing, and constructs the TM.
 func NewSpec(spec string, regs, threads int, sink record.Sink) (core.TM, error) {
 	cfg, err := Parse(spec)

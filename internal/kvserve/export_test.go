@@ -12,3 +12,10 @@ func (s *Server) SetScanSource(sc ScanSource) ScanSource {
 	s.scan = sc
 	return old
 }
+
+// ScanPageReply and StatsReply are the /scan page and /stats documents
+// the tests decode.
+type (
+	ScanPageReply = scanPageReply
+	StatsReply    = statsReply
+)

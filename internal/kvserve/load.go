@@ -303,7 +303,7 @@ func doScanPage(c *http.Client, base string, limit int, cursor string) (next str
 		io.Copy(io.Discard, resp.Body)
 		return "", resp.StatusCode, nil
 	}
-	var page ScanPageReply
+	var page scanPageReply
 	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 		return "", resp.StatusCode, fmt.Errorf("kvload: scan page: %w", err)
 	}

@@ -317,9 +317,9 @@ type kvJSON struct {
 	Val int64 `json:"val"`
 }
 
-// ScanPageReply is the /scan response in paginated mode (limit or
+// scanPageReply is the /scan response in paginated mode (limit or
 // cursor present in the query).
-type ScanPageReply struct {
+type scanPageReply struct {
 	Pairs  []kvJSON `json:"pairs"`
 	Cursor string   `json:"cursor,omitempty"`
 	More   bool     `json:"more"`
@@ -411,7 +411,7 @@ func (s *Server) scanPaged(w http.ResponseWriter, r *http.Request, cursor string
 		s.fail(w, r, err)
 		return
 	}
-	reply := ScanPageReply{Pairs: filterRange(pairs, from, to), Cursor: next, More: next != ""}
+	reply := scanPageReply{Pairs: filterRange(pairs, from, to), Cursor: next, More: next != ""}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(reply)
 }
@@ -463,8 +463,8 @@ func (s *Server) scanStream(w http.ResponseWriter, r *http.Request, from, to int
 	io.WriteString(w, "]\n")
 }
 
-// StatsReply is the /stats document.
-type StatsReply struct {
+// statsReply is the /stats document.
+type statsReply struct {
 	Spec      string  `json:"spec"`
 	Shards    int     `json:"shards"`
 	Slots     int     `json:"slots"`
@@ -476,7 +476,6 @@ type StatsReply struct {
 		Grows          int64 `json:"grows"`
 		Compactions    int64 `json:"compactions"`
 		Scans          int64 `json:"scans"`
-		Clears         int64 `json:"clears"`
 		// How stalls on a private shard ended, and Gets that ran beside
 		// a scan window instead of stalling (stmkv.Stats).
 		GateSpinWakes int64 `json:"gate_spin_wakes"`
@@ -503,7 +502,7 @@ type StatsReply struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	var reply StatsReply
+	var reply statsReply
 	reply.Spec = s.cfg.Spec
 	reply.Shards = s.cfg.Shards
 	reply.Slots = s.cfg.Slots
@@ -523,7 +522,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	reply.Store.Grows = st.Grows
 	reply.Store.Compactions = st.Compactions
 	reply.Store.Scans = st.Scans
-	reply.Store.Clears = st.Clears
 	reply.Store.GateSpinWakes = st.GateSpinWakes
 	reply.Store.GateParks = st.GateParks
 	reply.Store.GateTimeouts = st.GateTimeouts

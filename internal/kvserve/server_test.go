@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"safepriv/internal/core/coretest"
 	"safepriv/internal/kvserve"
 )
 
@@ -287,5 +288,54 @@ func TestRunLoadUnreachable(t *testing.T) {
 	_, err := kvserve.RunLoad(kvserve.LoadConfig{BaseURL: "http://127.0.0.1:1", Ops: 10})
 	if err == nil {
 		t.Fatal("RunLoad against a dead address: want error, got nil")
+	}
+}
+
+// TestHandlerAllocs pins the Go-heap allocations of one GET and one PUT
+// of a present key through Handler().ServeHTTP. Each call builds its
+// request and recorder with httptest; a no-op handler served the same
+// request the same way is net/http's floor, and each row pins the
+// handler's share above it. A change that adds an allocation to the
+// serving path fails a row: re-measure, and say why. Under -race
+// sync.Pool drops Puts, so the counts hold only without it.
+func TestHandlerAllocs(t *testing.T) {
+	if coretest.RaceEnabled {
+		t.Skip("the race detector makes sync.Pool drop Puts")
+	}
+	srv, err := kvserve.New(kvserve.Config{Spec: "tl2", Shards: 4, Slots: 64, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := srv.Drain(); err != nil {
+			t.Errorf("cleanup Drain: %v", err)
+		}
+	})
+	h, noop := srv.Handler(), http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})
+	serve := func(h http.Handler, method, body string) func() {
+		return func() {
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(method, "/kv/7", strings.NewReader(body)))
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/kv/7", strings.NewReader("42")))
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("PUT /kv/7 = %d, want %d", rec.Code, http.StatusNoContent)
+	}
+	for _, tt := range []struct {
+		method, body string
+		want         float64 // allocations per call above the floor
+	}{
+		{http.MethodGet, "", 8},
+		{http.MethodPut, "43", 4},
+	} {
+		t.Run(tt.method, func(t *testing.T) {
+			floor := testing.AllocsPerRun(200, serve(noop, tt.method, tt.body))
+			got := testing.AllocsPerRun(200, serve(h, tt.method, tt.body)) - floor
+			t.Logf("%v allocations above net/http's floor of %v", got, floor)
+			if got > tt.want {
+				t.Errorf("%s /kv/7 allocates %v times above the floor, want at most %v", tt.method, got, tt.want)
+			}
+		})
 	}
 }

@@ -30,10 +30,10 @@ const (
 	maxWaits = 1 << 20
 )
 
-// Gate is a publish gate: the waiting half of the idiom. The zero value
+// gate is a publish gate: the waiting half of the idiom. The zero value
 // is ready to use.
 //
-// A Gate is a generation counter and, while a waiter is parked, a
+// A gate is a generation counter and, while a waiter is parked, a
 // channel behind an atomic pointer. The owner calls Open after its
 // publishing transaction commits; Open bumps the generation and, if a
 // waiter installed a channel, swaps it out and closes it. A waiter
@@ -50,14 +50,14 @@ const (
 // the channel, with a timeout that backstops a dead owner. It fills a
 // cache line of its own: every waiter re-reads it in a loop, so it must
 // not share a line with counters its neighbours bump.
-type Gate struct {
+type gate struct {
 	gen atomic.Uint64                 // bumped by every Open
 	ch  atomic.Pointer[chan struct{}] // nil until a waiter parks
 	_   [48]byte
 }
 
 // Open wakes every waiter. Owners call it after each publish.
-func (g *Gate) Open() {
+func (g *gate) Open() {
 	g.gen.Add(1)
 	if p := g.ch.Swap(nil); p != nil {
 		close(*p)
@@ -65,11 +65,11 @@ func (g *Gate) Open() {
 }
 
 // sample returns the gate's generation; every Open after it moves it.
-func (g *Gate) sample() uint64 { return g.gen.Load() }
+func (g *gate) sample() uint64 { return g.gen.Load() }
 
 // parkChan returns the channel the next Open closes, installing one
 // when no waiter has since the last Open.
-func (g *Gate) parkChan() *chan struct{} {
+func (g *gate) parkChan() *chan struct{} {
 	for {
 		if p := g.ch.Load(); p != nil {
 			return p
@@ -88,11 +88,11 @@ func (g *Gate) parkChan() *chan struct{} {
 //
 // The stall outcomes are counted in th's telemetry slot when tm carries
 // a board: GateSpinWakes, GateParks, GateTimeouts.
-func (g *Gate) Retry(tm core.TM, th int, private error, body func(core.Txn) error) error {
+func (g *gate) Retry(tm core.TM, th int, private error, body func(core.Txn) error) error {
 	return g.retry(tm, th, private, body, maxWaits, parkTimeout)
 }
 
-func (g *Gate) retry(tm core.TM, th int, private error, body func(core.Txn) error, maxWaits int, parkTimeout time.Duration) error {
+func (g *gate) retry(tm core.TM, th int, private error, body func(core.Txn) error, maxWaits int, parkTimeout time.Duration) error {
 	var (
 		slot  *telemetry.Slot // set on the first stall
 		timer *time.Timer     // one per call, reused across parks
@@ -154,7 +154,7 @@ func (g *Gate) retry(tm core.TM, th int, private error, body func(core.Txn) erro
 
 // spin re-reads the generation until it differs from the sampled one
 // (a publish happened) or the round is used up.
-func (g *Gate) spin(gate uint64) bool {
+func (g *gate) spin(gate uint64) bool {
 	for i := 0; i < spinLoads; i++ {
 		if g.sample() != gate {
 			return true

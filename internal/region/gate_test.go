@@ -31,7 +31,7 @@ func guarded(private *atomic.Bool) func(core.Txn) error {
 // closes the channel waiters parked on, and leaves the next waiter a
 // fresh one; with no waiter parked it allocates nothing.
 func TestOpenClosesTheSampledChannel(t *testing.T) {
-	var g Gate
+	var g gate
 	sampled := g.sample()
 	if g.sample() != sampled {
 		t.Fatal("two samples without an Open differ")
@@ -59,7 +59,7 @@ func TestOpenClosesTheSampledChannel(t *testing.T) {
 }
 
 func TestRetryPassesOtherOutcomesThrough(t *testing.T) {
-	var g Gate
+	var g gate
 	tm := tl2.New(1, 2)
 	if err := g.Retry(tm, 1, errPrivate, func(core.Txn) error { return nil }); err != nil {
 		t.Fatalf("committed body: %v", err)
@@ -77,7 +77,7 @@ func TestRetryPassesOtherOutcomesThrough(t *testing.T) {
 // after the gate was sampled — ends the wait on the spin's first load:
 // one re-attempt, no yield, no park.
 func TestSpinSeesOpen(t *testing.T) {
-	var g Gate
+	var g gate
 	tm := tl2.New(1, 2)
 	sl := tm.TelemetryBoard().Slot(1)
 	attempts := 0
@@ -110,7 +110,7 @@ func TestOpenWakesParkedWaiter(t *testing.T) {
 	sl := tm.TelemetryBoard().Slot(1)
 	var slowest time.Duration
 	for i := 0; i < trials; i++ {
-		var g Gate
+		var g gate
 		var private atomic.Bool
 		private.Store(true)
 		parked := sl.GateParks.Load()
@@ -139,7 +139,7 @@ func TestOpenWakesParkedWaiter(t *testing.T) {
 // waiter returns the stuck-owner error (wrapping the private error)
 // once its wait bound is used up.
 func TestNeverPublishedGateGivesUp(t *testing.T) {
-	var g Gate
+	var g gate
 	tm := tl2.New(1, 2)
 	sl := tm.TelemetryBoard().Slot(1)
 	var private atomic.Bool

@@ -8,11 +8,12 @@
 // stmds.HashMap's doublings all privatize and publish through it, and
 // stmalloc's block retires fence through it.
 //
-// Owner is the owning half: Take commits the privatizing transaction,
-// Fence is the one fence of every private phase, Privatize is Take then
-// Fence, and Publish commits the publishing transaction and opens the
-// owner's Gate. Gate is the waiting half: an operation that found a
-// region private waits on it (Owner.Retry) until the owner publishes.
+// Owner is the owning half: Privatize commits the privatizing
+// transaction and fences, Fence is the one fence of every private
+// phase, and Publish commits the publishing transaction and opens the
+// owner's publish gate. The gate is the waiting half: an operation that
+// found a region private waits on it (Owner.Retry) until the owner
+// publishes. Owner has no way to take a region without fencing it.
 //
 // Guard is the mark a region carries in TM registers: a flag whose two
 // low bits are the region's state, and the bounds of the window a
@@ -20,7 +21,7 @@
 // multiple of four, so the bits above the state count publishes.
 //
 //	state        owner (uninstrumented)   transactions admitted
-//	Shared       —                        all
+//	shared       —                        all
 //	Exclusive    loads and stores         none
 //	ReadPrivate  loads in [Lo, Hi]        readers, and writers outside
 //	                                      [Lo, Hi]
@@ -76,7 +77,7 @@ import (
 
 // Region states: the two low bits of a Guard's flag.
 const (
-	Shared      int64 = 0
+	shared      int64 = 0
 	Exclusive   int64 = 1 // the owner loads and stores uninstrumented
 	ReadPrivate int64 = 3 // the owner only loads, inside its window
 	stateMask   int64 = 3
@@ -184,7 +185,7 @@ func (g Guard) Give(tx core.Txn) error {
 type Owner struct {
 	tm    core.TM
 	board *telemetry.Board
-	gate  Gate
+	gate  gate
 }
 
 // NewOwner returns an owner over tm. Privatizations are counted on tm's
@@ -203,31 +204,22 @@ func (o *Owner) Retry(th int, body func(core.Txn) error) error {
 	return o.gate.Retry(o.tm, th, ErrPrivate, body)
 }
 
-// Take commits the privatizing transaction body, waiting while it
-// fails with ErrPrivate, and counts one privatization. It does not
-// fence: an owner that takes several regions fences once for all of
-// them.
-func (o *Owner) Take(th int, body func(core.Txn) error) error {
+// Fence waits until every transaction running when it was called has
+// finished. After a privatizing commit it is what makes the private
+// phase race-free.
+func (o *Owner) Fence(th int) {
+	o.tm.Fence(th)
+}
+
+// Privatize commits the privatizing transaction body, waiting while it
+// fails with ErrPrivate, counts one privatization and fences: after it
+// returns, the region is the caller's to access uninstrumented.
+func (o *Owner) Privatize(th int, body func(core.Txn) error) error {
 	if err := o.Retry(th, body); err != nil {
 		return err
 	}
 	if sl := o.board.Slot(th); sl != nil {
 		sl.Privatizations.Add(1)
-	}
-	return nil
-}
-
-// Fence waits until every transaction running when it was called has
-// finished. After a Take it is what makes the private phase race-free.
-func (o *Owner) Fence(th int) {
-	o.tm.Fence(th)
-}
-
-// Privatize is Take then Fence: after it returns, the region is the
-// caller's to access uninstrumented.
-func (o *Owner) Privatize(th int, body func(core.Txn) error) error {
-	if err := o.Take(th, body); err != nil {
-		return err
 	}
 	o.Fence(th)
 	return nil

@@ -31,18 +31,18 @@ func TestGuard(t *testing.T) {
 		wantFlag int64
 		wantWin  Window
 	}{
-		{"Shared/Writable", Shared, writable, NoWindow, nil, 4, old},
+		{"Shared/Writable", shared, writable, NoWindow, nil, 4, old},
 		{"Exclusive/Writable", Exclusive, writable, NoWindow, ErrPrivate, 5, old},
 		{"ReadPrivate/Writable", ReadPrivate, writable, old, nil, 7, old},
-		{"Shared/Readable", Shared, readable, false, nil, 4, old},
+		{"Shared/Readable", shared, readable, false, nil, 4, old},
 		{"Exclusive/Readable", Exclusive, readable, false, ErrPrivate, 5, old},
 		{"ReadPrivate/Readable", ReadPrivate, readable, true, nil, 7, old},
-		{"Shared/Take/Exclusive", Shared, take(Exclusive, next), nil, nil, 5, old},
-		{"Shared/Take/ReadPrivate", Shared, take(ReadPrivate, next), nil, nil, 7, next},
-		{"Shared/Take/ReadPrivate/NoWindow", Shared, take(ReadPrivate, NoWindow), nil, nil, 7, NoWindow},
+		{"Shared/Take/Exclusive", shared, take(Exclusive, next), nil, nil, 5, old},
+		{"Shared/Take/ReadPrivate", shared, take(ReadPrivate, next), nil, nil, 7, next},
+		{"Shared/Take/ReadPrivate/NoWindow", shared, take(ReadPrivate, NoWindow), nil, nil, 7, NoWindow},
 		{"Exclusive/Take", Exclusive, take(ReadPrivate, next), nil, ErrPrivate, 5, old},
 		{"ReadPrivate/Take", ReadPrivate, take(Exclusive, NoWindow), nil, ErrPrivate, 7, old},
-		{"Shared/Give", Shared, give, nil, nil, 8, old},
+		{"Shared/Give", shared, give, nil, nil, 8, old},
 		{"Exclusive/Give", Exclusive, give, nil, nil, 8, old},
 		{"ReadPrivate/Give", ReadPrivate, give, nil, nil, 8, old},
 	}

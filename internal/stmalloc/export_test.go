@@ -8,3 +8,7 @@ func (h *Heap) InjectAsyncErr(err error) { h.fail(err) }
 // MagazineRegs exports magazineRegs, the per-thread magazine header
 // budget, to the external test package.
 func MagazineRegs(threads int) int { return magazineRegs(threads) }
+
+// ErrOutOfSpace exports errOutOfSpace, which the heap's exhaustion
+// errors wrap, to the external test package.
+var ErrOutOfSpace = errOutOfSpace

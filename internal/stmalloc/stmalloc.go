@@ -88,7 +88,7 @@
 // Drain retires every thread's parked frees under ONE shared grace
 // period, routing each block to its owner, before settling. When every
 // shard list and bump region is empty, New steals half of another
-// thread's cache of the class before reporting ErrOutOfSpace — parked
+// thread's cache of the class before reporting errOutOfSpace — parked
 // frees are never stolen (they have not quiesced).
 //
 // # Size classes
@@ -108,7 +108,7 @@
 // class's blocks come from the bump regions once and then circulate
 // within the class.
 // A request that no class list, bump region or stolen cache can serve
-// is ErrOutOfSpace, whatever free blocks of other classes exist. The
+// is errOutOfSpace, whatever free blocks of other classes exist. The
 // bump frontier advances by exactly the block's size: no block needs
 // alignment, so no register is skipped.
 //
@@ -136,10 +136,10 @@ import (
 	"safepriv/internal/telemetry"
 )
 
-// ErrOutOfSpace is returned by New when no shard can serve the request
-// from its free list or bump region. Typed so data structures can
-// surface exhaustion distinctly from TM-level errors.
-var ErrOutOfSpace = errors.New("stmalloc: arena exhausted")
+// errOutOfSpace is wrapped by every error New, NewIn and Extend return
+// when no shard can serve the request from its free list or bump
+// region.
+var errOutOfSpace = errors.New("stmalloc: arena exhausted")
 
 // smallClasses is the number of quantum-spaced classes: class c <
 // smallClasses serves blocks of exactly c+1 registers.
@@ -595,7 +595,7 @@ func (h *Heap) validPtr(v int64) bool {
 // New allocates n consecutive registers inside tx and returns the
 // index of the first. th picks the preferred shard; allocation falls
 // over to other shards (free lists first, then bump regions) before
-// reporting ErrOutOfSpace. Aborted transactions roll the allocation
+// reporting errOutOfSpace. Aborted transactions roll the allocation
 // back. On a magazine heap the common case pops from the
 // calling thread's cache — registers no other thread touches, so
 // concurrent allocators never conflict — refilling a magazine's worth
@@ -603,7 +603,7 @@ func (h *Heap) validPtr(v int64) bool {
 func (h *Heap) New(tx core.Txn, th, n int) (int64, error) {
 	c, ok := classOf(n)
 	if !ok || classRegs(c) > h.chunk {
-		return 0, fmt.Errorf("stmalloc: cannot serve %d-register block (max %d): %w", n, h.MaxBlock(), ErrOutOfSpace)
+		return 0, fmt.Errorf("stmalloc: cannot serve %d-register block (max %d): %w", n, h.MaxBlock(), errOutOfSpace)
 	}
 	if h.hasMagazine(th) {
 		return h.newMag(tx, th, c, n)
@@ -614,7 +614,7 @@ func (h *Heap) New(tx core.Txn, th, n int) (int64, error) {
 // newShared is the magazine-less allocation path, reuse before growth:
 // the home shard's class free list and every other shard's that a
 // publish has hinted (listed), then each shard's bump region, then the
-// lists not tried yet, so every block is tried before ErrOutOfSpace;
+// lists not tried yet, so every block is tried before errOutOfSpace;
 // shard counters.
 func (h *Heap) newShared(tx core.Txn, th, c, n int) (int64, error) {
 	start := h.homeShard(th)
@@ -646,7 +646,7 @@ func (h *Heap) newShared(tx core.Txn, th, c, n int) (int64, error) {
 			return head, nil
 		}
 	}
-	return 0, fmt.Errorf("stmalloc: no shard can serve %d registers: %w", n, ErrOutOfSpace)
+	return 0, fmt.Errorf("stmalloc: no shard can serve %d registers: %w", n, errOutOfSpace)
 }
 
 // popList pops one block from shard s's class-c free list (0 when
@@ -748,7 +748,7 @@ func (h *Heap) newMag(tx core.Txn, th, c, n int) (int64, error) {
 		}
 	}
 	if ptr == 0 {
-		return 0, fmt.Errorf("stmalloc: no shard or magazine can serve %d registers: %w", n, ErrOutOfSpace)
+		return 0, fmt.Errorf("stmalloc: no shard or magazine can serve %d registers: %w", n, errOutOfSpace)
 	}
 	if err := count(tx, h.magBase(th)+offMagAllocs); err != nil {
 		return 0, err
@@ -1203,7 +1203,7 @@ func (h *Heap) Stats() Stats {
 }
 
 // NewIn allocates an n-register block from the bump region of shard s
-// alone, inside tx, and reports ErrOutOfSpace when the chunk has no room
+// alone, inside tx, and reports errOutOfSpace when the chunk has no room
 // left. The block ends at the chunk's bump pointer until another
 // allocation passes it, so Extend can grow it in place; a client that
 // gives each of its tables a chunk of its own (stmkv) places them this
@@ -1211,14 +1211,14 @@ func (h *Heap) Stats() Stats {
 func (h *Heap) NewIn(tx core.Txn, s, n int) (int64, error) {
 	c, ok := classOf(n)
 	if !ok || s < 0 || s >= h.shards {
-		return 0, fmt.Errorf("stmalloc: cannot serve %d registers in shard %d of %d: %w", n, s, h.shards, ErrOutOfSpace)
+		return 0, fmt.Errorf("stmalloc: cannot serve %d registers in shard %d of %d: %w", n, s, h.shards, errOutOfSpace)
 	}
 	ptr, err := h.bump(tx, s, int64(classRegs(c)))
 	if err != nil {
 		return 0, err
 	}
 	if ptr == 0 {
-		return 0, fmt.Errorf("stmalloc: shard %d cannot serve %d registers: %w", s, n, ErrOutOfSpace)
+		return 0, fmt.Errorf("stmalloc: shard %d cannot serve %d registers: %w", s, n, errOutOfSpace)
 	}
 	return ptr, count(tx, h.hdr(s)+offAllocs)
 }
@@ -1228,13 +1228,13 @@ func (h *Heap) NewIn(tx core.Txn, s, n int) (int64, error) {
 // NewIn block no later allocation passed), so its size is the bump
 // pointer minus ptr: a block that already holds the class is left as
 // it is, and a smaller one moves the bump pointer. It reports
-// ErrOutOfSpace when the chunk has no room for the larger class. The
+// errOutOfSpace when the chunk has no room for the larger class. The
 // block stays one live block: Allocs does not move, and a Free passes
 // its extended size.
 func (h *Heap) Extend(tx core.Txn, ptr int64, n int) error {
 	c, ok := classOf(n)
 	if !ok || !h.validPtr(ptr) {
-		return fmt.Errorf("stmalloc: cannot extend block %d to %d registers: %w", ptr, n, ErrOutOfSpace)
+		return fmt.Errorf("stmalloc: cannot extend block %d to %d registers: %w", ptr, n, errOutOfSpace)
 	}
 	s := h.shardOf(ptr)
 	b, err := tx.Read(h.hdr(s) + offBump)
@@ -1252,7 +1252,7 @@ func (h *Heap) Extend(tx core.Txn, ptr int64, n int) error {
 	case end <= b:
 		return nil
 	case end > int64(h.chunkEnd(s)):
-		return fmt.Errorf("stmalloc: shard %d cannot extend block %d to %d registers: %w", s, ptr, n, ErrOutOfSpace)
+		return fmt.Errorf("stmalloc: shard %d cannot extend block %d to %d registers: %w", s, ptr, n, errOutOfSpace)
 	}
 	return tx.Write(h.hdr(s)+offBump, end)
 }

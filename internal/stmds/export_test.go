@@ -21,3 +21,33 @@ func BucketOf(k int64, buckets int) int { return int(hashOf(k) & uint64(buckets-
 // TowerRegs exports towerRegs, a tower's register footprint, to the
 // external test package.
 func TowerRegs(height int) int { return towerRegs(height) }
+
+// SkipMaxLevel and HashInitialBuckets export skipMaxLevel and
+// hashInitialBuckets to the external test package.
+const (
+	SkipMaxLevel       = skipMaxLevel
+	HashInitialBuckets = hashInitialBuckets
+)
+
+// Range streams every pair with from <= key <= to into fn in ascending
+// key order through a windowed scan with no span cap (each window
+// still walks at most windowPairs pairs); fn returning false stops the
+// scan early. The per-window atomicity contract applies — see the
+// SkipMap type comment.
+func (s *SkipMap) Range(th int, from, to int64, fn func(k, v int64) bool) error {
+	it := s.RangeWindows(from, to, 0)
+	for {
+		pairs, more, err := it.Next(th)
+		if err != nil {
+			return err
+		}
+		for _, kv := range pairs {
+			if !fn(kv.Key, kv.Val) {
+				return nil
+			}
+		}
+		if !more {
+			return nil
+		}
+	}
+}

@@ -40,10 +40,10 @@ func unpackArr(w int64) (ptr int64, mask uint64) {
 // packed head word.
 const HashHeadRegs = 1
 
-// HashInitialBuckets is the bucket count of a freshly initialized
+// hashInitialBuckets is the bucket count of a freshly initialized
 // table (installed lazily by the first Put, inside that Put's own
 // transaction — small enough to zero transactionally).
-const HashInitialBuckets = 16
+const hashInitialBuckets = 16
 
 // hashGrowChain is the chain-length grow trigger: a Put that makes its
 // bucket chain this long asks the wrapper to double the table. Chain
@@ -59,12 +59,12 @@ const hashGrowChain = 8
 // doubling may still be riding its grace period (or parked in a
 // magazine) when the next generation is allocated.
 func HashMapDemand(keys int) []stmalloc.ClassDemand {
-	final := HashInitialBuckets
+	final := hashInitialBuckets
 	for final < 2*keys && final < stmalloc.MaxBlockRegs {
 		final *= 2
 	}
 	d := []stmalloc.ClassDemand{{Regs: hashNodeRegs, Count: keys + keys/8 + 16}}
-	for n := HashInitialBuckets; n <= final; n *= 2 {
+	for n := hashInitialBuckets; n <= final; n *= 2 {
 		d = append(d, stmalloc.ClassDemand{Regs: n, Count: 1})
 	}
 	return d
@@ -202,7 +202,7 @@ func (s *HashMap) GetTx(tx core.Txn, k int64) (v int64, ok bool, err error) {
 // PutTx is Put inside a caller-owned transaction. Reports whether k
 // was absent, and needGrow when the insert's chain hit hashGrowChain:
 // the post-commit wrapper should then call Grow. The first Put
-// installs the initial HashInitialBuckets-bucket array inside its own
+// installs the initial hashInitialBuckets-bucket array inside its own
 // transaction (allocated and zeroed transactionally, so aborts leak
 // nothing); doublings go through Grow's privatized cycle instead,
 // since zeroing and relinking a large array transactionally would
@@ -213,21 +213,21 @@ func (s *HashMap) PutTx(tx core.Txn, th int, k, v int64) (added, needGrow bool, 
 		return false, false, err
 	}
 	if empty {
-		arr, err := s.alloc.New(tx, th, HashInitialBuckets)
+		arr, err := s.alloc.New(tx, th, hashInitialBuckets)
 		if err != nil {
 			return false, false, err
 		}
 		// Recycled blocks keep a stale free-list link in register 0;
 		// zero every bucket explicitly.
-		for i := 0; i < HashInitialBuckets; i++ {
+		for i := 0; i < hashInitialBuckets; i++ {
 			if err := tx.Write(int(arr)+i, nilPtr); err != nil {
 				return false, false, err
 			}
 		}
-		if err := tx.Write(s.head, packArr(arr, HashInitialBuckets)); err != nil {
+		if err := tx.Write(s.head, packArr(arr, hashInitialBuckets)); err != nil {
 			return false, false, err
 		}
-		reg = int(arr) + int(hashOf(k)&uint64(HashInitialBuckets-1))
+		reg = int(arr) + int(hashOf(k)&uint64(hashInitialBuckets-1))
 	}
 	headPtr, cur, _, chain, err := s.findTx(tx, reg, k)
 	if err != nil {

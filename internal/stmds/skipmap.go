@@ -13,24 +13,24 @@ import (
 // SkipMapDemand is the stmalloc demand profile of a SkipMap holding up
 // to `nodes` live towers under the geometric(1/4) level generator: one
 // entry per block class the towers land in. Level draws height h with
-// probability (3/4)·4^-(h-1) below SkipMaxLevel and 4^-(SkipMaxLevel-1)
+// probability (3/4)·4^-(h-1) below skipMaxLevel and 4^-(skipMaxLevel-1)
 // at it, so a class's share p is the sum over the heights whose
 // towerRegs(h) round to it (h = 1..6 each have a class of their own,
 // 7..8 share the 16-register class). Its count is the expected nodes·p
 // plus four binomial standard deviations plus 8, so a run at the stated
 // size does not die of per-class variance: churn tests treat
-// ErrOutOfSpace as a sizing bug, not a retry.
+// out-of-space errors as a sizing bug, not a retry.
 func SkipMapDemand(nodes int) []stmalloc.ClassDemand {
 	var d []stmalloc.ClassDemand
 	p := 0.0
-	for h := 1; h <= SkipMaxLevel; h++ {
+	for h := 1; h <= skipMaxLevel; h++ {
 		share := math.Ldexp(1, -2*(h-1)) // P(height >= h) = 4^-(h-1)
-		if h < SkipMaxLevel {
+		if h < skipMaxLevel {
 			share *= 0.75
 		}
 		p += share
 		regs := stmalloc.BlockRegs(towerRegs(h))
-		if h < SkipMaxLevel && stmalloc.BlockRegs(towerRegs(h+1)) == regs {
+		if h < skipMaxLevel && stmalloc.BlockRegs(towerRegs(h+1)) == regs {
 			continue // the next height shares this class
 		}
 		mean := float64(nodes) * p
@@ -78,7 +78,7 @@ func SkipMapDemand(nodes int) []stmalloc.ClassDemand {
 //
 // # Range scans and the per-window atomicity contract
 //
-// Range and RangeWindows read the map with the paper's privatization
+// RangeWindows reads the map with the paper's privatization
 // idiom instead of one big read-only transaction: the scan privatizes a
 // bounded KEY WINDOW at a time through package region — a transaction
 // takes the head block's region.Guard read-private over the window's
@@ -103,9 +103,10 @@ func SkipMapDemand(nodes int) []stmalloc.ClassDemand {
 // its window's fence instant — but pairs from different windows come
 // from different instants, so a scan concurrent with churn is not a
 // serializable whole-map snapshot. Use Snapshot when the caller needs
-// one (small maps, or quiesced phases); use Range when the map is large
-// and churned — the scan costs O(n) plain reads plus O(windows) fences
-// instead of O(n) transactional reads, and cannot abort-storm.
+// one (small maps, or quiesced phases); use RangeWindows when the map
+// is large and churned — the scan costs O(n) plain reads plus
+// O(windows) fences instead of O(n) transactional reads, and cannot
+// abort-storm.
 type SkipMap struct {
 	tm    core.TM
 	head  int
@@ -123,10 +124,10 @@ type SkipMap struct {
 	board *telemetry.Board
 }
 
-// SkipMaxLevel is the fixed number of skiplist levels. Under Level's
+// skipMaxLevel is the fixed number of skiplist levels. Under Level's
 // geometric(1/4) heights, 4^8 = 65 536 towers keep the expected
 // traversal O(log n) far past any arena this repo sizes.
-const SkipMaxLevel = 8
+const skipMaxLevel = 8
 
 // SkipHeadRegs is the register footprint of a SkipMap head block: one
 // head pointer per level, consecutive from `head`, followed by the
@@ -134,7 +135,7 @@ const SkipMaxLevel = 8
 // While a window over keys [lo, hi] is read-private, the registers of
 // every node with a key in it — and the level-0 successor pointer
 // leading into it — are the scanner's to load.
-const SkipHeadRegs = SkipMaxLevel + 3
+const SkipHeadRegs = skipMaxLevel + 3
 
 // skipNodeHdr is the per-node header (key, value) preceding the
 // next-pointer tower.
@@ -152,7 +153,7 @@ func towerRegs(height int) int { return skipNodeHdr + height }
 // empty".
 func NewSkipMap(tm core.TM, head, threads int, alloc *stmalloc.Heap) *SkipMap {
 	s := &SkipMap{tm: tm, head: head, alloc: alloc, rng: make([]uint64, threads+1), own: region.NewOwner(tm),
-		guard: region.Guard{Flag: head + SkipMaxLevel, Lo: head + SkipMaxLevel + 1, Hi: head + SkipMaxLevel + 2}}
+		guard: region.Guard{Flag: head + skipMaxLevel, Lo: head + skipMaxLevel + 1, Hi: head + skipMaxLevel + 2}}
 	for th := range s.rng {
 		s.rng[th] = splitmix64(uint64(th))
 	}
@@ -176,7 +177,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // Level draws the next tower height for thread th: a geometric(1/4)
-// variable clamped to [1, SkipMaxLevel], from th's private xorshift64
+// variable clamped to [1, skipMaxLevel], from th's private xorshift64
 // stream. Each level above the first takes two bits of the draw and
 // is reached when both are set. p = 1/4 is Pugh's (CACM 1990)
 // recommendation: the expected search cost L(n)/p is about that of
@@ -195,7 +196,7 @@ func (s *SkipMap) Level(th int) int {
 	x ^= x << 17
 	s.rng[th] = x
 	h := 1
-	for x&3 == 3 && h < SkipMaxLevel {
+	for x&3 == 3 && h < skipMaxLevel {
 		h++
 		x >>= 2
 	}
@@ -221,8 +222,8 @@ func (s *SkipMap) nextReg(node int64, level int) int {
 // block) — the write paths compare it against an active scan window's
 // bounds.
 type skipPath struct {
-	update  [SkipMaxLevel]int
-	succ    [SkipMaxLevel]int64
+	update  [skipMaxLevel]int
+	succ    [skipMaxLevel]int64
 	candKey int64
 	prevKey int64
 }
@@ -240,7 +241,7 @@ func (s *SkipMap) findTx(tx core.Txn, k int64, p *skipPath) error {
 	// stop is the node the last level stopped at (nilPtr: none yet) and
 	// stopKey its key.
 	stop, stopKey := nilPtr, int64(0)
-	for level := SkipMaxLevel - 1; level >= 0; level-- {
+	for level := skipMaxLevel - 1; level >= 0; level-- {
 		reg := s.nextReg(prev, level)
 		for {
 			cur, err := tx.Read(reg)
@@ -286,7 +287,7 @@ func (s *SkipMap) GetTx(tx core.Txn, k int64) (v int64, ok bool, err error) {
 }
 
 // PutTx is Put inside a caller-owned transaction, with the tower height
-// supplied by the caller (clamped to [1, SkipMaxLevel]). Passing the
+// supplied by the caller (clamped to [1, skipMaxLevel]). Passing the
 // height in keeps the level draw outside the transaction so retries and
 // cross-TM runs insert identical towers. Reports whether k was absent.
 // Returns region.ErrPrivate (without writing anything) when the write
@@ -305,8 +306,8 @@ func (s *SkipMap) PutTx(tx core.Txn, th int, k, v int64, height int) (bool, erro
 	if height < 1 {
 		height = 1
 	}
-	if height > SkipMaxLevel {
-		height = SkipMaxLevel
+	if height > skipMaxLevel {
+		height = skipMaxLevel
 	}
 	w, err := s.guard.Writable(tx)
 	if err != nil {
@@ -373,7 +374,7 @@ func (s *SkipMap) DeleteTx(tx core.Txn, k int64) (removed bool, victim int64, vi
 	// is on, and a level it is not on stops at another node. Its height
 	// is therefore the count of those levels, and no register stores it.
 	h := 0
-	for ; h < SkipMaxLevel && p.succ[h] == cand; h++ {
+	for ; h < skipMaxLevel && p.succ[h] == cand; h++ {
 		nxt, err := tx.Read(int(cand) + skipNodeHdr + h)
 		if err != nil {
 			return false, 0, 0, err
@@ -695,27 +696,4 @@ func nextWidth(width, covered uint64, n int, span uint64) uint64 {
 	}
 	w, _ := bits.Div64(hi, lo, uint64(n))
 	return min(w, span)
-}
-
-// Range streams every pair with from <= key <= to into fn in ascending
-// key order through a windowed scan with no span cap (each window
-// still walks at most windowPairs pairs); fn returning false stops the
-// scan early. The per-window atomicity contract applies — see the
-// SkipMap type comment.
-func (s *SkipMap) Range(th int, from, to int64, fn func(k, v int64) bool) error {
-	it := s.RangeWindows(from, to, 0)
-	for {
-		pairs, more, err := it.Next(th)
-		if err != nil {
-			return err
-		}
-		for _, kv := range pairs {
-			if !fn(kv.Key, kv.Val) {
-				return nil
-			}
-		}
-		if !more {
-			return nil
-		}
-	}
 }

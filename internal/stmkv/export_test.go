@@ -80,3 +80,21 @@ func (s *Store) PutTx(tx core.Txn, key, val int64) error {
 // CapOf returns shard's active capacity, loaded uninstrumented, so the
 // store must be quiescent.
 func (s *Store) CapOf(th, shard int) int64 { return s.tm.Load(th, s.base(shard)+offCap) }
+
+// Rehash rebuilds one shard's table at cap active slots in grow's
+// private phase: privatize the shard exclusive, fence, rehashTo,
+// publish. cap is clamped to [max(live keys, 1), slots], since
+// rehashTo cannot place more keys than it has slots.
+func (s *Store) Rehash(th, shard int, cap int64) (err error) {
+	base := s.base(shard)
+	if err := s.own.Privatize(th, exclusive(base)); err != nil {
+		return err
+	}
+	defer func() {
+		if perr := s.own.Publish(th, guard(base).Give); err == nil {
+			err = perr
+		}
+	}()
+	live := s.tm.Load(th, base+offCount)
+	return s.rehashTo(th, shard, min(max(cap, live, 1), int64(s.slots)))
+}

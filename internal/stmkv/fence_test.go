@@ -38,12 +38,6 @@ func TestFenceNecessary(t *testing.T) {
 			}
 		}},
 		{"Scan", func(s *stmkv.Store, th int) ([]stmkv.KV, error) { return s.Scan(th) }},
-		{"Resize", func(s *stmkv.Store, th int) ([]stmkv.KV, error) {
-			if err := s.Resize(th, 64); err != nil {
-				return nil, err
-			}
-			return getFenceKeys(s, th)
-		}},
 		// A Put past the load factor doubles the table in place: the
 		// rebuild overwrites the registers the parked update wrote.
 		{"grow", func(s *stmkv.Store, th int) ([]stmkv.KV, error) {

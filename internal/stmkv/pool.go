@@ -11,9 +11,9 @@ import (
 // a fixed worker set but not a network server that spawns a goroutine
 // per connection; the pool closes that gap — a handler acquires an id
 // for the duration of one store operation and releases it, so at most
-// Size() operations run concurrently and each holds a distinct id.
+// one operation per id runs at a time.
 //
-// The pool is a buffered channel underneath: Acquire blocks when all
+// The pool is a buffered channel underneath: AcquireCtx blocks when all
 // ids are in flight, providing natural admission control (excess
 // requests queue in the scheduler instead of violating the TM's
 // threading contract).
@@ -35,16 +35,10 @@ func NewThreadPool(first, count int) (*ThreadPool, error) {
 	return p, nil
 }
 
-// Size returns the number of ids the pool manages.
-func (p *ThreadPool) Size() int { return p.count }
-
-// Acquire blocks until a thread id is free and returns it. The caller
-// owns the id until Release.
-func (p *ThreadPool) Acquire() int { return <-p.ids }
-
-// AcquireCtx is Acquire bounded by ctx: it returns ctx.Err() if the
-// context ends before an id frees up (a cancelled request stops
-// queueing for the store instead of occupying a handler forever).
+// AcquireCtx blocks until a thread id is free and returns it; the
+// caller owns the id until Release. It returns ctx.Err() if the context
+// ends before an id frees up (a cancelled request stops queueing for
+// the store instead of occupying a handler forever).
 func (p *ThreadPool) AcquireCtx(ctx context.Context) (int, error) {
 	select {
 	case id := <-p.ids:
@@ -54,7 +48,7 @@ func (p *ThreadPool) AcquireCtx(ctx context.Context) (int, error) {
 	}
 }
 
-// Release returns an id obtained from Acquire/AcquireCtx to the pool.
+// Release returns an id obtained from AcquireCtx to the pool.
 // Releasing an id the pool did not hand out corrupts the accounting;
 // the double-release panic below catches the common form (the channel
 // is sized exactly to the id count).

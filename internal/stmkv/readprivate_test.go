@@ -161,7 +161,7 @@ func TestScanPageWindowAdmitsWritersOutside(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Resize(1, slots); err != nil {
+		if err := s.Rehash(1, 0, int64(slots)); err != nil {
 			t.Fatal(err)
 		}
 		return s, tm.(telemetry.Provider).TelemetryBoard()
@@ -291,8 +291,8 @@ func val(k int64) int64 { return k*31 + 7 }
 // reader of never-modified keys and a writer checked against a plain-map
 // oracle, on every TM. The reader's Gets run through
 // the walkers' read-private windows; the writer's puts grow and compact
-// the shards under the walkers; and every other ScanPage walk resizes
-// the store between its first two pages, so a rehash of the shard its
+// the shards under the walkers; and every other ScanPage walk rehashes
+// every shard between its first two pages, so a rehash of the shard its
 // cursor points into is certain to land between two pages. The writer
 // keeps going until both walkers have completed walks.
 //
@@ -443,9 +443,11 @@ func TestScanWindowsBesideChurn(t *testing.T) {
 						if page == 0 && walk%2 == 0 {
 							// Alternate the target so the tables change
 							// size as well as block.
-							if err := s.Resize(pager, slots>>(walk/2%2)); err != nil {
-								fail("Resize: %v", err)
-								return
+							for sh := range shards {
+								if err := s.Rehash(pager, sh, int64(slots>>(walk/2%2))); err != nil {
+									fail("Rehash: %v", err)
+									return
+								}
 							}
 						}
 						runtime.Gosched()

@@ -20,12 +20,11 @@
 //
 // Point operations (Get/Put/Delete) are single transactions that read
 // the shard's flag first and touch the header and table only when its
-// state admits them. Bulk operations (Scan, ScanPage, Clear, Resize,
-// and the automatic growth triggered by Put) privatize the shard
-// through package region, which carries Figure 7's cycle, the state
-// encoding of the flag and the safety argument: the flag, winLo and
-// winHi are the shard's region.Guard. A shard is exclusive while a
-// rehash, Clear or Resize holds it, and read-private over the slot
+// state admits them. Scan, ScanPage and the growth Put triggers
+// privatize the shard through package region, which carries Figure 7's
+// cycle, the state encoding of the flag and the safety argument: the
+// flag, winLo and winHi are the shard's region.Guard. A shard is
+// exclusive while a rehash holds it, and read-private over the slot
 // window [winLo, winHi] while Scan or ScanPage walks it. Put and Delete
 // stall on the exclusive state, and on the read-private one when the
 // slot they are about to write — a value update, an insert, a reused
@@ -59,21 +58,15 @@
 // rebuild overwrites the very registers a doomed transaction may still
 // be reading or rolling back.
 //
-// The privatization frequency is therefore a first-class knob: it is
-// driven by how often callers Scan/Clear/Resize and by the growth
-// policy (maxLoadNum/maxLoadDen), and the Stats counters expose it.
-// WithTransactionalScan provides the contrast configuration — Scan as
-// one big read-only transaction per shard, no fence, the natural choice
-// on a TM like NOrec whose privatization is safe without fences.
-//
-// Clear and Resize use *batched* privatization: every shard is taken
-// exclusive (ascending order, so concurrent bulk operations never
-// deadlock), then ONE fence covers all shards' operate→publish tails
-// instead of one fence per shard. No reader can observe a
-// half-maintained shard — point operations wait while the shard is
-// exclusive (on the owner's publish gate, rather than by re-running
-// their transaction), and the flag returns to shared only after the
-// work published.
+// How often the store privatizes is set by how often callers scan and
+// by the growth policy (maxLoadNum/maxLoadDen); the Stats counters
+// expose it. Every privatization is one shard's own cycle with its own
+// fence. Point operations wait while their shard is exclusive (on the
+// owner's publish gate, rather than by re-running their transaction),
+// so no reader observes a half-rebuilt shard. WithTransactionalScan
+// provides the contrast configuration — Scan as one big read-only
+// transaction per shard, no fence, the natural choice on a TM like
+// NOrec whose privatization is safe without fences.
 package stmkv
 
 import (
@@ -140,27 +133,27 @@ type Option func(*Store)
 // all; on TL2 the transactional scan pays validation instead).
 func WithTransactionalScan() Option { return func(s *Store) { s.txnScan = true } }
 
-// Stats counts the store's privatization traffic. Grows, Compactions
-// and Clears are the store's own counters. The rest are summed from the
-// TM's telemetry board, so they count every structure over the TM, and
-// they stay zero on a TM without one.
+// Stats counts the store's privatization traffic. Grows and
+// Compactions are the store's own counters. The rest are summed from
+// the TM's telemetry board, so they count every structure over the TM,
+// and they stay zero on a TM without one.
 type Stats struct {
 	// Privatizations is the number of privatize→fence→publish cycles
-	// (every bulk operation on every shard contributes one).
+	// (every scan window and every rehash contributes one).
 	Privatizations int64
 	// Grows is the number of rehashes Put triggered that doubled a
 	// shard's capacity; Compactions is the number it triggered at the
-	// same capacity, only to drop tombstones. Resize counts in neither.
+	// same capacity, only to drop tombstones.
 	Grows, Compactions int64
-	// Scans counts Scan and ScanPage calls; Clears counts shard wipes.
-	Scans, Clears int64
+	// Scans counts Scan and ScanPage calls.
+	Scans int64
 	// ScanWindows counts privatized scan windows: one
 	// privatize→fence→walk→publish cycle each, one or more per shard a
 	// privatizing Scan or a ScanPage visits.
 	ScanWindows int64
 	// GateSpinWakes, GateParks, GateTimeouts count how operations that
-	// stalled on a private shard waited (region.Gate): the spin saw
-	// a publish, the waiter parked, the park ran into its timeout.
+	// stalled on a private shard waited on its publish gate: the spin
+	// saw a publish, the waiter parked, the park ran into its timeout.
 	// ReadThroughs counts Gets that ran beside a scan window instead of
 	// stalling.
 	GateSpinWakes, GateParks, GateTimeouts, ReadThroughs int64
@@ -190,7 +183,6 @@ type Store struct {
 	// by maintenance threads while readers poll Stats.
 	grows       padInt64
 	compactions padInt64
-	clears      padInt64
 
 	// board is the TM's telemetry board when the TM carries one; scans,
 	// scan windows and read-throughs are recorded per thread on it.
@@ -295,7 +287,6 @@ func (s *Store) Stats() Stats {
 		Grows:          s.grows.Load(),
 		Compactions:    s.compactions.Load(),
 		Scans:          tel.Scans,
-		Clears:         s.clears.Load(),
 		ScanWindows:    tel.ScanWindows,
 		GateSpinWakes:  tel.GateSpinWakes,
 		GateParks:      tel.GateParks,
@@ -715,9 +706,9 @@ func (s *Store) scanShardTxn(th, shard int, out []KV) ([]KV, error) {
 	return out, err
 }
 
-// DefaultScanPageLimit is the page size ScanPage uses when the caller
+// defaultScanPageLimit is the page size ScanPage uses when the caller
 // passes limit <= 0.
-const DefaultScanPageLimit = 256
+const defaultScanPageLimit = 256
 
 // scanCursor is the decoded resume point of a paginated scan: the next
 // shard and slot to read, plus the table identity (rehash generation
@@ -821,7 +812,7 @@ func (s *Store) parseCursor(str string) (scanCursor, error) {
 // the restarted shard) rather than missing rehash-moved keys.
 func (s *Store) ScanPage(th int, cursor string, limit int) (pairs []KV, next string, err error) {
 	if limit <= 0 {
-		limit = DefaultScanPageLimit
+		limit = defaultScanPageLimit
 	}
 	var c scanCursor
 	if cursor != "" {
@@ -924,45 +915,6 @@ func scanWindowSlots(need, rest, cap, count int64) int64 {
 		return rest
 	}
 	return min(rest, need*cap*5/(4*count)+32)
-}
-
-// Clear empties the store: every shard privatizes, one fence covers
-// them all, and each shard is wiped and published before Clear returns.
-func (s *Store) Clear(th int) error {
-	return s.privatizeAll(th, func(sh int) error {
-		tab, base := s.table(sh)
-		tm := s.tm
-		cap := int(tm.Load(th, base+offCap))
-		for i := 0; i < cap; i++ {
-			tm.Store(th, keyReg(tab, i), keyEmpty)
-			tm.Store(th, valReg(tab, i), 0)
-		}
-		tm.Store(th, base+offCount, 0)
-		tm.Store(th, base+offTombs, 0)
-		s.clears.Add(1)
-		return nil
-	})
-}
-
-// Resize rehashes every shard to the given active capacity (clamped to
-// [live keys, slot arena]). Like Clear, all shards privatize up front
-// and ONE fence covers every shard's rehash. Each table is rebuilt in
-// its own block, which grows when the capacity needs a larger class and
-// never shrinks.
-func (s *Store) Resize(th, slots int) error {
-	if slots < 1 {
-		slots = 1
-	}
-	if slots > s.slots {
-		slots = s.slots
-	}
-	return s.privatizeAll(th, func(sh int) error {
-		target := int64(slots)
-		if live := s.tm.Load(th, s.base(sh)+offCount); target < live {
-			target = live
-		}
-		return s.rehashTo(th, sh, target)
-	})
 }
 
 // Drain settles the table heap and returns the first error a
@@ -1077,41 +1029,4 @@ func (s *Store) rehashTo(th, shard int, newCap int64) error {
 	tm.Store(th, base+offCount, int64(len(live)))
 	tm.Store(th, base+offTombs, 0)
 	return nil
-}
-
-// privatizeAll is the batched bulk-maintenance cycle: commit the
-// exclusive-privatizing transaction for every shard (ascending order,
-// so concurrent bulk operations cannot deadlock), run ONE fence, then
-// work(shard) and the publish that re-shares it, shard by shard. The
-// fence starts after every privatizing transaction committed, so no
-// transaction that saw any of the shards shared is still live when the
-// work runs. work must use only uninstrumented accesses and heap
-// calls. Every shard is published even when work fails on another; the
-// errors are joined.
-func (s *Store) privatizeAll(th int, work func(shard int) error) error {
-	for sh := 0; sh < s.shards; sh++ {
-		if err := s.own.Take(th, exclusive(s.base(sh))); err != nil {
-			// Re-share what we already hold: a half-acquired bulk op
-			// must not leave shards privatized forever. A publish that
-			// fails here leaves its shard stuck odd — report it instead
-			// of letting point operations time out against it silently.
-			for done := 0; done < sh; done++ {
-				if perr := s.own.Publish(th, guard(s.base(done)).Give); perr != nil {
-					err = errors.Join(err, fmt.Errorf("stmkv: rollback publish of shard %d failed (shard stuck private): %w", done, perr))
-				}
-			}
-			return err
-		}
-	}
-	s.own.Fence(th)
-	var errs []error
-	for sh := 0; sh < s.shards; sh++ {
-		if err := work(sh); err != nil {
-			errs = append(errs, err)
-		}
-		if err := s.own.Publish(th, guard(s.base(sh)).Give); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
 }

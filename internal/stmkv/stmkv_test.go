@@ -99,7 +99,9 @@ func scanMap(t *testing.T, kvs []stmkv.KV) map[int64]int64 {
 	return m
 }
 
-func TestScanClearResize(t *testing.T) {
+// TestScanModes: Scan returns every pair once, both as privatized
+// windows and as read-only transactions (WithTransactionalScan).
+func TestScanModes(t *testing.T) {
 	for _, txnScan := range []bool{false, true} {
 		t.Run(fmt.Sprintf("txnScan=%v", txnScan), func(t *testing.T) {
 			var opts []stmkv.Option
@@ -127,34 +129,6 @@ func TestScanClearResize(t *testing.T) {
 					t.Fatalf("Scan[%d] = %d, want %d", k, got[k], v)
 				}
 			}
-			// Resize down (clamped to live keys) and back up: contents
-			// must survive both rehashes.
-			if err := s.Resize(1, 1); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Resize(1, 32); err != nil {
-				t.Fatal(err)
-			}
-			kvs, err = s.Scan(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := scanMap(t, kvs); len(got) != len(want) {
-				t.Fatalf("post-resize Scan has %d keys, want %d", len(got), len(want))
-			}
-			if err := s.Clear(1); err != nil {
-				t.Fatal(err)
-			}
-			if ln, _ := s.Len(1); ln != 0 {
-				t.Fatalf("Len after Clear = %d", ln)
-			}
-			kvs, err = s.Scan(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(kvs) != 0 {
-				t.Fatalf("Scan after Clear returned %d pairs", len(kvs))
-			}
 		})
 	}
 }
@@ -166,7 +140,7 @@ func TestScanClearResize(t *testing.T) {
 func TestCompactions(t *testing.T) {
 	const live, slots = 8, 64
 	s := newStore(t, "tl2", 1, 2*slots, 2)
-	if err := s.Resize(1, slots); err != nil {
+	if err := s.Rehash(1, 0, slots); err != nil {
 		t.Fatal(err)
 	}
 	for k := int64(1); k <= 1000; k++ {
@@ -299,10 +273,9 @@ func requireRefused(t *testing.T, spec string) {
 }
 
 // TestKVFenceModes runs the store's full lifecycle — puts crossing the
-// growth path, scans, resize, clear, drain, reuse — on every TM with
-// the paper's fence, the only safe one. A Resize or Clear of N shards
-// privatizes all N and runs ONE fence for them, counted on the TM's
-// telemetry board.
+// growth path, scans, paged scans, drain, reuse — on every TM with the
+// paper's fence, the only safe one. Each ScanPage window runs one
+// fence, counted on the TM's telemetry board.
 func TestKVFenceModes(t *testing.T) {
 	const shards = 4
 	for _, spec := range allSpecs {
@@ -346,42 +319,15 @@ func TestKVFenceModes(t *testing.T) {
 			if paged != len(want) {
 				t.Fatalf("ScanPage pages hold %d keys, want %d", paged, len(want))
 			}
-			before := board.Snapshot()
-			if err := s.Resize(1, 48); err != nil {
-				t.Fatal(err)
-			}
-			d := board.Snapshot().Delta(before)
-			if d.Fences != 1 || d.Privatizations != shards {
-				t.Fatalf("Resize of %d shards ran %d fences over %d privatizations, want 1 over %d", shards, d.Fences, d.Privatizations, shards)
-			}
-			for k := int64(1); k <= 40; k++ {
-				v, ok, err := s.Get(2, k)
-				if err != nil || !ok || v != k*3 {
-					t.Fatalf("Get(%d) after Resize = %d,%v,%v", k, v, ok, err)
-				}
-			}
-			before = board.Snapshot()
-			if err := s.Clear(1); err != nil {
-				t.Fatal(err)
-			}
-			if d := board.Snapshot().Delta(before); d.Fences != 1 {
-				t.Fatalf("Clear of %d shards ran %d fences, want 1", shards, d.Fences)
-			}
-			if ln, err := s.Len(2); err != nil || ln != 0 {
-				t.Fatalf("Len after Clear = %d, %v", ln, err)
-			}
 			if err := s.Drain(1); err != nil {
 				t.Fatalf("Drain: %v", err)
 			}
-			if got := s.Stats(); got.Clears != shards {
-				t.Fatalf("Clears = %d after Clear of %d shards", got.Clears, shards)
-			}
-			// The store stays usable after bulk maintenance.
+			// The store stays usable after the scans and the drain.
 			if err := s.Put(1, 7, 77); err != nil {
 				t.Fatal(err)
 			}
 			if v, ok, _ := s.Get(1, 7); !ok || v != 77 {
-				t.Fatalf("post-clear Get = %d,%v", v, ok)
+				t.Fatalf("Get after the drain = %d,%v", v, ok)
 			}
 		})
 		for _, fence := range retiredFenceModes {
@@ -393,8 +339,8 @@ func TestKVFenceModes(t *testing.T) {
 
 // TestConcurrentDisjointRanges is the determinism test: workers operate
 // on disjoint key ranges (so each range's final contents are a pure
-// function of its own op sequence) while Scan/Resize privatize shards
-// under them. The final Scan must equal the union of the per-worker
+// function of its own op sequence) while Scans and Rehashes privatize
+// shards under them. The final Scan must equal the union of the per-worker
 // model maps — on every TM, and with the workers' Scans as read-only
 // transactions (WithTransactionalScan) on every TM.
 func TestConcurrentDisjointRanges(t *testing.T) {
@@ -467,15 +413,17 @@ func TestConcurrentDisjointRanges(t *testing.T) {
 					}
 				}(w)
 			}
-			// A maintenance thread resizing under the workers.
+			// A maintenance thread rehashing every shard under the workers.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				th := workers + 1
 				for i := 0; i < 4; i++ {
-					if err := s.Resize(th, 64+i*32); err != nil {
-						errs <- err
-						return
+					for sh := range s.Shards() {
+						if err := s.Rehash(th, sh, int64(64+i*32)); err != nil {
+							errs <- err
+							return
+						}
 					}
 				}
 			}()
@@ -546,21 +494,20 @@ func TestScanIsPerShardSnapshot(t *testing.T) {
 	}
 }
 
-// TestKVBatchReclaimResizeRace is the Resize-vs-growth race:
-// concurrent Resizes, each one batch of privatize→rehash→publish cycles
-// that rebuilds every shard's table in place, in the one block of its
-// heap chunk, under a single fence, interleaved with point operations
-// whose Puts grow shards in place on their own. Nothing is freed, so
-// after a Drain the heap must still hold exactly one live table block
-// per shard and no pending frees, every Resize must have run at least
-// one privatize cycle per shard, and every surviving key must be
-// readable with a value some Put wrote. Run under -race in CI.
-func TestKVBatchReclaimResizeRace(t *testing.T) {
+// TestRehashRacesPointOps: concurrent Rehash callers, each rebuilding
+// one shard's table in place in its own privatize→fence→rehash→publish
+// cycle, race point operations whose Puts grow shards in place on their
+// own. Nothing is freed, so after a Drain the heap must still hold
+// exactly one live table block per shard and no pending frees, every
+// Rehash must have run at least one privatize cycle, and every
+// surviving key must be readable with a value some Put wrote. Run under
+// -race in CI.
+func TestRehashRacesPointOps(t *testing.T) {
 	for _, spec := range []string{"tl2", "norec"} {
 		t.Run(spec+"/per-free", func(t *testing.T) {
 			const shards, slots = 4, 64
-			const workers, resizers = 2, 2
-			threads := workers + resizers + 1
+			const workers, rehashers = 2, 2
+			threads := workers + rehashers + 1
 			tm, err := engine.NewSpec(spec, stmkv.RegsNeeded(shards, slots), threads+1, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -612,17 +559,19 @@ func TestKVBatchReclaimResizeRace(t *testing.T) {
 					}
 				}(w)
 			}
-			for rz := 1; rz <= resizers; rz++ {
+			for rh := 1; rh <= rehashers; rh++ {
 				wg.Add(1)
 				go func(th int) {
 					defer wg.Done()
 					for i := 0; i < rounds; i++ {
-						if err := s.Resize(th, 16+(i%2)*32); err != nil {
-							errs <- fmt.Errorf("resizer %d round %d: %w", th, i, err)
-							return
+						for sh := range shards {
+							if err := s.Rehash(th, sh, int64(16+(i%2)*32)); err != nil {
+								errs <- fmt.Errorf("rehasher %d round %d: %w", th, i, err)
+								return
+							}
 						}
 					}
-				}(workers + rz)
+				}(workers + rh)
 			}
 			wg.Wait()
 			close(errs)
@@ -639,8 +588,8 @@ func TestKVBatchReclaimResizeRace(t *testing.T) {
 			if hs.PendingFrees != 0 {
 				t.Fatalf("%d pending frees after Drain", hs.PendingFrees)
 			}
-			if got, want := s.Stats().Privatizations, int64(resizers*rounds*shards); got < want {
-				t.Fatalf("%d privatize cycles after Drain, want >= %d (one per shard per Resize)", got, want)
+			if got, want := s.Stats().Privatizations, int64(rehashers*rounds*shards); got < want {
+				t.Fatalf("%d privatize cycles after Drain, want >= %d (one per Rehash)", got, want)
 			}
 			for k := int64(1); k <= keys; k++ {
 				v, ok, err := s.Get(1, k)
@@ -815,12 +764,12 @@ func TestThreadPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Size() != 3 {
-		t.Fatalf("Size = %d, want 3", p.Size())
-	}
 	seen := map[int]bool{}
 	for i := 0; i < 3; i++ {
-		id := p.Acquire()
+		id, err := p.AcquireCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if id < 2 || id > 4 {
 			t.Fatalf("id %d outside [2,4]", id)
 		}

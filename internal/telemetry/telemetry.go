@@ -56,7 +56,7 @@ type Slot struct {
 	// it under this name; TestHashMapRehashWindowsRecorded).
 	RehashWindows atomic.Int64
 	// GateSpinWakes, GateParks and GateTimeouts count how stalls on a
-	// publish gate (region.Gate) ended: the spin saw the gate open,
+	// publish gate (package region) ended: the spin saw the gate open,
 	// the waiter parked on the gate's channel, the park ran into its
 	// backstop timeout. Bumped only on the stall path.
 	GateSpinWakes atomic.Int64
