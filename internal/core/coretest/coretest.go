@@ -79,13 +79,15 @@ func boardOf(tm core.TM) *telemetry.Board {
 // ReadCounter is a core.TM that counts the transactional reads its
 // transactions make and, among them, the repeated ones: reads of a
 // register the same transaction has already read. It also counts their
-// Write calls. Reads, Repeats and Writes accumulate across transactions
-// until Reset; drive it from one goroutine.
+// Write calls, and the uninstrumented Load and Store calls made on it
+// outside any transaction (a private phase's work). The counters
+// accumulate until Reset; drive it from one goroutine.
 type ReadCounter struct {
 	core.TM
 	tx countingTxn
 
 	Reads, Repeats, Writes int
+	Loads, Stores          int
 }
 
 // countingTxn is the transaction ReadCounter hands out; seen holds the
@@ -104,7 +106,21 @@ func NewReadCounter(tm core.TM) *ReadCounter {
 }
 
 // Reset zeroes the counters.
-func (c *ReadCounter) Reset() { c.Reads, c.Repeats, c.Writes = 0, 0, 0 }
+func (c *ReadCounter) Reset() {
+	c.Reads, c.Repeats, c.Writes, c.Loads, c.Stores = 0, 0, 0, 0, 0
+}
+
+// Load counts the uninstrumented load.
+func (c *ReadCounter) Load(th, x int) int64 {
+	c.Loads++
+	return c.TM.Load(th, x)
+}
+
+// Store counts the uninstrumented store.
+func (c *ReadCounter) Store(th, x int, v int64) {
+	c.Stores++
+	c.TM.Store(th, x, v)
+}
 
 // Begin begins a transaction whose reads and writes are counted.
 func (c *ReadCounter) Begin(th int) core.Txn {

@@ -260,9 +260,15 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "not found", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain")
-	_, _ = io.WriteString(w, strconv.FormatInt(v, 10)+"\n")
+	w.Header()["Content-Type"] = textPlain
+	var buf [24]byte
+	_, _ = w.Write(append(strconv.AppendInt(buf[:0], v, 10), '\n'))
 }
+
+// textPlain is the Content-Type a GET answers with, shared by every
+// response so that setting it allocates nothing; net/http only reads a
+// header's values.
+var textPlain = []string{"text/plain"}
 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	key, err := reqKey(r)

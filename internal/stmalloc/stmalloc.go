@@ -35,11 +35,13 @@
 //
 // A block can also grow instead of moving. NewIn bumps a block from one
 // named shard's chunk, and Extend grows a block that still ends at its
-// chunk's bump pointer by moving that pointer: the block's size is
-// read off the pointer, so neither the heap nor the caller keeps it
-// anywhere else. stmkv gives each shard's table a chunk of its own and
-// rebuilds the table in place, inside the privatize→fence window that
-// already makes its registers private.
+// chunk's bump pointer by moving that pointer to exactly the size asked
+// — no class rounding, so a block extended to a size that is no class
+// must never be freed. The block's size is read off the pointer, so
+// neither the heap nor the caller keeps it anywhere else. stmkv gives
+// each shard's table a chunk of its own and rebuilds the table in
+// place, inside the privatize→fence window that already makes its
+// registers private, so a table takes exactly two registers a slot.
 //
 // # The magazine layer
 //
@@ -1223,17 +1225,22 @@ func (h *Heap) NewIn(tx core.Txn, s, n int) (int64, error) {
 	return ptr, count(tx, h.hdr(s)+offAllocs)
 }
 
-// Extend grows the block at ptr in place, inside tx, to the class that
-// holds n registers. The block must end at its chunk's bump pointer (a
-// NewIn block no later allocation passed), so its size is the bump
-// pointer minus ptr: a block that already holds the class is left as
-// it is, and a smaller one moves the bump pointer. It reports
-// errOutOfSpace when the chunk has no room for the larger class. The
-// block stays one live block: Allocs does not move, and a Free passes
-// its extended size.
+// Extend grows the block at ptr in place, inside tx, to exactly n
+// registers. The block must end at its chunk's bump pointer (a NewIn
+// block no later allocation passed), so its size is the bump pointer
+// minus ptr: a block that already holds n registers is left as it is,
+// and a smaller one moves the bump pointer to ptr+n. It reports
+// errOutOfSpace when the chunk has no room for n registers. The block
+// stays one live block: Allocs does not move.
+//
+// Extend does not round n up to a size class, so it is for a client
+// that keeps its block for good (stmkv's tables). A Free returns a
+// block to the list of the class its size rounds up to, so only a block
+// whose size is a class — BlockRegs(n) == n — may be freed, passing
+// that size; Free cannot tell the two apart, and freeing a block of any
+// other size would hand out registers past its end.
 func (h *Heap) Extend(tx core.Txn, ptr int64, n int) error {
-	c, ok := classOf(n)
-	if !ok || !h.validPtr(ptr) {
+	if n <= 0 || n > MaxBlockRegs || !h.validPtr(ptr) {
 		return fmt.Errorf("stmalloc: cannot extend block %d to %d registers: %w", ptr, n, errOutOfSpace)
 	}
 	s := h.shardOf(ptr)
@@ -1247,7 +1254,7 @@ func (h *Heap) Extend(tx core.Txn, ptr int64, n int) error {
 	if b <= ptr {
 		return fmt.Errorf("stmalloc: Extend of block %d at or past shard %d's bump pointer %d", ptr, s, b)
 	}
-	end := ptr + int64(classRegs(c))
+	end := ptr + int64(n)
 	switch {
 	case end <= b:
 		return nil

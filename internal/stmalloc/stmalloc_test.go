@@ -269,10 +269,11 @@ func TestAbortedAllocationRollsBack(t *testing.T) {
 
 // TestNewInExtend: NewIn bumps a block from the named shard's chunk
 // only, and Extend grows the chunk's last block in place by moving the
-// bump pointer — never shrinking it, rolling back with an aborted
-// transaction, and refusing to pass the chunk's end. The block stays
-// one live block, and a Free of its extended size returns it to that
-// size's class.
+// bump pointer to exactly the size asked, not its class — never
+// shrinking it, rolling back with an aborted transaction, and refusing
+// to pass the chunk's end. The block stays one live block, and once
+// extended to a class's size a Free of that size returns it to the
+// class.
 func TestNewInExtend(t *testing.T) {
 	tm := engine.MustNewSpec("tl2", 1<<10, 2, nil)
 	h, err := stmalloc.New(tm, 8, tm.NumRegs(), stmalloc.WithShards(2))
@@ -306,7 +307,7 @@ func TestNewInExtend(t *testing.T) {
 	for _, step := range []struct {
 		n    int
 		want int64
-	}{{10, 16}, {17, 32}, {256, 256}, {100, 256}} {
+	}{{10, 16}, {17, 17}, {256, 256}, {100, 256}} {
 		if err := atomically(func(tx core.Txn) error { return h.Extend(tx, p, step.n) }); err != nil {
 			t.Fatalf("Extend(%d): %v", step.n, err)
 		}

@@ -1,12 +1,14 @@
 package stmkv_test
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 
 	"safepriv/internal/core/coretest"
 	"safepriv/internal/engine"
-	"safepriv/internal/stmalloc"
 	"safepriv/internal/stmkv"
 	"safepriv/internal/telemetry"
 )
@@ -170,13 +172,16 @@ func TestPointOpsAllocateNothing(t *testing.T) {
 }
 
 // TestTableFootprint pins what a store's tables occupy and what their
-// growth costs. On a fresh store, N seeded Puts bump exactly one block
-// per shard, of the class its final capacity needs: every doubling
-// grows the table in place, so no smaller table is left behind and no
-// block is freed. Each Put that grows a shard runs exactly one
-// privatization and one fence; every other Put runs neither.
+// growth costs. On a fresh store, seeded Puts bump exactly one block
+// per shard, of exactly two registers per slot of its capacity: every
+// growth step extends the table in place, so no smaller table is left
+// behind, no block is freed and no block is rounded up to a size class.
+// The fills run in stages, the last of which takes every shard past
+// half its arena, where growth moves in quarter-arena steps. Each Put
+// that grows a shard runs exactly one privatization and one fence;
+// every other Put runs neither.
 func TestTableFootprint(t *testing.T) {
-	const shards, slots, n = 16, 4096, 20_000
+	const shards, slots = 16, 4096
 	tm, err := engine.NewSpec("tl2", stmkv.RegsNeeded(shards, slots), 2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -187,26 +192,123 @@ func TestTableFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(7))
-	for range n {
-		k := 1 + r.Int63n(1<<40)
-		before, grows := board.Snapshot(), s.Stats().Grows
+	puts, minCap := 0, int64(0)
+	for _, n := range []int{20_000, 30_000} {
+		for ; puts < n; puts++ {
+			k := 1 + r.Int63n(1<<40)
+			before, grows := board.Snapshot(), s.Stats().Grows
+			if err := s.Put(1, k, k); err != nil {
+				t.Fatal(err)
+			}
+			d, grew := board.Snapshot().Delta(before), s.Stats().Grows-grows
+			if d.Privatizations != grew || d.Fences != grew || grew > 1 {
+				t.Fatalf("Put(%d) grew %d times with %d privatizations and %d fences, want 0 or 1 of each", k, grew, d.Privatizations, d.Fences)
+			}
+		}
+		want := int64(0)
+		minCap = slots
+		for sh := range shards {
+			want += 2 * s.CapOf(1, sh)
+			minCap = min(minCap, s.CapOf(1, sh))
+		}
+		hs := s.HeapStats()
+		if hs.BumpRegs != want || hs.Live != shards || hs.Frees != 0 {
+			t.Fatalf("%d Puts left %+v, want BumpRegs %d (one block of 2·cap registers per shard), Live %d, Frees 0", n, hs, want, shards)
+		}
+		t.Logf("%d Puts: BumpRegs %d, smallest table %d slots", n, hs.BumpRegs, minCap)
+	}
+	if minCap <= slots/2 {
+		t.Fatalf("%d Puts left a shard at %d slots, want every shard past %d", puts, minCap, slots/2)
+	}
+	if st := s.Stats(); st.Grows == 0 || st.Compactions != 0 {
+		t.Fatalf("%d Puts grew %d times and compacted %d times, want growth and no compaction", puts, st.Grows, st.Compactions)
+	}
+}
+
+// TestGrowthSequence pins the capacities a shard passes through as it
+// fills from empty to full: doublings from min(8, slots) until a step
+// would pass a quarter of the arena, then quarter-arena steps up to the
+// arena. Every key up to the arena fits (at the arena the load factor
+// is waived), and the next one gets ErrFull. The table's block is
+// exactly two registers a slot, except that NewIn rounds the first
+// table up to its size class (12 registers to 16 for a 6-slot arena).
+func TestGrowthSequence(t *testing.T) {
+	for _, tt := range []struct {
+		slots int
+		caps  []int64
+		bump  int64
+	}{
+		{4096, []int64{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 3072, 4096}, 8192},
+		{64, []int64{8, 16, 32, 48, 64}, 128},
+		{6, []int64{6}, 16},
+		{1, []int64{1}, 2},
+	} {
+		t.Run(strconv.Itoa(tt.slots), func(t *testing.T) {
+			s, err := stmkv.New(engine.MustNewSpec("tl2", stmkv.RegsNeeded(1, tt.slots), 2, nil), 1, tt.slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			caps := []int64{s.CapOf(1, 0)}
+			for k := int64(1); k <= int64(tt.slots); k++ {
+				if err := s.Put(1, k, k); err != nil {
+					t.Fatalf("Put of key %d of %d: %v", k, tt.slots, err)
+				}
+				if c := s.CapOf(1, 0); c != caps[len(caps)-1] {
+					caps = append(caps, c)
+				}
+			}
+			if !slices.Equal(caps, tt.caps) {
+				t.Fatalf("capacities %v, want %v", caps, tt.caps)
+			}
+			if err := s.Put(1, int64(tt.slots)+1, 0); !errors.Is(err, stmkv.ErrFull) {
+				t.Fatalf("Put of key %d into a full %d-slot arena: %v, want ErrFull", tt.slots+1, tt.slots, err)
+			}
+			if st := s.Stats(); st.Grows != int64(len(tt.caps)-1) || st.Compactions != 0 {
+				t.Fatalf("%d grows and %d compactions, want %d and 0", st.Grows, st.Compactions, len(tt.caps)-1)
+			}
+			if hs := s.HeapStats(); hs.BumpRegs != tt.bump {
+				t.Fatalf("BumpRegs %d, want %d", hs.BumpRegs, tt.bump)
+			}
+		})
+	}
+}
+
+// TestRehashStores pins the uninstrumented stores of one rebuild: a
+// shard holding live keys rebuilt at newCap slots stores each key
+// register once and the value register of each occupied slot, newCap +
+// live stores into the table, plus the four header registers gen, cap,
+// count and tombs. Empty slots' value registers are left as they are.
+func TestRehashStores(t *testing.T) {
+	const slots, keys, deleted, hdrStores = 4096, 1000, 100, 4
+	rc := coretest.NewReadCounter(engine.MustNewSpec("tl2", stmkv.RegsNeeded(1, slots), 2, nil))
+	s, err := stmkv.New(rc, 1, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(1); k <= keys; k++ {
 		if err := s.Put(1, k, k); err != nil {
 			t.Fatal(err)
 		}
-		d, grew := board.Snapshot().Delta(before), s.Stats().Grows-grows
-		if d.Privatizations != grew || d.Fences != grew || grew > 1 {
-			t.Fatalf("Put(%d) grew %d times with %d privatizations and %d fences, want 0 or 1 of each", k, grew, d.Privatizations, d.Fences)
+	}
+	for k := int64(1); k <= deleted; k++ {
+		if removed, err := s.Delete(1, k); err != nil || !removed {
+			t.Fatalf("Delete(%d) = %v, %v", k, removed, err)
 		}
 	}
-	want := int64(0)
-	for sh := range shards {
-		want += int64(stmalloc.BlockRegs(int(2 * s.CapOf(1, sh))))
+	const live = keys - deleted
+	for _, newCap := range []int64{2048, 3072, 3072, 4096} {
+		rc.Reset()
+		if err := s.Rehash(1, 0, newCap); err != nil {
+			t.Fatal(err)
+		}
+		if want := int(newCap) + live + hdrStores; rc.Stores != want {
+			t.Errorf("rebuild of %d keys at %d slots: %d stores, want %d", live, newCap, rc.Stores, want)
+		}
+		t.Logf("rebuild of %d keys at %d slots: %d loads, %d stores", live, newCap, rc.Loads, rc.Stores)
 	}
-	hs := s.HeapStats()
-	if hs.BumpRegs != want || hs.Live != shards || hs.Frees != 0 {
-		t.Fatalf("%d Puts left %+v, want BumpRegs %d (one block per shard at its capacity), Live %d, Frees 0", n, hs, want, shards)
-	}
-	if st := s.Stats(); st.Grows == 0 || st.Compactions != 0 {
-		t.Fatalf("%d Puts grew %d times and compacted %d times, want growth and no compaction", n, st.Grows, st.Compactions)
+	for k := int64(1); k <= keys; k++ {
+		if v, ok, err := s.Get(1, k); err != nil || ok != (k > deleted) || (ok && v != k) {
+			t.Fatalf("Get(%d) = %d, %v, %v after the rebuilds", k, v, ok, err)
+		}
 	}
 }

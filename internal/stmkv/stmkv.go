@@ -45,18 +45,23 @@
 // consecutive slot ranges cover every such key once.
 //
 // Growth is where the store meets the allocator, and it happens in
-// place. Once the rehash's fence has run, the shard's registers belong
-// to the grower: it copies the live pairs out to Go memory, extends
-// the table's block in its chunk when the new capacity needs a larger
-// size class (stmalloc.Heap.Extend, one transaction on the chunk's
-// bump pointer, which no other shard touches), wipes the table and
-// re-inserts the pairs with uninstrumented stores, and publishes. No
-// second table is ever allocated and no block is freed, so a shard
-// occupies exactly the block of its largest capacity so far: a block
-// never shrinks, and RegsNeeded budgets one chunk of the largest class
-// per shard. The fence guards more here than a move would need: the
-// rebuild overwrites the very registers a doomed transaction may still
-// be reading or rolling back.
+// place. A table doubles until a doubling would add more than a quarter
+// of the shard's slot arena, then grows by quarter-arena steps up to
+// the arena (growStep): a 4 096-slot shard passes 8, 16, … 2 048,
+// 3 072, 4 096 slots, so a full table wastes at most a quarter of its
+// block, not half. Once the rehash's fence has run, the shard's
+// registers belong to the grower: it lays the rebuilt table out in Go
+// memory from the old table's loads, extends the table's block in its
+// chunk to exactly two registers a slot (stmalloc.Heap.Extend, one
+// transaction on the chunk's bump pointer, which no other shard
+// touches), stores the key of every slot and the value of every
+// occupied one uninstrumented, and publishes. No second table is ever
+// allocated and no block is freed, so a shard occupies exactly the
+// block of its largest capacity so far: a block never shrinks, and
+// RegsNeeded budgets one chunk of the largest class per shard. The
+// fence guards more here than a move would need: the rebuild
+// overwrites the very registers a doomed transaction may still be
+// reading or rolling back.
 //
 // How often the store privatizes is set by how often callers scan and
 // by the growth policy (maxLoadNum/maxLoadDen); the Stats counters
@@ -104,7 +109,8 @@ const (
 	maxLoadDen = 4
 
 	// initialCap is the active capacity shards start with (clamped to
-	// the slot arena): every doubling beyond it is a privatize cycle.
+	// the slot arena): every growth step beyond it (growStep) is a
+	// privatize cycle.
 	initialCap = 8
 )
 
@@ -141,9 +147,10 @@ type Stats struct {
 	// Privatizations is the number of privatize→fence→publish cycles
 	// (every scan window and every rehash contributes one).
 	Privatizations int64
-	// Grows is the number of rehashes Put triggered that doubled a
-	// shard's capacity; Compactions is the number it triggered at the
-	// same capacity, only to drop tombstones.
+	// Grows is the number of rehashes Put triggered that raised a
+	// shard's capacity (by one or more growStep steps); Compactions is
+	// the number it triggered at the same capacity, only to drop
+	// tombstones.
 	Grows, Compactions int64
 	// Scans counts Scan and ScanPage calls.
 	Scans int64
@@ -926,16 +933,16 @@ func scanWindowSlots(need, rest, cap, count int64) int64 {
 func (s *Store) Drain(th int) error { return s.heap.Drain(th) }
 
 // grow makes room in a shard for `need` more inserts after a put hit
-// the load factor: it doubles the active capacity (repeatedly, for
-// batch demand, up to the arena) or compacts tombstones at the arena
-// limit. `need` matters because a failed PutBatch aborts, discarding
-// its transactional inserts — the committed header alone would say no
-// growth is due and the retry would fail identically, forever. Put
-// passes 1; PutBatch passes the shard's share of the batch. ErrFull
-// when even a full-arena tombstone-free table cannot absorb the
-// demand (conservative for batches whose pairs update existing keys —
-// those need no slot — but a put only reports errNeedGrow when its
-// probe actually found no room).
+// the load factor: it raises the active capacity by growStep
+// (repeatedly, for batch demand, up to the arena) or compacts
+// tombstones at the arena limit. `need` matters because a failed
+// PutBatch aborts, discarding its transactional inserts — the committed
+// header alone would say no growth is due and the retry would fail
+// identically, forever. Put passes 1; PutBatch passes the shard's share
+// of the batch. ErrFull when even a full-arena tombstone-free table
+// cannot absorb the demand (conservative for batches whose pairs update
+// existing keys — those need no slot — but a put only reports
+// errNeedGrow when its probe actually found no room).
 func (s *Store) grow(th, shard int, need int64) (err error) {
 	base := s.base(shard)
 	if err := s.own.Privatize(th, exclusive(base)); err != nil {
@@ -953,14 +960,14 @@ func (s *Store) grow(th, shard int, need int64) (err error) {
 	tombs := tm.Load(th, base+offTombs)
 	// Re-check under privatization: a concurrent grower may have run
 	// between our failed put and our privatizing transaction, in which
-	// case no further doubling is due and the retry will succeed as is.
+	// case no further growth is due and the retry will succeed as is.
 	due := (count+tombs+need)*maxLoadDen > cap*maxLoadNum
 	// A rehash drops tombstones, so the rebuilt table only needs
 	// headroom for the live keys plus the pending inserts.
 	newCap := cap
 	if due {
 		for newCap < int64(s.slots) && (count+need)*maxLoadDen > newCap*maxLoadNum {
-			newCap *= 2
+			newCap += growStep(newCap, int64(s.slots))
 		}
 		if newCap > int64(s.slots) {
 			newCap = int64(s.slots)
@@ -979,7 +986,7 @@ func (s *Store) grow(th, shard int, need int64) (err error) {
 		}
 		s.compactions.Add(1)
 	case due && count+need > cap:
-		// Cannot double (at the arena), nothing to compact, and the
+		// Cannot grow (at the arena), nothing to compact, and the
 		// demand exceeds the slots themselves: it will never fit. (At
 		// the arena limit puts waive the load factor and fill the
 		// table completely, so count+need <= cap still succeeds.)
@@ -988,21 +995,44 @@ func (s *Store) grow(th, shard int, need int64) (err error) {
 	return nil
 }
 
+// growStep is how many slots one growth step adds to a table of cap
+// slots in an arena of slots: cap itself (a doubling) until that
+// reaches a quarter of the arena, a quarter of the arena from there.
+// Near the arena limit a doubling would leave up to half the table's
+// block unused; a quarter step leaves at most a quarter, and the
+// doublings below it keep the number of rebuilds a fill pays
+// logarithmic.
+func growStep(cap, slots int64) int64 { return min(cap, max(slots/4, 1)) }
+
 // rehashTo rebuilds the (privatized, quiesced) shard's table in place
-// at newCap active slots, dropping tombstones: copy the live pairs out,
-// extend the table's block when newCap needs a larger class, wipe the
-// table and re-insert the pairs with uninstrumented stores — race-free
-// because the shard's fence already ran — and bump the generation so a
-// ScanPage cursor cut against the old layout restarts the shard.
+// at newCap active slots, dropping tombstones. It lays the new table out
+// in Go memory straight from the old table's loads, extends the table's
+// block to 2·newCap registers, then stores every key register once and
+// the value register of each occupied slot — newCap + live
+// uninstrumented stores, race-free because the shard's fence already
+// ran. An empty slot's value register keeps whatever it held: nothing
+// reads a value whose key is not present, and an insert writes both.
+// Last it bumps the generation, so a ScanPage cursor cut against the old
+// layout restarts the shard.
 func (s *Store) rehashTo(th, shard int, newCap int64) error {
 	tm := s.tm
 	tab, base := s.table(shard)
 	oldCap := tm.Load(th, base+offCap)
-	live := make([]KV, 0, tm.Load(th, base+offCount))
+	next := make([]KV, newCap)
+	live := 0
 	for i := 0; i < int(oldCap); i++ {
-		if k := tm.Load(th, keyReg(tab, i)); k > 0 {
-			live = append(live, KV{k, tm.Load(th, valReg(tab, i))})
+		k := tm.Load(th, keyReg(tab, i))
+		if k <= 0 {
+			continue
 		}
+		j := slotStart(k, newCap)
+		for next[j].Key != keyEmpty {
+			if j++; j == int(newCap) {
+				j = 0
+			}
+		}
+		next[j] = KV{k, tm.Load(th, valReg(tab, i))}
+		live++
 	}
 	err := core.Atomically(tm, th, func(tx core.Txn) error {
 		return s.heap.Extend(tx, tab, int(2*newCap))
@@ -1010,23 +1040,15 @@ func (s *Store) rehashTo(th, shard int, newCap int64) error {
 	if err != nil {
 		return fmt.Errorf("stmkv: rehash to %d slots: %w", newCap, err)
 	}
-	for i := 0; i < int(newCap); i++ {
-		tm.Store(th, keyReg(tab, i), keyEmpty)
-		tm.Store(th, valReg(tab, i), 0)
-	}
-	for _, kv := range live {
-		j := slotStart(kv.Key, newCap)
-		for tm.Load(th, keyReg(tab, j)) != keyEmpty {
-			if j++; j == int(newCap) {
-				j = 0
-			}
+	for i, kv := range next {
+		tm.Store(th, keyReg(tab, i), kv.Key)
+		if kv.Key != keyEmpty {
+			tm.Store(th, valReg(tab, i), kv.Val)
 		}
-		tm.Store(th, keyReg(tab, j), kv.Key)
-		tm.Store(th, valReg(tab, j), kv.Val)
 	}
 	tm.Store(th, base+offGen, tm.Load(th, base+offGen)+1)
 	tm.Store(th, base+offCap, newCap)
-	tm.Store(th, base+offCount, int64(len(live)))
+	tm.Store(th, base+offCount, int64(live))
 	tm.Store(th, base+offTombs, 0)
 	return nil
 }
