@@ -13,6 +13,7 @@
 //	litmus -exec tl2+nofence -runs 5000     # delayed commit, live
 //	litmus -exec norec -runs 5000           # fence-free safe on NOrec
 //	litmus -prog read-privatize -exec tl2   # scan-window idiom, live
+//	litmus -prog list                       # every program's name
 //
 // A live run that violates the postcondition on a spec whose fence is
 // safe exits non-zero; on nofence/skipro violations are the point.
@@ -98,7 +99,7 @@ func liveFig1a(tm core.TM) bool {
 	return committed.Load() && tm.Load(1, x) != litmus.NuVal
 }
 
-// liveReadPrivatize is one run of litmus.ReadPrivatize(false): thread 1
+// liveReadPrivatize is one run of the read-privatize program: thread 1
 // read-privatizes x, fences, loads it uninstrumented and publishes;
 // thread 2 writes x if it sees the flag clear, then reads x in a
 // transaction that ignores the flag. The postcondition is
@@ -141,13 +142,20 @@ func liveReadPrivatize(tm core.TM) bool {
 }
 
 func main() {
-	prog := flag.String("prog", "fig1a", "program: fig1a, fig1a-nofence, fig1b, fig1b-nofence, fig2, fig3, fig6, read-privatize, read-privatize-racy")
+	prog := flag.String("prog", "fig1a", "program name (fig1a, fig1a-nofence, fig1b, …), or 'list' to print them all")
 	mk := flag.String("model", "tl2", "TM model: tl2 or atomic")
 	fence := flag.String("fence", "wait", "fence policy (tl2 model): wait, skipro, noop")
 	exec := flag.String("exec", "", "run -prog (fig1a or read-privatize) on a runtime TM by engine spec instead of model checking (or 'list')")
 	runs := flag.Int("runs", 2000, "iterations for -exec")
 	flag.Parse()
 
+	progs := litmus.All()
+	if *prog == "list" {
+		for _, q := range progs {
+			fmt.Println(q.Name)
+		}
+		return
+	}
 	if *exec != "" {
 		if *exec == "list" {
 			for _, s := range engine.Specs() {
@@ -170,21 +178,14 @@ func main() {
 		return
 	}
 
-	progs := map[string]model.Program{
-		"fig1a":         litmus.Fig1a(true),
-		"fig1a-nofence": litmus.Fig1a(false),
-		"fig1b":         litmus.Fig1b(true),
-		"fig1b-nofence": litmus.Fig1b(false),
-		"fig2":          litmus.Fig2(),
-		"fig3":          litmus.Fig3(),
-		"fig6":          litmus.Fig6(),
-
-		"read-privatize":      litmus.ReadPrivatize(false),
-		"read-privatize-racy": litmus.ReadPrivatize(true),
+	var p model.Program
+	for _, q := range progs {
+		if q.Name == *prog {
+			p = q
+		}
 	}
-	p, ok := progs[*prog]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown program %q\n", *prog)
+	if p.Name == "" {
+		fmt.Fprintf(os.Stderr, "unknown program %q (-prog list prints them)\n", *prog)
 		os.Exit(2)
 	}
 	cfg := model.Config{Prog: p}

@@ -11,11 +11,11 @@ import (
 	"safepriv/internal/spec"
 )
 
-// IsNonInterleaved reports whether the history is non-interleaved:
+// isNonInterleaved reports whether the history is non-interleaved:
 // actions of one transaction do not overlap with actions of another
 // transaction or of non-transactional accesses. Fence actions belong to
 // no node and may appear anywhere well-formedness allows.
-func IsNonInterleaved(a *spec.Analysis) error {
+func isNonInterleaved(a *spec.Analysis) error {
 	for ti := range a.Txns {
 		tx := &a.Txns[ti]
 		lo, hi := tx.First(), tx.Last()
@@ -39,10 +39,10 @@ func IsNonInterleaved(a *spec.Analysis) error {
 // (history completions of §2.4).
 type Vis []bool
 
-// DefaultVis returns the forced part of a visibility assignment:
+// defaultVis returns the forced part of a visibility assignment:
 // committed ⇒ true, aborted/live ⇒ false, commit-pending ⇒ the given
 // pending value.
-func DefaultVis(a *spec.Analysis, pending bool) Vis {
+func defaultVis(a *spec.Analysis, pending bool) Vis {
 	v := make(Vis, len(a.Txns))
 	for i := range a.Txns {
 		switch a.Txns[i].Status {
@@ -57,12 +57,12 @@ func DefaultVis(a *spec.Analysis, pending bool) Vis {
 	return v
 }
 
-// CheckLegal verifies that, under visibility assignment vis, every
+// checkLegal verifies that, under visibility assignment vis, every
 // completed read response in the (non-interleaved) history returns the
 // value of the last preceding write request that is not located in an
 // invisible transaction different from the reader's own; if there is no
 // such write, the read must return VInit (Definition B.7).
-func CheckLegal(a *spec.Analysis, vis Vis) error {
+func checkLegal(a *spec.Analysis, vis Vis) error {
 	for i, act := range a.H {
 		if act.Kind != spec.KindRet {
 			continue
@@ -108,7 +108,7 @@ func Member(h spec.History) (Vis, error) {
 
 // MemberAnalyzed is Member for a pre-analyzed history.
 func MemberAnalyzed(a *spec.Analysis) (Vis, error) {
-	if err := IsNonInterleaved(a); err != nil {
+	if err := isNonInterleaved(a); err != nil {
 		return nil, err
 	}
 	var pending []int
@@ -117,7 +117,7 @@ func MemberAnalyzed(a *spec.Analysis) (Vis, error) {
 			pending = append(pending, i)
 		}
 	}
-	vis := DefaultVis(a, false)
+	vis := defaultVis(a, false)
 	var firstErr error
 	if try(a, vis, pending, &firstErr) {
 		return vis, nil
@@ -130,7 +130,7 @@ func MemberAnalyzed(a *spec.Analysis) (Vis, error) {
 // practice (commit-pending transactions are at most one per thread).
 func try(a *spec.Analysis, vis Vis, pending []int, firstErr *error) bool {
 	if len(pending) == 0 {
-		err := CheckLegal(a, vis)
+		err := checkLegal(a, vis)
 		if err == nil {
 			return true
 		}
@@ -148,32 +148,4 @@ func try(a *spec.Analysis, vis Vis, pending []int, firstErr *error) bool {
 	}
 	vis[ti] = false
 	return false
-}
-
-// Complete materializes the completion of a non-interleaved history
-// under vis: each commit-pending transaction gets a committed or aborted
-// response appended immediately after its txcommit action. The result
-// has no commit-pending transactions.
-func Complete(a *spec.Analysis, vis Vis) spec.History {
-	var maxID spec.ActionID
-	for _, act := range a.H {
-		if act.ID > maxID {
-			maxID = act.ID
-		}
-	}
-	out := make(spec.History, 0, len(a.H)+len(a.Txns))
-	for i, act := range a.H {
-		out = append(out, act)
-		ti := a.TxnOf[i]
-		if ti == -1 || a.Txns[ti].Status != spec.TxnCommitPending || i != a.Txns[ti].Last() {
-			continue
-		}
-		kind := spec.KindAborted
-		if vis[ti] {
-			kind = spec.KindCommitted
-		}
-		maxID++
-		out = append(out, spec.Action{ID: maxID, Thread: act.Thread, Kind: kind})
-	}
-	return out
 }

@@ -37,7 +37,7 @@ func TestNonInterleavedRejectsOverlap(t *testing.T) {
 	b.ReadRet(2, 0, spec.VInit) // interleaves
 	b.Commit(1)
 	a := b.MustAnalyze()
-	if err := IsNonInterleaved(a); err == nil {
+	if err := isNonInterleaved(a); err == nil {
 		t.Fatal("interleaved history accepted as non-interleaved")
 	}
 }
@@ -48,7 +48,7 @@ func TestNonInterleavedAllowsSequential(t *testing.T) {
 	b.ReadRet(2, 0, 1)
 	b.TxBeginOK(2).ReadRet(2, 0, 1).Commit(2)
 	a := b.MustAnalyze()
-	if err := IsNonInterleaved(a); err != nil {
+	if err := isNonInterleaved(a); err != nil {
 		t.Fatalf("sequential history rejected: %v", err)
 	}
 }
@@ -59,7 +59,7 @@ func TestNonInterleavedAllowsFenceBetween(t *testing.T) {
 	b.Fence(2)
 	b.TxBeginOK(2).Commit(2)
 	a := b.MustAnalyze()
-	if err := IsNonInterleaved(a); err != nil {
+	if err := isNonInterleaved(a); err != nil {
 		t.Fatalf("fence between transactions rejected: %v", err)
 	}
 }
@@ -192,7 +192,7 @@ func TestComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc := Complete(a, vis)
+	hc := complete(a, vis)
 	if len(hc) != len(h)+1 {
 		t.Fatalf("completion added %d actions, want 1", len(hc)-len(h))
 	}
@@ -206,7 +206,7 @@ func TestComplete(t *testing.T) {
 		}
 	}
 	// The completion itself must be legal under its committed statuses.
-	if err := CheckLegal(ac, DefaultVis(ac, false)); err != nil {
+	if err := checkLegal(ac, defaultVis(ac, false)); err != nil {
 		t.Errorf("completion not legal: %v", err)
 	}
 }
@@ -222,4 +222,32 @@ func TestMemberRejectsIllFormed(t *testing.T) {
 	if _, err := Member(h); err == nil {
 		t.Fatal("ill-formed history accepted")
 	}
+}
+
+// complete materializes the completion of a non-interleaved history
+// under vis: each commit-pending transaction gets a committed or aborted
+// response appended immediately after its txcommit action. The result
+// has no commit-pending transactions.
+func complete(a *spec.Analysis, vis Vis) spec.History {
+	var maxID spec.ActionID
+	for _, act := range a.H {
+		if act.ID > maxID {
+			maxID = act.ID
+		}
+	}
+	out := make(spec.History, 0, len(a.H)+len(a.Txns))
+	for i, act := range a.H {
+		out = append(out, act)
+		ti := a.TxnOf[i]
+		if ti == -1 || a.Txns[ti].Status != spec.TxnCommitPending || i != a.Txns[ti].Last() {
+			continue
+		}
+		kind := spec.KindAborted
+		if vis[ti] {
+			kind = spec.KindCommitted
+		}
+		maxID++
+		out = append(out, spec.Action{ID: maxID, Thread: act.Thread, Kind: kind})
+	}
+	return out
 }

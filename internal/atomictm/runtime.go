@@ -41,8 +41,8 @@ type config struct {
 	sink    record.Sink
 }
 
-// WithStripes sets the lock-table size (0 = stripe default).
-func WithStripes(n int) Option { return func(c *config) { c.stripes = n } }
+// withStripes sets the lock-table size (0 = stripe default).
+func withStripes(n int) Option { return func(c *config) { c.stripes = n } }
 
 // WithSink attaches a recording sink.
 func WithSink(s record.Sink) Option { return func(c *config) { c.sink = s } }
@@ -57,7 +57,7 @@ type TM struct {
 }
 
 type slot struct {
-	tx Txn
+	tx txn
 	_  [64]byte
 }
 
@@ -167,9 +167,9 @@ type heldStripe struct {
 	old int64
 }
 
-// Txn is a two-phase-locking transaction: all stripe locks are held
+// txn is a two-phase-locking transaction: all stripe locks are held
 // until commit/abort.
-type Txn struct {
+type txn struct {
 	tm     *TM
 	thread int
 	live   bool
@@ -177,19 +177,19 @@ type Txn struct {
 	undo   []undoEntry
 }
 
-func (tx *Txn) reset() {
+func (tx *txn) reset() {
 	tx.held = tx.held[:0]
 	tx.undo = tx.undo[:0]
 }
 
-func (tx *Txn) finish() {
+func (tx *txn) finish() {
 	tx.live = false
 	tx.tm.fence.Exit(tx.thread)
 }
 
 // lockStripe acquires x's stripe unless already held; false means
 // conflict (the caller aborts).
-func (tx *Txn) lockStripe(x int) bool {
+func (tx *txn) lockStripe(x int) bool {
 	tm := tx.tm
 	s := tm.table.StripeOf(x)
 	if tm.table.Lock(s).OwnedBy(tx.thread) {
@@ -205,7 +205,7 @@ func (tx *Txn) lockStripe(x int) bool {
 
 // releaseAll rolls back the undo log (abort only) and releases every
 // held stripe, values strictly before locks.
-func (tx *Txn) releaseAll(abort bool) {
+func (tx *txn) releaseAll(abort bool) {
 	tm := tx.tm
 	if abort {
 		for i := len(tx.undo) - 1; i >= 0; i-- {
@@ -220,7 +220,7 @@ func (tx *Txn) releaseAll(abort bool) {
 }
 
 // Read implements core.Txn.
-func (tx *Txn) Read(x int) (int64, error) {
+func (tx *txn) Read(x int) (int64, error) {
 	if !tx.live {
 		panic("atomictm: Read on finished transaction")
 	}
@@ -241,7 +241,7 @@ func (tx *Txn) Read(x int) (int64, error) {
 
 // Write implements core.Txn: in-place under the stripe lock, undo
 // logged.
-func (tx *Txn) Write(x int, v int64) error {
+func (tx *txn) Write(x int, v int64) error {
 	if !tx.live {
 		panic("atomictm: Write on finished transaction")
 	}
@@ -271,7 +271,7 @@ func (tx *Txn) Write(x int, v int64) error {
 }
 
 // Commit implements core.Txn: 2PL commit never fails.
-func (tx *Txn) Commit() error {
+func (tx *txn) Commit() error {
 	if !tx.live {
 		panic("atomictm: Commit on finished transaction")
 	}
@@ -289,10 +289,10 @@ func (tx *Txn) Commit() error {
 }
 
 // Live implements core.Txn.
-func (tx *Txn) Live() bool { return tx.live }
+func (tx *txn) Live() bool { return tx.live }
 
 // Abort implements core.Txn.
-func (tx *Txn) Abort() {
+func (tx *txn) Abort() {
 	if !tx.live {
 		panic("atomictm: Abort on finished transaction")
 	}

@@ -77,14 +77,14 @@ type TM interface {
 	Store(thread, x int, v int64)
 }
 
-// MaxAttempts bounds Atomically's retry loop; exceeding it returns
-// ErrContention. The bound is generous: TL2 livelock over bounded
+// maxAttempts bounds Atomically's retry loop; exceeding it returns
+// errContention. The bound is generous: TL2 livelock over bounded
 // register sets is short-lived.
-const MaxAttempts = 1_000_000
+const maxAttempts = 1_000_000
 
-// ErrContention is returned by Atomically when a transaction failed to
-// commit after MaxAttempts attempts.
-var ErrContention = errors.New("stm: transaction did not commit after MaxAttempts attempts")
+// errContention is returned by Atomically when a transaction failed to
+// commit after maxAttempts attempts.
+var errContention = errors.New("stm: transaction did not commit after maxAttempts attempts")
 
 // Contention backoff: after backoffAfter consecutive aborted attempts
 // Atomically stops retrying immediately and waits an exponentially
@@ -107,17 +107,17 @@ const (
 	backoffAfter = 3
 	// backoffBase is the first (pre-jitter) backoff delay.
 	backoffBase = time.Microsecond
-	// BackoffCap is the hard ceiling on any single backoff delay,
+	// backoffCap is the hard ceiling on any single backoff delay,
 	// jitter included.
-	BackoffCap = 100 * time.Microsecond
+	backoffCap = 100 * time.Microsecond
 )
 
-// BackoffDelay returns the delay Atomically waits before retry number
+// backoffDelay returns the delay Atomically waits before retry number
 // `attempt` (0-based) on `thread`: zero for the first backoffAfter
 // attempts, then exponential doubling from backoffBase with
-// deterministic per-(thread,attempt) jitter, clamped to BackoffCap.
+// deterministic per-(thread,attempt) jitter, clamped to backoffCap.
 // Deterministic and side-effect free so the policy is table-testable.
-func BackoffDelay(thread, attempt int) time.Duration {
+func backoffDelay(thread, attempt int) time.Duration {
 	if attempt < backoffAfter {
 		return 0
 	}
@@ -126,8 +126,8 @@ func BackoffDelay(thread, attempt int) time.Duration {
 		exp = 20 // avoid shifting past the cap (and past 63 bits)
 	}
 	d := backoffBase << uint(exp)
-	if d > BackoffCap {
-		d = BackoffCap
+	if d > backoffCap {
+		d = backoffCap
 	}
 	// Jitter in [0, d/2], hashed from (thread, attempt) so threads that
 	// abort in lockstep re-arrive spread out, yet every delay is
@@ -135,8 +135,8 @@ func BackoffDelay(thread, attempt int) time.Duration {
 	h := uint64(thread+1)*0x9E3779B97F4A7C15 ^ uint64(attempt+1)*0xBF58476D1CE4E5B9
 	h ^= h >> 33
 	d += time.Duration(h % uint64(d/2+1))
-	if d > BackoffCap {
-		d = BackoffCap
+	if d > backoffCap {
+		d = backoffCap
 	}
 	return d
 }
@@ -157,8 +157,8 @@ func Atomically(tm TM, thread int, body func(Txn) error) error {
 	if p, ok := tm.(telemetry.Provider); ok {
 		slot = p.TelemetryBoard().Slot(thread)
 	}
-	for attempt := 0; attempt < MaxAttempts; attempt++ {
-		if d := BackoffDelay(thread, attempt); d > 0 {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		if d := backoffDelay(thread, attempt); d > 0 {
 			// Record the delay taken, not the delay asked for: a yield
 			// may hand the processor to a goroutine that keeps it longer.
 			start := time.Now()
@@ -198,7 +198,7 @@ func Atomically(tm TM, thread int, body func(Txn) error) error {
 		}
 	}
 	if slot != nil {
-		slot.Aborts.Add(MaxAttempts)
+		slot.Aborts.Add(maxAttempts)
 	}
-	return ErrContention
+	return errContention
 }

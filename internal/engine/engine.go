@@ -75,9 +75,6 @@ type Config struct {
 	Quiescer string
 	// SortedLocks acquires TL2 commit locks in register order.
 	SortedLocks bool
-	// Stripes sets the version-lock table size for the striped TMs
-	// (tl2, wtstm, atomic); 0 selects the stripe-package default.
-	Stripes int
 	// Sink, if non-nil, receives every TM interface action for offline
 	// checking (TMs without sink support reject a non-nil Sink).
 	Sink record.Sink
@@ -109,7 +106,7 @@ func (c Config) Spec() string {
 }
 
 // Parse decodes a specification string into a Config with zero sizing
-// (callers fill in Regs/Threads/Stripes/Sink).
+// (callers fill in Regs/Threads/Sink).
 func Parse(spec string) (Config, error) {
 	parts := strings.Split(spec, "+")
 	cfg := Config{TM: strings.TrimSpace(parts[0])}
@@ -195,7 +192,7 @@ func (c *Config) normalize() error {
 	}
 	switch c.TM {
 	case "baseline":
-		if c.SortedLocks || c.Stripes != 0 {
+		if c.SortedLocks {
 			return fmt.Errorf("engine: TM %q supports no modifiers", c.TM)
 		}
 		if err := fenceIn("wait"); err != nil {
@@ -204,14 +201,14 @@ func (c *Config) normalize() error {
 		return reject(axis{"clock", c.Clock, "fai"}, axis{"quiescer", c.Quiescer, "flags"})
 	case "atomic":
 		if c.SortedLocks {
-			return fmt.Errorf("engine: TM %q supports only the stripes modifier", c.TM)
+			return fmt.Errorf("engine: TM %q does not support sorted", c.TM)
 		}
 		if err := fenceIn("wait"); err != nil {
 			return err
 		}
 		return reject(axis{"clock", c.Clock, "fai"}, axis{"quiescer", c.Quiescer, "flags"})
 	case "norec":
-		if c.SortedLocks || c.Stripes != 0 {
+		if c.SortedLocks {
 			return fmt.Errorf("engine: TM %q has no lock table", c.TM)
 		}
 		if err := fenceIn("wait"); err != nil {
@@ -250,9 +247,6 @@ func New(cfg Config) (core.TM, error) {
 		return baseline.New(cfg.Regs, cfg.Threads, cfg.Sink), nil
 	case "atomic":
 		var opts []atomictm.Option
-		if cfg.Stripes != 0 {
-			opts = append(opts, atomictm.WithStripes(cfg.Stripes))
-		}
 		if cfg.Sink != nil {
 			opts = append(opts, atomictm.WithSink(cfg.Sink))
 		}
@@ -274,9 +268,6 @@ func New(cfg Config) (core.TM, error) {
 		if cfg.Fence == "noop" {
 			opts = append(opts, wtstm.WithUnsafeFence())
 		}
-		if cfg.Stripes != 0 {
-			opts = append(opts, wtstm.WithStripes(cfg.Stripes))
-		}
 		return wtstm.New(cfg.Regs, cfg.Threads, opts...), nil
 	case "tl2":
 		var opts []tl2.Option
@@ -294,9 +285,6 @@ func New(cfg Config) (core.TM, error) {
 		}
 		if cfg.SortedLocks {
 			opts = append(opts, tl2.WithSortedLocks())
-		}
-		if cfg.Stripes != 0 {
-			opts = append(opts, tl2.WithStripes(cfg.Stripes))
 		}
 		if cfg.Sink != nil {
 			opts = append(opts, tl2.WithSink(cfg.Sink))

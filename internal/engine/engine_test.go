@@ -179,7 +179,7 @@ var parseErrorCases = []struct {
 	{"norec+skipro", "does not support fence"},
 	{"wtstm+skipro", "does not support fence"},
 	{"wtstm+sorted", "does not support"},
-	{"atomic+sorted", "supports only the stripes modifier"},
+	{"atomic+sorted", "does not support sorted"},
 	{"atomic+epochs", "does not support"},
 	{"norec+sorted", "has no lock table"},
 }
@@ -278,33 +278,6 @@ func TestParseBenignModifiers(t *testing.T) {
 func TestWtstmRejectsSink(t *testing.T) {
 	if _, err := NewSpec("wtstm", 4, 2, record.NewRecorder()); err == nil {
 		t.Fatal("wtstm with a sink must be rejected")
-	}
-}
-
-func TestStripesFlowThrough(t *testing.T) {
-	for _, tmName := range []string{"tl2", "wtstm", "atomic"} {
-		cfg := Config{TM: tmName, Regs: 64, Threads: 3, Stripes: 4}
-		tm, err := New(cfg)
-		if err != nil {
-			t.Fatalf("%s with stripes: %v", tmName, err)
-		}
-		// Transactions over registers that alias with only 4 stripes
-		// must still work.
-		if err := core.Atomically(tm, 1, func(tx core.Txn) error {
-			for x := 0; x < 16; x++ {
-				if err := tx.Write(x, int64(x)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			t.Fatalf("%s aliased transaction: %v", tmName, err)
-		}
-		for x := 0; x < 16; x++ {
-			if got := tm.Load(1, x); got != int64(x) {
-				t.Fatalf("%s: reg %d = %d, want %d", tmName, x, got, x)
-			}
-		}
 	}
 }
 

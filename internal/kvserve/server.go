@@ -40,6 +40,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -261,14 +262,20 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header()["Content-Type"] = textPlain
-	var buf [24]byte
+	buf := valueBufs.Get().(*[24]byte)
 	_, _ = w.Write(append(strconv.AppendInt(buf[:0], v, 10), '\n'))
+	valueBufs.Put(buf)
 }
 
 // textPlain is the Content-Type a GET answers with, shared by every
 // response so that setting it allocates nothing; net/http only reads a
 // header's values.
 var textPlain = []string{"text/plain"}
+
+// valueBufs holds the buffers a GET formats its value in: a stack
+// buffer would escape through the ResponseWriter's Write, which copies
+// what it is given before returning.
+var valueBufs = sync.Pool{New: func() any { return new([24]byte) }}
 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	key, err := reqKey(r)

@@ -326,7 +326,7 @@ func TestHandlerAllocs(t *testing.T) {
 		method, body string
 		want         float64 // allocations per call above the floor
 	}{
-		{http.MethodGet, "", 7},
+		{http.MethodGet, "", 6},
 		{http.MethodPut, "43", 4},
 	} {
 		t.Run(tt.method, func(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package litmus encodes the example programs of "Safe Privatization in
 // Transactional Memory" (PPoPP 2018) — Figures 1(a), 1(b), 2, 3 and 6 —
-// as model-checkable programs, together with their postconditions, plus
-// the idioms this repository builds on them (PrivatizePublish,
-// ReadPrivatize).
+// as model-checkable programs, each documenting its postcondition (the
+// package's tests check them), plus the idioms this repository builds
+// on them (privatize-publish, read-privatize).
 //
 // Conventions forced by the unique-writes assumption (§2.2): boolean
 // flags are encoded as registers whose initial value 0 plays the role
@@ -18,15 +18,15 @@ const (
 	RegFlag = 0
 	// RegX is the privatized/published object x.
 	RegX = 1
-	// RegY is Figure 3's second register.
-	RegY = 2
+	// regY is Figure 3's second register.
+	regY = 2
 )
 
 // Values written by the programs (all distinct and nonzero).
 const (
-	// FlagSet marks the flag raised (x privatized in Fig 1, x published
+	// flagSet marks the flag raised (x privatized in Fig 1, x published
 	// in Fig 2, x ready in Fig 6).
-	FlagSet = 5
+	flagSet = 5
 	// NuVal is the non-transactional write's value (ν in the figures).
 	NuVal = 1
 	// TxVal is the transactional write's value (42 in the figures).
@@ -35,7 +35,7 @@ const (
 
 // Fig1a is the delayed-commit privatization example of Figure 1(a):
 //
-//	thread 1: l := atomic { flag := FlagSet };   // T1 privatizes x
+//	thread 1: l := atomic { flag := flagSet };   // T1 privatizes x
 //	          [fence;]                           // iff withFence
 //	          if (l == committed) x := NuVal     // ν, uninstrumented
 //	thread 2: l2 := atomic {                     // T2
@@ -47,7 +47,7 @@ const (
 func Fig1a(withFence bool) model.Program {
 	th1 := []model.Stmt{
 		model.Atomic{Lv: "l", Body: []model.Stmt{
-			model.Write{X: RegFlag, E: model.Const(FlagSet)},
+			model.Write{X: RegFlag, E: model.Const(flagSet)},
 		}},
 	}
 	if withFence {
@@ -68,22 +68,14 @@ func Fig1a(withFence bool) model.Program {
 	}
 	name := "fig1a-nofence"
 	if withFence {
-		name = "fig1a-fence"
+		name = "fig1a"
 	}
 	return model.Program{Name: name, Regs: 2, Threads: [][]model.Stmt{th1, th2}}
 }
 
-// Fig1aPost is Figure 1(a)'s postcondition.
-func Fig1aPost(f model.Final) bool {
-	if f.Locals[1]["l"] == model.ResCommitted {
-		return f.Regs[RegX] == NuVal
-	}
-	return true
-}
-
 // Fig1b is the doomed-transaction example of Figure 1(b):
 //
-//	thread 1: l := atomic { flag := FlagSet };
+//	thread 1: l := atomic { flag := flagSet };
 //	          [fence;]
 //	          if (l == committed) x := NuVal      // ν
 //	thread 2: l2 := atomic {
@@ -97,7 +89,7 @@ func Fig1aPost(f model.Final) bool {
 func Fig1b(withFence bool) model.Program {
 	th1 := []model.Stmt{
 		model.Atomic{Lv: "l", Body: []model.Stmt{
-			model.Write{X: RegFlag, E: model.Const(FlagSet)},
+			model.Write{X: RegFlag, E: model.Const(flagSet)},
 		}},
 	}
 	if withFence {
@@ -125,28 +117,28 @@ func Fig1b(withFence bool) model.Program {
 	}
 	name := "fig1b-nofence"
 	if withFence {
-		name = "fig1b-fence"
+		name = "fig1b"
 	}
 	return model.Program{Name: name, Regs: 2, Threads: [][]model.Stmt{th1, th2}}
 }
 
-// Fig2 is the publication example of Figure 2. The paper's program
+// fig2 is the publication example of Figure 2. The paper's program
 // starts with x_is_private = true; with zero-initialized registers we
 // invert the flag's sense: flag == 0 means private, a nonzero flag
 // means published.
 //
 //	thread 1: x := TxVal;                         // ν, uninstrumented
-//	          l1 := atomic { flag := FlagSet }    // T1 publishes
+//	          l1 := atomic { flag := flagSet }    // T1 publishes
 //	thread 2: l2 := atomic {                      // T2
 //	            f := flag.read();
 //	            if (f != 0) l := x.read() }
 //
 // Postcondition: l2 = committed ∧ l ≠ 0 ⇒ l = TxVal.
-func Fig2() model.Program {
+func fig2() model.Program {
 	th1 := []model.Stmt{
 		model.Write{X: RegX, E: model.Const(TxVal)},
 		model.Atomic{Lv: "l1", Body: []model.Stmt{
-			model.Write{X: RegFlag, E: model.Const(FlagSet)},
+			model.Write{X: RegFlag, E: model.Const(flagSet)},
 		}},
 	}
 	th2 := []model.Stmt{
@@ -161,15 +153,7 @@ func Fig2() model.Program {
 	return model.Program{Name: "fig2", Regs: 2, Threads: [][]model.Stmt{th1, th2}}
 }
 
-// Fig2Post is Figure 2's postcondition.
-func Fig2Post(f model.Final) bool {
-	if f.Locals[2]["l2"] == model.ResCommitted && f.Locals[2]["l"] != 0 {
-		return f.Locals[2]["l"] == TxVal
-	}
-	return true
-}
-
-// Fig3 is the racy example of Figure 3:
+// fig3 is the racy example of Figure 3:
 //
 //	thread 1: l := atomic { x := 1; y := 2 }
 //	thread 2: l1 := x.read(); l2 := y.read()     // ν1, ν2
@@ -177,32 +161,24 @@ func Fig2Post(f model.Final) bool {
 // Postcondition: x = l1 ⇒ y = l2. It holds under strong atomicity and
 // is violated by TL2's commit-time write-back window. The program is
 // racy, so the violation is permitted by the paper's contract.
-func Fig3() model.Program {
+func fig3() model.Program {
 	th1 := []model.Stmt{
 		model.Atomic{Lv: "l", Body: []model.Stmt{
 			model.Write{X: RegX, E: model.Const(1)},
-			model.Write{X: RegY, E: model.Const(2)},
+			model.Write{X: regY, E: model.Const(2)},
 		}},
 	}
 	th2 := []model.Stmt{
 		model.Read{Lv: "l1", X: RegX},
-		model.Read{Lv: "l2", X: RegY},
+		model.Read{Lv: "l2", X: regY},
 	}
 	return model.Program{Name: "fig3", Regs: 3, Threads: [][]model.Stmt{th1, th2}}
 }
 
-// Fig3Post is Figure 3's postcondition.
-func Fig3Post(f model.Final) bool {
-	if f.Regs[RegX] == f.Locals[2]["l1"] {
-		return f.Regs[RegY] == f.Locals[2]["l2"]
-	}
-	return true
-}
-
-// Fig6 is privatization by agreement outside transactions (Figure 6):
+// fig6 is privatization by agreement outside transactions (Figure 6):
 //
 //	thread 1: l1 := atomic { x := TxVal };       // T
-//	          ready := FlagSet                   // ν, uninstrumented
+//	          ready := flagSet                   // ν, uninstrumented
 //	thread 2: do { l2 := ready.read() }          // ν′ (bounded)
 //	          while (!l2);
 //	          l3 := x.read()                     // ν″
@@ -210,12 +186,12 @@ func Fig3Post(f model.Final) bool {
 // Postcondition: l1 = committed ∧ l2 ≠ 0 ⇒ l3 = TxVal (the l2 ≠ 0
 // guard accounts for the bounded spin giving up; the paper's unbounded
 // loop only proceeds when the flag is set).
-func Fig6() model.Program {
+func fig6() model.Program {
 	th1 := []model.Stmt{
 		model.Atomic{Lv: "l1", Body: []model.Stmt{
 			model.Write{X: RegX, E: model.Const(TxVal)},
 		}},
-		model.Write{X: RegFlag, E: model.Const(FlagSet)},
+		model.Write{X: RegFlag, E: model.Const(flagSet)},
 	}
 	th2 := []model.Stmt{
 		model.Read{Lv: "l2", X: RegFlag},
@@ -232,27 +208,19 @@ func Fig6() model.Program {
 	return model.Program{Name: "fig6", Regs: 2, Threads: [][]model.Stmt{th1, th2}}
 }
 
-// Fig6Post is Figure 6's postcondition.
-func Fig6Post(f model.Final) bool {
-	if f.Locals[1]["l1"] == model.ResCommitted && f.Locals[2]["l2"] != 0 {
-		return f.Locals[2]["l3"] == TxVal
-	}
-	return true
-}
-
-// All returns every litmus program with its name, for tools that sweep
-// them.
+// All returns every litmus program; cmd/litmus selects one by its
+// Name.
 func All() []model.Program {
 	return []model.Program{
 		Fig1a(false), Fig1a(true),
 		Fig1b(false), Fig1b(true),
-		Fig2(), Fig3(), Fig6(),
-		Fig2NonTxnFlag(), StaticSeparation(), PrivatizePublish(),
-		ReadPrivatize(false), ReadPrivatize(true),
+		fig2(), fig3(), fig6(),
+		fig2NonTxnFlag(), staticSeparation(), privatizePublish(),
+		readPrivatize(false), readPrivatize(true),
 	}
 }
 
-// Fig2NonTxnFlag is the publication idiom done WRONG: the flag itself
+// fig2NonTxnFlag is the publication idiom done WRONG: the flag itself
 // is published with a non-transactional write while readers access it
 // transactionally. Under the paper's DRF definition this races (the
 // non-transactional flag write conflicts with the transactional flag
@@ -260,10 +228,10 @@ func All() []model.Program {
 // sequentially consistent substrate the postcondition happens to hold —
 // the DRF contract is deliberately conservative: racy programs get no
 // guarantee, not a guaranteed failure.
-func Fig2NonTxnFlag() model.Program {
+func fig2NonTxnFlag() model.Program {
 	th1 := []model.Stmt{
 		model.Write{X: RegX, E: model.Const(TxVal)},      // ν1
-		model.Write{X: RegFlag, E: model.Const(FlagSet)}, // ν2: non-transactional publish
+		model.Write{X: RegFlag, E: model.Const(flagSet)}, // ν2: non-transactional publish
 	}
 	th2 := []model.Stmt{
 		model.Atomic{Lv: "l2", Body: []model.Stmt{
@@ -277,12 +245,12 @@ func Fig2NonTxnFlag() model.Program {
 	return model.Program{Name: "fig2-ntxnflag", Regs: 2, Threads: [][]model.Stmt{th1, th2}}
 }
 
-// StaticSeparation is the discipline of Abadi et al. [4]: every
+// staticSeparation is the discipline of Abadi et al. [4]: every
 // register is accessed either only transactionally or only
 // non-transactionally, program-wide. Registers 0 and 1 are
 // transactional; register 2 is non-transactional. Trivially DRF — the
 // paper's §8 positions it as a special case of its DRF notion.
-func StaticSeparation() model.Program {
+func staticSeparation() model.Program {
 	th1 := []model.Stmt{
 		model.Atomic{Lv: "l1", Body: []model.Stmt{
 			model.Write{X: 0, E: model.Const(11)},
@@ -300,16 +268,7 @@ func StaticSeparation() model.Program {
 	return model.Program{Name: "static-separation", Regs: 3, Threads: [][]model.Stmt{th1, th2}}
 }
 
-// StaticSeparationPost: transactional atomicity within the separated
-// registers — seeing the second write implies seeing the first.
-func StaticSeparationPost(f model.Final) bool {
-	if f.Locals[2]["l2"] == model.ResCommitted && f.Locals[2]["b"] == 12 {
-		return f.Locals[2]["a"] == 11
-	}
-	return true
-}
-
-// PrivatizePublish is the combined idiom the paper's §2.2 motivates —
+// privatizePublish is the combined idiom the paper's §2.2 motivates —
 // "the programmer may privatize an object, then access it
 // non-transactionally, and then publish it back for transactional
 // access":
@@ -329,7 +288,7 @@ func StaticSeparationPost(f model.Final) bool {
 // The fence is what makes the *writer* side safe (the reader side is
 // already ordered by publication's xpo;txwr edge): without the fence,
 // thread 2's transactional write to x races ν.
-func PrivatizePublish() model.Program {
+func privatizePublish() model.Program {
 	th1 := []model.Stmt{
 		model.Atomic{Lv: "l1", Body: []model.Stmt{
 			model.Write{X: RegFlag, E: model.Const(1)},
@@ -361,24 +320,16 @@ func PrivatizePublish() model.Program {
 	return model.Program{Name: "privatize-publish", Regs: 2, Threads: [][]model.Stmt{th1, th2}}
 }
 
-// PrivatizePublishPost is PrivatizePublish's postcondition.
-func PrivatizePublishPost(f model.Final) bool {
-	if f.Locals[2]["l3"] == model.ResCommitted && f.Locals[2]["f"] == 2 {
-		return f.Locals[2]["lx"] == 11
-	}
-	return true
-}
-
-// Flag values of ReadPrivatize, mirroring stmkv's shard flag: the two
+// Flag values of readPrivatize, mirroring stmkv's shard flag: the two
 // low bits are the state, so 3 is read-private and 4 is shared again.
 const (
 	FlagReadPrivate = 3
 	FlagRepublished = 4
-	// RacyVal is the flag-ignoring write of the racy twin.
-	RacyVal = 43
+	// racyVal is the flag-ignoring write of the racy twin.
+	racyVal = 43
 )
 
-// ReadPrivatize is the shared-read privatization idiom of stmkv's scan
+// readPrivatize is the shared-read privatization idiom of stmkv's scan
 // windows: the owner privatizes x only to *load* it, so a transaction
 // that only reads x need not consult the flag at all.
 //
@@ -394,7 +345,7 @@ const (
 //
 // ν and the reader are both loads, so they do not conflict under
 // Definition 3.1; ν and the writer are ordered by the flag and the
-// fence exactly as in PrivatizePublish. The program is DRF.
+// fence exactly as in privatizePublish. The program is DRF.
 // Postcondition: a writer that saw the flag clear is serialized before
 // the privatization, so the private load sees its write:
 // l1=committed ∧ l3=committed ∧ f=0 ⇒ lx=42.
@@ -402,7 +353,7 @@ const (
 // With racy set, thread 2's second transaction is x := 43 instead —
 // still ignoring the flag, but now a write, which conflicts with ν and
 // is ordered with it by nothing: the racy twin.
-func ReadPrivatize(racy bool) model.Program {
+func readPrivatize(racy bool) model.Program {
 	th1 := []model.Stmt{
 		model.Atomic{Lv: "l1", Body: []model.Stmt{
 			model.Write{X: RegFlag, E: model.Const(FlagReadPrivate)},
@@ -422,7 +373,7 @@ func ReadPrivatize(racy bool) model.Program {
 	var ignoresFlag model.Stmt = model.Read{Lv: "a", X: RegX}
 	if racy {
 		name = "read-privatize-racy"
-		ignoresFlag = model.Write{X: RegX, E: model.Const(RacyVal)}
+		ignoresFlag = model.Write{X: RegX, E: model.Const(racyVal)}
 	}
 	th2 := []model.Stmt{
 		model.Atomic{Lv: "l3", Body: []model.Stmt{
@@ -435,13 +386,4 @@ func ReadPrivatize(racy bool) model.Program {
 		model.Atomic{Lv: "l4", Body: []model.Stmt{ignoresFlag}},
 	}
 	return model.Program{Name: name, Regs: 2, Threads: [][]model.Stmt{th1, th2}}
-}
-
-// ReadPrivatizePost is ReadPrivatize(false)'s postcondition.
-func ReadPrivatizePost(f model.Final) bool {
-	if f.Locals[1]["l1"] == model.ResCommitted &&
-		f.Locals[2]["l3"] == model.ResCommitted && f.Locals[2]["f"] == 0 {
-		return f.Locals[1]["lx"] == TxVal
-	}
-	return true
 }

@@ -42,7 +42,7 @@ func TestE1Fig1aNoFenceAnomalyReachable(t *testing.T) {
 	// postcondition: T2's write-back of 42 overwrites ν's 1.
 	found, res, err := model.Exists(
 		model.Config{Prog: Fig1a(false), Model: model.TL2Kind, Fence: model.FenceWaitAll},
-		func(f model.Final) bool { return !Fig1aPost(f) },
+		func(f model.Final) bool { return !fig1aPost(f) },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestE1Fig1aFenceSafe(t *testing.T) {
 	// interleaving of the TL2 model.
 	viol, res, err := model.CheckAlways(
 		model.Config{Prog: Fig1a(true), Model: model.TL2Kind, Fence: model.FenceWaitAll},
-		Fig1aPost,
+		fig1aPost,
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestE1Fig1aAtomicSafe(t *testing.T) {
 	for _, fence := range []bool{false, true} {
 		viol, _, err := model.CheckAlways(
 			model.Config{Prog: Fig1a(fence), Model: model.AtomicKind},
-			Fig1aPost,
+			fig1aPost,
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -140,8 +140,8 @@ func TestE2Fig1bDRFVerdicts(t *testing.T) {
 func TestE3Fig2SafeEverywhere(t *testing.T) {
 	for _, m := range []model.TMKind{model.TL2Kind, model.AtomicKind} {
 		viol, res, err := model.CheckAlways(
-			model.Config{Prog: Fig2(), Model: m},
-			Fig2Post,
+			model.Config{Prog: fig2(), Model: m},
+			fig2Post,
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -153,8 +153,8 @@ func TestE3Fig2SafeEverywhere(t *testing.T) {
 }
 
 func TestE3Fig2DRF(t *testing.T) {
-	if drf, n := drfUnderAtomic(t, Fig2()); !drf {
-		t.Errorf("Fig2 should be DRF (%d traces)", n)
+	if drf, n := drfUnderAtomic(t, fig2()); !drf {
+		t.Errorf("fig2 should be DRF (%d traces)", n)
 	}
 }
 
@@ -163,8 +163,8 @@ func TestE3Fig2DRF(t *testing.T) {
 func TestE4Fig3AnomalyReachableUnderTL2(t *testing.T) {
 	// The uninstrumented reads can observe the half-written commit.
 	found, res, err := model.Exists(
-		model.Config{Prog: Fig3(), Model: model.TL2Kind},
-		func(f model.Final) bool { return !Fig3Post(f) },
+		model.Config{Prog: fig3(), Model: model.TL2Kind},
+		func(f model.Final) bool { return !fig3Post(f) },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +176,8 @@ func TestE4Fig3AnomalyReachableUnderTL2(t *testing.T) {
 
 func TestE4Fig3AtomicSafe(t *testing.T) {
 	viol, _, err := model.CheckAlways(
-		model.Config{Prog: Fig3(), Model: model.AtomicKind},
-		Fig3Post,
+		model.Config{Prog: fig3(), Model: model.AtomicKind},
+		fig3Post,
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -188,8 +188,8 @@ func TestE4Fig3AtomicSafe(t *testing.T) {
 }
 
 func TestE4Fig3Racy(t *testing.T) {
-	if drf, _ := drfUnderAtomic(t, Fig3()); drf {
-		t.Error("Fig3 should be racy")
+	if drf, _ := drfUnderAtomic(t, fig3()); drf {
+		t.Error("fig3 should be racy")
 	}
 }
 
@@ -197,8 +197,8 @@ func TestE4Fig3Racy(t *testing.T) {
 
 func TestE5Fig6SafeUnderTL2(t *testing.T) {
 	viol, res, err := model.CheckAlways(
-		model.Config{Prog: Fig6(), Model: model.TL2Kind},
-		Fig6Post,
+		model.Config{Prog: fig6(), Model: model.TL2Kind},
+		fig6Post,
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -209,8 +209,8 @@ func TestE5Fig6SafeUnderTL2(t *testing.T) {
 }
 
 func TestE5Fig6DRF(t *testing.T) {
-	if drf, n := drfUnderAtomic(t, Fig6()); !drf {
-		t.Errorf("Fig6 should be DRF (%d traces)", n)
+	if drf, n := drfUnderAtomic(t, fig6()); !drf {
+		t.Errorf("fig6 should be DRF (%d traces)", n)
 	}
 }
 
@@ -252,7 +252,7 @@ func TestE10CorrectFenceExcludesIt(t *testing.T) {
 // happens-before-preserving atomic justification, which by Lemma B.1
 // yields an observationally equivalent strongly atomic trace.
 func TestE11FundamentalProperty(t *testing.T) {
-	progs := []model.Program{Fig1a(true), Fig1b(true), Fig2(), Fig6()}
+	progs := []model.Program{Fig1a(true), Fig1b(true), fig2(), fig6()}
 	for _, p := range progs {
 		runs, err := model.Sample(
 			model.Config{Prog: p, Model: model.TL2Kind, Fence: model.FenceWaitAll},
@@ -303,14 +303,14 @@ func TestNonTxnFlagPublicationIsRacy(t *testing.T) {
 	// The paper's DRF notion rejects publication via a non-transactional
 	// flag write (conservatively — the postcondition happens to hold on
 	// the SC substrate).
-	if drf, _ := drfUnderAtomic(t, Fig2NonTxnFlag()); drf {
+	if drf, _ := drfUnderAtomic(t, fig2NonTxnFlag()); drf {
 		t.Error("non-transactional flag publication should be racy")
 	}
 	// Nevertheless, on the TL2 model the postcondition holds — the
 	// contract gives no guarantee, not a guaranteed violation.
 	viol, _, err := model.CheckAlways(
-		model.Config{Prog: Fig2NonTxnFlag(), Model: model.TL2Kind},
-		Fig2Post,
+		model.Config{Prog: fig2NonTxnFlag(), Model: model.TL2Kind},
+		fig2Post,
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -321,12 +321,12 @@ func TestNonTxnFlagPublicationIsRacy(t *testing.T) {
 }
 
 func TestStaticSeparationDRFAndSafe(t *testing.T) {
-	if drf, n := drfUnderAtomic(t, StaticSeparation()); !drf {
+	if drf, n := drfUnderAtomic(t, staticSeparation()); !drf {
 		t.Errorf("static separation should be DRF (%d traces)", n)
 	}
 	viol, res, err := model.CheckAlways(
-		model.Config{Prog: StaticSeparation(), Model: model.TL2Kind},
-		StaticSeparationPost,
+		model.Config{Prog: staticSeparation(), Model: model.TL2Kind},
+		staticSeparationPost,
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -340,13 +340,13 @@ func TestStaticSeparationDRFAndSafe(t *testing.T) {
 // Figure 3 does not make it DRF. Verify with a fence between the
 // non-transactional reads.
 func TestFencesDoNotFixFig3(t *testing.T) {
-	p := Fig3()
+	p := fig3()
 	// Insert a fence before ν1 and between ν1 and ν2 in thread 2.
 	p.Threads[1] = []model.Stmt{
 		model.FenceStmt{},
 		model.Read{Lv: "l1", X: RegX},
 		model.FenceStmt{},
-		model.Read{Lv: "l2", X: RegY},
+		model.Read{Lv: "l2", X: regY},
 	}
 	p.Name = "fig3-fenced"
 	if drf, _ := drfUnderAtomic(t, p); drf {
@@ -357,15 +357,15 @@ func TestFencesDoNotFixFig3(t *testing.T) {
 // --- The combined privatize → modify → publish idiom (§2.2) ---
 
 func TestPrivatizePublishDRF(t *testing.T) {
-	if drf, n := drfUnderAtomic(t, PrivatizePublish()); !drf {
+	if drf, n := drfUnderAtomic(t, privatizePublish()); !drf {
 		t.Errorf("privatize-publish should be DRF (%d traces)", n)
 	}
 }
 
 func TestPrivatizePublishSafeUnderTL2(t *testing.T) {
 	viol, res, err := model.CheckAlways(
-		model.Config{Prog: PrivatizePublish(), Model: model.TL2Kind, Fence: model.FenceWaitAll},
-		PrivatizePublishPost,
+		model.Config{Prog: privatizePublish(), Model: model.TL2Kind, Fence: model.FenceWaitAll},
+		privatizePublishPost,
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +380,7 @@ func TestPrivatizePublishTracesVerify(t *testing.T) {
 	// full strong-opacity pipeline — this is the flow §2.2 gives as the
 	// reason histories must include non-transactional actions at all.
 	runs, err := model.Sample(
-		model.Config{Prog: PrivatizePublish(), Model: model.TL2Kind, Fence: model.FenceWaitAll},
+		model.Config{Prog: privatizePublish(), Model: model.TL2Kind, Fence: model.FenceWaitAll},
 		200, 77,
 	)
 	if err != nil {
@@ -398,7 +398,7 @@ func TestPrivatizePublishTracesVerify(t *testing.T) {
 
 func TestPrivatizePublishWithoutFenceRacy(t *testing.T) {
 	// Strip the fence: the combined idiom becomes racy.
-	p := PrivatizePublish()
+	p := privatizePublish()
 	th1 := p.Threads[0]
 	// Rebuild thread 1 without the FenceStmt.
 	guard := th1[1].(model.If)
@@ -427,8 +427,8 @@ func TestReadPrivatizeVerdicts(t *testing.T) {
 		prog model.Program
 		drf  bool
 	}{
-		{ReadPrivatize(false), true},
-		{ReadPrivatize(true), false},
+		{readPrivatize(false), true},
+		{readPrivatize(true), false},
 	} {
 		t.Run(tc.prog.Name, func(t *testing.T) {
 			if drf, n := drfUnderAtomic(t, tc.prog); drf != tc.drf {
@@ -440,7 +440,7 @@ func TestReadPrivatizeVerdicts(t *testing.T) {
 			for _, m := range []model.TMKind{model.TL2Kind, model.AtomicKind} {
 				viol, res, err := model.CheckAlways(
 					model.Config{Prog: tc.prog, Model: m, Fence: model.FenceWaitAll},
-					ReadPrivatizePost,
+					readPrivatizePost,
 				)
 				if err != nil {
 					t.Fatal(err)
@@ -473,8 +473,8 @@ func TestReadPrivatizeVerdicts(t *testing.T) {
 // load, which the TL2 model exhibits as a postcondition violation.
 func TestReadPrivatizeNeedsItsFence(t *testing.T) {
 	found, res, err := model.Exists(
-		model.Config{Prog: ReadPrivatize(false), Model: model.TL2Kind, Fence: model.FenceNoOp},
-		func(f model.Final) bool { return !ReadPrivatizePost(f) },
+		model.Config{Prog: readPrivatize(false), Model: model.TL2Kind, Fence: model.FenceNoOp},
+		func(f model.Final) bool { return !readPrivatizePost(f) },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -482,4 +482,62 @@ func TestReadPrivatizeNeedsItsFence(t *testing.T) {
 	if !found {
 		t.Fatalf("fence-free read-privatization anomaly not reachable (%d states)", res.States)
 	}
+}
+
+// fig1aPost is Figure 1(a)'s postcondition.
+func fig1aPost(f model.Final) bool {
+	if f.Locals[1]["l"] == model.ResCommitted {
+		return f.Regs[RegX] == NuVal
+	}
+	return true
+}
+
+// fig2Post is Figure 2's postcondition.
+func fig2Post(f model.Final) bool {
+	if f.Locals[2]["l2"] == model.ResCommitted && f.Locals[2]["l"] != 0 {
+		return f.Locals[2]["l"] == TxVal
+	}
+	return true
+}
+
+// fig3Post is Figure 3's postcondition.
+func fig3Post(f model.Final) bool {
+	if f.Regs[RegX] == f.Locals[2]["l1"] {
+		return f.Regs[regY] == f.Locals[2]["l2"]
+	}
+	return true
+}
+
+// fig6Post is Figure 6's postcondition.
+func fig6Post(f model.Final) bool {
+	if f.Locals[1]["l1"] == model.ResCommitted && f.Locals[2]["l2"] != 0 {
+		return f.Locals[2]["l3"] == TxVal
+	}
+	return true
+}
+
+// staticSeparationPost: transactional atomicity within the separated
+// registers — seeing the second write implies seeing the first.
+func staticSeparationPost(f model.Final) bool {
+	if f.Locals[2]["l2"] == model.ResCommitted && f.Locals[2]["b"] == 12 {
+		return f.Locals[2]["a"] == 11
+	}
+	return true
+}
+
+// privatizePublishPost is privatizePublish's postcondition.
+func privatizePublishPost(f model.Final) bool {
+	if f.Locals[2]["l3"] == model.ResCommitted && f.Locals[2]["f"] == 2 {
+		return f.Locals[2]["lx"] == 11
+	}
+	return true
+}
+
+// readPrivatizePost is readPrivatize(false)'s postcondition.
+func readPrivatizePost(f model.Final) bool {
+	if f.Locals[1]["l1"] == model.ResCommitted &&
+		f.Locals[2]["l3"] == model.ResCommitted && f.Locals[2]["f"] == 0 {
+		return f.Locals[1]["lx"] == TxVal
+	}
+	return true
 }

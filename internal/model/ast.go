@@ -86,25 +86,25 @@ func (e Ne) Eval(env map[string]Value) Value { return b2v(e.A.Eval(env) != e.B.E
 // String implements fmt.Stringer.
 func (e Ne) String() string { return fmt.Sprintf("(%v != %v)", e.A, e.B) }
 
-// Not negates a boolean (nonzero = true).
-type Not struct{ E Expr }
+// not negates a boolean (nonzero = true).
+type not struct{ E Expr }
 
 // Eval implements Expr.
-func (e Not) Eval(env map[string]Value) Value { return b2v(e.E.Eval(env) == 0) }
+func (e not) Eval(env map[string]Value) Value { return b2v(e.E.Eval(env) == 0) }
 
 // String implements fmt.Stringer.
-func (e Not) String() string { return fmt.Sprintf("!%v", e.E) }
+func (e not) String() string { return fmt.Sprintf("!%v", e.E) }
 
-// And is boolean conjunction.
-type And struct{ A, B Expr }
+// and is boolean conjunction.
+type and struct{ A, B Expr }
 
 // Eval implements Expr.
-func (e And) Eval(env map[string]Value) Value {
+func (e and) Eval(env map[string]Value) Value {
 	return b2v(e.A.Eval(env) != 0 && e.B.Eval(env) != 0)
 }
 
 // String implements fmt.Stringer.
-func (e And) String() string { return fmt.Sprintf("(%v && %v)", e.A, e.B) }
+func (e and) String() string { return fmt.Sprintf("(%v && %v)", e.A, e.B) }
 
 // Add is integer addition.
 type Add struct{ A, B Expr }

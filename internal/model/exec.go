@@ -41,7 +41,7 @@ type machine struct {
 // statement-to-micro-op expansion) until the thread has a pending
 // micro-op or terminates. Local steps are free: they touch no shared
 // state, so folding them into the preceding step is a sound reduction.
-func (m *machine) expand(s *State, t int) {
+func (m *machine) expand(s *state, t int) {
 	th := &s.th[t]
 	for len(th.micro) == 0 && !th.done {
 		if len(th.frames) == 0 {
@@ -193,7 +193,7 @@ func wsetPut(ws []regval, x int, v Value) []regval {
 }
 
 // enabled reports whether thread t can take a step in state s.
-func (m *machine) enabled(s *State, t int) bool {
+func (m *machine) enabled(s *state, t int) bool {
 	th := &s.th[t]
 	if th.done {
 		return false
@@ -214,7 +214,7 @@ func (m *machine) enabled(s *State, t int) bool {
 // abortTL2 finalizes a TL2 abort: release held locks, roll back locals,
 // unwind to the atomic block's continuation, clear the active flag.
 // The caller emits the aborted response first.
-func (m *machine) abortTL2(s *State, t int) {
+func (m *machine) abortTL2(s *state, t int) {
 	th := &s.th[t]
 	for x := range s.sh.lock {
 		if s.sh.lock[x] == t {
@@ -233,7 +233,7 @@ func (m *machine) abortTL2(s *State, t int) {
 // step executes thread t's next micro-op on s (which the caller owns)
 // and returns the successor states (two for the atomic model's
 // commit/abort choice, one otherwise). Successors are fully expanded.
-func (m *machine) step(s *State, t int) []*State {
+func (m *machine) step(s *state, t int) []*state {
 	th := &s.th[t]
 	mc := th.micro[0]
 	th.micro = th.micro[1:]
@@ -379,10 +379,10 @@ func (m *machine) step(s *State, t int) []*State {
 		abortSt.emit(t, spec.KindTxCommit, 0, 0)
 		abortSt.emit(t, spec.KindAborted, 0, 0)
 		m.expand(abortSt, t)
-		return []*State{s, abortSt}
+		return []*state{s, abortSt}
 	default:
 		panic(fmt.Sprintf("model: bad micro %d", mc.code))
 	}
 	m.expand(s, t)
-	return []*State{s}
+	return []*state{s}
 }

@@ -42,7 +42,7 @@ type Result struct {
 	Deadlocks int
 }
 
-func (m *machine) finalOf(s *State) Final {
+func (m *machine) finalOf(s *state) Final {
 	f := Final{
 		Locals:  make([]map[string]Value, len(s.th)),
 		Regs:    append([]Value(nil), s.sh.reg...),
@@ -82,7 +82,7 @@ func Explore(cfg Config) (*Result, error) {
 	visited := map[string]struct{}{init.key(): {}}
 	finalSeen := map[string]struct{}{}
 	res := &Result{}
-	stack := []*State{init}
+	stack := []*state{init}
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -221,7 +221,7 @@ func AllHistories(cfg Config, maxPaths int) ([]*Run, error) {
 		m.expand(init, t)
 	}
 	var out []*Run
-	stack := []*State{init}
+	stack := []*state{init}
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

@@ -18,10 +18,10 @@ func TestExprEval(t *testing.T) {
 		{Eq{Var("a"), Const(3)}, 1},
 		{Eq{Var("a"), Const(4)}, 0},
 		{Ne{Var("a"), Const(4)}, 1},
-		{Not{Var("b")}, 1},
-		{Not{Var("a")}, 0},
-		{And{Var("a"), Const(1)}, 1},
-		{And{Var("b"), Const(1)}, 0},
+		{not{Var("b")}, 1},
+		{not{Var("a")}, 0},
+		{and{Var("a"), Const(1)}, 1},
+		{and{Var("b"), Const(1)}, 0},
 		{Add{Var("a"), Const(4)}, 7},
 	}
 	for _, tc := range tests {

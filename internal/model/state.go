@@ -206,9 +206,9 @@ type shared struct {
 	world  int // -1 or owner thread (atomic model)
 }
 
-// State is a full model-checker state. Threads are 1-based (th[0]
+// state is a full model-checker state. Threads are 1-based (th[0]
 // unused).
-type State struct {
+type state struct {
 	sh shared
 	th []thread
 
@@ -221,9 +221,9 @@ type State struct {
 }
 
 // newState builds the initial state.
-func newState(c *code, record bool) *State {
+func newState(c *code, record bool) *state {
 	n := len(c.threads)
-	s := &State{
+	s := &state{
 		sh: shared{
 			reg:    make([]Value, c.regs),
 			ver:    make([]Value, c.regs),
@@ -251,8 +251,8 @@ func newState(c *code, record bool) *State {
 }
 
 // clone deep-copies the state.
-func (s *State) clone() *State {
-	c := &State{
+func (s *state) clone() *state {
+	c := &state{
 		sh: shared{
 			clock:  s.sh.clock,
 			reg:    append([]Value(nil), s.sh.reg...),
@@ -313,7 +313,7 @@ func cloneLocals(m map[string]Value) map[string]Value {
 
 // key returns a deterministic encoding of the state (excluding the
 // recorded history) for memoization.
-func (s *State) key() string {
+func (s *state) key() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "c%d w%d|", s.sh.clock, s.sh.world)
 	for x := range s.sh.reg {
@@ -362,7 +362,7 @@ func (s *State) key() string {
 }
 
 // emit appends a history action (sampling mode).
-func (s *State) emit(t int, k spec.Kind, x int, v Value) {
+func (s *state) emit(t int, k spec.Kind, x int, v Value) {
 	if !s.record {
 		return
 	}

@@ -61,7 +61,7 @@ type TM struct {
 }
 
 type slot struct {
-	tx Txn
+	tx txn
 	_  [64]byte
 }
 
@@ -151,9 +151,9 @@ type rentry struct {
 	v int64
 }
 
-// Txn is a NOrec transaction: a value-based read log and a buffered
+// txn is a NOrec transaction: a value-based read log and a buffered
 // write set, validated against the global sequence lock.
-type Txn struct {
+type txn struct {
 	tm       *TM
 	thread   int
 	live     bool
@@ -162,20 +162,20 @@ type Txn struct {
 	wset     []rentry
 }
 
-func (tx *Txn) reset() {
+func (tx *txn) reset() {
 	tx.snapshot = 0
 	tx.reads = tx.reads[:0]
 	tx.wset = tx.wset[:0]
 }
 
-func (tx *Txn) finish() {
+func (tx *txn) finish() {
 	tx.live = false
 	tx.tm.fence.Exit(tx.thread)
 }
 
 // validate re-reads the entire read log under a stable even sequence
 // number; ok=false means some value changed (the snapshot broke).
-func (tx *Txn) validate() (int64, bool) {
+func (tx *txn) validate() (int64, bool) {
 	for {
 		s := tx.tm.seq.Load()
 		if s%2 != 0 {
@@ -197,7 +197,7 @@ func (tx *Txn) validate() (int64, bool) {
 }
 
 // Read implements core.Txn.
-func (tx *Txn) Read(x int) (int64, error) {
+func (tx *txn) Read(x int) (int64, error) {
 	if !tx.live {
 		panic("norec: Read on finished transaction")
 	}
@@ -231,7 +231,7 @@ func (tx *Txn) Read(x int) (int64, error) {
 }
 
 // Write implements core.Txn (buffered).
-func (tx *Txn) Write(x int, v int64) error {
+func (tx *txn) Write(x int, v int64) error {
 	if !tx.live {
 		panic("norec: Write on finished transaction")
 	}
@@ -252,7 +252,7 @@ func (tx *Txn) Write(x int, v int64) error {
 }
 
 // Commit implements core.Txn.
-func (tx *Txn) Commit() error {
+func (tx *txn) Commit() error {
 	tm := tx.tm
 	if !tx.live {
 		panic("norec: Commit on finished transaction")
@@ -300,10 +300,10 @@ func (tx *Txn) Commit() error {
 }
 
 // Live implements core.Txn.
-func (tx *Txn) Live() bool { return tx.live }
+func (tx *txn) Live() bool { return tx.live }
 
 // Abort implements core.Txn (voluntary abort as an aborting commit).
-func (tx *Txn) Abort() {
+func (tx *txn) Abort() {
 	if !tx.live {
 		panic("norec: Abort on finished transaction")
 	}

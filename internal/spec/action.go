@@ -32,8 +32,8 @@ type Kind uint8
 // Action kinds. Request kinds come first, then responses, then the
 // primitive (non-TM) kind.
 const (
-	// KindInvalid is the zero Kind; it never appears in a valid history.
-	KindInvalid Kind = iota
+	// kindInvalid is the zero Kind; it never appears in a valid history.
+	kindInvalid Kind = iota
 
 	// KindTxBegin is the request (a,t,txbegin) generated on entering an
 	// atomic block.
@@ -62,13 +62,13 @@ const (
 	// KindFEnd is the response (a,t,fend) matching fbegin.
 	KindFEnd
 
-	// KindPrim is a primitive action (a,t,c): a thread-local computation
+	// kindPrim is a primitive action (a,t,c): a thread-local computation
 	// step. Primitive actions appear in traces but not in histories.
-	KindPrim
+	kindPrim
 )
 
 var kindNames = [...]string{
-	KindInvalid:   "invalid",
+	kindInvalid:   "invalid",
 	KindTxBegin:   "txbegin",
 	KindTxCommit:  "txcommit",
 	KindWrite:     "write",
@@ -79,7 +79,7 @@ var kindNames = [...]string{
 	KindAborted:   "aborted",
 	KindRet:       "ret",
 	KindFEnd:      "fend",
-	KindPrim:      "prim",
+	kindPrim:      "prim",
 }
 
 // String returns the paper's name for the kind.
@@ -99,18 +99,14 @@ func (k Kind) IsRequest() bool {
 	return false
 }
 
-// IsResponse reports whether the kind is a TM response action.
-func (k Kind) IsResponse() bool {
+// isResponse reports whether the kind is a TM response action.
+func (k Kind) isResponse() bool {
 	switch k {
 	case KindOK, KindCommitted, KindAborted, KindRet, KindFEnd:
 		return true
 	}
 	return false
 }
-
-// IsTMInterface reports whether the kind is a TM interface action
-// (request or response), i.e. appears in histories.
-func (k Kind) IsTMInterface() bool { return k.IsRequest() || k.IsResponse() }
 
 // ActionID uniquely identifies an action within a trace (a ∈ ActionId).
 type ActionID int64
@@ -131,7 +127,7 @@ type Action struct {
 	// Value zero and interpret it via the matching request.
 	Value Value
 	// Prim is a human-readable description of a primitive command, used
-	// only when Kind == KindPrim (e.g. "l := 1", "assume(l==2)").
+	// only when Kind == kindPrim (e.g. "l := 1", "assume(l==2)").
 	Prim string
 }
 
@@ -144,7 +140,7 @@ func (a Action) String() string {
 		return fmt.Sprintf("(%d,t%d,read(x%d))", a.ID, a.Thread, a.Reg)
 	case KindRet:
 		return fmt.Sprintf("(%d,t%d,ret(%d))", a.ID, a.Thread, a.Value)
-	case KindPrim:
+	case kindPrim:
 		return fmt.Sprintf("(%d,t%d,%s)", a.ID, a.Thread, a.Prim)
 	default:
 		return fmt.Sprintf("(%d,t%d,%s)", a.ID, a.Thread, a.Kind)
@@ -154,16 +150,13 @@ func (a Action) String() string {
 // IsRequest reports whether the action is a TM request.
 func (a Action) IsRequest() bool { return a.Kind.IsRequest() }
 
-// IsResponse reports whether the action is a TM response.
-func (a Action) IsResponse() bool { return a.Kind.IsResponse() }
+// isResponse reports whether the action is a TM response.
+func (a Action) isResponse() bool { return a.Kind.isResponse() }
 
-// IsTMInterface reports whether the action appears in histories.
-func (a Action) IsTMInterface() bool { return a.Kind.IsTMInterface() }
-
-// Matches reports whether resp is a syntactically valid response to the
+// matches reports whether resp is a syntactically valid response to the
 // request req per Figure 4 (same thread; kind pairing respected).
-func Matches(req, resp Action) bool {
-	if req.Thread != resp.Thread || !req.IsRequest() || !resp.IsResponse() {
+func matches(req, resp Action) bool {
+	if req.Thread != resp.Thread || !req.IsRequest() || !resp.isResponse() {
 		return false
 	}
 	switch req.Kind {

@@ -10,37 +10,6 @@ import (
 // History value is one element of such a set.
 type History []Action
 
-// Trace is a finite sequence of actions, possibly including primitive
-// actions. Every History is a Trace.
-type Trace []Action
-
-// History projects the trace to its TM interface actions (history(τ)).
-func (tr Trace) History() History {
-	h := make(History, 0, len(tr))
-	for _, a := range tr {
-		if a.IsTMInterface() {
-			h = append(h, a)
-		}
-	}
-	return h
-}
-
-// ByThread projects the trace onto the actions of thread t (τ|t).
-func (tr Trace) ByThread(t ThreadID) Trace {
-	out := make(Trace, 0, len(tr))
-	for _, a := range tr {
-		if a.Thread == t {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// ByThread projects the history onto the actions of thread t (H|t).
-func (h History) ByThread(t ThreadID) History {
-	return History(Trace(h).ByThread(t))
-}
-
 // Threads returns the sorted set of thread IDs appearing in the history.
 func (h History) Threads() []ThreadID {
 	seen := map[ThreadID]bool{}
@@ -200,10 +169,10 @@ type Analysis struct {
 	Match []int
 }
 
-// Analyze decomposes the history into transactions and non-transactional
+// analyze decomposes the history into transactions and non-transactional
 // accesses. It assumes (and does not fully re-check) well-formedness;
 // use CheckWellFormed first for untrusted input.
-func Analyze(h History) (*Analysis, error) {
+func analyze(h History) (*Analysis, error) {
 	a := &Analysis{
 		H:     h,
 		TxnOf: make([]int, len(h)),
@@ -260,12 +229,12 @@ func Analyze(h History) (*Analysis, error) {
 					return nil, fmt.Errorf("spec: action %d: %s outside a transaction", i, act.Kind)
 				}
 			}
-		case act.IsResponse():
+		case act.isResponse():
 			ri := pendingReq[t]
 			if ri == -1 {
 				return nil, fmt.Errorf("spec: action %d: response %s by thread %d with no outstanding request", i, act.Kind, t)
 			}
-			if !Matches(h[ri], act) {
+			if !matches(h[ri], act) {
 				return nil, fmt.Errorf("spec: action %d: response %s does not match request %s", i, act.Kind, h[ri].Kind)
 			}
 			a.Match[ri] = i
@@ -297,7 +266,7 @@ func Analyze(h History) (*Analysis, error) {
 				a.NonTxn[ai].Resp = i
 				a.AccOf[i] = ai
 			}
-		case act.Kind == KindPrim:
+		case act.Kind == kindPrim:
 			return nil, fmt.Errorf("spec: action %d: primitive action in history", i)
 		default:
 			return nil, fmt.Errorf("spec: action %d: invalid kind", i)
@@ -344,14 +313,6 @@ func (a *Analysis) ActionIndices(n Node) []int {
 	return []int{acc.Req, acc.Resp}
 }
 
-// NodeThread returns the executing thread of node n.
-func (a *Analysis) NodeThread(n Node) ThreadID {
-	if n.IsTxn() {
-		return a.Txns[n.TxnIndex].Thread
-	}
-	return a.NonTxn[n.AccIndex].Thread
-}
-
 // WriteAt reports whether the node writes to x, and if so returns the
 // value of its last write request to x.
 func (a *Analysis) WriteAt(n Node, x Reg) (Value, bool) {
@@ -366,25 +327,4 @@ func (a *Analysis) WriteAt(n Node, x Reg) (Value, bool) {
 		}
 	}
 	return v, found
-}
-
-// ReadsFrom reports whether node n contains a non-local read of x (for
-// transactions: a read of x not preceded by the transaction's own write
-// to x) that received a response, and returns the values read.
-func (a *Analysis) ReadsFrom(n Node, x Reg) []Value {
-	idx := a.ActionIndices(n)
-	var out []Value
-	wrote := false
-	for _, i := range idx {
-		act := a.H[i]
-		switch {
-		case act.Kind == KindWrite && act.Reg == x:
-			wrote = true
-		case act.Kind == KindRead && act.Reg == x && !wrote:
-			if ri := a.Match[i]; ri != -1 && a.H[ri].Kind == KindRet {
-				out = append(out, a.H[ri].Value)
-			}
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -22,18 +23,18 @@ func TestKindClassification(t *testing.T) {
 		{KindAborted, false, true},
 		{KindRet, false, true},
 		{KindFEnd, false, true},
-		{KindPrim, false, false},
-		{KindInvalid, false, false},
+		{kindPrim, false, false},
+		{kindInvalid, false, false},
 	}
 	for _, tc := range tests {
 		if got := tc.k.IsRequest(); got != tc.req {
 			t.Errorf("%v.IsRequest() = %v, want %v", tc.k, got, tc.req)
 		}
-		if got := tc.k.IsResponse(); got != tc.rsp {
-			t.Errorf("%v.IsResponse() = %v, want %v", tc.k, got, tc.rsp)
+		if got := tc.k.isResponse(); got != tc.rsp {
+			t.Errorf("%v.isResponse() = %v, want %v", tc.k, got, tc.rsp)
 		}
-		if got := tc.k.IsTMInterface(); got != (tc.req || tc.rsp) {
-			t.Errorf("%v.IsTMInterface() = %v", tc.k, got)
+		if got := tc.k.isTMInterface(); got != (tc.req || tc.rsp) {
+			t.Errorf("%v.isTMInterface() = %v", tc.k, got)
 		}
 	}
 }
@@ -60,12 +61,12 @@ func TestMatches(t *testing.T) {
 		{KindRead, KindFEnd, false},
 	}
 	for _, tc := range tests {
-		if got := Matches(req(tc.rq), resp(tc.rs)); got != tc.want {
-			t.Errorf("Matches(%v,%v) = %v, want %v", tc.rq, tc.rs, got, tc.want)
+		if got := matches(req(tc.rq), resp(tc.rs)); got != tc.want {
+			t.Errorf("matches(%v,%v) = %v, want %v", tc.rq, tc.rs, got, tc.want)
 		}
 	}
 	// Different threads never match.
-	if Matches(Action{Thread: 1, Kind: KindRead}, Action{Thread: 2, Kind: KindRet}) {
+	if matches(Action{Thread: 1, Kind: KindRead}, Action{Thread: 2, Kind: KindRet}) {
 		t.Error("cross-thread match accepted")
 	}
 }
@@ -79,7 +80,7 @@ func TestActionString(t *testing.T) {
 		{Action{ID: 4, Thread: 1, Kind: KindRead, Reg: 0}, "(4,t1,read(x0))"},
 		{Action{ID: 5, Thread: 1, Kind: KindRet, Value: 9}, "(5,t1,ret(9))"},
 		{Action{ID: 6, Thread: 3, Kind: KindTxBegin}, "(6,t3,txbegin)"},
-		{Action{ID: 7, Thread: 3, Kind: KindPrim, Prim: "l := 1"}, "(7,t3,l := 1)"},
+		{Action{ID: 7, Thread: 3, Kind: kindPrim, Prim: "l := 1"}, "(7,t3,l := 1)"},
 	}
 	for _, tc := range tests {
 		if got := tc.a.String(); got != tc.want {
@@ -112,7 +113,7 @@ func TestAnalyzeH0(t *testing.T) {
 	if len(a.NonTxn) != 1 || a.NonTxn[0].Thread != 3 {
 		t.Fatalf("nontxn = %+v, want one access by t3", a.NonTxn)
 	}
-	if got := a.ReadsFrom(AccNode(0), 0); len(got) != 1 || got[0] != 1 {
+	if got := a.readsFrom(AccNode(0), 0); len(got) != 1 || got[0] != 1 {
 		t.Errorf("t3 reads %v, want [1]", got)
 	}
 }
@@ -190,7 +191,7 @@ func TestWellFormedRejections(t *testing.T) {
 		},
 		{
 			"primitive action in history",
-			History{{ID: 1, Thread: 1, Kind: KindPrim, Prim: "l:=1"}},
+			History{{ID: 1, Thread: 1, Kind: kindPrim, Prim: "l:=1"}},
 			"primitive",
 		},
 		{
@@ -213,7 +214,7 @@ func TestWellFormedRejections(t *testing.T) {
 		},
 		{
 			"interleaved nontxn access",
-			mk(func(b *Builder) { b.Read(1, 0).WriteRet(2, 0, 1).Ret(1, 1) }),
+			mk(func(b *Builder) { b.Read(1, 0).WriteRet(2, 0, 1).ret(1, 1) }),
 			"interleaved",
 		},
 		{
@@ -288,10 +289,10 @@ func TestProjections(t *testing.T) {
 
 func TestTraceHistoryProjection(t *testing.T) {
 	tr := Trace{
-		{ID: 1, Thread: 1, Kind: KindPrim, Prim: "l := 0"},
+		{ID: 1, Thread: 1, Kind: kindPrim, Prim: "l := 0"},
 		{ID: 2, Thread: 1, Kind: KindTxBegin},
 		{ID: 3, Thread: 1, Kind: KindOK},
-		{ID: 4, Thread: 1, Kind: KindPrim, Prim: "l := l+1"},
+		{ID: 4, Thread: 1, Kind: kindPrim, Prim: "l := l+1"},
 		{ID: 5, Thread: 1, Kind: KindTxCommit},
 		{ID: 6, Thread: 1, Kind: KindCommitted},
 	}
@@ -300,7 +301,7 @@ func TestTraceHistoryProjection(t *testing.T) {
 		t.Fatalf("history length %d, want 4", len(h))
 	}
 	for _, a := range h {
-		if a.Kind == KindPrim {
+		if a.Kind == kindPrim {
 			t.Error("primitive action survived projection")
 		}
 	}
@@ -311,9 +312,9 @@ func TestTraceWellFormedCondition4(t *testing.T) {
 	// thread is forbidden (condition 4).
 	tr := Trace{
 		{ID: 1, Thread: 1, Kind: KindRead, Reg: 0},
-		{ID: 2, Thread: 1, Kind: KindPrim, Prim: "l := 1"},
+		{ID: 2, Thread: 1, Kind: kindPrim, Prim: "l := 1"},
 	}
-	if _, err := CheckWellFormedTrace(tr); err == nil {
+	if _, err := checkWellFormedTrace(tr); err == nil {
 		t.Fatal("condition 4 violation accepted")
 	}
 	// But a primitive action of a different thread may interleave only
@@ -322,10 +323,10 @@ func TestTraceWellFormedCondition4(t *testing.T) {
 	// this is fine.
 	tr = Trace{
 		{ID: 1, Thread: 1, Kind: KindRead, Reg: 0},
-		{ID: 2, Thread: 2, Kind: KindPrim, Prim: "l := 1"},
+		{ID: 2, Thread: 2, Kind: kindPrim, Prim: "l := 1"},
 		{ID: 3, Thread: 1, Kind: KindRet, Value: 0},
 	}
-	if _, err := CheckWellFormedTrace(tr); err != nil {
+	if _, err := checkWellFormedTrace(tr); err != nil {
 		t.Fatalf("cross-thread primitive rejected: %v", err)
 	}
 }
@@ -343,16 +344,16 @@ func TestNodeHelpers(t *testing.T) {
 		t.Error("WriteAt reported write to untouched register")
 	}
 	// The read of x0 is local (preceded by the txn's own write):
-	// ReadsFrom must not report it.
-	if got := a.ReadsFrom(tn, 0); len(got) != 0 {
+	// readsFrom must not report it.
+	if got := a.readsFrom(tn, 0); len(got) != 0 {
 		t.Errorf("local read reported as non-local: %v", got)
 	}
 	an := AccNode(0)
 	if v, ok := a.WriteAt(an, 1); !ok || v != 3 {
 		t.Errorf("nontxn WriteAt = %d,%v", v, ok)
 	}
-	if a.NodeThread(tn) != 1 || a.NodeThread(an) != 2 {
-		t.Error("NodeThread wrong")
+	if a.nodeThread(tn) != 1 || a.nodeThread(an) != 2 {
+		t.Error("nodeThread wrong")
 	}
 	if n, ok := a.NodeOf(0); !ok || !n.IsTxn() {
 		t.Error("NodeOf(0) should be the transaction")
@@ -467,7 +468,7 @@ func TestRandomHistoriesPrefixClosed(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 25; i++ {
 		h := randomWellFormed(r, 40)
-		if err := IsPrefixClosedUnder(h); err != nil {
+		if err := isPrefixClosedUnder(h); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
@@ -510,4 +511,105 @@ func TestTxnStatusString(t *testing.T) {
 	if !TxnCommitted.Completed() || !TxnAborted.Completed() || TxnLive.Completed() || TxnCommitPending.Completed() {
 		t.Error("Completed() classification wrong")
 	}
+}
+
+// isTMInterface reports whether the kind is a TM interface action
+// (request or response), i.e. appears in histories.
+func (k Kind) isTMInterface() bool { return k.IsRequest() || k.isResponse() }
+
+// Trace is a finite sequence of actions, possibly including primitive
+// actions. Every History is a Trace.
+type Trace []Action
+
+// History projects the trace to its TM interface actions (history(τ)).
+func (tr Trace) History() History {
+	h := make(History, 0, len(tr))
+	for _, a := range tr {
+		if a.Kind.isTMInterface() {
+			h = append(h, a)
+		}
+	}
+	return h
+}
+
+// ByThread projects the trace onto the actions of thread t (τ|t).
+func (tr Trace) ByThread(t ThreadID) Trace {
+	out := make(Trace, 0, len(tr))
+	for _, a := range tr {
+		if a.Thread == t {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// ByThread projects the history onto the actions of thread t (H|t).
+func (h History) ByThread(t ThreadID) History {
+	return History(Trace(h).ByThread(t))
+}
+
+// nodeThread returns the executing thread of node n.
+func (a *Analysis) nodeThread(n Node) ThreadID {
+	if n.IsTxn() {
+		return a.Txns[n.TxnIndex].Thread
+	}
+	return a.NonTxn[n.AccIndex].Thread
+}
+
+// readsFrom reports whether node n contains a non-local read of x (for
+// transactions: a read of x not preceded by the transaction's own write
+// to x) that received a response, and returns the values read.
+func (a *Analysis) readsFrom(n Node, x Reg) []Value {
+	idx := a.ActionIndices(n)
+	var out []Value
+	wrote := false
+	for _, i := range idx {
+		act := a.H[i]
+		switch {
+		case act.Kind == KindWrite && act.Reg == x:
+			wrote = true
+		case act.Kind == KindRead && act.Reg == x && !wrote:
+			if ri := a.Match[i]; ri != -1 && a.H[ri].Kind == KindRet {
+				out = append(out, a.H[ri].Value)
+			}
+		}
+	}
+	return out
+}
+
+// checkWellFormedTrace verifies the trace-level conditions of
+// Definition 2.1 in addition to the history-level ones: condition 4 (per
+// thread, a request action is never immediately followed by a primitive
+// action of the same thread). It returns the Analysis of the trace's
+// history.
+func checkWellFormedTrace(tr Trace) (*Analysis, error) {
+	if err := checkUniqueIDs(History(tr)); err != nil {
+		return nil, err
+	}
+	// Condition 4: in τ|t no request is immediately followed by a
+	// primitive action.
+	last := map[ThreadID]Action{}
+	for i, act := range tr {
+		if prev, ok := last[act.Thread]; ok {
+			if prev.IsRequest() && act.Kind == kindPrim {
+				return nil, fmt.Errorf("spec: action %d: primitive action immediately after request in thread %d", i, act.Thread)
+			}
+		}
+		last[act.Thread] = act
+	}
+	return CheckWellFormed(tr.History())
+}
+
+// isPrefixClosedUnder reports whether every prefix of h (restricted to
+// completed actions) also satisfies CheckWellFormed. It is used in tests
+// to validate that recorded histories form a prefix-closed TM in the
+// paper's sense. Fence condition 10 is only meaningful for completed
+// fences, which checkFences already respects.
+func isPrefixClosedUnder(h History) error {
+	for i := 0; i <= len(h); i++ {
+		if _, err := CheckWellFormed(h[:i]); err != nil {
+			return fmt.Errorf("prefix of length %d: %w", i, err)
+		}
+	}
+	return nil
 }

@@ -16,12 +16,12 @@ import "fmt"
 //  10. a fence blocks until all transactions active at its fbegin
 //     complete before its fend (no transaction spans a fence).
 //
-// Conditions 2 and 4 concern primitive actions and are checked for
-// traces by CheckWellFormedTrace.
+// Conditions 2 and 4 concern primitive actions, which appear in traces
+// but never in histories.
 //
 // On success it returns the structural Analysis of the history.
 func CheckWellFormed(h History) (*Analysis, error) {
-	a, err := Analyze(h)
+	a, err := analyze(h)
 	if err != nil {
 		return nil, err
 	}
@@ -124,43 +124,6 @@ func checkFences(a *Analysis) error {
 				return fmt.Errorf("spec: transaction %d (thread %d, begun at %d) spans fence [%d,%d] by thread %d",
 					ti, tx.Thread, tx.First(), f.Begin, f.End, f.Thread)
 			}
-		}
-	}
-	return nil
-}
-
-// CheckWellFormedTrace verifies the trace-level conditions of
-// Definition 2.1 in addition to the history-level ones: condition 4 (per
-// thread, a request action is never immediately followed by a primitive
-// action of the same thread). It returns the Analysis of the trace's
-// history.
-func CheckWellFormedTrace(tr Trace) (*Analysis, error) {
-	if err := checkUniqueIDs(History(tr)); err != nil {
-		return nil, err
-	}
-	// Condition 4: in τ|t no request is immediately followed by a
-	// primitive action.
-	last := map[ThreadID]Action{}
-	for i, act := range tr {
-		if prev, ok := last[act.Thread]; ok {
-			if prev.IsRequest() && act.Kind == KindPrim {
-				return nil, fmt.Errorf("spec: action %d: primitive action immediately after request in thread %d", i, act.Thread)
-			}
-		}
-		last[act.Thread] = act
-	}
-	return CheckWellFormed(tr.History())
-}
-
-// IsPrefixClosedUnder reports whether every prefix of h (restricted to
-// completed actions) also satisfies CheckWellFormed. It is used in tests
-// to validate that recorded histories form a prefix-closed TM in the
-// paper's sense. Fence condition 10 is only meaningful for completed
-// fences, which checkFences already respects.
-func IsPrefixClosedUnder(h History) error {
-	for i := 0; i <= len(h); i++ {
-		if _, err := CheckWellFormed(h[:i]); err != nil {
-			return fmt.Errorf("prefix of length %d: %w", i, err)
 		}
 	}
 	return nil

@@ -35,12 +35,12 @@ import (
 	"safepriv/internal/vlock"
 )
 
-// MaxDefaultStripes caps the lock table allocated when the stripe count
+// maxDefaultStripes caps the lock table allocated when the stripe count
 // is left to the default. 1<<16 stripes is 512 KiB of lock words, which
 // together with the values they guard still fits a typical L2; beyond
 // that, aliasing is cheaper than the memory and its cache pressure (a
 // 1<<19 cap was measured on the store workloads: no further gain).
-const MaxDefaultStripes = 1 << 16
+const maxDefaultStripes = 1 << 16
 
 // Table is a striped register/version-lock table. Values are dense (one
 // atomic word per register — the registers are the memory itself);
@@ -53,7 +53,7 @@ type Table struct {
 
 // New returns a table for regs registers. stripes is the lock-table
 // size and must be zero or a power of two; zero selects the default:
-// the smallest power of two ≥ regs, capped at MaxDefaultStripes (so
+// the smallest power of two ≥ regs, capped at maxDefaultStripes (so
 // small tables get an injective register↦stripe mapping and huge tables
 // get bounded lock memory).
 func New(regs, stripes int) *Table {
@@ -62,7 +62,7 @@ func New(regs, stripes int) *Table {
 	}
 	if stripes == 0 {
 		stripes = 1
-		for stripes < regs && stripes < MaxDefaultStripes {
+		for stripes < regs && stripes < maxDefaultStripes {
 			stripes <<= 1
 		}
 	}
@@ -78,9 +78,6 @@ func New(regs, stripes int) *Table {
 
 // Regs returns the number of registers.
 func (t *Table) Regs() int { return len(t.vals) }
-
-// Stripes returns the lock-table size.
-func (t *Table) Stripes() int { return len(t.locks) }
 
 // StripeOf maps register x to its lock stripe.
 func (t *Table) StripeOf(x int) int { return int(uint32(x) & t.mask) }

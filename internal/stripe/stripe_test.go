@@ -41,12 +41,12 @@ func TestDefaultStripeCountInjectiveForSmallTables(t *testing.T) {
 
 func TestDefaultStripeCountCapped(t *testing.T) {
 	tb := New(1<<20, 0)
-	if tb.Stripes() != MaxDefaultStripes {
-		t.Fatalf("Stripes() = %d, want cap %d", tb.Stripes(), MaxDefaultStripes)
+	if tb.Stripes() != maxDefaultStripes {
+		t.Fatalf("Stripes() = %d, want cap %d", tb.Stripes(), maxDefaultStripes)
 	}
 	// Aliasing wraps around the mask.
-	if tb.StripeOf(0) != tb.StripeOf(MaxDefaultStripes) {
-		t.Fatal("expected register 0 and register MaxDefaultStripes to share a stripe")
+	if tb.StripeOf(0) != tb.StripeOf(maxDefaultStripes) {
+		t.Fatal("expected register 0 and register maxDefaultStripes to share a stripe")
 	}
 }
 
@@ -101,3 +101,6 @@ func TestConcurrentLockStripes(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// Stripes returns the lock-table size.
+func (t *Table) Stripes() int { return len(t.locks) }

@@ -43,7 +43,7 @@ func TestE6TransactionalStressStrongOpacity(t *testing.T) {
 		{"default", nil},
 		{"gv4", []Option{WithGV4()}},
 		{"epochfence", []Option{WithEpochFence()}},
-		{"debug", []Option{WithDebugInvariants()}},
+		{"debug", []Option{withDebugInvariants()}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			rec := record.NewRecorder()
@@ -233,7 +233,7 @@ func TestE12ModularAcyclicity(t *testing.T) {
 // assertions of the Figure 11 timestamp invariants hold under a
 // contended workload.
 func TestE7DebugInvariantsUnderStress(t *testing.T) {
-	tm := New(3, 9, WithDebugInvariants())
+	tm := New(3, 9, withDebugInvariants())
 	var wg sync.WaitGroup
 	for th := 1; th <= 8; th++ {
 		wg.Add(1)

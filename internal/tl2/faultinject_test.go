@@ -77,7 +77,7 @@ func runContended(t *testing.T, seed int64, opts ...Option) error {
 // distinguish the TMs tells us nothing about §7's claim.
 func TestFaultInjectionCheckerCatchesBugs(t *testing.T) {
 	bugs := map[string]Bug{
-		"skip-read-validation":   BugSkipReadValidation,
+		"skip-read-validation":   bugSkipReadValidation,
 		"skip-commit-validation": BugSkipCommitValidation,
 		"no-commit-locks":        BugNoCommitLocks,
 	}
@@ -146,7 +146,7 @@ func TestBugSemanticsSmoke(t *testing.T) {
 
 	// skip-read-validation: a read inside a snapshot-broken transaction
 	// succeeds instead of aborting.
-	tm = New(2, 3, WithBug(BugSkipReadValidation))
+	tm = New(2, 3, WithBug(bugSkipReadValidation))
 	tx1 = tm.Begin(1)
 	tx2 = tm.Begin(2)
 	tx2.Write(0, 7)

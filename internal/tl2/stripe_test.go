@@ -25,7 +25,7 @@ func TestStripedLockAliasing(t *testing.T) {
 	} {
 		stripes := cfg.stripes
 		rec := record.NewRecorder()
-		tm := New(8, 5, append([]Option{WithSink(rec), WithStripes(stripes), WithDebugInvariants()}, cfg.opts...)...)
+		tm := New(8, 5, append([]Option{WithSink(rec), withStripes(stripes), withDebugInvariants()}, cfg.opts...)...)
 		var vals uniqueVals
 		var wg sync.WaitGroup
 		for th := 1; th <= 4; th++ {
@@ -61,7 +61,7 @@ func TestStripedLockAliasing(t *testing.T) {
 // must lock the shared stripe once, commit, and leave both values
 // visible.
 func TestStripedLockAliasingSequential(t *testing.T) {
-	tm := New(4, 2, WithStripes(2), WithDebugInvariants())
+	tm := New(4, 2, withStripes(2), withDebugInvariants())
 	if err := core.Atomically(tm, 1, func(tx core.Txn) error {
 		if err := tx.Write(0, 10); err != nil {
 			return err
@@ -100,7 +100,7 @@ func TestStripedLockAliasingSequential(t *testing.T) {
 // including commit with aliased stripes.
 func TestLargeWriteSetIndexed(t *testing.T) {
 	const regs = 200
-	tm := New(regs, 3, WithStripes(64), WithDebugInvariants())
+	tm := New(regs, 3, withStripes(64), withDebugInvariants())
 	if err := core.Atomically(tm, 1, func(tx core.Txn) error {
 		for x := 0; x < regs; x++ {
 			if err := tx.Write(x, int64(x)); err != nil {
@@ -149,7 +149,7 @@ func TestLargeWriteSetIndexed(t *testing.T) {
 func TestLargeWriteSetSteadyStateAllocs(t *testing.T) {
 	tm := New(256, 2)
 	run := func() {
-		tx := tm.BeginTL2(1)
+		tx := beginTxn(tm, 1)
 		for x := 0; x < 128; x++ {
 			if err := tx.Write(x, int64(x)); err != nil {
 				t.Fatal(err)

@@ -83,9 +83,9 @@ import (
 type FencePolicy int
 
 const (
-	// FenceWait is the correct fence of Figure 7: wait for all active
+	// fenceWait is the correct fence of Figure 7: wait for all active
 	// transactions.
-	FenceWait FencePolicy = iota
+	fenceWait FencePolicy = iota
 	// FenceNoOp makes Fence return immediately (and records nothing):
 	// the "TM used out-of-the-box" configuration that exhibits the
 	// delayed-commit and doomed-transaction problems (Figure 1).
@@ -97,54 +97,54 @@ const (
 	FenceSkipReadOnly
 )
 
-// Config collects TL2 construction options.
-type Config struct {
-	// Regs is the number of registers.
-	Regs int
-	// Threads is the number of thread ids (1-based ids 1..Threads).
-	Threads int
-	// Stripes is the version-lock table size (package stripe): 0 for
+// config collects TL2 construction options.
+type config struct {
+	// regs is the number of registers.
+	regs int
+	// threads is the number of thread ids (1-based ids 1..threads).
+	threads int
+	// stripes is the version-lock table size (package stripe): 0 for
 	// the default (injective register↦stripe mapping up to
-	// stripe.MaxDefaultStripes), otherwise a power of two. Fewer
+	// the stripe package's cap), otherwise a power of two. Fewer
 	// stripes than registers trades false conflicts for lock memory.
-	Stripes int
-	// Fence selects the fence implementation. Default FenceWait.
-	Fence FencePolicy
-	// Epochs selects the epoch-based grace period instead of the
+	stripes int
+	// fence selects the fence implementation. Default fenceWait.
+	fence FencePolicy
+	// epochs selects the epoch-based grace period instead of the
 	// paper's flag-based one (ablation E14).
-	Epochs bool
-	// GV4 selects the pass-on-failure global clock (ablation).
-	GV4 bool
-	// SortedLocks acquires commit-time locks in ascending register
+	epochs bool
+	// gv4 selects the pass-on-failure global clock (ablation).
+	gv4 bool
+	// sortedLocks acquires commit-time locks in ascending register
 	// order instead of write-set insertion order (Figure 9 iterates the
 	// write-set). With trylock-and-abort either is livelock-free, but
 	// canonical order reduces mutual aborts between transactions whose
 	// write sets overlap in opposite orders. Ablation.
-	SortedLocks bool
-	// DebugInvariants enables runtime assertion of the timestamp
+	sortedLocks bool
+	// debugInvariants enables runtime assertion of the timestamp
 	// invariants of Figure 11 that are locally checkable (INV.7(a,b),
 	// per-register version monotonicity, lock ownership discipline).
 	// Violations panic.
-	DebugInvariants bool
-	// Sink, if non-nil, receives every TM interface action (package
+	debugInvariants bool
+	// sink, if non-nil, receives every TM interface action (package
 	// record) for offline strong-opacity checking.
-	Sink record.Sink
-	// Bug injects a deliberate correctness bug, for negative testing of
+	sink record.Sink
+	// bug injects a deliberate correctness bug, for negative testing of
 	// the strong-opacity checker (the checker must reject histories the
 	// buggy TM produces under contention). Never use outside tests.
-	Bug Bug
+	bug Bug
 }
 
 // Bug selects an injected correctness bug.
 type Bug int
 
 const (
-	// BugNone is the correct algorithm.
-	BugNone Bug = iota
-	// BugSkipReadValidation makes reads return the current register
+	// bugNone is the correct algorithm.
+	bugNone Bug = iota
+	// bugSkipReadValidation makes reads return the current register
 	// value without the version/lock check of Figure 9 lines 17–22:
 	// transactions can observe inconsistent snapshots.
-	BugSkipReadValidation
+	bugSkipReadValidation
 	// BugSkipCommitValidation skips the read-set revalidation of
 	// Figure 9 lines 41–50: doomed transactions commit (lost updates).
 	BugSkipCommitValidation
@@ -153,43 +153,43 @@ const (
 	BugNoCommitLocks
 )
 
-// Option mutates a Config.
-type Option func(*Config)
+// Option mutates TL2 construction.
+type Option func(*config)
 
-// WithStripes sets the version-lock table size (0 = default).
-func WithStripes(n int) Option { return func(c *Config) { c.Stripes = n } }
+// withStripes sets the version-lock table size (0 = default).
+func withStripes(n int) Option { return func(c *config) { c.stripes = n } }
 
 // WithFence sets the fence policy.
-func WithFence(p FencePolicy) Option { return func(c *Config) { c.Fence = p } }
+func WithFence(p FencePolicy) Option { return func(c *config) { c.fence = p } }
 
 // WithEpochFence selects the epoch-based grace period.
-func WithEpochFence() Option { return func(c *Config) { c.Epochs = true } }
+func WithEpochFence() Option { return func(c *config) { c.epochs = true } }
 
 // WithGV4 selects the GV4 clock.
-func WithGV4() Option { return func(c *Config) { c.GV4 = true } }
+func WithGV4() Option { return func(c *config) { c.gv4 = true } }
 
 // WithSortedLocks acquires commit locks in canonical register order.
-func WithSortedLocks() Option { return func(c *Config) { c.SortedLocks = true } }
+func WithSortedLocks() Option { return func(c *config) { c.sortedLocks = true } }
 
-// WithDebugInvariants enables runtime invariant checking.
-func WithDebugInvariants() Option { return func(c *Config) { c.DebugInvariants = true } }
+// withDebugInvariants enables runtime invariant checking.
+func withDebugInvariants() Option { return func(c *config) { c.debugInvariants = true } }
 
 // WithSink attaches a recording sink.
-func WithSink(s record.Sink) Option { return func(c *Config) { c.Sink = s } }
+func WithSink(s record.Sink) Option { return func(c *config) { c.sink = s } }
 
 // WithBug injects a correctness bug (tests only).
-func WithBug(b Bug) Option { return func(c *Config) { c.Bug = b } }
+func WithBug(b Bug) Option { return func(c *config) { c.bug = b } }
 
 // threadState is the per-thread metadata of Figure 9 (rset, wset, rver,
 // wver), reused across the thread's transactions.
 type threadState struct {
-	tx Txn
+	tx txn
 	_  [64]byte // keep threads' states off each other's cache lines
 }
 
 // TM is a TL2 transactional memory. It implements core.TM.
 type TM struct {
-	cfg      Config
+	cfg      config
 	table    *stripe.Table
 	clock    vclock.Clock
 	fence    *rcu.Fence
@@ -201,23 +201,23 @@ type TM struct {
 // New constructs a TL2 TM with regs registers and thread ids
 // 1..threads.
 func New(regs, threads int, opts ...Option) *TM {
-	cfg := Config{Regs: regs, Threads: threads}
+	cfg := config{regs: regs, threads: threads}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	tm := &TM{
 		cfg:      cfg,
-		table:    stripe.New(regs, cfg.Stripes),
+		table:    stripe.New(regs, cfg.stripes),
 		hasWrite: make([]writerFlag, threads+1),
 		threads:  make([]threadState, threads+1),
 	}
-	if cfg.GV4 {
+	if cfg.gv4 {
 		tm.clock = vclock.NewGV4()
 	} else {
 		tm.clock = vclock.NewFAI()
 	}
 	tm.board = telemetry.NewBoard(threads)
-	tm.fence = rcu.New(threads, cfg.Epochs, tm.board)
+	tm.fence = rcu.New(threads, cfg.epochs, tm.board)
 	for t := range tm.threads {
 		tx := &tm.threads[t].tx
 		tx.tm = tm
@@ -227,11 +227,11 @@ func New(regs, threads int, opts ...Option) *TM {
 }
 
 // NumRegs implements core.TM.
-func (tm *TM) NumRegs() int { return tm.cfg.Regs }
+func (tm *TM) NumRegs() int { return tm.cfg.regs }
 
 // Load implements core.TM: an uninstrumented non-transactional read.
 func (tm *TM) Load(thread, x int) int64 {
-	if s := tm.cfg.Sink; s != nil {
+	if s := tm.cfg.sink; s != nil {
 		return s.NonTxnRead(thread, x, func() int64 { return tm.table.Load(x) })
 	}
 	return tm.table.Load(x)
@@ -239,7 +239,7 @@ func (tm *TM) Load(thread, x int) int64 {
 
 // Store implements core.TM: an uninstrumented non-transactional write.
 func (tm *TM) Store(thread, x int, v int64) {
-	if s := tm.cfg.Sink; s != nil {
+	if s := tm.cfg.sink; s != nil {
 		s.NonTxnWrite(thread, x, v, func() { tm.table.Store(x, v) })
 		return
 	}
@@ -248,28 +248,28 @@ func (tm *TM) Store(thread, x int, v int64) {
 
 // Fence implements core.TM per the configured policy.
 func (tm *TM) Fence(thread int) {
-	switch tm.cfg.Fence {
+	switch tm.cfg.fence {
 	case FenceNoOp:
 		// Models the absence of a fence in the program: nothing waits,
 		// nothing is recorded.
 		return
 	case FenceSkipReadOnly:
-		if s := tm.cfg.Sink; s != nil {
+		if s := tm.cfg.sink; s != nil {
 			s.FBegin(thread)
 		}
 		// The buggy fence: wait only for threads whose current
 		// transaction has performed a write. Doomed read-only
 		// transactions are not waited for.
 		tm.fence.WaitFiltered(func(t int) bool { return tm.hasWrite[t].v.Load() == 1 })
-		if s := tm.cfg.Sink; s != nil {
+		if s := tm.cfg.sink; s != nil {
 			s.FEnd(thread)
 		}
 	default:
-		if s := tm.cfg.Sink; s != nil {
+		if s := tm.cfg.sink; s != nil {
 			s.FBegin(thread)
 		}
 		tm.fence.Wait()
-		if s := tm.cfg.Sink; s != nil {
+		if s := tm.cfg.sink; s != nil {
 			s.FEnd(thread)
 		}
 	}
@@ -288,21 +288,15 @@ func (tm *TM) Begin(thread int) core.Txn {
 	}
 	tx.reset()
 	tm.fence.Enter(thread)
-	if s := tm.cfg.Sink; s != nil {
+	if s := tm.cfg.sink; s != nil {
 		s.TxBegin(thread)
 	}
 	tx.rver = tm.clock.Load()
 	tx.live = true
-	if tm.cfg.DebugInvariants && tx.rver > tm.clock.Load() {
+	if tm.cfg.debugInvariants && tx.rver > tm.clock.Load() {
 		panic("tl2: INV.7(b) violated: rver > clock")
 	}
 	return tx
-}
-
-// BeginTL2 is Begin returning the concrete type (avoids the interface
-// allocation in benchmarks).
-func (tm *TM) BeginTL2(thread int) *Txn {
-	return tm.Begin(thread).(*Txn)
 }
 
 // writerFlag is a per-thread "current transaction has written" flag on

@@ -11,6 +11,12 @@ import (
 	"safepriv/internal/vclock"
 )
 
+// beginTxn is Begin returning the concrete transaction, whose rver and
+// wver the timestamp tests read.
+func beginTxn(tm *TM, thread int) *txn {
+	return tm.Begin(thread).(*txn)
+}
+
 func TestReadYourOwnWrite(t *testing.T) {
 	tm := New(4, 2)
 	tx := tm.Begin(1)
@@ -97,15 +103,15 @@ func TestReadOnlyCommitLeavesClockAlone(t *testing.T) {
 		}
 		before := tm.clock.Load()
 		for i := 0; i < 100; i++ {
-			tx := tm.BeginTL2(1 + i%2)
+			tx := beginTxn(tm, 1+i%2)
 			if v, err := tx.Read(0); err != nil || v != 1 {
 				t.Fatalf("Read = %d,%v", v, err)
 			}
 			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			if tx.WVer() != 0 {
-				t.Fatalf("read-only commit drew wver %d", tx.WVer())
+			if tx.wver != 0 {
+				t.Fatalf("read-only commit drew wver %d", tx.wver)
 			}
 		}
 		if got := tm.clock.Load(); got != before {
@@ -157,7 +163,7 @@ func TestWriterCommitRevalidation(t *testing.T) {
 	// No commit since begin: the writer's exclusive tick draws
 	// wver == rver+1, so it skips the revalidation and commits.
 	tm := New(4, 3)
-	tx1 := tm.BeginTL2(1)
+	tx1 := beginTxn(tm, 1)
 	if _, err := tx1.Read(0); err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +171,8 @@ func TestWriterCommitRevalidation(t *testing.T) {
 	if err := tx1.Commit(); err != nil {
 		t.Fatalf("commit with nothing in between: %v", err)
 	}
-	if tx1.WVer() != tx1.RVer()+1 {
-		t.Fatalf("wver = %d, rver = %d, want rver+1", tx1.WVer(), tx1.RVer())
+	if tx1.wver != tx1.rver+1 {
+		t.Fatalf("wver = %d, rver = %d, want rver+1", tx1.wver, tx1.rver)
 	}
 	if got := tm.Load(1, 1); got != 4 {
 		t.Fatalf("committed write = %d, want 4", got)
@@ -177,7 +183,7 @@ func TestWriterCommitRevalidation(t *testing.T) {
 	// Nothing ticked since rver, so the writer draws rver+1 and commits
 	// without revalidating, although the lock is held.
 	tm = New(4, 3)
-	tx1 = tm.BeginTL2(1)
+	tx1 = beginTxn(tm, 1)
 	if _, err := tx1.Read(0); err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +196,8 @@ func TestWriterCommitRevalidation(t *testing.T) {
 		t.Fatalf("commit beside a lock held without a tick: %v", err)
 	}
 	tm.table.LockFor(0).AbortUnlock(old)
-	if tx1.WVer() != tx1.RVer()+1 {
-		t.Fatalf("lock held: wver = %d, rver = %d, want rver+1", tx1.WVer(), tx1.RVer())
+	if tx1.wver != tx1.rver+1 {
+		t.Fatalf("lock held: wver = %d, rver = %d, want rver+1", tx1.wver, tx1.rver)
 	}
 	if got := tm.Load(1, 1); got != 4 {
 		t.Fatalf("lock held: committed write = %d, want 4", got)
@@ -209,7 +215,7 @@ func TestWriterCommitRevalidation(t *testing.T) {
 		{"disjoint", 2, false},
 	} {
 		tm := New(4, 3)
-		tx1 := tm.BeginTL2(1)
+		tx1 := beginTxn(tm, 1)
 		if _, err := tx1.Read(0); err != nil {
 			t.Fatal(err)
 		}
@@ -220,8 +226,8 @@ func TestWriterCommitRevalidation(t *testing.T) {
 		}
 		tx1.Write(1, 4)
 		err := tx1.Commit()
-		if tx1.WVer() != tx1.RVer()+2 {
-			t.Fatalf("%s: wver = %d, rver = %d, want rver+2", tc.name, tx1.WVer(), tx1.RVer())
+		if tx1.wver != tx1.rver+2 {
+			t.Fatalf("%s: wver = %d, rver = %d, want rver+2", tc.name, tx1.wver, tx1.rver)
 		}
 		want := int64(4)
 		if tc.conflict {
@@ -262,7 +268,7 @@ func TestGV4AdoptedTickValidates(t *testing.T) {
 	tm := New(4, 3, WithGV4())
 	ck := &adoptingClock{GV4: vclock.NewGV4()}
 	tm.clock = ck
-	tx1 := tm.BeginTL2(1)
+	tx1 := beginTxn(tm, 1)
 	if _, err := tx1.Read(0); err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +281,8 @@ func TestGV4AdoptedTickValidates(t *testing.T) {
 		}
 	}
 	err := tx1.Commit()
-	if tx1.WVer() != tx1.RVer()+1 {
-		t.Fatalf("schedule broken: wver = %d, rver = %d, want an adopted rver+1", tx1.WVer(), tx1.RVer())
+	if tx1.wver != tx1.rver+1 {
+		t.Fatalf("schedule broken: wver = %d, rver = %d, want an adopted rver+1", tx1.wver, tx1.rver)
 	}
 	if !errors.Is(err, core.ErrAborted) {
 		t.Fatalf("adopted tick did not revalidate: Commit = %v, want abort", err)
@@ -343,7 +349,7 @@ func TestBankTransferInvariant(t *testing.T) {
 		nil,
 		{WithGV4()},
 		{WithEpochFence()},
-		{WithDebugInvariants()},
+		{withDebugInvariants()},
 	} {
 		tm := New(accounts, 9, opts...)
 		for i := 0; i < accounts; i++ {

@@ -27,12 +27,12 @@ type lockedStripe struct {
 	old int64
 }
 
-// Txn is a TL2 transaction (the per-transaction metadata of Figure 9:
+// txn is a TL2 transaction (the per-transaction metadata of Figure 9:
 // rset, wset, rver, wver). It is reused across a thread's transactions;
 // the sets are insertion-ordered slices — write and read sets are small
 // in practice, so linear scans beat maps and avoid per-transaction
 // allocation entirely after warm-up.
-type Txn struct {
+type txn struct {
 	tm     *TM
 	thread int
 	live   bool
@@ -70,7 +70,7 @@ type Txn struct {
 const smallSet = 32
 
 // wsetLookup returns the buffered value for x.
-func (tx *Txn) wsetLookup(x int) (int64, bool) {
+func (tx *txn) wsetLookup(x int) (int64, bool) {
 	if tx.useIdx {
 		if i, ok := tx.widx.Get(x); ok {
 			return tx.wset[i].v, true
@@ -86,7 +86,7 @@ func (tx *Txn) wsetLookup(x int) (int64, bool) {
 }
 
 // wsetPut inserts or updates the buffered value for x.
-func (tx *Txn) wsetPut(x int, v int64) {
+func (tx *txn) wsetPut(x int, v int64) {
 	if tx.useIdx {
 		if i, ok := tx.widx.Get(x); ok {
 			tx.wset[i].v = v
@@ -113,12 +113,12 @@ func (tx *Txn) wsetPut(x int, v int64) {
 }
 
 // rsetAdd records a non-local read of x.
-func (tx *Txn) rsetAdd(x int) {
+func (tx *txn) rsetAdd(x int) {
 	tx.rset = append(tx.rset, x)
 }
 
 // reset clears the transaction for reuse.
-func (tx *Txn) reset() {
+func (tx *txn) reset() {
 	tx.rver, tx.wver = 0, 0
 	tx.wset = tx.wset[:0]
 	tx.rset = tx.rset[:0]
@@ -130,14 +130,14 @@ func (tx *Txn) reset() {
 // finish ends the transaction: clear the active flag after the
 // response has been recorded (the abort/commit handlers of Figure 9
 // lines 57–63).
-func (tx *Txn) finish() {
+func (tx *txn) finish() {
 	tx.live = false
 	tx.tm.hasWrite[tx.thread].clear()
 	tx.tm.fence.Exit(tx.thread)
 }
 
 // Read implements core.Txn (Figure 9 lines 14–24).
-func (tx *Txn) Read(x int) (int64, error) {
+func (tx *txn) Read(x int) (int64, error) {
 	tm := tx.tm
 	if !tx.live {
 		panic("tl2: Read on finished transaction")
@@ -146,7 +146,7 @@ func (tx *Txn) Read(x int) (int64, error) {
 	if len(tx.wset) != 0 {
 		if v, ok := tx.wsetLookup(x); ok {
 			// Write-set hit: a local read.
-			if s := tm.cfg.Sink; s != nil {
+			if s := tm.cfg.sink; s != nil {
 				s.ReadOK(tx.thread, x, v)
 			}
 			return v, nil
@@ -157,18 +157,18 @@ func (tx *Txn) Read(x int) (int64, error) {
 	v := tm.table.Load(x)
 	w2 := l.Raw()
 	ts, locked := vlock.RawVersion(w2)
-	if tm.cfg.Bug == BugSkipReadValidation {
+	if tm.cfg.bug == bugSkipReadValidation {
 		locked, w1, ts = false, w2, 0 // injected bug: accept anything
 	}
 	if locked || w1 != w2 || tx.rver < ts {
-		if s := tm.cfg.Sink; s != nil {
+		if s := tm.cfg.sink; s != nil {
 			s.ReadAborted(tx.thread, x)
 		}
 		tx.finish()
 		return 0, core.ErrAborted
 	}
 	tx.rsetAdd(x)
-	if s := tm.cfg.Sink; s != nil {
+	if s := tm.cfg.sink; s != nil {
 		s.ReadOK(tx.thread, x, v)
 	}
 	return v, nil
@@ -176,13 +176,13 @@ func (tx *Txn) Read(x int) (int64, error) {
 
 // Write implements core.Txn (Figure 9 lines 26–28): writes are buffered
 // and never abort.
-func (tx *Txn) Write(x int, v int64) error {
+func (tx *txn) Write(x int, v int64) error {
 	if !tx.live {
 		panic("tl2: Write on finished transaction")
 	}
 	tx.wsetPut(x, v)
 	tx.tm.hasWrite[tx.thread].set()
-	if s := tx.tm.cfg.Sink; s != nil {
+	if s := tx.tm.cfg.sink; s != nil {
 		s.Write(tx.thread, x, v)
 	}
 	return nil
@@ -190,7 +190,7 @@ func (tx *Txn) Write(x int, v int64) error {
 
 // stripeOldVer returns the pre-lock version of a stripe this
 // transaction holds (s must be in tx.locked).
-func (tx *Txn) stripeOldVer(s int) int64 {
+func (tx *txn) stripeOldVer(s int) int64 {
 	if tx.useIdx {
 		if j, ok := tx.sidx.Get(s); ok {
 			return tx.locked[j].old
@@ -207,7 +207,7 @@ func (tx *Txn) stripeOldVer(s int) int64 {
 
 // unlockAbort releases every stripe acquired so far, restoring pre-lock
 // versions (the commit abort path).
-func (tx *Txn) unlockAbort() {
+func (tx *txn) unlockAbort() {
 	tm := tx.tm
 	for j := range tx.locked {
 		tm.table.Lock(tx.locked[j].s).AbortUnlock(tx.locked[j].old)
@@ -222,40 +222,40 @@ func (tx *Txn) unlockAbort() {
 // Everything else — lock acquisition, the tick, write-back, version
 // install and unlock, the handlers clearing the active flag last — is
 // the figure.
-func (tx *Txn) Commit() error {
+func (tx *txn) Commit() error {
 	tm := tx.tm
 	if !tx.live {
 		panic("tl2: Commit on finished transaction")
 	}
-	if s := tm.cfg.Sink; s != nil {
+	if s := tm.cfg.sink; s != nil {
 		s.TxCommitReq(tx.thread)
 	}
 	if len(tx.wset) == 0 {
 		// Every read was validated against rver when it was made, so
 		// the read set is a consistent snapshot at rver and the
 		// transaction serializes there; it owns no write timestamp.
-		if s := tm.cfg.Sink; s != nil {
+		if s := tm.cfg.sink; s != nil {
 			s.Committed(tx.thread, 0)
 		}
 		tx.finish()
 		return nil
 	}
 
-	if tm.cfg.Bug == BugNoCommitLocks {
+	if tm.cfg.bug == BugNoCommitLocks {
 		// Injected bug: unguarded write-back; version bumps are dropped
 		// too, so readers cannot even detect the interleaving.
 		tx.wver, _ = tm.clock.Tick()
 		for i := range tx.wset {
 			tm.table.Store(tx.wset[i].x, tx.wset[i].v)
 		}
-		if s := tm.cfg.Sink; s != nil {
+		if s := tm.cfg.sink; s != nil {
 			s.Committed(tx.thread, tx.wver)
 		}
 		tx.finish()
 		return nil
 	}
 
-	if tm.cfg.SortedLocks {
+	if tm.cfg.sortedLocks {
 		// Sort by stripe first: locks are per stripe, so only stripe
 		// order is a global acquisition order once registers alias
 		// (Stripes < Regs). Register order breaks ties for determinism.
@@ -295,7 +295,7 @@ func (tx *Txn) Commit() error {
 	// Generate the write timestamp (line 40).
 	var exclusive bool
 	tx.wver, exclusive = tm.clock.Tick()
-	if tm.cfg.DebugInvariants {
+	if tm.cfg.debugInvariants {
 		if tx.wver <= tx.rver {
 			panic("tl2: INV.7(a) violated: wver <= rver")
 		}
@@ -308,7 +308,7 @@ func (tx *Txn) Commit() error {
 	// locked we validate the version captured at lock time. After an
 	// exclusive tick to rver+1 the clock did not move since rver, and
 	// there is nothing to revalidate (see the package doc).
-	if tm.cfg.Bug == BugSkipCommitValidation {
+	if tm.cfg.bug == BugSkipCommitValidation {
 		tx.rset = tx.rset[:0] // injected bug: nothing to validate
 	}
 	if !exclusive || tx.wver != tx.rver+1 {
@@ -330,7 +330,7 @@ func (tx *Txn) Commit() error {
 	// soon as it is stored, a transactional Read once its stripe
 	// unlocks, and neither read's response may enter the history ahead
 	// of the committed action it depends on.
-	if s := tm.cfg.Sink; s != nil {
+	if s := tm.cfg.sink; s != nil {
 		s.Committed(tx.thread, tx.wver)
 	}
 
@@ -339,7 +339,7 @@ func (tx *Txn) Commit() error {
 	// last two are one store of the combined word.
 	for i := range tx.wset {
 		x, v := tx.wset[i].x, tx.wset[i].v
-		if tm.cfg.DebugInvariants {
+		if tm.cfg.debugInvariants {
 			if _, locked, owner := tm.table.LockFor(x).Sample(); !locked || owner != tx.thread {
 				panic("tl2: write-back without holding the lock")
 			}
@@ -347,7 +347,7 @@ func (tx *Txn) Commit() error {
 		tm.table.Store(x, v)
 	}
 	for j := range tx.locked {
-		if tm.cfg.DebugInvariants && tx.locked[j].old >= tx.wver {
+		if tm.cfg.debugInvariants && tx.locked[j].old >= tx.wver {
 			panic("tl2: register version not monotonic")
 		}
 		tm.table.Lock(tx.locked[j].s).Unlock(tx.wver)
@@ -357,8 +357,8 @@ func (tx *Txn) Commit() error {
 }
 
 // abortCommit finishes an abort decided during txcommit.
-func (tx *Txn) abortCommit() error {
-	if s := tx.tm.cfg.Sink; s != nil {
+func (tx *txn) abortCommit() error {
+	if s := tx.tm.cfg.sink; s != nil {
 		s.Aborted(tx.thread)
 	}
 	tx.finish()
@@ -366,24 +366,17 @@ func (tx *Txn) abortCommit() error {
 }
 
 // Live implements core.Txn.
-func (tx *Txn) Live() bool { return tx.live }
+func (tx *txn) Live() bool { return tx.live }
 
 // Abort implements core.Txn: a voluntary abort, modeled as an aborting
 // commit (the paper's language has no explicit abort; see core.Txn).
-func (tx *Txn) Abort() {
+func (tx *txn) Abort() {
 	if !tx.live {
 		panic("tl2: Abort on finished transaction")
 	}
-	if s := tx.tm.cfg.Sink; s != nil {
+	if s := tx.tm.cfg.sink; s != nil {
 		s.TxCommitReq(tx.thread)
 		s.Aborted(tx.thread)
 	}
 	tx.finish()
 }
-
-// RVer returns the transaction's read timestamp (for tests and
-// invariant checks).
-func (tx *Txn) RVer() int64 { return tx.rver }
-
-// WVer returns the transaction's write timestamp, 0 before commit.
-func (tx *Txn) WVer() int64 { return tx.wver }

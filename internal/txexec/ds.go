@@ -1,7 +1,7 @@
 package txexec
 
 // The windowed data-structure executor: the conflict-window discipline
-// of Run (pinned back-before-front serialization, read-only cancel,
+// of run (pinned back-before-front serialization, read-only cancel,
 // conflict cancel) applied to real stmds operations instead of
 // interpreted model programs. The differences from the model executor
 // fall out of op bodies being opaque Go closures over a Txn:
@@ -39,32 +39,32 @@ import (
 	"safepriv/internal/core"
 )
 
-// DSOp is one data-structure operation for RunDS.
-type DSOp struct {
+// scriptOp is one data-structure operation for runDS.
+type scriptOp struct {
 	// Name labels the op in errors.
 	Name string
-	// Run executes the op inside tx under thread th, returning the op's
+	// run executes the op inside tx under thread th, returning the op's
 	// observable result and an optional post-commit action (the stmds
 	// Tx-level methods compose directly; frees of unlinked nodes go in
-	// post). Run may execute several times — aborted attempts are
+	// post). It may execute several times — aborted attempts are
 	// retried — so it must be restartable: no side effects outside tx
 	// except through the post action of the attempt that commits, and
 	// any non-transactional draw (a tower height) must be memoized on
 	// first execution. TM errors from tx must be returned unwrapped.
-	Run func(tx core.Txn, th int) (res int64, post func(), err error)
+	run func(tx core.Txn, th int) (res int64, post func(), err error)
 }
 
-// DSRef names one op of a script set: thread id (1-based) and op index.
-type DSRef struct{ Thread, Index int }
+// opRef names one op of a script set: thread id (1-based) and op index.
+type opRef struct{ Thread, Index int }
 
-// DSResult is the outcome of RunDS.
-type DSResult struct {
+// dsResult is the outcome of runDS.
+type dsResult struct {
 	// Results[t-1][i] is the result of scripts[t-1][i] (dense: ops of a
 	// thread complete in script order).
 	Results [][]int64
 	// Order is the serialization order the run pinned: replaying the
 	// ops in this order on a sequential model must reproduce Results.
-	Order []DSRef
+	Order []opRef
 }
 
 // errWindowCancel aborts a front attempt from inside its own body when
@@ -114,26 +114,26 @@ func (h *hookTxn) Write(x int, v int64) error {
 	return h.Txn.Write(x, v)
 }
 
-// dsExec is the run state of RunDS.
+// dsExec is the run state of runDS.
 type dsExec struct {
 	tm      core.TM
-	opt     Options
+	opt     options
 	r       *rand.Rand
-	scripts [][]DSOp
-	res     DSResult
+	scripts [][]scriptOp
+	res     dsResult
 	pcs     []int    // per-thread next-op index (0-based by thread-1)
 	pending []func() // committed post actions awaiting a quiescent flush
 }
 
-// RunDS executes the per-thread op scripts on tm under opt's seeded
+// runDS executes the per-thread op scripts on tm under opt's seeded
 // schedule: one op per round from a seeded live thread, windowed
-// against a second thread's op when Options.Windows is on (leave it off
+// against a second thread's op when options.Windows is on (leave it off
 // for blocking TMs — baseline's Begin holds the global lock, so a back
 // op inside a window would self-deadlock). Returns every op's result
 // and the pinned serialization order; errors are fatal executor or
 // allocator failures, never TM aborts (those are resolved by the window
 // discipline).
-func RunDS(tm core.TM, scripts [][]DSOp, opt Options) (DSResult, error) {
+func runDS(tm core.TM, scripts [][]scriptOp, opt options) (dsResult, error) {
 	if opt.WindowPct == 0 {
 		opt.WindowPct = 60
 	}
@@ -206,7 +206,7 @@ func (e *dsExec) flushOne() {
 // record commits op results: thread t's next op produced res, with post
 // parked until a quiescent point.
 func (e *dsExec) record(t int, res int64, post func()) {
-	e.res.Order = append(e.res.Order, DSRef{Thread: t, Index: e.pcs[t-1]})
+	e.res.Order = append(e.res.Order, opRef{Thread: t, Index: e.pcs[t-1]})
 	e.res.Results[t-1] = append(e.res.Results[t-1], res)
 	e.pcs[t-1]++
 	if post != nil {
@@ -219,7 +219,7 @@ func (e *dsExec) record(t int, res int64, post func()) {
 func (e *dsExec) tryOpOnce(t int) (res int64, post func(), ok bool, err error) {
 	op := e.scripts[t-1][e.pcs[t-1]]
 	tx := e.tm.Begin(t)
-	res, post, err = op.Run(tx, t)
+	res, post, err = op.run(tx, t)
 	if err != nil {
 		if errors.Is(err, core.ErrAborted) {
 			return 0, nil, false, nil // TM abort mid-body: tx is finished
@@ -279,7 +279,7 @@ func (e *dsExec) runWindow(t, partner int) error {
 	}
 	op := e.scripts[t-1][e.pcs[t-1]]
 	h := &hookTxn{Txn: e.tm.Begin(t), countdown: preOps, hook: hook}
-	fres, fpost, ferr := op.Run(h, t)
+	fres, fpost, ferr := op.run(h, t)
 
 	recordBack := func() {
 		if backCommitted {

@@ -12,7 +12,7 @@ import (
 )
 
 // The hash-map differential suite: HashMap point ops driven through
-// RunDS so rival ops commit inside each other's execution windows,
+// runDS so rival ops commit inside each other's execution windows,
 // while the table doubles as scripted post-commit actions — each Grow
 // runs one whole privatized doubling at a quiescent point, with
 // deferred frees and magazine batch retires (including the freed old
@@ -80,21 +80,21 @@ func hashWinScripts(seed int64, threads, opsPerThread int) [][]hashWinOp {
 // doubling — which fences — as their post action,
 // since posts only run at quiescent points where a fence cannot
 // deadlock the executor.
-func buildHashOps(hm *stmds.HashMap, heap *stmalloc.Heap, scripts [][]hashWinOp) [][]DSOp {
+func buildHashOps(hm *stmds.HashMap, heap *stmalloc.Heap, scripts [][]hashWinOp) [][]scriptOp {
 	b := func(v bool) int64 {
 		if v {
 			return 1
 		}
 		return 0
 	}
-	out := make([][]DSOp, len(scripts))
+	out := make([][]scriptOp, len(scripts))
 	for t, script := range scripts {
-		ops := make([]DSOp, len(script))
+		ops := make([]scriptOp, len(script))
 		for i, o := range script {
 			o := o
 			switch o.kind {
 			case hGet:
-				ops[i] = DSOp{Name: "hash-get", Run: func(tx core.Txn, th int) (int64, func(), error) {
+				ops[i] = scriptOp{Name: "hash-get", run: func(tx core.Txn, th int) (int64, func(), error) {
 					v, ok, err := hm.GetTx(tx, o.key)
 					if !ok {
 						v = -1
@@ -102,12 +102,12 @@ func buildHashOps(hm *stmds.HashMap, heap *stmalloc.Heap, scripts [][]hashWinOp)
 					return v, nil, err
 				}}
 			case hPut:
-				ops[i] = DSOp{Name: "hash-put", Run: func(tx core.Txn, th int) (int64, func(), error) {
+				ops[i] = scriptOp{Name: "hash-put", run: func(tx core.Txn, th int) (int64, func(), error) {
 					added, _, err := hm.PutTx(tx, th, o.key, o.val)
 					return b(added), nil, err
 				}}
 			case hDel:
-				ops[i] = DSOp{Name: "hash-del", Run: func(tx core.Txn, th int) (int64, func(), error) {
+				ops[i] = scriptOp{Name: "hash-del", run: func(tx core.Txn, th int) (int64, func(), error) {
 					removed, victim, vregs, err := hm.DeleteTx(tx, o.key)
 					if err != nil || !removed {
 						return 0, nil, err
@@ -115,17 +115,17 @@ func buildHashOps(hm *stmds.HashMap, heap *stmalloc.Heap, scripts [][]hashWinOp)
 					return 1, func() { heap.Free(th, victim, vregs) }, nil
 				}}
 			case hLen:
-				ops[i] = DSOp{Name: "hash-len", Run: func(tx core.Txn, th int) (int64, func(), error) {
+				ops[i] = scriptOp{Name: "hash-len", run: func(tx core.Txn, th int) (int64, func(), error) {
 					n, err := hm.LenTx(tx)
 					return int64(n), nil, err
 				}}
 			case hSnap:
-				ops[i] = DSOp{Name: "hash-snap", Run: func(tx core.Txn, th int) (int64, func(), error) {
+				ops[i] = scriptOp{Name: "hash-snap", run: func(tx core.Txn, th int) (int64, func(), error) {
 					pairs, err := hm.SnapshotTx(tx)
 					return pairsHash(pairs), nil, err
 				}}
 			case hGrow:
-				ops[i] = DSOp{Name: "hash-grow", Run: func(tx core.Txn, th int) (int64, func(), error) {
+				ops[i] = scriptOp{Name: "hash-grow", run: func(tx core.Txn, th int) (int64, func(), error) {
 					if _, _, err := hm.GetTx(tx, o.key); err != nil {
 						return 0, nil, err
 					}
@@ -141,10 +141,10 @@ func buildHashOps(hm *stmds.HashMap, heap *stmalloc.Heap, scripts [][]hashWinOp)
 // replayHashOracle replays the recorded serialization order on a plain
 // Go map. Grow steps are semantic no-ops (their observable
 // result is pinned to 0); everything else models the map directly.
-func replayHashOracle(t *testing.T, scripts [][]hashWinOp, order []DSRef) (results [][]int64, final map[int64]int64) {
+func replayHashOracle(t *testing.T, scripts [][]hashWinOp, order []opRef) (results [][]int64, final map[int64]int64) {
 	t.Helper()
 	results = make([][]int64, len(scripts))
-	seen := make(map[DSRef]bool, len(order))
+	seen := make(map[opRef]bool, len(order))
 	final = map[int64]int64{}
 	b := func(v bool) int64 {
 		if v {
@@ -243,12 +243,12 @@ func runHashOnTM(t *testing.T, spec string, shape heapShape, seed int64, scripts
 	hm := stmds.NewHashMap(tm, hashHead, heap)
 	spec = shape.row(spec) // the row name, in failure messages
 
-	got, err := RunDS(tm, buildHashOps(hm, heap, scripts), Options{
+	got, err := runDS(tm, buildHashOps(hm, heap, scripts), options{
 		Seed:    seed,
 		Windows: !isBaseline(spec), // baseline's Begin blocks on the global lock
 	})
 	if err != nil {
-		t.Fatalf("%s: RunDS: %v", spec, err)
+		t.Fatalf("%s: runDS: %v", spec, err)
 	}
 	want, final := replayHashOracle(t, scripts, got.Order)
 	for ti := range want {

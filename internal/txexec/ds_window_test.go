@@ -11,7 +11,7 @@ import (
 )
 
 // The windowed data-structure differential suite: SkipMap and HashMap
-// churn on one heap, driven through RunDS, so rival ordered-map operations commit
+// churn on one heap, driven through runDS, so rival ordered-map operations commit
 // INSIDE each other's execution windows — mid-traversal — while
 // deferred frees and magazine batch retires drain at seeded points
 // between rounds. Every TM × heap shape must reproduce
@@ -96,21 +96,21 @@ func pairsHash(pairs []stmds.KV) int64 {
 // Put memoizes its tower height on first execution so TM-driven
 // attempt reruns insert the same tower. The hash map's grow request is
 // ignored, as in buildHashOps: its doublings have their own suite.
-func buildWinOps(mp *stmds.HashMap, sm *stmds.SkipMap, heap *stmalloc.Heap, scripts [][]dsWinOp) [][]DSOp {
+func buildWinOps(mp *stmds.HashMap, sm *stmds.SkipMap, heap *stmalloc.Heap, scripts [][]dsWinOp) [][]scriptOp {
 	b := func(v bool) int64 {
 		if v {
 			return 1
 		}
 		return 0
 	}
-	out := make([][]DSOp, len(scripts))
+	out := make([][]scriptOp, len(scripts))
 	for t, script := range scripts {
-		ops := make([]DSOp, len(script))
+		ops := make([]scriptOp, len(script))
 		for i, o := range script {
 			o := o
 			switch o.kind {
 			case wMapGet:
-				ops[i] = DSOp{Name: "map-get", Run: func(tx core.Txn, th int) (int64, func(), error) {
+				ops[i] = scriptOp{Name: "map-get", run: func(tx core.Txn, th int) (int64, func(), error) {
 					v, ok, err := mp.GetTx(tx, o.key)
 					if !ok {
 						v = -1
@@ -118,12 +118,12 @@ func buildWinOps(mp *stmds.HashMap, sm *stmds.SkipMap, heap *stmalloc.Heap, scri
 					return v, nil, err
 				}}
 			case wMapPut:
-				ops[i] = DSOp{Name: "map-put", Run: func(tx core.Txn, th int) (int64, func(), error) {
+				ops[i] = scriptOp{Name: "map-put", run: func(tx core.Txn, th int) (int64, func(), error) {
 					added, _, err := mp.PutTx(tx, th, o.key, o.val)
 					return b(added), nil, err
 				}}
 			case wMapDel:
-				ops[i] = DSOp{Name: "map-del", Run: func(tx core.Txn, th int) (int64, func(), error) {
+				ops[i] = scriptOp{Name: "map-del", run: func(tx core.Txn, th int) (int64, func(), error) {
 					removed, victim, vregs, err := mp.DeleteTx(tx, o.key)
 					if err != nil || !removed {
 						return 0, nil, err
@@ -131,12 +131,12 @@ func buildWinOps(mp *stmds.HashMap, sm *stmds.SkipMap, heap *stmalloc.Heap, scri
 					return 1, func() { heap.Free(th, victim, vregs) }, nil
 				}}
 			case wMapSnap:
-				ops[i] = DSOp{Name: "map-snap", Run: func(tx core.Txn, th int) (int64, func(), error) {
+				ops[i] = scriptOp{Name: "map-snap", run: func(tx core.Txn, th int) (int64, func(), error) {
 					pairs, err := mp.SnapshotTx(tx)
 					return pairsHash(pairs), nil, err
 				}}
 			case wSkipGet:
-				ops[i] = DSOp{Name: "skip-get", Run: func(tx core.Txn, th int) (int64, func(), error) {
+				ops[i] = scriptOp{Name: "skip-get", run: func(tx core.Txn, th int) (int64, func(), error) {
 					v, ok, err := sm.GetTx(tx, o.key)
 					if !ok {
 						v = -1
@@ -145,7 +145,7 @@ func buildWinOps(mp *stmds.HashMap, sm *stmds.SkipMap, heap *stmalloc.Heap, scri
 				}}
 			case wSkipPut:
 				height := 0
-				ops[i] = DSOp{Name: "skip-put", Run: func(tx core.Txn, th int) (int64, func(), error) {
+				ops[i] = scriptOp{Name: "skip-put", run: func(tx core.Txn, th int) (int64, func(), error) {
 					if height == 0 {
 						height = sm.Level(th)
 					}
@@ -153,7 +153,7 @@ func buildWinOps(mp *stmds.HashMap, sm *stmds.SkipMap, heap *stmalloc.Heap, scri
 					return b(added), nil, err
 				}}
 			case wSkipDel:
-				ops[i] = DSOp{Name: "skip-del", Run: func(tx core.Txn, th int) (int64, func(), error) {
+				ops[i] = scriptOp{Name: "skip-del", run: func(tx core.Txn, th int) (int64, func(), error) {
 					removed, victim, vregs, err := sm.DeleteTx(tx, o.key)
 					if err != nil || !removed {
 						return 0, nil, err
@@ -161,12 +161,12 @@ func buildWinOps(mp *stmds.HashMap, sm *stmds.SkipMap, heap *stmalloc.Heap, scri
 					return 1, func() { heap.Free(th, victim, vregs) }, nil
 				}}
 			case wSkipLen:
-				ops[i] = DSOp{Name: "skip-len", Run: func(tx core.Txn, th int) (int64, func(), error) {
+				ops[i] = scriptOp{Name: "skip-len", run: func(tx core.Txn, th int) (int64, func(), error) {
 					n, err := sm.LenTx(tx)
 					return int64(n), nil, err
 				}}
 			case wSkipSnap:
-				ops[i] = DSOp{Name: "skip-snap", Run: func(tx core.Txn, th int) (int64, func(), error) {
+				ops[i] = scriptOp{Name: "skip-snap", run: func(tx core.Txn, th int) (int64, func(), error) {
 					pairs, err := sm.SnapshotTx(tx)
 					return pairsHash(pairs), nil, err
 				}}
@@ -180,10 +180,10 @@ func buildWinOps(mp *stmds.HashMap, sm *stmds.SkipMap, heap *stmalloc.Heap, scri
 // replayWinOracle replays the recorded serialization order on plain Go
 // maps: the oracle a windowed run must match. Also returns the final
 // model states for the end-state check.
-func replayWinOracle(t *testing.T, scripts [][]dsWinOp, order []DSRef) (results [][]int64, mapFinal, skipFinal map[int64]int64) {
+func replayWinOracle(t *testing.T, scripts [][]dsWinOp, order []opRef) (results [][]int64, mapFinal, skipFinal map[int64]int64) {
 	t.Helper()
 	results = make([][]int64, len(scripts))
-	seen := make(map[DSRef]bool, len(order))
+	seen := make(map[opRef]bool, len(order))
 	mapFinal = map[int64]int64{}
 	skipFinal = map[int64]int64{}
 	b := func(v bool) int64 {
@@ -299,12 +299,12 @@ func runWinOnTM(t *testing.T, spec string, shape heapShape, seed int64, scripts 
 	sm := stmds.NewSkipMap(tm, skipHead, threads, heap)
 	spec = shape.row(spec) // the row name, in failure messages
 
-	got, err := RunDS(tm, buildWinOps(mp, sm, heap, scripts), Options{
+	got, err := runDS(tm, buildWinOps(mp, sm, heap, scripts), options{
 		Seed:    seed,
 		Windows: !isBaseline(spec), // baseline's Begin blocks on the global lock
 	})
 	if err != nil {
-		t.Fatalf("%s: RunDS: %v", spec, err)
+		t.Fatalf("%s: runDS: %v", spec, err)
 	}
 	want, mapFinal, skipFinal := replayWinOracle(t, scripts, got.Order)
 	for ti := range want {

@@ -1,14 +1,15 @@
-// Package txexec executes programs of the paper's language (package
-// model) on *runtime* TMs (core.TM) under a deterministic cooperative
-// scheduler, for cross-TM differential testing: the same program with
-// the same schedule seed must produce the same final registers and the
-// same committed thread-local environments on every correct TM in the
+// Package txexec is a test harness, and only its own tests use it: it
+// executes programs of the paper's language (package model) on
+// *runtime* TMs (core.TM) under a deterministic cooperative scheduler,
+// for cross-TM differential testing: the same program with the same
+// schedule seed must produce the same final registers and the same
+// committed thread-local environments on every correct TM in the
 // registry, with the serial execution on the global-lock baseline as
 // the oracle.
 //
 // Everything runs on one goroutine. The scheduler interleaves threads
 // at the granularity of top-level items (atomic blocks, fences,
-// non-transactional accesses), and — when Options.Windows is set —
+// non-transactional accesses), and — when options.Windows is set —
 // opens bounded conflict windows between pairs of atomic blocks: the
 // "front" block begins and executes its first TM operation, a "back"
 // block from another thread then runs to commit inside the front's
@@ -39,7 +40,7 @@
 //     the same back-before-front order by other means.
 //
 // Blocking TMs (the global-lock baseline, whose Begin holds a mutex for
-// the whole transaction) must run with Windows off; Run is then a fully
+// the whole transaction) must run with Windows off; run is then a fully
 // serial deterministic execution — the oracle. Both modes consume the
 // schedule seed identically, so a windowed run and its serial oracle
 // follow the same schedule decisions.
@@ -61,8 +62,8 @@ import (
 	"safepriv/internal/model"
 )
 
-// Options configures a run.
-type Options struct {
+// options configures a run.
+type options struct {
 	// Seed drives every scheduling decision; runs with equal seeds make
 	// identical decisions.
 	Seed int64
@@ -77,16 +78,16 @@ type Options struct {
 	MaxAttempts int
 }
 
-// Final is the observable outcome of a run: the registers and each
+// final is the observable outcome of a run: the registers and each
 // thread's committed local environment (aborted attempts leave no
 // trace — locals merge only when the attempt commits).
-type Final struct {
+type final struct {
 	Regs   []int64
 	Locals []map[string]model.Value // 1-based by thread; [0] unused
 }
 
-// Equal reports observational equality of two outcomes.
-func Equal(a, b Final) bool {
+// equal reports observational equality of two outcomes.
+func equal(a, b final) bool {
 	if len(a.Regs) != len(b.Regs) || len(a.Locals) != len(b.Locals) {
 		return false
 	}
@@ -108,9 +109,9 @@ func Equal(a, b Final) bool {
 	return true
 }
 
-// Diff describes the first difference between two outcomes, for test
+// diff describes the first difference between two outcomes, for test
 // failure messages ("" when equal).
-func Diff(a, b Final) string {
+func diff(a, b final) string {
 	if len(a.Regs) != len(b.Regs) || len(a.Locals) != len(b.Locals) {
 		return fmt.Sprintf("shape: %d regs/%d threads vs %d regs/%d threads",
 			len(a.Regs), len(a.Locals), len(b.Regs), len(b.Locals))
@@ -135,11 +136,11 @@ func Diff(a, b Final) string {
 	return ""
 }
 
-// Oracle runs the program serially on a fresh global-lock baseline TM
+// oracle runs the program serially on a fresh global-lock baseline TM
 // with the given seed: the reference outcome for every TM.
-func Oracle(p model.Program, seed int64) (Final, error) {
+func oracle(p model.Program, seed int64) (final, error) {
 	tm := baseline.New(p.Regs, len(p.Threads), nil)
-	return Run(p, tm, Options{Seed: seed, Windows: false})
+	return run(p, tm, options{Seed: seed, Windows: false})
 }
 
 // frame is one level of resolved control flow.
@@ -194,12 +195,12 @@ func (t *thread) consume() { t.stack[len(t.stack)-1].pc++ }
 // exec is the run state.
 type exec struct {
 	tm  core.TM
-	opt Options
+	opt options
 	r   *rand.Rand
 }
 
-// Run executes p on tm under opt's schedule and returns the outcome.
-func Run(p model.Program, tm core.TM, opt Options) (Final, error) {
+// run executes p on tm under opt's schedule and returns the outcome.
+func run(p model.Program, tm core.TM, opt options) (final, error) {
 	if opt.WindowPct == 0 {
 		opt.WindowPct = 60
 	}
@@ -208,7 +209,7 @@ func Run(p model.Program, tm core.TM, opt Options) (Final, error) {
 	}
 	p = p.Desugar()
 	if tm.NumRegs() < p.Regs {
-		return Final{}, fmt.Errorf("txexec: TM has %d registers, program needs %d", tm.NumRegs(), p.Regs)
+		return final{}, fmt.Errorf("txexec: TM has %d registers, program needs %d", tm.NumRegs(), p.Regs)
 	}
 	e := &exec{tm: tm, opt: opt, r: rand.New(rand.NewSource(opt.Seed))}
 	threads := make([]*thread, len(p.Threads)+1)
@@ -228,7 +229,7 @@ func Run(p model.Program, tm core.TM, opt Options) (Final, error) {
 		for _, t := range threads[1:] {
 			s, err := t.next()
 			if err != nil {
-				return Final{}, err
+				return final{}, err
 			}
 			if s != nil {
 				live = append(live, t)
@@ -257,11 +258,11 @@ func Run(p model.Program, tm core.TM, opt Options) (Final, error) {
 			err = fmt.Errorf("txexec: unexpected item %T", item)
 		}
 		if err != nil {
-			return Final{}, err
+			return final{}, err
 		}
 	}
 
-	out := Final{Regs: make([]int64, p.Regs), Locals: make([]map[string]model.Value, len(threads))}
+	out := final{Regs: make([]int64, p.Regs), Locals: make([]map[string]model.Value, len(threads))}
 	for x := 0; x < p.Regs; x++ {
 		out.Regs[x] = tm.Load(1, x)
 	}

@@ -30,7 +30,7 @@ func TestSerialSemantics(t *testing.T) {
 			},
 		},
 	}
-	f, err := Oracle(p, 1)
+	f, err := oracle(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,16 +48,16 @@ func TestSerialSemantics(t *testing.T) {
 func TestAbortedAttemptLeavesNoLocals(t *testing.T) {
 	p := progenProgram(3)
 	tm := engine.MustNewSpec("tl2", p.Regs, len(p.Threads), nil)
-	f, err := Run(p, tm, Options{Seed: 5, Windows: true})
+	f, err := run(p, tm, options{Seed: 5, Windows: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := Oracle(p, 5)
+	o, err := oracle(p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(f, o) {
-		t.Fatalf("tl2 diverged from oracle: %s", Diff(f, o))
+	if !equal(f, o) {
+		t.Fatalf("tl2 diverged from oracle: %s", diff(f, o))
 	}
 }
 
@@ -87,7 +87,7 @@ func diffAgainstOracle(t *testing.T, spec string, progSeeds int64) {
 	for seed := int64(1); seed <= progSeeds; seed++ {
 		p := progenProgram(seed)
 		for ss := int64(0); ss < schedSeeds; ss++ {
-			oracle, err := Oracle(p, ss)
+			oracle, err := oracle(p, ss)
 			if err != nil {
 				t.Fatalf("seed %d sched %d: oracle: %v", seed, ss, err)
 			}
@@ -95,13 +95,13 @@ func diffAgainstOracle(t *testing.T, spec string, progSeeds int64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Run(p, tm, Options{Seed: ss, Windows: windows})
+			got, err := run(p, tm, options{Seed: ss, Windows: windows})
 			if err != nil {
 				t.Fatalf("seed %d sched %d: %s: %v", seed, ss, spec, err)
 			}
-			if !Equal(got, oracle) {
+			if !equal(got, oracle) {
 				t.Fatalf("seed %d sched %d: %s diverged from baseline: %s",
-					seed, ss, spec, Diff(got, oracle))
+					seed, ss, spec, diff(got, oracle))
 			}
 		}
 	}
@@ -143,16 +143,16 @@ func TestDifferentialFlagsInjectedBugs(t *testing.T) {
 				p := progenProgram(seed)
 				caught := false
 				for ss := int64(0); ss < bugSchedSeeds && !caught; ss++ {
-					oracle, err := Oracle(p, ss)
+					oracle, err := oracle(p, ss)
 					if err != nil {
 						t.Fatal(err)
 					}
 					tm := tl2.New(p.Regs, len(p.Threads), tl2.WithBug(bug))
-					got, err := Run(p, tm, Options{Seed: ss, Windows: true})
+					got, err := run(p, tm, options{Seed: ss, Windows: true})
 					if err != nil {
 						t.Fatal(err)
 					}
-					caught = !Equal(got, oracle)
+					caught = !equal(got, oracle)
 				}
 				if !caught {
 					t.Errorf("program seed %d: %s variant matched the oracle on all %d schedules",
@@ -169,33 +169,33 @@ func TestDeterministic(t *testing.T) {
 	for _, windows := range []bool{false, true} {
 		tm1 := engine.MustNewSpec("tl2", p.Regs, len(p.Threads), nil)
 		tm2 := engine.MustNewSpec("tl2", p.Regs, len(p.Threads), nil)
-		a, err := Run(p, tm1, Options{Seed: 3, Windows: windows})
+		a, err := run(p, tm1, options{Seed: 3, Windows: windows})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(p, tm2, Options{Seed: 3, Windows: windows})
+		b, err := run(p, tm2, options{Seed: 3, Windows: windows})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Equal(a, b) {
-			t.Fatalf("windows=%v: nondeterministic: %s", windows, Diff(a, b))
+		if !equal(a, b) {
+			t.Fatalf("windows=%v: nondeterministic: %s", windows, diff(a, b))
 		}
 	}
 }
 
-// TestOracleIsBaselineRun: running the baseline through Run with
+// TestOracleIsBaselineRun: running the baseline through run with
 // Windows off is the oracle by definition.
 func TestOracleIsBaselineRun(t *testing.T) {
 	p := progenProgram(2)
-	o, err := Oracle(p, 4)
+	o, err := oracle(p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Run(p, baseline.New(p.Regs, len(p.Threads), nil), Options{Seed: 4})
+	g, err := run(p, baseline.New(p.Regs, len(p.Threads), nil), options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(o, g) {
+	if !equal(o, g) {
 		t.Fatal("oracle differs from a baseline run with the same seed")
 	}
 }

@@ -51,17 +51,6 @@ func (l *VLock) Raw() uint64 { return l.word.Load() }
 // RawVersion decodes a raw word: version, locked.
 func RawVersion(w uint64) (int64, bool) { return int64(w >> 1), w&1 != 0 }
 
-// TryLock attempts to acquire the lock for owner (1-based). It fails if
-// the lock is held by anyone, including the owner itself (TL2 never
-// locks a register twice: write-sets are deduplicated).
-func (l *VLock) TryLock(owner int) bool {
-	w := l.word.Load()
-	if w&1 != 0 {
-		return false
-	}
-	return l.word.CompareAndSwap(w, uint64(owner)<<1|1)
-}
-
 // Unlock releases the lock, installing the given new version (commit
 // write-back: ver[x] := wver[T]; lock[x].unlock()).
 func (l *VLock) Unlock(version int64) {
@@ -77,8 +66,11 @@ func (l *VLock) Unlock(version int64) {
 // To keep the lock a single word, TryLockVersioned returns the version
 // observed at acquisition for the caller to pass back to AbortUnlock.
 
-// TryLockVersioned is TryLock returning the version the register had,
-// which AbortUnlock reinstates on the abort path.
+// TryLockVersioned attempts to acquire the lock for owner (1-based) and
+// returns the version the register had, which AbortUnlock reinstates on
+// the abort path. It fails if the lock is held by anyone, including the
+// owner itself (TL2 never locks a register twice: write-sets are
+// deduplicated).
 func (l *VLock) TryLockVersioned(owner int) (int64, bool) {
 	w := l.word.Load()
 	if w&1 != 0 {

@@ -121,3 +121,10 @@ func TestStringDiagnostics(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+// TryLock is TryLockVersioned without the version, for the lock-state
+// tests.
+func (l *VLock) TryLock(owner int) bool {
+	_, ok := l.TryLockVersioned(owner)
+	return ok
+}

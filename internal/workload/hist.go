@@ -62,15 +62,3 @@ func (h *Hist) Quantile(q float64) time.Duration {
 	}
 	return time.Duration(1<<63 - 1)
 }
-
-// Merge adds o's samples into h.
-func (h *Hist) Merge(o *Hist) {
-	if o == nil {
-		return
-	}
-	for i := range h.buckets {
-		if n := o.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-}

@@ -26,9 +26,9 @@ const (
 	// conservative placement whose overhead Yoo et al. measured at ~32%
 	// average / ~107% worst case.
 	FenceAfterEveryTxn
-	// FenceSelective inserts fences only where the idiom requires one
+	// fenceSelective inserts fences only where the idiom requires one
 	// (before actual non-transactional access phases).
-	FenceSelective
+	fenceSelective
 )
 
 // String names the mode for benchmark output.
@@ -38,7 +38,7 @@ func (m FenceMode) String() string {
 		return "none"
 	case FenceAfterEveryTxn:
 		return "conservative"
-	case FenceSelective:
+	case fenceSelective:
 		return "selective"
 	}
 	return fmt.Sprintf("FenceMode(%d)", int(m))
@@ -252,7 +252,7 @@ func increment(tm core.TM, threads, ops int, mode FenceMode, reg func(th int) in
 // Pipeline is the privatization workload: `threads` workers update a
 // data region transactionally while the flag (register 0) is even; a
 // maintenance thread periodically privatizes the region (odd flag),
-// fences (in FenceSelective and FenceAfterEveryTxn modes), processes it
+// fences (in fenceSelective and FenceAfterEveryTxn modes), processes it
 // with uninstrumented accesses, and publishes it back. With FenceNone
 // the fence is (unsafely) skipped — only for measuring its cost; the
 // workload tolerates the resulting races by not asserting on data.

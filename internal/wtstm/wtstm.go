@@ -40,41 +40,36 @@ import (
 	"safepriv/internal/vlock"
 )
 
-// Config collects construction options.
-type Config struct {
-	// Regs is the number of registers.
-	Regs int
-	// Threads is the number of thread ids (1-based ids 1..Threads).
-	Threads int
-	// Stripes is the version-lock table size (0 = stripe default).
-	Stripes int
-	// GV4 selects the pass-on-failure global clock.
-	GV4 bool
-	// Epochs selects the epoch-based grace period.
-	Epochs bool
-	// UnsafeFence makes Fence a no-op, to exhibit the delayed-abort
+// config collects construction options.
+type config struct {
+	// regs is the number of registers.
+	regs int
+	// threads is the number of thread ids (1-based ids 1..threads).
+	threads int
+	// gv4 selects the pass-on-failure global clock.
+	gv4 bool
+	// epochs selects the epoch-based grace period.
+	epochs bool
+	// unsafeFence makes Fence a no-op, to exhibit the delayed-abort
 	// anomaly in tests and experiments.
-	UnsafeFence bool
+	unsafeFence bool
 }
 
-// Option mutates a Config.
-type Option func(*Config)
-
-// WithStripes sets the version-lock table size (0 = default).
-func WithStripes(n int) Option { return func(c *Config) { c.Stripes = n } }
+// Option mutates TM construction.
+type Option func(*config)
 
 // WithGV4 selects the GV4 clock.
-func WithGV4() Option { return func(c *Config) { c.GV4 = true } }
+func WithGV4() Option { return func(c *config) { c.gv4 = true } }
 
 // WithEpochFence selects the epoch-based grace period.
-func WithEpochFence() Option { return func(c *Config) { c.Epochs = true } }
+func WithEpochFence() Option { return func(c *config) { c.epochs = true } }
 
 // WithUnsafeFence makes Fence a no-op.
-func WithUnsafeFence() Option { return func(c *Config) { c.UnsafeFence = true } }
+func WithUnsafeFence() Option { return func(c *config) { c.unsafeFence = true } }
 
 // TM is a write-through TM implementing core.TM.
 type TM struct {
-	cfg     Config
+	cfg     config
 	table   *stripe.Table
 	clock   vclock.Clock
 	fence   *rcu.Fence
@@ -83,29 +78,29 @@ type TM struct {
 }
 
 type slot struct {
-	tx Txn
+	tx txn
 	_  [64]byte
 }
 
 // New returns a write-through TM with regs registers and thread ids
 // 1..threads.
 func New(regs, threads int, opts ...Option) *TM {
-	cfg := Config{Regs: regs, Threads: threads}
+	cfg := config{regs: regs, threads: threads}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	tm := &TM{
 		cfg:     cfg,
-		table:   stripe.New(regs, cfg.Stripes),
+		table:   stripe.New(regs, 0),
 		threads: make([]slot, threads+1),
 	}
-	if cfg.GV4 {
+	if cfg.gv4 {
 		tm.clock = vclock.NewGV4()
 	} else {
 		tm.clock = vclock.NewFAI()
 	}
 	tm.board = telemetry.NewBoard(threads)
-	tm.fence = rcu.New(threads, cfg.Epochs, tm.board)
+	tm.fence = rcu.New(threads, cfg.epochs, tm.board)
 	for t := range tm.threads {
 		tm.threads[t].tx.tm = tm
 		tm.threads[t].tx.thread = t
@@ -114,7 +109,7 @@ func New(regs, threads int, opts ...Option) *TM {
 }
 
 // NumRegs implements core.TM.
-func (tm *TM) NumRegs() int { return tm.cfg.Regs }
+func (tm *TM) NumRegs() int { return tm.cfg.regs }
 
 // Load implements core.TM (uninstrumented).
 func (tm *TM) Load(thread, x int) int64 { return tm.table.Load(x) }
@@ -125,7 +120,7 @@ func (tm *TM) Store(thread, x int, v int64) { tm.table.Store(x, v) }
 // Fence implements core.TM: wait for all active transactions, including
 // aborting ones mid-rollback.
 func (tm *TM) Fence(thread int) {
-	if tm.cfg.UnsafeFence {
+	if tm.cfg.unsafeFence {
 		return
 	}
 	tm.fence.Wait()
@@ -162,8 +157,8 @@ type lockedStripe struct {
 	old int64
 }
 
-// Txn is a write-through transaction.
-type Txn struct {
+// txn is a write-through transaction.
+type txn struct {
 	tm     *TM
 	thread int
 	live   bool
@@ -174,26 +169,26 @@ type Txn struct {
 	rset   []int
 }
 
-func (tx *Txn) reset() {
+func (tx *txn) reset() {
 	tx.rver, tx.wver = 0, 0
 	tx.undo = tx.undo[:0]
 	tx.locked = tx.locked[:0]
 	tx.rset = tx.rset[:0]
 }
 
-func (tx *Txn) finish() {
+func (tx *txn) finish() {
 	tx.live = false
 	tx.tm.fence.Exit(tx.thread)
 }
 
 // ownsStripe reports whether the transaction already holds stripe s.
-func (tx *Txn) ownsStripe(s int) bool {
+func (tx *txn) ownsStripe(s int) bool {
 	return tx.tm.table.Lock(s).OwnedBy(tx.thread)
 }
 
 // logged reports whether x already has an undo entry (x was written
 // before in this transaction).
-func (tx *Txn) logged(x int) bool {
+func (tx *txn) logged(x int) bool {
 	for i := range tx.undo {
 		if tx.undo[i].x == x {
 			return true
@@ -203,7 +198,7 @@ func (tx *Txn) logged(x int) bool {
 }
 
 // Read implements core.Txn.
-func (tx *Txn) Read(x int) (int64, error) {
+func (tx *txn) Read(x int) (int64, error) {
 	tm := tx.tm
 	if !tx.live {
 		panic("wtstm: Read on finished transaction")
@@ -227,7 +222,7 @@ func (tx *Txn) Read(x int) (int64, error) {
 }
 
 // Write implements core.Txn: encounter-time lock, log, store in place.
-func (tx *Txn) Write(x int, v int64) error {
+func (tx *txn) Write(x int, v int64) error {
 	tm := tx.tm
 	if !tx.live {
 		panic("wtstm: Write on finished transaction")
@@ -255,7 +250,7 @@ func (tx *Txn) Write(x int, v int64) error {
 }
 
 // Commit implements core.Txn.
-func (tx *Txn) Commit() error {
+func (tx *txn) Commit() error {
 	tm := tx.tm
 	if !tx.live {
 		panic("wtstm: Commit on finished transaction")
@@ -292,7 +287,7 @@ func (tx *Txn) Commit() error {
 // the ordering the fence relies on. All values are restored before any
 // lock is released so no other thread can observe (or lock past) a
 // half-rolled-back stripe.
-func (tx *Txn) rollback() {
+func (tx *txn) rollback() {
 	tm := tx.tm
 	for i := len(tx.undo) - 1; i >= 0; i-- {
 		tm.table.Store(tx.undo[i].x, tx.undo[i].v)
@@ -306,10 +301,10 @@ func (tx *Txn) rollback() {
 }
 
 // Live implements core.Txn.
-func (tx *Txn) Live() bool { return tx.live }
+func (tx *txn) Live() bool { return tx.live }
 
 // Abort implements core.Txn.
-func (tx *Txn) Abort() {
+func (tx *txn) Abort() {
 	if !tx.live {
 		panic("wtstm: Abort on finished transaction")
 	}
