@@ -238,7 +238,9 @@ func BenchmarkE14FenceUnderLoad(b *testing.B) {
 	// Fences racing short transactions: measures grace-period latency
 	// with genuinely active transactions. Each writer commits once
 	// before the clock starts, so no fence runs ahead of its load.
-	for _, spec := range []string{"tl2", "tl2+epochs"} {
+	// tl2 waits with epochs (the default), tl2+flags with the paper's
+	// flags (the ablation).
+	for _, spec := range []string{"tl2+flags", "tl2"} {
 		b.Run(spec, func(b *testing.B) {
 			tm := engine.MustNewSpec(spec, 8, 6, nil)
 			stop := make(chan struct{})

@@ -1,9 +1,9 @@
 // Command litmus model-checks one of the paper's litmus programs under
 // a chosen TM model and fence policy and prints the distinct final
-// outcomes. With -exec it instead runs the program (fig1a or
-// read-privatize) concurrently on a *runtime* TM selected by engine
-// specification, connecting the model-checked verdicts to observed
-// behaviour of the real implementations.
+// outcomes. With -exec it instead runs the program (fig1a,
+// read-privatize or guard-payload) concurrently on a *runtime* TM
+// selected by engine specification, connecting the model-checked
+// verdicts to observed behaviour of the real implementations.
 //
 // Usage:
 //
@@ -13,6 +13,7 @@
 //	litmus -exec tl2+nofence -runs 5000     # delayed commit, live
 //	litmus -exec norec -runs 5000           # fence-free safe on NOrec
 //	litmus -prog read-privatize -exec tl2   # scan-window idiom, live
+//	litmus -prog guard-payload -exec tl2    # growth through region.Guard, live
 //	litmus -prog list                       # every program's name
 //
 // A live run that violates the postcondition on a spec whose fence is
@@ -31,10 +32,11 @@ import (
 	"safepriv/internal/engine"
 	"safepriv/internal/litmus"
 	"safepriv/internal/model"
+	"safepriv/internal/region"
 )
 
 // liveRuns runs one of the live programs below `runs` times, each on a
-// fresh 2-register TM built from spec, and prints how many runs
+// fresh 3-register TM built from spec, and prints how many runs
 // violated the program's postcondition. Violations are the expected
 // outcome on the unsafe fence specs (nofence, skipro) and an error on
 // every other spec, so CI can run the safe ones as a check.
@@ -43,7 +45,7 @@ func liveRuns(name, spec string, runs int, violated func(tm core.TM) bool) error
 	if err != nil {
 		return err
 	}
-	cfg.Regs, cfg.Threads = 2, 3
+	cfg.Regs, cfg.Threads = 3, 3
 	violations := 0
 	for i := 0; i < runs; i++ {
 		tm, err := engine.New(cfg)
@@ -141,11 +143,52 @@ func liveReadPrivatize(tm core.TM) bool {
 	return privatized && wrote && lx != litmus.TxVal
 }
 
+// liveGuardPayload is one run of the guard-payload program through a
+// real region.Guard: thread 1 takes the region exclusive, fences, loads
+// the register payload 0 names, rebuilds into the one payload 1 names
+// and publishes payload 1; thread 2 reads the payload with the flag and
+// writes x under payload 0 or reads the rebuilt register under payload
+// 1 (it gives up on ErrPrivate, where a store would wait). The
+// postcondition is (l1=committed ∧ l3=committed ∧ f=0 ⇒ lx=42) ∧
+// (l3=committed ∧ f=grown ⇒ b=11).
+func liveGuardPayload(tm core.TM) bool {
+	g := region.Guard{Flag: litmus.RegFlag} // exclusive only: no window bounds
+	var grew, wrote, sawGrown bool
+	var lx, b int64
+	both(func() {
+		if err := core.Atomically(tm, 1, func(tx core.Txn) error {
+			return g.Take(tx, region.Exclusive, region.NoWindow)
+		}); err != nil {
+			return
+		}
+		grew = true
+		tm.Fence(1)
+		lx = tm.Load(1, litmus.RegX)
+		tm.Store(1, litmus.RegX+1, litmus.RebuiltVal)
+		core.Atomically(tm, 1, func(tx core.Txn) error { return g.GiveWith(tx, 1) })
+	}, func() {
+		err := core.Atomically(tm, 2, func(tx core.Txn) error {
+			p, _, err := g.Writable(tx)
+			if err != nil {
+				return err
+			}
+			wrote, sawGrown = p == 0, p == 1
+			if wrote {
+				return tx.Write(litmus.RegX, litmus.TxVal)
+			}
+			b, err = tx.Read(litmus.RegX + int(p))
+			return err
+		})
+		wrote, sawGrown = wrote && err == nil, sawGrown && err == nil
+	})
+	return grew && wrote && lx != litmus.TxVal || sawGrown && b != litmus.RebuiltVal
+}
+
 func main() {
 	prog := flag.String("prog", "fig1a", "program name (fig1a, fig1a-nofence, fig1b, …), or 'list' to print them all")
 	mk := flag.String("model", "tl2", "TM model: tl2 or atomic")
 	fence := flag.String("fence", "wait", "fence policy (tl2 model): wait, skipro, noop")
-	exec := flag.String("exec", "", "run -prog (fig1a or read-privatize) on a runtime TM by engine spec instead of model checking (or 'list')")
+	exec := flag.String("exec", "", "run -prog (fig1a, read-privatize or guard-payload) on a runtime TM by engine spec instead of model checking (or 'list')")
 	runs := flag.Int("runs", 2000, "iterations for -exec")
 	flag.Parse()
 
@@ -166,6 +209,7 @@ func main() {
 		live, ok := map[string]func(core.TM) bool{
 			"fig1a":          liveFig1a,
 			"read-privatize": liveReadPrivatize,
+			"guard-payload":  liveGuardPayload,
 		}[*prog]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "program %q has no live runner\n", *prog)

@@ -5,7 +5,7 @@
 //
 // The TM under test is selected by an engine specification (see
 // internal/engine): any registered TM × clock × fence × quiescer
-// configuration, e.g. -tm tl2, -tm tl2+gv4+epochs, -tm norec,
+// configuration, e.g. -tm tl2, -tm tl2+gv4+flags, -tm norec,
 // -tm atomic.
 //
 // Usage:

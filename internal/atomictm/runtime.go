@@ -182,9 +182,15 @@ func (tx *txn) reset() {
 	tx.undo = tx.undo[:0]
 }
 
-func (tx *txn) finish() {
+// finish ends the transaction; an abort is counted on the telemetry
+// board as it ends.
+func (tx *txn) finish(committed bool) {
 	tx.live = false
-	tx.tm.fence.Exit(tx.thread)
+	if committed {
+		tx.tm.fence.Exit(tx.thread)
+	} else {
+		tx.tm.fence.ExitAborted(tx.thread)
+	}
 }
 
 // lockStripe acquires x's stripe unless already held; false means
@@ -229,7 +235,7 @@ func (tx *txn) Read(x int) (int64, error) {
 			sk.ReadAborted(tx.thread, x)
 		}
 		tx.releaseAll(true)
-		tx.finish()
+		tx.finish(false)
 		return 0, core.ErrAborted
 	}
 	v := tx.tm.table.Load(x)
@@ -250,7 +256,7 @@ func (tx *txn) Write(x int, v int64) error {
 			sk.WriteAborted(tx.thread, x, v)
 		}
 		tx.releaseAll(true)
-		tx.finish()
+		tx.finish(false)
 		return core.ErrAborted
 	}
 	logged := false
@@ -284,7 +290,7 @@ func (tx *txn) Commit() error {
 		sk.Committed(tx.thread, 0)
 	}
 	tx.releaseAll(false)
-	tx.finish()
+	tx.finish(true)
 	return nil
 }
 
@@ -303,7 +309,7 @@ func (tx *txn) Abort() {
 	if sk := tx.tm.sink; sk != nil {
 		sk.Aborted(tx.thread)
 	}
-	tx.finish()
+	tx.finish(false)
 }
 
 // spin backs off a contended non-transactional access.

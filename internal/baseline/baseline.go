@@ -157,6 +157,6 @@ func (tx *txn) Abort() {
 		s.Aborted(tx.thread)
 	}
 	tx.live = false
-	tx.tm.fence.Exit(tx.thread)
+	tx.tm.fence.ExitAborted(tx.thread)
 	tx.tm.mu.Unlock()
 }

@@ -150,13 +150,12 @@ func backoffDelay(thread, attempt int) time.Duration {
 // returns in l.
 //
 // Repeated aborts trigger the capped exponential backoff above. When
-// the TM carries a telemetry board (telemetry.Provider), commits,
-// aborts and backoff time are recorded into the calling thread's slot.
+// the TM carries a telemetry board (telemetry.Provider), retried
+// attempts and backoff time are recorded into the calling thread's
+// slot. A first-attempt commit records nothing: the board counts
+// commits off the fence's per-thread counter, which Begin and Commit
+// already bump.
 func Atomically(tm TM, thread int, body func(Txn) error) error {
-	var slot *telemetry.Slot
-	if p, ok := tm.(telemetry.Provider); ok {
-		slot = p.TelemetryBoard().Slot(thread)
-	}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if d := backoffDelay(thread, attempt); d > 0 {
 			// Record the delay taken, not the delay asked for: a yield
@@ -167,7 +166,7 @@ func Atomically(tm TM, thread int, body func(Txn) error) error {
 				runtime.Gosched()
 				elapsed = time.Since(start)
 			}
-			if slot != nil {
+			if slot := slotOf(tm, thread); slot != nil {
 				slot.BackoffNs.Add(int64(elapsed))
 			}
 		}
@@ -176,9 +175,8 @@ func Atomically(tm TM, thread int, body func(Txn) error) error {
 		switch {
 		case err == nil:
 			if cerr := tx.Commit(); cerr == nil {
-				if slot != nil {
-					slot.Commits.Add(1)
-					if attempt > 0 {
+				if attempt > 0 {
+					if slot := slotOf(tm, thread); slot != nil {
 						slot.Aborts.Add(int64(attempt))
 					}
 				}
@@ -197,8 +195,17 @@ func Atomically(tm TM, thread int, body func(Txn) error) error {
 			return err
 		}
 	}
-	if slot != nil {
+	if slot := slotOf(tm, thread); slot != nil {
 		slot.Aborts.Add(maxAttempts)
 	}
 	return errContention
+}
+
+// slotOf returns thread's telemetry slot on tm's board, or nil when tm
+// carries none. Only Atomically's retry paths look it up.
+func slotOf(tm TM, thread int) *telemetry.Slot {
+	if p, ok := tm.(telemetry.Provider); ok {
+		return p.TelemetryBoard().Slot(thread)
+	}
+	return nil
 }

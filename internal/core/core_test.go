@@ -10,6 +10,7 @@ import (
 	"safepriv/internal/core"
 	"safepriv/internal/core/coretest"
 	"safepriv/internal/norec"
+	"safepriv/internal/telemetry"
 	"safepriv/internal/tl2"
 	"safepriv/internal/wtstm"
 )
@@ -250,5 +251,44 @@ func TestAtomicallyAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s Atomically allocates %v times per call, want 0", row.name, allocs)
 		}
+	}
+}
+
+// TestAtomicallyRecordsOnlyRetries: on every TM, a block that commits
+// at its first attempt leaves the thread's telemetry slot as it was,
+// and the board still counts the commit (off the fence); a block that
+// commits after two body aborts adds the two attempts to Aborts and
+// one commit.
+func TestAtomicallyRecordsOnlyRetries(t *testing.T) {
+	for name, tm := range implementations(2, 2) {
+		t.Run(name, func(t *testing.T) {
+			board := tm.(telemetry.Provider).TelemetryBoard()
+			sl := board.Slot(1)
+			write := func(tx core.Txn) error { return tx.Write(0, 1) }
+			before, aborts, uncommitted := board.Snapshot(), sl.Aborts.Load(), sl.Uncommitted.Load()
+			if err := core.Atomically(tm, 1, write); err != nil {
+				t.Fatal(err)
+			}
+			if sl.Aborts.Load() != aborts || sl.Uncommitted.Load() != uncommitted || sl.BackoffNs.Load() != 0 {
+				t.Fatal("a first-attempt commit wrote the thread's slot")
+			}
+			if d := board.Snapshot().Delta(before); d.Commits != 1 || d.Aborts != 0 {
+				t.Fatalf("first-attempt commit: %d commits, %d aborts on the board, want 1 and 0", d.Commits, d.Aborts)
+			}
+			attempts := 0
+			before = board.Snapshot()
+			err := core.Atomically(tm, 1, func(tx core.Txn) error {
+				if attempts++; attempts <= 2 {
+					return core.ErrAborted
+				}
+				return write(tx)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := board.Snapshot().Delta(before); d.Commits != 1 || d.Aborts != 2 {
+				t.Fatalf("commit after two aborts: %d commits, %d aborts on the board, want 1 and 2", d.Commits, d.Aborts)
+			}
+		})
 	}
 }

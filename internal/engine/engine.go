@@ -20,8 +20,11 @@
 //	modifiers (availability depends on the TM):
 //	gv4        GV4 pass-on-failure global clock  (tl2, wtstm)
 //	fai        fetch-and-increment clock — the default, for explicitness
-//	epochs     epoch-based grace period          (tl2, norec, wtstm)
-//	flags      flag-based grace period — the default
+//	epochs     epoch-based grace period — the default, for
+//	           explicitness                       (tl2, norec, wtstm)
+//	flags      flag-based grace period, the paper's Figure 7 — an
+//	           ablation on tl2, norec and wtstm, the only grace
+//	           period of baseline and atomic
 //	sorted     commit locks in register order    (tl2)
 //	wait       the paper's fence: wait out every active transaction —
 //	           the default, for explicitness      (all TMs)
@@ -35,7 +38,12 @@
 // (nofence, skipro) reproduces the anomalies on the heap too, and
 // kvserve refuses it (Config.UnsafeFence).
 //
-// Examples: "tl2+gv4+epochs+sorted", "wtstm+nofence", "norec+epochs",
+// The epoch grace period is the default wherever a TM offers both: it
+// waits for at most one transaction per thread it observed, where the
+// flag wait can be held up by every later transaction of a busy thread
+// (package rcu). Both meet the paper's specification of the fence.
+//
+// Examples: "tl2+gv4+flags+sorted", "wtstm+nofence", "norec+flags",
 // "tl2+skipro".
 package engine
 
@@ -71,7 +79,8 @@ type Config struct {
 	// (tl2, wtstm), or "skipro" (tl2 only).
 	Fence string
 	// Quiescer selects the grace-period implementation backing the
-	// fence: "" or "flags" (default), or "epochs".
+	// fence: "" for the TM's default (defaultQuiescer), "epochs", or
+	// "flags".
 	Quiescer string
 	// SortedLocks acquires TL2 commit locks in register order.
 	SortedLocks bool
@@ -87,8 +96,8 @@ func (c Config) Spec() string {
 	if c.Clock == "gv4" {
 		mods = append(mods, "gv4")
 	}
-	if c.Quiescer == "epochs" {
-		mods = append(mods, "epochs")
+	if c.Quiescer != "" && c.Quiescer != defaultQuiescer(c.TM) {
+		mods = append(mods, c.Quiescer)
 	}
 	if c.SortedLocks {
 		mods = append(mods, "sorted")
@@ -169,7 +178,7 @@ func (c *Config) normalize() error {
 		c.Fence = "wait"
 	}
 	if c.Quiescer == "" {
-		c.Quiescer = "flags"
+		c.Quiescer = defaultQuiescer(c.TM)
 	}
 	type axis struct{ name, val, dflt string }
 	reject := func(ax ...axis) error {
@@ -230,6 +239,17 @@ func (c *Config) normalize() error {
 		return nil
 	}
 	return fmt.Errorf("engine: unknown TM %q", c.TM)
+}
+
+// defaultQuiescer is the grace period a TM's fence waits with when its
+// spec names none: epochs where the TM offers both, flags on baseline
+// and atomic, which offer nothing else.
+func defaultQuiescer(tm string) string {
+	switch tm {
+	case "tl2", "norec", "wtstm":
+		return "epochs"
+	}
+	return "flags"
 }
 
 // UnsafeFence reports whether the configuration's fence gives no grace
@@ -321,14 +341,14 @@ func Specs() []string {
 		"baseline",
 		"atomic",
 		"norec",
-		"norec+epochs",
+		"norec+flags",
 		"wtstm",
 		"wtstm+gv4",
-		"wtstm+epochs",
+		"wtstm+flags",
 		"wtstm+nofence",
 		"tl2",
 		"tl2+gv4",
-		"tl2+epochs",
+		"tl2+flags",
 		"tl2+sorted",
 		"tl2+nofence",
 		"tl2+skipro",

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -36,16 +38,35 @@ func smoke(t *testing.T, spec string, tm core.TM) {
 	}
 }
 
+// formerEpochSpecs are the specs Specs() listed while flags was the
+// default grace period. Epochs is the default now, so each is the
+// explicit spelling of its base TM.
+var formerEpochSpecs = []string{"norec+epochs", "tl2+epochs", "wtstm+epochs"}
+
 // TestSpecsRoundTrip: every registered configuration parses, reprints
 // to itself, constructs a working TM, and passes the smoke transaction
 // + fence + non-transactional access. The specs Specs() listed for the
-// retired heap axes keep a row each, pinning that they are refused.
+// retired heap axes keep a row each, pinning that they are refused, and
+// the former epoch specs keep one each, pinning that they canonicalize
+// to their base TM and still build.
 func TestSpecsRoundTrip(t *testing.T) {
 	if n := len(Specs()); n != 14 {
 		t.Fatalf("len(Specs()) = %d, want 14", n)
 	}
 	for _, spec := range retiredHeapSpecs {
 		t.Run(spec, func(t *testing.T) { requireUnknown(t, spec) })
+	}
+	for _, spec := range formerEpochSpecs {
+		t.Run(spec, func(t *testing.T) {
+			cfg, err := Parse(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base, _, _ := strings.Cut(spec, "+"); cfg.Spec() != base {
+				t.Fatalf("Parse(%q).Spec() = %q, want %q", spec, cfg.Spec(), base)
+			}
+			smoke(t, spec, MustNewSpec(spec, 4, 3, nil))
+		})
 	}
 	for _, spec := range Specs() {
 		t.Run(spec, func(t *testing.T) {
@@ -258,12 +279,16 @@ func TestParseErrors(t *testing.T) {
 // canonicalizes away.
 func TestParseBenignModifiers(t *testing.T) {
 	for spec, canon := range map[string]string{
-		"tl2+fai":   "tl2",
-		"tl2+wait":  "tl2",
-		"tl2+flags": "tl2",
-		"wtstm+fai": "wtstm",
+		"tl2+fai":        "tl2",
+		"tl2+wait":       "tl2",
+		"tl2+epochs":     "tl2",
+		"wtstm+fai":      "wtstm",
+		"norec+epochs":   "norec",
+		"baseline+flags": "baseline",
+		"atomic+flags":   "atomic",
 		// One default per axis beside a real modifier.
-		"tl2+gv4+wait+flags": "tl2+gv4",
+		"tl2+gv4+wait+epochs": "tl2+gv4",
+		"tl2+flags+fai":       "tl2+flags",
 	} {
 		cfg, err := Parse(spec)
 		if err != nil {
@@ -365,4 +390,49 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("%q: empty transaction did not commit: %v", spec, err)
 		}
 	})
+}
+
+// TestFenceWaitsForObservedOnly: thread 1 is inside a transaction when
+// a fence starts; it commits, begins again at once and stays inside.
+// The fence must return while that second transaction is open: it was
+// not running when the fence was invoked. The epoch wait, the default
+// of every TM that offers a choice, returns; the flag wait (+flags)
+// waits for the second transaction too, so on a +flags spec this row
+// never finishes. There is no sleep and no timer: the row commits only
+// once it finds the fencer inside rcu's wait on the goroutine stacks,
+// that is, past its snapshot.
+func TestFenceWaitsForObservedOnly(t *testing.T) {
+	for _, spec := range []string{"tl2", "norec", "wtstm"} {
+		t.Run(spec, func(t *testing.T) {
+			tm := MustNewSpec(spec, 4, 2, nil)
+			tx := tm.Begin(1)
+			if err := tx.Write(0, 1); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() { tm.Fence(2); close(done) }()
+			for !inGracePeriod() {
+				runtime.Gosched()
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			tx = tm.Begin(1)
+			<-done
+			tx.Abort()
+		})
+	}
+}
+
+// inGracePeriod reports whether some goroutine is inside rcu's
+// grace-period wait, which it enters after taking its snapshot.
+func inGracePeriod() bool {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Contains(buf[:n], []byte("rcu.(*Fence).await"))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
 }

@@ -2,7 +2,7 @@
 // Transactional Memory" (PPoPP 2018) — Figures 1(a), 1(b), 2, 3 and 6 —
 // as model-checkable programs, each documenting its postcondition (the
 // package's tests check them), plus the idioms this repository builds
-// on them (privatize-publish, read-privatize).
+// on them (privatize-publish, read-privatize, guard-payload).
 //
 // Conventions forced by the unique-writes assumption (§2.2): boolean
 // flags are encoded as registers whose initial value 0 plays the role
@@ -217,6 +217,7 @@ func All() []model.Program {
 		fig2(), fig3(), fig6(),
 		fig2NonTxnFlag(), staticSeparation(), privatizePublish(),
 		readPrivatize(false), readPrivatize(true),
+		guardPayload(false), guardPayload(true),
 	}
 }
 
@@ -321,7 +322,9 @@ func privatizePublish() model.Program {
 }
 
 // Flag values of readPrivatize, mirroring stmkv's shard flag: the two
-// low bits are the state, so 3 is read-private and 4 is shared again.
+// low bits are the state, so 3 is read-private and 4 is shared again
+// (a real flag counts the publish higher up, above its payload;
+// region.Guard).
 const (
 	FlagReadPrivate = 3
 	FlagRepublished = 4
@@ -386,4 +389,85 @@ func readPrivatize(racy bool) model.Program {
 		model.Atomic{Lv: "l4", Body: []model.Stmt{ignoresFlag}},
 	}
 	return model.Program{Name: name, Regs: 2, Threads: [][]model.Stmt{th1, th2}}
+}
+
+// Values of guardPayload, mirroring region.Guard's flag: the state in
+// the two low bits, the payload from bit 2 and the publish count from
+// bit 26.
+const (
+	// flagGrowing is the flag of a region taken exclusive before its
+	// first publish, carrying payload 0.
+	flagGrowing = 1
+	// flagGrown is the flag after one publish that carried payload 1.
+	flagGrown = 1<<26 | 1<<2
+	// RebuiltVal is the grower's uninstrumented write into the register
+	// payload 1 names.
+	RebuiltVal = 11
+)
+
+// guardPayload is the idiom of stmkv's growth, whose shard flag also
+// carries the table's capacity (region.Guard's payload): the grower
+// takes the region exclusive, fences, rebuilds it into the register
+// the new payload names, and publishes that payload with the flag; a
+// transaction picks the register it accesses from the payload it read
+// with the flag (payload p names register x+p).
+//
+//	thread 1: l1 := atomic { flag := flagGrowing };  // privatize
+//	          if (l1 == committed) {
+//	            fence;
+//	            lx := x.read();                      // ν: load the old table
+//	            y := 11;                             // ν: rebuild at payload 1
+//	            l2 := atomic { flag := flagGrown } } // publish payload 1
+//	thread 2: l3 := atomic {
+//	            f := flag.read();
+//	            if (f == 0) x := 42;                 // payload 0: x
+//	            if (f == flagGrown) b := y.read() }  // payload 1: y
+//
+// The program is DRF: the fence orders the rebuild after every
+// transaction that saw payload 0, and the publish orders it before
+// every transaction that sees payload 1. Postcondition: a writer that
+// saw payload 0 is serialized before the privatization, so the
+// grower's load sees its write, and a reader that saw payload 1 sees
+// the rebuilt register: (l1=committed ∧ l3=committed ∧ f=0 ⇒ lx=42) ∧
+// (l3=committed ∧ f=flagGrown ⇒ b=11).
+//
+// With racy set the grower publishes without the fence: a writer that
+// saw payload 0 can commit after the grower's load (Figure 1(a)'s
+// delayed commit), which the TL2 model exhibits as a violation.
+func guardPayload(racy bool) model.Program {
+	phase := []model.Stmt{
+		model.FenceStmt{},
+		model.Read{Lv: "lx", X: RegX},
+		model.Write{X: RegX + 1, E: model.Const(RebuiltVal)},
+		model.Atomic{Lv: "l2", Body: []model.Stmt{
+			model.Write{X: RegFlag, E: model.Const(flagGrown)},
+		}},
+	}
+	name := "guard-payload"
+	if racy {
+		name, phase = "guard-payload-racy", phase[1:]
+	}
+	th1 := []model.Stmt{
+		model.Atomic{Lv: "l1", Body: []model.Stmt{
+			model.Write{X: RegFlag, E: model.Const(flagGrowing)},
+		}},
+		model.If{
+			Cond: model.Eq{A: model.Var("l1"), B: model.Const(model.ResCommitted)},
+			Then: phase,
+		},
+	}
+	th2 := []model.Stmt{
+		model.Atomic{Lv: "l3", Body: []model.Stmt{
+			model.Read{Lv: "f", X: RegFlag},
+			model.If{
+				Cond: model.Eq{A: model.Var("f"), B: model.Const(0)},
+				Then: []model.Stmt{model.Write{X: RegX, E: model.Const(TxVal)}},
+			},
+			model.If{
+				Cond: model.Eq{A: model.Var("f"), B: model.Const(flagGrown)},
+				Then: []model.Stmt{model.Read{Lv: "b", X: RegX + 1}},
+			},
+		}},
+	}
+	return model.Program{Name: name, Regs: 3, Threads: [][]model.Stmt{th1, th2}}
 }

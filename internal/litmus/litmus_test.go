@@ -7,10 +7,13 @@ package litmus
 import (
 	"testing"
 
+	"safepriv/internal/core"
 	"safepriv/internal/hb"
 	"safepriv/internal/model"
 	"safepriv/internal/opacity"
+	"safepriv/internal/region"
 	"safepriv/internal/spec"
+	"safepriv/internal/tl2"
 )
 
 // drfUnderAtomic checks DRF(P, s, Hatomic) per Definition 3.3 by
@@ -484,6 +487,92 @@ func TestReadPrivatizeNeedsItsFence(t *testing.T) {
 	}
 }
 
+// --- A region whose flag carries the structure's shape (stmkv's growth) ---
+
+// TestGuardPayloadVerdicts: the grower's fence makes the payload idiom
+// DRF, and its postcondition holds in every interleaving of both models
+// and in the sampled TL2 traces, which pass the strong-opacity
+// pipeline. The twin that publishes without the fence is racy, and
+// the TL2 model reaches a final that violates the postcondition.
+func TestGuardPayloadVerdicts(t *testing.T) {
+	t.Run("guard-payload", func(t *testing.T) {
+		p := guardPayload(false)
+		if drf, n := drfUnderAtomic(t, p); !drf {
+			t.Fatalf("racy over %d traces, want DRF", n)
+		}
+		for _, m := range []model.TMKind{model.TL2Kind, model.AtomicKind} {
+			viol, res, err := model.CheckAlways(
+				model.Config{Prog: p, Model: m, Fence: model.FenceWaitAll},
+				guardPayloadPost,
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if viol != nil {
+				t.Fatalf("model %d: postcondition violated: %+v (%d states)", m, *viol, res.States)
+			}
+		}
+		runs, err := model.Sample(
+			model.Config{Prog: p, Model: model.TL2Kind, Fence: model.FenceWaitAll},
+			200, 101,
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range runs {
+			wv := r.WVers
+			if _, err := opacity.Check(r.Hist, opacity.Options{
+				WVer: func(ti int) (int64, bool) { v, ok := wv[ti]; return v, ok },
+			}); err != nil {
+				t.Fatalf("run %d: %v\n%s", i, err, r.Hist)
+			}
+		}
+	})
+	t.Run("guard-payload-racy", func(t *testing.T) {
+		p := guardPayload(true)
+		if drf, n := drfUnderAtomic(t, p); drf {
+			t.Fatalf("DRF over %d traces, want racy", n)
+		}
+		found, res, err := model.Exists(
+			model.Config{Prog: p, Model: model.TL2Kind, Fence: model.FenceWaitAll},
+			func(f model.Final) bool { return !guardPayloadPost(f) },
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !found {
+			t.Fatalf("no final violates the postcondition (%d states)", res.States)
+		}
+	})
+}
+
+// TestGuardPayloadFlagsMirrorRegion: the program's flag values are the
+// ones region.Guard writes — an exclusive take of a fresh region with
+// payload 0, then a publish that carries payload 1.
+func TestGuardPayloadFlagsMirrorRegion(t *testing.T) {
+	tm := tl2.New(1, 1)
+	g := region.Guard{Flag: RegFlag}
+	steps := []struct {
+		name string
+		body func(core.Txn) error
+		want int64
+	}{
+		{"take", func(tx core.Txn) error { return g.Take(tx, region.Exclusive, region.NoWindow) }, flagGrowing},
+		{"publish", func(tx core.Txn) error { return g.GiveWith(tx, 1) }, flagGrown},
+	}
+	for _, st := range steps {
+		if err := core.Atomically(tm, 1, st.body); err != nil {
+			t.Fatal(err)
+		}
+		if f := tm.Load(1, RegFlag); f != st.want {
+			t.Fatalf("flag after the %s is %#x, want %#x", st.name, f, st.want)
+		}
+	}
+	if p := region.Payload(flagGrown); p != 1 {
+		t.Fatalf("flagGrown carries payload %d, want 1", p)
+	}
+}
+
 // fig1aPost is Figure 1(a)'s postcondition.
 func fig1aPost(f model.Final) bool {
 	if f.Locals[1]["l"] == model.ResCommitted {
@@ -540,4 +629,16 @@ func readPrivatizePost(f model.Final) bool {
 		return f.Locals[1]["lx"] == TxVal
 	}
 	return true
+}
+
+// guardPayloadPost is guardPayload's postcondition.
+func guardPayloadPost(f model.Final) bool {
+	l := f.Locals[2]
+	if l["l3"] != model.ResCommitted {
+		return true
+	}
+	if l["f"] == 0 && f.Locals[1]["l1"] == model.ResCommitted && f.Locals[1]["lx"] != TxVal {
+		return false
+	}
+	return l["f"] != flagGrown || l["b"] == RebuiltVal
 }

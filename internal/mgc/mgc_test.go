@@ -47,7 +47,7 @@ func TestRunAndCheckManySeeds(t *testing.T) {
 }
 
 func TestRunAndCheckVariants(t *testing.T) {
-	for _, spec := range []string{"tl2+gv4", "tl2+epochs", "tl2", "atomic"} {
+	for _, spec := range []string{"tl2+gv4", "tl2+epochs", "tl2+flags", "tl2", "atomic"} {
 		t.Run(spec, func(t *testing.T) {
 			_, err := RunAndCheck(Config{
 				Threads:       3,

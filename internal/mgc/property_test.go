@@ -44,7 +44,8 @@ func safeSinkSpecs(t *testing.T) []string {
 // witness membership). Short mode bounds the seeds; the full run soaks.
 // The registry once listed four heap-shape specs that built the same
 // TMs as tl2 and norec; their rows pin that the harness now refuses
-// them.
+// them. It also listed norec+epochs and tl2+epochs, which spell out
+// today's default grace period; their rows run that spelling.
 func TestPropertyOpacityPerSpec(t *testing.T) {
 	seeds := int64(6)
 	shape := Config{Threads: 4, DataRegs: 4, TxnsPerThread: 20, OpsPerTxn: 3, Rounds: 4}
@@ -61,7 +62,7 @@ func TestPropertyOpacityPerSpec(t *testing.T) {
 			}
 		})
 	}
-	for _, spec := range safeSinkSpecs(t) {
+	for _, spec := range append(safeSinkSpecs(t), "norec+epochs", "tl2+epochs") {
 		t.Run(spec, func(t *testing.T) {
 			for seed := int64(1); seed <= seeds; seed++ {
 				cfg := shape

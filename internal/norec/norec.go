@@ -168,9 +168,15 @@ func (tx *txn) reset() {
 	tx.wset = tx.wset[:0]
 }
 
-func (tx *txn) finish() {
+// finish ends the transaction; an abort is counted on the telemetry
+// board as it ends.
+func (tx *txn) finish(committed bool) {
 	tx.live = false
-	tx.tm.fence.Exit(tx.thread)
+	if committed {
+		tx.tm.fence.Exit(tx.thread)
+	} else {
+		tx.tm.fence.ExitAborted(tx.thread)
+	}
 }
 
 // validate re-reads the entire read log under a stable even sequence
@@ -217,7 +223,7 @@ func (tx *txn) Read(x int) (int64, error) {
 			if sk := tx.tm.sink; sk != nil {
 				sk.ReadAborted(tx.thread, x)
 			}
-			tx.finish()
+			tx.finish(false)
 			return 0, core.ErrAborted
 		}
 		tx.snapshot = s
@@ -266,7 +272,7 @@ func (tx *txn) Commit() error {
 		if s := tm.sink; s != nil {
 			s.Committed(tx.thread, 0)
 		}
-		tx.finish()
+		tx.finish(true)
 		return nil
 	}
 	// Acquire the sequence lock at a snapshot our reads are valid for.
@@ -276,7 +282,7 @@ func (tx *txn) Commit() error {
 			if sk := tm.sink; sk != nil {
 				sk.Aborted(tx.thread)
 			}
-			tx.finish()
+			tx.finish(false)
 			return core.ErrAborted
 		}
 		tx.snapshot = s
@@ -295,7 +301,7 @@ func (tx *txn) Commit() error {
 		tm.regs[w.x].Store(w.v)
 	}
 	tm.seq.Store(wver)
-	tx.finish()
+	tx.finish(true)
 	return nil
 }
 
@@ -311,5 +317,5 @@ func (tx *txn) Abort() {
 		s.TxCommitReq(tx.thread)
 		s.Aborted(tx.thread)
 	}
-	tx.finish()
+	tx.finish(false)
 }

@@ -11,13 +11,20 @@
 // wait ends:
 //
 //   - flags (the paper's Figure 7): once the thread's counter is seen
-//     even. This can wait for a *later* transaction of the same thread
-//     if the thread ends one and starts another between polls —
-//     harmless, it only waits longer.
+//     even. A thread that ends one transaction and starts another
+//     between two polls is still seen busy, so the fence also waits
+//     for transactions that began after it was invoked, with no bound:
+//     a thread that runs transactions back to back can hold it until
+//     a poll happens to fall between two of them.
 //   - epochs: once the counter has left its snapshotted value, so the
-//     fence waits for exactly the observed transaction.
+//     fence waits for at most one transaction per thread it observed:
+//     the one running at its snapshot.
 //
-// Benchmarks compare the two (experiment E14).
+// Both meet the paper's specification of the fence (it returns once
+// every transaction active at the call has completed): epochs exactly,
+// flags by over-approximation. Epochs is the engine's default wherever
+// a TM offers both, and flags the paper-literal ablation (+flags);
+// experiment E14 compares the two.
 //
 // The wait is scheduler-aware: a fencer spins briefly and then parks on
 // a condition variable that Exit signals, so on an oversubscribed box
@@ -67,11 +74,26 @@ type waker struct {
 // epoch wait instead of the flag wait. A non-nil board receives each
 // Wait's count and duration in its shared slot 0: the fence is the slow
 // path by construction, so one padded shared slot costs nothing
-// measurable.
+// measurable. The board also counts its commits off the fence: each
+// thread's counter, halved, is the transactions it has ended, and
+// ExitAborted counts the ones that did not commit.
 func New(threads int, epochs bool, board *telemetry.Board) *Fence {
 	w := &waker{}
 	w.cond.L = &w.mu
-	return &Fence{slots: make([]slot, threads+1), epochs: epochs, board: board, w: w}
+	f := &Fence{slots: make([]slot, threads+1), epochs: epochs, board: board, w: w}
+	if board != nil {
+		board.CountEnded(f.ended)
+	}
+	return f
+}
+
+// ended is how many transactions thread t has ended: Enter and Exit
+// each add one to its counter.
+func (f *Fence) ended(t int) int64 {
+	if t >= len(f.slots) {
+		return 0
+	}
+	return int64(f.slots[t].seq.Load() / 2)
 }
 
 // Enter marks thread t as running a transaction (Figure 9 line 10:
@@ -87,6 +109,16 @@ func (f *Fence) Exit(t int) {
 		f.w.cond.Broadcast()
 		f.w.mu.Unlock()
 	}
+}
+
+// ExitAborted is Exit for a transaction that ends without committing.
+// It counts the transaction on the board's Uncommitted first, so the
+// commits the board derives never include it (telemetry.Snapshot).
+func (f *Fence) ExitAborted(t int) {
+	if sl := f.board.Slot(t); sl != nil {
+		sl.Uncommitted.Add(1)
+	}
+	f.Exit(t)
 }
 
 // Wait is the paper's fence: it blocks until every transaction active

@@ -179,6 +179,50 @@ func TestSnapshotQuiesced(t *testing.T) {
 	})
 }
 
+// TestWaitBound: a grace period that observed a thread inside one
+// transaction is done once that transaction ends, on epochs even while
+// the thread's next one runs: at most one transaction per observed
+// thread. The flag wait is still held up by the next one (no bound).
+func TestWaitBound(t *testing.T) {
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			f := New(4, k.epochs, nil)
+			f.Enter(1)
+			g := snap(f)
+			f.Exit(1)
+			f.Enter(1) // begins at once, before any poll
+			if got := f.quiesced(g); got != k.epochs {
+				t.Fatalf("quiesced during the thread's next transaction = %v, want %v", got, k.epochs)
+			}
+			f.Exit(1)
+		})
+	}
+}
+
+// TestBoardCountsCommits: a board handed to New counts every
+// transaction that ended through Exit as a commit, and none that ended
+// through ExitAborted.
+func TestBoardCountsCommits(t *testing.T) {
+	b := telemetry.NewBoard(2)
+	f := New(2, true, b)
+	for _, aborted := range []bool{false, true, false, true, true} {
+		f.Enter(2)
+		if aborted {
+			f.ExitAborted(2)
+		} else {
+			f.Exit(2)
+		}
+	}
+	f.Enter(1) // still running: not counted
+	if s := b.Snapshot(); s.Commits != 2 {
+		t.Fatalf("Commits = %d, want 2", s.Commits)
+	}
+	if u := b.Slot(2).Uncommitted.Load(); u != 3 {
+		t.Fatalf("Uncommitted = %d, want 3", u)
+	}
+	f.Exit(1)
+}
+
 // TestSnapshotDrop: a thread the filter drops is excluded from the
 // grace period (the mechanism behind the skip-read-only fence bug
 // reproduction).

@@ -15,10 +15,19 @@
 // found a region private waits on it (Owner.Retry) until the owner
 // publishes. Owner has no way to take a region without fencing it.
 //
-// Guard is the mark a region carries in TM registers: a flag whose two
-// low bits are the region's state, and the bounds of the window a
-// read-private owner loads. Give rounds the flag up to the next
-// multiple of four, so the bits above the state count publishes.
+// Guard is the mark a region carries in TM registers: a flag, and the
+// bounds of the window a read-private owner loads. The flag packs three
+// fields, low to high:
+//
+//	bits 0–1    the region's state (below)
+//	bits 2–25   a 24-bit payload the structure chooses (stmkv: the
+//	            shard's capacity)
+//	bits 26–62  a 37-bit count of publishes
+//
+// Take and Give keep the payload; GiveWith replaces it as it publishes.
+// So a structure whose shape changes only in a private phase can keep
+// that shape in the flag, and an operation learns the region's state
+// and its shape in one read.
 //
 //	state        owner (uninstrumented)   transactions admitted
 //	shared       —                        all
@@ -32,7 +41,8 @@
 // while the flag is odd, so two owners never hold one region.
 // (stmds.HashMap marks its table with a bit of its packed head word
 // instead of a Guard: a flag register of its own would add a read to
-// every operation.)
+// every operation. A Guard's payload does the same for stmkv's shard
+// capacity.)
 //
 // # Safety
 //
@@ -50,6 +60,20 @@
 // first write: on a TM that writes in place (wtstm) a doomed write
 // stays in memory until its rollback, and only the fence orders that
 // rollback before the private phase.
+//
+// The payload adds no case. It changes only in the publishing write, so
+// a transaction that read a payload read the flag that carries it: it
+// saw the region shared or read-private with that payload, and is
+// stalled, doomed or fenced out exactly as a transaction that read a
+// separate register the owner rewrites. The publish count wraps after
+// 2^37 publishes, and the wrap is harmless. TL2, wtstm and atomictm
+// validate a read by the register's version, which every commit
+// advances whatever value it writes. NOrec validates by value, so a
+// flag that came back to a value a running transaction read would pass
+// its validation; but that needs the count to wrap within that one
+// transaction's life, and a transaction lives through at most one
+// publish of a region whose flag it read: the next privatization's
+// fence waits for it before the next publish.
 //
 // In the read-private state the owner only loads, and only registers
 // its window holds. A transaction that only reads conflicts with none
@@ -83,6 +107,34 @@ const (
 	stateMask   int64 = 3
 )
 
+// The flag's payload and publish-count fields (Guard).
+const (
+	payloadShift       = 2
+	payloadBits        = 24
+	maxPayload   int64 = 1<<payloadBits - 1
+	countShift         = payloadShift + payloadBits
+	countMask    int64 = 1<<(63-countShift) - 1
+)
+
+// SharedFlag is the flag of a shared region that carries payload p and
+// was never published: a structure stores it in the flag register
+// before the region's first use. p must be in [0, 2^24).
+func SharedFlag(p int64) int64 {
+	if p < 0 || p > maxPayload {
+		panic("region: payload out of range")
+	}
+	return p << payloadShift
+}
+
+// Payload returns the payload flag f carries, whatever its state.
+func Payload(f int64) int64 { return f >> payloadShift & maxPayload }
+
+// published is the flag that follows f on a publish: shared, carrying
+// payload p, with one more publish counted (modulo 2^37).
+func published(f, p int64) int64 {
+	return (f>>countShift+1)&countMask<<countShift | SharedFlag(p)
+}
+
 // ErrPrivate aborts an operation that found its region private; the
 // operation waits on the owner's gate and retries (Owner.Retry).
 var ErrPrivate = errors.New("region: privatized")
@@ -107,48 +159,50 @@ func (w Window) Holds(x int64) bool { return w.Overlaps(x, x) }
 type Guard struct{ Flag, Lo, Hi int }
 
 // Writable is the check of a transaction that writes the region. It
-// fails with ErrPrivate while the region is exclusive, and returns the
-// window while it is read-private, so the caller can refuse
-// (ErrPrivate) before it writes a register the window holds.
-func (g Guard) Writable(tx core.Txn) (Window, error) {
+// fails with ErrPrivate while the region is exclusive, and otherwise
+// returns the payload, and the window while the region is read-private,
+// so the caller can refuse (ErrPrivate) before it writes a register the
+// window holds.
+func (g Guard) Writable(tx core.Txn) (payload int64, w Window, err error) {
 	f, err := tx.Read(g.Flag)
 	switch {
 	case err != nil:
-		return NoWindow, err
+		return 0, NoWindow, err
 	case f&stateMask == Exclusive:
-		return NoWindow, ErrPrivate
+		return 0, NoWindow, ErrPrivate
 	case f&stateMask != ReadPrivate:
-		return NoWindow, nil
+		return Payload(f), NoWindow, nil
 	}
 	lo, err := tx.Read(g.Lo)
 	if err != nil {
-		return NoWindow, err
+		return 0, NoWindow, err
 	}
 	hi, err := tx.Read(g.Hi)
 	if err != nil {
-		return NoWindow, err
+		return 0, NoWindow, err
 	}
-	return Window{lo, hi}, nil
+	return Payload(f), Window{lo, hi}, nil
 }
 
 // Readable is the check of a transaction that only reads the region:
-// it fails with ErrPrivate while the region is exclusive. beside
-// reports that the region is read-private, so the transaction runs
-// beside the owner's loads.
-func (g Guard) Readable(tx core.Txn) (beside bool, err error) {
+// it fails with ErrPrivate while the region is exclusive, and otherwise
+// returns the payload. beside reports that the region is read-private,
+// so the transaction runs beside the owner's loads.
+func (g Guard) Readable(tx core.Txn) (payload int64, beside bool, err error) {
 	f, err := tx.Read(g.Flag)
 	switch {
 	case err != nil:
-		return false, err
+		return 0, false, err
 	case f&stateMask == Exclusive:
-		return false, ErrPrivate
+		return 0, false, ErrPrivate
 	}
-	return f&stateMask == ReadPrivate, nil
+	return Payload(f), f&stateMask == ReadPrivate, nil
 }
 
 // Take is the privatizing transaction's write: it fails with ErrPrivate
 // while another owner holds the region, and otherwise moves the flag
-// to state (Exclusive or ReadPrivate) and, for ReadPrivate, records w.
+// to state (Exclusive or ReadPrivate), keeping its payload, and, for
+// ReadPrivate, records w.
 func (g Guard) Take(tx core.Txn, state int64, w Window) error {
 	f, err := tx.Read(g.Flag)
 	switch {
@@ -168,14 +222,25 @@ func (g Guard) Take(tx core.Txn, state int64, w Window) error {
 	return tx.Write(g.Flag, f+state)
 }
 
-// Give is the publishing transaction's write: it rounds the flag up to
-// the next multiple of four, shared again from either private state.
+// Give is the publishing transaction's write: the region is shared
+// again, from either private state, with its payload kept and one more
+// publish counted.
 func (g Guard) Give(tx core.Txn) error {
 	f, err := tx.Read(g.Flag)
 	if err != nil {
 		return err
 	}
-	return tx.Write(g.Flag, (f|stateMask)+1)
+	return tx.Write(g.Flag, published(f, Payload(f)))
+}
+
+// GiveWith is Give that replaces the payload with p, in [0, 2^24): the
+// publish of a private phase that changed what the payload describes.
+func (g Guard) GiveWith(tx core.Txn, p int64) error {
+	f, err := tx.Read(g.Flag)
+	if err != nil {
+		return err
+	}
+	return tx.Write(g.Flag, published(f, p))
 }
 
 // Owner privatizes and publishes the regions of one structure over one

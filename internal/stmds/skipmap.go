@@ -309,7 +309,7 @@ func (s *SkipMap) PutTx(tx core.Txn, th int, k, v int64, height int) (bool, erro
 	if height > skipMaxLevel {
 		height = skipMaxLevel
 	}
-	w, err := s.guard.Writable(tx)
+	_, w, err := s.guard.Writable(tx)
 	if err != nil {
 		return false, err
 	}
@@ -354,7 +354,7 @@ func (s *SkipMap) PutTx(tx core.Txn, th int, k, v int64, height int) (bool, erro
 // region.ErrPrivate before writing anything when the unlink would touch
 // an active scan window.
 func (s *SkipMap) DeleteTx(tx core.Txn, k int64) (removed bool, victim int64, victimRegs int, err error) {
-	w, err := s.guard.Writable(tx)
+	_, w, err := s.guard.Writable(tx)
 	if err != nil {
 		return false, 0, 0, err
 	}

@@ -47,8 +47,9 @@ func (s *Store) HoldSlots(th, shard int, lo, hi int64) (release func() error, er
 // probe, else the first empty slot — and the table's capacity. It loads
 // uninstrumented, so the store must be quiescent.
 func (s *Store) SlotOf(th int, key int64) (slot, cap int64) {
-	tab, base := s.table(s.shardOf(key))
-	cap = s.tm.Load(th, base+offCap)
+	shard := s.shardOf(key)
+	tab, _ := s.table(shard)
+	cap = s.CapOf(th, shard)
 	tomb := int64(-1)
 	i := slotStart(key, cap)
 	for range cap {
@@ -79,7 +80,9 @@ func (s *Store) PutTx(tx core.Txn, key, val int64) error {
 
 // CapOf returns shard's active capacity, loaded uninstrumented, so the
 // store must be quiescent.
-func (s *Store) CapOf(th, shard int) int64 { return s.tm.Load(th, s.base(shard)+offCap) }
+func (s *Store) CapOf(th, shard int) int64 {
+	return region.Payload(s.tm.Load(th, s.base(shard)+offFlag))
+}
 
 // Rehash rebuilds one shard's table at cap active slots in grow's
 // private phase: privatize the shard exclusive, fence, rehashTo,
@@ -90,11 +93,18 @@ func (s *Store) Rehash(th, shard int, cap int64) (err error) {
 	if err := s.own.Privatize(th, exclusive(base)); err != nil {
 		return err
 	}
+	old := s.CapOf(th, shard)
+	pub := old
 	defer func() {
-		if perr := s.own.Publish(th, guard(base).Give); err == nil {
+		if perr := s.publish(th, base, pub); err == nil {
 			err = perr
 		}
 	}()
 	live := s.tm.Load(th, base+offCount)
-	return s.rehashTo(th, shard, min(max(cap, live, 1), int64(s.slots)))
+	next := min(max(cap, live, 1), int64(s.slots))
+	if err := s.rehashTo(th, shard, old, next); err != nil {
+		return err
+	}
+	pub = next
+	return nil
 }

@@ -10,17 +10,21 @@
 // value at tab+2i+1); the header carries:
 //
 //	base+0  flag   privatization state in the two low bits (below),
-//	               publish count above them
-//	base+1  cap    active slot count of the table
-//	base+2  count  live keys
-//	base+3  tombs  tombstones
-//	base+4  gen    rehash generation: one more after every rebuild
-//	base+5  winLo  first and last slot a read-private owner loads;
-//	base+6  winHi  meaningful only while the flag is read-private
+//	               the table's active slot count (cap) as the flag's
+//	               payload above them, the publish count above that
+//	base+1  count  live keys
+//	base+2  tombs  tombstones
+//	base+3  gen    rehash generation: one more after every rebuild
+//	base+4  winLo  first and last slot a read-private owner loads;
+//	base+5  winHi  meaningful only while the flag is read-private
 //
 // Point operations (Get/Put/Delete) are single transactions that read
 // the shard's flag first and touch the header and table only when its
-// state admits them. Scan, ScanPage and the growth Put triggers
+// state admits them. The flag read also yields cap, which changes only
+// in a rehash's exclusive phase and is published with it
+// (region.Guard.GiveWith), so a Get reads the flag and then the table
+// alone, and a Put or Delete reads count and tombs only when it changes
+// them. Scan, ScanPage and the growth Put triggers
 // privatize the shard through package region, which carries Figure 7's
 // cycle, the state encoding of the flag and the safety argument: the
 // flag, winLo and winHi are the shard's region.Guard. A shard is
@@ -37,7 +41,7 @@
 //
 // Safety (region's argument covers the rest). A read-private owner
 // loads only the key and value registers of the slots in
-// [winLo, winHi]; it reads the bounds, the generation and the capacity
+// [winLo, winHi]; it reads the bounds, the generation and the flag
 // inside its privatizing transaction. A writer outside the window
 // stores to registers the owner never loads, count and tombs included.
 // A key that stays present keeps its slot until a rehash, which is
@@ -91,14 +95,13 @@ import (
 
 const (
 	offFlag  = 0
-	offCap   = 1
-	offCount = 2
-	offTombs = 3
-	offGen   = 4
-	offWinLo = 5
-	offWinHi = 6
+	offCount = 1
+	offTombs = 2
+	offGen   = 3
+	offWinLo = 4
+	offWinHi = 5
 	// hdrRegs is the per-shard header size in registers.
-	hdrRegs = 7
+	hdrRegs = 6
 
 	keyEmpty int64 = 0
 	keyTomb  int64 = -1
@@ -272,8 +275,7 @@ func New(tm core.TM, shards, slots int, opts ...Option) (*Store, error) {
 			tm.Store(1, int(tab)+2*i, keyEmpty)
 			tm.Store(1, int(tab)+2*i+1, 0)
 		}
-		tm.Store(1, base+offFlag, 0)
-		tm.Store(1, base+offCap, int64(initial))
+		tm.Store(1, base+offFlag, region.SharedFlag(int64(initial)))
 		tm.Store(1, base+offCount, 0)
 		tm.Store(1, base+offTombs, 0)
 		tm.Store(1, base+offGen, 0)
@@ -348,6 +350,12 @@ func exclusive(base int) func(core.Txn) error {
 	return func(tx core.Txn) error { return guard(base).Take(tx, region.Exclusive, region.NoWindow) }
 }
 
+// publish ends an exclusive phase of the shard at base: shared again,
+// with cap, its table's capacity now, as the flag's payload.
+func (s *Store) publish(th, base int, cap int64) error {
+	return s.own.Publish(th, func(tx core.Txn) error { return guard(base).GiveWith(tx, cap) })
+}
+
 // Get reads key's value; ok reports presence. th is the caller's TM
 // thread id.
 func (s *Store) Get(th int, key int64) (v int64, ok bool, err error) {
@@ -358,16 +366,13 @@ func (s *Store) Get(th int, key int64) (v int64, ok bool, err error) {
 	var beside bool
 	err = s.own.Retry(th, func(tx core.Txn) error {
 		v, ok = 0, false
+		var cap int64
 		var err error
-		if beside, err = guard(base).Readable(tx); err != nil {
-			return err
-		}
-		// Past the guard the header is safe to read: a private phase
-		// starts only after a fence that waited for every transaction
-		// that saw the shard shared, and a read-private owner stores
-		// nothing.
-		cap, err := tx.Read(base + offCap)
-		if err != nil {
+		// The guard yields the capacity, and past it the table is safe
+		// to read: a private phase starts only after a fence that
+		// waited for every transaction that saw the shard shared, and
+		// a read-private owner stores nothing.
+		if cap, beside, err = guard(base).Readable(tx); err != nil {
 			return err
 		}
 		i := slotStart(key, cap)
@@ -410,19 +415,7 @@ func (s *Store) Get(th int, key int64) (v int64, ok bool, err error) {
 // the first insert in the write set and takes the update path).
 func (s *Store) putInTx(tx core.Txn, shard int, key, val int64) error {
 	tab, base := s.table(shard)
-	w, err := guard(base).Writable(tx)
-	if err != nil {
-		return err
-	}
-	cap, err := tx.Read(base + offCap)
-	if err != nil {
-		return err
-	}
-	count, err := tx.Read(base + offCount)
-	if err != nil {
-		return err
-	}
-	tombs, err := tx.Read(base + offTombs)
+	cap, w, err := guard(base).Writable(tx)
 	if err != nil {
 		return err
 	}
@@ -443,6 +436,17 @@ func (s *Store) putInTx(tx core.Txn, shard int, key, val int64) error {
 			firstTomb = i
 		}
 		if k == keyEmpty {
+			at := i
+			if firstTomb >= 0 {
+				at = firstTomb
+			}
+			if w.Holds(int64(at)) {
+				return region.ErrPrivate
+			}
+			count, tombs, err := s.counts(tx, base)
+			if err != nil {
+				return err
+			}
 			// Inserting into a fresh slot raises count+tombs;
 			// keep the table under the load factor so probe
 			// chains stay short — unless the shard is already at
@@ -450,13 +454,6 @@ func (s *Store) putInTx(tx core.Txn, shard int, key, val int64) error {
 			if firstTomb < 0 && cap < int64(s.slots) &&
 				(count+tombs+1)*maxLoadDen > cap*maxLoadNum {
 				return errNeedGrow
-			}
-			at := i
-			if firstTomb >= 0 {
-				at = firstTomb
-			}
-			if w.Holds(int64(at)) {
-				return region.ErrPrivate
 			}
 			if firstTomb >= 0 {
 				if err := tx.Write(base+offTombs, tombs-1); err != nil {
@@ -479,6 +476,10 @@ func (s *Store) putInTx(tx core.Txn, shard int, key, val int64) error {
 		if w.Holds(int64(firstTomb)) {
 			return region.ErrPrivate
 		}
+		count, tombs, err := s.counts(tx, base)
+		if err != nil {
+			return err
+		}
 		if err := tx.Write(keyReg(tab, firstTomb), key); err != nil {
 			return err
 		}
@@ -491,6 +492,16 @@ func (s *Store) putInTx(tx core.Txn, shard int, key, val int64) error {
 		return tx.Write(base+offCount, count+1)
 	}
 	return errNeedGrow
+}
+
+// counts reads the live-key and tombstone counts of the shard at base:
+// only an insert or a delete, which change them, reads them.
+func (s *Store) counts(tx core.Txn, base int) (count, tombs int64, err error) {
+	if count, err = tx.Read(base + offCount); err != nil {
+		return 0, 0, err
+	}
+	tombs, err = tx.Read(base + offTombs)
+	return count, tombs, err
 }
 
 // Put inserts or updates key↦val. When the shard crosses the load
@@ -583,11 +594,7 @@ func (s *Store) Delete(th int, key int64) (removed bool, err error) {
 	tab, base := s.table(s.shardOf(key))
 	err = s.own.Retry(th, func(tx core.Txn) error {
 		removed = false
-		w, err := guard(base).Writable(tx)
-		if err != nil {
-			return err
-		}
-		cap, err := tx.Read(base + offCap)
+		cap, w, err := guard(base).Writable(tx)
 		if err != nil {
 			return err
 		}
@@ -604,11 +611,7 @@ func (s *Store) Delete(th int, key int64) (removed bool, err error) {
 				if w.Holds(int64(i)) {
 					return region.ErrPrivate
 				}
-				count, err := tx.Read(base + offCount)
-				if err != nil {
-					return err
-				}
-				tombs, err := tx.Read(base + offTombs)
+				count, tombs, err := s.counts(tx, base)
 				if err != nil {
 					return err
 				}
@@ -642,7 +645,7 @@ func (s *Store) Len(th int) (int64, error) {
 		base := s.base(sh)
 		var n int64
 		err := s.own.Retry(th, func(tx core.Txn) error {
-			if _, err := guard(base).Readable(tx); err != nil {
+			if _, _, err := guard(base).Readable(tx); err != nil {
 				return err
 			}
 			var err error
@@ -687,10 +690,7 @@ func (s *Store) scanShardTxn(th, shard int, out []KV) ([]KV, error) {
 	start := len(out)
 	err := s.own.Retry(th, func(tx core.Txn) error {
 		out = out[:start]
-		if _, err := guard(base).Readable(tx); err != nil {
-			return err
-		}
-		cap, err := tx.Read(base + offCap)
+		cap, _, err := guard(base).Readable(tx)
 		if err != nil {
 			return err
 		}
@@ -881,11 +881,8 @@ func (s *Store) openScanWindow(th, base int, c scanCursor, need int) (gen, cap i
 	err = s.own.Privatize(th, func(tx core.Txn) error {
 		// Check the flag before reading the header, which an exclusive
 		// owner stores to; Take reads it again.
-		if _, err := g.Readable(tx); err != nil {
-			return err
-		}
 		var err error
-		if cap, err = tx.Read(base + offCap); err != nil {
+		if cap, _, err = g.Readable(tx); err != nil {
 			return err
 		}
 		if gen, err = tx.Read(base + offGen); err != nil {
@@ -948,14 +945,16 @@ func (s *Store) grow(th, shard int, need int64) (err error) {
 	if err := s.own.Privatize(th, exclusive(base)); err != nil {
 		return err
 	}
-	// Publish whatever happens; the work's own error comes first.
+	tm := s.tm
+	cap := region.Payload(tm.Load(th, base+offFlag))
+	// Publish whatever happens, with the capacity the table has then;
+	// the work's own error comes first.
+	pub := cap
 	defer func() {
-		if perr := s.own.Publish(th, guard(base).Give); err == nil {
+		if perr := s.publish(th, base, pub); err == nil {
 			err = perr
 		}
 	}()
-	tm := s.tm
-	cap := tm.Load(th, base+offCap)
 	count := tm.Load(th, base+offCount)
 	tombs := tm.Load(th, base+offTombs)
 	// Re-check under privatization: a concurrent grower may have run
@@ -975,13 +974,14 @@ func (s *Store) grow(th, shard int, need int64) (err error) {
 	}
 	switch {
 	case newCap != cap:
-		if err := s.rehashTo(th, shard, newCap); err != nil {
+		if err := s.rehashTo(th, shard, cap, newCap); err != nil {
 			return err
 		}
+		pub = newCap
 		s.grows.Add(1)
 	case due && tombs > 0:
 		// Compaction: rebuild at the same capacity, dropping tombstones.
-		if err := s.rehashTo(th, shard, cap); err != nil {
+		if err := s.rehashTo(th, shard, cap, cap); err != nil {
 			return err
 		}
 		s.compactions.Add(1)
@@ -1004,20 +1004,20 @@ func (s *Store) grow(th, shard int, need int64) (err error) {
 // logarithmic.
 func growStep(cap, slots int64) int64 { return min(cap, max(slots/4, 1)) }
 
-// rehashTo rebuilds the (privatized, quiesced) shard's table in place
-// at newCap active slots, dropping tombstones. It lays the new table out
-// in Go memory straight from the old table's loads, extends the table's
-// block to 2·newCap registers, then stores every key register once and
-// the value register of each occupied slot — newCap + live
-// uninstrumented stores, race-free because the shard's fence already
-// ran. An empty slot's value register keeps whatever it held: nothing
-// reads a value whose key is not present, and an insert writes both.
-// Last it bumps the generation, so a ScanPage cursor cut against the old
-// layout restarts the shard.
-func (s *Store) rehashTo(th, shard int, newCap int64) error {
+// rehashTo rebuilds the (privatized, quiesced) shard's table of oldCap
+// slots in place at newCap active slots, dropping tombstones. It lays
+// the new table out in Go memory straight from the old table's loads,
+// extends the table's block to 2·newCap registers, then stores every
+// key register once and the value register of each occupied slot —
+// newCap + live uninstrumented stores, race-free because the shard's
+// fence already ran. An empty slot's value register keeps whatever it
+// held: nothing reads a value whose key is not present, and an insert
+// writes both. Last it bumps the generation, so a ScanPage cursor cut
+// against the old layout restarts the shard. The caller publishes
+// newCap in the flag.
+func (s *Store) rehashTo(th, shard int, oldCap, newCap int64) error {
 	tm := s.tm
 	tab, base := s.table(shard)
-	oldCap := tm.Load(th, base+offCap)
 	next := make([]KV, newCap)
 	live := 0
 	for i := 0; i < int(oldCap); i++ {
@@ -1047,7 +1047,6 @@ func (s *Store) rehashTo(th, shard int, newCap int64) error {
 		}
 	}
 	tm.Store(th, base+offGen, tm.Load(th, base+offGen)+1)
-	tm.Store(th, base+offCap, newCap)
 	tm.Store(th, base+offCount, int64(live))
 	tm.Store(th, base+offTombs, 0)
 	return nil

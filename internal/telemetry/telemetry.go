@@ -1,13 +1,17 @@
 // Package telemetry provides the engine's runtime self-observation:
-// cache-line-padded per-thread counter slots that the hot paths
-// (core.Atomically's retry loop, rcu.Fence's grace periods, stmalloc's
-// magazine layer) bump with plain atomic adds, and an aggregating
-// Snapshot that kvserve's /stats and bench/ read.
+// cache-line-padded per-thread counter slots that the slow paths
+// (core.Atomically's retries, a TM's aborts, rcu.Fence's grace periods,
+// stmalloc's magazine layer) bump with plain atomic adds, and an
+// aggregating Snapshot that kvserve's /stats and bench/ read.
 //
 // The design constraint is zero allocation and zero sharing on the
 // write side: each thread id owns one Slot, each Slot occupies its own
 // cache lines, and recording is a single uncontended atomic add. All
-// cross-thread cost is paid by the (rare) reader in Snapshot.
+// cross-thread cost is paid by the (rare) reader in Snapshot. A
+// committed transaction records nothing at all: Snapshot derives
+// commits from the fence's per-thread counter (CountEnded), which every
+// transaction already bumps as it begins and ends (Figure 9's
+// active[t]).
 package telemetry
 
 import "sync/atomic"
@@ -18,9 +22,11 @@ import "sync/atomic"
 // threads' slots never share a line (64B line; the 16 counters are
 // exactly 128B).
 type Slot struct {
-	// Commits counts committed transactions (one per successful
-	// core.Atomically call).
-	Commits atomic.Int64
+	// Uncommitted counts the thread's transactions that ended without
+	// committing: a TM abort, a voluntary Abort, a body's refusal. The
+	// TM bumps it on its abort paths only (rcu.Fence.ExitAborted);
+	// Snapshot's Commits is the thread's ended transactions minus it.
+	Uncommitted atomic.Int64
 	// Aborts counts aborted attempts (retries within core.Atomically).
 	Aborts atomic.Int64
 	// Fences counts transactional fences issued (grace-period waits)
@@ -74,6 +80,9 @@ type Slot struct {
 // bookkeeping).
 type Board struct {
 	slots []Slot
+	// ended(th) is how many transactions thread th has ended, committed
+	// or not; nil until CountEnded wires it.
+	ended func(th int) int64
 }
 
 // NewBoard builds a Board with slots for thread ids 0..threads
@@ -98,6 +107,12 @@ func (b *Board) Slot(th int) *Slot {
 	return &b.slots[th]
 }
 
+// CountEnded wires the source of Snapshot's Commits: ended(th) must
+// return how many transactions thread th has ended, committed or not.
+// rcu.New passes its fence's per-thread counter, halved. A board that
+// is never wired reports no commits.
+func (b *Board) CountEnded(ended func(th int) int64) { b.ended = ended }
+
 // Threads returns the highest thread id the board has a dedicated
 // slot for.
 func (b *Board) Threads() int {
@@ -111,6 +126,11 @@ func (b *Board) Threads() int {
 // every slot's counters, read with atomic loads so it is safe to take
 // while the workload runs.
 type Snapshot struct {
+	// Commits is the committed transactions of every thread: ended
+	// minus Uncommitted. Each thread's ended count is read before its
+	// Uncommitted, and an abort bumps Uncommitted before it ends, so a
+	// snapshot taken mid-abort undercounts by that abort at most and
+	// never counts it as a commit.
 	Commits        int64
 	Aborts         int64
 	Fences         int64
@@ -137,7 +157,9 @@ func (b *Board) Snapshot() Snapshot {
 	}
 	for i := range b.slots {
 		sl := &b.slots[i]
-		s.Commits += sl.Commits.Load()
+		if b.ended != nil {
+			s.Commits += b.ended(i) - sl.Uncommitted.Load()
+		}
 		s.Aborts += sl.Aborts.Load()
 		s.Fences += sl.Fences.Load()
 		s.FenceWaitNs += sl.FenceWaitNs.Load()

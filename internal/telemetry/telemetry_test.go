@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -21,10 +22,14 @@ func TestSlotPadding(t *testing.T) {
 	}
 }
 
-// TestSnapshotAggregates: concurrent per-thread recording sums exactly.
+// TestSnapshotAggregates: concurrent per-thread recording sums exactly,
+// and Commits is each thread's ended transactions (the CountEnded
+// source) minus its Uncommitted ones.
 func TestSnapshotAggregates(t *testing.T) {
 	const threads, per = 4, 1000
 	b := NewBoard(threads)
+	ended := make([]atomic.Int64, threads+1)
+	b.CountEnded(func(th int) int64 { return ended[th].Load() })
 	var wg sync.WaitGroup
 	for th := 1; th <= threads; th++ {
 		wg.Add(1)
@@ -32,10 +37,11 @@ func TestSnapshotAggregates(t *testing.T) {
 			defer wg.Done()
 			s := b.Slot(th)
 			for i := 0; i < per; i++ {
-				s.Commits.Add(1)
 				if i%4 == 0 {
+					s.Uncommitted.Add(1)
 					s.Aborts.Add(1)
 				}
+				ended[th].Add(1)
 				if i%10 == 0 {
 					s.MagHits.Add(1)
 				} else if i%10 == 1 {
@@ -46,8 +52,8 @@ func TestSnapshotAggregates(t *testing.T) {
 	}
 	wg.Wait()
 	s := b.Snapshot()
-	if s.Commits != threads*per {
-		t.Fatalf("Commits = %d, want %d", s.Commits, threads*per)
+	if want := int64(threads * per * 3 / 4); s.Commits != want {
+		t.Fatalf("Commits = %d, want %d", s.Commits, want)
 	}
 	if s.Aborts != threads*per/4 {
 		t.Fatalf("Aborts = %d, want %d", s.Aborts, threads*per/4)
@@ -57,13 +63,54 @@ func TestSnapshotAggregates(t *testing.T) {
 	}
 }
 
+// TestCommitsNeverCountAnAbort: a thread that only aborts, counting
+// each abort before it ends (rcu.Fence.ExitAborted's order), never
+// shows a commit in a snapshot taken while it runs; and a board whose
+// ended source was never wired reports no commits.
+func TestCommitsNeverCountAnAbort(t *testing.T) {
+	b := NewBoard(1)
+	b.Slot(1).Uncommitted.Add(3)
+	if c := b.Snapshot().Commits; c != 0 {
+		t.Fatalf("unwired board: Commits = %d, want 0", c)
+	}
+	var ended atomic.Int64
+	ended.Store(3)
+	b.CountEnded(func(th int) int64 {
+		if th == 1 {
+			return ended.Load()
+		}
+		return 0
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20000; i++ {
+			b.Slot(1).Uncommitted.Add(1)
+			ended.Add(1)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if c := b.Snapshot().Commits; c > 0 {
+			t.Fatalf("aborts only, yet a snapshot read %d commits", c)
+		}
+	}
+	if c := b.Snapshot().Commits; c != 0 {
+		t.Fatalf("Commits = %d after the aborts, want 0", c)
+	}
+}
+
 // TestOutOfRangeSharesOverflowSlot: unknown ids record into slot 0
 // rather than panicking, and a nil board is inert.
 func TestOutOfRangeSharesOverflowSlot(t *testing.T) {
 	b := NewBoard(2)
-	b.Slot(99).Commits.Add(3)
-	b.Slot(-1).Commits.Add(2)
-	if got := b.Slot(0).Commits.Load(); got != 5 {
+	b.Slot(99).Aborts.Add(3)
+	b.Slot(-1).Aborts.Add(2)
+	if got := b.Slot(0).Aborts.Load(); got != 5 {
 		t.Fatalf("overflow slot = %d, want 5", got)
 	}
 	var nb *Board

@@ -111,7 +111,8 @@ type config struct {
 	// fence selects the fence implementation. Default fenceWait.
 	fence FencePolicy
 	// epochs selects the epoch-based grace period instead of the
-	// paper's flag-based one (ablation E14).
+	// paper's flag-based one (E14); the engine selects it unless a spec
+	// says +flags.
 	epochs bool
 	// gv4 selects the pass-on-failure global clock (ablation).
 	gv4 bool

@@ -129,11 +129,15 @@ func (tx *txn) reset() {
 
 // finish ends the transaction: clear the active flag after the
 // response has been recorded (the abort/commit handlers of Figure 9
-// lines 57–63).
-func (tx *txn) finish() {
+// lines 57–63). An abort is counted on the telemetry board as it ends.
+func (tx *txn) finish(committed bool) {
 	tx.live = false
 	tx.tm.hasWrite[tx.thread].clear()
-	tx.tm.fence.Exit(tx.thread)
+	if committed {
+		tx.tm.fence.Exit(tx.thread)
+	} else {
+		tx.tm.fence.ExitAborted(tx.thread)
+	}
 }
 
 // Read implements core.Txn (Figure 9 lines 14–24).
@@ -164,7 +168,7 @@ func (tx *txn) Read(x int) (int64, error) {
 		if s := tm.cfg.sink; s != nil {
 			s.ReadAborted(tx.thread, x)
 		}
-		tx.finish()
+		tx.finish(false)
 		return 0, core.ErrAborted
 	}
 	tx.rsetAdd(x)
@@ -237,7 +241,7 @@ func (tx *txn) Commit() error {
 		if s := tm.cfg.sink; s != nil {
 			s.Committed(tx.thread, 0)
 		}
-		tx.finish()
+		tx.finish(true)
 		return nil
 	}
 
@@ -251,7 +255,7 @@ func (tx *txn) Commit() error {
 		if s := tm.cfg.sink; s != nil {
 			s.Committed(tx.thread, tx.wver)
 		}
-		tx.finish()
+		tx.finish(true)
 		return nil
 	}
 
@@ -352,7 +356,7 @@ func (tx *txn) Commit() error {
 		}
 		tm.table.Lock(tx.locked[j].s).Unlock(tx.wver)
 	}
-	tx.finish()
+	tx.finish(true)
 	return nil
 }
 
@@ -361,7 +365,7 @@ func (tx *txn) abortCommit() error {
 	if s := tx.tm.cfg.sink; s != nil {
 		s.Aborted(tx.thread)
 	}
-	tx.finish()
+	tx.finish(false)
 	return core.ErrAborted
 }
 
@@ -378,5 +382,5 @@ func (tx *txn) Abort() {
 		s.TxCommitReq(tx.thread)
 		s.Aborted(tx.thread)
 	}
-	tx.finish()
+	tx.finish(false)
 }

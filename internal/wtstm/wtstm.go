@@ -176,9 +176,15 @@ func (tx *txn) reset() {
 	tx.rset = tx.rset[:0]
 }
 
-func (tx *txn) finish() {
+// finish ends the transaction; an abort is counted on the telemetry
+// board as it ends.
+func (tx *txn) finish(committed bool) {
 	tx.live = false
-	tx.tm.fence.Exit(tx.thread)
+	if committed {
+		tx.tm.fence.Exit(tx.thread)
+	} else {
+		tx.tm.fence.ExitAborted(tx.thread)
+	}
 }
 
 // ownsStripe reports whether the transaction already holds stripe s.
@@ -259,7 +265,7 @@ func (tx *txn) Commit() error {
 		// Read-only: every read was validated against rver when it was
 		// made, so the read set is a consistent snapshot at rver; commit
 		// without a timestamp and without revalidating (as tl2 does).
-		tx.finish()
+		tx.finish(true)
 		return nil
 	}
 	// The exclusive flag is ignored: this TM always revalidates.
@@ -278,7 +284,7 @@ func (tx *txn) Commit() error {
 	for i := range tx.locked {
 		tm.table.Lock(tx.locked[i].s).Unlock(tx.wver)
 	}
-	tx.finish()
+	tx.finish(true)
 	return nil
 }
 
@@ -297,7 +303,7 @@ func (tx *txn) rollback() {
 	}
 	tx.undo = tx.undo[:0]
 	tx.locked = tx.locked[:0]
-	tx.finish()
+	tx.finish(false)
 }
 
 // Live implements core.Txn.
