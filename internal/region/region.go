@@ -38,7 +38,9 @@
 // Writers call Writable and refuse with ErrPrivate before they write
 // anything the window holds. Readers call Readable and stall on
 // Exclusive only. A privatizing transaction calls Take, which stalls
-// while the flag is odd, so two owners never hold one region.
+// while the flag is odd, so two owners never hold one region (or
+// Claimable and TakeFrom, Take's two halves, when it must read the
+// payload before it picks its window).
 // (stmds.HashMap marks its table with a bit of its packed head word
 // instead of a Guard: a flag register of its own would add a read to
 // every operation. A Guard's payload does the same for stmkv's shard
@@ -204,13 +206,28 @@ func (g Guard) Readable(tx core.Txn) (payload int64, beside bool, err error) {
 // to state (Exclusive or ReadPrivate), keeping its payload, and, for
 // ReadPrivate, records w.
 func (g Guard) Take(tx core.Txn, state int64, w Window) error {
-	f, err := tx.Read(g.Flag)
-	switch {
-	case err != nil:
+	f, err := g.Claimable(tx)
+	if err != nil {
 		return err
-	case f&1 == 1:
-		return ErrPrivate
 	}
+	return g.TakeFrom(tx, f, state, w)
+}
+
+// Claimable is Take's check, for a privatizing transaction that sizes
+// its window from the payload: it fails with ErrPrivate while another
+// owner holds the region, and otherwise returns the flag. The
+// transaction reads what it needs, then hands the flag to TakeFrom, so
+// the flag is read once and checked before any other read.
+func (g Guard) Claimable(tx core.Txn) (f int64, err error) {
+	if f, err = tx.Read(g.Flag); err == nil && f&1 == 1 {
+		err = ErrPrivate
+	}
+	return f, err
+}
+
+// TakeFrom is Take's write, given the flag f that Claimable returned
+// in the same transaction.
+func (g Guard) TakeFrom(tx core.Txn, f, state int64, w Window) error {
 	if state == ReadPrivate {
 		if err := tx.Write(g.Lo, w.Lo); err != nil {
 			return err

@@ -14,7 +14,8 @@ import (
 // registers once the transaction commits (or aborts, on an error). The
 // flag starts one publish in, carrying payload 12 (from, unless a row
 // sets its own), the bounds at old. Take and Give keep the payload,
-// GiveWith replaces it, and the publish count wraps to 0.
+// GiveWith replaces it, and the publish count wraps to 0. Claimable
+// followed by TakeFrom is Take, and returns the payload on the way.
 func TestGuard(t *testing.T) {
 	g := Guard{Flag: 0, Lo: 1, Hi: 2}
 	old, next := Window{10, 20}, Window{30, 40}
@@ -37,6 +38,15 @@ func TestGuard(t *testing.T) {
 	}
 	take := func(state int64, w Window) func(core.Txn) (any, error) {
 		return func(tx core.Txn) (any, error) { return nil, g.Take(tx, state, w) }
+	}
+	claim := func(state int64, w Window) func(core.Txn) (any, error) {
+		return func(tx core.Txn) (any, error) {
+			f, err := g.Claimable(tx)
+			if err != nil {
+				return nil, err
+			}
+			return seen{payload: Payload(f)}, g.TakeFrom(tx, f, state, w)
+		}
 	}
 	give := func(tx core.Txn) (any, error) { return nil, g.Give(tx) }
 	giveWith := func(q int64) func(core.Txn) (any, error) {
@@ -63,6 +73,10 @@ func TestGuard(t *testing.T) {
 		{"Shared/Take/ReadPrivate/NoWindow", from, shared, take(ReadPrivate, NoWindow), nil, nil, from + 3, NoWindow},
 		{"Exclusive/Take", from, Exclusive, take(ReadPrivate, next), nil, ErrPrivate, from + 1, old},
 		{"ReadPrivate/Take", from, ReadPrivate, take(Exclusive, NoWindow), nil, ErrPrivate, from + 3, old},
+		{"Shared/Claimable/TakeFrom/ReadPrivate", from, shared, claim(ReadPrivate, next), seen{payload: p}, nil, from + 3, next},
+		{"Shared/Claimable/TakeFrom/Exclusive", from, shared, claim(Exclusive, NoWindow), seen{payload: p}, nil, from + 1, old},
+		{"Exclusive/Claimable", from, Exclusive, claim(ReadPrivate, next), nil, ErrPrivate, from + 1, old},
+		{"ReadPrivate/Claimable", from, ReadPrivate, claim(ReadPrivate, next), nil, ErrPrivate, from + 3, old},
 		{"Shared/Give", from, shared, give, nil, nil, twice, old},
 		{"Exclusive/Give", from, Exclusive, give, nil, nil, twice, old},
 		{"ReadPrivate/Give", from, ReadPrivate, give, nil, nil, twice, old},

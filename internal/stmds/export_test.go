@@ -22,11 +22,13 @@ func BucketOf(k int64, buckets int) int { return int(hashOf(k) & uint64(buckets-
 // external test package.
 func TowerRegs(height int) int { return towerRegs(height) }
 
-// SkipMaxLevel and HashInitialBuckets export skipMaxLevel and
-// hashInitialBuckets to the external test package.
+// SkipMaxLevel, HashInitialBuckets and HintMax export skipMaxLevel,
+// hashInitialBuckets and hintMax (the clamp of a SkipMap link's key
+// hint) to the external test package.
 const (
 	SkipMaxLevel       = skipMaxLevel
 	HashInitialBuckets = hashInitialBuckets
+	HintMax            = hintMax
 )
 
 // Range streams every pair with from <= key <= to into fn in ascending

@@ -45,12 +45,21 @@ func SkipMapDemand(nodes int) []stmalloc.ClassDemand {
 // values: the O(log n) ordered map. Layout over TM registers:
 //
 //   - The head block is SkipHeadRegs consecutive registers starting at
-//     `head`: head+l holds the level-l list head pointer (nilPtr when
-//     that level is empty).
+//     `head`: head+l holds the link to the level-l list's first node
+//     (nilPtr when that level is empty).
 //   - A node of tower height h occupies towerRegs(h) = 2+h registers:
-//     node+0 = key, node+1 = value, node+2+l = the level-l successor
-//     pointer for l in [0, h). No register holds h: Delete's descent
+//     node+0 = key, node+1 = value, node+2+l = the link to the level-l
+//     successor for l in [0, h). No register holds h: Delete's descent
 //     finds every level the tower is on (Pugh, CACM 1990).
+//   - A link register carries its successor's key beside the pointer
+//     (link): the high 32 bits hold the key clamped to ±(2³¹−1), the
+//     low 32 the node's register index, and nil stays 0, so a zeroed
+//     head still reads as empty. A descent compares the target with
+//     that hint and reads the successor's key register only when the
+//     hint is a clamp value: for keys strictly inside ±(2³¹−1) a step
+//     costs one read, not two, and every other int64 key stays exact
+//     through the fallback read. A node's key never changes while it
+//     is linked, so every link to it carries the same word.
 //
 // Towers are variable-height, so a SkipMap is a multi-size-class heap
 // client: heights 1..6 land in the exact 3- to 8-register stmalloc
@@ -133,8 +142,8 @@ const skipMaxLevel = 8
 // head pointer per level, consecutive from `head`, followed by the
 // three registers of the scan window's region.Guard (flag, lo, hi).
 // While a window over keys [lo, hi] is read-private, the registers of
-// every node with a key in it — and the level-0 successor pointer
-// leading into it — are the scanner's to load.
+// every node with a key in it — and the level-0 link leading into it —
+// are the scanner's to load.
 const SkipHeadRegs = skipMaxLevel + 3
 
 // skipNodeHdr is the per-node header (key, value) preceding the
@@ -150,8 +159,12 @@ func towerRegs(height int) int { return skipNodeHdr + height }
 // the highest thread id that will call Put (level-generator state is
 // per thread so concurrent Puts stay deterministic per thread). The
 // head registers must start zeroed (VInit), which reads as "all levels
-// empty".
+// empty". It panics when tm has more than 2³² registers, since a link
+// holds a node's index in 32 bits.
 func NewSkipMap(tm core.TM, head, threads int, alloc *stmalloc.Heap) *SkipMap {
+	if tm != nil && uint64(tm.NumRegs()) > 1<<32 {
+		panic("stmds: a SkipMap link holds a register index in 32 bits")
+	}
 	s := &SkipMap{tm: tm, head: head, alloc: alloc, rng: make([]uint64, threads+1), own: region.NewOwner(tm),
 		guard: region.Guard{Flag: head + skipMaxLevel, Lo: head + skipMaxLevel + 1, Hi: head + skipMaxLevel + 2}}
 	for th := range s.rng {
@@ -203,8 +216,23 @@ func (s *SkipMap) Level(th int) int {
 	return h
 }
 
-// nextReg returns the register holding the level-l successor pointer of
-// node, with node==nilPtr standing for the head block.
+// hintMax is the clamp of a link's key hint: a hint of ±hintMax stands
+// for any key at or past it, and a descent reads the key register.
+const hintMax = 1<<31 - 1
+
+// link is the word a link register holds for a successor node with key
+// k: k clamped to ±hintMax in the high 32 bits, node in the low 32.
+// node is never 0, so a link is never nilPtr.
+func link(k, node int64) int64 { return min(max(k, -hintMax), hintMax)<<32 | node }
+
+// linkNode returns the node a link word points at (nilPtr for nil).
+func linkNode(w int64) int64 { return w & (1<<32 - 1) }
+
+// linkHint returns the clamped key a link word carries.
+func linkHint(w int64) int64 { return w >> 32 }
+
+// nextReg returns the link register of node's level-l successor, with
+// node==nilPtr standing for the head block.
 func (s *SkipMap) nextReg(node int64, level int) int {
 	if node == nilPtr {
 		return s.head + level
@@ -213,14 +241,15 @@ func (s *SkipMap) nextReg(node int64, level int) int {
 }
 
 // skipPath is what a descent to key k found. On every level l,
-// succ[l] is the first node with key >= k on the level-l list (nilPtr
-// when there is none) and update[l] the register holding the pointer
-// to it (a head register or a next field). succ[0] is the candidate:
-// the node holding k, if any node does. candKey is its key (meaningful
-// when succ[0] != nilPtr), and prevKey the key of the level-0
-// predecessor owning update[0] (math.MinInt64 when that is the head
-// block) — the write paths compare it against an active scan window's
-// bounds.
+// succ[l] is the link word to the first node with key >= k on the
+// level-l list (nilPtr when there is none) and update[l] the register
+// holding it (a head register or a next field). succ[0] links the
+// candidate: the node holding k, if any node does. candKey is its key
+// (meaningful when succ[0] != nilPtr), and prevKey the key of the
+// level-0 predecessor owning update[0] (math.MinInt64 when that is the
+// head block) — the write paths compare it against an active scan
+// window's bounds. Both are exact: a clamped hint was resolved by
+// reading the key register.
 type skipPath struct {
 	update  [skipMaxLevel]int
 	succ    [skipMaxLevel]int64
@@ -228,41 +257,46 @@ type skipPath struct {
 	prevKey int64
 }
 
-// findTx descends the tower to k and fills p. It reads no register
-// twice: succ[l] is the last pointer read on level l, and a level
-// whose walk arrives at the node the level above stopped at stops
-// there without reading that node's key again (it is >= k). One
+// findTx descends the tower to k and fills p. A step reads one link
+// register and compares k with the successor's key hint; it reads the
+// successor's key register as well only when the hint is ±hintMax. It
+// reads no register twice: succ[l] is the last link read on level l,
+// and a level whose walk arrives at the node the level above stopped
+// at stops there without comparing again (its key is >= k). One
 // transactional read set of O(log n) expected size, where a sorted
 // list's walk would read O(n) registers and abort on any write behind
 // it.
 func (s *SkipMap) findTx(tx core.Txn, k int64, p *skipPath) error {
 	prev := nilPtr // nilPtr marks "still at the head block"
 	p.prevKey = math.MinInt64
-	// stop is the node the last level stopped at (nilPtr: none yet) and
-	// stopKey its key.
+	// stop is the link word to the node the last level stopped at
+	// (nilPtr: none yet) and stopKey its key. Every link to a node is
+	// the same word, so comparing words compares nodes.
 	stop, stopKey := nilPtr, int64(0)
 	for level := skipMaxLevel - 1; level >= 0; level-- {
 		reg := s.nextReg(prev, level)
 		for {
-			cur, err := tx.Read(reg)
+			w, err := tx.Read(reg)
 			if err != nil {
 				return err
 			}
-			p.succ[level] = cur
-			if cur == nilPtr || cur == stop {
+			p.succ[level] = w
+			if w == nilPtr || w == stop {
 				break
 			}
-			key, err := tx.Read(int(cur))
-			if err != nil {
-				return err
+			key := linkHint(w)
+			if key == hintMax || key == -hintMax {
+				if key, err = tx.Read(int(linkNode(w))); err != nil {
+					return err
+				}
 			}
 			if key >= k {
-				stop, stopKey = cur, key
+				stop, stopKey = w, key
 				break
 			}
 			// prev only ever advances, so after the level-0 loop it IS
 			// the level-0 predecessor and prevKey its key.
-			prev, p.prevKey = cur, key
+			prev, p.prevKey = linkNode(w), key
 			reg = s.nextReg(prev, level)
 		}
 		p.update[level] = reg
@@ -280,7 +314,7 @@ func (s *SkipMap) GetTx(tx core.Txn, k int64) (v int64, ok bool, err error) {
 	if err := s.findTx(tx, k, &p); err != nil || p.succ[0] == nilPtr || p.candKey != k {
 		return 0, false, err
 	}
-	if v, err = tx.Read(int(p.succ[0]) + 1); err != nil {
+	if v, err = tx.Read(int(linkNode(p.succ[0])) + 1); err != nil {
 		return 0, false, err
 	}
 	return v, true, nil
@@ -321,7 +355,7 @@ func (s *SkipMap) PutTx(tx core.Txn, th int, k, v int64, height int) (bool, erro
 		return false, region.ErrPrivate
 	}
 	if p.succ[0] != nilPtr && p.candKey == k {
-		return false, tx.Write(int(p.succ[0])+1, v) // update in place
+		return false, tx.Write(int(linkNode(p.succ[0]))+1, v) // update in place
 	}
 	node, err := s.alloc.New(tx, th, towerRegs(height))
 	if err != nil {
@@ -333,11 +367,14 @@ func (s *SkipMap) PutTx(tx core.Txn, th int, k, v int64, height int) (bool, erro
 	if err := tx.Write(int(node)+1, v); err != nil {
 		return false, err
 	}
+	// The new tower takes over each predecessor's link word, and each
+	// predecessor links the new node with k as its hint.
+	nw := link(k, node)
 	for l := 0; l < height; l++ {
 		if err := tx.Write(int(node)+skipNodeHdr+l, p.succ[l]); err != nil {
 			return false, err
 		}
-		if err := tx.Write(p.update[l], node); err != nil {
+		if err := tx.Write(p.update[l], nw); err != nil {
 			return false, err
 		}
 	}
@@ -365,7 +402,6 @@ func (s *SkipMap) DeleteTx(tx core.Txn, k int64) (removed bool, victim int64, vi
 	if w.Overlaps(p.prevKey, k) {
 		return false, 0, 0, region.ErrPrivate
 	}
-	cand := p.succ[0]
 	if p.candKey != k {
 		return false, 0, 0, nil
 	}
@@ -373,8 +409,11 @@ func (s *SkipMap) DeleteTx(tx core.Txn, k int64) (removed bool, victim int64, vi
 	// keys are unique, so cand is the first key >= k on every level it
 	// is on, and a level it is not on stops at another node. Its height
 	// is therefore the count of those levels, and no register stores it.
+	// Each predecessor takes over the tower's link word on its level.
+	cw := p.succ[0]
+	cand := linkNode(cw)
 	h := 0
-	for ; h < skipMaxLevel && p.succ[h] == cand; h++ {
+	for ; h < skipMaxLevel && p.succ[h] == cw; h++ {
 		nxt, err := tx.Read(int(cand) + skipNodeHdr + h)
 		if err != nil {
 			return false, 0, 0, err
@@ -390,11 +429,11 @@ func (s *SkipMap) DeleteTx(tx core.Txn, k int64) (removed bool, victim int64, vi
 // the pairs in key order.
 func (s *SkipMap) SnapshotTx(tx core.Txn) ([]KV, error) {
 	var out []KV
-	cur, err := tx.Read(s.head)
+	w, err := tx.Read(s.head)
 	if err != nil {
 		return nil, err
 	}
-	for cur != nilPtr {
+	for cur := linkNode(w); cur != nilPtr; cur = linkNode(w) {
 		key, err := tx.Read(int(cur))
 		if err != nil {
 			return nil, err
@@ -404,7 +443,7 @@ func (s *SkipMap) SnapshotTx(tx core.Txn) ([]KV, error) {
 			return nil, err
 		}
 		out = append(out, KV{key, val})
-		if cur, err = tx.Read(int(cur) + skipNodeHdr); err != nil {
+		if w, err = tx.Read(int(cur) + skipNodeHdr); err != nil {
 			return nil, err
 		}
 	}
@@ -415,13 +454,13 @@ func (s *SkipMap) SnapshotTx(tx core.Txn) ([]KV, error) {
 // transaction.
 func (s *SkipMap) LenTx(tx core.Txn) (int, error) {
 	n := 0
-	cur, err := tx.Read(s.head)
+	w, err := tx.Read(s.head)
 	if err != nil {
 		return 0, err
 	}
-	for cur != nilPtr {
+	for cur := linkNode(w); cur != nilPtr; cur = linkNode(w) {
 		n++
-		if cur, err = tx.Read(int(cur) + skipNodeHdr); err != nil {
+		if w, err = tx.Read(int(cur) + skipNodeHdr); err != nil {
 			return 0, err
 		}
 	}
@@ -607,7 +646,7 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 		}
 		var p skipPath
 		err := s.findTx(tx, lo, &p)
-		start = p.succ[0]
+		start = linkNode(p.succ[0])
 		return err
 	})
 	if err != nil {
@@ -639,7 +678,7 @@ func (it *WindowIter) Next(th int) (pairs []KV, more bool, err error) {
 			break
 		}
 		pairs = append(pairs, KV{k, tm.Load(th, int(cur)+1)})
-		if cur = tm.Load(th, int(cur)+skipNodeHdr); cur == nilPtr {
+		if cur = linkNode(tm.Load(th, int(cur)+skipNodeHdr)); cur == nilPtr {
 			endOfChain = true
 		}
 	}

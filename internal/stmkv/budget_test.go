@@ -314,3 +314,80 @@ func TestRehashStores(t *testing.T) {
 		}
 	}
 }
+
+// TestRebuildAllocatesNothing: rebuilds lay tables out in one buffer
+// the store keeps, of an arena's size, so after a store's first rebuild
+// every later one — larger, smaller or the same size, on any shard —
+// allocates nothing.
+func TestRebuildAllocatesNothing(t *testing.T) {
+	if coretest.RaceEnabled {
+		t.Skip("-race: sync.Pool drops Puts, so the fence allocates")
+	}
+	const shards, slots, keys = 2, 4096, 1000
+	s, err := stmkv.New(engine.MustNewSpec("tl2", stmkv.RegsNeeded(shards, slots), 2, nil), shards, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(1); k <= keys; k++ {
+		if err := s.Put(1, k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Rehash(1, 0, 2048); err != nil {
+		t.Fatal(err)
+	}
+	caps := []int64{1024, 4096, 3072, 3072, 2048, 4096}
+	i := 0
+	// AllocsPerRun runs the rebuild once more before the runs it counts.
+	allocs := testing.AllocsPerRun(len(caps)-1, func() {
+		if err := s.Rehash(1, i%shards, caps[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a rebuild after the store's first allocates %v times, want 0", allocs)
+	}
+	for k := int64(1); k <= keys; k++ {
+		if v, ok, err := s.Get(1, k); err != nil || !ok || v != k {
+			t.Fatalf("Get(%d) = %d, %v, %v after the rebuilds", k, v, ok, err)
+		}
+	}
+}
+
+// TestScanReadsEachRegisterOnce: a scan window's privatizing
+// transaction reads no register twice. It reads the shard's flag once,
+// checks it before the header, and takes the window from the value it
+// read. Counted over the 20-page ScanPage(…, 256) walk of a 5 000-key
+// store.
+func TestScanReadsEachRegisterOnce(t *testing.T) {
+	const shards, slots, keys, pages = 16, 4096, 5_000, 20
+	rc := coretest.NewReadCounter(engine.MustNewSpec("tl2", stmkv.RegsNeeded(shards, slots), 2, nil))
+	s, err := stmkv.New(rc, shards, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(1); k <= keys; k++ {
+		if err := s.Put(1, k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rc.Reset()
+	before := s.Stats().ScanWindows
+	got, n := 0, 0
+	for cursor := ""; n == 0 || cursor != ""; n++ {
+		pairs, next, err := s.ScanPage(1, cursor, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, cursor = got+len(pairs), next
+	}
+	if got != keys || n != pages {
+		t.Fatalf("walk returned %d pairs in %d pages, want %d in %d", got, n, keys, pages)
+	}
+	windows := s.Stats().ScanWindows - before
+	t.Logf("%d pages, %d windows: %d reads, %d repeated", pages, windows, rc.Reads, rc.Repeats)
+	if rc.Repeats != 0 {
+		t.Fatalf("%d reads of a register already read in the same transaction over %d windows, want 0", rc.Repeats, windows)
+	}
+}

@@ -194,6 +194,13 @@ type Store struct {
 	grows       padInt64
 	compactions padInt64
 
+	// spare is the rebuild buffer rehashTo lays a table out in: one
+	// arena's worth of pairs, made by the store's first rebuild and
+	// handed from rebuild to rebuild. A rebuild that finds it taken (two
+	// shards rehashing at once) makes its own, and whichever finishes
+	// last leaves its buffer here.
+	spare atomic.Pointer[[]KV]
+
 	// board is the TM's telemetry board when the TM carries one; scans,
 	// scan windows and read-throughs are recorded per thread on it.
 	board *telemetry.Board
@@ -880,11 +887,12 @@ func (s *Store) openScanWindow(th, base int, c scanCursor, need int) (gen, cap i
 	g := guard(base)
 	err = s.own.Privatize(th, func(tx core.Txn) error {
 		// Check the flag before reading the header, which an exclusive
-		// owner stores to; Take reads it again.
-		var err error
-		if cap, _, err = g.Readable(tx); err != nil {
+		// owner stores to, and hand it to TakeFrom: it is read once.
+		f, err := g.Claimable(tx)
+		if err != nil {
 			return err
 		}
+		cap = region.Payload(f)
 		if gen, err = tx.Read(base + offGen); err != nil {
 			return err
 		}
@@ -897,7 +905,7 @@ func (s *Store) openScanWindow(th, base int, c scanCursor, need int) (gen, cap i
 			w.Lo = c.slot
 		}
 		w.Hi = w.Lo + scanWindowSlots(int64(need), cap-w.Lo, cap, count) - 1
-		return g.Take(tx, region.ReadPrivate, w)
+		return g.TakeFrom(tx, f, region.ReadPrivate, w)
 	})
 	if err != nil {
 		return 0, 0, region.NoWindow, err
@@ -1014,11 +1022,20 @@ func growStep(cap, slots int64) int64 { return min(cap, max(slots/4, 1)) }
 // held: nothing reads a value whose key is not present, and an insert
 // writes both. Last it bumps the generation, so a ScanPage cursor cut
 // against the old layout restarts the shard. The caller publishes
-// newCap in the flag.
+// newCap in the flag. The layout reuses the store's spare buffer, so
+// only a store's first rebuild (and one that overlaps another)
+// allocates.
 func (s *Store) rehashTo(th, shard int, oldCap, newCap int64) error {
 	tm := s.tm
 	tab, base := s.table(shard)
-	next := make([]KV, newCap)
+	buf := s.spare.Swap(nil)
+	if buf == nil {
+		b := make([]KV, s.slots)
+		buf = &b
+	}
+	defer s.spare.Store(buf)
+	next := (*buf)[:newCap]
+	clear(next)
 	live := 0
 	for i := 0; i < int(oldCap); i++ {
 		k := tm.Load(th, keyReg(tab, i))
