@@ -14,9 +14,9 @@
 //	KVSERVER_THREADS  request worker pool size  (default "8")
 //
 // On SIGINT/SIGTERM the server shuts down in the safe order: stop
-// accepting, drain in-flight HTTP requests, then kvserve.Server.Drain
-// — settle the store's table heap and surface any reclamation error. Exit status 0 means the drain came
-// back clean; 1 means startup failed or the drain surfaced an error.
+// accepting, drain in-flight HTTP requests, then kvserve.Server.Drain,
+// which turns healthz to 503. Exit status 0 means the shutdown
+// completed; 1 means startup or the listener failed.
 package main
 
 import (
@@ -90,24 +90,19 @@ func main() {
 
 	select {
 	case err := <-errc:
-		// Listener died before any signal: nothing to drain but the store.
 		log.Error("listener failed", "err", err)
-		_ = srv.Drain()
 		os.Exit(1)
 	case <-ctx.Done():
 	}
 
 	// Shutdown order per the package doc: drain in-flight HTTP first,
-	// then settle the store.
+	// then turn healthz to 503. The store has nothing to settle.
 	log.Info("signal received, draining")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Error("http shutdown", "err", err)
 	}
-	if err := srv.Drain(); err != nil {
-		log.Error("drain failed", "err", err)
-		os.Exit(1)
-	}
+	_ = srv.Drain() // always nil
 	log.Info("drained clean, exiting")
 }

@@ -34,8 +34,7 @@
 //     amortizes one grace period over a whole magazine of frees,
 //     a size-class ladder (exact for 1–8 registers, then powers of
 //     two up to 8192) whose free lists each serve only their own class
-//     (no block is split or merged), in-place growth of a chunk's last
-//     block (NewIn, Extend), and
+//     (no block is split or merged), and
 //     RegsForDemand, which sizes arenas from multi-size-class
 //     ClassDemand profiles — one budget per class.
 //   - Application layer: internal/stmds dynamic structures (the
@@ -53,8 +52,9 @@
 //     and the new array's word publishes it) that free removed nodes
 //     through the
 //     allocator; internal/stmkv, the sharded privatization-safe KV
-//     store whose shard tables each fill one heap chunk and grow in
-//     place inside their rehash's privatized window, and whose ScanPage
+//     store whose shard tables each sit at a fixed register span and
+//     grow in place inside their rehash's privatized window (no
+//     allocator), and whose ScanPage
 //     paginates privatized scans behind an opaque resumable cursor
 //     with O(limit) buffering; the paper's timing workloads in
 //     internal/workload (bank, counter, read-mostly, pipeline and
@@ -68,7 +68,7 @@
 //     onto the TM's fixed thread contract, each request runs one store
 //     operation, GET /scan streams ScanPage's paginated privatized
 //     windows as chunked JSON with a resumable cursor, and Drain
-//     settles the heap on shutdown. cmd/kvserver wraps it as an env-configured process
+//     turns /healthz to 503 on shutdown. cmd/kvserver wraps it as an env-configured process
 //     (Dockerfile included); cmd/kvload is the closed/open-loop load
 //     driver reporting p50/p99/p999, with -scan mixing paginated
 //     scans into the load under their own latency quantiles.

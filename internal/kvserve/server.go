@@ -19,14 +19,13 @@
 //	PUT    /kv/{key}   body = value; 204 on commit
 //	DELETE /kv/{key}   204 if removed, 404 if absent
 //	GET    /scan       [{"key":k,"val":v}, ...] (per-shard snapshots)
-//	GET    /stats      store + heap + telemetry counters and rates
+//	GET    /stats      store + telemetry counters and rates
 //	GET    /healthz    200 once serving, 503 while starting or draining
 //
 // Shutdown protocol: the owner first drains in-flight HTTP requests
 // (http.Server.Shutdown), then calls Server.Drain, which flips healthz
-// to 503, settles the store's table heap (stmkv.Store.Drain) and
-// surfaces any reclamation error — the ordering cmd/kvserver
-// implements on SIGTERM.
+// to 503 — the ordering cmd/kvserver implements on SIGTERM. The store
+// itself has nothing to settle: its tables are never freed.
 package kvserve
 
 import (
@@ -63,8 +62,7 @@ type Config struct {
 	// Slots is the per-shard slot arena (default 512).
 	Slots int
 	// Threads is the request worker pool size: the number of store
-	// operations that may run concurrently (default 8). The TM is
-	// sized with one extra id, the drain admin thread.
+	// operations that may run concurrently (default 8).
 	Threads int
 	// Logger receives the server's structured log (default
 	// slog.Default()).
@@ -99,9 +97,8 @@ type Server struct {
 	board *telemetry.Board
 	log   *slog.Logger
 
-	adminTh int
-	start   time.Time
-	ready   atomic.Bool
+	start time.Time
+	ready atomic.Bool
 }
 
 // New builds the TM described by cfg.Spec, a store over it, and the
@@ -109,10 +106,8 @@ type Server struct {
 // server is ready (healthz reports 200).
 func New(cfg Config) (*Server, error) {
 	cfg.fill()
-	// Thread budget: ids 1..Threads for request workers, +1 the admin
-	// (drain) thread.
+	// Thread budget: ids 1..Threads for request workers.
 	workers := cfg.Threads
-	adminTh := workers + 1
 	regs := stmkv.RegsNeeded(cfg.Shards, cfg.Slots)
 	if regs == 0 {
 		return nil, fmt.Errorf("kvserve: unallocatable geometry shards=%d slots=%d", cfg.Shards, cfg.Slots)
@@ -120,7 +115,7 @@ func New(cfg Config) (*Server, error) {
 	if ecfg, err := engine.Parse(cfg.Spec); err == nil && ecfg.UnsafeFence() {
 		return nil, fmt.Errorf("kvserve: spec %q has an unsafe fence; serve a safe one", cfg.Spec)
 	}
-	tm, err := engine.NewSpec(cfg.Spec, regs, adminTh, nil)
+	tm, err := engine.NewSpec(cfg.Spec, regs, workers, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -133,14 +128,13 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:     cfg,
-		tm:      tm,
-		store:   store,
-		scan:    store,
-		pool:    pool,
-		log:     cfg.Logger,
-		adminTh: adminTh,
-		start:   time.Now(),
+		cfg:   cfg,
+		tm:    tm,
+		store: store,
+		scan:  store,
+		pool:  pool,
+		log:   cfg.Logger,
+		start: time.Now(),
 	}
 	if p, ok := tm.(telemetry.Provider); ok {
 		s.board = p.TelemetryBoard()
@@ -164,14 +158,13 @@ func (s *Server) Telemetry() telemetry.Snapshot {
 	return s.board.Snapshot()
 }
 
-// Drain finishes the server's outstanding work: healthz turns 503, the
-// store's table heap settles, and Drain returns the first reclamation
-// error the heap hit. Call it after the HTTP listener has drained its
-// in-flight requests; Drain is idempotent (a second call only re-drains
-// the store, which reports errors registered since).
+// Drain turns healthz to 503. Call it after the HTTP listener has
+// drained its in-flight requests; a second call changes nothing. It
+// returns nil: the error result is kept for bench's serve-point settle
+// step, and ROADMAP item 21's one-function bench edit drops it.
 func (s *Server) Drain() error {
 	s.ready.Store(false)
-	return s.store.Drain(s.adminTh)
+	return nil
 }
 
 // Handler returns the server's route table.
@@ -495,14 +488,9 @@ type statsReply struct {
 		GateParks     int64 `json:"gate_parks"`
 		GateTimeouts  int64 `json:"gate_timeouts"`
 		ReadThroughs  int64 `json:"read_throughs"`
+		// Registers the shards' tables occupy (stmkv.Stats.TableRegs).
+		TableRegs int64 `json:"table_regs"`
 	} `json:"store"`
-	Heap struct {
-		Allocs       int64 `json:"allocs"`
-		Frees        int64 `json:"frees"`
-		Live         int64 `json:"live"`
-		Regs         int64 `json:"regs"`
-		PendingFrees int64 `json:"pending_frees"`
-	} `json:"heap"`
 	Telemetry struct {
 		Commits        int64   `json:"commits"`
 		Aborts         int64   `json:"aborts"`
@@ -539,12 +527,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	reply.Store.GateParks = st.GateParks
 	reply.Store.GateTimeouts = st.GateTimeouts
 	reply.Store.ReadThroughs = st.ReadThroughs
-	hs := s.store.HeapStats()
-	reply.Heap.Allocs = hs.Allocs
-	reply.Heap.Frees = hs.Frees
-	reply.Heap.Live = hs.Live
-	reply.Heap.Regs = hs.BumpRegs
-	reply.Heap.PendingFrees = hs.PendingFrees
+	reply.Store.TableRegs = st.TableRegs
 	tel := s.Telemetry()
 	reply.Telemetry.Commits = tel.Commits
 	reply.Telemetry.Aborts = tel.Aborts

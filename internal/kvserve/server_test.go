@@ -169,8 +169,8 @@ func TestServerEndToEnd(t *testing.T) {
 
 // TestServerConcurrentMixedLoad: concurrent PUT/GET pairs on distinct
 // keys, each PUT its own transaction on a pooled thread id. The load
-// grows every shard, so replaced tables are freed under the server; after
-// Drain the heap holds exactly one table per shard with nothing pending.
+// grows the shards' tables in place under the server, and /stats
+// reports the registers they occupy as the store counts them.
 func TestServerConcurrentMixedLoad(t *testing.T) {
 	const shards = 4
 	t.Run("direct", func(t *testing.T) {
@@ -231,11 +231,8 @@ func TestServerConcurrentMixedLoad(t *testing.T) {
 		if grows := srv.Store().Stats().Grows; grows == 0 {
 			t.Fatalf("%d keys in %d shards: no shard grew", workers*opsPer, shards)
 		}
-		// Tables grow in place: the heap holds one block per shard and
-		// never freed one.
-		hs := srv.Store().HeapStats()
-		if hs.Live != shards || hs.Frees != 0 || hs.PendingFrees != 0 {
-			t.Fatalf("after Drain want %d live tables, 0 frees and 0 pending frees: %+v", shards, hs)
+		if got, initial := stats.Store.TableRegs, int64(shards*2*8); got != srv.Store().Stats().TableRegs || got <= initial {
+			t.Fatalf("/stats table_regs = %d, want the store's TableRegs %d, above the initial %d", got, srv.Store().Stats().TableRegs, initial)
 		}
 	})
 }

@@ -5,6 +5,10 @@ package stmalloc
 // surface-once regression test.
 func (h *Heap) InjectAsyncErr(err error) { h.fail(err) }
 
+// HeaderRegs exports headerRegs, a heap header's size, to the external
+// test package.
+func HeaderRegs(shards int) int { return headerRegs(shards) }
+
 // MagazineRegs exports magazineRegs, the per-thread magazine header
 // budget, to the external test package.
 func MagazineRegs(threads int) int { return magazineRegs(threads) }

@@ -33,16 +33,6 @@
 // unlinked the block while the structure was quiescent may publish it
 // straight away.
 //
-// A block can also grow instead of moving. NewIn bumps a block from one
-// named shard's chunk, and Extend grows a block that still ends at its
-// chunk's bump pointer by moving that pointer to exactly the size asked
-// — no class rounding, so a block extended to a size that is no class
-// must never be freed. The block's size is read off the pointer, so
-// neither the heap nor the caller keeps it anywhere else. stmkv gives
-// each shard's table a chunk of its own and rebuilds the table in
-// place, inside the privatize→fence window that already makes its
-// registers private, so a table takes exactly two registers a slot.
-//
 // # The magazine layer
 //
 // WithMagazines gives each thread two things (after Bonwick's
@@ -100,15 +90,13 @@
 // from 1 to 8 registers, then the powers of two from 16 to 8192. A
 // request takes the smallest class that holds it, so a SkipMap tower
 // (2+h registers) or a hash-map node (3) occupies exactly the
-// registers it uses, while a bucket array or a stmkv table (a power of
-// two of at least 16 registers) keeps a class of its own size. A free
-// list serves only its own class: New never splits a larger free block
-// and Free never merges a block with its neighbours. None needs to,
-// because every client sizes its heap per class — RegsForDemand takes
-// one ClassDemand per class, and stmkv.RegsNeeded gives each table one
-// chunk of its largest size, which the table grows into in place — so a
-// class's blocks come from the bump regions once and then circulate
-// within the class.
+// registers it uses, while a bucket array (a power of two of at least
+// 16 registers) keeps a class of its own size. A free list serves only
+// its own class: New never splits a larger free block and Free never
+// merges a block with its neighbours. None needs to, because every
+// client sizes its heap per class (RegsForDemand takes one ClassDemand
+// per class), so a class's blocks come from the bump regions once and
+// then circulate within the class.
 // A request that no class list, bump region or stolen cache can serve
 // is errOutOfSpace, whatever free blocks of other classes exist. The
 // bump frontier advances by exactly the block's size: no block needs
@@ -138,9 +126,8 @@ import (
 	"safepriv/internal/telemetry"
 )
 
-// errOutOfSpace is wrapped by every error New, NewIn and Extend return
-// when no shard can serve the request from its free list or bump
-// region.
+// errOutOfSpace is wrapped by every error New returns when no shard
+// can serve the request from its free list or bump region.
 var errOutOfSpace = errors.New("stmalloc: arena exhausted")
 
 // smallClasses is the number of quantum-spaced classes: class c <
@@ -174,10 +161,10 @@ const (
 	shardHdr = 24
 )
 
-// HeaderRegs returns the header size of a heap with the given shard
+// headerRegs returns the header size of a heap with the given shard
 // count; the usable arena is everything after it (and after the
 // magazine headers, when magazines are enabled).
-func HeaderRegs(shards int) int { return shards * shardHdr }
+func headerRegs(shards int) int { return shards * shardHdr }
 
 // Per-thread magazine header layout (registers, relative to the
 // thread's magazine base): the thread's transactional alloc counter,
@@ -212,7 +199,7 @@ const recycleFactor = 4
 
 // magazineRegs returns the register footprint of the per-thread
 // magazine headers for the given thread count — the extra header
-// budget a WithMagazines heap needs beyond HeaderRegs.
+// budget a WithMagazines heap needs beyond headerRegs.
 func magazineRegs(threads int) int {
 	if threads <= 0 {
 		return 0
@@ -264,8 +251,7 @@ type ClassDemand struct {
 
 // RegsForDemand returns the total register budget (headers included) a
 // heap needs to keep the given demand profile live: pass the result as
-// `limit-first` to New. It generalizes stmkv.RegsNeeded's one block per
-// chunk to multi-size-class clients:
+// `limit-first` to New. It covers multi-size-class clients:
 //
 //   - every demanded block at its size-class roundup, plus
 //   - one max-class block of slack per shard, because a block cannot
@@ -310,7 +296,7 @@ func RegsForDemand(shards, magThreads, magCap int, demand []ClassDemand) int {
 		arena += magThreads * stock
 	}
 	arena += shards * maxBlock
-	return HeaderRegs(shards) + magazineRegs(magThreads) + arena
+	return headerRegs(shards) + magazineRegs(magThreads) + arena
 }
 
 // Option mutates heap construction.
@@ -366,7 +352,7 @@ type Stats struct {
 }
 
 // Heap is a sharded free-list allocator over the register range
-// [first, limit) of one TM. The header (HeaderRegs registers) sits at
+// [first, limit) of one TM. The header (headerRegs registers) sits at
 // the front of the range; the rest is split into per-shard bump
 // chunks. Construction reinitializes the header non-transactionally,
 // so it must happen before concurrent use.
@@ -518,10 +504,10 @@ func New(tm core.TM, first, limit int, opts ...Option) (*Heap, error) {
 		h.magCap = defaultMagCap
 	}
 	// Clamp shards so every chunk holds at least one minimal block.
-	for h.shards > 1 && (limit-first-HeaderRegs(h.shards)-magazineRegs(h.magThreads))/h.shards < 1 {
+	for h.shards > 1 && (limit-first-headerRegs(h.shards)-magazineRegs(h.magThreads))/h.shards < 1 {
 		h.shards--
 	}
-	h.arena = first + HeaderRegs(h.shards) + magazineRegs(h.magThreads)
+	h.arena = first + headerRegs(h.shards) + magazineRegs(h.magThreads)
 	if h.arena >= limit {
 		return nil, fmt.Errorf("stmalloc: arena [%d, %d) cannot hold a %d-shard header plus %d magazine threads", first, limit, h.shards, h.magThreads)
 	}
@@ -1202,64 +1188,4 @@ func (h *Heap) Stats() Stats {
 	}
 	st.Live = st.Allocs - st.Frees
 	return st
-}
-
-// NewIn allocates an n-register block from the bump region of shard s
-// alone, inside tx, and reports errOutOfSpace when the chunk has no room
-// left. The block ends at the chunk's bump pointer until another
-// allocation passes it, so Extend can grow it in place; a client that
-// gives each of its tables a chunk of its own (stmkv) places them this
-// way. Aborted transactions roll the allocation back.
-func (h *Heap) NewIn(tx core.Txn, s, n int) (int64, error) {
-	c, ok := classOf(n)
-	if !ok || s < 0 || s >= h.shards {
-		return 0, fmt.Errorf("stmalloc: cannot serve %d registers in shard %d of %d: %w", n, s, h.shards, errOutOfSpace)
-	}
-	ptr, err := h.bump(tx, s, int64(classRegs(c)))
-	if err != nil {
-		return 0, err
-	}
-	if ptr == 0 {
-		return 0, fmt.Errorf("stmalloc: shard %d cannot serve %d registers: %w", s, n, errOutOfSpace)
-	}
-	return ptr, count(tx, h.hdr(s)+offAllocs)
-}
-
-// Extend grows the block at ptr in place, inside tx, to exactly n
-// registers. The block must end at its chunk's bump pointer (a NewIn
-// block no later allocation passed), so its size is the bump pointer
-// minus ptr: a block that already holds n registers is left as it is,
-// and a smaller one moves the bump pointer to ptr+n. It reports
-// errOutOfSpace when the chunk has no room for n registers. The block
-// stays one live block: Allocs does not move.
-//
-// Extend does not round n up to a size class, so it is for a client
-// that keeps its block for good (stmkv's tables). A Free returns a
-// block to the list of the class its size rounds up to, so only a block
-// whose size is a class — BlockRegs(n) == n — may be freed, passing
-// that size; Free cannot tell the two apart, and freeing a block of any
-// other size would hand out registers past its end.
-func (h *Heap) Extend(tx core.Txn, ptr int64, n int) error {
-	if n <= 0 || n > MaxBlockRegs || !h.validPtr(ptr) {
-		return fmt.Errorf("stmalloc: cannot extend block %d to %d registers: %w", ptr, n, errOutOfSpace)
-	}
-	s := h.shardOf(ptr)
-	b, err := tx.Read(h.hdr(s) + offBump)
-	if err != nil {
-		return err
-	}
-	if !h.validBump(s, b) {
-		return core.ErrAborted
-	}
-	if b <= ptr {
-		return fmt.Errorf("stmalloc: Extend of block %d at or past shard %d's bump pointer %d", ptr, s, b)
-	}
-	end := ptr + int64(n)
-	switch {
-	case end <= b:
-		return nil
-	case end > int64(h.chunkEnd(s)):
-		return fmt.Errorf("stmalloc: shard %d cannot extend block %d to %d registers: %w", s, ptr, n, errOutOfSpace)
-	}
-	return tx.Write(h.hdr(s)+offBump, end)
 }

@@ -267,68 +267,6 @@ func TestAbortedAllocationRollsBack(t *testing.T) {
 	}
 }
 
-// TestNewInExtend: NewIn bumps a block from the named shard's chunk
-// only, and Extend grows the chunk's last block in place by moving the
-// bump pointer to exactly the size asked, not its class — never
-// shrinking it, rolling back with an aborted transaction, and refusing
-// to pass the chunk's end. The block stays one live block, and once
-// extended to a class's size a Free of that size returns it to the
-// class.
-func TestNewInExtend(t *testing.T) {
-	tm := engine.MustNewSpec("tl2", 1<<10, 2, nil)
-	h, err := stmalloc.New(tm, 8, tm.NumRegs(), stmalloc.WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two 24-register shard headers from register 8, then two chunks of
-	// (1024-56)/2 = 484 registers: shard 1's chunk starts at 540.
-	const chunk1 = 56 + 484
-	atomically := func(body func(tx core.Txn) error) error { return core.Atomically(tm, 1, body) }
-	var p int64
-	if err := atomically(func(tx core.Txn) (err error) { p, err = h.NewIn(tx, 1, 16); return err }); err != nil {
-		t.Fatal(err)
-	}
-	if p != chunk1 {
-		t.Fatalf("NewIn(shard 1) = %d, want shard 1's chunk start %d", p, chunk1)
-	}
-	bumped := func(want int64) {
-		t.Helper()
-		if st := h.Stats(); st.BumpRegs != want || st.Allocs != 1 || st.Live != 1 {
-			t.Fatalf("stats %+v, want BumpRegs %d and one live block", st, want)
-		}
-	}
-	bumped(16)
-	tx := tm.Begin(1)
-	if err := h.Extend(tx, p, 64); err != nil {
-		t.Fatal(err)
-	}
-	tx.Abort()
-	bumped(16)
-	for _, step := range []struct {
-		n    int
-		want int64
-	}{{10, 16}, {17, 17}, {256, 256}, {100, 256}} {
-		if err := atomically(func(tx core.Txn) error { return h.Extend(tx, p, step.n) }); err != nil {
-			t.Fatalf("Extend(%d): %v", step.n, err)
-		}
-		bumped(step.want)
-	}
-	if err := atomically(func(tx core.Txn) error { return h.Extend(tx, p, 512) }); !errors.Is(err, stmalloc.ErrOutOfSpace) {
-		t.Fatalf("Extend past the chunk's end: %v, want ErrOutOfSpace", err)
-	}
-	for _, bad := range []struct{ shard, n int }{{1, 512}, {2, 1}, {-1, 1}} {
-		err := atomically(func(tx core.Txn) error { _, err := h.NewIn(tx, bad.shard, bad.n); return err })
-		if !errors.Is(err, stmalloc.ErrOutOfSpace) {
-			t.Fatalf("NewIn(shard %d, %d): %v, want ErrOutOfSpace", bad.shard, bad.n, err)
-		}
-	}
-	bumped(256)
-	h.Free(1, p, 256)
-	if got := alloc(t, tm, h, 1, 256); got != p {
-		t.Fatalf("a 256-register New after the Free got %d, want the extended block %d", got, p)
-	}
-}
-
 // reclaimSpecs is every TM (tl2 and norec under -short): the leak
 // accounting invariant must hold on all of them.
 func reclaimSpecs(short bool) []string {

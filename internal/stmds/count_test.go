@@ -48,8 +48,8 @@ func TestRangeWalkCounts(t *testing.T) {
 
 // TestTowerFootprint pins what a structure's nodes occupy on a fresh
 // per-free heap. N seeded Puts into a SkipMap bump exactly the blocks
-// of their towers, with each height replayed from a second map's Level
-// stream: 2+h registers for every tower up to height 6, the 16- or
+// of their towers, with each height replayed from a fresh level stream
+// (LevelStream): 2+h registers for every tower up to height 6, the 16- or
 // 32-register class above it. N Puts into a HashMap bump 3N registers
 // of nodes plus every bucket array the table passed through (16, 32,
 // ..., its final size: single-threaded growth frees each old array
@@ -58,13 +58,13 @@ func TestTowerFootprint(t *testing.T) {
 	const n = 3000
 	keys := rand.New(rand.NewSource(11)).Perm(4 * n)[:n]
 	heap, sm, _ := demandHeap(t, "tl2", 1, n)
-	replay := stmds.NewSkipMap(nil, skipHead, 1, nil)
+	replay := stmds.LevelStream(1)
 	want := int64(0)
 	for _, k := range keys {
 		if _, err := sm.Put(1, int64(k)+1, 1); err != nil {
 			t.Fatal(err)
 		}
-		want += int64(stmalloc.BlockRegs(2 + replay.Level(1)))
+		want += int64(stmalloc.BlockRegs(2 + replay(1)))
 	}
 	if got := heap.Stats().BumpRegs; got != want {
 		t.Fatalf("SkipMap: %d Puts bumped %d registers, want %d", n, got, want)

@@ -18,6 +18,11 @@ func (s *HashMap) Buckets(th int) int {
 // BucketOf returns k's bucket in a table of the given bucket count.
 func BucketOf(k int64, buckets int) int { return int(hashOf(k) & uint64(buckets-1)) }
 
+// LevelStream returns fresh tower-height streams for thread ids
+// 0..threads, as a new SkipMap draws them: each call draws thread th's
+// next height.
+func LevelStream(threads int) func(th int) int { return newLevels(threads).next }
+
 // TowerRegs exports towerRegs, a tower's register footprint, to the
 // external test package.
 func TowerRegs(height int) int { return towerRegs(height) }

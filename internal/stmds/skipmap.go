@@ -117,10 +117,10 @@ func SkipMapDemand(nodes int) []stmalloc.ClassDemand {
 // O(windows) fences instead of O(n) transactional reads, and cannot
 // abort-storm.
 type SkipMap struct {
-	tm    core.TM
-	head  int
-	alloc *stmalloc.Heap
-	rng   []uint64 // per-thread level-generator state, indexed by thread id
+	tm     core.TM
+	head   int
+	alloc  *stmalloc.Heap
+	levels levels // tower heights, one stream per thread id
 
 	// own takes and publishes the scan windows (package region);
 	// writers aimed into the active window wait on its gate. guard is
@@ -162,18 +162,28 @@ func towerRegs(height int) int { return skipNodeHdr + height }
 // empty". It panics when tm has more than 2³² registers, since a link
 // holds a node's index in 32 bits.
 func NewSkipMap(tm core.TM, head, threads int, alloc *stmalloc.Heap) *SkipMap {
-	if tm != nil && uint64(tm.NumRegs()) > 1<<32 {
+	if uint64(tm.NumRegs()) > 1<<32 {
 		panic("stmds: a SkipMap link holds a register index in 32 bits")
 	}
-	s := &SkipMap{tm: tm, head: head, alloc: alloc, rng: make([]uint64, threads+1), own: region.NewOwner(tm),
+	s := &SkipMap{tm: tm, head: head, alloc: alloc, levels: newLevels(threads), own: region.NewOwner(tm),
 		guard: region.Guard{Flag: head + skipMaxLevel, Lo: head + skipMaxLevel + 1, Hi: head + skipMaxLevel + 2}}
-	for th := range s.rng {
-		s.rng[th] = splitmix64(uint64(th))
-	}
 	if p, ok := tm.(telemetry.Provider); ok {
 		s.board = p.TelemetryBoard()
 	}
 	return s
+}
+
+// levels holds one xorshift64 state per thread id, indexed by the id:
+// the tower-height streams Level draws from.
+type levels []uint64
+
+// newLevels returns the streams of thread ids 0..threads.
+func newLevels(threads int) levels {
+	l := make(levels, threads+1)
+	for th := range l {
+		l[th] = splitmix64(uint64(th))
+	}
+	return l
 }
 
 // splitmix64 seeds the per-thread xorshift states far apart even though
@@ -189,25 +199,30 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// Level draws the next tower height for thread th: a geometric(1/4)
+// Level draws the next tower height for thread th from the map's
+// streams (levels.next).
+func (s *SkipMap) Level(th int) int { return s.levels.next(th) }
+
+// next draws the next tower height for thread th: a geometric(1/4)
 // variable clamped to [1, skipMaxLevel], from th's private xorshift64
-// stream. Each level above the first takes two bits of the draw and
-// is reached when both are set. p = 1/4 is Pugh's (CACM 1990)
-// recommendation: the expected search cost L(n)/p is about that of
-// p = 1/2, but a tower carries 1⅓ successor pointers on average
-// instead of 2. Deterministic: the i-th call for a given th returns
-// the same height in every run and on every TM. Not transactional
-// state — a retried Put must NOT redraw (Put draws once per call; the
-// windowed executor memoizes the draw across attempt reruns).
-func (s *SkipMap) Level(th int) int {
-	if th < 0 || th >= len(s.rng) {
+// stream; an id out of range draws from stream 0. Each level above the
+// first takes two bits of the draw and is reached when both are set.
+// p = 1/4 is Pugh's (CACM 1990) recommendation: the expected search
+// cost L(n)/p is about that of p = 1/2, but a tower carries 1⅓
+// successor pointers on average instead of 2. Deterministic: the i-th
+// call for a given th returns the same height in every run and on every
+// TM. Not transactional state — a retried Put must NOT redraw (Put
+// draws once per call; the windowed executor memoizes the draw across
+// attempt reruns).
+func (l levels) next(th int) int {
+	if th < 0 || th >= len(l) {
 		th = 0
 	}
-	x := s.rng[th]
+	x := l[th]
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
-	s.rng[th] = x
+	l[th] = x
 	h := 1
 	for x&3 == 3 && h < skipMaxLevel {
 		h++

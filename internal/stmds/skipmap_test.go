@@ -44,20 +44,19 @@ func demandHeap(t *testing.T, spec string, threads, nodes int, opts ...stmalloc.
 }
 
 // TestSkipMapLevelDeterminism pins the level generator's contract: the
-// i-th draw for a given thread is identical across SkipMap instances
-// (and hence across TMs and runs), every draw lands in
+// i-th draw for a given thread is identical across fresh streams (and
+// hence across SkipMaps, TMs and runs), every draw lands in
 // [1, SkipMaxLevel], out-of-range thread ids fall back to stream 0,
 // and the distribution is geometric(1/4): about 3/4 of the draws are
 // height 1 and 3/16 height 2, each within four binomial standard
 // deviations.
 func TestSkipMapLevelDeterminism(t *testing.T) {
-	a := stmds.NewSkipMap(nil, skipHead, 4, nil)
-	b := stmds.NewSkipMap(nil, skipHead, 4, nil)
+	a, b := stmds.LevelStream(4), stmds.LevelStream(4)
 	const draws = 4096
 	var heights [stmds.SkipMaxLevel + 1]int // thread 1's draws per height
 	for th := 0; th <= 4; th++ {
 		for i := 0; i < draws; i++ {
-			ha, hb := a.Level(th), b.Level(th)
+			ha, hb := a(th), b(th)
 			if ha != hb {
 				t.Fatalf("thread %d draw %d: %d vs %d — generator not deterministic", th, i, ha, hb)
 			}
@@ -81,7 +80,7 @@ func TestSkipMapLevelDeterminism(t *testing.T) {
 	// Streams must differ between threads (splitmix64 seeds them apart).
 	same := 0
 	for i := 0; i < 64; i++ {
-		if a.Level(1) == a.Level(2) {
+		if a(1) == a(2) {
 			same++
 		}
 	}
@@ -89,9 +88,9 @@ func TestSkipMapLevelDeterminism(t *testing.T) {
 		t.Fatal("threads 1 and 2 share a level stream")
 	}
 	// Out-of-range ids draw from stream 0 rather than panicking.
-	fresh := stmds.NewSkipMap(nil, skipHead, 2, nil)
-	want := stmds.NewSkipMap(nil, skipHead, 2, nil).Level(0)
-	if got := fresh.Level(99); got != want {
+	fresh := stmds.LevelStream(2)
+	want := stmds.LevelStream(2)(0)
+	if got := fresh(99); got != want {
 		t.Fatalf("out-of-range thread drew %d, want stream-0 draw %d", got, want)
 	}
 }

@@ -172,14 +172,14 @@ func TestPointOpsAllocateNothing(t *testing.T) {
 }
 
 // TestTableFootprint pins what a store's tables occupy and what their
-// growth costs. On a fresh store, seeded Puts bump exactly one block
-// per shard, of exactly two registers per slot of its capacity: every
-// growth step extends the table in place, so no smaller table is left
-// behind, no block is freed and no block is rounded up to a size class.
-// The fills run in stages, the last of which takes every shard past
-// half its arena, where growth moves in quarter-arena steps. Each Put
-// that grows a shard runs exactly one privatization and one fence;
-// every other Put runs neither.
+// growth costs. On a fresh store, seeded Puts leave Stats().TableRegs
+// at exactly two registers per slot of each shard's capacity: every
+// growth step rebuilds the table in place, so no smaller table is left
+// behind. The fills run in stages, the last of which takes every shard
+// past half its arena, where growth moves in quarter-arena steps. Each
+// Put that grows a shard runs exactly one privatization, one fence and
+// three commits (the privatization, the publish and the retried put);
+// every other Put runs one commit and neither of the others.
 func TestTableFootprint(t *testing.T) {
 	const shards, slots = 16, 4096
 	tm, err := engine.NewSpec("tl2", stmkv.RegsNeeded(shards, slots), 2, nil)
@@ -201,8 +201,8 @@ func TestTableFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			d, grew := board.Snapshot().Delta(before), s.Stats().Grows-grows
-			if d.Privatizations != grew || d.Fences != grew || grew > 1 {
-				t.Fatalf("Put(%d) grew %d times with %d privatizations and %d fences, want 0 or 1 of each", k, grew, d.Privatizations, d.Fences)
+			if d.Privatizations != grew || d.Fences != grew || grew > 1 || d.Commits != 1+2*grew {
+				t.Fatalf("Put(%d) grew %d times with %d privatizations, %d fences and %d commits, want 0, 0, 1 or 1, 1, 3", k, grew, d.Privatizations, d.Fences, d.Commits)
 			}
 		}
 		want := int64(0)
@@ -211,11 +211,10 @@ func TestTableFootprint(t *testing.T) {
 			want += 2 * s.CapOf(1, sh)
 			minCap = min(minCap, s.CapOf(1, sh))
 		}
-		hs := s.HeapStats()
-		if hs.BumpRegs != want || hs.Live != shards || hs.Frees != 0 {
-			t.Fatalf("%d Puts left %+v, want BumpRegs %d (one block of 2·cap registers per shard), Live %d, Frees 0", n, hs, want, shards)
+		if got := s.Stats().TableRegs; got != want {
+			t.Fatalf("%d Puts left TableRegs %d, want Σ 2·cap = %d", n, got, want)
 		}
-		t.Logf("%d Puts: BumpRegs %d, smallest table %d slots", n, hs.BumpRegs, minCap)
+		t.Logf("%d Puts: TableRegs %d, smallest table %d slots", n, want, minCap)
 	}
 	if minCap <= slots/2 {
 		t.Fatalf("%d Puts left a shard at %d slots, want every shard past %d", puts, minCap, slots/2)
@@ -229,18 +228,17 @@ func TestTableFootprint(t *testing.T) {
 // fills from empty to full: doublings from min(8, slots) until a step
 // would pass a quarter of the arena, then quarter-arena steps up to the
 // arena. Every key up to the arena fits (at the arena the load factor
-// is waived), and the next one gets ErrFull. The table's block is
-// exactly two registers a slot, except that NewIn rounds the first
-// table up to its size class (12 registers to 16 for a 6-slot arena).
+// is waived), and the next one gets ErrFull. The full table takes
+// exactly two registers a slot (Stats().TableRegs).
 func TestGrowthSequence(t *testing.T) {
 	for _, tt := range []struct {
-		slots int
-		caps  []int64
-		bump  int64
+		slots     int
+		caps      []int64
+		tableRegs int64
 	}{
 		{4096, []int64{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 3072, 4096}, 8192},
 		{64, []int64{8, 16, 32, 48, 64}, 128},
-		{6, []int64{6}, 16},
+		{6, []int64{6}, 12},
 		{1, []int64{1}, 2},
 	} {
 		t.Run(strconv.Itoa(tt.slots), func(t *testing.T) {
@@ -266,8 +264,8 @@ func TestGrowthSequence(t *testing.T) {
 			if st := s.Stats(); st.Grows != int64(len(tt.caps)-1) || st.Compactions != 0 {
 				t.Fatalf("%d grows and %d compactions, want %d and 0", st.Grows, st.Compactions, len(tt.caps)-1)
 			}
-			if hs := s.HeapStats(); hs.BumpRegs != tt.bump {
-				t.Fatalf("BumpRegs %d, want %d", hs.BumpRegs, tt.bump)
+			if got := s.Stats().TableRegs; got != tt.tableRegs {
+				t.Fatalf("TableRegs %d, want %d", got, tt.tableRegs)
 			}
 		})
 	}
@@ -389,5 +387,37 @@ func TestScanReadsEachRegisterOnce(t *testing.T) {
 	t.Logf("%d pages, %d windows: %d reads, %d repeated", pages, windows, rc.Reads, rc.Repeats)
 	if rc.Repeats != 0 {
 		t.Fatalf("%d reads of a register already read in the same transaction over %d windows, want 0", rc.Repeats, windows)
+	}
+}
+
+// TestStatsReadOutsLoadNothing: the read-outs a GET /stats makes (Len
+// and Stats), and the HeapStats adapter bench's store workloads call,
+// run through transactions and Go counters only. A poller therefore
+// never loads a register that transactions write, which would be a data
+// race by the paper's Definition 3.2. Counted through
+// coretest.ReadCounter on a 16-shard store whose tables have grown.
+func TestStatsReadOutsLoadNothing(t *testing.T) {
+	const shards, slots, keys = 16, 4096, 2_000
+	rc := coretest.NewReadCounter(engine.MustNewSpec("tl2", stmkv.RegsNeeded(shards, slots), 2, nil))
+	s, err := stmkv.New(rc, shards, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(1); k <= keys; k++ {
+		if err := s.Put(1, k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rc.Reset()
+	n, err := s.Len(1)
+	if err != nil || n != keys {
+		t.Fatalf("Len = %d, %v, want %d", n, err, keys)
+	}
+	st, hs := s.Stats(), s.HeapStats()
+	if rc.Loads != 0 || rc.Stores != 0 {
+		t.Fatalf("Len, Stats and HeapStats made %d uninstrumented loads and %d stores, want 0 and 0", rc.Loads, rc.Stores)
+	}
+	if st.Grows == 0 || hs.BumpRegs != st.TableRegs || hs.Live != shards {
+		t.Fatalf("Stats %+v and HeapStats %+v, want growth, BumpRegs == TableRegs and Live == %d", st, hs, shards)
 	}
 }

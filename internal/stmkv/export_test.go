@@ -7,11 +7,6 @@ import (
 	"safepriv/internal/region"
 )
 
-// FailReclamation makes the store's table heap record a reclamation
-// failure — a Free of a size no class holds, which the heap reports
-// through its next Drain — so a test can watch Store.Drain surface it.
-func (s *Store) FailReclamation(th int) { s.heap.Free(th, 0, 1<<40) }
-
 // HoldShard privatizes one shard — read-private over every slot as
 // Scan does, or exclusive as a rehash does — fences, and hands back the
 // publish, so a test can observe who gets past a private shard and who
@@ -88,23 +83,14 @@ func (s *Store) CapOf(th, shard int) int64 {
 // private phase: privatize the shard exclusive, fence, rehashTo,
 // publish. cap is clamped to [max(live keys, 1), slots], since
 // rehashTo cannot place more keys than it has slots.
-func (s *Store) Rehash(th, shard int, cap int64) (err error) {
+func (s *Store) Rehash(th, shard int, cap int64) error {
 	base := s.base(shard)
 	if err := s.own.Privatize(th, exclusive(base)); err != nil {
 		return err
 	}
 	old := s.CapOf(th, shard)
-	pub := old
-	defer func() {
-		if perr := s.publish(th, base, pub); err == nil {
-			err = perr
-		}
-	}()
 	live := s.tm.Load(th, base+offCount)
 	next := min(max(cap, live, 1), int64(s.slots))
-	if err := s.rehashTo(th, shard, old, next); err != nil {
-		return err
-	}
-	pub = next
-	return nil
+	s.rehashTo(th, shard, old, next)
+	return s.publish(th, base, next)
 }

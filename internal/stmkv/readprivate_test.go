@@ -462,9 +462,6 @@ func TestScanWindowsBesideChurn(t *testing.T) {
 				t.Fatal(err)
 			default:
 			}
-			if err := s.Drain(1); err != nil {
-				t.Fatalf("Drain: %v", err)
-			}
 			// Quiescent: the store holds exactly the stable keys and the
 			// writer's oracle.
 			pairs, err := s.Scan(1)

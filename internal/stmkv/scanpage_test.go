@@ -60,7 +60,7 @@ func TestScanPageWalk(t *testing.T) {
 }
 
 // TestScanPageRehashMidScan cuts a cursor, grows the shard under it
-// (rehash replaces the table block), and resumes: the stale table
+// (a rehash rebuilds the table), and resumes: the stale table
 // identity must be detected and the shard restarted, so every key
 // present for the whole scan appears at least once.
 func TestScanPageRehashMidScan(t *testing.T) {

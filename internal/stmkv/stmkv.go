@@ -3,11 +3,11 @@
 // from litmus test to hot path.
 //
 // The store divides its register span into a small per-shard header
-// region and a transactional heap (internal/stmalloc) with one chunk
-// per shard. Each shard is an open-addressing table (linear probing,
-// tombstone deletion) stored in the one block of its chunk, at a
-// register index fixed when the store is built (slot i key at tab+2i,
-// value at tab+2i+1); the header carries:
+// region and one table span per shard. Each shard is an open-addressing
+// table (linear probing, tombstone deletion) at a register index fixed
+// by the geometry: shard s's table starts at shards·hdrRegs + s·2·slots
+// (slot i key at tab+2i, value at tab+2i+1) and may fill the 2·slots
+// registers up to the next shard's. The header carries:
 //
 //	base+0  flag   privatization state in the two low bits (below),
 //	               the table's active slot count (cap) as the flag's
@@ -48,24 +48,19 @@
 // exclusive, bumps gen, and so is detected by a ScanPage cursor:
 // consecutive slot ranges cover every such key once.
 //
-// Growth is where the store meets the allocator, and it happens in
-// place. A table doubles until a doubling would add more than a quarter
-// of the shard's slot arena, then grows by quarter-arena steps up to
-// the arena (growStep): a 4 096-slot shard passes 8, 16, … 2 048,
-// 3 072, 4 096 slots, so a full table wastes at most a quarter of its
-// block, not half. Once the rehash's fence has run, the shard's
-// registers belong to the grower: it lays the rebuilt table out in Go
-// memory from the old table's loads, extends the table's block in its
-// chunk to exactly two registers a slot (stmalloc.Heap.Extend, one
-// transaction on the chunk's bump pointer, which no other shard
-// touches), stores the key of every slot and the value of every
-// occupied one uninstrumented, and publishes. No second table is ever
-// allocated and no block is freed, so a shard occupies exactly the
-// block of its largest capacity so far: a block never shrinks, and
-// RegsNeeded budgets one chunk of the largest class per shard. The
-// fence guards more here than a move would need: the rebuild
-// overwrites the very registers a doomed transaction may still be
-// reading or rolling back.
+// Growth happens in place. A table doubles until a doubling would add
+// more than a quarter of the shard's slot arena, then grows by
+// quarter-arena steps up to the arena (growStep): a 4 096-slot shard
+// passes 8, 16, … 2 048, 3 072, 4 096 slots, so a full table leaves at
+// most a quarter of its span unused, not half. Once the rehash's fence
+// has run, the shard's registers belong to the grower: it lays the
+// rebuilt table out in Go memory from the old table's loads, stores the
+// key of every slot and the value of every occupied one uninstrumented
+// into the first 2·newCap registers of the shard's span, and publishes
+// newCap in the flag. The registers past cap are never read, so nothing
+// allocates them and nothing wipes them. The fence guards more here
+// than a move would need: the rebuild overwrites the very registers a
+// doomed transaction may still be reading or rolling back.
 //
 // How often the store privatizes is set by how often callers scan and
 // by the growth policy (maxLoadNum/maxLoadDen); the Stats counters
@@ -115,6 +110,11 @@ const (
 	// the slot arena): every growth step beyond it (growStep) is a
 	// privatize cycle.
 	initialCap = 8
+
+	// maxSlots is the largest slot arena New accepts. slots comes from
+	// outside the program (KVSERVER_SLOTS), and at 4 096 slots a shard's
+	// table spans 8 192 registers.
+	maxSlots = 4096
 )
 
 // ErrFull is returned by Put when the key's shard is at its arena limit
@@ -142,10 +142,10 @@ type Option func(*Store)
 // all; on TL2 the transactional scan pays validation instead).
 func WithTransactionalScan() Option { return func(s *Store) { s.txnScan = true } }
 
-// Stats counts the store's privatization traffic. Grows and
-// Compactions are the store's own counters. The rest are summed from
-// the TM's telemetry board, so they count every structure over the TM,
-// and they stay zero on a TM without one.
+// Stats counts the store's privatization traffic and table footprint.
+// Grows, Compactions and TableRegs are the store's own counters. The
+// rest are summed from the TM's telemetry board, so they count every
+// structure over the TM, and they stay zero on a TM without one.
 type Stats struct {
 	// Privatizations is the number of privatize→fence→publish cycles
 	// (every scan window and every rehash contributes one).
@@ -155,6 +155,8 @@ type Stats struct {
 	// the number it triggered at the same capacity, only to drop
 	// tombstones.
 	Grows, Compactions int64
+	// TableRegs is the registers the shards' tables occupy: Σ 2·cap.
+	TableRegs int64
 	// Scans counts Scan and ScanPage calls.
 	Scans int64
 	// ScanWindows counts privatized scan windows: one
@@ -176,12 +178,8 @@ type KV struct {
 
 // Store is a sharded transactional KV store over a core.TM.
 type Store struct {
-	tm     core.TM
-	heap   *stmalloc.Heap
-	shards int
-	// tabs[sh] is shard sh's table block, fixed at construction: the
-	// first register of heap shard sh's chunk. Read-only after New.
-	tabs    []int64
+	tm      core.TM
+	shards  int
 	slots   int // maximum active capacity per shard
 	txnScan bool
 
@@ -190,9 +188,11 @@ type Store struct {
 	own *region.Owner
 
 	// Maintenance counters, each on its own cache line: they are bumped
-	// by maintenance threads while readers poll Stats.
+	// by maintenance threads while readers poll Stats. tableRegs is
+	// Σ 2·cap over the shards, moved by every rebuild.
 	grows       padInt64
 	compactions padInt64
+	tableRegs   padInt64
 
 	// spare is the rebuild buffer rehashTo lays a table out in: one
 	// arena's worth of pairs, made by the store's first rebuild and
@@ -214,30 +214,26 @@ type padInt64 struct {
 
 // RegsNeeded returns the register count a store with the given geometry
 // requires; size the TM with at least this many registers. The budget
-// covers the shard headers, a heap header with one heap shard per store
-// shard, and one chunk per shard that holds the table block at `slots`
-// active slots: each table grows in place inside its own chunk.
+// covers each shard's header and its table span of 2·slots registers,
+// which the table grows into in place. It returns 0 for a geometry New
+// rejects.
 func RegsNeeded(shards, slots int) int {
-	if shards <= 0 || slots <= 0 {
+	if shards <= 0 || slots <= 0 || slots > maxSlots {
 		return 0
 	}
-	maxBlock := stmalloc.BlockRegs(2 * slots)
-	if maxBlock == 0 {
-		return 0 // unallocatable geometry; New rejects it
-	}
-	return shards*hdrRegs + stmalloc.HeaderRegs(shards) + shards*maxBlock
+	return shards * (hdrRegs + 2*slots)
 }
 
 // New builds a store with `shards` shards of at most `slots` active
 // slots each over tm's registers [0, RegsNeeded(shards, slots)). The
-// headers and the heap are initialized non-transactionally (thread 1),
-// so construction must happen before concurrent use.
+// headers and the initial tables are initialized non-transactionally
+// (thread 1), so construction must happen before concurrent use.
 func New(tm core.TM, shards, slots int, opts ...Option) (*Store, error) {
 	if shards <= 0 || slots <= 0 {
 		return nil, fmt.Errorf("stmkv: bad geometry shards=%d slots=%d", shards, slots)
 	}
-	if stmalloc.BlockRegs(2*slots) == 0 {
-		return nil, fmt.Errorf("stmkv: %d slots per shard exceeds the allocator's block bound", slots)
+	if slots > maxSlots {
+		return nil, fmt.Errorf("stmkv: %d slots per shard exceeds the bound of %d", slots, maxSlots)
 	}
 	s := &Store{tm: tm, shards: shards, slots: slots, own: region.NewOwner(tm)}
 	for _, o := range opts {
@@ -246,41 +242,21 @@ func New(tm core.TM, shards, slots int, opts ...Option) (*Store, error) {
 	if p, ok := tm.(telemetry.Provider); ok {
 		s.board = p.TelemetryBoard()
 	}
-	need := RegsNeeded(shards, slots)
-	if tm.NumRegs() < need {
+	if need := RegsNeeded(shards, slots); tm.NumRegs() < need {
 		return nil, fmt.Errorf("stmkv: TM has %d registers, geometry needs %d", tm.NumRegs(), need)
 	}
-	heap, err := stmalloc.New(tm, shards*hdrRegs, need, stmalloc.WithShards(shards))
-	if err != nil {
-		return nil, fmt.Errorf("stmkv: heap: %w", err)
-	}
-	s.heap = heap
-	s.tabs = make([]int64, shards)
 	// Start with a small active table and grow on demand: every growth
 	// is a privatize→rehash→publish cycle, so the paper's idiom runs on
 	// the hot path instead of only in explicit bulk calls.
-	initial := slots
-	if initial > initialCap {
-		initial = initialCap
-	}
+	initial := min(slots, initialCap)
 	for sh := 0; sh < shards; sh++ {
-		base := s.base(sh)
-		var tab int64
-		err := core.Atomically(tm, 1, func(tx core.Txn) error {
-			var err error
-			tab, err = heap.NewIn(tx, sh, 2*initial)
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("stmkv: initial table for shard %d: %w", sh, err)
-		}
-		s.tabs[sh] = tab
-		// Wipe the fresh block: the TM (and the heap region) may have
-		// been used before. Construction is single-threaded, so the
-		// uninstrumented stores are race-free.
+		tab, base := s.table(sh)
+		// Wipe the initial table: the TM may have been used before.
+		// Construction is single-threaded, so the uninstrumented stores
+		// are race-free.
 		for i := 0; i < initial; i++ {
-			tm.Store(1, int(tab)+2*i, keyEmpty)
-			tm.Store(1, int(tab)+2*i+1, 0)
+			tm.Store(1, keyReg(tab, i), keyEmpty)
+			tm.Store(1, valReg(tab, i), 0)
 		}
 		tm.Store(1, base+offFlag, region.SharedFlag(int64(initial)))
 		tm.Store(1, base+offCount, 0)
@@ -289,6 +265,7 @@ func New(tm core.TM, shards, slots int, opts ...Option) (*Store, error) {
 		tm.Store(1, base+offWinLo, 0)
 		tm.Store(1, base+offWinHi, 0)
 	}
+	s.tableRegs.Store(int64(shards * 2 * initial))
 	return s, nil
 }
 
@@ -308,13 +285,19 @@ func (s *Store) Stats() Stats {
 		GateParks:      tel.GateParks,
 		GateTimeouts:   tel.GateTimeouts,
 		ReadThroughs:   tel.ReadThroughs,
+		TableRegs:      s.tableRegs.Load(),
 	}
 }
 
-// HeapStats exposes the table heap's counters: Live is the shard count
-// (one table block each) and Frees stays 0, since tables grow in place;
-// BumpRegs is the sum of the shards' table blocks.
-func (s *Store) HeapStats() stmalloc.Stats { return s.heap.Stats() }
+// HeapStats reports the tables in the shape of an allocator's counters,
+// from the store's own: Allocs = Live = the shard count (one table
+// each), BumpRegs = Stats().TableRegs, the rest zero. It loads no
+// register. Only bench's store workloads call it, and ROADMAP item 21's
+// one-function bench edit deletes it.
+func (s *Store) HeapStats() stmalloc.Stats {
+	n := int64(s.shards)
+	return stmalloc.Stats{Allocs: n, Live: n, BumpRegs: s.tableRegs.Load()}
+}
 
 // mix64 is the splitmix64 finalizer: the key hash.
 func mix64(x uint64) uint64 {
@@ -339,8 +322,11 @@ func slotStart(key int64, cap int64) int {
 
 func (s *Store) base(shard int) int { return shard * hdrRegs }
 
-// table returns shard's table block and the base of its header.
-func (s *Store) table(shard int) (tab int64, base int) { return s.tabs[shard], s.base(shard) }
+// table returns the first register of shard's table span and the base
+// of its header.
+func (s *Store) table(shard int) (tab int64, base int) {
+	return int64(s.shards*hdrRegs + shard*2*s.slots), s.base(shard)
+}
 
 func keyReg(tab int64, i int) int { return int(tab) + 2*i }
 func valReg(tab int64, i int) int { return int(tab) + 2*i + 1 }
@@ -929,13 +915,10 @@ func scanWindowSlots(need, rest, cap, count int64) int64 {
 	return min(rest, need*cap*5/(4*count)+32)
 }
 
-// Drain settles the table heap and returns the first error a
-// reclamation on it hit (stmalloc.Heap.Drain); tables grow in place, so
-// the store itself frees nothing. Each error is surfaced exactly once,
-// so a long-running caller (cmd/kvserver drains on every shutdown and
-// liveness probe) sees recovery as a nil Drain instead of the first
-// failure repeated forever.
-func (s *Store) Drain(th int) error { return s.heap.Drain(th) }
+// Drain returns nil: the store holds no deferred work, since its tables
+// are never freed. Only bench's store settle step calls it, and ROADMAP
+// item 21's one-function bench edit deletes it.
+func (s *Store) Drain(th int) error { return nil }
 
 // grow makes room in a shard for `need` more inserts after a put hit
 // the load factor: it raises the active capacity by growStep
@@ -948,21 +931,13 @@ func (s *Store) Drain(th int) error { return s.heap.Drain(th) }
 // cannot absorb the demand (conservative for batches whose pairs update
 // existing keys — those need no slot — but a put only reports
 // errNeedGrow when its probe actually found no room).
-func (s *Store) grow(th, shard int, need int64) (err error) {
+func (s *Store) grow(th, shard int, need int64) error {
 	base := s.base(shard)
 	if err := s.own.Privatize(th, exclusive(base)); err != nil {
 		return err
 	}
 	tm := s.tm
 	cap := region.Payload(tm.Load(th, base+offFlag))
-	// Publish whatever happens, with the capacity the table has then;
-	// the work's own error comes first.
-	pub := cap
-	defer func() {
-		if perr := s.publish(th, base, pub); err == nil {
-			err = perr
-		}
-	}()
 	count := tm.Load(th, base+offCount)
 	tombs := tm.Load(th, base+offTombs)
 	// Re-check under privatization: a concurrent grower may have run
@@ -980,27 +955,26 @@ func (s *Store) grow(th, shard int, need int64) (err error) {
 			newCap = int64(s.slots)
 		}
 	}
+	var err error
 	switch {
 	case newCap != cap:
-		if err := s.rehashTo(th, shard, cap, newCap); err != nil {
-			return err
-		}
-		pub = newCap
+		s.rehashTo(th, shard, cap, newCap)
 		s.grows.Add(1)
 	case due && tombs > 0:
 		// Compaction: rebuild at the same capacity, dropping tombstones.
-		if err := s.rehashTo(th, shard, cap, cap); err != nil {
-			return err
-		}
+		s.rehashTo(th, shard, cap, cap)
 		s.compactions.Add(1)
 	case due && count+need > cap:
 		// Cannot grow (at the arena), nothing to compact, and the
 		// demand exceeds the slots themselves: it will never fit. (At
 		// the arena limit puts waive the load factor and fill the
 		// table completely, so count+need <= cap still succeeds.)
-		return ErrFull
+		err = ErrFull
 	}
-	return nil
+	if perr := s.publish(th, base, newCap); err == nil {
+		err = perr
+	}
+	return err
 }
 
 // growStep is how many slots one growth step adds to a table of cap
@@ -1015,17 +989,17 @@ func growStep(cap, slots int64) int64 { return min(cap, max(slots/4, 1)) }
 // rehashTo rebuilds the (privatized, quiesced) shard's table of oldCap
 // slots in place at newCap active slots, dropping tombstones. It lays
 // the new table out in Go memory straight from the old table's loads,
-// extends the table's block to 2·newCap registers, then stores every
-// key register once and the value register of each occupied slot —
-// newCap + live uninstrumented stores, race-free because the shard's
-// fence already ran. An empty slot's value register keeps whatever it
-// held: nothing reads a value whose key is not present, and an insert
-// writes both. Last it bumps the generation, so a ScanPage cursor cut
-// against the old layout restarts the shard. The caller publishes
-// newCap in the flag. The layout reuses the store's spare buffer, so
+// then stores every key register once and the value register of each
+// occupied slot — newCap + live uninstrumented stores, race-free
+// because the shard's fence already ran. An empty slot's value register
+// keeps whatever it held: nothing reads a value whose key is not
+// present, and an insert writes both. Last it bumps the generation, so
+// a ScanPage cursor cut against the old layout restarts the shard, and
+// moves tableRegs by the size change. The caller publishes newCap in
+// the flag. The layout reuses the store's spare buffer, so
 // only a store's first rebuild (and one that overlaps another)
 // allocates.
-func (s *Store) rehashTo(th, shard int, oldCap, newCap int64) error {
+func (s *Store) rehashTo(th, shard int, oldCap, newCap int64) {
 	tm := s.tm
 	tab, base := s.table(shard)
 	buf := s.spare.Swap(nil)
@@ -1051,12 +1025,6 @@ func (s *Store) rehashTo(th, shard int, oldCap, newCap int64) error {
 		next[j] = KV{k, tm.Load(th, valReg(tab, i))}
 		live++
 	}
-	err := core.Atomically(tm, th, func(tx core.Txn) error {
-		return s.heap.Extend(tx, tab, int(2*newCap))
-	})
-	if err != nil {
-		return fmt.Errorf("stmkv: rehash to %d slots: %w", newCap, err)
-	}
 	for i, kv := range next {
 		tm.Store(th, keyReg(tab, i), kv.Key)
 		if kv.Key != keyEmpty {
@@ -1066,5 +1034,5 @@ func (s *Store) rehashTo(th, shard int, oldCap, newCap int64) error {
 	tm.Store(th, base+offGen, tm.Load(th, base+offGen)+1)
 	tm.Store(th, base+offCount, int64(live))
 	tm.Store(th, base+offTombs, 0)
-	return nil
+	s.tableRegs.Add(2 * (newCap - oldCap))
 }

@@ -238,8 +238,17 @@ func TestBadGeometry(t *testing.T) {
 	if _, err := stmkv.New(tm, 0, 1); err == nil {
 		t.Fatal("zero shards accepted")
 	}
-	if _, err := stmkv.New(tm, 1, 1); err == nil {
-		t.Fatal("8 registers cannot host a shard header plus its heap")
+	short := engine.MustNewSpec("baseline", stmkv.RegsNeeded(2, 32)-1, 2, nil)
+	if _, err := stmkv.New(short, 2, 32); err == nil {
+		t.Fatal("a TM one register short of the RegsNeeded budget accepted")
+	}
+	// 4 096 slots a shard is the bound: past it there is no budget, and
+	// New refuses the geometry whatever the TM holds.
+	if stmkv.RegsNeeded(1, 4096) == 0 || stmkv.RegsNeeded(1, 4097) != 0 {
+		t.Fatalf("RegsNeeded(1, 4096) = %d, RegsNeeded(1, 4097) = %d, want > 0 and 0", stmkv.RegsNeeded(1, 4096), stmkv.RegsNeeded(1, 4097))
+	}
+	if _, err := stmkv.New(engine.MustNewSpec("baseline", 2*stmkv.RegsNeeded(1, 4096), 2, nil), 1, 4097); err == nil {
+		t.Fatal("4 097 slots a shard accepted")
 	}
 	// A TM sized at exactly the RegsNeeded budget hosts the geometry,
 	// and the store fills to that many keys per shard without ErrFull.
@@ -273,7 +282,7 @@ func requireRefused(t *testing.T, spec string) {
 }
 
 // TestKVFenceModes runs the store's full lifecycle — puts crossing the
-// growth path, scans, paged scans, drain, reuse — on every TM with the
+// growth path, scans, paged scans, reuse — on every TM with the
 // paper's fence, the only safe one. Each ScanPage window runs one
 // fence, counted on the TM's telemetry board.
 func TestKVFenceModes(t *testing.T) {
@@ -319,15 +328,12 @@ func TestKVFenceModes(t *testing.T) {
 			if paged != len(want) {
 				t.Fatalf("ScanPage pages hold %d keys, want %d", paged, len(want))
 			}
-			if err := s.Drain(1); err != nil {
-				t.Fatalf("Drain: %v", err)
-			}
-			// The store stays usable after the scans and the drain.
+			// The store stays usable after the scans.
 			if err := s.Put(1, 7, 77); err != nil {
 				t.Fatal(err)
 			}
 			if v, ok, _ := s.Get(1, 7); !ok || v != 77 {
-				t.Fatalf("Get after the drain = %d,%v", v, ok)
+				t.Fatalf("Get after the scans = %d,%v", v, ok)
 			}
 		})
 		for _, fence := range retiredFenceModes {
@@ -432,9 +438,6 @@ func TestConcurrentDisjointRanges(t *testing.T) {
 			for err := range errs {
 				t.Fatal(err)
 			}
-			if err := s.Drain(1); err != nil {
-				t.Fatalf("Drain: %v", err)
-			}
 			want := map[int64]int64{}
 			for w := 1; w <= workers; w++ {
 				for k, v := range models[w] {
@@ -497,11 +500,10 @@ func TestScanIsPerShardSnapshot(t *testing.T) {
 // TestRehashRacesPointOps: concurrent Rehash callers, each rebuilding
 // one shard's table in place in its own privatize→fence→rehash→publish
 // cycle, race point operations whose Puts grow shards in place on their
-// own. Nothing is freed, so after a Drain the heap must still hold
-// exactly one live table block per shard and no pending frees, every
-// Rehash must have run at least one privatize cycle, and every
-// surviving key must be readable with a value some Put wrote. Run under
-// -race in CI.
+// own. Afterwards Stats().TableRegs must be exactly Σ 2·cap over the
+// shards, every Rehash must have run at least one privatize cycle, and
+// every surviving key must be readable with a value some Put wrote. Run
+// under -race in CI.
 func TestRehashRacesPointOps(t *testing.T) {
 	for _, spec := range []string{"tl2", "norec"} {
 		t.Run(spec+"/per-free", func(t *testing.T) {
@@ -578,18 +580,15 @@ func TestRehashRacesPointOps(t *testing.T) {
 			for err := range errs {
 				t.Fatal(err)
 			}
-			if err := s.Drain(threads); err != nil {
-				t.Fatal(err)
+			tableRegs := int64(0)
+			for sh := range shards {
+				tableRegs += 2 * s.CapOf(1, sh)
 			}
-			hs := s.HeapStats()
-			if hs.Live != int64(shards) {
-				t.Fatalf("heap holds %d live blocks after Drain, want one table per shard (%d): %+v", hs.Live, shards, hs)
-			}
-			if hs.PendingFrees != 0 {
-				t.Fatalf("%d pending frees after Drain", hs.PendingFrees)
+			if got := s.Stats().TableRegs; got != tableRegs {
+				t.Fatalf("TableRegs %d after the race, want Σ 2·cap = %d", got, tableRegs)
 			}
 			if got, want := s.Stats().Privatizations, int64(rehashers*rounds*shards); got < want {
-				t.Fatalf("%d privatize cycles after Drain, want >= %d (one per Rehash)", got, want)
+				t.Fatalf("%d privatize cycles, want >= %d (one per Rehash)", got, want)
 			}
 			for k := int64(1); k <= keys; k++ {
 				v, ok, err := s.Get(1, k)
@@ -599,42 +598,6 @@ func TestRehashRacesPointOps(t *testing.T) {
 				if ok && v != k && v != k*10 {
 					t.Fatalf("key %d holds %d, want %d or %d", k, v, k, k*10)
 				}
-			}
-		})
-	}
-}
-
-// TestDrainSurfacesAsyncErrorOnce is the long-running-server regression
-// test: a reclamation failure must be returned by exactly one Drain,
-// not by every Drain for the rest of the process's life. The second
-// Drain after the failure reports recovery (nil), and the store keeps
-// serving.
-func TestDrainSurfacesAsyncErrorOnce(t *testing.T) {
-	for _, spec := range []string{"tl2"} {
-		t.Run(spec, func(t *testing.T) {
-			s := newStore(t, spec, 2, 64, 3)
-			failed := func(err error) bool { return err != nil && strings.Contains(err.Error(), "unallocatable") }
-			s.FailReclamation(2)
-			if err := s.Drain(1); !failed(err) {
-				t.Fatalf("first Drain = %v, want the reclamation failure", err)
-			}
-			if err := s.Drain(1); err != nil {
-				t.Fatalf("second Drain after recovery = %v, want nil (stale error resurfaced)", err)
-			}
-			// The store still works, and a fresh failure surfaces again
-			// (once).
-			if err := s.Put(1, 7, 70); err != nil {
-				t.Fatal(err)
-			}
-			s.FailReclamation(2)
-			if err := s.Drain(1); !failed(err) {
-				t.Fatalf("Drain after the second failure = %v, want the reclamation failure", err)
-			}
-			if err := s.Drain(1); err != nil {
-				t.Fatalf("final Drain = %v, want nil", err)
-			}
-			if v, ok, err := s.Get(1, 7); err != nil || !ok || v != 70 {
-				t.Fatalf("Get(7) after the failures = %d,%v,%v", v, ok, err)
 			}
 		})
 	}
@@ -686,9 +649,6 @@ func TestPutBatch(t *testing.T) {
 				if !ok || v != want {
 					t.Fatalf("key %d = (%d,%v), want (%d,true)", k, v, ok, want)
 				}
-			}
-			if err := s.Drain(1); err != nil {
-				t.Fatal(err)
 			}
 		})
 	}
@@ -745,9 +705,6 @@ func TestPutBatchConcurrent(t *testing.T) {
 	}
 	if want := int64(writers * batches * batchLen); n != want {
 		t.Fatalf("Len = %d, want %d", n, want)
-	}
-	if err := s.Drain(1); err != nil {
-		t.Fatal(err)
 	}
 }
 
